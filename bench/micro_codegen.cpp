@@ -8,13 +8,13 @@
 /// google-benchmark microbenchmarks for compile-time access-phase
 /// generation: full generateAccessPhase throughput per workload task kind
 /// (affine polyhedral synthesis vs. skeleton cloning+marking), the
-/// interpreter's simulated-instruction throughput, and dispatch-throughput
+/// interpreter's simulated-instruction throughput, and functional-pass
 /// microbenches comparing the execution backends
 /// (--sim-backend={switch,threaded,native}) on loop shapes that isolate one
 /// cost each: a tight arithmetic loop (pure dispatch + ALU handlers), a
 /// phi-heavy loop with a parallel-copy swap cycle (trampoline cost), and a
-/// load/store stream (memory-model callbacks + load/binop fusion — for the
-/// native backend, the strength-reduced page translation and inlined trace
+/// load/store stream (trace appends + load/binop fusion — for the native
+/// backend, the strength-reduced page translation and inlined trace
 /// stores). Each reports a per-backend sim_instr/s counter in the benchmark
 /// JSON.
 ///
@@ -23,7 +23,6 @@
 #include "dae/AccessGenerator.h"
 #include "ir/IRBuilder.h"
 #include "runtime/Runtime.h"
-#include "sim/CacheSim.h"
 #include "sim/Interpreter.h"
 #include "sim/MachineConfig.h"
 #include "sim/Memory.h"
@@ -176,34 +175,11 @@ DispatchPrograms &dispatchPrograms() {
   return P;
 }
 
-/// Runs \p F under \p Backend in fused mode and reports sim_instr/s. Memory
-/// and caches persist across iterations: after the first pass the working
-/// set is cache-hot, so the steady state measures dispatch + handler cost,
-/// not DRAM.
-void benchDispatch(benchmark::State &State, const ir::Function *F,
-                   sim::SimBackend Backend) {
-  DispatchPrograms &P = dispatchPrograms();
-  sim::MachineConfig Cfg;
-  Cfg.Backend = Backend;
-  sim::Loader L(P.M);
-  sim::Memory Mem;
-  sim::CacheHierarchy Caches(Cfg, 1);
-  sim::Interpreter Interp(Cfg, Mem, Caches, L);
-  std::uint64_t Instr = 0;
-  for (auto _ : State) {
-    sim::PhaseStats S =
-        Interp.run(*F, 0, {sim::RuntimeValue::ofInt(DispatchPrograms::Iters)});
-    Instr += S.Instructions;
-    benchmark::DoNotOptimize(S.ComputeCycles);
-  }
-  State.counters["sim_instr/s"] = benchmark::Counter(
-      static_cast<double>(Instr), benchmark::Counter::kIsRate);
-}
-
-/// Same programs through the tracing (functional) path: runTraced with the
-/// trace cleared per iteration. Arith/Phi have no memory ops (empty trace =
-/// pure dispatch); Stream adds the trace-append cost both backends share.
-/// This is the path the [interp] line of the figure benches reports.
+/// Runs \p F under \p Backend through the functional pass (runTraced, the
+/// trace cleared per iteration) and reports sim_instr/s. Memory persists
+/// across iterations. Arith/Phi have no memory ops (empty trace = pure
+/// dispatch); Stream adds the trace-append cost every backend pays. This is
+/// the path the [interp] line of the figure benches reports.
 void benchTrace(benchmark::State &State, const ir::Function *F,
                 sim::SimBackend Backend) {
   DispatchPrograms &P = dispatchPrograms();
@@ -211,7 +187,7 @@ void benchTrace(benchmark::State &State, const ir::Function *F,
   Cfg.Backend = Backend;
   sim::Loader L(P.M);
   sim::Memory Mem;
-  sim::Interpreter Interp(Cfg, Mem, L, /*Shared=*/nullptr);
+  sim::Interpreter Interp(Cfg, Mem, L);
   sim::AccessTrace Trace;
   std::uint64_t Instr = 0;
   for (auto _ : State) {
@@ -224,51 +200,6 @@ void benchTrace(benchmark::State &State, const ir::Function *F,
   State.counters["sim_instr/s"] = benchmark::Counter(
       static_cast<double>(Instr), benchmark::Counter::kIsRate);
 }
-
-void BM_DispatchArith_Switch(benchmark::State &State) {
-  benchDispatch(State, dispatchPrograms().Arith, sim::SimBackend::Switch);
-}
-BENCHMARK(BM_DispatchArith_Switch)->Unit(benchmark::kMillisecond);
-
-void BM_DispatchArith_Threaded(benchmark::State &State) {
-  benchDispatch(State, dispatchPrograms().Arith, sim::SimBackend::Threaded);
-}
-BENCHMARK(BM_DispatchArith_Threaded)->Unit(benchmark::kMillisecond);
-
-void BM_DispatchArith_Native(benchmark::State &State) {
-  benchDispatch(State, dispatchPrograms().Arith, sim::SimBackend::Native);
-}
-BENCHMARK(BM_DispatchArith_Native)->Unit(benchmark::kMillisecond);
-
-void BM_DispatchPhi_Switch(benchmark::State &State) {
-  benchDispatch(State, dispatchPrograms().Phi, sim::SimBackend::Switch);
-}
-BENCHMARK(BM_DispatchPhi_Switch)->Unit(benchmark::kMillisecond);
-
-void BM_DispatchPhi_Threaded(benchmark::State &State) {
-  benchDispatch(State, dispatchPrograms().Phi, sim::SimBackend::Threaded);
-}
-BENCHMARK(BM_DispatchPhi_Threaded)->Unit(benchmark::kMillisecond);
-
-void BM_DispatchPhi_Native(benchmark::State &State) {
-  benchDispatch(State, dispatchPrograms().Phi, sim::SimBackend::Native);
-}
-BENCHMARK(BM_DispatchPhi_Native)->Unit(benchmark::kMillisecond);
-
-void BM_DispatchStream_Switch(benchmark::State &State) {
-  benchDispatch(State, dispatchPrograms().Stream, sim::SimBackend::Switch);
-}
-BENCHMARK(BM_DispatchStream_Switch)->Unit(benchmark::kMillisecond);
-
-void BM_DispatchStream_Threaded(benchmark::State &State) {
-  benchDispatch(State, dispatchPrograms().Stream, sim::SimBackend::Threaded);
-}
-BENCHMARK(BM_DispatchStream_Threaded)->Unit(benchmark::kMillisecond);
-
-void BM_DispatchStream_Native(benchmark::State &State) {
-  benchDispatch(State, dispatchPrograms().Stream, sim::SimBackend::Native);
-}
-BENCHMARK(BM_DispatchStream_Native)->Unit(benchmark::kMillisecond);
 
 void BM_TraceArith_Switch(benchmark::State &State) {
   benchTrace(State, dispatchPrograms().Arith, sim::SimBackend::Switch);
@@ -284,6 +215,21 @@ void BM_TraceArith_Native(benchmark::State &State) {
   benchTrace(State, dispatchPrograms().Arith, sim::SimBackend::Native);
 }
 BENCHMARK(BM_TraceArith_Native)->Unit(benchmark::kMillisecond);
+
+void BM_TracePhi_Switch(benchmark::State &State) {
+  benchTrace(State, dispatchPrograms().Phi, sim::SimBackend::Switch);
+}
+BENCHMARK(BM_TracePhi_Switch)->Unit(benchmark::kMillisecond);
+
+void BM_TracePhi_Threaded(benchmark::State &State) {
+  benchTrace(State, dispatchPrograms().Phi, sim::SimBackend::Threaded);
+}
+BENCHMARK(BM_TracePhi_Threaded)->Unit(benchmark::kMillisecond);
+
+void BM_TracePhi_Native(benchmark::State &State) {
+  benchTrace(State, dispatchPrograms().Phi, sim::SimBackend::Native);
+}
+BENCHMARK(BM_TracePhi_Native)->Unit(benchmark::kMillisecond);
 
 void BM_TraceStream_Switch(benchmark::State &State) {
   benchTrace(State, dispatchPrograms().Stream, sim::SimBackend::Switch);

@@ -16,6 +16,8 @@
 #include "ir/Printer.h"
 #include "passes/Passes.h"
 #include "pm/Analyses.h"
+#include "sim/AccessTrace.h"
+#include "sim/CacheSim.h"
 #include "sim/Interpreter.h"
 #include "verify/AccessPhaseAudit.h"
 #include "verify/DifferentialChecker.h"
@@ -24,6 +26,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <unordered_map>
 
 using namespace dae;
 using namespace dae::harness;
@@ -555,16 +558,41 @@ harness::profileColdLoads(Workload &W, const MachineConfig &Cfg,
   Loader L(*W.M);
   Memory Mem;
   W.Init(Mem, L);
+  Interpreter Interp(Cfg, Mem, L);
+  // Each task runs functionally with a load-site sink; its trace then walks,
+  // in order, through one private core's hierarchy — the access order a
+  // coupled run presents to the caches — charging every load and DRAM miss
+  // to its site.
   CacheHierarchy Caches(Cfg, 1);
-  Interpreter Interp(Cfg, Mem, Caches, L);
-  sim::LoadStatsMap Stats;
-  Interp.setLoadStats(&Stats);
-  for (const Task &T : W.Tasks)
-    Interp.run(*T.Execute, 0, T.Args);
+  struct SiteCounts {
+    std::uint64_t Loads = 0;
+    std::uint64_t Misses = 0;
+  };
+  std::unordered_map<const ir::Instruction *, SiteCounts> Sites;
+  AccessTrace Trace;
+  std::vector<const ir::Instruction *> LoadSites;
+  for (const Task &T : W.Tasks) {
+    Trace.clear();
+    LoadSites.clear();
+    Interp.runTraced(*T.Execute, T.Args, Trace, /*RetOut=*/nullptr,
+                     &LoadSites);
+    auto Site = LoadSites.begin();
+    for (std::uint64_t Event : Trace.events()) {
+      HitLevel Level = Caches.access(0, AccessTrace::addrOf(Event));
+      if (AccessTrace::kindOf(Event) != AccessTrace::Kind::Load)
+        continue;
+      SiteCounts &C = Sites[*Site++];
+      ++C.Loads;
+      if (Level == HitLevel::Memory)
+        ++C.Misses;
+    }
+    assert(Site == LoadSites.end() && "one load site per load event");
+  }
 
   std::set<const ir::Instruction *> Cold;
-  for (const auto &[Inst, S] : Stats)
-    if (S.missRate() < MissRateThreshold)
+  for (const auto &[Inst, C] : Sites)
+    if (static_cast<double>(C.Misses) / static_cast<double>(C.Loads) <
+        MissRateThreshold)
       Cold.insert(Inst);
   return Cold;
 }

@@ -253,10 +253,13 @@ runtime::EvalConfig minMaxConfig(const sim::MachineConfig &Cfg,
 runtime::EvalConfig optimalEdpConfig(double TransitionNs);
 
 /// Profile-guided selective prefetching (the paper's proposed refinement,
-/// sections 5.2.2/6.2.3): optimizes the workload's task functions, runs one
-/// instrumented coupled execution, and returns the loads whose DRAM miss
-/// rate stays below \p MissRateThreshold — candidates to skip when
-/// prefetching (pass the result via DaeOptions::ColdLoads).
+/// sections 5.2.2/6.2.3): optimizes the workload's task functions, runs the
+/// coupled tasks once through Interpreter::runTraced with a load-site sink,
+/// walks each trace in order through a private one-core cache hierarchy,
+/// and returns the loads whose DRAM miss rate stays below
+/// \p MissRateThreshold — candidates to skip when prefetching (pass the
+/// result via DaeOptions::ColdLoads). The result does not depend on the
+/// configured backend.
 std::set<const ir::Instruction *>
 profileColdLoads(workloads::Workload &W, const sim::MachineConfig &Cfg,
                  double MissRateThreshold = 0.02);

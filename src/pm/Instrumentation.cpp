@@ -9,8 +9,7 @@
 #include "ir/Function.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
-
-#include <cstdlib>
+#include "support/EnvParse.h"
 
 using namespace dae;
 using namespace dae::pm;
@@ -18,10 +17,8 @@ using namespace dae::pm;
 PipelineConfig &pm::config() {
   static PipelineConfig C = [] {
     PipelineConfig Init;
-    const char *V = std::getenv("DAECC_VERIFY_EACH");
-    Init.VerifyEach = V && V[0] == '1';
-    const char *P = std::getenv("DAECC_PRINT_AFTER_ALL");
-    Init.PrintAfterAll = P && P[0] == '1';
+    Init.VerifyEach = support::envBool01Or("DAECC_VERIFY_EACH", false);
+    Init.PrintAfterAll = support::envBool01Or("DAECC_PRINT_AFTER_ALL", false);
     return Init;
   }();
   return C;

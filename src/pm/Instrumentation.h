@@ -41,7 +41,8 @@ struct PipelineConfig {
 };
 
 /// The process-wide configuration (DAECC_VERIFY_EACH=1 / DAECC_PRINT_AFTER_ALL=1
-/// set the corresponding fields on first use).
+/// set the corresponding fields on first use; 0 clears them, and any other
+/// value exits 2 — see support::envBool01Or).
 PipelineConfig &config();
 
 /// Per-pass counters.

@@ -52,8 +52,9 @@ struct ReplayCostModel {
 /// statistics to \p S under \p Costs. When \p Cap is non-null, every event's
 /// cache line (byte address >> \p LineShift) lands in Cap->Lines and every
 /// DRAM-missing demand load in Cap->MissLines (oracle capture; has no effect
-/// on any simulated outcome). The per-kind accounting matches the fused
-/// interpreter's inline cost model statement for statement.
+/// on any simulated outcome). This is the only place cache timing is
+/// charged: the interpreters record accesses, and every profile's hit
+/// levels, hit cycles and stalls come from here.
 void replayTrace(const sim::AccessTrace &Tr, sim::CacheHierarchy &Caches,
                  unsigned Core, const ReplayCostModel &Costs,
                  sim::PhaseStats &S, PhaseCapture *Cap = nullptr,

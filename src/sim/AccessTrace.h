@@ -18,11 +18,11 @@
 #ifndef DAECC_SIM_ACCESSTRACE_H
 #define DAECC_SIM_ACCESSTRACE_H
 
+#include "support/EnvParse.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <vector>
 
@@ -61,23 +61,12 @@ public:
   /// trace set per core, so the default 64 MiB free-list can be too small to
   /// absorb their recycle traffic (or too large for a constrained host) —
   /// the cap is an environment knob rather than a rebuild. A value that is
-  /// not a positive integer is a hard configuration error (exit 2), never a
-  /// silent fall-back to the default: a sweep sized against a cap that was
-  /// silently ignored would thrash (or OOM) unexplained.
+  /// not a positive integer, or whose byte count overflows, is a hard
+  /// configuration error (exit 2; see support::envMiBOr), never a silent
+  /// fall-back: a sweep sized against a cap that was silently ignored would
+  /// thrash (or OOM) unexplained.
   static std::size_t maxTotalBytesFromEnv() {
-    const char *Env = std::getenv("DAECC_TRACE_POOL_MB");
-    if (!Env)
-      return DefaultMaxTotalBytes;
-    char *End = nullptr;
-    long Mb = std::strtol(Env, &End, 10);
-    if (End == Env || *End != '\0' || Mb <= 0) {
-      std::fprintf(stderr,
-                   "error: invalid DAECC_TRACE_POOL_MB value '%s' (expected "
-                   "a positive integer number of MiB)\n",
-                   Env);
-      std::exit(2);
-    }
-    return static_cast<std::size_t>(Mb) << 20;
+    return support::envMiBOr("DAECC_TRACE_POOL_MB", DefaultMaxTotalBytes);
   }
 
   /// Process-wide pool (suite jobs in one process share one allocator

@@ -309,7 +309,6 @@ bool Lowerer::tryFuseLoadBin(const Instruction *I, const Instruction *Next) {
   In.C = regOf(Bin->getRHS());
   In.Cost = instCycles(*Load, Cfg);
   In.CostB = instCycles(*Bin, Cfg);
-  In.Origin = Load;
   emit(In);
   return true;
 }
@@ -604,7 +603,6 @@ void Lowerer::lowerOne(const Instruction *I, unsigned BlockNo) {
     const auto *Load = cast<LoadInst>(I);
     In.Op = Load->getType() == Type::Float64 ? Opcode::LoadF : Opcode::LoadI;
     In.A = regOf(Load->getPointer());
-    In.Origin = I;
     break;
   }
   case ValueKind::InstStore: {
@@ -613,13 +611,11 @@ void Lowerer::lowerOne(const Instruction *I, unsigned BlockNo) {
                                                           : Opcode::StoreI;
     In.A = regOf(Store->getValue());
     In.B = regOf(Store->getPointer());
-    In.Origin = I;
     break;
   }
   case ValueKind::InstPrefetch:
     In.Op = Opcode::Prefetch;
     In.A = regOf(cast<PrefetchInst>(I)->getPointer());
-    In.Origin = I;
     break;
   case ValueKind::InstBr: {
     const auto *Br = cast<BrInst>(I);

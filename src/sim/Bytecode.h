@@ -53,7 +53,6 @@ namespace dae {
 
 namespace ir {
 class Function;
-class Instruction;
 } // namespace ir
 
 namespace sim {
@@ -114,9 +113,9 @@ const char *opcodeName(Opcode Op);
 /// Register index sentinel for "no destination" (void calls).
 constexpr std::uint32_t NoReg = 0xFFFFFFFFu;
 
-/// One bytecode instruction. Fixed 64-byte layout: opcode + up to five
+/// One bytecode instruction. Fixed 56-byte layout: opcode + up to five
 /// register operands + an inline immediate + the one or two per-IR-instruction
-/// cycle costs + the originating IR instruction (per-site load statistics).
+/// cycle costs.
 struct Instr {
   Opcode Op = Opcode::Trap;
   /// PhaseStats::Instructions bump for Jmp (1 for an IR branch, the phi
@@ -138,8 +137,6 @@ struct Instr {
   /// execution.
   double CostB = 0.0;
   RuntimeValue Imm;
-  /// Originating IR instruction for memory ops (LoadStatsMap keys).
-  const ir::Instruction *Origin = nullptr;
 };
 
 /// Multi-index GEP payload:

@@ -8,7 +8,6 @@
 
 #include "ir/Module.h"
 #include "sim/Bytecode.h"
-#include "sim/ExecModels.h"
 #include "sim/SimOps.h"
 #include "sim/NativeCodegen.h"
 #include "sim/NativeExec.h"
@@ -246,37 +245,15 @@ CompiledProgram::lookupNative(const Function &F) const {
 //===----------------------------------------------------------------------===//
 
 Interpreter::Interpreter(const MachineConfig &Cfg, Memory &Mem,
-                         CacheHierarchy &Caches, const Loader &L,
-                         const CompiledProgram *Shared)
-    : Cfg(Cfg), View(Mem), Caches(&Caches), Load(L), Shared(Shared) {
-  if (Cfg.Backend == SimBackend::Threaded)
-    Threaded = std::make_unique<ThreadedInterpreter>(Cfg, Mem, &Caches, L,
-                                                     Shared);
-  else if (Cfg.Backend == SimBackend::Native)
-    Native =
-        std::make_unique<NativeInterpreter>(Cfg, Mem, &Caches, L, Shared);
-}
-
-Interpreter::Interpreter(const MachineConfig &Cfg, Memory &Mem,
                          const Loader &L, const CompiledProgram *Shared)
-    : Cfg(Cfg), View(Mem), Caches(nullptr), Load(L), Shared(Shared) {
+    : Cfg(Cfg), View(Mem), Load(L), Shared(Shared) {
   if (Cfg.Backend == SimBackend::Threaded)
-    Threaded = std::make_unique<ThreadedInterpreter>(Cfg, Mem, nullptr, L,
-                                                     Shared);
+    Threaded = std::make_unique<ThreadedInterpreter>(Cfg, Mem, L, Shared);
   else if (Cfg.Backend == SimBackend::Native)
-    Native =
-        std::make_unique<NativeInterpreter>(Cfg, Mem, nullptr, L, Shared);
+    Native = std::make_unique<NativeInterpreter>(Cfg, Mem, L, Shared);
 }
 
 Interpreter::~Interpreter() = default;
-
-void Interpreter::setLoadStats(LoadStatsMap *Stats) {
-  LoadStats = Stats;
-  if (Threaded)
-    Threaded->setLoadStats(Stats);
-  if (Native)
-    Native->setLoadStats(Stats);
-}
 
 const CompiledFunction &Interpreter::getCompiled(const Function &F) {
   if (Shared)
@@ -290,10 +267,11 @@ const CompiledFunction &Interpreter::getCompiled(const Function &F) {
   return *It->second;
 }
 
-template <typename MemModel>
-PhaseStats Interpreter::interpret(const CompiledFunction &CF,
-                                  const std::vector<RuntimeValue> &Args,
-                                  RuntimeValue *RetOut, MemModel &MM) {
+PhaseStats
+Interpreter::interpret(const CompiledFunction &CF,
+                       const std::vector<RuntimeValue> &Args,
+                       RuntimeValue *RetOut, AccessTrace &Trace,
+                       std::vector<const ir::Instruction *> *LoadSites) {
   PhaseStats S;
   std::vector<RuntimeValue> Env(CF.numSlots());
   for (unsigned I = 0; I != Args.size(); ++I)
@@ -475,7 +453,9 @@ PhaseStats Interpreter::interpret(const CompiledFunction &CF,
       case SimOp::LoadF: {
         std::uint64_t Addr = static_cast<std::uint64_t>(Get(CI.Ops[0]).I);
         ++S.Loads;
-        MM.onLoad(S, Addr, CI.I);
+        Trace.push(AccessTrace::Kind::Load, Addr);
+        if (LoadSites)
+          LoadSites->push_back(CI.I);
         RuntimeValue Out;
         if (CI.Op == SimOp::LoadF)
           Out.D = View.loadF64(Addr);
@@ -489,7 +469,7 @@ PhaseStats Interpreter::interpret(const CompiledFunction &CF,
         std::uint64_t Addr = static_cast<std::uint64_t>(Get(CI.Ops[1]).I);
         const RuntimeValue &V = Get(CI.Ops[0]);
         ++S.Stores;
-        MM.onStore(S, Addr);
+        Trace.push(AccessTrace::Kind::Store, Addr);
         if (CI.Op == SimOp::StoreF)
           View.storeF64(Addr, V.D);
         else
@@ -499,7 +479,7 @@ PhaseStats Interpreter::interpret(const CompiledFunction &CF,
       case SimOp::Prefetch: {
         std::uint64_t Addr = static_cast<std::uint64_t>(Get(CI.Ops[0]).I);
         ++S.Prefetches;
-        MM.onPrefetch(S, Addr);
+        Trace.push(AccessTrace::Kind::Prefetch, Addr);
         break;
       }
       case SimOp::Br:
@@ -519,8 +499,8 @@ PhaseStats Interpreter::interpret(const CompiledFunction &CF,
         for (const OperandRef &Op : CI.Ops)
           CallArgs.push_back(Get(Op));
         RuntimeValue Ret;
-        PhaseStats Sub =
-            interpret(getCompiled(*CI.Callee), CallArgs, &Ret, MM);
+        PhaseStats Sub = interpret(getCompiled(*CI.Callee), CallArgs, &Ret,
+                                   Trace, LoadSites);
         S += Sub;
         if (CI.DstSlot >= 0)
           Env[static_cast<unsigned>(CI.DstSlot)] = Ret;
@@ -540,27 +520,16 @@ PhaseStats Interpreter::interpret(const CompiledFunction &CF,
   return S;
 }
 
-PhaseStats Interpreter::run(const Function &F, unsigned Core,
-                            const std::vector<RuntimeValue> &Args,
-                            RuntimeValue *RetOut) {
-  if (Threaded)
-    return Threaded->run(F, Core, Args, RetOut);
-  if (Native)
-    return Native->run(F, Core, Args, RetOut);
+PhaseStats
+Interpreter::runTraced(const Function &F, const std::vector<RuntimeValue> &Args,
+                       AccessTrace &Trace, RuntimeValue *RetOut,
+                       std::vector<const ir::Instruction *> *LoadSites) {
+  if (!LoadSites) {
+    if (Threaded)
+      return Threaded->runTraced(F, Args, Trace, RetOut);
+    if (Native)
+      return Native->runTraced(F, Args, Trace, RetOut);
+  }
   assert(Args.size() == F.getNumArgs() && "argument count mismatch");
-  assert(Caches && "fused execution requires a cache hierarchy");
-  FusedModel MM{*Caches, Cfg, Core, LoadStats};
-  return interpret(getCompiled(F), Args, RetOut, MM);
-}
-
-PhaseStats Interpreter::runTraced(const Function &F,
-                                  const std::vector<RuntimeValue> &Args,
-                                  AccessTrace &Trace, RuntimeValue *RetOut) {
-  if (Threaded)
-    return Threaded->runTraced(F, Args, Trace, RetOut);
-  if (Native)
-    return Native->runTraced(F, Args, Trace, RetOut);
-  assert(Args.size() == F.getNumArgs() && "argument count mismatch");
-  TracingModel MM{Trace};
-  return interpret(getCompiled(F), Args, RetOut, MM);
+  return interpret(getCompiled(F), Args, RetOut, Trace, LoadSites);
 }

@@ -5,9 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes Task IR against the simulated memory and cache hierarchy,
-/// producing the frequency-decomposed PhaseStats profile. Interpreter is the
-/// single entry point for both execution backends (MachineConfig::Backend):
+/// Executes Task IR functionally against the simulated memory, producing the
+/// cache-independent half of the PhaseStats profile plus the ordered memory
+/// access stream (AccessTrace). Cache timing is filled in later by the
+/// runtime's single-threaded replay in schedule order (runtime/Replay.h),
+/// which keeps profiles bit-identical for any host thread count.
+/// Interpreter is the single entry point for the three execution backends
+/// (MachineConfig::Backend):
 ///
 ///  * SimBackend::Switch — the reference interpreter implemented in this
 ///    file: functions precompiled to a flat slot-addressed form with a
@@ -24,18 +28,9 @@
 ///    fall back to the threaded interpreter per function. Same bit-identical
 ///    contract as the threaded backend.
 ///
-/// Two execution modes share each backend's core loop:
-///  * run() — the classic fused mode: cache hits/misses are simulated inline
-///    and timing lands directly in the returned PhaseStats.
-///  * runTraced() — the host-parallel engine's functional mode: values are
-///    computed and the ordered memory access stream is recorded into an
-///    AccessTrace; cache timing is filled in later by the runtime's
-///    single-threaded replay (see runtime/Runtime.cpp), which keeps profiles
-///    bit-identical for any host thread count.
-///
 /// Compiled/lowered functions can be shared read-only between concurrently
 /// running interpreters via CompiledProgram, pre-populated before execution
-/// starts; it carries both backends' forms.
+/// starts; it carries every backend's form.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +38,7 @@
 #define DAECC_SIM_INTERPRETER_H
 
 #include "sim/AccessTrace.h"
-#include "sim/CacheSim.h"
+#include "sim/MachineConfig.h"
 #include "sim/Memory.h"
 #include "sim/PhaseStats.h"
 
@@ -61,22 +56,6 @@ class Instruction;
 } // namespace ir
 
 namespace sim {
-
-/// Per-load-site execution statistics (profile-guided selective prefetching,
-/// the refinement the paper proposes for LibQ in sections 5.2.2/6.2.3).
-struct LoadSiteStats {
-  std::uint64_t Count = 0;
-  std::uint64_t Misses = 0; ///< Accesses that went to DRAM.
-
-  double missRate() const {
-    return Count ? static_cast<double>(Misses) / static_cast<double>(Count)
-                 : 0.0;
-  }
-};
-
-/// Per-site statistics keyed by the load instruction. Sits on the per-load
-/// hot path when enabled, hence a hash map rather than a tree.
-using LoadStatsMap = std::unordered_map<const ir::Instruction *, LoadSiteStats>;
 
 /// A dynamic value: integer/pointer in I, float in D (discriminated by the
 /// static IR type, so no tag is needed).
@@ -152,62 +131,51 @@ private:
 };
 
 /// Interprets functions on a simulated core, through the backend selected by
-/// MachineConfig::Backend.
+/// MachineConfig::Backend. One instance per worker thread.
 class Interpreter {
 public:
-  /// Fused-mode interpreter: cache effects simulated inline through
-  /// \p Caches. \p Mem must already hold the workload's initialized data.
-  Interpreter(const MachineConfig &Cfg, Memory &Mem, CacheHierarchy &Caches,
-              const Loader &L, const CompiledProgram *Shared = nullptr);
-  /// Tracing-only interpreter (no cache hierarchy needed); used by the
-  /// host-parallel engine's functional pass, one instance per worker thread.
+  /// \p Mem must already hold the workload's initialized data.
   Interpreter(const MachineConfig &Cfg, Memory &Mem, const Loader &L,
-              const CompiledProgram *Shared);
+              const CompiledProgram *Shared = nullptr);
   ~Interpreter();
 
-  /// Runs \p F on \p Core with \p Args (one per formal), simulating cache
-  /// effects inline. Returns the complete phase profile; the optional return
-  /// value is written to \p RetOut.
-  PhaseStats run(const ir::Function &F, unsigned Core,
-                 const std::vector<RuntimeValue> &Args,
-                 RuntimeValue *RetOut = nullptr);
-
-  /// Runs \p F with \p Args, recording every memory access into \p Trace
-  /// instead of touching caches. The returned PhaseStats carries the
-  /// cache-independent part only (instruction counts, base compute cycles,
-  /// load/store/prefetch counts); hit levels, hit cycles and stalls are
-  /// added by the runtime's trace replay.
+  /// Runs \p F with \p Args (one per formal), recording every memory access
+  /// into \p Trace. The returned PhaseStats carries the cache-independent
+  /// part only (instruction counts, base compute cycles, load/store/prefetch
+  /// counts); hit levels, hit cycles and stalls are added by the runtime's
+  /// trace replay. The optional return value is written to \p RetOut.
+  ///
+  /// When \p LoadSites is non-null, the originating load instruction of
+  /// every Load event is appended to it in trace order (per-site profiling,
+  /// see harness::profileColdLoads). Only the switch loop records sites, so
+  /// asking for them runs that loop whatever the configured backend; the
+  /// threaded and native hot loops never test for a sink.
   PhaseStats runTraced(const ir::Function &F,
                        const std::vector<RuntimeValue> &Args,
-                       AccessTrace &Trace, RuntimeValue *RetOut = nullptr);
-
-  /// When set, every load executed in fused mode records per-site count/miss
-  /// statistics into \p Stats (keyed by the load instruction).
-  void setLoadStats(LoadStatsMap *Stats);
+                       AccessTrace &Trace, RuntimeValue *RetOut = nullptr,
+                       std::vector<const ir::Instruction *> *LoadSites =
+                           nullptr);
 
 private:
-  template <typename MemModel>
   PhaseStats interpret(const CompiledFunction &CF,
                        const std::vector<RuntimeValue> &Args,
-                       RuntimeValue *RetOut, MemModel &MM);
+                       RuntimeValue *RetOut, AccessTrace &Trace,
+                       std::vector<const ir::Instruction *> *LoadSites);
 
   const CompiledFunction &getCompiled(const ir::Function &F);
 
-  LoadStatsMap *LoadStats = nullptr;
   const MachineConfig &Cfg;
   MemoryView View;
-  CacheHierarchy *Caches; ///< Null for tracing-only interpreters.
   const Loader &Load;
   const CompiledProgram *Shared; ///< Read-only; preferred over Cache.
-  /// Lazy per-interpreter fallback for functions outside the shared program
-  /// (direct run() users compile on first call).
+  /// Lazy per-interpreter fallback for functions outside the shared program.
   std::unordered_map<const ir::Function *, std::unique_ptr<CompiledFunction>>
       Cache;
-  /// Non-null iff Cfg.Backend == SimBackend::Threaded; run()/runTraced()
-  /// delegate to it.
+  /// Non-null iff Cfg.Backend == SimBackend::Threaded; runTraced delegates
+  /// to it.
   std::unique_ptr<ThreadedInterpreter> Threaded;
-  /// Non-null iff Cfg.Backend == SimBackend::Native; run()/runTraced()
-  /// delegate to it.
+  /// Non-null iff Cfg.Backend == SimBackend::Native; runTraced delegates to
+  /// it.
   std::unique_ptr<NativeInterpreter> Native;
 };
 

@@ -10,10 +10,9 @@
 //    with branch targets resolved by a second pass over recorded fixups.
 //    Register plan (all callee-saved, so C++ helpers preserve them):
 //      rbp = NativeContext*          rbx = frame (RuntimeValue[])
-//      r12 = address temp across fused helper calls
-//      r13 = trace write cursor      (tracing variant only)
+//      r13 = trace write cursor
 //      r14 = cached page tag         r15 = cached host-minus-sim delta
-//      xmm15 = running ComputeCycles (tracing variant only)
+//      xmm15 = running ComputeCycles
 //    rax/rcx/rdx are stencil scratch; xmm0/xmm1 are FP scratch.
 //
 //  * The C emitter: the same lowering printed as a C source file, compiled
@@ -24,11 +23,9 @@
 //
 // Bit-exactness ground rules (checked against ThreadedInterpreter::exec):
 //  - ComputeCycles additions happen in original program order: per-opcode
-//    Cost, then the op's effects, then CostB for fused pairs. The tracing
-//    variant accumulates into xmm15 (mirroring ctx->Cycles, canonical at
-//    helper boundaries); the fused variant adds straight into
-//    PhaseStats::ComputeCycles so the fused cache callbacks interleave
-//    exactly like the reference's STEP-then-callback order.
+//    Cost, then the op's effects, then CostB for fused pairs. They
+//    accumulate into xmm15 (mirroring ctx->Cycles, canonical at helper
+//    boundaries).
 //  - Integer counters are region-coalesced into the shared ctx cells
 //    (order-independent totals; flushed before any point with multiple
 //    predecessors, so no path double-counts).
@@ -95,7 +92,7 @@ namespace {
 
 /// Bumped whenever the generated code's ABI or semantics change; part of the
 /// content-cache key so stale entries can never alias across versions.
-constexpr std::uint64_t AbiVersion = 1;
+constexpr std::uint64_t AbiVersion = 2;
 
 std::uint64_t bitsOf(double D) {
   std::uint64_t U;
@@ -116,7 +113,9 @@ Mode hostAutoMode() {
 }
 
 /// Applies DAECC_NATIVE_MODE and the host capabilities to \p M. Read per
-/// compile() call so tests can setenv between compilations.
+/// compile() call so tests can setenv between compilations. An unknown value
+/// is a hard configuration error (exit 2), like DAECC_SIM_BACKEND: a sweep
+/// that asked for one lowering mode must never silently measure another.
 Mode resolveMode(Mode M) {
   if (M != Mode::Auto)
     return M;
@@ -125,13 +124,12 @@ Mode resolveMode(Mode M) {
       return Mode::Jit;
     if (std::strcmp(Env, "cemit") == 0)
       return Mode::Cemit;
-    if (*Env && std::strcmp(Env, "auto") != 0) {
-      static std::atomic<bool> Warned{false};
-      if (!Warned.exchange(true))
-        std::fprintf(stderr,
-                     "daecc: ignoring unknown DAECC_NATIVE_MODE '%s' "
-                     "(expected 'jit', 'cemit' or 'auto')\n",
-                     Env);
+    if (std::strcmp(Env, "auto") != 0) {
+      std::fprintf(stderr,
+                   "error: unknown DAECC_NATIVE_MODE value '%s' (expected "
+                   "'jit', 'cemit' or 'auto')\n",
+                   Env);
+      std::exit(2);
     }
   }
   return hostAutoMode();
@@ -182,11 +180,11 @@ struct Fnv {
   void ptr(const void *P) { u64(reinterpret_cast<std::uintptr_t>(P)); }
 };
 
-/// Content hash of everything the generated code depends on. Origin and
-/// CallDesc pointers are baked into the code as immediates, so they hash as
-/// addresses: bytecode that is byte-identical but binds different IR sites
-/// must not share code. ConstPool/ConstBase are NOT hashed — constants are
-/// copied into the frame by the invoker, never baked.
+/// Content hash of everything the generated code depends on. CallDesc
+/// pointers are baked into the code as immediates, so they hash as
+/// addresses: bytecode that is byte-identical but calls through different
+/// descriptors must not share code. ConstPool/ConstBase are NOT hashed —
+/// constants are copied into the frame by the invoker, never baked.
 std::uint64_t keyOf(const bc::BytecodeFunction &BF, Mode Resolved) {
   Fnv F;
   F.u64(AbiVersion);
@@ -206,7 +204,6 @@ std::uint64_t keyOf(const bc::BytecodeFunction &BF, Mode Resolved) {
     F.u64(bitsOf(I.CostB));
     F.u64(static_cast<std::uint64_t>(I.Imm.I));
     F.u64(bitsOf(I.Imm.D));
-    F.ptr(I.Origin);
   }
   F.u64(BF.GepDescs.size());
   for (const bc::GepDesc &G : BF.GepDescs) {
@@ -324,8 +321,6 @@ enum Reg : unsigned {
   RBP = 5,
   RSI = 6,
   RDI = 7,
-  R8 = 8,
-  R12 = 12,
   R13 = 13,
   R14 = 14,
   R15 = 15,
@@ -644,18 +639,11 @@ constexpr std::int32_t CtxTracePtr = 48;
 constexpr std::int32_t CtxTraceEnd = 56;
 constexpr std::int32_t CtxPageTag = 64;
 constexpr std::int32_t CtxDelta = 72;
-constexpr std::int32_t CtxStats = 80;
-constexpr std::int32_t CtxRet = 88;
-constexpr std::int32_t CtxRetValid = 104;
-constexpr std::int32_t CtxTranslate = 120;
-constexpr std::int32_t CtxTraceGrow = 128;
-constexpr std::int32_t CtxCall = 136;
-constexpr std::int32_t CtxFusedLoad = 144;
-constexpr std::int32_t CtxFusedStore = 152;
-constexpr std::int32_t CtxFusedPrefetch = 160;
-
-constexpr std::int32_t StatsCC =
-    static_cast<std::int32_t>(offsetof(PhaseStats, ComputeCycles));
+constexpr std::int32_t CtxRet = 80;
+constexpr std::int32_t CtxRetValid = 96;
+constexpr std::int32_t CtxTranslate = 112;
+constexpr std::int32_t CtxTraceGrow = 120;
+constexpr std::int32_t CtxCall = 128;
 
 static_assert(Memory::PageSize == 4096,
               "page-mask immediates assume 4 KiB pages");
@@ -684,7 +672,7 @@ bool isTerminator(bc::Opcode Op) {
   }
 }
 
-/// Trace events one executed instance of \p Op appends (tracing variant).
+/// Trace events one executed instance of \p Op appends.
 unsigned traceEventsOf(bc::Opcode Op) {
   switch (Op) {
   case bc::Opcode::LoadI:
@@ -706,180 +694,14 @@ bool fitsI32(std::int64_t V) {
   return V == static_cast<std::int64_t>(static_cast<std::int32_t>(V));
 }
 
-} // namespace
-
-#if defined(DAECC_NATIVE_JIT)
-
-namespace {
-
-/// Emits one variant (fused or tracing) of one bytecode function. The unit
-/// of control-flow bookkeeping is the straight-line *region*: leaders are
-/// the entry, every branch target, and the instruction after every
-/// terminator or Call. Invariants at every region boundary (label or jump):
-/// pending counter increments are flushed to the ctx cells, and — tracing —
-/// the hoisted capacity check guarantees room for every trace event the
-/// region emits (a Call ends a region because the callee consumes capacity
-/// through its own cursor).
-class FnEmitter {
-public:
-  FnEmitter(const bc::BytecodeFunction &BF, bool Tracing)
-      : BF(BF), Tracing(Tracing) {}
-
-  bool emit();
-
-  Asm A;
-
-private:
-  const bc::BytecodeFunction &BF;
-  const bool Tracing;
-  std::vector<std::size_t> Off;                            // pc -> code offset
-  std::vector<std::pair<std::size_t, std::uint32_t>> PcFix; // disp pos, pc
-  std::vector<std::size_t> EpiFix;
-  std::vector<bool> Leader;
-  std::vector<std::uint32_t> RegionEvents; // at leaders
-  std::uint64_t PendInstr = 0, PendLoads = 0, PendStores = 0, PendPref = 0;
-
-  std::int32_t fi(std::uint32_t R) const {
-    return static_cast<std::int32_t>(R) * 16;
-  }
-  std::int32_t fd(std::uint32_t R) const {
-    return static_cast<std::int32_t>(R) * 16 + 8;
-  }
-
-  void analyze();
-  bool emitOne(std::uint32_t Pc);
-
-  void pcJmp(std::uint32_t Target) {
-    A.b(0xE9);
-    PcFix.emplace_back(A.pos(), Target);
-    A.i32(0);
-  }
-  void pcJcc(std::uint8_t CC, std::uint32_t Target) {
-    A.b(0x0F);
-    A.b(0x80 + CC);
-    PcFix.emplace_back(A.pos(), Target);
-    A.i32(0);
-  }
-  void jmpEpilogue() {
-    A.b(0xE9);
-    EpiFix.push_back(A.pos());
-    A.i32(0);
-  }
-
-  /// One ComputeCycles addition, in program order. Tracing accumulates into
-  /// xmm15 (mirror of ctx->Cycles); fused adds straight into the activation's
-  /// PhaseStats so helper hit-cycle adds interleave like the reference.
-  /// +0.0 is skipped: a bitwise identity here (costs are never -0.0/NaN and
-  /// the accumulators never hold -0.0).
-  void cost(double C) {
-    const std::uint64_t Bits = bitsOf(C);
-    if (!Bits)
-      return;
-    if (Tracing) {
-      A.sseRip(0xF2, 0x58, XMM15, Bits); // addsd xmm15, [rip+lit]
-    } else {
-      A.movRM(R8, RBP, CtxStats);
-      A.sseRM(0xF2, 0x10, XMM0, R8, StatsCC);
-      A.sseRip(0xF2, 0x58, XMM0, Bits);
-      A.sseRM(0xF2, 0x11, XMM0, R8, StatsCC);
-    }
-  }
-
-  /// Writes the region's accumulated counter increments to the shared ctx
-  /// cells. Clobbers EFLAGS — every stencil that branches on a computed flag
-  /// re-tests after flushing.
-  void flushPending() {
-    assert(PendInstr < (1u << 30) && "region counter overflows imm32");
-    if (PendInstr)
-      A.addMemImm32(RBP, CtxNInstr, static_cast<std::int32_t>(PendInstr));
-    if (PendLoads)
-      A.addMemImm32(RBP, CtxNLoads, static_cast<std::int32_t>(PendLoads));
-    if (PendStores)
-      A.addMemImm32(RBP, CtxNStores, static_cast<std::int32_t>(PendStores));
-    if (PendPref)
-      A.addMemImm32(RBP, CtxNPref, static_cast<std::int32_t>(PendPref));
-    PendInstr = PendLoads = PendStores = PendPref = 0;
-  }
-
-  /// Page translation: simulated address in rax -> host pointer in rdx.
-  /// Hit path is the strength-reduced form (tag compare + lea against the
-  /// register-cached pair); the miss path calls the Translate helper and
-  /// refreshes the cached tag/delta. Clobbers rcx.
-  void translate() {
-    A.movRR(RCX, RAX);
-    A.aluImm32(4, RCX,
-               static_cast<std::int32_t>(
-                   ~static_cast<std::int64_t>(Memory::PageSize - 1)));
-    A.aluRR(0x3B, RCX, R14);
-    std::size_t Hit = A.jccFwd(CC_E);
-    // Miss: helper boundary — write cached state back, call, reload.
-    if (Tracing)
-      A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
-    A.movRR(RDI, RBP);
-    A.movRR(RSI, RAX);
-    A.callMem(RBP, CtxTranslate);
-    A.movRR(RDX, RAX);
-    A.movRM(R14, RBP, CtxPageTag);
-    A.movRM(R15, RBP, CtxDelta);
-    if (Tracing)
-      A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles);
-    std::size_t Done = A.jmpFwd();
-    A.bind(Hit);
-    A.leaRR(RDX, RAX, R15); // host = addr + delta
-    A.bind(Done);
-  }
-
-  /// Hoisted per-region capacity check: M trace slots or grow.
-  void traceCheck(std::uint32_t M) {
-    A.lea(RAX, R13, static_cast<std::int32_t>(8 * M));
-    A.aluRM(0x3B, RAX, RBP, CtxTraceEnd);
-    std::size_t Ok = A.jccFwd(CC_BE);
-    A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
-    A.movMR(RBP, CtxTracePtr, R13);
-    A.movRR(RDI, RBP);
-    A.movImm32(RSI, M);
-    A.callMem(RBP, CtxTraceGrow);
-    A.movRM(R13, RBP, CtxTracePtr);
-    A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles);
-    A.bind(Ok);
-  }
-
-  /// Appends one trace event for the address in rax (kind 0 load, 1 store,
-  /// 2 prefetch); capacity was guaranteed by the region check. Preserves rax.
-  void tracePush(unsigned Kind) {
-    if (Kind == 0) {
-      A.movMR(R13, 0, RAX);
-    } else {
-      A.movRR(RCX, RAX);
-      A.btsImm(RCX, Kind == 1 ? 62 : 63);
-      A.movMR(R13, 0, RCX);
-    }
-    A.aluImm32(0, R13, 8);
-  }
-
-  /// Fused-mode memory helper call; address in rax (restored after when
-  /// \p KeepAddr). r14/r15 stay valid: the fused callbacks never translate.
-  void fusedHelper(std::int32_t HelperOff, const ir::Instruction *Origin,
-                   bool KeepAddr) {
-    if (KeepAddr)
-      A.movRR(R12, RAX);
-    A.movRR(RDI, RBP);
-    A.movRR(RSI, RAX);
-    if (HelperOff == CtxFusedLoad)
-      A.movImm64(RDX, reinterpret_cast<std::uintptr_t>(Origin));
-    A.callMem(RBP, HelperOff);
-    if (KeepAddr)
-      A.movRR(RAX, R12);
-  }
-
-  /// R[Dst] = RuntimeValue::ofInt(rax): full 16-byte write, zeroed .D half.
-  void storeOfInt(std::uint32_t Dst) {
-    A.movMR(RBX, fi(Dst), RAX);
-    A.movMemImm32(RBX, fd(Dst), 0);
-  }
-};
-
-void FnEmitter::analyze() {
+/// Region discovery shared by both emitters. The unit of control-flow
+/// bookkeeping is the straight-line *region*: leaders are the entry, every
+/// branch target, and the instruction after every terminator or Call.
+/// Fills \p Leader per pc and, at each leader, the trace-event count of its
+/// region in \p Events (a Call ends a region because the callee consumes
+/// capacity through its own cursor).
+void analyzeRegions(const bc::BytecodeFunction &BF, std::vector<bool> &Leader,
+                    std::vector<std::uint32_t> &Events) {
   const std::size_t N = BF.Code.size();
   Leader.assign(N, false);
   Leader[0] = true;
@@ -918,9 +740,7 @@ void FnEmitter::analyze() {
     if ((isTerminator(I.Op) || I.Op == bc::Opcode::Call) && Pc + 1 < N)
       Leader[Pc + 1] = true;
   }
-  RegionEvents.assign(N, 0);
-  if (!Tracing)
-    return;
+  Events.assign(N, 0);
   for (std::size_t L = 0; L != N; ++L) {
     if (!Leader[L])
       continue;
@@ -932,41 +752,175 @@ void FnEmitter::analyze() {
       if (Pc + 1 < N && Leader[Pc + 1])
         break;
     }
-    RegionEvents[L] = Ev;
+    Events[L] = Ev;
   }
 }
+
+} // namespace
+
+#if defined(DAECC_NATIVE_JIT)
+
+namespace {
+
+/// Emits one bytecode function. Invariants at every region boundary (label
+/// or jump; see analyzeRegions): pending counter increments are flushed to
+/// the ctx cells, and the hoisted capacity check guarantees room for every
+/// trace event the region emits.
+class FnEmitter {
+public:
+  explicit FnEmitter(const bc::BytecodeFunction &BF) : BF(BF) {}
+
+  bool emit();
+
+  Asm A;
+
+private:
+  const bc::BytecodeFunction &BF;
+  std::vector<std::size_t> Off;                            // pc -> code offset
+  std::vector<std::pair<std::size_t, std::uint32_t>> PcFix; // disp pos, pc
+  std::vector<std::size_t> EpiFix;
+  std::vector<bool> Leader;
+  std::vector<std::uint32_t> RegionEvents; // at leaders
+  std::uint64_t PendInstr = 0, PendLoads = 0, PendStores = 0, PendPref = 0;
+
+  std::int32_t fi(std::uint32_t R) const {
+    return static_cast<std::int32_t>(R) * 16;
+  }
+  std::int32_t fd(std::uint32_t R) const {
+    return static_cast<std::int32_t>(R) * 16 + 8;
+  }
+
+  bool emitOne(std::uint32_t Pc);
+
+  void pcJmp(std::uint32_t Target) {
+    A.b(0xE9);
+    PcFix.emplace_back(A.pos(), Target);
+    A.i32(0);
+  }
+  void pcJcc(std::uint8_t CC, std::uint32_t Target) {
+    A.b(0x0F);
+    A.b(0x80 + CC);
+    PcFix.emplace_back(A.pos(), Target);
+    A.i32(0);
+  }
+  void jmpEpilogue() {
+    A.b(0xE9);
+    EpiFix.push_back(A.pos());
+    A.i32(0);
+  }
+
+  /// One ComputeCycles addition, in program order, into xmm15 (mirror of
+  /// ctx->Cycles). +0.0 is skipped: a bitwise identity here (costs are never
+  /// -0.0/NaN and the accumulator never holds -0.0).
+  void cost(double C) {
+    const std::uint64_t Bits = bitsOf(C);
+    if (Bits)
+      A.sseRip(0xF2, 0x58, XMM15, Bits); // addsd xmm15, [rip+lit]
+  }
+
+  /// Writes the region's accumulated counter increments to the shared ctx
+  /// cells. Clobbers EFLAGS — every stencil that branches on a computed flag
+  /// re-tests after flushing.
+  void flushPending() {
+    assert(PendInstr < (1u << 30) && "region counter overflows imm32");
+    if (PendInstr)
+      A.addMemImm32(RBP, CtxNInstr, static_cast<std::int32_t>(PendInstr));
+    if (PendLoads)
+      A.addMemImm32(RBP, CtxNLoads, static_cast<std::int32_t>(PendLoads));
+    if (PendStores)
+      A.addMemImm32(RBP, CtxNStores, static_cast<std::int32_t>(PendStores));
+    if (PendPref)
+      A.addMemImm32(RBP, CtxNPref, static_cast<std::int32_t>(PendPref));
+    PendInstr = PendLoads = PendStores = PendPref = 0;
+  }
+
+  /// Page translation: simulated address in rax -> host pointer in rdx.
+  /// Hit path is the strength-reduced form (tag compare + lea against the
+  /// register-cached pair); the miss path calls the Translate helper and
+  /// refreshes the cached tag/delta. Clobbers rcx.
+  void translate() {
+    A.movRR(RCX, RAX);
+    A.aluImm32(4, RCX,
+               static_cast<std::int32_t>(
+                   ~static_cast<std::int64_t>(Memory::PageSize - 1)));
+    A.aluRR(0x3B, RCX, R14);
+    std::size_t Hit = A.jccFwd(CC_E);
+    // Miss: helper boundary — write cached state back, call, reload.
+    A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
+    A.movRR(RDI, RBP);
+    A.movRR(RSI, RAX);
+    A.callMem(RBP, CtxTranslate);
+    A.movRR(RDX, RAX);
+    A.movRM(R14, RBP, CtxPageTag);
+    A.movRM(R15, RBP, CtxDelta);
+    A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles);
+    std::size_t Done = A.jmpFwd();
+    A.bind(Hit);
+    A.leaRR(RDX, RAX, R15); // host = addr + delta
+    A.bind(Done);
+  }
+
+  /// Hoisted per-region capacity check: M trace slots or grow.
+  void traceCheck(std::uint32_t M) {
+    A.lea(RAX, R13, static_cast<std::int32_t>(8 * M));
+    A.aluRM(0x3B, RAX, RBP, CtxTraceEnd);
+    std::size_t Ok = A.jccFwd(CC_BE);
+    A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
+    A.movMR(RBP, CtxTracePtr, R13);
+    A.movRR(RDI, RBP);
+    A.movImm32(RSI, M);
+    A.callMem(RBP, CtxTraceGrow);
+    A.movRM(R13, RBP, CtxTracePtr);
+    A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles);
+    A.bind(Ok);
+  }
+
+  /// Appends one trace event for the address in rax (kind 0 load, 1 store,
+  /// 2 prefetch); capacity was guaranteed by the region check. Preserves rax.
+  void tracePush(unsigned Kind) {
+    if (Kind == 0) {
+      A.movMR(R13, 0, RAX);
+    } else {
+      A.movRR(RCX, RAX);
+      A.btsImm(RCX, Kind == 1 ? 62 : 63);
+      A.movMR(R13, 0, RCX);
+    }
+    A.aluImm32(0, R13, 8);
+  }
+
+  /// R[Dst] = RuntimeValue::ofInt(rax): full 16-byte write, zeroed .D half.
+  void storeOfInt(std::uint32_t Dst) {
+    A.movMR(RBX, fi(Dst), RAX);
+    A.movMemImm32(RBX, fd(Dst), 0);
+  }
+};
 
 bool FnEmitter::emit() {
   const std::size_t N = BF.Code.size();
   if (N == 0)
     return false;
-  analyze();
+  analyzeRegions(BF, Leader, RegionEvents);
   Off.assign(N, 0);
 
-  // Prologue. Entry rsp % 16 == 8; six pushes keep that, the 8-byte
-  // adjustment makes every later helper call site 16-aligned per the SysV
-  // ABI.
+  // Prologue. Entry rsp % 16 == 8; five pushes make every later helper call
+  // site 16-aligned per the SysV ABI.
   A.push(RBX);
   A.push(RBP);
-  A.push(R12);
   A.push(R13);
   A.push(R14);
   A.push(R15);
-  A.aluImm32(5, RSP, 8); // sub rsp, 8
   A.movRR(RBP, RDI);
   A.movRM(RBX, RBP, CtxFrame);
   A.movRM(R14, RBP, CtxPageTag);
   A.movRM(R15, RBP, CtxDelta);
-  if (Tracing) {
-    A.movRM(R13, RBP, CtxTracePtr);
-    A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles); // invoker zeroed it
-  }
+  A.movRM(R13, RBP, CtxTracePtr);
+  A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles); // invoker zeroed it
 
   for (std::uint32_t Pc = 0; Pc != N; ++Pc) {
     if (Leader[Pc]) {
       flushPending(); // fallthrough edge; jumps land past this, already clean
       Off[Pc] = A.pos();
-      if (Tracing && RegionEvents[Pc])
+      if (RegionEvents[Pc])
         traceCheck(RegionEvents[Pc]);
     } else {
       Off[Pc] = A.pos();
@@ -980,17 +934,13 @@ bool FnEmitter::emit() {
   jmpEpilogue();
 
   const std::size_t Epi = A.pos();
-  if (Tracing) {
-    A.movMR(RBP, CtxTracePtr, R13);
-    A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
-  }
+  A.movMR(RBP, CtxTracePtr, R13);
+  A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
   A.movMR(RBP, CtxPageTag, R14);
   A.movMR(RBP, CtxDelta, R15);
-  A.aluImm32(0, RSP, 8); // add rsp, 8
   A.pop(R15);
   A.pop(R14);
   A.pop(R13);
-  A.pop(R12);
   A.pop(RBP);
   A.pop(RBX);
   A.ret();
@@ -1118,12 +1068,9 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     cmpStore();
   };
   auto loadCommon = [&](bool ToF, std::uint32_t Dst) {
-    // Address in rax; trace/cache callback, translate, then the value write
-    // (full 16 bytes, other half zeroed — the reference's Out pattern).
-    if (Tracing)
-      tracePush(0);
-    else
-      fusedHelper(CtxFusedLoad, I.Origin, true);
+    // Address in rax; trace event, translate, then the value write (full 16
+    // bytes, other half zeroed — the reference's Out pattern).
+    tracePush(0);
     translate();
     A.movRM(RAX, RDX, 0);
     if (ToF) {
@@ -1134,7 +1081,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
       A.movMemImm32(RBX, fd(Dst), 0);
     }
   };
-  auto loadFused2 = [&](std::uint8_t SseOp) { // LoadF{Add,Sub,Mul}F
+  auto loadFBin = [&](std::uint8_t SseOp) { // LoadF{Add,Sub,Mul}F
     cost(I.Cost);
     ++PendInstr;
     ++PendLoads;
@@ -1427,33 +1374,27 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     ++PendInstr;
     ++PendStores;
     A.movRM(RAX, RBX, fi(I.B));
-    if (Tracing)
-      tracePush(1);
-    else
-      fusedHelper(CtxFusedStore, nullptr, true);
+    tracePush(1);
     translate();
     A.movRM(RCX, RBX, I.Op == O::StoreI ? fi(I.A) : fd(I.A));
     A.movMR(RDX, 0, RCX);
     break;
-  case O::Prefetch: // trace/model only: no translation, no memory touch
+  case O::Prefetch: // trace only: no translation, no memory touch
     cost(I.Cost);
     ++PendInstr;
     ++PendPref;
     A.movRM(RAX, RBX, fi(I.A));
-    if (Tracing)
-      tracePush(2);
-    else
-      fusedHelper(CtxFusedPrefetch, nullptr, false);
+    tracePush(2);
     break;
 
   case O::LoadFAddF:
-    loadFused2(0x58);
+    loadFBin(0x58);
     break;
   case O::LoadFSubF:
-    loadFused2(0x5C);
+    loadFBin(0x5C);
     break;
   case O::LoadFMulF:
-    loadFused2(0x59);
+    loadFBin(0x59);
     break;
   case O::LoadIAddI:
     cost(I.Cost);
@@ -1547,10 +1488,8 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     // frame arena; write every cached value back, reload all afterwards.
     A.movMR(RBP, CtxPageTag, R14);
     A.movMR(RBP, CtxDelta, R15);
-    if (Tracing) {
-      A.movMR(RBP, CtxTracePtr, R13);
-      A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
-    }
+    A.movMR(RBP, CtxTracePtr, R13);
+    A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
     A.movRR(RDI, RBP);
     A.movImm64(RSI, reinterpret_cast<std::uintptr_t>(&BF.CallDescs[I.A]));
     A.movImm32(RDX, I.Dst);
@@ -1558,10 +1497,8 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     A.movRM(RBX, RBP, CtxFrame);
     A.movRM(R14, RBP, CtxPageTag);
     A.movRM(R15, RBP, CtxDelta);
-    if (Tracing) {
-      A.movRM(R13, RBP, CtxTracePtr);
-      A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles);
-    }
+    A.movRM(R13, RBP, CtxTracePtr);
+    A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles);
     break;
 
   case O::Trap:
@@ -1592,66 +1529,12 @@ void cf(std::string &S, const char *Fmt, ...) {
   S += Buf;
 }
 
-/// Same region discovery as FnEmitter::analyze: leaders and, for the tracing
-/// variant, the trace-event count of each leader's straight-line region.
-void analyzeRegions(const bc::BytecodeFunction &BF, std::vector<bool> &Leader,
-                    std::vector<std::uint32_t> &Events) {
-  const std::size_t N = BF.Code.size();
-  Leader.assign(N, false);
-  Leader[0] = true;
-  for (std::size_t Pc = 0; Pc != N; ++Pc) {
-    const bc::Instr &I = BF.Code[Pc];
-    switch (I.Op) {
-    case bc::Opcode::Jmp:
-      Leader[I.A] = true;
-      break;
-    case bc::Opcode::CondBr:
-      Leader[I.B] = true;
-      Leader[I.C] = true;
-      break;
-    case bc::Opcode::BrCmpEQ:
-    case bc::Opcode::BrCmpNE:
-    case bc::Opcode::BrCmpSLT:
-    case bc::Opcode::BrCmpSLE:
-    case bc::Opcode::BrCmpSGT:
-    case bc::Opcode::BrCmpSGE:
-    case bc::Opcode::BrCmpEQImm:
-    case bc::Opcode::BrCmpNEImm:
-    case bc::Opcode::BrCmpSLTImm:
-    case bc::Opcode::BrCmpSLEImm:
-    case bc::Opcode::BrCmpSGTImm:
-    case bc::Opcode::BrCmpSGEImm:
-      Leader[I.C] = true;
-      Leader[I.Aux] = true;
-      break;
-    default:
-      break;
-    }
-    if ((isTerminator(I.Op) || I.Op == bc::Opcode::Call) && Pc + 1 < N)
-      Leader[Pc + 1] = true;
-  }
-  Events.assign(N, 0);
-  for (std::size_t L = 0; L != N; ++L) {
-    if (!Leader[L])
-      continue;
-    std::uint32_t Ev = 0;
-    for (std::size_t Pc = L; Pc != N; ++Pc) {
-      Ev += traceEventsOf(BF.Code[Pc].Op);
-      if (isTerminator(BF.Code[Pc].Op) || BF.Code[Pc].Op == bc::Opcode::Call)
-        break;
-      if (Pc + 1 < N && Leader[Pc + 1])
-        break;
-    }
-    Events[L] = Ev;
-  }
-}
-
-/// Emits one variant as a C function body. The statements mirror the JIT
+/// Emits the function as a C function body. The statements mirror the JIT
 /// stencils one for one — same cost-addition order, same helper boundaries,
 /// same RuntimeValue write patterns — so both modes are interchangeable.
 /// Integer +,-,*,<< run through unsigned types (defined wraparound, same
 /// bits as the reference's x86 semantics).
-void emitCFn(std::string &S, const bc::BytecodeFunction &BF, bool Tracing) {
+void emitCFn(std::string &S, const bc::BytecodeFunction &BF) {
   const std::size_t N = BF.Code.size();
   std::vector<bool> Leader;
   std::vector<std::uint32_t> Events;
@@ -1660,28 +1543,21 @@ void emitCFn(std::string &S, const bc::BytecodeFunction &BF, bool Tracing) {
   const std::uint64_t PageMask =
       ~static_cast<std::uint64_t>(Memory::PageSize - 1);
 
-  cf(S, "void daecc_native_%s(Ctx *c) {\n", Tracing ? "traced" : "fused");
+  cf(S, "void daecc_native_entry(Ctx *c) {\n");
   cf(S, "  RV *r = c->Frame;\n");
   cf(S, "  unsigned long long ni = 0, nl = 0, ns = 0, np = 0;\n");
   cf(S, "  unsigned long long pt = c->LastPageTag;\n");
   cf(S, "  long long pd = c->LastDelta;\n");
   cf(S, "  unsigned long long a = 0; long long x = 0; double fv = 0.0;\n");
   cf(S, "  unsigned char *h = 0;\n");
-  if (Tracing) {
-    cf(S, "  double cyc = c->Cycles;\n");
-    cf(S, "  unsigned long long *tp = c->TracePtr, *te = c->TraceEnd;\n");
-  }
+  cf(S, "  double cyc = c->Cycles;\n");
+  cf(S, "  unsigned long long *tp = c->TracePtr, *te = c->TraceEnd;\n");
 
   // Statement fragments shared by several opcodes.
   auto Cost = [&](double C) {
     const std::uint64_t Bits = bitsOf(C);
-    if (!Bits)
-      return;
-    if (Tracing)
+    if (Bits)
       cf(S, " cyc += dbl(0x%llxULL);", (unsigned long long)Bits);
-    else
-      cf(S, " *(double *)((char *)c->Stats + %d) += dbl(0x%llxULL);",
-         (int)StatsCC, (unsigned long long)Bits);
   };
   auto Imm = [&](std::int64_t V) { // hex form sidesteps INT64_MIN literals
     cf(S, "(long long)0x%llxULL", (unsigned long long)V);
@@ -1696,13 +1572,8 @@ void emitCFn(std::string &S, const bc::BytecodeFunction &BF, bool Tracing) {
        "c->LastPageTag; pd = c->LastDelta; }",
        (unsigned long long)PageMask);
   };
-  auto LoadPrefix = [&](const bc::Instr &I, std::uint32_t AddrReg) {
-    cf(S, " nl++; a = (unsigned long long)r[%u].I;", AddrReg);
-    if (Tracing)
-      cf(S, " *tp++ = a;");
-    else
-      cf(S, " c->FusedLoad(c, a, (const void *)0x%llxULL);",
-         (unsigned long long)reinterpret_cast<std::uintptr_t>(I.Origin));
+  auto LoadPrefix = [&](std::uint32_t AddrReg) {
+    cf(S, " nl++; a = (unsigned long long)r[%u].I; *tp++ = a;", AddrReg);
     Translate();
   };
   auto IntBin = [&](const bc::Instr &I, const char *Op) {
@@ -1755,7 +1626,7 @@ void emitCFn(std::string &S, const bc::BytecodeFunction &BF, bool Tracing) {
     using O = bc::Opcode;
     if (Leader[Pc]) {
       cf(S, "L%u: ;\n", (unsigned)Pc);
-      if (Tracing && Events[Pc])
+      if (Events[Pc])
         cf(S,
            "  if ((unsigned long long)(te - tp) < %uULL) { c->TracePtr = tp; "
            "c->TraceGrow(c, %u); tp = c->TracePtr; te = c->TraceEnd; }\n",
@@ -2066,13 +1937,13 @@ void emitCFn(std::string &S, const bc::BytecodeFunction &BF, bool Tracing) {
     case O::LoadI:
       cf(S, " ni++;");
       Cost(I.Cost);
-      LoadPrefix(I, I.A);
+      LoadPrefix(I.A);
       cf(S, " memcpy(&x, h, 8); r[%u].I = x; r[%u].D = 0.0;", I.Dst, I.Dst);
       break;
     case O::LoadF:
       cf(S, " ni++;");
       Cost(I.Cost);
-      LoadPrefix(I, I.A);
+      LoadPrefix(I.A);
       cf(S, " memcpy(&fv, h, 8); r[%u].D = fv; r[%u].I = 0;", I.Dst, I.Dst);
       break;
     case O::StoreI:
@@ -2080,10 +1951,7 @@ void emitCFn(std::string &S, const bc::BytecodeFunction &BF, bool Tracing) {
       cf(S, " ni++;");
       Cost(I.Cost);
       cf(S, " ns++; a = (unsigned long long)r[%u].I;", I.B);
-      if (Tracing)
-        cf(S, " *tp++ = a | (1ULL << 62);");
-      else
-        cf(S, " c->FusedStore(c, a);");
+      cf(S, " *tp++ = a | (1ULL << 62);");
       Translate();
       cf(S, " memcpy(h, &r[%u].%c, 8);", I.A, I.Op == O::StoreI ? 'I' : 'D');
       break;
@@ -2091,10 +1959,7 @@ void emitCFn(std::string &S, const bc::BytecodeFunction &BF, bool Tracing) {
       cf(S, " ni++;");
       Cost(I.Cost);
       cf(S, " np++; a = (unsigned long long)r[%u].I;", I.A);
-      if (Tracing)
-        cf(S, " *tp++ = a | (2ULL << 62);");
-      else
-        cf(S, " c->FusedPrefetch(c, a);");
+      cf(S, " *tp++ = a | (2ULL << 62);");
       break;
 
     case O::LoadFAddF:
@@ -2104,7 +1969,7 @@ void emitCFn(std::string &S, const bc::BytecodeFunction &BF, bool Tracing) {
           I.Op == O::LoadFAddF ? '+' : (I.Op == O::LoadFSubF ? '-' : '*');
       cf(S, " ni++;");
       Cost(I.Cost);
-      LoadPrefix(I, I.A);
+      LoadPrefix(I.A);
       cf(S, " memcpy(&fv, h, 8); r[%u].D = fv; r[%u].I = 0; ni++;", I.Aux,
          I.Aux);
       Cost(I.CostB);
@@ -2114,7 +1979,7 @@ void emitCFn(std::string &S, const bc::BytecodeFunction &BF, bool Tracing) {
     case O::LoadIAddI:
       cf(S, " ni++;");
       Cost(I.Cost);
-      LoadPrefix(I, I.A);
+      LoadPrefix(I.A);
       cf(S, " memcpy(&x, h, 8); r[%u].I = x; r[%u].D = 0.0; ni++;", I.Aux,
          I.Aux);
       Cost(I.CostB);
@@ -2185,14 +2050,12 @@ void emitCFn(std::string &S, const bc::BytecodeFunction &BF, bool Tracing) {
     case O::Call:
       cf(S, " ni++;");
       Cost(I.Cost);
-      if (Tracing)
-        cf(S, " c->Cycles = cyc; c->TracePtr = tp;");
+      cf(S, " c->Cycles = cyc; c->TracePtr = tp;");
       cf(S, " c->Call(c, (const void *)0x%llxULL, %uU); r = c->Frame;",
          (unsigned long long)reinterpret_cast<std::uintptr_t>(
              &BF.CallDescs[I.A]),
          I.Dst);
-      if (Tracing)
-        cf(S, " cyc = c->Cycles; tp = c->TracePtr; te = c->TraceEnd;");
+      cf(S, " cyc = c->Cycles; tp = c->TracePtr; te = c->TraceEnd;");
       cf(S, " pt = c->LastPageTag; pd = c->LastDelta;");
       break;
 
@@ -2208,15 +2071,14 @@ void emitCFn(std::string &S, const bc::BytecodeFunction &BF, bool Tracing) {
   cf(S, "  c->NInstr += ni; c->NLoads += nl; c->NStores += ns; "
         "c->NPrefetches += np;\n");
   cf(S, "  c->LastPageTag = pt; c->LastDelta = pd;\n");
-  if (Tracing)
-    cf(S, "  c->Cycles = cyc; c->TracePtr = tp;\n");
+  cf(S, "  c->Cycles = cyc; c->TracePtr = tp;\n");
   cf(S, "  (void)a; (void)x; (void)fv; (void)h; (void)r;\n");
   cf(S, "}\n\n");
 }
 
 /// The complete generated translation unit: the re-declared ABI struct
 /// (field-for-field NativeContext; layout pinned by the static_asserts in
-/// NativeExec.h under any LP64 ABI) plus both variants.
+/// NativeExec.h under any LP64 ABI) plus the function.
 std::string emitCSource(const bc::BytecodeFunction &BF) {
   std::string S;
   cf(S, "/* generated by daecc sim/NativeCodegen.cpp; ABI v%llu */\n",
@@ -2232,22 +2094,16 @@ std::string emitCSource(const bc::BytecodeFunction &BF) {
   cf(S, "  unsigned long long *TraceEnd;\n");
   cf(S, "  unsigned long long LastPageTag;\n");
   cf(S, "  long long LastDelta;\n");
-  cf(S, "  void *Stats;\n");
   cf(S, "  RV Ret;\n");
   cf(S, "  unsigned long long RetValid;\n");
   cf(S, "  void *Self;\n");
   cf(S, "  unsigned char *(*Translate)(Ctx *, unsigned long long);\n");
   cf(S, "  void (*TraceGrow)(Ctx *, unsigned long long);\n");
   cf(S, "  void (*Call)(Ctx *, const void *, unsigned);\n");
-  cf(S, "  void (*FusedLoad)(Ctx *, unsigned long long, const void *);\n");
-  cf(S, "  void (*FusedStore)(Ctx *, unsigned long long);\n");
-  cf(S, "  void (*FusedPrefetch)(Ctx *, unsigned long long);\n");
-  cf(S, "  unsigned long long Fused;\n");
   cf(S, "};\n");
   cf(S, "static double dbl(unsigned long long u) { double d; memcpy(&d, &u, "
         "8); return d; }\n\n");
-  emitCFn(S, BF, /*Tracing=*/false);
-  emitCFn(S, BF, /*Tracing=*/true);
+  emitCFn(S, BF);
   return S;
 }
 
@@ -2263,16 +2119,15 @@ namespace {
 
 #if defined(DAECC_NATIVE_JIT)
 
-/// Both variants in one mmap'd buffer, W^X: RW while the stencils are
-/// copied in, RX from publication on (never both).
+/// The function in one mmap'd buffer, W^X: RW while the stencils are copied
+/// in, RX from publication on (never both).
 class JitCode final : public NativeCode {
 public:
-  JitCode(std::uint8_t *Base, std::size_t Size, std::size_t TracedOff) {
+  JitCode(std::uint8_t *Base, std::size_t Size) {
     Jit = true;
     CodeAddr = Base;
     CodeSize = Size;
-    Fused = reinterpret_cast<EntryFn>(Base);
-    Traced = reinterpret_cast<EntryFn>(Base + TracedOff);
+    Entry = reinterpret_cast<EntryFn>(Base);
   }
   ~JitCode() override {
     munmap(const_cast<std::uint8_t *>(CodeAddr), CodeSize);
@@ -2280,28 +2135,22 @@ public:
 };
 
 std::shared_ptr<const NativeCode> jitCompile(const bc::BytecodeFunction &BF) {
-  FnEmitter FusedEmit(BF, /*Tracing=*/false);
-  FnEmitter TracedEmit(BF, /*Tracing=*/true);
-  if (!FusedEmit.emit() || !TracedEmit.emit())
+  FnEmitter Emit(BF);
+  if (!Emit.emit())
     return nullptr;
-  const std::size_t TracedOff =
-      (FusedEmit.A.Code.size() + 15) & ~static_cast<std::size_t>(15);
-  const std::size_t Total = TracedOff + TracedEmit.A.Code.size();
+  const std::size_t Total = Emit.A.Code.size();
   const std::size_t Page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   const std::size_t MapSize = (Total + Page - 1) & ~(Page - 1);
   void *Mem = mmap(nullptr, MapSize, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (Mem == MAP_FAILED)
     return nullptr;
-  std::memcpy(Mem, FusedEmit.A.Code.data(), FusedEmit.A.Code.size());
-  std::memcpy(static_cast<std::uint8_t *>(Mem) + TracedOff,
-              TracedEmit.A.Code.data(), TracedEmit.A.Code.size());
+  std::memcpy(Mem, Emit.A.Code.data(), Total);
   if (mprotect(Mem, MapSize, PROT_READ | PROT_EXEC) != 0) {
     munmap(Mem, MapSize);
     return nullptr;
   }
-  return std::make_shared<JitCode>(static_cast<std::uint8_t *>(Mem), MapSize,
-                                   TracedOff);
+  return std::make_shared<JitCode>(static_cast<std::uint8_t *>(Mem), MapSize);
 }
 
 #endif // DAECC_NATIVE_JIT
@@ -2310,10 +2159,7 @@ std::shared_ptr<const NativeCode> jitCompile(const bc::BytecodeFunction &BF) {
 
 class CemitCode final : public NativeCode {
 public:
-  CemitCode(void *H, EntryFn F, EntryFn T) : Handle(H) {
-    Fused = F;
-    Traced = T;
-  }
+  CemitCode(void *H, EntryFn E) : Handle(H) { Entry = E; }
   ~CemitCode() override { dlclose(Handle); }
 
 private:
@@ -2385,14 +2231,13 @@ cemitCompile(const bc::BytecodeFunction &BF) {
     cemitWarnOnce("dlopen failed", dlerror());
     return nullptr;
   }
-  EntryFn F = reinterpret_cast<EntryFn>(dlsym(H, "daecc_native_fused"));
-  EntryFn T = reinterpret_cast<EntryFn>(dlsym(H, "daecc_native_traced"));
-  if (!F || !T) {
+  EntryFn E = reinterpret_cast<EntryFn>(dlsym(H, "daecc_native_entry"));
+  if (!E) {
     dlclose(H);
-    cemitWarnOnce("generated symbols missing", nullptr);
+    cemitWarnOnce("generated symbol missing", nullptr);
     return nullptr;
   }
-  return std::make_shared<CemitCode>(H, F, T);
+  return std::make_shared<CemitCode>(H, E);
 }
 
 #endif // DAECC_NATIVE_POSIX

@@ -22,10 +22,9 @@
 ///    object and dlopen'd. Keeps the backend alive on non-x86-64 hosts and
 ///    under sanitizers (which cannot instrument raw JIT code).
 ///
-/// Every function is lowered twice — a fused variant (cache callbacks at the
-/// memory sites, costs applied to PhaseStats) and a tracing variant (inline
-/// trace stores, costs accumulated locally) — so the untraced path carries
-/// zero trace instructions and neither variant tests a mode flag.
+/// Every function is lowered once, to one entry point that appends its
+/// memory accesses to the AccessTrace inline and accumulates its costs
+/// locally; cache timing is added later by the runtime's trace replay.
 ///
 /// compile() returns null for functions the lowerer rejects (unsupported
 /// opcode, mmap/cc failure); the execution layer then falls back to the
@@ -53,14 +52,15 @@ namespace native {
 
 struct NativeContext;
 
-/// Entry point of one compiled variant: runs a full activation against the
-/// context's current Frame/counters and returns at Ret/RetVal.
+/// Entry point of one compiled function: runs a full activation against the
+/// context's current Frame/counters/trace cursor and returns at Ret/RetVal.
 using EntryFn = void (*)(NativeContext *);
 
 /// Lowering mode selection.
 enum class Mode : std::uint8_t {
   /// Pick per host: Jit on x86-64 without address/thread sanitizers, Cemit
-  /// elsewhere. Overridable via DAECC_NATIVE_MODE={jit,cemit,auto}.
+  /// elsewhere. Overridable via DAECC_NATIVE_MODE={jit,cemit,auto}; any
+  /// other value is a hard configuration error (exit 2).
   Auto,
   Jit,
   Cemit,
@@ -74,17 +74,16 @@ struct Options {
   bool AbortOnUnsupported = false;
 };
 
-/// One function's executable native code: the fused and tracing entry points
-/// plus the backing storage (an mmap'd W^X buffer or a dlopen'd shared
-/// object). Immutable and safe to execute concurrently from any thread.
+/// One function's executable native code: its entry point plus the backing
+/// storage (an mmap'd W^X buffer or a dlopen'd shared object). Immutable and
+/// safe to execute concurrently from any thread.
 class NativeCode {
 public:
   virtual ~NativeCode();
   NativeCode(const NativeCode &) = delete;
   NativeCode &operator=(const NativeCode &) = delete;
 
-  EntryFn fused() const { return Fused; }
-  EntryFn traced() const { return Traced; }
+  EntryFn entry() const { return Entry; }
 
   /// True when backed by the x86-64 JIT (vs. a compiled-C shared object).
   bool isJit() const { return Jit; }
@@ -94,8 +93,7 @@ public:
 
 protected:
   NativeCode() = default;
-  EntryFn Fused = nullptr;
-  EntryFn Traced = nullptr;
+  EntryFn Entry = nullptr;
   bool Jit = false;
   const std::uint8_t *CodeAddr = nullptr;
   std::size_t CodeSize = 0;

@@ -3,10 +3,10 @@
 // Part of daecc. Distributed under the MIT license.
 //
 // The C++ half of the native backend: frame management, the slow-path
-// helpers generated code calls (translation miss, trace growth, calls, fused
-// cache callbacks), and the per-function threaded fallback. The fast paths —
-// dispatch, value ops, trace appends, page-translation hits — live entirely
-// in the generated code (sim/NativeCodegen.cpp).
+// helpers generated code calls (translation miss, trace growth, calls), and
+// the per-function threaded fallback. The fast paths — dispatch, value ops,
+// trace appends, page-translation hits — live entirely in the generated code
+// (sim/NativeCodegen.cpp).
 //
 // Bit-exactness protocols (verified against ThreadedInterpreter::exec):
 //
@@ -15,28 +15,20 @@
 //    accumulate into the shared NativeContext cells (generated code flushes
 //    region-constant increments), flushed into the returned PhaseStats once.
 //
-//  * Tracing-mode ComputeCycles must reproduce the reference's FP addend
-//    order exactly. Each generated function accumulates its own costs in a
-//    register (starting at 0.0) and adds the total into ctx->Cycles at its
-//    epilogue. Across a call, nativeCall saves the caller's partial sum,
-//    zeroes ctx->Cycles, runs the callee (so ctx->Cycles ends as 0.0 +
-//    calleeTotal — bitwise equal to calleeTotal, costs being non-negative),
-//    restores, and merges with ONE addition — exactly the reference's
+//  * ComputeCycles must reproduce the reference's FP addend order exactly.
+//    Each generated function accumulates its own costs in a register
+//    (starting at 0.0) and adds the total into ctx->Cycles at its epilogue.
+//    Across a call, nativeCall saves the caller's partial sum, zeroes
+//    ctx->Cycles, runs the callee (so ctx->Cycles ends as 0.0 + calleeTotal
+//    — bitwise equal to calleeTotal, costs being non-negative), restores,
+//    and merges with ONE addition — exactly the reference's
 //    `Cycles += Sub.ComputeCycles`.
-//
-//  * Fused mode keeps ComputeCycles/StallNs in the activation's PhaseStats
-//    (generated code adds costs there directly, the fused helpers add hit
-//    cycles/stalls between them, same interleaving as FusedModel); a call
-//    swaps ctx->Stats to a zeroed local and merges it back with one
-//    `*Stats += Sub`, matching the reference's Call handler.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sim/NativeExec.h"
 
 #include "ir/Function.h"
-#include "sim/CacheSim.h"
-#include "sim/ExecModels.h"
 #include "sim/NativeCodegen.h"
 
 #include <algorithm>
@@ -65,100 +57,20 @@ struct NativeHelpers {
                    std::uint32_t DstReg) {
     C->Self->nativeCall(*D, DstReg);
   }
-
-  // The fused callbacks replicate FusedModel (sim/ExecModels.h) verbatim
-  // against the current activation's PhaseStats; the generated code has
-  // already applied the instruction cost, matching the reference's
-  // STEP-then-callback order.
-  static void fusedLoad(NativeContext *C, std::uint64_t Addr,
-                        const ir::Instruction *Origin) {
-    NativeInterpreter &NI = *C->Self;
-    PhaseStats &S = *C->Stats;
-    const MachineConfig &Cfg = NI.Cfg;
-    LoadSiteStats *Site = nullptr;
-    if (NI.LoadStats) {
-      Site = &(*NI.LoadStats)[Origin];
-      ++Site->Count;
-    }
-    switch (NI.Caches->access(NI.CurCore, Addr)) {
-    case HitLevel::L1:
-      ++S.L1Hits;
-      S.ComputeCycles += Cfg.L1HitCycles;
-      break;
-    case HitLevel::L2:
-      ++S.L2Hits;
-      S.ComputeCycles += Cfg.L2HitCycles;
-      break;
-    case HitLevel::LLC:
-      ++S.LLCHits;
-      S.ComputeCycles += Cfg.LLCHitCycles;
-      break;
-    case HitLevel::Memory:
-      ++S.MemAccesses;
-      S.StallNs += Cfg.MemLatencyNs / Cfg.LoadMlp;
-      if (Site)
-        ++Site->Misses;
-      break;
-    }
-  }
-
-  static void fusedStore(NativeContext *C, std::uint64_t Addr) {
-    NativeInterpreter &NI = *C->Self;
-    PhaseStats &S = *C->Stats;
-    const MachineConfig &Cfg = NI.Cfg;
-    switch (NI.Caches->access(NI.CurCore, Addr)) {
-    case HitLevel::L1:
-      ++S.L1Hits;
-      break;
-    case HitLevel::L2:
-      ++S.L2Hits;
-      S.ComputeCycles += Cfg.L2HitCycles * 0.5;
-      break;
-    case HitLevel::LLC:
-      ++S.LLCHits;
-      S.ComputeCycles += Cfg.LLCHitCycles * 0.5;
-      break;
-    case HitLevel::Memory:
-      ++S.MemAccesses;
-      S.StallNs += Cfg.MemLatencyNs / Cfg.StoreMlp;
-      break;
-    }
-  }
-
-  static void fusedPrefetch(NativeContext *C, std::uint64_t Addr) {
-    NativeInterpreter &NI = *C->Self;
-    PhaseStats &S = *C->Stats;
-    const MachineConfig &Cfg = NI.Cfg;
-    switch (NI.Caches->access(NI.CurCore, Addr)) {
-    case HitLevel::L1:
-    case HitLevel::L2:
-      break;
-    case HitLevel::LLC:
-      S.StallNs += Cfg.LLCHitCycles / Cfg.fmax() / Cfg.PrefetchMlp;
-      break;
-    case HitLevel::Memory:
-      ++S.MemAccesses;
-      S.StallNs += Cfg.MemLatencyNs / Cfg.PrefetchMlp;
-      break;
-    }
-  }
 };
 
 } // namespace sim
 } // namespace dae
 
 NativeInterpreter::NativeInterpreter(const MachineConfig &Cfg, Memory &Mem,
-                                     CacheHierarchy *Caches, const Loader &L,
+                                     const Loader &L,
                                      const CompiledProgram *Shared)
-    : Cfg(Cfg), Mem(Mem), Caches(Caches), Load(L), Shared(Shared),
-      Fallback(Cfg, Mem, Caches, L, Shared) {
+    : Cfg(Cfg), Mem(Mem), Load(L), Shared(Shared),
+      Fallback(Cfg, Mem, L, Shared) {
   Ctx.Self = this;
   Ctx.Translate = &NativeHelpers::translate;
   Ctx.TraceGrow = &NativeHelpers::traceGrow;
   Ctx.Call = &NativeHelpers::call;
-  Ctx.FusedLoad = &NativeHelpers::fusedLoad;
-  Ctx.FusedStore = &NativeHelpers::fusedStore;
-  Ctx.FusedPrefetch = &NativeHelpers::fusedPrefetch;
 }
 
 NativeInterpreter::~NativeInterpreter() = default;
@@ -210,7 +122,7 @@ void NativeInterpreter::traceGrow(std::uint64_t Needed) {
 }
 
 void NativeInterpreter::invoke(const bc::BytecodeFunction &BF,
-                               const native::NativeCode &Code, bool Fused,
+                               const native::NativeCode &Code,
                                const RuntimeValue *Args, std::size_t NArgs) {
   // Per-activation frame carved out of the shared arena, exactly like the
   // threaded backend (registers are def-before-use by SSA dominance, so
@@ -226,7 +138,7 @@ void NativeInterpreter::invoke(const bc::BytecodeFunction &BF,
   for (std::size_t K = 0; K != BF.ConstPool.size(); ++K)
     R[BF.ConstBase + K] = BF.ConstPool[K];
   Ctx.Frame = R;
-  (Fused ? Code.fused() : Code.traced())(&Ctx);
+  Code.entry()(&Ctx);
   FrameTop = FrameBase;
 }
 
@@ -249,91 +161,37 @@ void NativeInterpreter::nativeCall(const bc::CallDesc &D,
   }
   // The callee may grow the arena; remember the caller frame by offset.
   const std::ptrdiff_t CallerBase = Ctx.Frame - Arena.data();
-  const bool Fused = Ctx.Fused != 0;
 
   RuntimeValue Ret;
   FnEntry E = getFn(*D.Callee);
   if (E.Code) {
     Ctx.RetValid = 0;
-    if (Fused) {
-      // Reference: callee accumulates into its own Sub; caller merges with
-      // one field-wise +=. Swap the stats target for the activation.
-      PhaseStats *Saved = Ctx.Stats;
-      PhaseStats Sub;
-      Ctx.Stats = &Sub;
-      invoke(*E.BC, *E.Code, true, CallArgs, N);
-      Ctx.Stats = Saved;
-      if (Ctx.RetValid)
-        Ret = Ctx.Ret;
-      // Sub's integer counters are zero (they live in the shared ctx cells),
-      // so this adds exactly ComputeCycles/StallNs/hit counters — the same
-      // additions the reference's `S += Sub` performs after zeroing.
-      *Saved += Sub;
-    } else {
-      const double CallerPartial = Ctx.Cycles;
-      Ctx.Cycles = 0.0;
-      invoke(*E.BC, *E.Code, false, CallArgs, N);
-      const double SubCycles = Ctx.Cycles; // 0.0 + calleeTotal == calleeTotal
-      if (Ctx.RetValid)
-        Ret = Ctx.Ret;
-      Ctx.Cycles = CallerPartial + SubCycles; // the one reference addition
-    }
+    const double CallerPartial = Ctx.Cycles;
+    Ctx.Cycles = 0.0;
+    invoke(*E.BC, *E.Code, CallArgs, N);
+    const double SubCycles = Ctx.Cycles; // 0.0 + calleeTotal == calleeTotal
+    if (Ctx.RetValid)
+      Ret = Ctx.Ret;
+    Ctx.Cycles = CallerPartial + SubCycles; // the one reference addition
   } else {
     // Callee has no native code: run it through the threaded interpreter and
-    // resume. Semantically this IS the reference Call handler.
+    // resume. Semantically this IS the reference Call handler. Hand the open
+    // trace cursor back to the vector for the duration.
     std::vector<RuntimeValue> ArgVec(CallArgs, CallArgs + N);
-    PhaseStats Sub;
-    if (Fused) {
-      Sub = Fallback.run(*D.Callee, CurCore, ArgVec, &Ret);
-    } else {
-      // Hand the open trace cursor back to the vector for the duration.
-      CurTrace->nativeCommit(Ctx.TracePtr);
-      Sub = Fallback.runTraced(*D.Callee, ArgVec, *CurTrace, &Ret);
-      Ctx.TracePtr = CurTrace->nativeBegin(0);
-      Ctx.TraceEnd = CurTrace->nativeEnd();
-    }
+    CurTrace->nativeCommit(Ctx.TracePtr);
+    PhaseStats Sub = Fallback.runTraced(*D.Callee, ArgVec, *CurTrace, &Ret);
+    Ctx.TracePtr = CurTrace->nativeBegin(0);
+    Ctx.TraceEnd = CurTrace->nativeEnd();
     Ctx.NInstr += Sub.Instructions;
     Ctx.NLoads += Sub.Loads;
     Ctx.NStores += Sub.Stores;
     Ctx.NPrefetches += Sub.Prefetches;
-    Sub.Instructions = 0;
-    Sub.Loads = 0;
-    Sub.Stores = 0;
-    Sub.Prefetches = 0;
-    if (Fused)
-      *Ctx.Stats += Sub;
-    else
-      Ctx.Cycles += Sub.ComputeCycles;
+    Ctx.Cycles += Sub.ComputeCycles;
   }
 
   Ctx.Frame = Arena.data() + CallerBase;
   if (DstReg != bc::NoReg)
     Ctx.Frame[DstReg] = Ret;
-}
-
-PhaseStats NativeInterpreter::run(const Function &F, unsigned Core,
-                                  const std::vector<RuntimeValue> &Args,
-                                  RuntimeValue *RetOut) {
-  assert(Args.size() == F.getNumArgs() && "argument count mismatch");
-  assert(Caches && "fused execution requires a cache hierarchy");
-  FnEntry E = getFn(F);
-  if (!E.Code)
-    return Fallback.run(F, Core, Args, RetOut);
-  CurCore = Core;
-  PhaseStats S;
-  Ctx.NInstr = Ctx.NLoads = Ctx.NStores = Ctx.NPrefetches = 0;
-  Ctx.Stats = &S;
-  Ctx.Fused = 1;
-  Ctx.RetValid = 0;
-  invoke(*E.BC, *E.Code, true, Args.data(), Args.size());
-  S.Instructions += Ctx.NInstr;
-  S.Loads += Ctx.NLoads;
-  S.Stores += Ctx.NStores;
-  S.Prefetches += Ctx.NPrefetches;
-  if (RetOut && Ctx.RetValid)
-    *RetOut = Ctx.Ret;
-  Ctx.Stats = nullptr;
-  return S;
 }
 
 PhaseStats NativeInterpreter::runTraced(const Function &F,
@@ -348,11 +206,10 @@ PhaseStats NativeInterpreter::runTraced(const Function &F,
   PhaseStats S;
   Ctx.NInstr = Ctx.NLoads = Ctx.NStores = Ctx.NPrefetches = 0;
   Ctx.Cycles = 0.0;
-  Ctx.Fused = 0;
   Ctx.RetValid = 0;
   Ctx.TracePtr = Trace.nativeBegin(0);
   Ctx.TraceEnd = Trace.nativeEnd();
-  invoke(*E.BC, *E.Code, false, Args.data(), Args.size());
+  invoke(*E.BC, *E.Code, Args.data(), Args.size());
   Trace.nativeCommit(Ctx.TracePtr);
   CurTrace = nullptr;
   S.Instructions += Ctx.NInstr;

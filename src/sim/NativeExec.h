@@ -8,19 +8,19 @@
 /// The native execution backend (MachineConfig::Backend == SimBackend::
 /// Native): runs functions lowered by sim/NativeCodegen.h to executable host
 /// code. NativeInterpreter mirrors ThreadedInterpreter's contract exactly —
-/// same PhaseStats (FP addend order included), AccessTraces, memory images,
-/// return values and per-site load statistics — verified by
-/// tests/sim/BackendDifferentialTest.cpp across all three backends.
+/// same PhaseStats (FP addend order included), AccessTraces, memory images
+/// and return values — verified by tests/sim/BackendDifferentialTest.cpp
+/// across all three backends.
 ///
 /// NativeContext is the ABI between generated code (JIT stencils or emitted
 /// C) and the C++ runtime: a fixed-layout struct holding the current
 /// activation's register file, the register-resident counters, the inlined
 /// trace write cursor, the (page tag, pointer delta) translation cache, and
 /// the helper entry points generated code calls for the slow paths
-/// (translation miss, trace growth, calls, fused cache callbacks). All
-/// fields are 8-byte scalars at fixed offsets asserted below; the x86-64
-/// emitter addresses them as [ctx + offset] and the C emitter re-declares
-/// the same layout in the generated source.
+/// (translation miss, trace growth, calls). All fields are 8-byte scalars
+/// (Ret is two) at fixed offsets asserted below; the x86-64 emitter
+/// addresses them as [ctx + offset] and the C emitter re-declares the same
+/// layout in the generated source.
 ///
 /// Functions the native lowerer rejects (see NativeCodegen.h) are executed
 /// by an embedded ThreadedInterpreter instead — per function, including
@@ -62,10 +62,10 @@ struct NativeContext {
   std::uint64_t NLoads = 0;         ///< ...flushed into PhaseStats once at
   std::uint64_t NStores = 0;        ///< the top-level exit (all activations
   std::uint64_t NPrefetches = 0;    ///< accumulate into the same cells).
-  double Cycles = 0.0;              ///< Tracing-mode ComputeCycles protocol:
-                                    ///< caller's partial sum across a call,
-                                    ///< merged total after it (see
-                                    ///< NativeExec.cpp, nativeCall).
+  double Cycles = 0.0;              ///< ComputeCycles protocol: caller's
+                                    ///< partial sum across a call, merged
+                                    ///< total after it (see NativeExec.cpp,
+                                    ///< nativeCall).
   std::uint64_t *TracePtr = nullptr; ///< Next trace event write slot.
   std::uint64_t *TraceEnd = nullptr; ///< One past the reserved trace storage.
   std::uint64_t LastPageTag = ~0ull; ///< Addr & ~(PageSize-1) of the cached
@@ -73,8 +73,6 @@ struct NativeContext {
   std::int64_t LastDelta = 0;       ///< Host pointer minus simulated address
                                     ///< for the cached page (host = addr +
                                     ///< delta).
-  PhaseStats *Stats = nullptr;      ///< Fused mode: current activation's
-                                    ///< stats (costs + cache callbacks).
   RuntimeValue Ret;                 ///< Return-value slot (RetVal opcode).
   std::uint64_t RetValid = 0;       ///< 1 iff the activation ended in RetVal.
   NativeInterpreter *Self = nullptr;
@@ -83,11 +81,6 @@ struct NativeContext {
   void (*TraceGrow)(NativeContext *, std::uint64_t Needed) = nullptr;
   void (*Call)(NativeContext *, const bc::CallDesc *D,
                std::uint32_t DstReg) = nullptr;
-  void (*FusedLoad)(NativeContext *, std::uint64_t Addr,
-                    const ir::Instruction *Origin) = nullptr;
-  void (*FusedStore)(NativeContext *, std::uint64_t Addr) = nullptr;
-  void (*FusedPrefetch)(NativeContext *, std::uint64_t Addr) = nullptr;
-  std::uint64_t Fused = 0;          ///< 1 in fused mode (Call helper reads it).
 };
 
 // The x86-64 emitter bakes these offsets into [ctx + disp] addressing; keep
@@ -103,17 +96,12 @@ static_assert(offsetof(NativeContext, TracePtr) == 48, "ABI layout");
 static_assert(offsetof(NativeContext, TraceEnd) == 56, "ABI layout");
 static_assert(offsetof(NativeContext, LastPageTag) == 64, "ABI layout");
 static_assert(offsetof(NativeContext, LastDelta) == 72, "ABI layout");
-static_assert(offsetof(NativeContext, Stats) == 80, "ABI layout");
-static_assert(offsetof(NativeContext, Ret) == 88, "ABI layout");
-static_assert(offsetof(NativeContext, RetValid) == 104, "ABI layout");
-static_assert(offsetof(NativeContext, Self) == 112, "ABI layout");
-static_assert(offsetof(NativeContext, Translate) == 120, "ABI layout");
-static_assert(offsetof(NativeContext, TraceGrow) == 128, "ABI layout");
-static_assert(offsetof(NativeContext, Call) == 136, "ABI layout");
-static_assert(offsetof(NativeContext, FusedLoad) == 144, "ABI layout");
-static_assert(offsetof(NativeContext, FusedStore) == 152, "ABI layout");
-static_assert(offsetof(NativeContext, FusedPrefetch) == 160, "ABI layout");
-static_assert(offsetof(NativeContext, Fused) == 168, "ABI layout");
+static_assert(offsetof(NativeContext, Ret) == 80, "ABI layout");
+static_assert(offsetof(NativeContext, RetValid) == 96, "ABI layout");
+static_assert(offsetof(NativeContext, Self) == 104, "ABI layout");
+static_assert(offsetof(NativeContext, Translate) == 112, "ABI layout");
+static_assert(offsetof(NativeContext, TraceGrow) == 120, "ABI layout");
+static_assert(offsetof(NativeContext, Call) == 128, "ABI layout");
 
 } // namespace native
 
@@ -123,26 +111,14 @@ static_assert(offsetof(NativeContext, Fused) == 168, "ABI layout");
 /// other backends.
 class NativeInterpreter {
 public:
-  /// \p Caches may be null for tracing-only use (runTraced).
-  NativeInterpreter(const MachineConfig &Cfg, Memory &Mem,
-                    CacheHierarchy *Caches, const Loader &L,
+  NativeInterpreter(const MachineConfig &Cfg, Memory &Mem, const Loader &L,
                     const CompiledProgram *Shared);
   ~NativeInterpreter();
 
-  /// Fused mode: identical contract to Interpreter::run.
-  PhaseStats run(const ir::Function &F, unsigned Core,
-                 const std::vector<RuntimeValue> &Args,
-                 RuntimeValue *RetOut = nullptr);
-
-  /// Tracing mode: identical contract to Interpreter::runTraced.
+  /// Identical contract to Interpreter::runTraced without a load-site sink.
   PhaseStats runTraced(const ir::Function &F,
                        const std::vector<RuntimeValue> &Args,
                        AccessTrace &Trace, RuntimeValue *RetOut = nullptr);
-
-  void setLoadStats(LoadStatsMap *Stats) {
-    LoadStats = Stats;
-    Fallback.setLoadStats(Stats);
-  }
 
 private:
   friend struct NativeHelpers; ///< The extern-"C"-style helper shims.
@@ -157,10 +133,10 @@ private:
 
   FnEntry getFn(const ir::Function &F);
 
-  /// Carves a frame, copies args + const pool, and invokes \p Entry with the
-  /// context set up for a fresh activation.
+  /// Carves a frame, copies args + const pool, and invokes \p Code's entry
+  /// point with the context set up for a fresh activation.
   void invoke(const bc::BytecodeFunction &BF, const native::NativeCode &Code,
-              bool Fused, const RuntimeValue *Args, std::size_t NArgs);
+              const RuntimeValue *Args, std::size_t NArgs);
 
   /// The Call-helper body: runs a callee (native or threaded fallback) from
   /// inside generated code and merges its stats exactly like the threaded
@@ -185,10 +161,8 @@ private:
   const ir::Function *LastFn = nullptr;
   FnEntry LastEntry;
 
-  LoadStatsMap *LoadStats = nullptr;
   const MachineConfig &Cfg;
   Memory &Mem;
-  CacheHierarchy *Caches;
   const Loader &Load;
   const CompiledProgram *Shared;
   /// Executes functions without native code; also the source of bytecode
@@ -204,7 +178,6 @@ private:
       LocalCode;
 
   AccessTrace *CurTrace = nullptr;
-  unsigned CurCore = 0;
 };
 
 } // namespace sim

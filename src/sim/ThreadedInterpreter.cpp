@@ -12,8 +12,8 @@
 //  * every IR instruction bumps PhaseStats::Instructions exactly once and
 //    adds its cost to ComputeCycles as its own FP addition, in program
 //    order — fused superinstructions apply STEP()/STEP2() separately;
-//  * memory-model callbacks (onLoad/onStore/onPrefetch) fire in the same
-//    order relative to the counter bumps and the actual memory access;
+//  * trace events are appended in the same order relative to the counter
+//    bumps and the actual memory access;
 //  * each handler reproduces the reference's RuntimeValue write pattern
 //    (.I-only / .D-only / full-struct) so register files stay bit-identical
 //    to the reference's slot environment at every step.
@@ -23,7 +23,6 @@
 #include "sim/ThreadedInterpreter.h"
 
 #include "ir/Function.h"
-#include "sim/ExecModels.h"
 #include "sim/SimOps.h"
 
 #include <cassert>
@@ -39,10 +38,9 @@ using namespace dae::sim;
 #endif
 
 ThreadedInterpreter::ThreadedInterpreter(const MachineConfig &Cfg, Memory &Mem,
-                                         CacheHierarchy *Caches,
                                          const Loader &L,
                                          const CompiledProgram *Shared)
-    : Cfg(Cfg), View(Mem), Caches(Caches), Load(L), Shared(Shared) {}
+    : Cfg(Cfg), View(Mem), Load(L), Shared(Shared) {}
 
 const bc::BytecodeFunction &
 ThreadedInterpreter::getBytecode(const Function &F) {
@@ -62,11 +60,10 @@ ThreadedInterpreter::getBytecode(const Function &F) {
   return *BF;
 }
 
-template <typename MemModel>
 PhaseStats ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
                                      const RuntimeValue *Args,
                                      std::size_t NArgs, RuntimeValue *RetOut,
-                                     MemModel &MM) {
+                                     AccessTrace &Trace) {
   PhaseStats S;
 
   // Per-activation frame carved out of the shared arena: no allocation or
@@ -84,11 +81,8 @@ PhaseStats ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
     R[BF.ConstBase + K] = BF.ConstPool[K];
 
   // Register-resident counters, flushed into S once at exit. The integer
-  // counts are order-independent; ComputeCycles may only live in a local in
-  // tracing mode (TracingModel never touches S), where the local sees the
-  // exact same addition sequence the reference applies to the struct field.
-  // Fused mode keeps ComputeCycles in S so instruction costs stay
-  // interleaved with the cache model's hit-cycle additions bit-for-bit.
+  // counts are order-independent; the ComputeCycles local sees the exact
+  // same addition sequence the reference applies to the struct field.
   std::uint64_t NInstr = 0, NLoads = 0, NStores = 0, NPrefetches = 0;
   double Cycles = 0.0;
 
@@ -111,18 +105,12 @@ PhaseStats ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
 #define STEP()                                                                 \
   do {                                                                         \
     ++NInstr;                                                                  \
-    if constexpr (MemModel::MutatesStats)                                      \
-      S.ComputeCycles += I->Cost;                                              \
-    else                                                                       \
-      Cycles += I->Cost;                                                       \
+    Cycles += I->Cost;                                                         \
   } while (0)
 #define STEP2()                                                                \
   do {                                                                         \
     ++NInstr;                                                                  \
-    if constexpr (MemModel::MutatesStats)                                      \
-      S.ComputeCycles += I->CostB;                                             \
-    else                                                                       \
-      Cycles += I->CostB;                                                      \
+    Cycles += I->CostB;                                                        \
   } while (0)
 #define NEXT()                                                                 \
   do {                                                                         \
@@ -198,7 +186,7 @@ PhaseStats ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
     STEP();                                                                    \
     std::uint64_t Addr = static_cast<std::uint64_t>(R[I->A].I);                \
     ++NLoads;                                                                  \
-    MM.onLoad(S, Addr, I->Origin);                                             \
+    Trace.push(AccessTrace::Kind::Load, Addr);                                 \
     RuntimeValue Out;                                                          \
     Out.D = View.loadF64(Addr);                                                \
     R[I->Aux] = Out;                                                           \
@@ -359,7 +347,7 @@ dispatch:
     STEP();
     std::uint64_t Addr = static_cast<std::uint64_t>(R[I->A].I);
     ++NLoads;
-    MM.onLoad(S, Addr, I->Origin);
+    Trace.push(AccessTrace::Kind::Load, Addr);
     RuntimeValue Out;
     Out.I = View.loadI64(Addr);
     R[I->Dst] = Out;
@@ -369,7 +357,7 @@ dispatch:
     STEP();
     std::uint64_t Addr = static_cast<std::uint64_t>(R[I->A].I);
     ++NLoads;
-    MM.onLoad(S, Addr, I->Origin);
+    Trace.push(AccessTrace::Kind::Load, Addr);
     RuntimeValue Out;
     Out.D = View.loadF64(Addr);
     R[I->Dst] = Out;
@@ -380,7 +368,7 @@ dispatch:
     std::uint64_t Addr = static_cast<std::uint64_t>(R[I->B].I);
     std::int64_t V = R[I->A].I;
     ++NStores;
-    MM.onStore(S, Addr);
+    Trace.push(AccessTrace::Kind::Store, Addr);
     View.storeI64(Addr, V);
     NEXT();
   }
@@ -389,7 +377,7 @@ dispatch:
     std::uint64_t Addr = static_cast<std::uint64_t>(R[I->B].I);
     double V = R[I->A].D;
     ++NStores;
-    MM.onStore(S, Addr);
+    Trace.push(AccessTrace::Kind::Store, Addr);
     View.storeF64(Addr, V);
     NEXT();
   }
@@ -397,7 +385,7 @@ dispatch:
     STEP();
     std::uint64_t Addr = static_cast<std::uint64_t>(R[I->A].I);
     ++NPrefetches;
-    MM.onPrefetch(S, Addr);
+    Trace.push(AccessTrace::Kind::Prefetch, Addr);
     NEXT();
   }
 
@@ -408,7 +396,7 @@ dispatch:
     STEP();
     std::uint64_t Addr = static_cast<std::uint64_t>(R[I->A].I);
     ++NLoads;
-    MM.onLoad(S, Addr, I->Origin);
+    Trace.push(AccessTrace::Kind::Load, Addr);
     RuntimeValue Out;
     Out.I = View.loadI64(Addr);
     R[I->Aux] = Out;
@@ -419,10 +407,7 @@ dispatch:
 
   OP(Jmp) {
     NInstr += I->Count;
-    if constexpr (MemModel::MutatesStats)
-      S.ComputeCycles += I->Cost;
-    else
-      Cycles += I->Cost;
+    Cycles += I->Cost;
     JUMP(I->A);
   }
   OP(CondBr) {
@@ -468,24 +453,17 @@ dispatch:
     for (std::size_t K = 0; K != D.ArgRegs.size(); ++K)
       CallArgs[K] = R[D.ArgRegs[K]];
     RuntimeValue Ret;
-    PhaseStats Sub =
-        exec(getBytecode(*D.Callee), CallArgs, D.ArgRegs.size(), &Ret, MM);
+    PhaseStats Sub = exec(getBytecode(*D.Callee), CallArgs, D.ArgRegs.size(),
+                          &Ret, Trace);
     // The callee may have grown the arena; re-derive our frame pointer.
     R = Frame.data() + FrameBase;
-    // Fold the callee's register-resident counts into ours and merge the
-    // rest of its stats field-wise (same totals as the reference's S += Sub).
+    // Fold the callee's counts into ours: the same totals, and the same one
+    // ComputeCycles addition, as the reference's S += Sub.
     NInstr += Sub.Instructions;
     NLoads += Sub.Loads;
     NStores += Sub.Stores;
     NPrefetches += Sub.Prefetches;
-    Sub.Instructions = 0;
-    Sub.Loads = 0;
-    Sub.Stores = 0;
-    Sub.Prefetches = 0;
-    if constexpr (MemModel::MutatesStats)
-      S += Sub;
-    else
-      Cycles += Sub.ComputeCycles;
+    Cycles += Sub.ComputeCycles;
     if (I->Dst != bc::NoReg)
       R[I->Dst] = Ret;
     NEXT();
@@ -501,8 +479,7 @@ done:
   S.Loads += NLoads;
   S.Stores += NStores;
   S.Prefetches += NPrefetches;
-  if constexpr (!MemModel::MutatesStats)
-    S.ComputeCycles += Cycles;
+  S.ComputeCycles += Cycles;
   FrameTop = FrameBase;
   return S;
 
@@ -524,20 +501,10 @@ done:
 #undef DISPATCH
 }
 
-PhaseStats ThreadedInterpreter::run(const Function &F, unsigned Core,
-                                    const std::vector<RuntimeValue> &Args,
-                                    RuntimeValue *RetOut) {
-  assert(Args.size() == F.getNumArgs() && "argument count mismatch");
-  assert(Caches && "fused execution requires a cache hierarchy");
-  FusedModel MM{*Caches, Cfg, Core, LoadStats};
-  return exec(getBytecode(F), Args.data(), Args.size(), RetOut, MM);
-}
-
 PhaseStats ThreadedInterpreter::runTraced(const Function &F,
                                           const std::vector<RuntimeValue> &Args,
                                           AccessTrace &Trace,
                                           RuntimeValue *RetOut) {
   assert(Args.size() == F.getNumArgs() && "argument count mismatch");
-  TracingModel MM{Trace};
-  return exec(getBytecode(F), Args.data(), Args.size(), RetOut, MM);
+  return exec(getBytecode(F), Args.data(), Args.size(), RetOut, Trace);
 }

@@ -12,13 +12,11 @@
 /// internally and delegates, so callers keep the single Interpreter API.
 ///
 /// Semantics are bit-identical to the switch interpreter — same PhaseStats
-/// (including FP addend order), AccessTraces, memory images, return values,
-/// and per-site load statistics — verified by
-/// tests/sim/BackendDifferentialTest.cpp and the SnapshotTest goldens.
-///
-/// Like the reference, the dispatch loop is instantiated twice (FusedModel /
-/// TracingModel from sim/ExecModels.h), keeping trace emission inlined at
-/// the load/store/prefetch sites with no per-access mode branch.
+/// (including FP addend order), AccessTraces, memory images and return
+/// values — verified by tests/sim/BackendDifferentialTest.cpp and the
+/// SnapshotTest goldens. Trace emission is inlined at the load/store/prefetch
+/// sites, and every counter lives in a register-resident local flushed once
+/// at function exit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,29 +39,19 @@ namespace sim {
 /// outside it (mirroring Interpreter).
 class ThreadedInterpreter {
 public:
-  /// \p Caches may be null for tracing-only use (runTraced).
-  ThreadedInterpreter(const MachineConfig &Cfg, Memory &Mem,
-                      CacheHierarchy *Caches, const Loader &L,
+  ThreadedInterpreter(const MachineConfig &Cfg, Memory &Mem, const Loader &L,
                       const CompiledProgram *Shared);
 
-  /// Fused mode: identical contract to Interpreter::run.
-  PhaseStats run(const ir::Function &F, unsigned Core,
-                 const std::vector<RuntimeValue> &Args,
-                 RuntimeValue *RetOut = nullptr);
-
-  /// Tracing mode: identical contract to Interpreter::runTraced.
+  /// Identical contract to Interpreter::runTraced without a load-site sink.
   PhaseStats runTraced(const ir::Function &F,
                        const std::vector<RuntimeValue> &Args,
                        AccessTrace &Trace, RuntimeValue *RetOut = nullptr);
 
-  void setLoadStats(LoadStatsMap *Stats) { LoadStats = Stats; }
-
 private:
   /// Args passed as pointer+count so the Call handler can forward from an
   /// on-stack buffer without materializing a vector per call.
-  template <typename MemModel>
   PhaseStats exec(const bc::BytecodeFunction &BF, const RuntimeValue *Args,
-                  std::size_t NArgs, RuntimeValue *RetOut, MemModel &MM);
+                  std::size_t NArgs, RuntimeValue *RetOut, AccessTrace &Trace);
 
   const bc::BytecodeFunction &getBytecode(const ir::Function &F);
 
@@ -81,10 +69,8 @@ private:
   const ir::Function *LastFn = nullptr;
   const bc::BytecodeFunction *LastBC = nullptr;
 
-  LoadStatsMap *LoadStats = nullptr;
   const MachineConfig &Cfg;
   MemoryView View;
-  CacheHierarchy *Caches; ///< Null for tracing-only interpreters.
   const Loader &Load;
   const CompiledProgram *Shared; ///< Read-only; preferred over Cache.
   /// Lazy per-interpreter fallback for functions outside the shared program.

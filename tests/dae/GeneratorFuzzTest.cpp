@@ -139,12 +139,12 @@ std::vector<std::int64_t> runAndSnapshot(Module &M, Function *Access,
     Mem.storeF64(L.baseOf("B") + static_cast<std::uint64_t>(I) * 8,
                  Data.nextDouble());
   }
-  sim::CacheHierarchy Caches(Cfg, 1);
-  sim::Interpreter Interp(Cfg, Mem, Caches, L);
+  sim::Interpreter Interp(Cfg, Mem, L);
+  sim::AccessTrace Trace;
   std::vector<sim::RuntimeValue> Args{sim::RuntimeValue::ofInt(N)};
   if (Access)
-    Interp.run(*Access, 0, Args);
-  Interp.run(*Exec, 0, Args);
+    Interp.runTraced(*Access, Args, Trace);
+  Interp.runTraced(*Exec, Args, Trace);
   std::vector<std::int64_t> Out;
   for (std::int64_t I = 0; I != Dim * Dim; ++I)
     Out.push_back(

@@ -96,6 +96,10 @@ struct Golden {
   std::uint64_t Auto;
 };
 
+// Without a printer gtest dumps the struct's bytes, pointer included, into
+// the listed (and so ctest's) test name, which then differs on every run.
+void PrintTo(const Golden &G, std::ostream *OS) { *OS << G.Name; }
+
 // Captured from the seed tree (commit 484aab9, default MachineConfig,
 // Scale::Test) before the pm:: refactor landed.
 const Golden Goldens[] = {

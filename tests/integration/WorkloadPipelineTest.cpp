@@ -33,6 +33,10 @@ struct PipelineCase {
   analysis::TaskClass ExpectedStrategy;
 };
 
+// Without a printer gtest dumps the struct's bytes (pointer and padding) into
+// the listed (and so ctest's) test name, which then differs on every run.
+void PrintTo(const PipelineCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class WorkloadPipelineTest : public ::testing::TestWithParam<PipelineCase> {};
 
 TEST_P(WorkloadPipelineTest, EndToEnd) {

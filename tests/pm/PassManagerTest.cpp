@@ -19,9 +19,13 @@
 #include "ir/Verifier.h"
 #include "passes/Passes.h"
 #include "pm/Analyses.h"
+#include "pm/Instrumentation.h"
 #include "pm/Pass.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <string>
 
 using namespace dae;
 using namespace dae::ir;
@@ -216,6 +220,25 @@ TEST(PassManagerTest, FixpointStopsAfterOneCleanSweep) {
   Fix.add<NoOpPass>();
   Fix.run(*Fx.F, FAM);
   EXPECT_EQ(Fix.lastIterations(), 1u);
+}
+
+TEST(PassManagerDeathTest, MalformedPipelineEnvFlagsExit2) {
+  // Only "0" and "1" are valid. A first-character parse read "true" and
+  // "yes" as off and "10" and "1x" as on, all silently.
+  // pm::config() parses once per process: re-exec each child so it starts
+  // from an unparsed configuration.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char *Var : {"DAECC_VERIFY_EACH", "DAECC_PRINT_AFTER_ALL"})
+    for (const char *Bad : {"true", "yes", "10", "1x"}) {
+      EXPECT_EXIT(
+          {
+            setenv(Var, Bad, 1);
+            pm::config();
+          },
+          ::testing::ExitedWithCode(2),
+          std::string("invalid ") + Var + " value")
+          << Var << "=" << Bad;
+    }
 }
 
 } // namespace

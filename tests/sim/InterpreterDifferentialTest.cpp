@@ -171,9 +171,9 @@ TEST_P(InterpDifferential, RandomStraightLineProgram) {
   sim::MachineConfig Cfg;
   sim::Memory Mem;
   sim::Loader L(M);
-  sim::CacheHierarchy Caches(Cfg, 1);
-  sim::Interpreter Interp(Cfg, Mem, Caches, L);
-  Interp.run(*F, 0, {ArgI, ArgF});
+  sim::Interpreter Interp(Cfg, Mem, L);
+  sim::AccessTrace Trace;
+  Interp.runTraced(*F, {ArgI, ArgF}, Trace);
 
   EXPECT_EQ(Mem.loadI64(L.baseOf("Out")), Host.get(FinalI).I);
   double HostF = Host.get(FinalF).D;

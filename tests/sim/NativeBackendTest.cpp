@@ -7,14 +7,15 @@
 // Edge cases of the native codegen backend that the cross-backend
 // differential suite (BackendDifferentialTest.cpp) does not reach: code
 // storage across many compiled functions, W^X protection of the JIT buffer,
-// the C-emission fallback mode, and — most important — the rejection path:
-// a function the lowerer cannot compile must fall back to the threaded
-// interpreter bit-identically, never miscompile, and must die loudly under
-// the AbortOnUnsupported testing hook.
+// the C-emission fallback mode, the DAECC_NATIVE_MODE contract, and — most
+// important — the rejection path: a function the lowerer cannot compile must
+// fall back to the threaded interpreter bit-identically, never miscompile,
+// and must die loudly under the AbortOnUnsupported testing hook.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ir/IRBuilder.h"
+#include "runtime/Replay.h"
 #include "sim/Bytecode.h"
 #include "sim/Interpreter.h"
 #include "sim/Memory.h"
@@ -58,11 +59,12 @@ Function *buildFn(Module &M, GlobalVariable *Out, unsigned K) {
   return F;
 }
 
-/// Runs \p F under \p Backend in a fresh memory/cache world and returns
-/// (return value, profile, image hash).
+/// Runs \p F under \p Backend in a fresh memory/cache world, replays its
+/// trace, and returns (return value, replayed profile, trace, image hash).
 struct RunResult {
   RuntimeValue Ret;
   PhaseStats Stats;
+  std::vector<std::uint64_t> Events;
   std::uint64_t Hash;
 };
 
@@ -72,16 +74,21 @@ RunResult runUnder(SimBackend Backend, Module &M, Function &F,
   Cfg.Backend = Backend;
   Loader L(M);
   Memory Mem;
-  CacheHierarchy Caches(Cfg, 1);
-  Interpreter Interp(Cfg, Mem, Caches, L);
+  Interpreter Interp(Cfg, Mem, L);
+  AccessTrace Trace;
   RunResult R;
-  R.Stats = Interp.run(F, 0, {RuntimeValue::ofInt(Arg)}, &R.Ret);
+  R.Stats = Interp.runTraced(F, {RuntimeValue::ofInt(Arg)}, Trace, &R.Ret);
+  CacheHierarchy Caches(Cfg, 1);
+  runtime::replayTrace(Trace, Caches, 0, runtime::ReplayCostModel(Cfg),
+                       R.Stats);
+  R.Events = Trace.events();
   R.Hash = Mem.imageHash();
   return R;
 }
 
 void expectSameRun(const RunResult &A, const RunResult &B, const char *What) {
   EXPECT_EQ(A.Ret.I, B.Ret.I) << What;
+  EXPECT_EQ(A.Events, B.Events) << What;
   EXPECT_EQ(A.Hash, B.Hash) << What;
   EXPECT_EQ(A.Stats.Instructions, B.Stats.Instructions) << What;
   EXPECT_EQ(A.Stats.ComputeCycles, B.Stats.ComputeCycles) << What;
@@ -126,11 +133,11 @@ TEST(NativeBackend, CodeBufferGrowthAcrossManyFunctions) {
 
   // All functions execute correctly while every code object is live.
   Memory Mem;
-  CacheHierarchy Caches(Cfg, 1);
-  Interpreter Interp(Cfg, Mem, Caches, L, &Prog);
+  Interpreter Interp(Cfg, Mem, L, &Prog);
+  AccessTrace Trace;
   for (unsigned K = 0; K != N; ++K) {
     RuntimeValue Ret;
-    Interp.run(*Fns[K], 0, {RuntimeValue::ofInt(7)}, &Ret);
+    Interp.runTraced(*Fns[K], {RuntimeValue::ofInt(7)}, Trace, &Ret);
     const std::int64_t Expect =
         static_cast<std::int64_t>(
             static_cast<double>(7 * (static_cast<std::int64_t>(K) + 2) + K) *
@@ -195,8 +202,7 @@ TEST(NativeBackend, CEmissionFallbackMatchesReference) {
   if (!NC)
     GTEST_SKIP() << "no host C compiler available for the cemit mode";
   EXPECT_FALSE(NC->isJit());
-  EXPECT_NE(NC->fused(), nullptr);
-  EXPECT_NE(NC->traced(), nullptr);
+  EXPECT_NE(NC->entry(), nullptr);
 
   // End to end through the interpreter, pinned to cemit via the env knob.
   setenv("DAECC_NATIVE_MODE", "cemit", 1);
@@ -243,6 +249,28 @@ TEST(NativeBackendDeathTest, UnsupportedOpcodeAbortsUnderHook) {
   setenv("DAECC_NATIVE_REJECT_OP", "SIToFP", 1);
   EXPECT_DEATH(native::compile(*BF, Opts), "rejected opcode 'SIToFP'");
   unsetenv("DAECC_NATIVE_REJECT_OP");
+}
+
+/// DAECC_NATIVE_MODE accepts exactly jit, cemit and auto; anything else is a
+/// hard configuration error (exit 2), like DAECC_SIM_BACKEND — never a
+/// silent fall-back to auto that would mislabel a mode comparison.
+TEST(NativeBackendDeathTest, UnknownNativeModeExits2) {
+  Module M;
+  auto *Out = M.createGlobal("Out", 8);
+  Function *F = buildFn(M, Out, 0);
+  Loader L(M);
+  MachineConfig Cfg;
+  auto BF = bc::lower(*F, L, Cfg);
+  for (const char *Bad : {"JIT", "jit ", "c", "native", ""}) {
+    setenv("DAECC_NATIVE_MODE", Bad, 1);
+    EXPECT_EXIT(native::compile(*BF), ::testing::ExitedWithCode(2),
+                "unknown DAECC_NATIVE_MODE")
+        << "'" << Bad << "'";
+    EXPECT_EXIT(native::activeModeName(), ::testing::ExitedWithCode(2),
+                "unknown DAECC_NATIVE_MODE")
+        << "'" << Bad << "'";
+  }
+  unsetenv("DAECC_NATIVE_MODE");
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/IRBuilder.h"
+#include "runtime/Replay.h"
 #include "sim/AccessTrace.h"
 #include "sim/CacheSim.h"
 #include "sim/Interpreter.h"
@@ -153,6 +154,20 @@ TEST(TracePoolDeathTest, GarbageEnvCapIsAHardError) {
   EXPECT_EXIT(
       {
         setenv("DAECC_TRACE_POOL_MB", "0", 1);
+        TracePool::maxTotalBytesFromEnv();
+      },
+      testing::ExitedWithCode(2), "invalid DAECC_TRACE_POOL_MB");
+  // 2^44 MiB is 2^64 bytes: the << 20 would wrap to a 0-byte cap.
+  EXPECT_EXIT(
+      {
+        setenv("DAECC_TRACE_POOL_MB", "17592186044416", 1);
+        TracePool::maxTotalBytesFromEnv();
+      },
+      testing::ExitedWithCode(2), "invalid DAECC_TRACE_POOL_MB");
+  // Beyond long long: strtol would saturate to an ~18 EB cap.
+  EXPECT_EXIT(
+      {
+        setenv("DAECC_TRACE_POOL_MB", "99999999999999999999", 1);
         TracePool::maxTotalBytesFromEnv();
       },
       testing::ExitedWithCode(2), "invalid DAECC_TRACE_POOL_MB");
@@ -330,6 +345,17 @@ TEST(SimOpsDeathTest, UnknownCmpPredAborts) {
                "cmpSimOp: unknown opcode value 15");
 }
 
+/// Runs \p F functionally, then replays its trace through \p Caches as core
+/// 0: the complete phase profile the runtime would assemble.
+PhaseStats runAndReplay(Interpreter &Interp, CacheHierarchy &Caches,
+                        const MachineConfig &Cfg, const Function &F,
+                        const std::vector<RuntimeValue> &Args) {
+  AccessTrace Trace;
+  PhaseStats S = Interp.runTraced(F, Args, Trace);
+  runtime::replayTrace(Trace, Caches, 0, runtime::ReplayCostModel(Cfg), S);
+  return S;
+}
+
 /// Interpreter fixture: sum = Src[0..n) accumulated into Dst[0].
 struct InterpFixture {
   Module M;
@@ -359,25 +385,28 @@ TEST(InterpreterTest, ComputesCorrectResult) {
   for (int I = 0; I != 100; ++I)
     Fx.Mem.storeF64(L.baseOf("Src") + static_cast<std::uint64_t>(I) * 8,
                     static_cast<double>(I));
-  CacheHierarchy Caches(Fx.Cfg, 1);
-  Interpreter Interp(Fx.Cfg, Fx.Mem, Caches, L);
-  PhaseStats S = Interp.run(*Fx.F, 0, {RuntimeValue::ofInt(100)});
+  Interpreter Interp(Fx.Cfg, Fx.Mem, L);
+  AccessTrace Trace;
+  PhaseStats S = Interp.runTraced(*Fx.F, {RuntimeValue::ofInt(100)}, Trace);
   EXPECT_DOUBLE_EQ(Fx.Mem.loadF64(L.baseOf("Dst")), 99.0 * 100.0 / 2.0);
   EXPECT_GT(S.Instructions, 500u); // ~8 instructions x 100 iterations.
   EXPECT_EQ(S.Loads, 200u);
   EXPECT_EQ(S.Stores, 100u);
+  EXPECT_EQ(Trace.size(), 300u);
 }
 
 TEST(InterpreterTest, ColdMissesProduceStalls) {
   InterpFixture Fx;
   Loader L(Fx.M);
   CacheHierarchy Caches(Fx.Cfg, 1);
-  Interpreter Interp(Fx.Cfg, Fx.Mem, Caches, L);
-  PhaseStats Cold = Interp.run(*Fx.F, 0, {RuntimeValue::ofInt(1024)});
+  Interpreter Interp(Fx.Cfg, Fx.Mem, L);
+  PhaseStats Cold = runAndReplay(Interp, Caches, Fx.Cfg, *Fx.F,
+                                 {RuntimeValue::ofInt(1024)});
   EXPECT_GT(Cold.MemAccesses, 0u);
   EXPECT_GT(Cold.StallNs, 0.0);
   // A second pass over the same (small) data is cache-warm.
-  PhaseStats Warm = Interp.run(*Fx.F, 0, {RuntimeValue::ofInt(1024)});
+  PhaseStats Warm = runAndReplay(Interp, Caches, Fx.Cfg, *Fx.F,
+                                 {RuntimeValue::ofInt(1024)});
   EXPECT_LT(Warm.StallNs, Cold.StallNs);
   EXPECT_GT(Warm.L1Hits, Cold.L1Hits);
 }
@@ -410,10 +439,12 @@ TEST(InterpreterTest, PrefetchWarmsWithoutSideEffects) {
   Memory Mem;
   Loader L(M);
   CacheHierarchy Caches(Cfg, 1);
-  Interpreter Interp(Cfg, Mem, Caches, L);
+  Interpreter Interp(Cfg, Mem, L);
   std::int64_t N = 1024; // 8 KiB: fits L1.
-  PhaseStats Access = Interp.run(*Pf, 0, {RuntimeValue::ofInt(N)});
-  PhaseStats Exec = Interp.run(*Rd, 0, {RuntimeValue::ofInt(N)});
+  PhaseStats Access =
+      runAndReplay(Interp, Caches, Cfg, *Pf, {RuntimeValue::ofInt(N)});
+  PhaseStats Exec =
+      runAndReplay(Interp, Caches, Cfg, *Rd, {RuntimeValue::ofInt(N)});
   EXPECT_EQ(Access.Prefetches, static_cast<std::uint64_t>(N) + 1);
   EXPECT_EQ(Exec.MemAccesses, 0u) << "prefetched data must hit";
   EXPECT_EQ(Exec.StallNs, 0.0);
