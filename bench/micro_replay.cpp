@@ -20,15 +20,23 @@
 ///  * MixedCapture: Mixed with oracle capture enabled, bounding the cost the
 ///    --dae-verify differential adds per event.
 ///
+/// The Timeline* benchmarks drive the multi-core co-run timeline
+/// (runtime/Timeline.h) instead: four co-runners, each one task whose
+/// execute phase is one of the patterns above at its own address bias,
+/// interleaved under the fixed-max policy. Events/s there bound the
+/// contention sweep the way the Replay* numbers bound a solo run.
+///
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Replay.h"
+#include "runtime/Timeline.h"
 #include "sim/CacheSim.h"
 #include "sim/MachineConfig.h"
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <vector>
 
 using namespace dae;
 using namespace dae::runtime;
@@ -109,6 +117,50 @@ void BM_ReplayMixedCapture(benchmark::State &State) {
   benchReplay(State, mixedTrace(), /*WithCapture=*/true);
 }
 BENCHMARK(BM_ReplayMixedCapture)->Unit(benchmark::kMillisecond);
+
+/// Interleaves four co-runners, each replaying \p Tr as the execute phase of
+/// its only task, with one functional cycle and instruction per event.
+void benchTimeline(benchmark::State &State, const AccessTrace &Tr) {
+  MachineConfig Cfg;
+  const unsigned NumStreams = 4;
+  std::vector<RunProfile> Solo(NumStreams);
+  std::vector<RunTraces> Traces(NumStreams);
+  std::vector<CoreStream> Streams;
+  for (unsigned C = 0; C != NumStreams; ++C) {
+    TaskTraces TT;
+    TT.Execute = Tr;
+    TT.FunctionalExecute.Instructions = Tr.size();
+    TT.FunctionalExecute.ComputeCycles = static_cast<double>(Tr.size());
+    Traces[C].Tasks.push_back(std::move(TT));
+    Solo[C].Tasks.resize(1);
+    Streams.push_back(
+        {&Solo[C], &Traces[C], static_cast<std::uint64_t>(C) << 40});
+  }
+  TimelineConfig TC;
+  TC.Policy = TimelinePolicy::FixedMax;
+  for (auto _ : State) {
+    TimelineReport R = interleaveTimeline(Streams, Cfg, TC);
+    benchmark::DoNotOptimize(R.MakespanNs);
+    benchmark::DoNotOptimize(R.Cores[0].Total.L1Hits);
+  }
+  State.SetItemsProcessed(static_cast<std::int64_t>(State.iterations()) *
+                          NumStreams * static_cast<std::int64_t>(Tr.size()));
+}
+
+void BM_TimelineSequential(benchmark::State &State) {
+  benchTimeline(State, sequentialTrace());
+}
+BENCHMARK(BM_TimelineSequential)->Unit(benchmark::kMillisecond);
+
+void BM_TimelineMixed(benchmark::State &State) {
+  benchTimeline(State, mixedTrace());
+}
+BENCHMARK(BM_TimelineMixed)->Unit(benchmark::kMillisecond);
+
+void BM_TimelineRandom(benchmark::State &State) {
+  benchTimeline(State, randomTrace());
+}
+BENCHMARK(BM_TimelineRandom)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -72,13 +72,7 @@ void replayLoop(const std::uint64_t *E, const std::uint64_t *End,
   }
   S.ComputeCycles = Cycles;
   S.StallNs = StallNs;
-  // Demand (load/store) hits count per level; prefetch hits are free and
-  // uncounted, but prefetch DRAM fills do count as memory accesses — exactly
-  // the reference model's per-kind switch.
-  S.L1Hits += Counts[0] + Counts[4];
-  S.L2Hits += Counts[1] + Counts[5];
-  S.LLCHits += Counts[2] + Counts[6];
-  S.MemAccesses += Counts[3] + Counts[7] + Counts[11];
+  addHitCounts(S, Counts);
 }
 
 } // namespace

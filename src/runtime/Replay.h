@@ -48,6 +48,18 @@ struct ReplayCostModel {
   explicit ReplayCostModel(const sim::MachineConfig &Cfg);
 };
 
+/// Adds per-(kind, level) event counts, indexed like ReplayCostModel's
+/// tables, to \p S's hit counters. Demand (load/store) hits count per level;
+/// prefetch hits are free and uncounted, but prefetch DRAM fills do count as
+/// memory accesses.
+inline void addHitCounts(sim::PhaseStats &S,
+                         const std::uint64_t (&Counts)[12]) {
+  S.L1Hits += Counts[0] + Counts[4];
+  S.L2Hits += Counts[1] + Counts[5];
+  S.LLCHits += Counts[2] + Counts[6];
+  S.MemAccesses += Counts[3] + Counts[7] + Counts[11];
+}
+
 /// Streams \p Tr through \p Caches as \p Core, adding the cache-dependent
 /// statistics to \p S under \p Costs. When \p Cap is non-null, every event's
 /// cache line (byte address >> \p LineShift) lands in Cap->Lines and every

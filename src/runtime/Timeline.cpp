@@ -32,21 +32,30 @@ struct PhaseRef {
   double OverheadCycles = 0.0;
 };
 
-/// Per-core interleave state: a cursor over the stream's flattened phases
-/// plus the accumulators of the phase currently in flight.
+/// Per-core interleave state: a cursor over the stream's flattened phases,
+/// the phase in flight, and the core's report.
 struct CoreState {
   std::vector<PhaseRef> Phases;
   std::size_t PhaseIdx = 0;
-  std::size_t EventIdx = 0;
   bool InPhase = false;
+  /// Cursor over the in-flight phase's trace. While the core is blocked,
+  /// *Event is the event whose private half has run and whose shared half
+  /// waits for its turn in global clock order.
+  const std::uint64_t *Event = nullptr;
+  const std::uint64_t *End = nullptr;
 
   double ClockNs = 0.0;
-  double FreqGHz = 0.0;        ///< Hardware frequency (last programmed).
-  double PhaseFreqGHz = 0.0;   ///< Frequency of the phase in flight.
+  double FreqGHz = 0.0;      ///< Hardware frequency (last programmed).
+  double PhaseFreqGHz = 0.0; ///< Frequency of the phase in flight.
   double PhaseStartNs = 0.0;
   double PhaseQueueNs = 0.0;
-  double PerEventCycles = 0.0; ///< Functional compute spread per event.
-  PhaseStats Acc;              ///< Phase stats under contention.
+  /// Clock advance of one event of the phase in flight, per (kind, level)
+  /// as indexed in ReplayCostModel: its share of the phase's functional
+  /// compute plus the level's cost, at the phase frequency. DRAM queuing
+  /// comes on top.
+  double Dt[12] = {};
+  std::uint64_t Counts[12] = {}; ///< Events per (kind, level), this phase.
+  PhaseStats Acc;                ///< Phase stats under contention.
 
   CoreTimelineReport Report;
 };
@@ -83,7 +92,8 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
   std::vector<CoreState> Cores(NumCores);
   for (unsigned C = 0; C != NumCores; ++C) {
     const CoreStream &S = Streams[C];
-    assert(S.Solo && S.Traces && "stream missing solo artifacts");
+    if (!S.Solo || !S.Traces)
+      throw std::invalid_argument("timeline stream missing solo artifacts");
     if (S.Solo->Tasks.size() != S.Traces->Tasks.size())
       throw std::invalid_argument("solo profile / retained traces mismatch");
     CoreState &CS = Cores[C];
@@ -120,11 +130,11 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
 
   // Opens the next phase on core C: pick the policy frequency, pay the DVFS
   // transition if it changed, and spread the phase's functional compute
-  // across its trace events.
+  // across its trace events (the Dt table).
   auto StartPhase = [&](unsigned C) {
     CoreState &CS = Cores[C];
     const PhaseRef &P = CS.Phases[CS.PhaseIdx];
-    double F;
+    double F = 0.0;
     switch (TC.Policy) {
     case TimelinePolicy::FixedMax:
       F = Cfg.fmaxOf(C);
@@ -153,9 +163,14 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
     CS.PhaseQueueNs = 0.0;
     CS.Acc = *P.Functional;
     std::size_t N = P.Trace->size();
-    CS.PerEventCycles = N ? P.Functional->ComputeCycles / static_cast<double>(N)
-                          : 0.0;
-    CS.EventIdx = 0;
+    double PerEventCycles =
+        N ? P.Functional->ComputeCycles / static_cast<double>(N) : 0.0;
+    for (unsigned I = 0; I != 12; ++I) {
+      CS.Dt[I] = (PerEventCycles + Costs.CycleAdd[I]) / F + Costs.StallAdd[I];
+      CS.Counts[I] = 0;
+    }
+    CS.Event = P.Trace->events().data();
+    CS.End = CS.Event + N;
     CS.InPhase = true;
   };
 
@@ -167,6 +182,8 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
     CoreState &CS = Cores[C];
     const PhaseRef &P = CS.Phases[CS.PhaseIdx];
     const double F = CS.PhaseFreqGHz;
+    addHitCounts(CS.Acc, CS.Counts);
+    CS.Report.DramMisses += CS.Counts[3] + CS.Counts[7] + CS.Counts[11];
     if (P.Trace->empty())
       CS.ClockNs += CS.Acc.ComputeCycles / F;
     double TimeNs = CS.ClockNs - CS.PhaseStartNs;
@@ -197,83 +214,100 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
     ++CS.PhaseIdx;
   };
 
-  // Advances core C by one event through the shared hierarchy. Per-event
-  // cost mirrors the solo replay loop (runtime/Replay.cpp) with the phase's
-  // compute spread on top; DRAM misses additionally queue on the channel.
-  auto StepEvent = [&](unsigned C) {
+  // Runs core C ahead through everything that touches only its own state:
+  // phase starts and finishes, and every event its own L1 or L2 satisfies.
+  // Stops when an event misses the L2 (the core is then blocked, that
+  // event's private half done) or when the stream ends. Per event it does
+  // what the solo replay loop (runtime/Replay.cpp) does, plus the clock: one
+  // add each to ComputeCycles, StallNs and the clock, in trace order.
+  auto RunAhead = [&](unsigned C) {
     CoreState &CS = Cores[C];
-    const PhaseRef &P = CS.Phases[CS.PhaseIdx];
-    const std::uint64_t Event = P.Trace->events()[CS.EventIdx];
+    const std::uint64_t Bias = Streams[C].AddrBias;
+    for (;;) {
+      if (!CS.InPhase) {
+        if (CS.PhaseIdx == CS.Phases.size())
+          return;
+        StartPhase(C);
+      }
+      double Clock = CS.ClockNs;
+      double Cycles = CS.Acc.ComputeCycles;
+      double StallNs = CS.Acc.StallNs;
+      const std::uint64_t *E = CS.Event, *End = CS.End;
+      for (; E != End; ++E) {
+        const std::uint64_t Event = *E;
+        const unsigned Kind = static_cast<unsigned>(Event >> 62);
+        HitLevel Level =
+            Caches.accessPrivate(C, (Event & AccessTrace::AddrMask) + Bias);
+        if (Level == HitLevel::LLC)
+          break;
+        unsigned Idx = Kind * 4 + static_cast<unsigned>(Level);
+        assert(Idx < 12 && "unknown access kind");
+        Cycles += Costs.CycleAdd[Idx];
+        StallNs += Costs.StallAdd[Idx];
+        Clock += CS.Dt[Idx];
+        ++CS.Counts[Idx];
+      }
+      CS.ClockNs = Clock;
+      CS.Acc.ComputeCycles = Cycles;
+      CS.Acc.StallNs = StallNs;
+      CS.Event = E;
+      if (E != End)
+        return;
+      FinishPhase(C);
+    }
+  };
+
+  // Completes core C's blocked event: the shared half of its access (LLC,
+  // next-line fill) and, on a DRAM miss, its requests on the channel, which
+  // queue behind every request committed before. The prefetcher's fill
+  // rides the channel too; it runs in the miss's shadow, so it occupies
+  // bandwidth without adding to this core's stall.
+  auto Commit = [&](unsigned C) {
+    CoreState &CS = Cores[C];
+    const std::uint64_t Event = *CS.Event;
     const unsigned Kind = static_cast<unsigned>(Event >> 62);
-    const std::uint64_t Addr =
-        (Event & AccessTrace::AddrMask) + Streams[C].AddrBias;
-    HitLevel Level = Caches.access(C, Addr);
+    HitLevel Level = Caches.accessShared(
+        C, (Event & AccessTrace::AddrMask) + Streams[C].AddrBias);
     unsigned Idx = Kind * 4 + static_cast<unsigned>(Level);
     assert(Idx < 12 && "unknown access kind");
     CS.Acc.ComputeCycles += Costs.CycleAdd[Idx];
     CS.Acc.StallNs += Costs.StallAdd[Idx];
-    // Demand hits count per level; prefetch hits are free and uncounted, but
-    // prefetch DRAM fills do count as memory accesses (see Replay.cpp).
-    if (Kind != 2) {
-      switch (Level) {
-      case HitLevel::L1:
-        ++CS.Acc.L1Hits;
-        break;
-      case HitLevel::L2:
-        ++CS.Acc.L2Hits;
-        break;
-      case HitLevel::LLC:
-        ++CS.Acc.LLCHits;
-        break;
-      case HitLevel::Memory:
-        ++CS.Acc.MemAccesses;
-        break;
-      }
-    } else if (Level == HitLevel::Memory) {
-      ++CS.Acc.MemAccesses;
-    }
-
-    double Dt = (CS.PerEventCycles + Costs.CycleAdd[Idx]) / CS.PhaseFreqGHz +
-                Costs.StallAdd[Idx];
+    ++CS.Counts[Idx];
+    double Dt = CS.Dt[Idx];
     if (Level == HitLevel::Memory) {
       double Q = Dram.requestLine(CS.ClockNs);
       Dt += Q;
       CS.PhaseQueueNs += Q;
-      ++CS.Report.DramMisses;
-      // The hardware next-line prefetcher's fill rides the channel too; it
-      // runs in the miss's shadow, so it occupies bandwidth without adding
-      // to this core's stall.
       if (Cfg.HwNextLinePrefetch && Kind != 2)
         Dram.requestLine(CS.ClockNs);
     }
     CS.ClockNs += Dt;
-    ++CS.EventIdx;
-    if (CS.EventIdx == P.Trace->size())
-      FinishPhase(C);
+    ++CS.Event;
   };
 
-  // The interleave proper: always advance the unfinished core with the
-  // smallest clock (ties break toward the lowest index). One step is one
-  // trace event — or one phase boundary for empty traces — so co-runners'
-  // events hit the shared LLC and DRAM channel in global-timestamp order.
+  // The interleave proper. Only the shared halves of accesses (the LLC and
+  // the DRAM channel) can observe or change another core's state, so each
+  // core runs ahead through its private events and blocks at its next
+  // shared one; the blocked core with the smallest clock (ties toward the
+  // lowest index) commits and runs ahead again. Clocks never decrease, so
+  // no core can later produce a shared event earlier than the one
+  // committed: shared events commit in global (clock, core) order, exactly
+  // as if every event were stepped one at a time.
+  for (unsigned C = 0; C != NumCores; ++C)
+    RunAhead(C);
   for (;;) {
     unsigned Core = NumCores;
     for (unsigned C = 0; C != NumCores; ++C) {
-      if (!Cores[C].InPhase && Cores[C].PhaseIdx == Cores[C].Phases.size())
+      // RunAhead leaves a core in a phase only when it is blocked.
+      if (!Cores[C].InPhase)
         continue;
       if (Core == NumCores || Cores[C].ClockNs < Cores[Core].ClockNs)
         Core = C;
     }
     if (Core == NumCores)
       break;
-    CoreState &CS = Cores[Core];
-    if (!CS.InPhase) {
-      StartPhase(Core);
-      if (CS.Phases[CS.PhaseIdx].Trace->empty())
-        FinishPhase(Core);
-      continue;
-    }
-    StepEvent(Core);
+    Commit(Core);
+    RunAhead(Core);
   }
 
   TimelineReport R;

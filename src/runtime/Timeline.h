@@ -6,12 +6,12 @@
 ///
 /// \file
 /// The multi-core co-run timeline: N independent workloads, one pinned per
-/// simulated core, their retained traces interleaved event-by-event in
-/// global-timestamp order through a *shared* LLC and a bandwidth-throttled
-/// DRAM channel. This is where cross-workload contention — LLC capacity
-/// pressure and memory-bandwidth queuing — enters the model; the
-/// single-workload engine (runtime/ReplayEngine.h) replays each run against
-/// a private hierarchy and never sees a co-runner.
+/// simulated core, their retained traces interleaved in global-timestamp
+/// order through a *shared* LLC and a bandwidth-throttled DRAM channel.
+/// This is where cross-workload contention — LLC capacity pressure and
+/// memory-bandwidth queuing — enters the model; the single-workload engine
+/// (runtime/ReplayEngine.h) replays each run against a private hierarchy
+/// and never sees a co-runner.
 ///
 /// Inputs are solo-run artifacts: each stream's RunProfile (NumCores=1
 /// replay, post-replay per-phase stats — what an offline profiler would
@@ -25,12 +25,21 @@
 /// solo stats, the paper's compiler-guided choice), or a reactive
 /// ondemand/conservative governor baseline.
 ///
-/// The interleave is single-threaded and fully deterministic: the next event
-/// always comes from the unfinished core with the smallest clock (ties break
-/// toward the lowest core index), so co-run reports are bit-identical for
-/// any host (jobs, sim-threads, overlap) combination — solo artifacts are
-/// already bit-identical by the engine's determinism guarantee, and nothing
-/// here depends on host order (asserted by MultiCoreDeterminismTest).
+/// The interleave is single-threaded and fully deterministic. Its result is
+/// that of stepping, one event at a time, the unfinished core with the
+/// smallest clock (ties toward the lowest core index). It gets there by
+/// private run-ahead: an access splits into a private half (the core's own
+/// L1/L2) and a shared half (LLC, next-line fill, DRAM channel; see
+/// sim::CacheHierarchy). Each core streams its events through the private
+/// half until one misses its L2, and the blocked core with the smallest
+/// (clock, index) commits that event's shared half and runs on. Private
+/// halves commute with other cores' events and clocks never decrease, so
+/// shared events commit in exactly the per-event order (DESIGN.md section
+/// 12.3). Co-run reports are bit-identical for any host (jobs, sim-threads,
+/// overlap) combination — solo artifacts are already bit-identical by the
+/// engine's determinism guarantee, and nothing here depends on host order
+/// (asserted by MultiCoreDeterminismTest, which also pins the reports to
+/// goldens).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -126,7 +135,9 @@ struct TimelineReport {
 };
 
 /// Interleaves \p Streams (stream i pinned to core i) on machine \p Cfg
-/// under \p TC. Stream count must be in [1, Cfg.NumCores].
+/// under \p TC. Throws std::invalid_argument unless the stream count is in
+/// [1, Cfg.NumCores] and every stream has a profile and traces with the
+/// same number of tasks.
 TimelineReport interleaveTimeline(const std::vector<CoreStream> &Streams,
                                   const sim::MachineConfig &Cfg,
                                   const TimelineConfig &TC);

@@ -9,6 +9,8 @@
 /// shared LLC. Only tags are modeled (data lives in sim::Memory). The paper's
 /// whole premise rides on this state: the access phase warms the private
 /// hierarchy so the execute phase becomes compute-bound (section 3.1).
+/// An access is a private half (L1, L2) and, on an L2 miss, a shared half
+/// (LLC, next-line prefetch); see CacheHierarchy.
 ///
 /// The hierarchy is only ever advanced by the runtime's single-threaded
 /// timing replay (see AccessTrace.h) so hit/miss outcomes stay deterministic;
@@ -172,6 +174,17 @@ private:
 };
 
 /// Per-core L1/L2 over a shared LLC.
+///
+/// An access splits into a private half (accessPrivate: the core's own L1
+/// and L2) and, when that misses, a shared half (accessShared: the LLC and
+/// the next-line prefetch); access() is their composition. The private half
+/// reads and writes only the requesting core's caches, and the shared half
+/// writes no other core's L1 or L2 (the prefetched line goes to the
+/// requester's own L2). So one core's private halves commute with every
+/// other core's accesses, which is what lets the multi-core timeline
+/// (runtime/Timeline.h) run each core ahead through its private hits and
+/// order only the shared halves globally. Coherence or an inclusive LLC
+/// with back-invalidation would break that property (SimTest checks it).
 class CacheHierarchy {
 public:
   CacheHierarchy(const MachineConfig &Cfg, unsigned NumCores);
@@ -181,11 +194,30 @@ public:
   /// miss, the hardware next-line prefetcher (when configured) also installs
   /// the successor line into the core's L2.
   HitLevel access(unsigned Core, std::uint64_t Addr) {
+    HitLevel Level = accessPrivate(Core, Addr);
+    return Level == HitLevel::LLC ? accessShared(Core, Addr) : Level;
+  }
+
+  /// The private half of access(): looks \p Addr up in \p Core's L1, then
+  /// its L2, installing it where it missed. Returns L1 or L2 on a hit, and
+  /// HitLevel::LLC when both missed: the access is then unfinished until
+  /// accessShared() completes it.
+  HitLevel accessPrivate(unsigned Core, std::uint64_t Addr) {
     assert(Core < L1s.size() && "core index out of range");
     if (L1s[Core].access(Addr))
       return HitLevel::L1;
     if (L2s[Core].access(Addr))
       return HitLevel::L2;
+    return HitLevel::LLC;
+  }
+
+  /// The shared half of access(), for an access whose private half missed:
+  /// looks \p Addr up in the LLC, installing it on a miss. Returns LLC or
+  /// Memory. On a DRAM miss, the hardware next-line prefetcher (when
+  /// configured) also installs the successor line into \p Core's L2 and
+  /// the LLC.
+  HitLevel accessShared(unsigned Core, std::uint64_t Addr) {
+    assert(Core < L2s.size() && "core index out of range");
     if (Llc.access(Addr))
       return HitLevel::LLC;
     if (NextLinePrefetch) {

@@ -11,12 +11,13 @@
 // the host may leak into the result. All comparisons are exact — EXPECT_EQ
 // on doubles included.
 //
-// Also covers the contention physics the sweep bench relies on (DRAM
-// queuing appears under co-run, not solo) and the reactive-governor
-// frequency dynamics.
+// Also pins the timeline's outputs to golden hashes (TimelineGolden), covers
+// the contention physics the sweep bench relies on (DRAM queuing appears
+// under co-run, not solo) and the reactive-governor frequency dynamics.
 //
 //===----------------------------------------------------------------------===//
 
+#include "dae/AccessGenerator.h"
 #include "dae/GenerationMemo.h"
 #include "harness/Harness.h"
 #include "runtime/Evaluator.h"
@@ -25,7 +26,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
 #include <memory>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -36,6 +40,20 @@ using namespace dae::runtime;
 using namespace dae::sim;
 
 namespace {
+
+void expectStatsEqual(const PhaseStats &A, const PhaseStats &B,
+                      const std::string &Where) {
+  EXPECT_EQ(A.Instructions, B.Instructions) << Where;
+  EXPECT_EQ(A.ComputeCycles, B.ComputeCycles) << Where;
+  EXPECT_EQ(A.StallNs, B.StallNs) << Where;
+  EXPECT_EQ(A.Loads, B.Loads) << Where;
+  EXPECT_EQ(A.Stores, B.Stores) << Where;
+  EXPECT_EQ(A.Prefetches, B.Prefetches) << Where;
+  EXPECT_EQ(A.L1Hits, B.L1Hits) << Where;
+  EXPECT_EQ(A.L2Hits, B.L2Hits) << Where;
+  EXPECT_EQ(A.LLCHits, B.LLCHits) << Where;
+  EXPECT_EQ(A.MemAccesses, B.MemAccesses) << Where;
+}
 
 void expectReportsEqual(const TimelineReport &A, const TimelineReport &B,
                         const char *Policy) {
@@ -53,10 +71,8 @@ void expectReportsEqual(const TimelineReport &A, const TimelineReport &B,
     EXPECT_EQ(CA.QueueNs, CB.QueueNs) << Policy << " core " << C;
     EXPECT_EQ(CA.Transitions, CB.Transitions) << Policy << " core " << C;
     EXPECT_EQ(CA.DramMisses, CB.DramMisses) << Policy << " core " << C;
-    EXPECT_EQ(CA.Total.Instructions, CB.Total.Instructions)
-        << Policy << " core " << C;
-    EXPECT_EQ(CA.Total.MemAccesses, CB.Total.MemAccesses)
-        << Policy << " core " << C;
+    expectStatsEqual(CA.Total, CB.Total,
+                     std::string(Policy) + " core " + std::to_string(C));
   }
 }
 
@@ -170,9 +186,210 @@ TEST(MultiCoreDeterminism, MixValidation) {
 
 TEST(MultiCoreDeterminism, InterleaveRejectsBadStreams) {
   MachineConfig Cfg;
+  Cfg.NumCores = 2;
   TimelineConfig TC;
   EXPECT_THROW(interleaveTimeline({}, Cfg, TC), std::invalid_argument);
+
+  RunProfile Solo;
+  RunTraces Traces;
+  EXPECT_THROW(interleaveTimeline({{nullptr, &Traces, 0}}, Cfg, TC),
+               std::invalid_argument);
+  EXPECT_THROW(interleaveTimeline({{&Solo, nullptr, 0}}, Cfg, TC),
+               std::invalid_argument);
+  CoreStream Ok{&Solo, &Traces, 0};
+  EXPECT_THROW(interleaveTimeline({Ok, Ok, Ok}, Cfg, TC),
+               std::invalid_argument);
+  // The profile and the traces must describe the same tasks.
+  RunProfile OneTask;
+  OneTask.Tasks.resize(1);
+  EXPECT_THROW(interleaveTimeline({Ok, {&OneTask, &Traces, 0}}, Cfg, TC),
+               std::invalid_argument);
+  // Well-formed empty streams are accepted.
+  EXPECT_EQ(interleaveTimeline({Ok, Ok}, Cfg, TC).Cores.size(), 2u);
 }
+
+// --- Timeline goldens -------------------------------------------------------
+//
+// Bit-exact pins of interleaveTimeline's outputs: every TimelineReport field
+// of every policy, on CAE and Auto DAE streams, at the default and at a zero
+// DVFS transition latency, on test-scale mixes chosen to reach every branch
+// of the interleave. Recorded from the per-event reference interleaver
+// before the private run-ahead replaced it; a deliberate model change must
+// re-record them (hash as below, paste the new values).
+
+std::uint64_t fnv1a(const void *Data, size_t Len, std::uint64_t H) {
+  const unsigned char *P = static_cast<const unsigned char *>(Data);
+  for (size_t I = 0; I != Len; ++I) {
+    H ^= P[I];
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+std::uint64_t hashU64(std::uint64_t V, std::uint64_t H) {
+  return fnv1a(&V, sizeof V, H);
+}
+
+std::uint64_t hashDouble(double D, std::uint64_t H) {
+  std::uint64_t Bits;
+  std::memcpy(&Bits, &D, sizeof Bits);
+  return hashU64(Bits, H);
+}
+
+std::uint64_t hashStats(const PhaseStats &S, std::uint64_t H) {
+  H = hashU64(S.Instructions, H);
+  H = hashDouble(S.ComputeCycles, H);
+  H = hashDouble(S.StallNs, H);
+  H = hashU64(S.Loads, H);
+  H = hashU64(S.Stores, H);
+  H = hashU64(S.Prefetches, H);
+  H = hashU64(S.L1Hits, H);
+  H = hashU64(S.L2Hits, H);
+  H = hashU64(S.LLCHits, H);
+  return hashU64(S.MemAccesses, H);
+}
+
+std::uint64_t hashReport(const TimelineReport &R, std::uint64_t H) {
+  H = hashDouble(R.MakespanNs, H);
+  H = hashDouble(R.EnergyJ, H);
+  H = hashDouble(R.EdpJs, H);
+  H = hashU64(R.Cores.size(), H);
+  for (const CoreTimelineReport &C : R.Cores) {
+    H = hashDouble(C.FinishNs, H);
+    H = hashDouble(C.EnergyJ, H);
+    H = hashDouble(C.ComputeNs, H);
+    H = hashDouble(C.StallNs, H);
+    H = hashDouble(C.QueueNs, H);
+    H = hashU64(C.Transitions, H);
+    H = hashU64(C.DramMisses, H);
+    H = hashStats(C.Total, H);
+  }
+  return H;
+}
+
+/// One workload's solo artifacts as runMix produces them: its CAE and Auto
+/// DAE runs on a one-core copy of the machine, traces retained.
+struct SoloArtifacts {
+  RunProfile Profiles[2]; ///< CAE, Auto DAE.
+  RunTraces Traces[2];
+};
+
+SoloArtifacts runSolo(const std::string &Name, const MachineConfig &Cfg) {
+  auto W = workloads::buildByName(Name, workloads::Scale::Test);
+  std::map<const ir::Function *, const ir::Function *> AutoAccess;
+  for (ir::Function *F : W->taskFunctions()) {
+    AccessPhaseResult G = generateAccessPhase(*W->M, *F, W->Opts);
+    if (G.AccessFn)
+      AutoAccess[F] = G.AccessFn;
+  }
+  Loader L(*W->M);
+  MachineConfig SoloCfg = Cfg;
+  SoloCfg.NumCores = 1;
+  SoloArtifacts A;
+  for (int S = 0; S != 2; ++S) {
+    std::vector<Task> Tasks = W->Tasks;
+    for (Task &T : Tasks) {
+      auto It = AutoAccess.find(T.Execute);
+      T.Access = S == 1 && It != AutoAccess.end() ? It->second : nullptr;
+    }
+    Memory Mem;
+    W->Init(Mem, L);
+    TaskRuntime RT(SoloCfg, Mem, L);
+    A.Profiles[S] = RT.execute(Tasks, /*RunAccess=*/true, nullptr,
+                               &A.Traces[S]);
+  }
+  return A;
+}
+
+struct GoldenMix {
+  const char *Name;
+  std::vector<std::string> Workloads;
+  /// Applied to a default MachineConfig.
+  void (*Configure)(MachineConfig &);
+  /// Every stream gets AddrBias 0 instead of runMix's (core << 40).
+  bool SameBias;
+  /// Hash of the mix's reports at the default and at a 0 ns transition.
+  std::uint64_t DefaultTransition, ZeroTransition;
+};
+
+// Readable ctest names: print the mix name, not the struct's raw bytes.
+void PrintTo(const GoldenMix &G, std::ostream *OS) { *OS << G.Name; }
+
+const GoldenMix GoldenMixes[] = {
+    {"one_way", {"libq"}, [](MachineConfig &C) { C.NumCores = 4; }, false,
+     0xea036e7079be6eecull, 0x699e9365da066b86ull},
+    {"three_way", {"libq", "cholesky", "fft"},
+     [](MachineConfig &C) { C.NumCores = 4; }, false, 0x85c5b237346aa8f1ull,
+     0xfd1ba89aaacf0af2ull},
+    // Identical streams at identical addresses: the clocks tie on every
+    // event and the lines alias in the LLC, so the tie-break decides who
+    // misses and who hits.
+    {"cigar_twins_same_bias", {"cigar", "cigar"},
+     [](MachineConfig &C) { C.NumCores = 4; }, true, 0x116c0019b5d5be02ull,
+     0x623c8244319b744full},
+    {"no_next_line_prefetch", {"libq", "cigar", "cg"},
+     [](MachineConfig &C) {
+       C.NumCores = 4;
+       C.HwNextLinePrefetch = false;
+     },
+     false, 0xd5aa33447b071175ull, 0x8f767c4a5c8be7efull},
+    {"unthrottled_dram", {"libq", "cigar", "cg"},
+     [](MachineConfig &C) {
+       C.NumCores = 4;
+       C.DramBandwidthGBs = 0.0;
+     },
+     false, 0x036f6085712ef5deull, 0x80f923ded0451659ull},
+    {"big_little", {"libq", "cigar", "cholesky", "fft"},
+     [](MachineConfig &C) { C.makeBigLittle(2, 2); }, false,
+     0xb2714896bf7313a9ull, 0x03d5356d3f6a7220ull},
+    {"eight_way",
+     {"lu", "cholesky", "fft", "lbm", "libq", "cigar", "cg", "lu"},
+     [](MachineConfig &C) { C.NumCores = 8; }, false, 0x7a20cc31d33f5904ull,
+     0x54791e662a0cc1fdull},
+};
+
+class TimelineGolden : public ::testing::TestWithParam<GoldenMix> {};
+
+TEST_P(TimelineGolden, MatchesReferenceInterleave) {
+  const GoldenMix &G = GetParam();
+  MachineConfig Cfg;
+  G.Configure(Cfg);
+  std::map<std::string, SoloArtifacts> Solos;
+  for (const std::string &N : G.Workloads)
+    if (!Solos.count(N))
+      Solos.emplace(N, runSolo(N, Cfg));
+
+  std::vector<CoreStream> Streams[2];
+  for (size_t I = 0; I != G.Workloads.size(); ++I) {
+    const SoloArtifacts &A = Solos.at(G.Workloads[I]);
+    std::uint64_t Bias = G.SameBias ? 0 : static_cast<std::uint64_t>(I) << 40;
+    for (int S = 0; S != 2; ++S)
+      Streams[S].push_back({&A.Profiles[S], &A.Traces[S], Bias});
+  }
+
+  auto HashAll = [&](double TransitionNs) {
+    std::uint64_t H = 1469598103934665603ull;
+    for (const std::vector<CoreStream> &St : Streams)
+      for (TimelinePolicy P :
+           {TimelinePolicy::FixedMax, TimelinePolicy::DaeMinMax,
+            TimelinePolicy::OracleEdp, TimelinePolicy::Ondemand,
+            TimelinePolicy::Conservative}) {
+        TimelineConfig TC;
+        TC.Policy = P;
+        TC.TransitionNs = TransitionNs;
+        H = hashReport(interleaveTimeline(St, Cfg, TC), H);
+      }
+    return H;
+  };
+  EXPECT_EQ(HashAll(-1.0), G.DefaultTransition) << "default transition";
+  EXPECT_EQ(HashAll(0.0), G.ZeroTransition) << "0 ns transition";
+}
+
+INSTANTIATE_TEST_SUITE_P(Mixes, TimelineGolden,
+                         ::testing::ValuesIn(GoldenMixes),
+                         [](const ::testing::TestParamInfo<GoldenMix> &Info) {
+                           return std::string(Info.param.Name);
+                         });
 
 // --- Reactive governor dynamics (runtime/Evaluator.h) ---------------------
 

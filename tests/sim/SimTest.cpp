@@ -19,6 +19,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <random>
+#include <vector>
 
 using namespace dae;
 using namespace dae::ir;
@@ -302,6 +304,71 @@ TEST(CacheHierarchyTest, NextLinePrefetcherCoversStreams) {
   EXPECT_EQ(H.access(0, 0x0), HitLevel::Memory);
   // The hardware prefetcher pulled line 0x40 into L2.
   EXPECT_EQ(H.access(0, 0x40), HitLevel::L2);
+}
+
+TEST(CacheHierarchyTest, PrivateHalfTouchesOnlyItsCore) {
+  // The co-run timeline runs each core ahead through its private events and
+  // orders only the shared halves globally. That is exact only while an
+  // access's private half leaves every other core's caches and the LLC
+  // alone, and its shared half (including the next-line fill) installs into
+  // no other core's L1 or L2. Coherence or an inclusive LLC with
+  // back-invalidation would break this; so would this test.
+  MachineConfig Cfg;
+  Cfg.HwNextLinePrefetch = true;
+  // Small caches over a larger footprint: every level evicts.
+  Cfg.L1 = {1024, 2};
+  Cfg.L2 = {4096, 4};
+  Cfg.LLC = {16384, 8};
+  const unsigned NumCores = 4;
+  const std::uint64_t Line = Cfg.L1.LineBytes, FootprintLines = 512;
+  CacheHierarchy H(Cfg, NumCores);
+
+  // Presence of every footprint line (plus the next-line overshoot) in each
+  // selected private cache and, optionally, the LLC.
+  auto Snapshot = [&](unsigned Skip, bool WithLlc) {
+    std::vector<bool> S;
+    for (std::uint64_t L = 0; L <= FootprintLines; ++L) {
+      for (unsigned C = 0; C != NumCores; ++C)
+        if (C != Skip) {
+          S.push_back(H.l1(C).probe(L * Line));
+          S.push_back(H.l2(C).probe(L * Line));
+        }
+      if (WithLlc)
+        S.push_back(H.llc().probe(L * Line));
+    }
+    return S;
+  };
+
+  std::mt19937 Rng(42);
+  unsigned SharedHalves = 0, DramMisses = 0;
+  for (int I = 0; I != 2000; ++I) {
+    unsigned Core = Rng() % NumCores;
+    std::uint64_t Addr = (Rng() % FootprintLines) * Line + Rng() % Line;
+    std::vector<bool> Before = Snapshot(Core, /*WithLlc=*/true);
+    HitLevel Level = H.accessPrivate(Core, Addr);
+    ASSERT_EQ(Snapshot(Core, /*WithLlc=*/true), Before) << "event " << I;
+    if (Level != HitLevel::LLC) {
+      EXPECT_TRUE(Level == HitLevel::L1 || Level == HitLevel::L2);
+      continue;
+    }
+    ++SharedHalves;
+    std::uint64_t Next = (Addr & ~(Line - 1)) + Line;
+    bool NextInL1 = H.l1(Core).probe(Next);
+    Before = Snapshot(Core, /*WithLlc=*/false);
+    Level = H.accessShared(Core, Addr);
+    ASSERT_EQ(Snapshot(Core, /*WithLlc=*/false), Before) << "event " << I;
+    if (Level == HitLevel::Memory) {
+      ++DramMisses;
+      EXPECT_TRUE(H.l2(Core).probe(Next)) << "event " << I;
+      EXPECT_TRUE(H.llc().probe(Next)) << "event " << I;
+      EXPECT_EQ(H.l1(Core).probe(Next), NextInL1) << "event " << I;
+    } else {
+      EXPECT_EQ(Level, HitLevel::LLC);
+    }
+  }
+  // The stream exercised both halves.
+  EXPECT_GT(SharedHalves, 1000u);
+  EXPECT_GT(DramMisses, 500u);
 }
 
 TEST(PowerModelTest, MatchesPaperFormula) {
