@@ -190,8 +190,9 @@ inline bool daeProfileGuidedFromArgs(int Argc, char **Argv) {
 /// used to repeat the same half-dozen *FromArgs calls plus its own ad-hoc
 /// loops; BenchOptions::parse is the single place flags (and their env
 /// fallbacks) are interpreted, and machineConfig() is the single place they
-/// are applied to a MachineConfig. Unknown values of closed-set flags are
-/// hard errors (exit 2).
+/// are applied to a MachineConfig. Unknown flags, and unknown values of
+/// closed-set flags, are hard errors (exit 2): a typo such as `--dae-verfy`
+/// must not silently run the suite without the check it asked for.
 struct BenchOptions {
   workloads::Scale Scale = workloads::Scale::Full;
   unsigned SimThreads = 1;
@@ -215,17 +216,6 @@ struct BenchOptions {
   /// --governor={ondemand,conservative,both}: which reactive baselines the
   /// contention driver reports.
   std::string Governor = "both";
-  /// --serve: instead of running the driver's one-shot suite, start the
-  /// long-lived experiment daemon (src/service/) on SocketPath and serve
-  /// requests until shut down. Served results are bit-identical to the
-  /// one-shot run of the same request by construction.
-  bool Serve = false;
-  /// --socket=PATH: Unix-domain socket the daemon listens on.
-  std::string SocketPath = "daecc.sock";
-  /// --cache-dir=PATH (or DAECC_CACHE_DIR): directory of the daemon's
-  /// persistent disk-backed result cache; empty disables disk persistence
-  /// (the in-memory cache still serves repeats within one daemon lifetime).
-  std::string CacheDir;
 
   static BenchOptions parse(int Argc, char **Argv) {
     BenchOptions O;
@@ -237,22 +227,10 @@ struct BenchOptions {
     O.PassStats = pipelineFlagsFromArgs(Argc, Argv);
     O.DaeVerify = daeVerifyFromArgs(Argc, Argv);
     O.DaeProfileGuided = daeProfileGuidedFromArgs(Argc, Argv);
-    if (const char *Env = std::getenv("DAECC_CACHE_DIR"))
-      O.CacheDir = Env;
     for (int I = 1; I < Argc; ++I) {
       const char *A = Argv[I];
       if (std::strcmp(A, "--no-baseline") == 0) {
         O.NoBaseline = true;
-      } else if (std::strcmp(A, "--serve") == 0) {
-        O.Serve = true;
-      } else if (std::strncmp(A, "--socket=", 9) == 0) {
-        if (!A[9]) {
-          std::fprintf(stderr, "error: --socket requires a path\n");
-          std::exit(2);
-        }
-        O.SocketPath = A + 9;
-      } else if (std::strncmp(A, "--cache-dir=", 12) == 0) {
-        O.CacheDir = A + 12; // empty re-disables a DAECC_CACHE_DIR default
       } else if (std::strncmp(A, "--cores=", 8) == 0) {
         O.Cores = parseUnsignedFlag("--cores", A + 8);
       } else if (std::strncmp(A, "--big-little=", 13) == 0) {
@@ -310,6 +288,9 @@ struct BenchOptions {
           std::exit(2);
         }
         O.Governor = V;
+      } else if (!parsedByHelper(A)) {
+        std::fprintf(stderr, "error: unknown flag '%s'\n", A);
+        std::exit(2);
       }
     }
     return O;
@@ -330,6 +311,21 @@ struct BenchOptions {
 
   /// Whether the driver should measure the sequential --jobs=1 reference.
   bool measureBaseline() const { return Jobs > 1 && !NoBaseline; }
+
+private:
+  /// Flags the *FromArgs helpers above interpret (and validate).
+  static bool parsedByHelper(const char *A) {
+    for (const char *Flag :
+         {"--test-scale", "--no-replay-overlap", "--verify-each",
+          "--print-after-all", "--pass-stats", "--dae-verify",
+          "--dae-profile-guided"})
+      if (std::strcmp(A, Flag) == 0)
+        return true;
+    for (const char *Prefix : {"--sim-threads=", "--jobs=", "--sim-backend="})
+      if (std::strncmp(A, Prefix, std::strlen(Prefix)) == 0)
+        return true;
+    return false;
+  }
 };
 
 inline void printRule(int Width = 78) {
@@ -450,38 +446,21 @@ inline std::uint64_t simInstructions(const runtime::RunProfile &P) {
 ///                                     dae_oracle timeline (the bandwidth
 ///                                     pressure signal). Empty when the
 ///                                     driver ran no co-run sweep.
-///   service                   object  experiment-daemon counters (null for
-///                                     one-shot runs), refreshed on every
-///                                     daemon checkpoint: requests, errors,
-///                                     memory_hits / disk_hits / misses /
-///                                     corrupt_entries of the result cache,
-///                                     shared_computes (requests coalesced
-///                                     onto an in-flight identical compute),
-///                                     rejected_busy (bounded-queue
-///                                     backpressure), queue_depth,
-///                                     latency_ms {count, mean, max} split by
-///                                     hit/miss, memo {hits, misses,
-///                                     evictions} of the shared
-///                                     GenerationMemo
 ///   failures                  int     apps whose schemes disagreed (or
 ///                                     otherwise failed)
-///   status                    string  "started" while running, "serving"
-///                                     at daemon checkpoints, then "ok"
+///   status                    string  "started" while running, then "ok"
 ///                                     (failures == 0) or "partial"
 ///
 /// The file is published atomically (written to a same-directory temp file,
 /// then renamed over BENCH_<name>.json), so a concurrent reader — a sweep
-/// script polling a daemon's counters, or a dashboard tailing a long run —
-/// never observes a truncated or half-written object. The previous in-place
-/// fopen(..., "w") truncated first and wrote second, a window in which
-/// readers saw an empty or partial file. The temp name carries the pid so
-/// two processes publishing the same bench name from one directory cannot
-/// interleave their half-written temp files either.
+/// script or a dashboard tailing a long run — never observes a truncated or
+/// half-written object. The temp name carries the pid so two processes
+/// publishing the same bench name from one directory cannot interleave
+/// their half-written temp files either.
 ///
-/// Thread safety: in daemon mode checkpointService() is called from the
-/// server's concurrent per-connection handler threads, so every mutator and
-/// the JSON publication run under one internal mutex; checkpoints serialize
-/// rather than racing on the counters or the temp file.
+/// Thread safety: every mutator and the JSON publication run under one
+/// internal mutex, so callers may record from any thread and two
+/// publications never race on the counters or the temp file.
 class ThroughputReporter {
 public:
   ThroughputReporter(std::string BenchName, unsigned SimThreads,
@@ -533,18 +512,6 @@ public:
   void setNoOverlapBaseline(double NoOverlapSecs) {
     std::lock_guard<std::mutex> Lock(Mu);
     NoOverlapSeconds = NoOverlapSecs;
-  }
-
-  /// Daemon checkpoint: installs the service counters (a preformatted JSON
-  /// object, see the schema above) and atomically republishes
-  /// BENCH_<name>.json with status "serving". The daemon calls this after
-  /// every served request — from whichever connection thread served it, so
-  /// the whole update-and-publish runs under the mutex.
-  void checkpointService(const std::string &ServiceBlock) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ServiceJson = ServiceBlock;
-    End = std::chrono::steady_clock::now();
-    writeJson(Failures == 0 ? "serving" : "partial");
   }
 
   /// Records one (app, scheme) oracle verdict for the dae_verify JSON block
@@ -739,8 +706,8 @@ private:
       Contention += ContentionEntries[I];
     }
     Contention += "]";
-    // Temp-file + rename publication: readers polling the file (daemon
-    // dashboards, sweep scripts) must never see a truncated object. The temp
+    // Temp-file + rename publication: readers polling the file (dashboards,
+    // sweep scripts) must never see a truncated object. The temp
     // file lives in the same directory so the rename cannot cross a
     // filesystem boundary, and carries the pid so two processes publishing
     // the same bench name cannot write through each other's temp file.
@@ -769,7 +736,6 @@ private:
                    "\"wall_seconds\": %.6f, "
                    "\"no_overlap_wall_seconds\": %.6f, \"speedup\": %.3f},\n"
                    "  \"contention\": %s,\n"
-                   "  \"service\": %s,\n"
                    "  \"failures\": %u,\n"
                    "  \"status\": \"%s\"\n"
                    "}\n",
@@ -783,15 +749,13 @@ private:
                    sim::TracePool::global().peakBytes(),
                    ReplayOverlap ? "true" : "false", Seconds,
                    NoOverlapSeconds > 0.0 ? NoOverlapSeconds : -1.0,
-                   OverlapSpeedup, Contention.c_str(), ServiceJson.c_str(),
-                   Failures, Status);
+                   OverlapSpeedup, Contention.c_str(), Failures, Status);
       std::fclose(F);
       std::rename(Tmp.c_str(), Path.c_str());
     }
   }
 
-  /// Serializes daemon checkpoints (concurrent connection threads) against
-  /// each other and against the one-shot mutators.
+  /// Serializes the mutators and publications against each other.
   mutable std::mutex Mu;
   std::string Name;
   unsigned SimThreads;
@@ -803,7 +767,6 @@ private:
   double NoOverlapSeconds = -1.0;
   double FunctionalSeconds = 0.0;
   std::uint64_t Instructions = 0;
-  std::string ServiceJson = "null";
   std::vector<std::string> DaeVerifyEntries;
   std::vector<std::string> DaePgEntries;
   std::vector<std::string> ContentionEntries;

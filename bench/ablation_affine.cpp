@@ -15,7 +15,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "ServeUtil.h"
 #include "dae/GenerationMemo.h"
 #include "harness/Harness.h"
 
@@ -38,8 +37,6 @@ struct Variant {
 
 int main(int Argc, char **Argv) {
   BenchOptions Opts = BenchOptions::parse(Argc, Argv);
-  if (Opts.Serve)
-    return serveMain(Opts, "ablation_affine");
   workloads::Scale S = Opts.Scale;
   sim::MachineConfig Cfg = Opts.machineConfig();
   unsigned Jobs = Opts.Jobs;

@@ -14,7 +14,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "ServeUtil.h"
 #include "dae/GenerationMemo.h"
 #include "harness/Harness.h"
 #include "support/MathUtil.h"
@@ -28,8 +27,6 @@ using namespace dae::harness;
 
 int main(int Argc, char **Argv) {
   BenchOptions Opts = BenchOptions::parse(Argc, Argv);
-  if (Opts.Serve)
-    return serveMain(Opts, "ablation_latency");
   workloads::Scale S = Opts.Scale;
   sim::MachineConfig Cfg = Opts.machineConfig();
   unsigned Jobs = Opts.Jobs;

@@ -24,7 +24,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "ServeUtil.h"
 #include "dae/GenerationMemo.h"
 #include "harness/Harness.h"
 #include "support/MathUtil.h"
@@ -67,8 +66,6 @@ void printPanel(const char *Title, const std::vector<Fig3Row> &Rows,
 
 int main(int Argc, char **Argv) {
   BenchOptions Opts = BenchOptions::parse(Argc, Argv);
-  if (Opts.Serve)
-    return serveMain(Opts, "fig3_dae_vs_cae");
   workloads::Scale S = Opts.Scale;
   sim::MachineConfig Cfg = Opts.machineConfig();
   unsigned Jobs = Opts.Jobs;

@@ -22,7 +22,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "ServeUtil.h"
 #include "dae/GenerationMemo.h"
 #include "harness/Harness.h"
 
@@ -53,8 +52,6 @@ void printSeries(const char *App, const char *SchemeName,
 
 int main(int Argc, char **Argv) {
   BenchOptions Opts = BenchOptions::parse(Argc, Argv);
-  if (Opts.Serve)
-    return serveMain(Opts, "fig4_profiles");
   workloads::Scale S = Opts.Scale;
   sim::MachineConfig Cfg = Opts.machineConfig();
   unsigned Jobs = Opts.Jobs;

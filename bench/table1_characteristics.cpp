@@ -21,7 +21,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "ServeUtil.h"
 #include "dae/GenerationMemo.h"
 #include "harness/Harness.h"
 
@@ -34,8 +33,6 @@ using namespace dae::harness;
 
 int main(int Argc, char **Argv) {
   BenchOptions Opts = BenchOptions::parse(Argc, Argv);
-  if (Opts.Serve)
-    return serveMain(Opts, "table1_characteristics");
   workloads::Scale S = Opts.Scale;
   sim::MachineConfig Cfg = Opts.machineConfig();
   unsigned Jobs = Opts.Jobs;

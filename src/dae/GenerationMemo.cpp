@@ -11,11 +11,9 @@
 #include "ir/Function.h"
 #include "ir/Instruction.h"
 #include "ir/Module.h"
-#include "ir/Printer.h"
 #include "passes/Passes.h"
 #include "pm/Analyses.h"
 #include "support/Casting.h"
-#include "support/EnvParse.h"
 #include "verify/AccessPhaseAudit.h"
 
 using namespace dae;
@@ -98,42 +96,9 @@ std::string dae::taskContentFingerprint(Function &Task,
   return taskFingerprint(Task, FAM.getResult<pm::FunctionPrintAnalysis>(Task));
 }
 
-std::size_t GenerationMemo::maxRetainedBytesFromEnv() {
-  return support::envMiBOr("DAECC_MEMO_CAP_MB", DefaultMaxRetainedBytes);
-}
-
-GenerationMemo::GenerationMemo()
-    : MaxRetainedBytes(maxRetainedBytesFromEnv()) {}
-
-GenerationMemo::GenerationMemo(std::size_t MaxRetainedBytes)
-    : MaxRetainedBytes(MaxRetainedBytes) {}
+GenerationMemo::GenerationMemo() = default;
 
 GenerationMemo::~GenerationMemo() = default;
-
-void GenerationMemo::evictToCapLocked() {
-  while (RetainedBytes > MaxRetainedBytes) {
-    // Linear scan for the oldest tick: entry counts stay small (one per
-    // distinct task x options pattern), so a heap would be ceremony.
-    std::map<std::string, std::vector<Entry>>::iterator VictimKey =
-        Entries.end();
-    std::size_t VictimIdx = 0;
-    std::uint64_t Oldest = ~0ull;
-    for (auto It = Entries.begin(); It != Entries.end(); ++It)
-      for (std::size_t I = 0; I != It->second.size(); ++I)
-        if (It->second[I].LastUse < Oldest) {
-          Oldest = It->second[I].LastUse;
-          VictimKey = It;
-          VictimIdx = I;
-        }
-    if (VictimKey == Entries.end())
-      return; // Cap smaller than any single entry and nothing cached.
-    RetainedBytes -= VictimKey->second[VictimIdx].Bytes;
-    VictimKey->second.erase(VictimKey->second.begin() + VictimIdx);
-    if (VictimKey->second.empty())
-      Entries.erase(VictimKey);
-    ++Counters.Evictions;
-  }
-}
 
 bool GenerationMemo::OptionsPattern::matches(const DaeOptions &O,
                                              const std::string &OColdFp,
@@ -211,7 +176,6 @@ AccessPhaseResult GenerationMemo::generate(Module &M, Function &Task,
       for (Entry &E : It->second)
         if (E.Pattern.matches(Opts, ColdFp, RepFp)) {
           ++Counters.Hits;
-          E.LastUse = ++LruTick;
           AccessPhaseResult R = E.Cached;
           if (E.Cached.AccessFn) {
             R.AccessFn = transplantFunction(*E.Cached.AccessFn, M,
@@ -261,13 +225,7 @@ AccessPhaseResult GenerationMemo::generate(Module &M, Function &Task,
     E.Cached = R;
     E.Cached.AccessFn =
         transplantFunction(*R.AccessFn, *E.Holder, R.AccessFn->getName());
-    // Estimated retained cost: the key plus the printed access phase stand
-    // in for the held module (exact IR footprints are not observable).
-    E.Bytes = Fp.size() + printFunction(*E.Cached.AccessFn).size();
-    E.LastUse = ++LruTick;
-    RetainedBytes += E.Bytes;
     Entries[Fp].push_back(std::move(E));
-    evictToCapLocked();
   }
   return R;
 }
@@ -275,11 +233,6 @@ AccessPhaseResult GenerationMemo::generate(Module &M, Function &Task,
 GenerationMemo::Stats GenerationMemo::stats() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return Counters;
-}
-
-std::size_t GenerationMemo::retainedBytes() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return RetainedBytes;
 }
 
 std::size_t GenerationMemo::entryCount() const {

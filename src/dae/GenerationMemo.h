@@ -59,24 +59,11 @@ std::string taskContentFingerprint(ir::Function &Task,
 
 /// Memoizing wrapper around generateAccessPhase. See file comment.
 ///
-/// Retention is bounded: entries are charged an estimated byte cost
-/// (fingerprint + printed access phase) against a retained-bytes cap, and
-/// least-recently-used entries are evicted once the cap is exceeded — the
-/// same discipline as sim::TracePool's retained-bytes cap. One-shot bench
-/// runs never come near the default cap; a long-lived experiment service
-/// (src/service/) would otherwise grow the memo without bound as request
-/// traffic sweeps the option space. Eviction only ever costs a future
-/// regeneration: results are bit-identical for any cap by construction
-/// (a miss regenerates exactly what the hit would have transplanted).
+/// Entries live as long as the memo. A driver run holds at most one entry
+/// per distinct (task, options pattern) it generated, so nothing is evicted.
 class GenerationMemo {
 public:
-  /// Default retained-bytes cap (64 MiB), overridable process-wide via
-  /// DAECC_MEMO_CAP_MB (garbage values are a hard error, exit 2).
-  static constexpr std::size_t DefaultMaxRetainedBytes = 64u << 20;
-  static std::size_t maxRetainedBytesFromEnv();
-
   GenerationMemo();
-  explicit GenerationMemo(std::size_t MaxRetainedBytes);
   GenerationMemo(const GenerationMemo &) = delete;
   GenerationMemo &operator=(const GenerationMemo &) = delete;
   ~GenerationMemo();
@@ -100,12 +87,9 @@ public:
     std::uint64_t Hits = 0;
     std::uint64_t Misses = 0;
     std::uint64_t Rejections = 0; ///< Uncacheable (rejected) tasks.
-    std::uint64_t Evictions = 0;  ///< Entries dropped by the LRU cap.
   };
   Stats stats() const;
 
-  /// Estimated bytes currently retained by cached entries (diagnostics).
-  std::size_t retainedBytes() const;
   /// Cached entries currently held (diagnostics).
   std::size_t entryCount() const;
 
@@ -134,20 +118,11 @@ private:
     OptionsPattern Pattern;
     AccessPhaseResult Cached; ///< AccessFn points into Holder.
     std::unique_ptr<ir::Module> Holder;
-    std::size_t Bytes = 0;     ///< Estimated retained cost.
-    std::uint64_t LastUse = 0; ///< LRU tick of the last hit or insert.
   };
 
-  /// Drops least-recently-used entries until RetainedBytes <= cap. Caller
-  /// holds Mutex.
-  void evictToCapLocked();
-
-  const std::size_t MaxRetainedBytes;
   mutable std::mutex Mutex;
   std::map<std::string, std::vector<Entry>> Entries; ///< By task fingerprint.
   Stats Counters;
-  std::size_t RetainedBytes = 0;
-  std::uint64_t LruTick = 0;
 };
 
 } // namespace dae

@@ -36,11 +36,11 @@ unsigned JobPool::effectiveSimThreads(unsigned Jobs, unsigned SimThreadsPerJob,
   return std::clamp(std::max(1u, Budget / Jobs), 1u, SimThreadsPerJob);
 }
 
-JobPool::JobPool(unsigned Jobs, unsigned SimThreadsPerJob, bool AlwaysThreaded)
+JobPool::JobPool(unsigned Jobs, unsigned SimThreadsPerJob)
     : NumJobs(std::max(1u, Jobs)),
       SimThreads(effectiveSimThreads(Jobs, SimThreadsPerJob,
                                      hostThreadBudget())) {
-  if (NumJobs > 1 || AlwaysThreaded) {
+  if (NumJobs > 1) {
     Workers.reserve(NumJobs);
     for (unsigned I = 0; I != NumJobs; ++I)
       Workers.emplace_back([this] { workerLoop(); });

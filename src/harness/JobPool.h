@@ -40,13 +40,7 @@ public:
   /// threads. The effective per-job allowance is clamped so that
   /// Jobs * simThreadsPerJob() stays within the host budget (see
   /// hostThreadBudget()); with Jobs == 1 the request passes through.
-  /// \p AlwaysThreaded spawns worker threads even for Jobs == 1: a
-  /// long-lived service submits work without ever calling wait(), so the
-  /// inline sequential drain would leave its queue untouched forever. The
-  /// one-shot drivers keep the default (false) and the exact sequential
-  /// reference semantics with it.
-  JobPool(unsigned Jobs, unsigned SimThreadsPerJob,
-          bool AlwaysThreaded = false);
+  JobPool(unsigned Jobs, unsigned SimThreadsPerJob);
   ~JobPool();
   JobPool(const JobPool &) = delete;
   JobPool &operator=(const JobPool &) = delete;

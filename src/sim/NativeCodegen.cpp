@@ -42,7 +42,6 @@
 #include "sim/Bytecode.h"
 #include "sim/Memory.h"
 #include "sim/NativeExec.h"
-#include "support/EnvParse.h"
 
 #include <atomic>
 #include <cassert>
@@ -233,59 +232,15 @@ std::mutex &cacheMutex() {
   return Mu;
 }
 
-/// Null Code values are cached failures (mmap/cc trouble is persistent;
-/// retrying per function would hammer the toolchain). They are charged zero
-/// bytes and never evicted.
-struct CacheEntry {
-  std::shared_ptr<const NativeCode> Code;
-  std::size_t Bytes = 0;
-  std::uint64_t LastUse = 0;
-};
+/// Compiled code by content key. Null values are cached failures (mmap/cc
+/// trouble is persistent; retrying per function would hammer the
+/// toolchain).
+using CodeCache = std::unordered_map<std::uint64_t,
+                                     std::shared_ptr<const NativeCode>>;
 
-struct CacheState {
-  std::unordered_map<std::uint64_t, CacheEntry> Map;
-  std::size_t CapBytes;
-  std::size_t RetainedBytes = 0;
-  std::uint64_t LruTick = 0;
-  std::uint64_t Evictions = 0;
-
-  CacheState()
-      : CapBytes(dae::support::envMiBOr("DAECC_NATIVE_CACHE_MB",
-                                        std::size_t(256) << 20)) {}
-
-  /// Retained cost of one compiled variant pair. Cemit code lives in a
-  /// dlopen'd shared object the loader sizes (codeSize() == 0), so it is
-  /// charged a nominal page instead of reading as free.
-  static std::size_t costOf(const NativeCode &Code) {
-    return Code.codeSize() ? Code.codeSize() : std::size_t(4096);
-  }
-
-  void insertLocked(std::uint64_t Key, std::shared_ptr<const NativeCode> Code) {
-    CacheEntry E;
-    E.Bytes = Code ? costOf(*Code) : 0;
-    E.LastUse = ++LruTick;
-    E.Code = std::move(Code);
-    RetainedBytes += E.Bytes;
-    Map.emplace(Key, std::move(E));
-    while (RetainedBytes > CapBytes) {
-      auto Victim = Map.end();
-      for (auto It = Map.begin(); It != Map.end(); ++It)
-        if (It->second.Bytes &&
-            (Victim == Map.end() ||
-             It->second.LastUse < Victim->second.LastUse))
-          Victim = It;
-      if (Victim == Map.end())
-        return; // only failures (zero-byte) remain
-      RetainedBytes -= Victim->second.Bytes;
-      Map.erase(Victim);
-      ++Evictions;
-    }
-  }
-};
-
-CacheState &cacheState() {
-  static CacheState S;
-  return S;
+CodeCache &codeCache() {
+  static CodeCache C;
+  return C;
 }
 
 } // namespace
@@ -2278,12 +2233,9 @@ std::shared_ptr<const NativeCode> compile(const bc::BytecodeFunction &BF,
   const std::uint64_t Key = keyOf(BF, Resolved);
   {
     std::lock_guard<std::mutex> Lock(cacheMutex());
-    CacheState &S = cacheState();
-    auto It = S.Map.find(Key);
-    if (It != S.Map.end()) {
-      It->second.LastUse = ++S.LruTick;
-      return It->second.Code; // including cached failures (null)
-    }
+    auto It = codeCache().find(Key);
+    if (It != codeCache().end())
+      return It->second; // including cached failures (null)
   }
 
   std::shared_ptr<const NativeCode> Code;
@@ -2296,36 +2248,10 @@ std::shared_ptr<const NativeCode> compile(const bc::BytecodeFunction &BF,
   Code = cemitCompile(BF);
 #endif
 
-  {
-    std::lock_guard<std::mutex> Lock(cacheMutex());
-    CacheState &S = cacheState();
-    auto It = S.Map.find(Key);
-    if (It != S.Map.end()) {
-      It->second.LastUse = ++S.LruTick;
-      return It->second.Code; // another thread published first
-    }
-    S.insertLocked(Key, Code);
-  }
-  return Code;
+  std::lock_guard<std::mutex> Lock(cacheMutex());
+  // emplace keeps the entry of a thread that published first.
+  return codeCache().emplace(Key, std::move(Code)).first->second;
 #endif // DAECC_NATIVE_POSIX
-}
-
-CacheStats cacheStats() {
-  std::lock_guard<std::mutex> Lock(cacheMutex());
-  const CacheState &S = cacheState();
-  CacheStats Out;
-  Out.Entries = S.Map.size();
-  Out.RetainedBytes = S.RetainedBytes;
-  Out.Evictions = S.Evictions;
-  return Out;
-}
-
-std::size_t setCacheCapBytesForTest(std::size_t Bytes) {
-  std::lock_guard<std::mutex> Lock(cacheMutex());
-  CacheState &S = cacheState();
-  std::size_t Prev = S.CapBytes;
-  S.CapBytes = Bytes;
-  return Prev;
 }
 
 } // namespace native

@@ -102,36 +102,15 @@ protected:
 /// Lowers \p BF to native code, or returns null when the function cannot be
 /// lowered (unsupported opcode, host without a usable mode, cc/mmap failure)
 /// — callers must then execute \p BF through the threaded interpreter.
-/// Results are served from a process-wide content-addressed cache, so
-/// compiling the same bytecode from many interpreters costs one lowering.
-/// Thread safe.
+/// Results are served from a process-wide content-addressed cache that keeps
+/// every entry (failures included) for the life of the process, so compiling
+/// the same bytecode from many interpreters costs one lowering. Thread safe.
 std::shared_ptr<const NativeCode> compile(const bc::BytecodeFunction &BF,
                                           const Options &Opts = Options());
 
 /// The mode Auto resolves to on this host ("jit" or "cemit"), after
 /// DAECC_NATIVE_MODE; for logs and tests.
 const char *activeModeName();
-
-/// Counters for the process-wide compiled-code cache. Retention is bounded
-/// the same way as dae::GenerationMemo and sim::TracePool: entries are
-/// charged their executable size (a nominal page for Cemit objects, whose
-/// code lives in a dlopen'd .so the loader sizes) against a retained-bytes
-/// cap, default 256 MiB, overridable via DAECC_NATIVE_CACHE_MB (garbage is
-/// a hard error, exit 2). Least-recently-used entries are evicted at the
-/// cap; in-flight executions keep their code alive through the shared_ptr,
-/// so eviction only ever costs a future recompile. Cached failures (null)
-/// are charged zero bytes and never evicted — retrying a persistent cc/mmap
-/// failure per request would hammer the toolchain.
-struct CacheStats {
-  std::uint64_t Entries = 0;
-  std::uint64_t RetainedBytes = 0;
-  std::uint64_t Evictions = 0;
-};
-CacheStats cacheStats();
-
-/// Testing hook: overrides the cache's retained-bytes cap process-wide and
-/// returns the previous cap. Pass the returned value back to restore.
-std::size_t setCacheCapBytesForTest(std::size_t Bytes);
 
 } // namespace native
 } // namespace sim

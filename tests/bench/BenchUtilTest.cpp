@@ -258,34 +258,36 @@ TEST(BenchUtil, SimBackendFromNameIsStrict) {
   EXPECT_EQ(B, SimBackend::Native);
 }
 
-// --- Daemon-mode flags and the strict env integer parses ------------------
+// --- Unknown flags and the strict env integer parses ---------------------
 
-TEST(BenchOptions, ServeFlagsParse) {
-  unsetenv("DAECC_CACHE_DIR");
-  BenchOptions O = parseOpts({"--serve", "--socket=/tmp/x.sock",
-                              "--cache-dir=/tmp/cache"});
-  EXPECT_TRUE(O.Serve);
-  EXPECT_EQ(O.SocketPath, "/tmp/x.sock");
-  EXPECT_EQ(O.CacheDir, "/tmp/cache");
-
-  BenchOptions D = parseOpts({});
-  EXPECT_FALSE(D.Serve);
-  EXPECT_EQ(D.SocketPath, "daecc.sock");
-  EXPECT_TRUE(D.CacheDir.empty());
+TEST(BenchOptions, EveryKnownFlagParses) {
+  // The full flag surface in one command line, as the drivers document it
+  // and CI passes it: none of these may trip the unknown-flag check.
+  const pm::PipelineConfig Saved = pm::config();
+  BenchOptions O = parseOpts(
+      {"--test-scale", "--jobs=2", "--sim-threads=2", "--sim-backend=switch",
+       "--no-replay-overlap", "--verify-each", "--print-after-all",
+       "--pass-stats", "--dae-verify", "--dae-profile-guided", "--no-baseline",
+       "--cores=4", "--big-little=2,2", "--mix=libq,fft",
+       "--governor=ondemand"});
+  EXPECT_EQ(O.Backend, SimBackend::Switch);
+  EXPECT_FALSE(O.ReplayOverlap);
+  EXPECT_TRUE(O.PassStats);
+  EXPECT_TRUE(O.DaeProfileGuided);
+  EXPECT_EQ(O.BigCores, 2u);
+  EXPECT_TRUE(pm::config().VerifyEach);
+  pm::config() = Saved;
 }
 
-TEST(BenchOptions, CacheDirEnvDefaultAndFlagOverride) {
-  setenv("DAECC_CACHE_DIR", "/tmp/from_env", 1);
-  EXPECT_EQ(parseOpts({}).CacheDir, "/tmp/from_env");
-  // Flag wins, and an explicitly empty flag re-disables the env default.
-  EXPECT_EQ(parseOpts({"--cache-dir=/tmp/flag"}).CacheDir, "/tmp/flag");
-  EXPECT_TRUE(parseOpts({"--cache-dir="}).CacheDir.empty());
-  unsetenv("DAECC_CACHE_DIR");
-}
-
-TEST(BenchUtilDeathTest, EmptySocketPathIsAHardError) {
-  EXPECT_EXIT(parseOpts({"--socket="}), ::testing::ExitedWithCode(2),
-              "--socket requires a path");
+TEST(BenchUtilDeathTest, UnknownFlagIsAHardError) {
+  // A typo such as --dae-verfy must not run the suite without the check it
+  // asked for, and the removed daemon's flags must not silently run a full
+  // one-shot suite.
+  for (const char *Bad : {"--serve", "--socket=x", "--cache-dir=x",
+                          "--dae-verfy", "fig3", "--jobs"})
+    EXPECT_EXIT(parseOpts({"--test-scale", Bad}), ::testing::ExitedWithCode(2),
+                std::string("error: unknown flag '") + Bad + "'")
+        << "flag: '" << Bad << "'";
 }
 
 TEST(BenchUtilDeathTest, GarbageIntegerEnvIsAHardError) {
@@ -363,23 +365,29 @@ TEST(BenchUtil, ValidIntegerEnvStillWorks) {
   unsetenv("DAECC_SIM_THREADS");
 }
 
+std::string readFile(const char *Path) {
+  std::string Content;
+  if (std::FILE *F = std::fopen(Path, "r")) {
+    char Buf[4096];
+    std::size_t N;
+    while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
+      Content.append(Buf, N);
+    std::fclose(F);
+  }
+  return Content;
+}
+
 TEST(BenchUtil, ReporterJsonIsPublishedAtomically) {
-  // checkpointService republishes BENCH_<name>.json via temp-file + rename;
-  // after it returns there must be a complete file and no lingering temp.
+  // start() and report() publish BENCH_<name>.json via temp-file + rename;
+  // after each returns there must be a complete file and no lingering temp.
   ThroughputReporter R("atomic_probe", 1, 1);
   R.start();
-  R.checkpointService("{\"requests\": 1}");
-  std::FILE *F = std::fopen("BENCH_atomic_probe.json", "r");
-  ASSERT_NE(F, nullptr);
-  std::string Content;
-  char Buf[4096];
-  std::size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Content.append(Buf, N);
-  std::fclose(F);
-  EXPECT_NE(Content.find("\"status\": \"serving\""), std::string::npos);
-  EXPECT_NE(Content.find("\"service\": {\"requests\": 1}"),
+  EXPECT_NE(readFile("BENCH_atomic_probe.json").find("\"status\": \"started\""),
             std::string::npos);
+  R.report();
+  std::string Content = readFile("BENCH_atomic_probe.json");
+  EXPECT_NE(Content.find("\"status\": \"ok\""), std::string::npos);
+  EXPECT_EQ(Content.rfind("}\n"), Content.size() - 2);
   std::string Tmp =
       "BENCH_atomic_probe.json.tmp." + std::to_string(::getpid());
   EXPECT_EQ(std::fopen(Tmp.c_str(), "r"), nullptr);
@@ -387,31 +395,25 @@ TEST(BenchUtil, ReporterJsonIsPublishedAtomically) {
 }
 
 TEST(BenchUtil, ConcurrentCheckpointsPublishCompleteJson) {
-  // In daemon mode checkpointService is called from concurrent connection
-  // threads; the reporter serializes them internally, so however the racing
-  // checkpoints interleave, the published file is always one complete JSON
-  // object and no temp file lingers.
+  // The reporter serializes publications internally, so however racing
+  // start() and report() calls from several threads interleave, the
+  // published file is always one complete JSON object and no temp file
+  // lingers.
   ThroughputReporter R("concurrent_probe", 1, 1);
-  R.start();
   std::vector<std::thread> Ts;
   for (int T = 0; T != 4; ++T)
-    Ts.emplace_back([&R, T] {
-      for (int I = 0; I != 25; ++I)
-        R.checkpointService("{\"requests\": " +
-                            std::to_string(T * 100 + I) + "}");
+    Ts.emplace_back([&R] {
+      for (int I = 0; I != 25; ++I) {
+        if (I % 5 == 4)
+          R.report();
+        else
+          R.start();
+      }
     });
   for (std::thread &T : Ts)
     T.join();
-  std::FILE *F = std::fopen("BENCH_concurrent_probe.json", "r");
-  ASSERT_NE(F, nullptr);
-  std::string Content;
-  char Buf[4096];
-  std::size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Content.append(Buf, N);
-  std::fclose(F);
-  EXPECT_NE(Content.find("\"status\": \"serving\""), std::string::npos);
-  EXPECT_NE(Content.find("\"service\": {\"requests\": "), std::string::npos);
+  std::string Content = readFile("BENCH_concurrent_probe.json");
+  EXPECT_EQ(Content.find("{\n  \"bench\": \"concurrent_probe\""), 0u);
   EXPECT_EQ(Content.rfind("}\n"), Content.size() - 2);
   std::string Tmp =
       "BENCH_concurrent_probe.json.tmp." + std::to_string(::getpid());

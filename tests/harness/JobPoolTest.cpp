@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 
 using namespace dae::harness;
@@ -75,23 +74,6 @@ TEST(JobPoolDeathTest, GarbageHostThreadsEnvIsAHardError) {
         << "value: '" << Bad << "'";
   }
   unsetenv("DAECC_HOST_THREADS");
-}
-
-TEST(JobPoolTest, AlwaysThreadedDrainsWithoutWait) {
-  // A long-lived service submits jobs but never calls wait(); with the
-  // default Jobs==1 inline drain those jobs would sit in the queue forever.
-  // AlwaysThreaded spawns the worker even at one job.
-  JobPool Pool(1, 1, /*AlwaysThreaded=*/true);
-  std::atomic<int> Count{0};
-  for (int I = 0; I != 8; ++I)
-    Pool.submit([&Count] { ++Count; });
-  for (int Spin = 0; Count.load() != 8 && Spin != 2000; ++Spin)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_EQ(Count.load(), 8);
-  // wait() still works on the threaded pool.
-  Pool.submit([&Count] { ++Count; });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 9);
 }
 
 } // namespace
