@@ -246,7 +246,7 @@ CompiledProgram::lookupNative(const Function &F) const {
 
 Interpreter::Interpreter(const MachineConfig &Cfg, Memory &Mem,
                          const Loader &L, const CompiledProgram *Shared)
-    : Cfg(Cfg), View(Mem), Load(L), Shared(Shared) {
+    : Cfg(Cfg), View(Mem, L), Load(L), Shared(Shared) {
   if (Cfg.Backend == SimBackend::Threaded)
     Threaded = std::make_unique<ThreadedInterpreter>(Cfg, Mem, L, Shared);
   else if (Cfg.Backend == SimBackend::Native)

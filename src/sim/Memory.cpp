@@ -10,49 +10,76 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+#include <cstdio>
+#include <cstdlib>
+
+#include <sys/mman.h>
 
 using namespace dae;
 using namespace dae::sim;
 
-std::uint8_t *Memory::pageFor(std::uint64_t PageIdx) {
-  Shard &S = Shards[shardOf(PageIdx)];
-  std::lock_guard<std::mutex> Lock(S.M);
-  auto It = S.Pages.find(PageIdx);
-  if (It == S.Pages.end()) {
-    auto Mem = std::make_unique<std::uint8_t[]>(PageSize);
-    std::memset(Mem.get(), 0, PageSize);
-    It = S.Pages.emplace(PageIdx, std::move(Mem)).first;
-  }
-  return It->second.get();
+static const std::uint8_t ZeroPage[Memory::PageSize] = {};
+
+Memory::~Memory() {
+  if (Arena)
+    munmap(Arena, Size);
 }
 
-size_t Memory::pagesTouched() const {
-  size_t N = 0;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    N += S.Pages.size();
+void Memory::resize(std::uint64_t NewSize) {
+  // Anonymous mappings are zero-filled on demand.
+  void *P = mmap(nullptr, NewSize, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (P == MAP_FAILED) {
+    std::fprintf(stderr, "error: cannot map %llu bytes of simulated memory\n",
+                 static_cast<unsigned long long>(NewSize));
+    std::abort();
   }
-  return N;
+  if (Arena) {
+    // Writing a page makes it resident, so copy only pages with data.
+    for (std::uint64_t Off = 0; Off != Size; Off += PageSize)
+      if (std::memcmp(Arena + Off, ZeroPage, PageSize) != 0)
+        std::memcpy(static_cast<std::uint8_t *>(P) + Off, Arena + Off,
+                    PageSize);
+    munmap(Arena, Size);
+  }
+  Arena = static_cast<std::uint8_t *>(P);
+  Size = NewSize;
+}
+
+Memory &Memory::bind(const Loader &L) {
+  if (Bound) {
+    assert(L.footprintBegin() == Lo && L.footprintEnd() == End &&
+           "memory already bound to another footprint");
+    return *this;
+  }
+  Lo = L.footprintBegin();
+  End = L.footprintEnd();
+  Limit = End - Lo >= 8 ? End - Lo - 7 : 0;
+  if (End > Size)
+    resize((End + PageSize - 1) & ~(PageSize - 1));
+  Bound = true;
+  return *this;
+}
+
+std::uint8_t *Memory::hostPtr(std::uint64_t Addr) {
+  if (Bound ? Addr - Lo >= Limit : Addr > ~0ull - 8)
+    outOfBounds(Addr);
+  if (Addr + 8 > Size)
+    resize(std::max((Addr + 8 + PageSize - 1) & ~(PageSize - 1), 2 * Size));
+  return Arena + Addr;
+}
+
+void Memory::outOfBounds(std::uint64_t Addr) const {
+  std::fprintf(stderr,
+               "error: simulated access at 0x%llx is outside the memory "
+               "footprint [0x%llx, 0x%llx)\n",
+               static_cast<unsigned long long>(Addr),
+               static_cast<unsigned long long>(Lo),
+               static_cast<unsigned long long>(End));
+  std::abort();
 }
 
 std::uint64_t Memory::imageHash() const {
-  // Collect nonzero pages across shards, then hash in page-index order so
-  // the result is independent of sharding and allocation order.
-  std::vector<std::pair<std::uint64_t, const std::uint8_t *>> Nonzero;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    for (const auto &[Idx, Page] : S.Pages) {
-      const std::uint8_t *P = Page.get();
-      bool AllZero = true;
-      for (std::uint64_t B = 0; B != PageSize && AllZero; ++B)
-        AllZero = P[B] == 0;
-      if (!AllZero)
-        Nonzero.emplace_back(Idx, P);
-    }
-  }
-  std::sort(Nonzero.begin(), Nonzero.end());
-
   std::uint64_t H = 1469598103934665603ull; // FNV-1a offset basis.
   auto feed = [&H](const std::uint8_t *Data, std::uint64_t Len) {
     for (std::uint64_t I = 0; I != Len; ++I) {
@@ -60,7 +87,10 @@ std::uint64_t Memory::imageHash() const {
       H *= 1099511628211ull;
     }
   };
-  for (const auto &[Idx, P] : Nonzero) {
+  for (std::uint64_t Idx = 0; Idx != Size / PageSize; ++Idx) {
+    const std::uint8_t *P = Arena + Idx * PageSize;
+    if (std::memcmp(P, ZeroPage, PageSize) == 0)
+      continue;
     std::uint8_t IdxBytes[8];
     std::memcpy(IdxBytes, &Idx, 8);
     feed(IdxBytes, 8);
@@ -69,47 +99,15 @@ std::uint64_t Memory::imageHash() const {
   return H;
 }
 
-namespace {
-
-/// True when [Addr, Addr+8) stays within one page.
-bool withinPage(std::uint64_t Addr) {
-  return (Addr & 0xfff) <= 0xff8;
-}
-
-} // namespace
-
-std::int64_t Memory::loadI64(std::uint64_t Addr) {
-  assert(withinPage(Addr) && "unaligned cross-page access");
-  std::int64_t V;
-  std::memcpy(&V, pagePtr(Addr), sizeof(V));
-  return V;
-}
-
-double Memory::loadF64(std::uint64_t Addr) {
-  assert(withinPage(Addr) && "unaligned cross-page access");
-  double V;
-  std::memcpy(&V, pagePtr(Addr), sizeof(V));
-  return V;
-}
-
-void Memory::storeI64(std::uint64_t Addr, std::int64_t V) {
-  assert(withinPage(Addr) && "unaligned cross-page access");
-  std::memcpy(pagePtr(Addr), &V, sizeof(V));
-}
-
-void Memory::storeF64(std::uint64_t Addr, double V) {
-  assert(withinPage(Addr) && "unaligned cross-page access");
-  std::memcpy(pagePtr(Addr), &V, sizeof(V));
-}
-
-Loader::Loader(const ir::Module &M, std::uint64_t Base) {
-  std::uint64_t Cursor = Base;
+Loader::Loader(const ir::Module &M) {
+  std::uint64_t Cursor = 0x10000;
+  Begin = End = Cursor;
   for (const auto &G : M.globals()) {
     Bases[G.get()] = Cursor;
     ByName[G->getName()] = Cursor;
     // Line-align and pad so unrelated arrays never share a cache line.
-    std::uint64_t Size = (G->getSizeInBytes() + 63) & ~63ull;
-    Cursor += Size + 64;
+    End = Cursor + ((G->getSizeInBytes() + 63) & ~63ull);
+    Cursor = End + 64;
   }
 }
 

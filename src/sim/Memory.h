@@ -5,32 +5,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A sparse 64-bit byte-addressed memory with a tiny loader that assigns
-/// base addresses to module globals. Workloads initialize their arrays
-/// through it and the interpreter reads/writes through it.
+/// Simulated memory: one contiguous, zero-filled arena indexed by simulated
+/// address, plus a tiny loader that lays module globals out contiguously
+/// from 0x10000. Task IR has no allocation instruction, so a program's data
+/// is exactly its globals; their span is the *footprint*.
 ///
-/// The page table is safe under concurrent access from the host-parallel
-/// simulation engine: lookups and on-touch allocation take a sharded mutex,
-/// and page storage is never moved or freed once allocated, so raw page
-/// pointers handed out by pageFor() stay valid for the Memory's lifetime
-/// (interpreters cache them thread-locally to keep the hot path lock-free).
-/// Same-wave tasks write disjoint addresses by the runtime's independence
-/// contract, so byte-level data races cannot occur.
+/// Workload initialization grows the arena through the host accessors. The
+/// first interpreter to bind a MemoryView sizes it to the footprint and
+/// fixes it: the arena never moves again, so the host-parallel workers
+/// share it without a lock (same-wave tasks write disjoint addresses by the
+/// runtime's independence contract). From then on a load or store outside
+/// the footprint, from a view or from the host, prints the address and the
+/// footprint and aborts. Prefetches are never checked: they only append a
+/// trace event. Pages nobody touches cost no resident memory.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAECC_SIM_MEMORY_H
 #define DAECC_SIM_MEMORY_H
 
-#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 namespace dae {
 
@@ -41,115 +38,123 @@ class GlobalVariable;
 
 namespace sim {
 
-/// Sparse simulated memory (4 KiB pages allocated on touch).
+class Loader;
+
+/// The simulated address space: one arena covering addresses [0, size).
 class Memory {
 public:
-  static constexpr std::uint64_t PageBits = 12;
-  static constexpr std::uint64_t PageSize = 1ull << PageBits;
+  /// Granularity of the arena and of imageHash.
+  static constexpr std::uint64_t PageSize = 4096;
 
-  std::int64_t loadI64(std::uint64_t Addr);
-  double loadF64(std::uint64_t Addr);
-  void storeI64(std::uint64_t Addr, std::int64_t V);
-  void storeF64(std::uint64_t Addr, double V);
+  Memory() = default;
+  ~Memory();
+  Memory(const Memory &) = delete;
+  Memory &operator=(const Memory &) = delete;
 
-  /// Returns the backing storage of page \p PageIdx (allocating it zeroed on
-  /// first touch). Thread safe; the returned pointer is stable until the
-  /// Memory is destroyed.
-  std::uint8_t *pageFor(std::uint64_t PageIdx);
+  /// Host-side accessors. Until a view binds they grow the arena to cover
+  /// \p Addr (not thread safe); afterwards they are checked like a view's.
+  std::int64_t loadI64(std::uint64_t Addr) {
+    return readAt<std::int64_t>(hostPtr(Addr));
+  }
+  double loadF64(std::uint64_t Addr) { return readAt<double>(hostPtr(Addr)); }
+  void storeI64(std::uint64_t Addr, std::int64_t V) {
+    std::memcpy(hostPtr(Addr), &V, sizeof(V));
+  }
+  void storeF64(std::uint64_t Addr, double V) {
+    std::memcpy(hostPtr(Addr), &V, sizeof(V));
+  }
 
-  /// Number of distinct pages touched (testing/diagnostics).
-  size_t pagesTouched() const;
-
-  /// FNV-1a hash of the program-visible memory image: every page with any
-  /// nonzero byte, in page-index order, hashed as (index, contents).
-  /// All-zero pages hash like untouched ones, so two runs differ only when
-  /// they produced different *values* — an access phase that merely touches
-  /// (allocates) extra pages, which a pure prefetcher may, cannot change the
-  /// hash. Not thread safe against concurrent writers; call between runs.
+  /// FNV-1a hash of the program-visible memory image: every 4 KiB chunk
+  /// with a nonzero byte, in ascending index order, hashed as (index,
+  /// contents). All-zero chunks hash like untouched ones, so two runs differ
+  /// only when they produced different *values*. Not thread safe against
+  /// concurrent writers; call between runs.
   std::uint64_t imageHash() const;
 
+  /// Prints \p Addr and the footprint to stderr, then aborts.
+  [[noreturn]] void outOfBounds(std::uint64_t Addr) const;
+
 private:
-  std::uint8_t *pagePtr(std::uint64_t Addr) {
-    return pageFor(Addr >> PageBits) + (Addr & (PageSize - 1));
-  }
+  friend class MemoryView;
 
-  /// Sharded page table: the shard index is a cheap hash of the page number,
-  /// so concurrent workers touching different regions rarely contend.
-  static constexpr unsigned NumShards = 64;
-  struct Shard {
-    mutable std::mutex M;
-    std::unordered_map<std::uint64_t, std::unique_ptr<std::uint8_t[]>> Pages;
-  };
-  Shard Shards[NumShards];
-
-  static unsigned shardOf(std::uint64_t PageIdx) {
-    return static_cast<unsigned>((PageIdx ^ (PageIdx >> 6)) & (NumShards - 1));
+  template <typename T> static T readAt(const std::uint8_t *P) {
+    T V;
+    std::memcpy(&V, P, sizeof(V));
+    return V;
   }
+  /// Sizes the arena to \p L's footprint and fixes it. Every bind of one
+  /// Memory names the same footprint. Not thread safe: interpreters are
+  /// constructed before their workers start.
+  Memory &bind(const Loader &L);
+  std::uint8_t *hostPtr(std::uint64_t Addr);
+  /// Remaps the arena to \p NewSize bytes, keeping its contents.
+  void resize(std::uint64_t NewSize);
+
+  std::uint8_t *Arena = nullptr; ///< Host address of simulated address 0.
+  std::uint64_t Size = 0;        ///< Mapped bytes, a page multiple.
+  bool Bound = false;
+  /// The footprint [Lo, End) once bound. Limit counts the valid 8-byte
+  /// access starts: Addr is valid iff Addr - Lo < Limit (unsigned).
+  std::uint64_t Lo = 0, End = 0, Limit = 0;
 };
 
 /// Assigns non-overlapping, line-aligned base addresses to every global of a
 /// module and resolves them by name.
 class Loader {
 public:
-  explicit Loader(const ir::Module &M, std::uint64_t Base = 0x10000);
+  explicit Loader(const ir::Module &M);
 
   std::uint64_t baseOf(const ir::GlobalVariable *G) const;
   std::uint64_t baseOf(const std::string &Name) const;
 
+  /// The footprint: the first global's base up to the line-aligned end of
+  /// the last one. Empty for a module without globals.
+  std::uint64_t footprintBegin() const { return Begin; }
+  std::uint64_t footprintEnd() const { return End; }
+
 private:
   std::map<const ir::GlobalVariable *, std::uint64_t> Bases;
   std::map<std::string, std::uint64_t> ByName;
+  std::uint64_t Begin = 0, End = 0;
 };
 
-/// A per-thread window into a Memory: caches page pointers (which are stable)
-/// so repeated accesses skip the sharded page-table lock entirely. Each
-/// interpreter owns one; they are cheap and never shared across threads.
+/// An interpreter's window into a bound Memory: the arena base and the
+/// footprint bounds, so a load or store costs one subtract-and-compare plus
+/// one add. Read-only after construction; one per interpreter.
 class MemoryView {
 public:
-  explicit MemoryView(Memory &M) : M(M) {}
+  MemoryView(Memory &M, const Loader &L)
+      : M(M.bind(L)), Base(M.Arena), Lo(M.Lo), Limit(M.Limit) {}
 
-  std::uint8_t *ptr(std::uint64_t Addr) {
-    std::uint64_t Page = Addr >> Memory::PageBits;
-    if (Page != LastPage) {
-      auto It = PagePtrs.find(Page);
-      if (It == PagePtrs.end())
-        It = PagePtrs.emplace(Page, M.pageFor(Page)).first;
-      LastPage = Page;
-      LastPtr = It->second;
-    }
-    return LastPtr + (Addr & (Memory::PageSize - 1));
+  // Inline: these sit on the simulators' per-access hot path.
+  std::uint8_t *ptr(std::uint64_t Addr) const {
+    if (Addr - Lo >= Limit) [[unlikely]]
+      M.outOfBounds(Addr);
+    return Base + Addr;
   }
-
-  // Inline (unlike Memory's own accessors): these sit on the simulators'
-  // per-access hot path, where an out-of-line call costs as much as the
-  // access itself. The common case is a page-memo hit: shift, compare,
-  // memcpy.
-  std::int64_t loadI64(std::uint64_t Addr) {
-    assert((Addr & 0xfff) <= 0xff8 && "unaligned cross-page access");
-    std::int64_t V;
-    std::memcpy(&V, ptr(Addr), sizeof(V));
-    return V;
+  std::int64_t loadI64(std::uint64_t Addr) const {
+    return Memory::readAt<std::int64_t>(ptr(Addr));
   }
-  double loadF64(std::uint64_t Addr) {
-    assert((Addr & 0xfff) <= 0xff8 && "unaligned cross-page access");
-    double V;
-    std::memcpy(&V, ptr(Addr), sizeof(V));
-    return V;
+  double loadF64(std::uint64_t Addr) const {
+    return Memory::readAt<double>(ptr(Addr));
   }
-  void storeI64(std::uint64_t Addr, std::int64_t V) {
-    assert((Addr & 0xfff) <= 0xff8 && "unaligned cross-page access");
+  void storeI64(std::uint64_t Addr, std::int64_t V) const {
     std::memcpy(ptr(Addr), &V, sizeof(V));
   }
-  void storeF64(std::uint64_t Addr, double V) {
-    assert((Addr & 0xfff) <= 0xff8 && "unaligned cross-page access");
+  void storeF64(std::uint64_t Addr, double V) const {
     std::memcpy(ptr(Addr), &V, sizeof(V));
   }
+
+  /// The bounds for generated code (sim/NativeExec.h): host address =
+  /// base() + Addr, valid iff Addr - lo() < limit().
+  std::uint8_t *base() const { return Base; }
+  std::uint64_t lo() const { return Lo; }
+  std::uint64_t limit() const { return Limit; }
 
 private:
-  Memory &M;
-  std::uint64_t LastPage = ~0ull;
-  std::uint8_t *LastPtr = nullptr;
-  std::unordered_map<std::uint64_t, std::uint8_t *> PagePtrs;
+  const Memory &M;
+  std::uint8_t *Base;
+  std::uint64_t Lo, Limit;
 };
 
 } // namespace sim

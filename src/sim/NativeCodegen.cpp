@@ -11,8 +11,10 @@
 //    Register plan (all callee-saved, so C++ helpers preserve them):
 //      rbp = NativeContext*          rbx = frame (RuntimeValue[])
 //      r13 = trace write cursor
-//      r14 = cached page tag         r15 = cached host-minus-sim delta
+//      r14 = first footprint address r15 = arena base (host of sim 0)
 //      xmm15 = running ComputeCycles
+//    r14/r15 never change for an interpreter: loaded in the prologue, never
+//    written back. A load or store is sub + cmp + add (see translate()).
 //    rax/rcx/rdx are stencil scratch; xmm0/xmm1 are FP scratch.
 //
 //  * The C emitter: the same lowering printed as a C source file, compiled
@@ -40,7 +42,6 @@
 
 #include "ir/Function.h"
 #include "sim/Bytecode.h"
-#include "sim/Memory.h"
 #include "sim/NativeExec.h"
 
 #include <atomic>
@@ -91,7 +92,7 @@ namespace {
 
 /// Bumped whenever the generated code's ABI or semantics change; part of the
 /// content-cache key so stale entries can never alias across versions.
-constexpr std::uint64_t AbiVersion = 2;
+constexpr std::uint64_t AbiVersion = 3;
 
 std::uint64_t bitsOf(double D) {
   std::uint64_t U;
@@ -592,16 +593,14 @@ constexpr std::int32_t CtxNPref = 32;
 constexpr std::int32_t CtxCycles = 40;
 constexpr std::int32_t CtxTracePtr = 48;
 constexpr std::int32_t CtxTraceEnd = 56;
-constexpr std::int32_t CtxPageTag = 64;
-constexpr std::int32_t CtxDelta = 72;
-constexpr std::int32_t CtxRet = 80;
-constexpr std::int32_t CtxRetValid = 96;
-constexpr std::int32_t CtxTranslate = 112;
-constexpr std::int32_t CtxTraceGrow = 120;
-constexpr std::int32_t CtxCall = 128;
-
-static_assert(Memory::PageSize == 4096,
-              "page-mask immediates assume 4 KiB pages");
+constexpr std::int32_t CtxMemBase = 64;
+constexpr std::int32_t CtxMemLo = 72;
+constexpr std::int32_t CtxMemLimit = 80;
+constexpr std::int32_t CtxRet = 88;
+constexpr std::int32_t CtxRetValid = 104;
+constexpr std::int32_t CtxOutOfBounds = 120;
+constexpr std::int32_t CtxTraceGrow = 128;
+constexpr std::int32_t CtxCall = 136;
 
 bool isTerminator(bc::Opcode Op) {
   switch (Op) {
@@ -734,6 +733,7 @@ private:
   std::vector<std::size_t> Off;                            // pc -> code offset
   std::vector<std::pair<std::size_t, std::uint32_t>> PcFix; // disp pos, pc
   std::vector<std::size_t> EpiFix;
+  std::vector<std::size_t> OobFix; // jae displacements to the stub
   std::vector<bool> Leader;
   std::vector<std::uint32_t> RegionEvents; // at leaders
   std::uint64_t PendInstr = 0, PendLoads = 0, PendStores = 0, PendPref = 0;
@@ -789,30 +789,15 @@ private:
     PendInstr = PendLoads = PendStores = PendPref = 0;
   }
 
-  /// Page translation: simulated address in rax -> host pointer in rdx.
-  /// Hit path is the strength-reduced form (tag compare + lea against the
-  /// register-cached pair); the miss path calls the Translate helper and
-  /// refreshes the cached tag/delta. Clobbers rcx.
+  /// Bounds check and translation: simulated address in rax -> host
+  /// pointer in rdx. An address outside the footprint jumps, with rax
+  /// intact, to the out-of-bounds stub. Clobbers rcx.
   void translate() {
     A.movRR(RCX, RAX);
-    A.aluImm32(4, RCX,
-               static_cast<std::int32_t>(
-                   ~static_cast<std::int64_t>(Memory::PageSize - 1)));
-    A.aluRR(0x3B, RCX, R14);
-    std::size_t Hit = A.jccFwd(CC_E);
-    // Miss: helper boundary — write cached state back, call, reload.
-    A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
-    A.movRR(RDI, RBP);
-    A.movRR(RSI, RAX);
-    A.callMem(RBP, CtxTranslate);
-    A.movRR(RDX, RAX);
-    A.movRM(R14, RBP, CtxPageTag);
-    A.movRM(R15, RBP, CtxDelta);
-    A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles);
-    std::size_t Done = A.jmpFwd();
-    A.bind(Hit);
-    A.leaRR(RDX, RAX, R15); // host = addr + delta
-    A.bind(Done);
+    A.aluRR(0x2B, RCX, R14);              // sub rcx, r14
+    A.aluRM(0x3B, RCX, RBP, CtxMemLimit); // cmp rcx, [limit]
+    OobFix.push_back(A.jccFwd(CC_AE));
+    A.leaRR(RDX, RAX, R15); // host = arena base + addr
   }
 
   /// Hoisted per-region capacity check: M trace slots or grow.
@@ -866,8 +851,8 @@ bool FnEmitter::emit() {
   A.push(R15);
   A.movRR(RBP, RDI);
   A.movRM(RBX, RBP, CtxFrame);
-  A.movRM(R14, RBP, CtxPageTag);
-  A.movRM(R15, RBP, CtxDelta);
+  A.movRM(R14, RBP, CtxMemLo);
+  A.movRM(R15, RBP, CtxMemBase);
   A.movRM(R13, RBP, CtxTracePtr);
   A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles); // invoker zeroed it
 
@@ -891,14 +876,25 @@ bool FnEmitter::emit() {
   const std::size_t Epi = A.pos();
   A.movMR(RBP, CtxTracePtr, R13);
   A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
-  A.movMR(RBP, CtxPageTag, R14);
-  A.movMR(RBP, CtxDelta, R15);
   A.pop(R15);
   A.pop(R14);
   A.pop(R13);
   A.pop(RBP);
   A.pop(RBX);
   A.ret();
+
+  // Out-of-bounds stub, shared by every access: the body's stack is
+  // call-aligned and rax holds the address.
+  if (!OobFix.empty()) {
+    const std::size_t Oob = A.pos();
+    A.movRR(RDI, RBP);
+    A.movRR(RSI, RAX);
+    A.callMem(RBP, CtxOutOfBounds);
+    A.b(0x0F); // ud2: the helper never returns
+    A.b(0x0B);
+    for (std::size_t P : OobFix)
+      A.patch32(P, static_cast<std::int32_t>(Oob - (P + 4)));
+  }
 
   for (std::size_t P : EpiFix)
     A.patch32(P, static_cast<std::int32_t>(Epi - (P + 4)));
@@ -1439,10 +1435,9 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     cost(I.Cost);
     ++PendInstr;
     flushPending();
-    // Full helper boundary: the callee translates, traces and may move the
-    // frame arena; write every cached value back, reload all afterwards.
-    A.movMR(RBP, CtxPageTag, R14);
-    A.movMR(RBP, CtxDelta, R15);
+    // Full helper boundary: the callee traces and may move the frame arena;
+    // write the cursor and cycles back, reload them and the frame afterwards
+    // (r14/r15 are callee-saved and the same for every activation).
     A.movMR(RBP, CtxTracePtr, R13);
     A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
     A.movRR(RDI, RBP);
@@ -1450,8 +1445,6 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     A.movImm32(RDX, I.Dst);
     A.callMem(RBP, CtxCall);
     A.movRM(RBX, RBP, CtxFrame);
-    A.movRM(R14, RBP, CtxPageTag);
-    A.movRM(R15, RBP, CtxDelta);
     A.movRM(R13, RBP, CtxTracePtr);
     A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles);
     break;
@@ -1495,14 +1488,11 @@ void emitCFn(std::string &S, const bc::BytecodeFunction &BF) {
   std::vector<std::uint32_t> Events;
   analyzeRegions(BF, Leader, Events);
 
-  const std::uint64_t PageMask =
-      ~static_cast<std::uint64_t>(Memory::PageSize - 1);
-
   cf(S, "void daecc_native_entry(Ctx *c) {\n");
   cf(S, "  RV *r = c->Frame;\n");
   cf(S, "  unsigned long long ni = 0, nl = 0, ns = 0, np = 0;\n");
-  cf(S, "  unsigned long long pt = c->LastPageTag;\n");
-  cf(S, "  long long pd = c->LastDelta;\n");
+  cf(S, "  unsigned char *mb = c->MemBase;\n");
+  cf(S, "  unsigned long long ml = c->MemLo, mn = c->MemLimit;\n");
   cf(S, "  unsigned long long a = 0; long long x = 0; double fv = 0.0;\n");
   cf(S, "  unsigned char *h = 0;\n");
   cf(S, "  double cyc = c->Cycles;\n");
@@ -1521,11 +1511,7 @@ void emitCFn(std::string &S, const bc::BytecodeFunction &BF) {
     cf(S, "0x%llxULL", (unsigned long long)V);
   };
   auto Translate = [&] {
-    cf(S,
-       " if ((a & 0x%llxULL) == pt) h = (unsigned char *)(unsigned long "
-       "long)((long long)a + pd); else { h = c->Translate(c, a); pt = "
-       "c->LastPageTag; pd = c->LastDelta; }",
-       (unsigned long long)PageMask);
+    cf(S, " if (a - ml >= mn) c->OutOfBounds(c, a); h = mb + a;");
   };
   auto LoadPrefix = [&](std::uint32_t AddrReg) {
     cf(S, " nl++; a = (unsigned long long)r[%u].I; *tp++ = a;", AddrReg);
@@ -2011,7 +1997,6 @@ void emitCFn(std::string &S, const bc::BytecodeFunction &BF) {
              &BF.CallDescs[I.A]),
          I.Dst);
       cf(S, " cyc = c->Cycles; tp = c->TracePtr; te = c->TraceEnd;");
-      cf(S, " pt = c->LastPageTag; pd = c->LastDelta;");
       break;
 
     case O::Trap:
@@ -2025,7 +2010,6 @@ void emitCFn(std::string &S, const bc::BytecodeFunction &BF) {
   cf(S, "  goto Lepi;\nLepi: ;\n");
   cf(S, "  c->NInstr += ni; c->NLoads += nl; c->NStores += ns; "
         "c->NPrefetches += np;\n");
-  cf(S, "  c->LastPageTag = pt; c->LastDelta = pd;\n");
   cf(S, "  c->Cycles = cyc; c->TracePtr = tp;\n");
   cf(S, "  (void)a; (void)x; (void)fv; (void)h; (void)r;\n");
   cf(S, "}\n\n");
@@ -2047,12 +2031,12 @@ std::string emitCSource(const bc::BytecodeFunction &BF) {
   cf(S, "  double Cycles;\n");
   cf(S, "  unsigned long long *TracePtr;\n");
   cf(S, "  unsigned long long *TraceEnd;\n");
-  cf(S, "  unsigned long long LastPageTag;\n");
-  cf(S, "  long long LastDelta;\n");
+  cf(S, "  unsigned char *MemBase;\n");
+  cf(S, "  unsigned long long MemLo, MemLimit;\n");
   cf(S, "  RV Ret;\n");
   cf(S, "  unsigned long long RetValid;\n");
   cf(S, "  void *Self;\n");
-  cf(S, "  unsigned char *(*Translate)(Ctx *, unsigned long long);\n");
+  cf(S, "  void (*OutOfBounds)(Ctx *, unsigned long long);\n");
   cf(S, "  void (*TraceGrow)(Ctx *, unsigned long long);\n");
   cf(S, "  void (*Call)(Ctx *, const void *, unsigned);\n");
   cf(S, "};\n");

@@ -3,10 +3,10 @@
 // Part of daecc. Distributed under the MIT license.
 //
 // The C++ half of the native backend: frame management, the slow-path
-// helpers generated code calls (translation miss, trace growth, calls), and
-// the per-function threaded fallback. The fast paths — dispatch, value ops,
-// trace appends, page-translation hits — live entirely in the generated code
-// (sim/NativeCodegen.cpp).
+// helpers generated code calls (an access outside the footprint, trace
+// growth, calls), and the per-function threaded fallback. The fast paths —
+// dispatch, value ops, trace appends, bounds-checked loads and stores — live
+// entirely in the generated code (sim/NativeCodegen.cpp).
 //
 // Bit-exactness protocols (verified against ThreadedInterpreter::exec):
 //
@@ -45,8 +45,8 @@ namespace sim {
 /// Static shims matching the NativeContext function-pointer types; they
 /// bounce to the owning interpreter through ctx->Self.
 struct NativeHelpers {
-  static std::uint8_t *translate(NativeContext *C, std::uint64_t Addr) {
-    return C->Self->translateSlow(Addr);
+  static void outOfBounds(NativeContext *C, std::uint64_t Addr) {
+    C->Self->Mem.outOfBounds(Addr);
   }
 
   static void traceGrow(NativeContext *C, std::uint64_t Needed) {
@@ -67,8 +67,12 @@ NativeInterpreter::NativeInterpreter(const MachineConfig &Cfg, Memory &Mem,
                                      const CompiledProgram *Shared)
     : Cfg(Cfg), Mem(Mem), Load(L), Shared(Shared),
       Fallback(Cfg, Mem, L, Shared) {
+  const MemoryView View(Mem, L);
+  Ctx.MemBase = View.base();
+  Ctx.MemLo = View.lo();
+  Ctx.MemLimit = View.limit();
   Ctx.Self = this;
-  Ctx.Translate = &NativeHelpers::translate;
+  Ctx.OutOfBounds = &NativeHelpers::outOfBounds;
   Ctx.TraceGrow = &NativeHelpers::traceGrow;
   Ctx.Call = &NativeHelpers::call;
 }
@@ -98,20 +102,6 @@ NativeInterpreter::FnEntry NativeInterpreter::getFn(const Function &F) {
   LastFn = &F;
   LastEntry = E;
   return E;
-}
-
-std::uint8_t *NativeInterpreter::translateSlow(std::uint64_t Addr) {
-  const std::uint64_t Page = Addr >> Memory::PageBits;
-  auto It = PagePtrs.find(Page);
-  if (It == PagePtrs.end())
-    It = PagePtrs.emplace(Page, Mem.pageFor(Page)).first;
-  std::uint8_t *Base = It->second;
-  const std::uint64_t Tag = Addr & ~(Memory::PageSize - 1);
-  Ctx.LastPageTag = Tag;
-  Ctx.LastDelta = static_cast<std::int64_t>(reinterpret_cast<std::uintptr_t>(
-                      Base)) -
-                  static_cast<std::int64_t>(Tag);
-  return Base + (Addr & (Memory::PageSize - 1));
 }
 
 void NativeInterpreter::traceGrow(std::uint64_t Needed) {

@@ -12,12 +12,15 @@
 /// and return values — verified by tests/sim/BackendDifferentialTest.cpp
 /// across all three backends.
 ///
-/// NativeContext is the ABI between generated code (JIT stencils or emitted
-/// C) and the C++ runtime: a fixed-layout struct holding the current
-/// activation's register file, the register-resident counters, the inlined
-/// trace write cursor, the (page tag, pointer delta) translation cache, and
-/// the helper entry points generated code calls for the slow paths
-/// (translation miss, trace growth, calls). All fields are 8-byte scalars
+/// NativeContext is the ABI (version 3) between generated code (JIT stencils
+/// or emitted C) and the C++ runtime: a fixed-layout struct holding the
+/// current activation's register file, the register-resident counters, the
+/// inlined trace write cursor, the interpreter's memory bounds (arena base,
+/// first footprint address, valid-start count; see sim/Memory.h), and the
+/// helper entry points generated code calls for the slow paths (an access
+/// outside the footprint, trace growth, calls). The bounds are per
+/// interpreter and read at every entry, never baked into code: cached code
+/// outlives the Memory it first ran against. All fields are 8-byte scalars
 /// (Ret is two) at fixed offsets asserted below; the x86-64 emitter
 /// addresses them as [ctx + offset] and the C emitter re-declares the same
 /// layout in the generated source.
@@ -55,7 +58,9 @@ class NativeCode;
 /// Canonical-at-boundaries rule: generated code may cache any field in a
 /// host register between helper calls, but must write the cached values
 /// back before every helper call and read them back afterwards — helpers
-/// treat the struct as the single source of truth.
+/// treat the struct as the single source of truth. The memory bounds are
+/// the exception: they never change for an interpreter, so cached copies
+/// need neither.
 struct NativeContext {
   RuntimeValue *Frame = nullptr;    ///< Current activation's register file.
   std::uint64_t NInstr = 0;         ///< Shared order-independent counters...
@@ -68,16 +73,15 @@ struct NativeContext {
                                     ///< nativeCall).
   std::uint64_t *TracePtr = nullptr; ///< Next trace event write slot.
   std::uint64_t *TraceEnd = nullptr; ///< One past the reserved trace storage.
-  std::uint64_t LastPageTag = ~0ull; ///< Addr & ~(PageSize-1) of the cached
-                                     ///< page; ~0 = invalid.
-  std::int64_t LastDelta = 0;       ///< Host pointer minus simulated address
-                                    ///< for the cached page (host = addr +
-                                    ///< delta).
+  std::uint8_t *MemBase = nullptr;  ///< Host address of simulated address 0.
+  std::uint64_t MemLo = 0;          ///< An access at Addr is valid iff
+  std::uint64_t MemLimit = 0;       ///< Addr - MemLo < MemLimit (unsigned).
   RuntimeValue Ret;                 ///< Return-value slot (RetVal opcode).
   std::uint64_t RetValid = 0;       ///< 1 iff the activation ended in RetVal.
   NativeInterpreter *Self = nullptr;
   // Helper entry points, called by generated code as fn(ctx, args...).
-  std::uint8_t *(*Translate)(NativeContext *, std::uint64_t Addr) = nullptr;
+  /// Reports an access outside the footprint and aborts; never returns.
+  void (*OutOfBounds)(NativeContext *, std::uint64_t Addr) = nullptr;
   void (*TraceGrow)(NativeContext *, std::uint64_t Needed) = nullptr;
   void (*Call)(NativeContext *, const bc::CallDesc *D,
                std::uint32_t DstReg) = nullptr;
@@ -94,14 +98,15 @@ static_assert(offsetof(NativeContext, NPrefetches) == 32, "ABI layout");
 static_assert(offsetof(NativeContext, Cycles) == 40, "ABI layout");
 static_assert(offsetof(NativeContext, TracePtr) == 48, "ABI layout");
 static_assert(offsetof(NativeContext, TraceEnd) == 56, "ABI layout");
-static_assert(offsetof(NativeContext, LastPageTag) == 64, "ABI layout");
-static_assert(offsetof(NativeContext, LastDelta) == 72, "ABI layout");
-static_assert(offsetof(NativeContext, Ret) == 80, "ABI layout");
-static_assert(offsetof(NativeContext, RetValid) == 96, "ABI layout");
-static_assert(offsetof(NativeContext, Self) == 104, "ABI layout");
-static_assert(offsetof(NativeContext, Translate) == 112, "ABI layout");
-static_assert(offsetof(NativeContext, TraceGrow) == 120, "ABI layout");
-static_assert(offsetof(NativeContext, Call) == 128, "ABI layout");
+static_assert(offsetof(NativeContext, MemBase) == 64, "ABI layout");
+static_assert(offsetof(NativeContext, MemLo) == 72, "ABI layout");
+static_assert(offsetof(NativeContext, MemLimit) == 80, "ABI layout");
+static_assert(offsetof(NativeContext, Ret) == 88, "ABI layout");
+static_assert(offsetof(NativeContext, RetValid) == 104, "ABI layout");
+static_assert(offsetof(NativeContext, Self) == 112, "ABI layout");
+static_assert(offsetof(NativeContext, OutOfBounds) == 120, "ABI layout");
+static_assert(offsetof(NativeContext, TraceGrow) == 128, "ABI layout");
+static_assert(offsetof(NativeContext, Call) == 136, "ABI layout");
 
 } // namespace native
 
@@ -143,7 +148,6 @@ private:
   /// backend's Call handler.
   void nativeCall(const bc::CallDesc &D, std::uint32_t DstReg);
 
-  std::uint8_t *translateSlow(std::uint64_t Addr);
   void traceGrow(std::uint64_t Needed);
 
   native::NativeContext Ctx;
@@ -152,17 +156,13 @@ private:
   std::vector<RuntimeValue> Arena;
   std::size_t FrameTop = 0;
 
-  /// Page-pointer cache backing the translation helper (pointers are stable
-  /// for the Memory's lifetime; see sim/Memory.h).
-  std::unordered_map<std::uint64_t, std::uint8_t *> PagePtrs;
-
   /// One-entry memo in front of the Shared/local lookups (tasks run the same
   /// function back to back).
   const ir::Function *LastFn = nullptr;
   FnEntry LastEntry;
 
   const MachineConfig &Cfg;
-  Memory &Mem;
+  const Memory &Mem; ///< Reports accesses outside the footprint.
   const Loader &Load;
   const CompiledProgram *Shared;
   /// Executes functions without native code; also the source of bytecode

@@ -40,7 +40,7 @@ using namespace dae::sim;
 ThreadedInterpreter::ThreadedInterpreter(const MachineConfig &Cfg, Memory &Mem,
                                          const Loader &L,
                                          const CompiledProgram *Shared)
-    : Cfg(Cfg), View(Mem), Load(L), Shared(Shared) {}
+    : Cfg(Cfg), View(Mem, L), Load(L), Shared(Shared) {}
 
 const bc::BytecodeFunction &
 ThreadedInterpreter::getBytecode(const Function &F) {
