@@ -6,11 +6,11 @@
 ///
 /// \file
 /// Small shared helpers for the table/figure regeneration binaries: scale
-/// and host-thread selection via argv/env, consistent row printing, and
-/// host wall-clock throughput reporting into BENCH_<name>.json (simulated
-/// instructions per second — the metric that shows the --sim-threads
-/// speedup on multi-core hosts, since simulated results are bit-identical
-/// by construction).
+/// and job-count selection via argv/env, consistent row printing, and host
+/// wall-clock throughput reporting into BENCH_<name>.json (simulated
+/// instructions per second — the metric that shows the --jobs speedup on
+/// multi-core hosts, since simulated results are bit-identical by
+/// construction).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,28 +71,13 @@ inline workloads::Scale scaleFromArgs(int Argc, char **Argv) {
              : workloads::Scale::Full;
 }
 
-/// Host worker threads for the simulation engine: `--sim-threads=N` (or
-/// DAECC_SIM_THREADS=N). Defaults to 1, the sequential reference; any value
-/// produces bit-identical simulated results.
-inline unsigned simThreadsFromArgs(int Argc, char **Argv) {
+/// Concurrent suite jobs for harness::runSuite: `--jobs=N` (or
+/// DAECC_JOBS=N). Defaults to 1, the sequential reference; any value
+/// produces bit-identical simulated results (see harness/JobPool.h).
+inline unsigned jobsFromArgs(int Argc, char **Argv) {
   // Repeated flags deterministically last-win (matching BenchOptions::parse),
   // so a sweep script appending overrides to a base command behaves as
   // expected instead of silently keeping the first value.
-  const char *Last = nullptr;
-  for (int I = 1; I < Argc; ++I)
-    if (std::strncmp(Argv[I], "--sim-threads=", 14) == 0)
-      Last = Argv[I] + 14;
-  if (Last)
-    return parseUnsignedFlag("--sim-threads", Last);
-  return support::envUnsignedOr("DAECC_SIM_THREADS", 1u);
-}
-
-/// Concurrent suite jobs for harness::runSuite: `--jobs=N` (or
-/// DAECC_JOBS=N). Defaults to 1, the sequential reference; any value
-/// produces bit-identical simulated results (see harness/JobPool.h for how
-/// jobs and sim threads share the host budget).
-inline unsigned jobsFromArgs(int Argc, char **Argv) {
-  // Last occurrence wins (see simThreadsFromArgs).
   const char *Last = nullptr;
   for (int I = 1; I < Argc; ++I)
     if (std::strncmp(Argv[I], "--jobs=", 7) == 0)
@@ -111,7 +96,7 @@ inline unsigned jobsFromArgs(int Argc, char **Argv) {
 /// hard error (exit 2), never a silent fall-back — a sweep that thinks it
 /// measured one backend but ran another would produce wrong conclusions.
 inline sim::SimBackend backendFromArgs(int Argc, char **Argv) {
-  // Last occurrence wins (see simThreadsFromArgs); every occurrence is still
+  // Last occurrence wins (see jobsFromArgs); every occurrence is still
   // validated so a typo can't hide behind a later correct repeat.
   bool HaveFlag = false;
   sim::SimBackend Chosen = sim::SimBackend::Switch;
@@ -129,19 +114,6 @@ inline sim::SimBackend backendFromArgs(int Argc, char **Argv) {
       HaveFlag = true;
     }
   return HaveFlag ? Chosen : sim::defaultSimBackend();
-}
-
-/// Pipelined wave simulation switch: on by default; `--no-replay-overlap`
-/// (or DAECC_REPLAY_OVERLAP=0) keeps the timing replay inline with the
-/// functional pass instead of overlapping it with the next wave. Either
-/// setting produces bit-identical simulated results (see
-/// MachineConfig::ReplayOverlap); the flag only exists to measure the
-/// overlap's host-side win and to simplify debugging.
-inline bool replayOverlapFromArgs(int Argc, char **Argv) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], "--no-replay-overlap") == 0)
-      return false;
-  return support::envBool01Or("DAECC_REPLAY_OVERLAP", true);
 }
 
 /// Compilation-pipeline switches shared by the drivers: `--verify-each` and
@@ -195,14 +167,11 @@ inline bool daeProfileGuidedFromArgs(int Argc, char **Argv) {
 /// must not silently run the suite without the check it asked for.
 struct BenchOptions {
   workloads::Scale Scale = workloads::Scale::Full;
-  unsigned SimThreads = 1;
   unsigned Jobs = 1;
   sim::SimBackend Backend = sim::defaultSimBackend();
-  bool ReplayOverlap = true;
   bool PassStats = false;
   bool DaeVerify = false;
   bool DaeProfileGuided = false;
-  bool NoBaseline = false;
   /// --cores=N: simulated core count (0 keeps the machine default). The
   /// contention driver also uses it to bound the co-run sweep.
   unsigned Cores = 0;
@@ -220,18 +189,14 @@ struct BenchOptions {
   static BenchOptions parse(int Argc, char **Argv) {
     BenchOptions O;
     O.Scale = scaleFromArgs(Argc, Argv);
-    O.SimThreads = simThreadsFromArgs(Argc, Argv);
     O.Jobs = jobsFromArgs(Argc, Argv);
     O.Backend = backendFromArgs(Argc, Argv);
-    O.ReplayOverlap = replayOverlapFromArgs(Argc, Argv);
     O.PassStats = pipelineFlagsFromArgs(Argc, Argv);
     O.DaeVerify = daeVerifyFromArgs(Argc, Argv);
     O.DaeProfileGuided = daeProfileGuidedFromArgs(Argc, Argv);
     for (int I = 1; I < Argc; ++I) {
       const char *A = Argv[I];
-      if (std::strcmp(A, "--no-baseline") == 0) {
-        O.NoBaseline = true;
-      } else if (std::strncmp(A, "--cores=", 8) == 0) {
+      if (std::strncmp(A, "--cores=", 8) == 0) {
         O.Cores = parseUnsignedFlag("--cores", A + 8);
       } else if (std::strncmp(A, "--big-little=", 13) == 0) {
         const char *V = A + 13;
@@ -299,8 +264,6 @@ struct BenchOptions {
   /// Applies the machine-shaping options to a fresh MachineConfig.
   sim::MachineConfig machineConfig() const {
     sim::MachineConfig Cfg;
-    Cfg.SimThreads = SimThreads;
-    Cfg.ReplayOverlap = ReplayOverlap;
     Cfg.Backend = Backend;
     if (BigCores + LittleCores > 0)
       Cfg.makeBigLittle(BigCores, LittleCores);
@@ -309,19 +272,15 @@ struct BenchOptions {
     return Cfg;
   }
 
-  /// Whether the driver should measure the sequential --jobs=1 reference.
-  bool measureBaseline() const { return Jobs > 1 && !NoBaseline; }
-
 private:
   /// Flags the *FromArgs helpers above interpret (and validate).
   static bool parsedByHelper(const char *A) {
     for (const char *Flag :
-         {"--test-scale", "--no-replay-overlap", "--verify-each",
-          "--print-after-all", "--pass-stats", "--dae-verify",
-          "--dae-profile-guided"})
+         {"--test-scale", "--verify-each", "--print-after-all", "--pass-stats",
+          "--dae-verify", "--dae-profile-guided"})
       if (std::strcmp(A, Flag) == 0)
         return true;
-    for (const char *Prefix : {"--sim-threads=", "--jobs=", "--sim-backend="})
+    for (const char *Prefix : {"--jobs=", "--sim-backend="})
       if (std::strncmp(A, Prefix, std::strlen(Prefix)) == 0)
         return true;
     return false;
@@ -351,15 +310,9 @@ inline std::uint64_t simInstructions(const runtime::RunProfile &P) {
 /// BENCH_<name>.json schema — one flat JSON object per bench run:
 ///   bench                     string  bench name (matches the file name)
 ///   jobs                      int     concurrent suite jobs (--jobs)
-///   sim_threads               int     requested sim threads per job
 ///   wall_seconds              double  simulation-section wall clock
 ///   sim_instructions          int     simulated instructions retired
 ///   sim_instructions_per_sec  double  sim_instructions / wall_seconds
-///   baseline_jobs1_seconds    double  wall clock of the sequential
-///                                     --jobs=1 reference run; -1 when the
-///                                     baseline was not measured
-///   speedup_vs_jobs1          double  baseline_jobs1_seconds /
-///                                     wall_seconds; -1 when not measured
 ///   pass_stats                object  compilation-pipeline instrumentation
 ///                                     (pm::PipelineStats): per-pass runs /
 ///                                     changed / wall_seconds and
@@ -403,7 +356,8 @@ inline std::uint64_t simInstructions(const runtime::RunProfile &P) {
 ///                                         DAECC_SIM_BACKEND)
 ///                                       functional_wall_seconds  double  host
 ///                                         wall clock spent inside the
-///                                         functional pass, summed over runs
+///                                         functional pass, summed over tasks
+///                                         and runs
 ///                                         (RunProfile::FunctionalSeconds)
 ///                                       functional_instr_per_sec double
 ///                                         sim_instructions /
@@ -418,20 +372,6 @@ inline std::uint64_t simInstructions(const runtime::RunProfile &P) {
 ///                                         trace's recorded bytes across the
 ///                                         run (sizing evidence for the
 ///                                         reserve-doubling growth policy)
-///   replay_overlap            object  pipelined wave simulation telemetry:
-///                                       enabled                  bool    the
-///                                         run's effective setting
-///                                         (--no-replay-overlap /
-///                                         DAECC_REPLAY_OVERLAP)
-///                                       wall_seconds             double  same
-///                                         as the top-level wall_seconds
-///                                       no_overlap_wall_seconds  double  wall
-///                                         clock of a separately measured
-///                                         --no-replay-overlap run of the
-///                                         same suite; -1 when not measured
-///                                       speedup                  double
-///                                         no_overlap_wall_seconds /
-///                                         wall_seconds; -1 when not measured
 ///   contention                array   multi-core co-run sweep entries
 ///                                     (bench/fig_contention.cpp), one object
 ///                                     per way count: ways, mix (comma-joined
@@ -463,9 +403,8 @@ inline std::uint64_t simInstructions(const runtime::RunProfile &P) {
 /// publications never race on the counters or the temp file.
 class ThroughputReporter {
 public:
-  ThroughputReporter(std::string BenchName, unsigned SimThreads,
-                     unsigned Jobs = 1)
-      : Name(std::move(BenchName)), SimThreads(SimThreads), Jobs(Jobs) {}
+  explicit ThroughputReporter(std::string BenchName, unsigned Jobs = 1)
+      : Name(std::move(BenchName)), Jobs(Jobs) {}
 
   void start() {
     std::lock_guard<std::mutex> Lock(Mu);
@@ -488,30 +427,11 @@ public:
     std::lock_guard<std::mutex> Lock(Mu);
     ++Failures;
   }
-  /// Wall clock of a separately measured sequential (--jobs=1) run of the
-  /// same suite, enabling the speedup_vs_jobs1 field.
-  void setBaseline(double Jobs1Seconds) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    BaselineSeconds = Jobs1Seconds;
-  }
-
-  /// Records the run's effective replay-overlap setting for the
-  /// replay_overlap JSON block.
-  void setReplayOverlap(bool Enabled) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ReplayOverlap = Enabled;
-  }
   /// Records the run's functional execution backend for the interp JSON
   /// block.
   void setBackend(sim::SimBackend B) {
     std::lock_guard<std::mutex> Lock(Mu);
     Backend = B;
-  }
-  /// Wall clock of a separately measured --no-replay-overlap run of the same
-  /// suite, enabling the replay_overlap speedup field.
-  void setNoOverlapBaseline(double NoOverlapSecs) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    NoOverlapSeconds = NoOverlapSecs;
   }
 
   /// Records one (app, scheme) oracle verdict for the dae_verify JSON block
@@ -650,21 +570,16 @@ public:
     double Ips = Seconds > 0.0 ? static_cast<double>(Instructions) / Seconds
                                : 0.0;
     std::printf("\n[throughput] %s: %llu simulated instructions in %.3f s "
-                "(%.2f M inst/s, %u job%s x %u sim thread%s)\n",
+                "(%.2f M inst/s, %u job%s)\n",
                 Name.c_str(),
                 static_cast<unsigned long long>(Instructions), Seconds,
-                Ips / 1e6, Jobs, Jobs == 1 ? "" : "s", SimThreads,
-                SimThreads == 1 ? "" : "s");
+                Ips / 1e6, Jobs, Jobs == 1 ? "" : "s");
     if (FunctionalSeconds > 0.0)
       std::printf("[interp] %s: backend %s, functional pass %.3f s "
                   "(%.2f M inst/s)\n",
                   Name.c_str(), sim::simBackendName(Backend),
                   FunctionalSeconds,
                   static_cast<double>(Instructions) / FunctionalSeconds / 1e6);
-    if (BaselineSeconds > 0.0)
-      std::printf("[throughput] %s: --jobs=1 baseline %.3f s -> speedup "
-                  "%.2fx\n",
-                  Name.c_str(), BaselineSeconds, BaselineSeconds / Seconds);
     writeJson(Failures == 0 ? "ok" : "partial");
   }
 
@@ -678,12 +593,6 @@ private:
     double Seconds = secondsLocked();
     double Ips = Seconds > 0.0 ? static_cast<double>(Instructions) / Seconds
                                : 0.0;
-    double Speedup =
-        BaselineSeconds > 0.0 && Seconds > 0.0 ? BaselineSeconds / Seconds
-                                               : -1.0;
-    double OverlapSpeedup =
-        NoOverlapSeconds > 0.0 && Seconds > 0.0 ? NoOverlapSeconds / Seconds
-                                                : -1.0;
     double FunctionalIps =
         FunctionalSeconds > 0.0
             ? static_cast<double>(Instructions) / FunctionalSeconds
@@ -718,12 +627,9 @@ private:
                    "{\n"
                    "  \"bench\": \"%s\",\n"
                    "  \"jobs\": %u,\n"
-                   "  \"sim_threads\": %u,\n"
                    "  \"wall_seconds\": %.6f,\n"
                    "  \"sim_instructions\": %llu,\n"
                    "  \"sim_instructions_per_sec\": %.1f,\n"
-                   "  \"baseline_jobs1_seconds\": %.6f,\n"
-                   "  \"speedup_vs_jobs1\": %.3f,\n"
                    "  \"pass_stats\": %s,\n"
                    "  \"dae_verify\": %s,\n"
                    "  \"dae_pg\": %s,\n"
@@ -732,24 +638,18 @@ private:
                    "\"functional_instr_per_sec\": %.1f, "
                    "\"trace_retained_bytes\": %zu, "
                    "\"trace_peak_bytes\": %zu},\n"
-                   "  \"replay_overlap\": {\"enabled\": %s, "
-                   "\"wall_seconds\": %.6f, "
-                   "\"no_overlap_wall_seconds\": %.6f, \"speedup\": %.3f},\n"
                    "  \"contention\": %s,\n"
                    "  \"failures\": %u,\n"
                    "  \"status\": \"%s\"\n"
                    "}\n",
-                   Name.c_str(), Jobs, SimThreads, Seconds,
+                   Name.c_str(), Jobs, Seconds,
                    static_cast<unsigned long long>(Instructions), Ips,
-                   BaselineSeconds > 0.0 ? BaselineSeconds : -1.0, Speedup,
                    pm::PipelineStats::get().json().c_str(), DaeVerify.c_str(),
                    DaePg.c_str(),
                    sim::simBackendName(Backend), FunctionalSeconds,
                    FunctionalIps, sim::TracePool::global().retainedBytes(),
-                   sim::TracePool::global().peakBytes(),
-                   ReplayOverlap ? "true" : "false", Seconds,
-                   NoOverlapSeconds > 0.0 ? NoOverlapSeconds : -1.0,
-                   OverlapSpeedup, Contention.c_str(), Failures, Status);
+                   sim::TracePool::global().peakBytes(), Contention.c_str(),
+                   Failures, Status);
       std::fclose(F);
       std::rename(Tmp.c_str(), Path.c_str());
     }
@@ -758,13 +658,9 @@ private:
   /// Serializes the mutators and publications against each other.
   mutable std::mutex Mu;
   std::string Name;
-  unsigned SimThreads;
   unsigned Jobs;
   unsigned Failures = 0;
-  bool ReplayOverlap = true;
   sim::SimBackend Backend = sim::defaultSimBackend();
-  double BaselineSeconds = -1.0;
-  double NoOverlapSeconds = -1.0;
   double FunctionalSeconds = 0.0;
   std::uint64_t Instructions = 0;
   std::vector<std::string> DaeVerifyEntries;

@@ -40,7 +40,6 @@ int main(int Argc, char **Argv) {
   GenerationMemo Memo;
   SuiteConfig SC;
   SC.Jobs = Jobs;
-  SC.SimThreads = Cfg.SimThreads;
   SC.Memo = &Memo;
   std::vector<AppResult> Results = runSuite(Items, Cfg, SC);
 

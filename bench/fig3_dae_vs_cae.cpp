@@ -28,7 +28,6 @@
 #include "harness/Harness.h"
 #include "support/MathUtil.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -72,14 +71,11 @@ int main(int Argc, char **Argv) {
   const bool PassStats = Opts.PassStats;
   const bool DaeVerify = Opts.DaeVerify;
   const bool DaeProfileGuided = Opts.DaeProfileGuided;
-  const bool NoBaseline = Opts.NoBaseline;
-  const bool MeasureBaseline = Opts.measureBaseline();
 
   std::printf("Figure 3: DAE vs regular task execution "
               "(quad-core, 500 ns DVFS transitions)\n");
 
-  ThroughputReporter Throughput("fig3_dae_vs_cae", Cfg.SimThreads, Jobs);
-  Throughput.setReplayOverlap(Cfg.ReplayOverlap);
+  ThroughputReporter Throughput("fig3_dae_vs_cae", Jobs);
   Throughput.setBackend(Cfg.Backend);
   auto Workloads = workloads::buildAll(S);
   std::vector<SuiteItem> Items;
@@ -89,7 +85,6 @@ int main(int Argc, char **Argv) {
   GenerationMemo Memo;
   SuiteConfig SC;
   SC.Jobs = Jobs;
-  SC.SimThreads = Cfg.SimThreads;
   SC.Memo = &Memo;
   SC.DaeVerify = DaeVerify;
   SC.DaeProfileGuided = DaeProfileGuided;
@@ -109,49 +104,6 @@ int main(int Argc, char **Argv) {
     Throughput.addDaeVerify(R.Name, "manual", R.ManualVerify);
     Throughput.addDaeVerify(R.Name, "auto", R.AutoVerify);
     Throughput.addDaePg(R.Name, R.AutoPg);
-  }
-
-  // Sequential reference for the recorded speedup (skipped via
-  // --no-baseline; same sim-thread request, fresh workloads and memo).
-  if (MeasureBaseline) {
-    auto BaseWorkloads = workloads::buildAll(S);
-    std::vector<SuiteItem> BaseItems;
-    for (auto &W : BaseWorkloads)
-      BaseItems.push_back({W.get(), nullptr});
-    GenerationMemo BaseMemo;
-    SuiteConfig BaseSC;
-    BaseSC.Jobs = 1;
-    BaseSC.SimThreads = Cfg.SimThreads;
-    BaseSC.Memo = &BaseMemo;
-    auto T0 = std::chrono::steady_clock::now();
-    std::vector<AppResult> BaseResults = runSuite(BaseItems, Cfg, BaseSC);
-    auto T1 = std::chrono::steady_clock::now();
-    Throughput.setBaseline(std::chrono::duration<double>(T1 - T0).count());
-    (void)BaseResults;
-  }
-
-  // Overlap-off reference for the replay_overlap speedup field: same jobs
-  // and sim threads, pipelined replay disabled. Only meaningful when the
-  // main run overlapped (the gate needs SimThreads > 1); skipped together
-  // with the jobs baseline via --no-baseline.
-  if (Cfg.ReplayOverlap && Cfg.SimThreads > 1 && !NoBaseline) {
-    auto RefWorkloads = workloads::buildAll(S);
-    std::vector<SuiteItem> RefItems;
-    for (auto &W : RefWorkloads)
-      RefItems.push_back({W.get(), nullptr});
-    GenerationMemo RefMemo;
-    sim::MachineConfig RefCfg = Cfg;
-    RefCfg.ReplayOverlap = false;
-    SuiteConfig RefSC;
-    RefSC.Jobs = Jobs;
-    RefSC.SimThreads = Cfg.SimThreads;
-    RefSC.Memo = &RefMemo;
-    auto T0 = std::chrono::steady_clock::now();
-    std::vector<AppResult> RefResults = runSuite(RefItems, RefCfg, RefSC);
-    auto T1 = std::chrono::steady_clock::now();
-    Throughput.setNoOverlapBaseline(
-        std::chrono::duration<double>(T1 - T0).count());
-    (void)RefResults;
   }
 
   for (double Latency : {500.0, 0.0}) {

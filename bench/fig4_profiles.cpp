@@ -71,12 +71,10 @@ int main(int Argc, char **Argv) {
   GenerationMemo Memo;
   SuiteConfig SC;
   SC.Jobs = Jobs;
-  SC.SimThreads = Cfg.SimThreads;
   SC.Memo = &Memo;
   SC.DaeVerify = Opts.DaeVerify;
 
-  ThroughputReporter Throughput("fig4_profiles", Cfg.SimThreads, Jobs);
-  Throughput.setReplayOverlap(Cfg.ReplayOverlap);
+  ThroughputReporter Throughput("fig4_profiles", Jobs);
   Throughput.setBackend(Cfg.Backend);
   Throughput.start();
   std::vector<AppResult> Results = runSuite(Items, Cfg, SC);

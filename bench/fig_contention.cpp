@@ -84,8 +84,7 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(Cfg.LLC.SizeBytes / 1024),
               Cfg.DramBandwidthGBs, MixLabel.c_str());
 
-  ThroughputReporter Throughput("fig_contention", Cfg.SimThreads, Opts.Jobs);
-  Throughput.setReplayOverlap(Cfg.ReplayOverlap);
+  ThroughputReporter Throughput("fig_contention", Opts.Jobs);
   Throughput.setBackend(Cfg.Backend);
   GenerationMemo Memo;
 
@@ -115,7 +114,6 @@ int main(int Argc, char **Argv) {
 
     MixConfig MC;
     MC.Jobs = Opts.Jobs;
-    MC.SimThreads = Cfg.SimThreads;
     MC.Memo = &Memo;
     MC.DaeVerify = Opts.DaeVerify;
     MixResult R = runMix(Mix, Cfg, MC);
@@ -126,6 +124,8 @@ int main(int Argc, char **Argv) {
                     St.Name.c_str());
         Throughput.noteFailure();
       }
+      Throughput.add(St.CaeProfile);
+      Throughput.add(St.DaeProfile);
       if (MC.DaeVerify)
         Throughput.addDaeVerify(St.Name, "auto", St.Verify);
     }

@@ -333,11 +333,7 @@ AppResult harness::runApp(Workload &W, const MachineConfig &Cfg,
 std::vector<AppResult> harness::runSuite(const std::vector<SuiteItem> &Items,
                                          const MachineConfig &Cfg,
                                          const SuiteConfig &SC) {
-  unsigned Requested =
-      SC.SimThreads ? SC.SimThreads : std::max(1u, Cfg.SimThreads);
-  JobPool Pool(SC.Jobs, Requested);
-  MachineConfig JobCfg = Cfg;
-  JobCfg.SimThreads = Pool.simThreadsPerJob();
+  JobPool Pool(SC.Jobs);
 
   struct AppSlot {
     PreparedApp P;
@@ -352,20 +348,20 @@ std::vector<AppResult> harness::runSuite(const std::vector<SuiteItem> &Items,
   // jobs (private Memory per simulation; the Loader and the module are
   // shared read-only between them).
   for (size_t I = 0; I != Items.size(); ++I) {
-    Pool.submit([&Pool, &Slots, &Items, &JobCfg, &SC, I] {
+    Pool.submit([&Pool, &Slots, &Items, &Cfg, &SC, I] {
       AppSlot &S = Slots[I];
       S.P = prepareApp(*Items[I].W, Items[I].OptsOverride, SC.Memo,
-                       SC.DaeProfileGuided ? &JobCfg : nullptr);
+                       SC.DaeProfileGuided ? &Cfg : nullptr);
       for (int Sch = 0; Sch != 3; ++Sch)
-        Pool.submit([&S, &JobCfg, Sch] {
-          S.Profiles[Sch] = runScheme(*S.P.W, S.P.SchemeTasks[Sch], JobCfg,
+        Pool.submit([&S, &Cfg, Sch] {
+          S.Profiles[Sch] = runScheme(*S.P.W, S.P.SchemeTasks[Sch], Cfg,
                                       *S.P.L, S.Outputs[Sch]);
         });
       if (SC.DaeVerify)
         for (int D = 0; D != 2; ++D)
-          Pool.submit([&S, &JobCfg, D] {
+          Pool.submit([&S, &Cfg, D] {
             S.Verify[D] = verifyScheme(*S.P.W, S.P.SchemeTasks[D + 1],
-                                       JobCfg, *S.P.L);
+                                       Cfg, *S.P.L);
           });
     });
   }
@@ -388,15 +384,12 @@ MixResult harness::runMix(const std::vector<Workload *> &Mix,
   if (Mix.empty() || Mix.size() > Cfg.NumCores)
     throw std::invalid_argument("mix size must be in [1, NumCores]");
 
-  unsigned Requested =
-      MC.SimThreads ? MC.SimThreads : std::max(1u, Cfg.SimThreads);
-  JobPool Pool(MC.Jobs, Requested);
+  JobPool Pool(MC.Jobs);
   // Solo runs are single-core: each stream is one program pinned to one
   // timeline core, so its tasks execute sequentially and its retained traces
   // are already in that core's execution order.
   MachineConfig SoloCfg = Cfg;
   SoloCfg.NumCores = 1;
-  SoloCfg.SimThreads = Pool.simThreadsPerJob();
 
   struct StreamSlot {
     PreparedApp P;
@@ -461,6 +454,10 @@ MixResult harness::runMix(const std::vector<Workload *> &Mix,
   R.CaeConservative = Price(CaeStreams, runtime::TimelinePolicy::Conservative);
   R.DaeMinMax = Price(DaeStreams, runtime::TimelinePolicy::DaeMinMax);
   R.DaeOracle = Price(DaeStreams, runtime::TimelinePolicy::OracleEdp);
+  for (size_t I = 0; I != Mix.size(); ++I) {
+    R.Streams[I].CaeProfile = std::move(Slots[I].CaeProfile);
+    R.Streams[I].DaeProfile = std::move(Slots[I].DaeProfile);
+  }
   return R;
 }
 

@@ -148,9 +148,6 @@ struct SuiteItem {
 struct SuiteConfig {
   /// Concurrent jobs (--jobs / DAECC_JOBS). 1 = sequential reference.
   unsigned Jobs = 1;
-  /// Requested sim threads per job; the JobPool clamps the effective value
-  /// so Jobs x threads never oversubscribes the host (see JobPool.h).
-  unsigned SimThreads = 1;
   /// Shared generation memo; null disables memoization.
   GenerationMemo *Memo = nullptr;
   /// Run the DAE correctness oracle per (app, DAE scheme): static
@@ -174,7 +171,7 @@ struct SuiteConfig {
 /// simulations as further jobs, every simulation with a private Memory,
 /// Loader and TaskRuntime. Results are returned in item order regardless of
 /// completion order and are bit-identical to a sequential runApp loop for
-/// every (Jobs, SimThreads) combination.
+/// every Jobs value.
 std::vector<AppResult> runSuite(const std::vector<SuiteItem> &Items,
                                 const sim::MachineConfig &Cfg,
                                 const SuiteConfig &SC);
@@ -188,6 +185,9 @@ struct MixStreamResult {
   /// Per-stream correctness oracle (under MixConfig::DaeVerify): the
   /// differential checker runs once per core's workload.
   DaeVerifyResult Verify;
+  /// The stream's solo CAE and Auto DAE run profiles (NumCores=1), moved
+  /// here once the timeline has priced every policy.
+  runtime::RunProfile CaeProfile, DaeProfile;
 };
 
 /// A co-scheduled workload mix priced on the contention timeline under the
@@ -206,7 +206,6 @@ struct MixResult {
 /// Mix execution parameters (see SuiteConfig for the shared fields).
 struct MixConfig {
   unsigned Jobs = 1;
-  unsigned SimThreads = 1;
   GenerationMemo *Memo = nullptr;
   /// Run the differential checker per stream (per core's workload).
   bool DaeVerify = false;
@@ -220,7 +219,7 @@ struct MixConfig {
 /// JobPool with retained traces (NumCores=1, so per-stream profiles are
 /// sequential), then the retained traces are interleaved on the shared-LLC /
 /// bandwidth-throttled timeline once per policy. Results are bit-identical
-/// for every (Jobs, SimThreads) combination (MultiCoreDeterminismTest).
+/// for every Jobs value (MultiCoreDeterminismTest).
 MixResult runMix(const std::vector<workloads::Workload *> &Mix,
                  const sim::MachineConfig &Cfg, const MixConfig &MC);
 

@@ -5,14 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Host-thread pool for suite-level parallelism: the experiment drivers
-/// submit independent simulation jobs (one per app preparation or per-scheme
-/// run) and the pool executes them on `--jobs=N` worker threads. The pool
-/// owns the global concurrency budget: with N jobs each running a simulation
-/// whose functional pass wants M host threads (PR 1's `--sim-threads`), it
-/// clamps the per-job sim-thread allowance so N x M never oversubscribes the
-/// host. Jobs may submit further jobs (an app job fans out its three scheme
-/// runs).
+/// Host-thread pool for suite-level parallelism, the engine's one
+/// parallelism axis: the experiment drivers submit independent simulation
+/// jobs (one per app preparation or per-scheme run) and the pool executes
+/// them on `--jobs=N` worker threads. Each simulation itself runs on the one
+/// thread that picked its job. Jobs may submit further jobs (an app job fans
+/// out its three scheme runs).
 ///
 /// With Jobs == 1 the pool spawns no threads at all: wait() drains the queue
 /// inline in FIFO order, which is exactly the sequential reference the
@@ -33,20 +31,15 @@
 namespace dae {
 namespace harness {
 
-/// Fixed-width pool of suite jobs with a shared sim-thread budget.
+/// Fixed-width pool of suite jobs.
 class JobPool {
 public:
-  /// \p Jobs concurrent jobs, each wanting \p SimThreadsPerJob functional
-  /// threads. The effective per-job allowance is clamped so that
-  /// Jobs * simThreadsPerJob() stays within the host budget (see
-  /// hostThreadBudget()); with Jobs == 1 the request passes through.
-  JobPool(unsigned Jobs, unsigned SimThreadsPerJob);
+  /// \p Jobs concurrent jobs (0 is treated as 1).
+  explicit JobPool(unsigned Jobs);
   ~JobPool();
   JobPool(const JobPool &) = delete;
   JobPool &operator=(const JobPool &) = delete;
 
-  /// Sim threads each job's TaskRuntime should use.
-  unsigned simThreadsPerJob() const { return SimThreads; }
   unsigned jobs() const { return NumJobs; }
 
   /// Enqueues a job. Safe to call from inside a running job.
@@ -56,26 +49,10 @@ public:
   /// this is where the queue is drained (inline, FIFO).
   void wait();
 
-  /// Host threads available to the whole suite: DAECC_HOST_THREADS when set,
-  /// otherwise std::thread::hardware_concurrency() — which the standard
-  /// allows to return 0 ("not computable"); that is mapped to 1 here so no
-  /// caller ever sees a zero budget.
-  static unsigned hostThreadBudget();
-
-  /// Pure clamp behind simThreadsPerJob(): the sim threads each of \p Jobs
-  /// concurrent jobs gets from \p HostBudget, given a request of
-  /// \p SimThreadsPerJob. Total never exceeds max(Jobs, HostBudget); every
-  /// job always gets at least one thread — including on exotic hosts where
-  /// the reported budget is 0, which can neither divide by zero nor clamp
-  /// the allowance to 0 (the latent hardware_concurrency()==0 bug).
-  static unsigned effectiveSimThreads(unsigned Jobs, unsigned SimThreadsPerJob,
-                                      unsigned HostBudget);
-
 private:
   void workerLoop();
 
   unsigned NumJobs;
-  unsigned SimThreads;
   std::mutex Mutex;
   std::condition_variable WorkAvailable;
   std::condition_variable AllIdle;

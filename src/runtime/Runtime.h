@@ -11,15 +11,11 @@
 /// runs once per scheme; the frequency dimension is priced analytically from
 /// the collected profiles (see sim/PhaseStats.h).
 ///
-/// The engine itself is host-parallel: each wave's functional execution fans
-/// out over MachineConfig::SimThreads worker threads, while cache timing is
-/// replayed single-threaded in schedule order from recorded access traces,
-/// so RunProfiles are bit-identical for every thread count. With
-/// MachineConfig::ReplayOverlap (the default), the two passes pipeline:
-/// wave N replays on a dedicated thread while wave N+1 executes
-/// functionally — the replay thread owns all timing state and consumes
-/// waves strictly in order, so results are unchanged (see DESIGN.md,
-/// "Host-parallel simulation" and "Pipelined replay").
+/// The engine runs on the calling thread, task by task in schedule order:
+/// each task's phases execute functionally into access traces, which are
+/// replayed through the run's private cache hierarchy before the next task
+/// is picked (see DESIGN.md, "Simulation engine"). Host parallelism comes
+/// from running independent simulations concurrently (harness::JobPool).
 ///
 //===----------------------------------------------------------------------===//
 

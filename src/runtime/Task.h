@@ -57,9 +57,9 @@ struct RunProfile {
   double PerTaskOverheadCycles = 250.0;
 
   /// Host wall-clock seconds spent in the functional (value-producing) pass
-  /// of this run — pure telemetry for backend throughput reporting (the
-  /// `interp` block in bench JSON); not a simulated quantity, and excluded
-  /// from determinism comparisons.
+  /// of this run, summed over its tasks' interpreter calls — pure telemetry
+  /// for backend throughput reporting (the `interp` block in bench JSON);
+  /// not a simulated quantity, and excluded from determinism comparisons.
   double FunctionalSeconds = 0.0;
 
   /// Sum of a statistic across tasks.

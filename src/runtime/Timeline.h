@@ -10,8 +10,8 @@
 /// order through a *shared* LLC and a bandwidth-throttled DRAM channel.
 /// This is where cross-workload contention — LLC capacity pressure and
 /// memory-bandwidth queuing — enters the model; the single-workload engine
-/// (runtime/ReplayEngine.h) replays each run against a private hierarchy
-/// and never sees a co-runner.
+/// (runtime/Runtime.h) replays each run against a private hierarchy and
+/// never sees a co-runner.
 ///
 /// Inputs are solo-run artifacts: each stream's RunProfile (NumCores=1
 /// replay, post-replay per-phase stats — what an offline profiler would
@@ -35,11 +35,10 @@
 /// (clock, index) commits that event's shared half and runs on. Private
 /// halves commute with other cores' events and clocks never decrease, so
 /// shared events commit in exactly the per-event order (DESIGN.md section
-/// 12.3). Co-run reports are bit-identical for any host (jobs, sim-threads,
-/// overlap) combination — solo artifacts are already bit-identical by the
-/// engine's determinism guarantee, and nothing here depends on host order
-/// (asserted by MultiCoreDeterminismTest, which also pins the reports to
-/// goldens).
+/// 12.2). Co-run reports are bit-identical for any --jobs value — solo
+/// artifacts are already bit-identical by the engine's determinism
+/// guarantee, and nothing here depends on host order (asserted by
+/// MultiCoreDeterminismTest, which also pins the reports to goldens).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -8,10 +8,11 @@
 /// The ordered stream of memory accesses one phase performed, recorded by the
 /// interpreter's tracing mode and replayed through the cache hierarchy by the
 /// runtime's timing pass. Cache hit/miss outcomes never influence computed
-/// values, only timing statistics — so functional execution (which produces
-/// the trace) can run on any host thread while the cache model consumes the
-/// traces later, sequentially and in schedule order, yielding hit/miss
-/// accounting that is bit-identical for any host thread count.
+/// values, only timing statistics — so each phase runs functionally first
+/// and the cache model consumes its trace afterwards, in schedule order
+/// (runtime/Replay.h). The three execution backends only append events; one
+/// replay loop charges all cache timing, and the same trace can be retained
+/// for a co-run timeline or scanned by the correctness oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,16 +30,15 @@
 namespace dae {
 namespace sim {
 
-/// Free-list of trace storage buffers, shared across tasks, waves and
-/// concurrently running simulations. Traces are bulky and short-lived (one
-/// wave each); recycling their grown capacity removes the per-wave
-/// allocation churn that shows up once suite jobs run concurrently. Purely
-/// a storage cache: trace *contents* never cross users, so simulated
-/// results are unaffected.
+/// Free-list of trace storage buffers, shared across tasks and concurrently
+/// running simulations. Traces are bulky and short-lived (one task phase
+/// each); recycling their grown capacity removes the per-task allocation
+/// churn. Purely a storage cache: trace *contents* never cross users, so
+/// simulated results are unaffected.
 ///
 /// Retention is bounded three ways: at most MaxPooled buffers, at most
-/// MaxBufferBytes of capacity per buffer (one huge-wave trace must not pin
-/// its worst-case footprint forever), and at most MaxTotalBytes of capacity
+/// MaxBufferBytes of capacity per buffer (one huge trace must not pin its
+/// worst-case footprint forever), and at most MaxTotalBytes of capacity
 /// across the whole free-list. Buffers over either byte cap are simply
 /// freed on recycle.
 class TracePool {
@@ -97,8 +97,8 @@ public:
   /// Takes \p Buf back (cleared, capacity kept) unless pooling it would
   /// break a cap, in which case the storage is simply freed. The buffer's
   /// recorded length (before clearing) feeds the sizing hint the next
-  /// acquirer pre-reserves against — wave N's trace length is the best
-  /// available predictor for wave N+1's.
+  /// acquirer pre-reserves against — the last trace's length is the best
+  /// available predictor for the next one's.
   void recycle(std::vector<std::uint64_t> Buf) {
     const std::size_t Events = Buf.size();
     const std::size_t UsedBytes = Events * sizeof(std::uint64_t);
@@ -129,7 +129,7 @@ public:
 
   /// Event count of the last non-empty recycled trace: the reserve hint
   /// AccessTrace::acquireFrom applies so hot-loop push never reallocates
-  /// mid-trace in the steady state (waves resemble their predecessors).
+  /// mid-trace in the steady state (tasks resemble their predecessors).
   std::size_t suggestedEvents() const {
     std::lock_guard<std::mutex> Lock(Mutex);
     return LastEvents;
@@ -198,7 +198,7 @@ public:
   void release() { std::vector<std::uint64_t>().swap(Events); }
 
   /// Adopts pooled storage from \p Pool before recording begins and
-  /// pre-reserves the pool's sizing hint (the previous wave's trace length),
+  /// pre-reserves the pool's sizing hint (the last recycled trace's length),
   /// so steady-state recording never grows mid-trace.
   void acquireFrom(TracePool &Pool) {
     Events = Pool.acquire();

@@ -36,7 +36,7 @@
 ///
 /// Lowering happens once, single-threaded (CompiledProgram::add or a
 /// ThreadedInterpreter's lazy cache); BytecodeFunction is immutable
-/// afterwards and safe to share read-only across sim worker threads.
+/// afterwards and safe to share read-only across threads.
 ///
 //===----------------------------------------------------------------------===//
 

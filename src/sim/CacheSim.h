@@ -12,11 +12,11 @@
 /// An access is a private half (L1, L2) and, on an L2 miss, a shared half
 /// (LLC, next-line prefetch); see CacheHierarchy.
 ///
-/// The hierarchy is only ever advanced by the runtime's single-threaded
-/// timing replay (see AccessTrace.h) so hit/miss outcomes stay deterministic;
-/// each Cache is nonetheless cache-line aligned and stored by value so the
-/// per-core mutable state (the LRU Tick in particular) of different simulated
-/// cores never shares a host cache line.
+/// The hierarchy is only ever advanced by the runtime's timing replay, in
+/// schedule order (see AccessTrace.h), so hit/miss outcomes stay
+/// deterministic; each Cache is nonetheless cache-line aligned and stored by
+/// value so the per-core mutable state (the LRU Tick in particular) of
+/// different simulated cores never shares a host cache line.
 ///
 /// The tag store is struct-of-arrays (tags and LRU stamps in separate dense
 /// vectors) and access() is inline with a same-line-as-last-access short

@@ -7,9 +7,8 @@
 /// \file
 /// Executes Task IR functionally against the simulated memory, producing the
 /// cache-independent half of the PhaseStats profile plus the ordered memory
-/// access stream (AccessTrace). Cache timing is filled in later by the
-/// runtime's single-threaded replay in schedule order (runtime/Replay.h),
-/// which keeps profiles bit-identical for any host thread count.
+/// access stream (AccessTrace). Cache timing is filled in afterwards by the
+/// runtime's trace replay in schedule order (runtime/Replay.h).
 /// Interpreter is the single entry point for the three execution backends
 /// (MachineConfig::Backend):
 ///
@@ -28,9 +27,9 @@
 ///    fall back to the threaded interpreter per function. Same bit-identical
 ///    contract as the threaded backend.
 ///
-/// Compiled/lowered functions can be shared read-only between concurrently
-/// running interpreters via CompiledProgram, pre-populated before execution
-/// starts; it carries every backend's form.
+/// Compiled/lowered functions are built before execution starts into a
+/// CompiledProgram, which carries every backend's form and is read-only
+/// from then on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,12 +87,12 @@ class NativeCode;
 } // namespace native
 
 /// A read-only set of compiled functions, built once before execution so
-/// worker threads never mutate shared compiler state. Populate with add()
-/// (single-threaded), then share freely: lookup() is const and safe to call
-/// concurrently. Under SimBackend::Threaded and SimBackend::Native each
-/// function is additionally lowered to bytecode (lookupBytecode); under
-/// Native the bytecode is further compiled to native code (lookupNative),
-/// null per function when the lowerer rejected it.
+/// compilation stays outside the functional pass and its timer. Populate
+/// with add(), then share: lookup() is const and safe to call concurrently.
+/// Under SimBackend::Threaded and SimBackend::Native each function is
+/// additionally lowered to bytecode (lookupBytecode); under Native the
+/// bytecode is further compiled to native code (lookupNative), null per
+/// function when the lowerer rejected it.
 class CompiledProgram {
 public:
   CompiledProgram(const MachineConfig &Cfg, const Loader &L);
@@ -131,7 +130,7 @@ private:
 };
 
 /// Interprets functions on a simulated core, through the backend selected by
-/// MachineConfig::Backend. One instance per worker thread.
+/// MachineConfig::Backend. TaskRuntime::execute uses one per run.
 class Interpreter {
 public:
   /// \p Mem must already hold the workload's initialized data.

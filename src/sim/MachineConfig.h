@@ -130,24 +130,8 @@ struct CacheConfig {
 struct MachineConfig {
   unsigned NumCores = 4;
 
-  /// Host worker threads the simulation engine uses for the functional
-  /// (value-producing) pass of each dependency wave — the CLI surface is
-  /// --sim-threads=N in the bench drivers. Any value produces bit-identical
-  /// RunProfiles: cache timing is always replayed single-threaded in
-  /// schedule order (see DESIGN.md, "Host-parallel simulation"). 1 keeps the
-  /// fully sequential reference path; values above NumCores still help, as
-  /// the functional pass parallelizes over tasks, not simulated cores.
+  /// Has no effect; deleted in the next benchmark revision.
   unsigned SimThreads = 1;
-
-  /// Pipelined wave simulation: when true (the default) and SimThreads > 1,
-  /// the timing replay of wave N runs on a dedicated replay thread while the
-  /// worker pool executes the functional pass of wave N+1 (CLI:
-  /// --no-replay-overlap / DAECC_REPLAY_OVERLAP=0 to disable). Replay order
-  /// and cache state are unaffected — the replay thread consumes waves
-  /// strictly in order and owns the hierarchy exclusively — so RunProfiles
-  /// stay bit-identical for every (SimThreads, ReplayOverlap) combination
-  /// (asserted by tests/runtime/DeterminismTest.cpp).
-  bool ReplayOverlap = true;
 
   /// Functional execution backend (CLI: --sim-backend={switch,threaded,
   /// native} / DAECC_SIM_BACKEND). Threaded is the default; Switch keeps the

@@ -12,12 +12,11 @@
 ///
 /// Workload initialization grows the arena through the host accessors. The
 /// first interpreter to bind a MemoryView sizes it to the footprint and
-/// fixes it: the arena never moves again, so the host-parallel workers
-/// share it without a lock (same-wave tasks write disjoint addresses by the
-/// runtime's independence contract). From then on a load or store outside
-/// the footprint, from a view or from the host, prints the address and the
-/// footprint and aborts. Prefetches are never checked: they only append a
-/// trace event. Pages nobody touches cost no resident memory.
+/// fixes it: the arena never moves again, so every view can keep its base
+/// address. From then on a load or store outside the footprint, from a view
+/// or from the host, prints the address and the footprint and aborts.
+/// Prefetches are never checked: they only append a trace event. Pages
+/// nobody touches cost no resident memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,8 +82,7 @@ private:
     return V;
   }
   /// Sizes the arena to \p L's footprint and fixes it. Every bind of one
-  /// Memory names the same footprint. Not thread safe: interpreters are
-  /// constructed before their workers start.
+  /// Memory names the same footprint. Not thread safe.
   Memory &bind(const Loader &L);
   std::uint8_t *hostPtr(std::uint64_t Addr);
   /// Remaps the arena to \p NewSize bytes, keeping its contents.

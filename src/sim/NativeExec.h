@@ -111,7 +111,7 @@ static_assert(offsetof(NativeContext, Call) == 136, "ABI layout");
 } // namespace native
 
 /// Executes functions compiled to native code on a simulated core. One
-/// instance per worker thread; compiled code is shared read-only through the
+/// instance per Interpreter; compiled code is shared read-only through the
 /// CompiledProgram (with a lazy per-interpreter fallback), mirroring the
 /// other backends.
 class NativeInterpreter {

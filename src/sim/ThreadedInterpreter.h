@@ -34,7 +34,7 @@ namespace dae {
 namespace sim {
 
 /// Executes functions lowered to bytecode on a simulated core. One instance
-/// per worker thread; compiled/lowered code is shared read-only through the
+/// per Interpreter; compiled/lowered code is shared read-only through the
 /// CompiledProgram, with a lazy per-interpreter fallback for functions
 /// outside it (mirroring Interpreter).
 class ThreadedInterpreter {

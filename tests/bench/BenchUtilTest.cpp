@@ -100,16 +100,12 @@ BenchOptions parseOpts(std::initializer_list<const char *> Flags) {
 
 TEST(BenchOptions, DefaultsMatchTheOldPerDriverParsing) {
   unsetenv("DAECC_SIM_BACKEND");
-  unsetenv("DAECC_REPLAY_OVERLAP");
   unsetenv("DAECC_DAE_VERIFY");
   BenchOptions O = parseOpts({});
   EXPECT_EQ(O.Scale, workloads::Scale::Full);
-  EXPECT_EQ(O.SimThreads, 1u);
   EXPECT_EQ(O.Jobs, 1u);
-  EXPECT_TRUE(O.ReplayOverlap);
   EXPECT_FALSE(O.PassStats);
   EXPECT_FALSE(O.DaeVerify);
-  EXPECT_FALSE(O.NoBaseline);
   EXPECT_EQ(O.Cores, 0u);
   EXPECT_EQ(O.BigCores + O.LittleCores, 0u);
   EXPECT_TRUE(O.Mix.empty());
@@ -119,26 +115,21 @@ TEST(BenchOptions, DefaultsMatchTheOldPerDriverParsing) {
   sim::MachineConfig Ref;
   EXPECT_EQ(Cfg.NumCores, Ref.NumCores);
   EXPECT_TRUE(Cfg.CoreLadders.empty());
-  EXPECT_FALSE(O.measureBaseline()) << "jobs=1 has nothing to compare";
 }
 
 TEST(BenchOptions, ParsesTheNewFlags) {
-  BenchOptions O = parseOpts({"--test-scale", "--jobs=3", "--sim-threads=2",
-                              "--cores=8", "--mix=libq,cigar,fft",
-                              "--governor=ondemand", "--no-baseline",
+  BenchOptions O = parseOpts({"--test-scale", "--jobs=3", "--cores=8",
+                              "--mix=libq,cigar,fft", "--governor=ondemand",
                               "--dae-verify"});
   EXPECT_EQ(O.Scale, workloads::Scale::Test);
   EXPECT_EQ(O.Jobs, 3u);
-  EXPECT_EQ(O.SimThreads, 2u);
   EXPECT_EQ(O.Cores, 8u);
   ASSERT_EQ(O.Mix.size(), 3u);
   EXPECT_EQ(O.Mix[0], "libq");
   EXPECT_EQ(O.Mix[1], "cigar");
   EXPECT_EQ(O.Mix[2], "fft");
   EXPECT_EQ(O.Governor, "ondemand");
-  EXPECT_TRUE(O.NoBaseline);
   EXPECT_TRUE(O.DaeVerify);
-  EXPECT_FALSE(O.measureBaseline()) << "--no-baseline wins over jobs>1";
   EXPECT_EQ(O.machineConfig().NumCores, 8u);
 }
 
@@ -209,11 +200,10 @@ TEST(BenchOptions, DaeProfileGuidedFlagAndEnv) {
 // occurrence.
 
 TEST(BenchOptions, RepeatedScalarFlagsLastWin) {
-  BenchOptions O = parseOpts({"--cores=2", "--jobs=2", "--sim-threads=2",
-                              "--cores=8", "--jobs=3", "--sim-threads=4"});
+  BenchOptions O =
+      parseOpts({"--cores=2", "--jobs=2", "--cores=8", "--jobs=3"});
   EXPECT_EQ(O.Cores, 8u);
   EXPECT_EQ(O.Jobs, 3u);
-  EXPECT_EQ(O.SimThreads, 4u);
 }
 
 TEST(BenchOptions, RepeatedMixReplacesInsteadOfAppending) {
@@ -265,13 +255,12 @@ TEST(BenchOptions, EveryKnownFlagParses) {
   // and CI passes it: none of these may trip the unknown-flag check.
   const pm::PipelineConfig Saved = pm::config();
   BenchOptions O = parseOpts(
-      {"--test-scale", "--jobs=2", "--sim-threads=2", "--sim-backend=switch",
-       "--no-replay-overlap", "--verify-each", "--print-after-all",
-       "--pass-stats", "--dae-verify", "--dae-profile-guided", "--no-baseline",
-       "--cores=4", "--big-little=2,2", "--mix=libq,fft",
-       "--governor=ondemand"});
+      {"--test-scale", "--jobs=2", "--sim-backend=switch", "--verify-each",
+       "--print-after-all", "--pass-stats", "--dae-verify",
+       "--dae-profile-guided", "--cores=4", "--big-little=2,2",
+       "--mix=libq,fft", "--governor=ondemand"});
   EXPECT_EQ(O.Backend, SimBackend::Switch);
-  EXPECT_FALSE(O.ReplayOverlap);
+  EXPECT_EQ(O.Jobs, 2u);
   EXPECT_TRUE(O.PassStats);
   EXPECT_TRUE(O.DaeProfileGuided);
   EXPECT_EQ(O.BigCores, 2u);
@@ -281,10 +270,12 @@ TEST(BenchOptions, EveryKnownFlagParses) {
 
 TEST(BenchUtilDeathTest, UnknownFlagIsAHardError) {
   // A typo such as --dae-verfy must not run the suite without the check it
-  // asked for, and the removed daemon's flags must not silently run a full
-  // one-shot suite.
-  for (const char *Bad : {"--serve", "--socket=x", "--cache-dir=x",
-                          "--dae-verfy", "fig3", "--jobs"})
+  // asked for, and removed flags (the daemon's, the in-run thread count and
+  // replay overlap, the in-driver baseline) must not silently run a suite
+  // configured differently from what was asked.
+  for (const char *Bad :
+       {"--serve", "--socket=x", "--cache-dir=x", "--dae-verfy", "fig3",
+        "--jobs", "--sim-threads=2", "--no-replay-overlap", "--no-baseline"})
     EXPECT_EXIT(parseOpts({"--test-scale", Bad}), ::testing::ExitedWithCode(2),
                 std::string("error: unknown flag '") + Bad + "'")
         << "flag: '" << Bad << "'";
@@ -304,21 +295,21 @@ TEST(BenchUtilDeathTest, GarbageIntegerEnvIsAHardError) {
   unsetenv("DAECC_JOBS");
   EXPECT_EXIT(
       {
-        setenv("DAECC_SIM_THREADS", "-3", 1);
+        setenv("DAECC_JOBS", "-3", 1);
         parseOpts({});
         std::exit(0);
       },
-      ::testing::ExitedWithCode(2), "invalid DAECC_SIM_THREADS value '-3'");
-  unsetenv("DAECC_SIM_THREADS");
+      ::testing::ExitedWithCode(2), "invalid DAECC_JOBS value '-3'");
+  unsetenv("DAECC_JOBS");
   EXPECT_EXIT(
       {
-        setenv("DAECC_REPLAY_OVERLAP", "yes", 1);
+        setenv("DAECC_DAE_VERIFY", "yes", 1);
         parseOpts({});
         std::exit(0);
       },
       ::testing::ExitedWithCode(2),
-      "invalid DAECC_REPLAY_OVERLAP value 'yes' \\(expected 0 or 1\\)");
-  unsetenv("DAECC_REPLAY_OVERLAP");
+      "invalid DAECC_DAE_VERIFY value 'yes' \\(expected 0 or 1\\)");
+  unsetenv("DAECC_DAE_VERIFY");
   EXPECT_EXIT(
       {
         setenv("DAECC_TEST_SCALE", "true", 1);
@@ -345,24 +336,21 @@ TEST(BenchUtilDeathTest, OutOfRangeIntegerEnvIsAHardError) {
   unsetenv("DAECC_JOBS");
   EXPECT_EXIT(
       {
-        setenv("DAECC_SIM_THREADS", "99999999999999999999999", 1);
+        setenv("DAECC_JOBS", "99999999999999999999999", 1);
         parseOpts({});
         std::exit(0);
       },
-      ::testing::ExitedWithCode(2), "invalid DAECC_SIM_THREADS value");
-  unsetenv("DAECC_SIM_THREADS");
+      ::testing::ExitedWithCode(2), "invalid DAECC_JOBS value");
+  unsetenv("DAECC_JOBS");
   EXPECT_EXIT(parseOpts({"--jobs=4294967297"}), ::testing::ExitedWithCode(2),
               "invalid --jobs value '4294967297'");
 }
 
 TEST(BenchUtil, ValidIntegerEnvStillWorks) {
   setenv("DAECC_JOBS", "4", 1);
-  setenv("DAECC_SIM_THREADS", "2", 1);
   BenchOptions O = parseOpts({});
   EXPECT_EQ(O.Jobs, 4u);
-  EXPECT_EQ(O.SimThreads, 2u);
   unsetenv("DAECC_JOBS");
-  unsetenv("DAECC_SIM_THREADS");
 }
 
 std::string readFile(const char *Path) {
@@ -380,7 +368,7 @@ std::string readFile(const char *Path) {
 TEST(BenchUtil, ReporterJsonIsPublishedAtomically) {
   // start() and report() publish BENCH_<name>.json via temp-file + rename;
   // after each returns there must be a complete file and no lingering temp.
-  ThroughputReporter R("atomic_probe", 1, 1);
+  ThroughputReporter R("atomic_probe", 1);
   R.start();
   EXPECT_NE(readFile("BENCH_atomic_probe.json").find("\"status\": \"started\""),
             std::string::npos);
@@ -399,7 +387,7 @@ TEST(BenchUtil, ConcurrentCheckpointsPublishCompleteJson) {
   // start() and report() calls from several threads interleave, the
   // published file is always one complete JSON object and no temp file
   // lingers.
-  ThroughputReporter R("concurrent_probe", 1, 1);
+  ThroughputReporter R("concurrent_probe", 1);
   std::vector<std::thread> Ts;
   for (int T = 0; T != 4; ++T)
     Ts.emplace_back([&R] {

@@ -245,10 +245,9 @@ TEST(ProfileGuidedRefinement, TransplantCarriesProvenanceDeterministically) {
 
   // Two structurally identical FFT instances share one memo: the first
   // instance's refined generation seeds the cache, the second receives the
-  // phase by transplant. Every (jobs, sim-threads) combination must agree
-  // bit-for-bit and both instances must carry refinement provenance.
-  const unsigned Combos[][2] = {{1, 1}, {2, 2}, {4, 1}};
-  for (auto &JS : Combos) {
+  // phase by transplant. Every --jobs value must agree bit-for-bit and both
+  // instances must carry refinement provenance.
+  for (unsigned Jobs : {1u, 2u, 4u}) {
     auto A = buildByName("fft", Scale::Test);
     auto B = buildByName("fft", Scale::Test);
     ASSERT_TRUE(A && B);
@@ -256,8 +255,7 @@ TEST(ProfileGuidedRefinement, TransplantCarriesProvenanceDeterministically) {
 
     GenerationMemo Memo;
     SuiteConfig SC;
-    SC.Jobs = JS[0];
-    SC.SimThreads = JS[1];
+    SC.Jobs = Jobs;
     SC.Memo = &Memo;
     SC.DaeVerify = true;
     SC.DaeProfileGuided = true;
@@ -296,13 +294,13 @@ TEST(ProfileGuidedRefinement, TransplantCarriesProvenanceDeterministically) {
     Runs.push_back(std::move(S));
   }
 
-  // Bit-identical across every (jobs, sim-threads) combination.
+  // Bit-identical across every --jobs value.
   for (size_t R = 1; R != Runs.size(); ++R)
     for (int I = 0; I != 2; ++I) {
-      EXPECT_EQ(Runs[R].Outputs[I], Runs[0].Outputs[I]) << "combo " << R;
-      EXPECT_EQ(Runs[R].Strict[I], Runs[0].Strict[I]) << "combo " << R;
-      EXPECT_EQ(Runs[R].Overshoot[I], Runs[0].Overshoot[I]) << "combo " << R;
-      EXPECT_EQ(Runs[R].Edp[I], Runs[0].Edp[I]) << "combo " << R;
+      EXPECT_EQ(Runs[R].Outputs[I], Runs[0].Outputs[I]) << "run " << R;
+      EXPECT_EQ(Runs[R].Strict[I], Runs[0].Strict[I]) << "run " << R;
+      EXPECT_EQ(Runs[R].Overshoot[I], Runs[0].Overshoot[I]) << "run " << R;
+      EXPECT_EQ(Runs[R].Edp[I], Runs[0].Edp[I]) << "run " << R;
     }
 }
 

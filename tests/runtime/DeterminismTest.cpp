@@ -1,18 +1,19 @@
-//===- tests/runtime/DeterminismTest.cpp - Host-parallel determinism --------===//
+//===- tests/runtime/DeterminismTest.cpp - Engine determinism -------------===//
 //
 // Part of daecc. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// The engine's core guarantee: RunProfiles are bit-identical for every
-// --sim-threads value. Every comparison here is exact (EXPECT_EQ on doubles
-// included) — any divergence between thread counts is a bug, not noise.
+// The engine's core guarantees: RunProfiles do not depend on the order in
+// which same-wave tasks run (the schedule order, which changes with
+// NumCores), on whether the oracle capture is on, or on the --jobs value of
+// the suite engine. Every comparison here is exact (EXPECT_EQ on doubles
+// included) — any divergence is a bug, not noise.
 //
 //===----------------------------------------------------------------------===//
 
 #include "dae/GenerationMemo.h"
 #include "harness/Harness.h"
-#include "ir/IRBuilder.h"
 #include "runtime/Runtime.h"
 #include "workloads/Workload.h"
 
@@ -22,7 +23,6 @@
 #include <vector>
 
 using namespace dae;
-using namespace dae::ir;
 using namespace dae::runtime;
 using namespace dae::sim;
 
@@ -56,109 +56,6 @@ void expectProfilesEqual(const RunProfile &A, const RunProfile &B) {
   }
 }
 
-/// A module with one streaming task (Dst[i] = Src[i]) and one access fn.
-struct RtFixture {
-  Module M;
-  Function *Exec;
-  Function *Access;
-  MachineConfig Cfg;
-
-  RtFixture() {
-    auto *Src = M.createGlobal("Src", (1 << 16) * 8);
-    auto *Dst = M.createGlobal("Dst", (1 << 16) * 8);
-    Exec = M.createFunction("stream", Type::Void, {Type::Int64, Type::Int64});
-    {
-      IRBuilder B(M, Exec->createBlock("entry"));
-      emitCountedLoop(B, Exec->getArg(0), Exec->getArg(1), B.getInt(1), "i",
-                      [&](IRBuilder &B, Value *I) {
-        Value *V = B.createLoad(Type::Float64, B.createGep1D(Src, I, 8));
-        B.createStore(V, B.createGep1D(Dst, I, 8));
-      });
-      B.createRet();
-    }
-    Access =
-        M.createFunction("stream.acc", Type::Void, {Type::Int64, Type::Int64});
-    {
-      IRBuilder B(M, Access->createBlock("entry"));
-      emitCountedLoop(B, Access->getArg(0), Access->getArg(1), B.getInt(8),
-                      "p", [&](IRBuilder &B, Value *I) {
-                        B.createPrefetch(B.createGep1D(Src, I, 8));
-                      });
-      B.createRet();
-    }
-  }
-
-  std::vector<Task> makeTasks(unsigned NumTasks, unsigned Waves = 1) {
-    std::vector<Task> Tasks;
-    std::int64_t Chunk = (1 << 16) / NumTasks;
-    for (unsigned T = 0; T != NumTasks; ++T)
-      Tasks.push_back({Exec,
-                       Access,
-                       {RuntimeValue::ofInt(T * Chunk),
-                        RuntimeValue::ofInt((T + 1) * Chunk)},
-                       T % Waves});
-    return Tasks;
-  }
-
-  /// Runs the same task set with \p Threads workers on fresh memory.
-  RunProfile run(unsigned Threads, unsigned NumTasks, unsigned Waves,
-                 bool RunAccess) {
-    MachineConfig C = Cfg;
-    C.SimThreads = Threads;
-    Memory Mem;
-    Loader L(M);
-    TaskRuntime RT(C, Mem, L);
-    return RT.execute(makeTasks(NumTasks, Waves), RunAccess);
-  }
-};
-
-class StreamDeterminismTest : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(StreamDeterminismTest, MatchesSequentialReference) {
-  RtFixture Fx;
-  unsigned Threads = GetParam();
-  struct Shape {
-    unsigned Tasks, Waves;
-    bool RunAccess;
-  };
-  // Uneven task/wave/core divisions on purpose: they exercise stealing and
-  // partially-filled waves, where schedule bugs would hide.
-  for (Shape S : {Shape{32, 1, true}, Shape{16, 4, true}, Shape{15, 3, true},
-                  Shape{7, 2, true}, Shape{16, 4, false}}) {
-    RunProfile Seq = Fx.run(1, S.Tasks, S.Waves, S.RunAccess);
-    RunProfile Par = Fx.run(Threads, S.Tasks, S.Waves, S.RunAccess);
-    expectProfilesEqual(Seq, Par);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, StreamDeterminismTest,
-                         ::testing::Values(2u, 4u, 7u));
-
-/// End-to-end: all seven paper workloads through the full harness (CAE,
-/// Manual DAE, Auto DAE) must profile bit-identically at 1 and 4 threads.
-class WorkloadDeterminismTest : public ::testing::TestWithParam<const char *> {
-};
-
-TEST_P(WorkloadDeterminismTest, FourThreadsMatchOne) {
-  auto RunAt = [&](unsigned Threads) {
-    MachineConfig Cfg;
-    Cfg.SimThreads = Threads;
-    auto W = workloads::buildByName(GetParam(), workloads::Scale::Test);
-    return harness::runApp(*W, Cfg);
-  };
-  harness::AppResult Seq = RunAt(1);
-  harness::AppResult Par = RunAt(4);
-  EXPECT_TRUE(Seq.OutputsMatch);
-  EXPECT_TRUE(Par.OutputsMatch);
-  expectProfilesEqual(Seq.Cae, Par.Cae);
-  expectProfilesEqual(Seq.Manual, Par.Manual);
-  expectProfilesEqual(Seq.Auto, Par.Auto);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadDeterminismTest,
-                         ::testing::Values("lu", "cholesky", "fft", "lbm",
-                                           "libq", "cigar", "cg"));
-
 void expectCapturesEqual(const RunCapture &A, const RunCapture &B) {
   EXPECT_EQ(A.LineBytes, B.LineBytes);
   ASSERT_EQ(A.Tasks.size(), B.Tasks.size());
@@ -175,64 +72,147 @@ void expectCapturesEqual(const RunCapture &A, const RunCapture &B) {
   }
 }
 
-/// Pipelined replay (--no-replay-overlap off by default) must not perturb a
-/// single simulated bit: for each paper workload, the Manual-DAE task set is
-/// profiled under every (SimThreads, ReplayOverlap, capture on/off)
-/// combination, and both the RunProfile and the RunCapture are compared
-/// exactly against the sequential overlap-free reference.
-class OverlapDeterminismTest : public ::testing::TestWithParam<const char *> {
-};
+/// The workload's task list with the Manual-DAE access phases attached when
+/// \p Manual, coupled (the CAE task set) otherwise.
+std::vector<Task> taskSet(const workloads::Workload &W, bool Manual) {
+  std::vector<Task> Tasks = W.Tasks;
+  for (Task &T : Tasks) {
+    auto It = W.ManualAccess.find(T.Execute);
+    T.Access = Manual && It != W.ManualAccess.end() ? It->second : nullptr;
+  }
+  return Tasks;
+}
 
-TEST_P(OverlapDeterminismTest, OverlapMatchesReference) {
+/// Same byte layout as the harness's output snapshots.
+std::vector<std::uint8_t> outputBytes(const workloads::Workload &W,
+                                      Memory &Mem, const Loader &L) {
+  std::vector<std::uint8_t> Bytes;
+  for (size_t G = 0; G != W.OutputGlobals.size(); ++G) {
+    std::uint64_t Base = L.baseOf(W.OutputGlobals[G]);
+    for (std::uint64_t Off = 0; Off != W.OutputSizes[G]; Off += 8) {
+      std::int64_t V = Mem.loadI64(Base + Off);
+      for (int B = 0; B != 8; ++B)
+        Bytes.push_back(static_cast<std::uint8_t>(V >> (8 * B)));
+    }
+  }
+  return Bytes;
+}
+
+/// True when some wave of \p P ran its tasks out of index order. Tasks are
+/// dealt round-robin to the cores' queues, so a wave runs in index order
+/// exactly when its picks visit the cores round-robin.
+bool ranOutOfIndexOrder(const RunProfile &P) {
+  size_t InWave = 0;
+  for (size_t I = 0; I != P.Tasks.size(); ++I) {
+    InWave = I && P.Tasks[I].Wave == P.Tasks[I - 1].Wave ? InWave + 1 : 0;
+    if (P.Tasks[I].Core != InWave % P.NumCores)
+      return true;
+  }
+  return false;
+}
+
+/// Runs \p Tasks on a fresh memory image of \p W with \p Cores cores.
+RunProfile runOnCores(const workloads::Workload &W, const Loader &L,
+                      const std::vector<Task> &Tasks, unsigned Cores,
+                      Memory &Mem) {
+  MachineConfig Cfg;
+  Cfg.NumCores = Cores;
+  W.Init(Mem, L);
+  TaskRuntime RT(Cfg, Mem, L);
+  return RT.execute(Tasks);
+}
+
+/// Same-wave tasks are independent by the runtime's contract, and the engine
+/// relies on it: the functional pass runs them in schedule order, which
+/// depends on NumCores (at one core it is index order). For each paper
+/// workload, the CAE and Manual-DAE task sets must leave the same memory
+/// image and output bytes at every core count.
+class ScheduleOrderTest : public ::testing::TestWithParam<const char *> {};
+
+TEST_P(ScheduleOrderTest, ValuesIndependentOfCoreCount) {
   auto W = workloads::buildByName(GetParam(), workloads::Scale::Test);
   Loader L(*W->M);
-  // Manual-DAE task list: decoupled tasks drive both the access and execute
-  // replay paths (and both capture phases) per task.
-  std::vector<Task> Tasks = W->Tasks;
-  for (Task &T : Tasks) {
-    auto It = W->ManualAccess.find(T.Execute);
-    if (It != W->ManualAccess.end())
-      T.Access = It->second;
+  for (bool Manual : {false, true}) {
+    std::vector<Task> Tasks = taskSet(*W, Manual);
+    std::uint64_t RefHash = 0;
+    std::vector<std::uint8_t> RefOut;
+    for (unsigned Cores : {1u, 3u, 4u, 8u}) {
+      Memory Mem;
+      RunProfile P = runOnCores(*W, L, Tasks, Cores, Mem);
+      ASSERT_EQ(P.Tasks.size(), Tasks.size());
+      std::vector<std::uint8_t> Out = outputBytes(*W, Mem, L);
+      if (Cores == 1) {
+        EXPECT_FALSE(ranOutOfIndexOrder(P));
+        RefHash = Mem.imageHash();
+        RefOut = std::move(Out);
+        continue;
+      }
+      EXPECT_EQ(Mem.imageHash(), RefHash)
+          << (Manual ? "manual" : "cae") << ", " << Cores << " cores";
+      EXPECT_EQ(Out, RefOut)
+          << (Manual ? "manual" : "cae") << ", " << Cores << " cores";
+    }
   }
+}
 
-  auto Run = [&](unsigned Threads, bool Overlap, RunCapture *Cap) {
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, ScheduleOrderTest,
+                         ::testing::Values("lu", "cholesky", "fft", "lbm",
+                                           "libq", "cigar", "cg"));
+
+/// Keeps the comparison above meaningful: a multi-core run does execute
+/// same-wave tasks out of index order. LU's test-scale waves (up to 9 tasks
+/// of uneven length) reorder at 3 and 4 cores. A wave can leave index order
+/// only when it holds at least two more tasks than cores and its tasks
+/// differ in length.
+TEST(ScheduleOrder, MultiCoreRunsReorderWaves) {
+  auto W = workloads::buildByName("lu", workloads::Scale::Test);
+  Loader L(*W->M);
+  for (unsigned Cores : {3u, 4u}) {
+    Memory Mem;
+    EXPECT_TRUE(ranOutOfIndexOrder(runOnCores(*W, L, W->Tasks, Cores, Mem)))
+        << Cores << " cores";
+  }
+}
+
+/// The oracle capture is observational: for each paper workload, the
+/// Manual-DAE task set (both replay paths and both capture phases per task)
+/// profiles identically with the capture on and off, and two captured runs
+/// capture identical line and miss sets.
+class CaptureDeterminismTest : public ::testing::TestWithParam<const char *> {
+};
+
+TEST_P(CaptureDeterminismTest, CaptureIsObservational) {
+  auto W = workloads::buildByName(GetParam(), workloads::Scale::Test);
+  Loader L(*W->M);
+  std::vector<Task> Tasks = taskSet(*W, /*Manual=*/true);
+
+  auto Run = [&](RunCapture *Cap) {
     MachineConfig Cfg;
-    Cfg.SimThreads = Threads;
-    Cfg.ReplayOverlap = Overlap;
     Memory Mem;
     W->Init(Mem, L);
     TaskRuntime RT(Cfg, Mem, L);
     return RT.execute(Tasks, /*RunAccess=*/true, Cap);
   };
 
-  RunCapture RefCap;
-  RunProfile Ref = Run(/*Threads=*/1, /*Overlap=*/false, &RefCap);
-
-  for (unsigned Threads : {1u, 2u, 8u}) {
-    for (bool Overlap : {false, true}) {
-      RunCapture Cap;
-      expectProfilesEqual(Ref, Run(Threads, Overlap, &Cap));
-      expectCapturesEqual(RefCap, Cap);
-      // Capture off must not change the profile either (the capture hook
-      // sits inside the replay fast path).
-      expectProfilesEqual(Ref, Run(Threads, Overlap, nullptr));
-    }
-  }
+  RunCapture First, Second;
+  RunProfile Captured = Run(&First);
+  expectProfilesEqual(Captured, Run(nullptr));
+  expectProfilesEqual(Captured, Run(&Second));
+  expectCapturesEqual(First, Second);
+  ASSERT_EQ(First.Tasks.size(), Tasks.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(AllWorkloads, OverlapDeterminismTest,
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, CaptureDeterminismTest,
                          ::testing::Values("lu", "cholesky", "fft", "lbm",
                                            "libq", "cigar", "cg"));
 
 /// Suite-level: the full Figure 3 pipeline over all seven apps on the job
-/// pool (--jobs=4 --sim-threads=2, shared generation memo) must be
-/// bit-identical to the sequential reference (--jobs=1 --sim-threads=1, no
-/// memo): profiles, Table 1 rows, priced Figure 3 rows, and the raw output
-/// snapshots of every scheme.
+/// pool (--jobs=4, shared generation memo) must be bit-identical to the
+/// sequential reference (--jobs=1, no memo): profiles, Table 1 rows, priced
+/// Figure 3 rows, and the raw output snapshots of every scheme.
 TEST(SuiteDeterminismTest, JobPoolMatchesSequentialReference) {
-  auto RunAt = [](unsigned Jobs, unsigned Threads, bool UseMemo) {
+  auto RunAt = [](unsigned Jobs, bool UseMemo) {
     MachineConfig Cfg;
-    Cfg.SimThreads = Threads;
     auto Ws = workloads::buildAll(workloads::Scale::Test);
     std::vector<harness::SuiteItem> Items;
     for (auto &W : Ws)
@@ -240,12 +220,11 @@ TEST(SuiteDeterminismTest, JobPoolMatchesSequentialReference) {
     GenerationMemo Memo;
     harness::SuiteConfig SC;
     SC.Jobs = Jobs;
-    SC.SimThreads = Threads;
     SC.Memo = UseMemo ? &Memo : nullptr;
     return harness::runSuite(Items, Cfg, SC);
   };
-  std::vector<harness::AppResult> Seq = RunAt(1, 1, false);
-  std::vector<harness::AppResult> Par = RunAt(4, 2, true);
+  std::vector<harness::AppResult> Seq = RunAt(1, false);
+  std::vector<harness::AppResult> Par = RunAt(4, true);
 
   ASSERT_EQ(Seq.size(), Par.size());
   MachineConfig Cfg;

@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // The contention timeline's guarantee, extended from the single-run engine:
-// co-run TimelineReports are bit-identical for every (Jobs, SimThreads,
-// ReplayOverlap) host combination. Solo artifacts are already deterministic;
-// the interleave is single-threaded with a fixed tie-break, so nothing about
-// the host may leak into the result. All comparisons are exact — EXPECT_EQ
-// on doubles included.
+// co-run TimelineReports are bit-identical for every --jobs value. Solo
+// artifacts are already deterministic; the interleave is single-threaded
+// with a fixed tie-break, so nothing about the host may leak into the
+// result. All comparisons are exact — EXPECT_EQ on doubles included.
 //
 // Also pins the timeline's outputs to golden hashes (TimelineGolden), covers
 // the contention physics the sweep bench relies on (DRAM queuing appears
@@ -76,12 +75,30 @@ void expectReportsEqual(const TimelineReport &A, const TimelineReport &B,
   }
 }
 
+void expectProfilesEqual(const RunProfile &A, const RunProfile &B,
+                         const std::string &Where) {
+  ASSERT_EQ(A.Tasks.size(), B.Tasks.size()) << Where;
+  for (size_t T = 0; T != A.Tasks.size(); ++T) {
+    std::string Task = Where + " task " + std::to_string(T);
+    EXPECT_EQ(A.Tasks[T].Core, B.Tasks[T].Core) << Task;
+    EXPECT_EQ(A.Tasks[T].HasAccess, B.Tasks[T].HasAccess) << Task;
+    expectStatsEqual(A.Tasks[T].Access, B.Tasks[T].Access, Task + " access");
+    expectStatsEqual(A.Tasks[T].Execute, B.Tasks[T].Execute,
+                     Task + " execute");
+  }
+}
+
 void expectMixesEqual(const MixResult &A, const MixResult &B) {
   ASSERT_EQ(A.Streams.size(), B.Streams.size());
   for (size_t I = 0; I != A.Streams.size(); ++I) {
     EXPECT_EQ(A.Streams[I].Name, B.Streams[I].Name) << "stream " << I;
     EXPECT_EQ(A.Streams[I].OutputsMatch, B.Streams[I].OutputsMatch)
         << "stream " << I;
+    std::string Where = "stream " + std::to_string(I);
+    expectProfilesEqual(A.Streams[I].CaeProfile, B.Streams[I].CaeProfile,
+                        Where + " cae");
+    expectProfilesEqual(A.Streams[I].DaeProfile, B.Streams[I].DaeProfile,
+                        Where + " dae");
   }
   expectReportsEqual(A.CaeMax, B.CaeMax, "cae-max");
   expectReportsEqual(A.CaeOndemand, B.CaeOndemand, "ondemand");
@@ -91,8 +108,7 @@ void expectMixesEqual(const MixResult &A, const MixResult &B) {
 }
 
 MixResult runNamedMix(const std::vector<std::string> &Names,
-                      const MachineConfig &Cfg, unsigned Jobs,
-                      unsigned SimThreads) {
+                      const MachineConfig &Cfg, unsigned Jobs) {
   std::vector<std::unique_ptr<workloads::Workload>> Owned;
   std::vector<workloads::Workload *> Mix;
   for (const std::string &N : Names) {
@@ -102,7 +118,6 @@ MixResult runNamedMix(const std::vector<std::string> &Names,
   GenerationMemo Memo;
   MixConfig MC;
   MC.Jobs = Jobs;
-  MC.SimThreads = SimThreads;
   MC.Memo = &Memo;
   return runMix(Mix, Cfg, MC);
 }
@@ -112,23 +127,27 @@ TEST(MultiCoreDeterminism, CoRunIdenticalForAnyHostConfig) {
   Cfg.NumCores = 4;
   std::vector<std::string> Names = {"libq", "cholesky", "fft"};
 
-  MixResult Ref = runNamedMix(Names, Cfg, 1, 1);
+  MixResult Ref = runNamedMix(Names, Cfg, 1);
   ASSERT_EQ(Ref.Streams.size(), 3u);
-  for (const MixStreamResult &S : Ref.Streams)
+  for (size_t I = 0; I != Names.size(); ++I) {
+    const MixStreamResult &S = Ref.Streams[I];
     EXPECT_TRUE(S.OutputsMatch) << S.Name;
+    // The solo profiles come back with the mix, one TaskProfile per task:
+    // the contention driver's throughput line counts their instructions.
+    size_t NumTasks =
+        workloads::buildByName(Names[I], workloads::Scale::Test)->Tasks.size();
+    for (const RunProfile *P : {&S.CaeProfile, &S.DaeProfile}) {
+      EXPECT_EQ(P->Tasks.size(), NumTasks) << S.Name;
+      std::uint64_t Instructions = 0;
+      for (const TaskProfile &T : P->Tasks)
+        Instructions += T.Access.Instructions + T.Execute.Instructions;
+      EXPECT_GT(Instructions, 0u) << S.Name;
+    }
+  }
 
-  struct HostConfig {
-    unsigned Jobs, SimThreads;
-    bool Overlap;
-  };
-  for (HostConfig HC : {HostConfig{2, 2, true}, HostConfig{3, 1, false},
-                        HostConfig{1, 4, true}, HostConfig{4, 2, false}}) {
-    MachineConfig C2 = Cfg;
-    C2.ReplayOverlap = HC.Overlap;
-    MixResult R = runNamedMix(Names, C2, HC.Jobs, HC.SimThreads);
-    SCOPED_TRACE("jobs=" + std::to_string(HC.Jobs) +
-                 " threads=" + std::to_string(HC.SimThreads) +
-                 " overlap=" + std::to_string(HC.Overlap));
+  for (unsigned Jobs : {2u, 3u, 4u}) {
+    MixResult R = runNamedMix(Names, Cfg, Jobs);
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
     expectMixesEqual(Ref, R);
   }
 }
@@ -136,7 +155,7 @@ TEST(MultiCoreDeterminism, CoRunIdenticalForAnyHostConfig) {
 TEST(MultiCoreDeterminism, OneWaySanity) {
   MachineConfig Cfg;
   Cfg.NumCores = 4;
-  MixResult R = runNamedMix({"libq"}, Cfg, 1, 1);
+  MixResult R = runNamedMix({"libq"}, Cfg, 1);
   ASSERT_EQ(R.Streams.size(), 1u);
   EXPECT_TRUE(R.Streams[0].OutputsMatch);
   for (const TimelineReport *T :
@@ -158,8 +177,8 @@ TEST(MultiCoreDeterminism, CoRunnersQueueOnDram) {
   MachineConfig Cfg;
   Cfg.NumCores = 4;
   // Two memory-bound streams hammer the shared channel.
-  MixResult Solo = runNamedMix({"libq"}, Cfg, 1, 1);
-  MixResult Duo = runNamedMix({"libq", "cigar"}, Cfg, 1, 1);
+  MixResult Solo = runNamedMix({"libq"}, Cfg, 1);
+  MixResult Duo = runNamedMix({"libq", "cigar"}, Cfg, 1);
   double QueueNs = 0.0;
   for (const CoreTimelineReport &C : Duo.CaeMax.Cores)
     QueueNs += C.QueueNs;

@@ -63,36 +63,29 @@ void expectProfilesEqual(const RunProfile &A, const RunProfile &B) {
 }
 
 /// End-to-end: each paper workload through the full harness (CAE, Manual
-/// DAE, Auto DAE) under every backend, at 1 and 4 sim threads. Profiles and
-/// raw output snapshots must match bit for bit.
+/// DAE, Auto DAE) under every backend. Profiles and raw output snapshots
+/// must match bit for bit.
 class BackendHarnessDifferential
     : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(BackendHarnessDifferential, SchemesMatchAcrossBackends) {
-  auto RunWith = [&](SimBackend Backend, unsigned Threads) {
+  auto RunWith = [&](SimBackend Backend) {
     MachineConfig Cfg;
     Cfg.Backend = Backend;
-    Cfg.SimThreads = Threads;
     auto W = workloads::buildByName(GetParam(), workloads::Scale::Test);
     return harness::runApp(*W, Cfg);
   };
-  for (unsigned Threads : {1u, 4u}) {
-    harness::AppResult Ref = RunWith(SimBackend::Switch, Threads);
-    EXPECT_TRUE(Ref.OutputsMatch) << "switch, " << Threads << " threads";
-    for (SimBackend Backend : {SimBackend::Threaded, SimBackend::Native}) {
-      harness::AppResult Got = RunWith(Backend, Threads);
-      EXPECT_TRUE(Got.OutputsMatch)
-          << simBackendName(Backend) << ", " << Threads << " threads";
-      expectProfilesEqual(Ref.Cae, Got.Cae);
-      expectProfilesEqual(Ref.Manual, Got.Manual);
-      expectProfilesEqual(Ref.Auto, Got.Auto);
-      EXPECT_EQ(Ref.CaeOutputs, Got.CaeOutputs)
-          << simBackendName(Backend) << ", " << Threads << " threads";
-      EXPECT_EQ(Ref.ManualOutputs, Got.ManualOutputs)
-          << simBackendName(Backend) << ", " << Threads << " threads";
-      EXPECT_EQ(Ref.AutoOutputs, Got.AutoOutputs)
-          << simBackendName(Backend) << ", " << Threads << " threads";
-    }
+  harness::AppResult Ref = RunWith(SimBackend::Switch);
+  EXPECT_TRUE(Ref.OutputsMatch) << "switch";
+  for (SimBackend Backend : {SimBackend::Threaded, SimBackend::Native}) {
+    harness::AppResult Got = RunWith(Backend);
+    EXPECT_TRUE(Got.OutputsMatch) << simBackendName(Backend);
+    expectProfilesEqual(Ref.Cae, Got.Cae);
+    expectProfilesEqual(Ref.Manual, Got.Manual);
+    expectProfilesEqual(Ref.Auto, Got.Auto);
+    EXPECT_EQ(Ref.CaeOutputs, Got.CaeOutputs) << simBackendName(Backend);
+    EXPECT_EQ(Ref.ManualOutputs, Got.ManualOutputs) << simBackendName(Backend);
+    EXPECT_EQ(Ref.AutoOutputs, Got.AutoOutputs) << simBackendName(Backend);
   }
 }
 
@@ -117,11 +110,9 @@ TEST_P(BackendRuntimeDifferential, ProfilesAndMemoryImagesMatch) {
       T.Access = It->second;
   }
 
-  auto RunWith = [&](SimBackend Backend, unsigned Threads,
-                     std::uint64_t *HashOut) {
+  auto RunWith = [&](SimBackend Backend, std::uint64_t *HashOut) {
     MachineConfig Cfg;
     Cfg.Backend = Backend;
-    Cfg.SimThreads = Threads;
     Memory Mem;
     W->Init(Mem, L);
     TaskRuntime RT(Cfg, Mem, L);
@@ -130,16 +121,13 @@ TEST_P(BackendRuntimeDifferential, ProfilesAndMemoryImagesMatch) {
     return P;
   };
 
-  for (unsigned Threads : {1u, 4u}) {
-    std::uint64_t RefHash = 0;
-    RunProfile Ref = RunWith(SimBackend::Switch, Threads, &RefHash);
-    for (SimBackend Backend : {SimBackend::Threaded, SimBackend::Native}) {
-      std::uint64_t GotHash = 0;
-      RunProfile Got = RunWith(Backend, Threads, &GotHash);
-      expectProfilesEqual(Ref, Got);
-      EXPECT_EQ(RefHash, GotHash)
-          << simBackendName(Backend) << ", " << Threads << " threads";
-    }
+  std::uint64_t RefHash = 0;
+  RunProfile Ref = RunWith(SimBackend::Switch, &RefHash);
+  for (SimBackend Backend : {SimBackend::Threaded, SimBackend::Native}) {
+    std::uint64_t GotHash = 0;
+    RunProfile Got = RunWith(Backend, &GotHash);
+    expectProfilesEqual(Ref, Got);
+    EXPECT_EQ(RefHash, GotHash) << simBackendName(Backend);
   }
 }
 
@@ -150,8 +138,8 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, BackendRuntimeDifferential,
 /// Interpreter-level: runTraced under both backends must record the same
 /// ordered access-event stream (kind + byte address per event), return the
 /// same cache-independent PhaseStats, and leave the same memory image. This
-/// pins the exact event order the runtime's single-threaded replay depends
-/// on — a reordered (even if complete) trace would change cache timing.
+/// pins the exact event order the runtime's trace replay depends on — a
+/// reordered (even if complete) trace would change cache timing.
 class BackendTraceDifferential
     : public ::testing::TestWithParam<const char *> {};
 
