@@ -175,16 +175,10 @@ struct BenchOptions {
   /// --cores=N: simulated core count (0 keeps the machine default). The
   /// contention driver also uses it to bound the co-run sweep.
   unsigned Cores = 0;
-  /// --big-little=B,L: heterogeneous topology (see
-  /// sim::MachineConfig::makeBigLittle). Overrides --cores.
-  unsigned BigCores = 0, LittleCores = 0;
   /// --mix=a,b,c: workload names co-scheduled on the contention timeline
   /// (validated against the registry by the driver via
   /// workloads::buildByName).
   std::vector<std::string> Mix;
-  /// --governor={ondemand,conservative,both}: which reactive baselines the
-  /// contention driver reports.
-  std::string Governor = "both";
 
   static BenchOptions parse(int Argc, char **Argv) {
     BenchOptions O;
@@ -198,19 +192,6 @@ struct BenchOptions {
       const char *A = Argv[I];
       if (std::strncmp(A, "--cores=", 8) == 0) {
         O.Cores = parseUnsignedFlag("--cores", A + 8);
-      } else if (std::strncmp(A, "--big-little=", 13) == 0) {
-        const char *V = A + 13;
-        const char *Comma = std::strchr(V, ',');
-        if (!Comma || Comma == V || Comma[1] == '\0') {
-          std::fprintf(stderr,
-                       "error: invalid --big-little value '%s' (expected "
-                       "BIG,LITTLE counts, e.g. 4,4)\n",
-                       V);
-          std::exit(2);
-        }
-        std::string Big(V, Comma);
-        O.BigCores = parseUnsignedFlag("--big-little", Big.c_str());
-        O.LittleCores = parseUnsignedFlag("--big-little", Comma + 1);
       } else if (std::strncmp(A, "--mix=", 6) == 0) {
         // Repeated --mix flags last-win like every other flag: each
         // occurrence replaces the list instead of silently appending (which
@@ -241,18 +222,6 @@ struct BenchOptions {
                                "name\n");
           std::exit(2);
         }
-      } else if (std::strncmp(A, "--governor=", 11) == 0) {
-        const char *V = A + 11;
-        if (std::strcmp(V, "ondemand") != 0 &&
-            std::strcmp(V, "conservative") != 0 &&
-            std::strcmp(V, "both") != 0) {
-          std::fprintf(stderr,
-                       "error: unknown --governor value '%s' (expected "
-                       "'ondemand', 'conservative' or 'both')\n",
-                       V);
-          std::exit(2);
-        }
-        O.Governor = V;
       } else if (!parsedByHelper(A)) {
         std::fprintf(stderr, "error: unknown flag '%s'\n", A);
         std::exit(2);
@@ -261,13 +230,12 @@ struct BenchOptions {
     return O;
   }
 
-  /// Applies the machine-shaping options to a fresh MachineConfig.
+  /// Applies --sim-backend and --cores to a fresh (homogeneous)
+  /// MachineConfig.
   sim::MachineConfig machineConfig() const {
     sim::MachineConfig Cfg;
     Cfg.Backend = Backend;
-    if (BigCores + LittleCores > 0)
-      Cfg.makeBigLittle(BigCores, LittleCores);
-    else if (Cores)
+    if (Cores)
       Cfg.NumCores = Cores;
     return Cfg;
   }

@@ -22,9 +22,9 @@
 ///    ramps rung-by-rung and lags phase changes — both trail the per-phase
 ///    oracle that knows each phase's profile in advance.
 ///
-/// Flags beyond the common set: --cores=N (default 8), --big-little=B,L,
-/// --mix=a,b,c (workload names cycled to fill each width; default
-/// libq,cigar,cholesky,fft), --governor=ondemand|conservative|both.
+/// Flags beyond the common set: --cores=N (default 8) and --mix=a,b,c
+/// (workload names cycled to fill each width; default
+/// libq,cigar,cholesky,fft).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,8 +45,8 @@ using namespace dae::harness;
 int main(int Argc, char **Argv) {
   BenchOptions Opts = BenchOptions::parse(Argc, Argv);
   // This bench is about co-run widths: default to an 8-core machine unless
-  // the user pinned a topology.
-  if (Opts.Cores == 0 && Opts.BigCores + Opts.LittleCores == 0)
+  // the user pinned a core count.
+  if (Opts.Cores == 0)
     Opts.Cores = 8;
   workloads::Scale S = Opts.Scale;
   sim::MachineConfig Cfg = Opts.machineConfig();
@@ -68,9 +68,6 @@ int main(int Argc, char **Argv) {
     MixLabel += Name;
   }
 
-  const bool ShowOndemand = Opts.Governor != "conservative";
-  const bool ShowConservative = Opts.Governor != "ondemand";
-
   std::vector<unsigned> Ways;
   for (unsigned W : {1u, 2u, 4u, 8u})
     if (W <= Cfg.NumCores)
@@ -88,13 +85,9 @@ int main(int Argc, char **Argv) {
   Throughput.setBackend(Cfg.Backend);
   GenerationMemo Memo;
 
-  std::printf("%5s %-28s %10s", "ways", "mix", "cae-max");
-  if (ShowOndemand)
-    std::printf(" %10s", "ondemand");
-  if (ShowConservative)
-    std::printf(" %10s", "conserv");
-  std::printf(" %10s %10s %10s %12s\n", "dae-mm", "dae-oracle", "queue(us)",
-              "dram-misses");
+  std::printf("%5s %-28s %10s %10s %10s %10s %10s %10s %12s\n", "ways", "mix",
+              "cae-max", "ondemand", "conserv", "dae-mm", "dae-oracle",
+              "queue(us)", "dram-misses");
   printRule(100);
 
   Throughput.start();
@@ -138,12 +131,10 @@ int main(int Argc, char **Argv) {
       QueueNs += C.QueueNs;
       DramMisses += C.DramMisses;
     }
-    std::printf("%5u %-28.28s %10.3f", W, Label.c_str(), 1.0);
-    if (ShowOndemand)
-      std::printf(" %10.3f", Norm(R.CaeOndemand.EdpJs));
-    if (ShowConservative)
-      std::printf(" %10.3f", Norm(R.CaeConservative.EdpJs));
-    std::printf(" %10.3f %10.3f %10.1f %12llu\n", Norm(R.DaeMinMax.EdpJs),
+    std::printf("%5u %-28.28s %10.3f %10.3f %10.3f %10.3f %10.3f %10.1f "
+                "%12llu\n",
+                W, Label.c_str(), 1.0, Norm(R.CaeOndemand.EdpJs),
+                Norm(R.CaeConservative.EdpJs), Norm(R.DaeMinMax.EdpJs),
                 Norm(R.DaeOracle.EdpJs), QueueNs * 1e-3,
                 static_cast<unsigned long long>(DramMisses));
 

@@ -6,14 +6,15 @@
 ///
 /// \file
 /// google-benchmark microbenchmarks for the polyhedral substrate: FM
-/// elimination, emptiness (simplex), hull-of-union, lattice-point counting,
-/// and Ehrhart fitting — the operations the access generator performs at
-/// compile time for every affine task.
+/// elimination, emptiness (simplex), hull-of-union, lattice-point counting
+/// and redundancy removal — the operations the affine access generator runs
+/// at compile time when it projects, merges and counts a task's access
+/// domains (NOrig/NconvUn are lattice counts at representative parameter
+/// values).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "poly/ConvexHull.h"
-#include "poly/Ehrhart.h"
 #include "poly/Polyhedron.h"
 
 #include <benchmark/benchmark.h>
@@ -70,14 +71,6 @@ void BM_CountIntegerPoints(benchmark::State &State) {
     benchmark::DoNotOptimize(P.countIntegerPoints());
 }
 BENCHMARK(BM_CountIntegerPoints)->Arg(8)->Arg(32)->Arg(128);
-
-void BM_EhrhartFit(benchmark::State &State) {
-  Polyhedron P = triangle();
-  for (auto _ : State)
-    benchmark::DoNotOptimize(fitEhrhart(P, /*ParamVar=*/2, /*PStart=*/4,
-                                        /*MaxDegree=*/2));
-}
-BENCHMARK(BM_EhrhartFit);
 
 void BM_RemoveRedundant(benchmark::State &State) {
   Polyhedron P = triangle();

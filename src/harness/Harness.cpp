@@ -445,8 +445,6 @@ MixResult harness::runMix(const std::vector<Workload *> &Mix,
                    runtime::TimelinePolicy P) {
     runtime::TimelineConfig TC;
     TC.Policy = P;
-    TC.TransitionNs = MC.TransitionNs;
-    TC.Governor = MC.Governor;
     return interleaveTimeline(Streams, Cfg, TC);
   };
   R.CaeMax = Price(CaeStreams, runtime::TimelinePolicy::FixedMax);

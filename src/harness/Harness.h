@@ -209,17 +209,15 @@ struct MixConfig {
   GenerationMemo *Memo = nullptr;
   /// Run the differential checker per stream (per core's workload).
   bool DaeVerify = false;
-  /// Overrides MachineConfig::DvfsTransitionNs when >= 0.
-  double TransitionNs = -1.0;
-  runtime::GovernorParams Governor;
 };
 
 /// Runs \p Mix co-scheduled, one workload per core (Mix.size() must be in
 /// [1, Cfg.NumCores]): each stream's solo CAE and Auto DAE runs execute on a
 /// JobPool with retained traces (NumCores=1, so per-stream profiles are
 /// sequential), then the retained traces are interleaved on the shared-LLC /
-/// bandwidth-throttled timeline once per policy. Results are bit-identical
-/// for every Jobs value (MultiCoreDeterminismTest).
+/// bandwidth-throttled timeline once per policy, with DVFS transitions
+/// taking Cfg.DvfsTransitionNs. Results are bit-identical for every Jobs
+/// value (MultiCoreDeterminismTest).
 MixResult runMix(const std::vector<workloads::Workload *> &Mix,
                  const sim::MachineConfig &Cfg, const MixConfig &MC);
 

@@ -6,6 +6,7 @@
 
 #include "runtime/Evaluator.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <vector>
@@ -17,16 +18,14 @@ using namespace dae::sim;
 // Exact EDP ties break toward the *lower* frequency (the cheaper operating
 // point), independent of the order the ladder happens to be listed in — a
 // first-match scan would silently pick whichever tied frequency appeared
-// first. On a homogeneous machine (empty CoreLadders) every core's ladder
-// and voltage curve equal the machine-wide ones, so results are bit-exact
-// with the pre-heterogeneous implementation.
+// first.
 double runtime::bestEdpFrequency(const PhaseStats &S, const MachineConfig &Cfg,
-                                 const PowerModel &PM, unsigned Core) {
-  double BestF = Cfg.fmaxOf(Core);
+                                 const PowerModel &PM) {
+  double BestF = Cfg.fmax();
   double BestEdp = -1.0;
-  for (double F : Cfg.ladder(Core)) {
+  for (double F : Cfg.FrequenciesGHz) {
     double T = S.timeNs(F) * 1e-9;
-    double Edp = T * PM.phaseEnergy(Core, S, F);
+    double Edp = T * PM.phaseEnergy(S, F);
     if (BestEdp < 0.0 || Edp < BestEdp || (Edp == BestEdp && F < BestF)) {
       BestEdp = Edp;
       BestF = F;
@@ -45,24 +44,10 @@ RunReport runtime::evaluate(const RunProfile &Profile,
   RunReport R;
   R.NumTasks = Profile.Tasks.size();
 
-  const bool IsGovernor = Eval.Policy == FreqPolicy::Ondemand ||
-                          Eval.Policy == FreqPolicy::Conservative;
-  std::vector<GovernorState> Governors;
-  if (IsGovernor)
-    for (unsigned C = 0; C != Profile.NumCores; ++C)
-      Governors.emplace_back(Cfg, C,
-                             Eval.Policy == FreqPolicy::Conservative,
-                             Eval.Governor);
-
   std::vector<double> CoreBusyNs(Profile.NumCores, 0.0);
   std::vector<double> CoreEnergyJ(Profile.NumCores, 0.0);
-  // Cores idle at their *own* ladder's top rung, not the machine-wide fmax:
-  // on big.LITTLE a little core never ran at the big cores' fmax, so seeding
-  // it there would miscount the first transition and price it off-ladder.
-  std::vector<double> CoreFreq;
-  CoreFreq.reserve(Profile.NumCores);
-  for (unsigned C = 0; C != Profile.NumCores; ++C)
-    CoreFreq.push_back(Cfg.fmaxOf(C));
+  // Cores boot at fmax.
+  std::vector<double> CoreFreq(Profile.NumCores, Cfg.fmax());
 
   auto RunPhase = [&](unsigned Core, const PhaseStats &S, double FreqGHz,
                       bool IsAccess) {
@@ -75,22 +60,26 @@ RunReport runtime::evaluate(const RunProfile &Profile,
       ++R.NumTransitions;
       if (TransNs > 0.0) {
         CoreBusyNs[Core] += TransNs;
-        CoreEnergyJ[Core] +=
-            PM.staticPowerPerCore(Core, FreqGHz) * TransNs * 1e-9;
+        CoreEnergyJ[Core] += PM.staticPowerPerCore(FreqGHz) * TransNs * 1e-9;
         R.OsiTimeSec += TransNs * 1e-9;
       }
       CoreFreq[Core] = FreqGHz;
     }
     double TNs = S.timeNs(FreqGHz);
     CoreBusyNs[Core] += TNs;
-    CoreEnergyJ[Core] += PM.phaseEnergy(Core, S, FreqGHz);
+    CoreEnergyJ[Core] += PM.phaseEnergy(S, FreqGHz);
     (IsAccess ? R.AccessTimeSec : R.ExecuteTimeSec) += TNs * 1e-9;
-    if (IsGovernor)
-      Governors[Core].account(S.ComputeCycles / FreqGHz, TNs);
   };
 
   double IdleEnergyJ = 0.0;
   double MakespanNs = 0.0;
+
+  // Fixed-policy targets come from outside the machine model, so pin them to
+  // the ladder range: a target above fmax runs (and is priced) at fmax.
+  const double FixedAccessGHz =
+      std::clamp(Eval.AccessFreqGHz, Cfg.fmin(), Cfg.fmax());
+  const double FixedExecGHz =
+      std::clamp(Eval.ExecFreqGHz, Cfg.fmin(), Cfg.fmax());
 
   // Runtime bookkeeping (dequeue/hand-off) is the same for every task; only
   // the frequency it is priced at varies, so build the stats once.
@@ -105,34 +94,25 @@ RunReport runtime::evaluate(const RunProfile &Profile,
   size_t I = 0;
   while (I != Profile.Tasks.size()) {
     unsigned Wave = Profile.Tasks[I].Wave;
-    std::vector<double> WaveBusyNs(Profile.NumCores, 0.0);
     for (; I != Profile.Tasks.size() && Profile.Tasks[I].Wave == Wave; ++I) {
       const TaskProfile &T = Profile.Tasks[I];
       unsigned Core = T.Core;
-      double Before = CoreBusyNs[Core];
       if (T.HasAccess) {
-        // Fixed-policy targets come from outside the machine model, so pin
-        // them to this core's ladder range: a target above a little core's
-        // fmax runs (and is priced) at that core's fmax, not the global one.
         double FA = Eval.Policy == FreqPolicy::OptimalEdp
-                        ? bestEdpFrequency(T.Access, Cfg, PM, Core)
-                        : IsGovernor ? Governors[Core].frequency()
-                                     : Cfg.clampToLadder(Core,
-                                                         Eval.AccessFreqGHz);
+                        ? bestEdpFrequency(T.Access, Cfg, PM)
+                        : FixedAccessGHz;
         RunPhase(Core, T.Access, FA, /*IsAccess=*/true);
       }
       double FE = Eval.Policy == FreqPolicy::OptimalEdp
-                      ? bestEdpFrequency(T.Execute, Cfg, PM, Core)
-                      : IsGovernor ? Governors[Core].frequency()
-                                   : Cfg.clampToLadder(Core, Eval.ExecFreqGHz);
+                      ? bestEdpFrequency(T.Execute, Cfg, PM)
+                      : FixedExecGHz;
       RunPhase(Core, T.Execute, FE, /*IsAccess=*/false);
 
       // Runtime bookkeeping (dequeue/hand-off) at the execute frequency.
       double OverheadNs = Profile.PerTaskOverheadCycles / FE;
       CoreBusyNs[Core] += OverheadNs;
-      CoreEnergyJ[Core] += PM.phaseEnergy(Core, Overhead, FE);
+      CoreEnergyJ[Core] += PM.phaseEnergy(Overhead, FE);
       R.OsiTimeSec += OverheadNs * 1e-9;
-      WaveBusyNs[Core] += CoreBusyNs[Core] - Before;
     }
     // Barrier.
     double WaveEndNs = 0.0;
@@ -140,12 +120,9 @@ RunReport runtime::evaluate(const RunProfile &Profile,
       WaveEndNs = std::max(WaveEndNs, Busy);
     for (unsigned C = 0; C != Profile.NumCores; ++C) {
       double IdleNs = WaveEndNs - CoreBusyNs[C];
-      IdleEnergyJ += PM.sleepPowerPerCore(C) * IdleNs * 1e-9;
+      IdleEnergyJ += PM.sleepPowerPerCore() * IdleNs * 1e-9;
       R.OsiTimeSec += IdleNs * 1e-9;
       CoreBusyNs[C] = WaveEndNs;
-      // Barrier idle reads as 0% utilization to a reactive governor.
-      if (IsGovernor && IdleNs > 0.0)
-        Governors[C].account(0.0, IdleNs);
     }
     MakespanNs = WaveEndNs;
   }

@@ -10,7 +10,8 @@
 /// search of section 3.1), computes makespan, energy, and EDP under the
 /// section 3.2 power model, accounting for DVFS transition latency (static
 /// energy only, no instructions — section 6.1) and runtime overhead/idle
-/// (the O.S.I. bucket of Figure 4).
+/// (the O.S.I. bucket of Figure 4). The reactive governor baselines are
+/// priced on the co-run timeline (runtime/Timeline.h), not here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,123 +27,12 @@ namespace runtime {
 
 /// How per-phase frequencies are chosen.
 enum class FreqPolicy {
-  /// Run every phase at the configured AccessFreqGHz / ExecFreqGHz.
+  /// Run every phase at the configured AccessFreqGHz / ExecFreqGHz, clamped
+  /// to [fmin, fmax].
   Fixed,
   /// Per phase, pick the ladder frequency minimizing that phase's local
   /// EDP (section 3.1 policy (b)).
   OptimalEdp,
-  /// Reactive cpufreq-style "ondemand" baseline: sample utilization over a
-  /// window and jump to fmax when busy, else pick the rung covering the
-  /// measured load. Decisions lag the phases they react to — exactly the
-  /// latency the paper's compiler-inserted switches avoid.
-  Ondemand,
-  /// Reactive cpufreq-style "conservative" baseline: like Ondemand but steps
-  /// one ladder rung at a time in either direction.
-  Conservative,
-};
-
-/// Sampling parameters of the reactive governors. Defaults follow cpufreq's
-/// ondemand/conservative semantics with the sampling period scaled down to
-/// the simulator's phase lengths (the same 1/16-style scaling as the cache
-/// geometry): 50 us windows, 80% up-threshold, 20% down-threshold.
-struct GovernorParams {
-  double SampleUs = 50.0;
-  double UpThreshold = 0.80;
-  double DownThreshold = 0.20;
-};
-
-/// One core's reactive-governor state: utilization-window accumulation plus
-/// the currently programmed frequency. Utilization is busy (compute) time
-/// over wall time, so memory stalls read as idle — cpufreq's io_is_busy=0
-/// view, which is precisely why reactive governors clock *down* during the
-/// memory-bound access phases DAE wants prefetched at low frequency, but
-/// only after the window has already elapsed at the wrong speed.
-///
-/// Shared by the evaluator (phase-granular accounting) and the multi-core
-/// timeline (event-granular accounting); both observe decisions only at
-/// phase starts, the granularity at which a frequency can take effect.
-class GovernorState {
-public:
-  GovernorState(const sim::MachineConfig &Cfg, unsigned Core,
-                bool Conservative, const GovernorParams &P)
-      : Cfg(Cfg), Core(Core), Conservative(Conservative), P(P),
-        FreqGHz(Cfg.fminOf(Core)) {}
-
-  /// The frequency the governor currently has programmed. Governors start at
-  /// the core's fmin — the ramp-up from cold is part of the reactive lag
-  /// being measured.
-  double frequency() const { return FreqGHz; }
-
-  /// Accounts \p ComputeNs of busy time within \p WallNs of elapsed time,
-  /// re-deciding the frequency once per completed sampling window. A span
-  /// longer than one window triggers multiple decisions (at the span's
-  /// uniform utilization), so e.g. Conservative ramps one rung per window
-  /// across a long phase.
-  ///
-  /// Spans are consumed chronologically: each window's decision sees only
-  /// the utilization of the wall time that actually fell inside it. A
-  /// zero-wall span is unobservable (no time elapsed in which to sample) and
-  /// is discarded outright — it must neither divide by zero nor smear stale
-  /// compute into the next window. Likewise, a span reporting more compute
-  /// than wall time saturates at 100% for its own duration only.
-  void account(double ComputeNs, double WallNs) {
-    const double WindowNs = P.SampleUs * 1000.0;
-    if (WallNs <= 0.0 || WindowNs <= 0.0)
-      return;
-    double Util = ComputeNs / WallNs;
-    if (Util > 1.0)
-      Util = 1.0;
-    else if (Util < 0.0)
-      Util = 0.0;
-    double Remaining = WallNs;
-    while (Remaining > 0.0) {
-      double Take = WindowNs - WindowWallNs;
-      if (Take > Remaining)
-        Take = Remaining;
-      WindowWallNs += Take;
-      WindowComputeNs += Util * Take;
-      Remaining -= Take;
-      if (WindowWallNs >= WindowNs) {
-        double WUtil = WindowComputeNs / WindowNs;
-        decide(WUtil > 1.0 ? 1.0 : WUtil);
-        WindowComputeNs = 0.0;
-        WindowWallNs = 0.0;
-      }
-    }
-  }
-
-private:
-  void decide(double Util) {
-    if (!Conservative) {
-      // ondemand: saturate to fmax above the up-threshold; below it, map the
-      // load proportionally onto [0, fmax] with the up-threshold as headroom
-      // and take the next rung at or above (CPUFREQ_RELATION_L).
-      if (Util > P.UpThreshold) {
-        FreqGHz = Cfg.fmaxOf(Core);
-        return;
-      }
-      FreqGHz =
-          Cfg.rungAtOrAbove(Core, Util * Cfg.fmaxOf(Core) / P.UpThreshold);
-      return;
-    }
-    // conservative: one rung per window, either direction.
-    const std::vector<double> &L = Cfg.ladder(Core);
-    std::size_t I = 0;
-    while (I + 1 < L.size() && L[I] < FreqGHz)
-      ++I;
-    if (Util > P.UpThreshold && I + 1 < L.size())
-      FreqGHz = L[I + 1];
-    else if (Util < P.DownThreshold && I > 0)
-      FreqGHz = L[I - 1];
-  }
-
-  const sim::MachineConfig &Cfg;
-  unsigned Core;
-  bool Conservative;
-  GovernorParams P;
-  double FreqGHz;
-  double WindowComputeNs = 0.0;
-  double WindowWallNs = 0.0;
 };
 
 /// Evaluation configuration.
@@ -152,8 +42,6 @@ struct EvalConfig {
   double ExecFreqGHz = 0.0;   ///< Fixed policy: frequency for execute/coupled.
   /// Overrides MachineConfig::DvfsTransitionNs when >= 0.
   double TransitionNs = -1.0;
-  /// Sampling parameters for the Ondemand/Conservative policies.
-  GovernorParams Governor;
 };
 
 /// Priced outcome of one run under one policy.
@@ -186,12 +74,12 @@ struct RunReport {
 RunReport evaluate(const RunProfile &Profile, const sim::MachineConfig &Cfg,
                    const EvalConfig &Eval);
 
-/// Ladder frequency minimizing one phase's local EDP on core \p Core's own
-/// ladder (section 3.1 policy (b)): EDP_phase = t(f) * E(f). Exact ties
-/// break toward the lower frequency. Exposed for the multi-core timeline's
-/// per-phase oracle policy, which prices phases from solo-run stats.
+/// Ladder frequency minimizing one phase's local EDP (section 3.1 policy
+/// (b)): EDP_phase = t(f) * E(f). Exact ties break toward the lower
+/// frequency. Exposed for the multi-core timeline's per-phase oracle
+/// policy, which prices phases from solo-run stats.
 double bestEdpFrequency(const sim::PhaseStats &S, const sim::MachineConfig &Cfg,
-                        const sim::PowerModel &PM, unsigned Core);
+                        const sim::PowerModel &PM);
 
 /// Convenience: coupled run at a fixed frequency.
 RunReport evaluateCoupled(const RunProfile &Profile,

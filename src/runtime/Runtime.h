@@ -83,9 +83,11 @@ struct TaskTraces {
 /// Whole-run trace retention, requested via execute()'s Traces out-param.
 /// Purely observational: the replay consumes each trace exactly as without
 /// retention, it just moves the buffer here instead of recycling it to the
-/// TracePool (so co-run mixes multiply live trace memory — see
-/// DAECC_TRACE_POOL_MB). Entries are in replay schedule order, index-aligned
-/// with the returned RunProfile::Tasks.
+/// TracePool. Retained traces never go back to the pool: they are freed with
+/// their RunTraces (harness::runMix frees them with its stream slots), so a
+/// co-run holds one live trace set per stream while its timeline runs.
+/// Entries are in replay schedule order, index-aligned with the returned
+/// RunProfile::Tasks.
 struct RunTraces {
   std::vector<TaskTraces> Tasks;
 };

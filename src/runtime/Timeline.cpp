@@ -69,8 +69,7 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
     throw std::invalid_argument("timeline stream count must be in [1, NumCores]");
 
   const unsigned NumCores = static_cast<unsigned>(Streams.size());
-  const double TransNs =
-      TC.TransitionNs >= 0.0 ? TC.TransitionNs : Cfg.DvfsTransitionNs;
+  const double TransNs = Cfg.DvfsTransitionNs;
   const bool IsGovernor = TC.Policy == TimelinePolicy::Ondemand ||
                           TC.Policy == TimelinePolicy::Conservative;
 
@@ -82,9 +81,7 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
   std::vector<GovernorState> Governors;
   if (IsGovernor)
     for (unsigned C = 0; C != NumCores; ++C)
-      Governors.emplace_back(Cfg, C,
-                             TC.Policy == TimelinePolicy::Conservative,
-                             TC.Governor);
+      Governors.emplace_back(Cfg, TC.Policy == TimelinePolicy::Conservative);
 
   // Flatten every stream into phase order. Solo profiles come from a
   // NumCores=1 replay, so profile order == sequential execution order and is
@@ -97,7 +94,7 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
     if (S.Solo->Tasks.size() != S.Traces->Tasks.size())
       throw std::invalid_argument("solo profile / retained traces mismatch");
     CoreState &CS = Cores[C];
-    CS.FreqGHz = Cfg.fmaxOf(C);
+    CS.FreqGHz = Cfg.fmax();
     CS.Phases.reserve(S.Traces->Tasks.size() * 2);
     for (std::size_t T = 0; T != S.Traces->Tasks.size(); ++T) {
       const TaskTraces &TT = S.Traces->Tasks[T];
@@ -137,13 +134,13 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
     double F = 0.0;
     switch (TC.Policy) {
     case TimelinePolicy::FixedMax:
-      F = Cfg.fmaxOf(C);
+      F = Cfg.fmax();
       break;
     case TimelinePolicy::DaeMinMax:
-      F = P.IsAccess ? Cfg.fminOf(C) : Cfg.fmaxOf(C);
+      F = P.IsAccess ? Cfg.fmin() : Cfg.fmax();
       break;
     case TimelinePolicy::OracleEdp:
-      F = bestEdpFrequency(*P.Solo, Cfg, PM, C);
+      F = bestEdpFrequency(*P.Solo, Cfg, PM);
       break;
     case TimelinePolicy::Ondemand:
     case TimelinePolicy::Conservative:
@@ -154,7 +151,7 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
       ++CS.Report.Transitions;
       if (TransNs > 0.0) {
         CS.ClockNs += TransNs;
-        CS.Report.EnergyJ += PM.staticPowerPerCore(C, F) * TransNs * 1e-9;
+        CS.Report.EnergyJ += PM.staticPowerPerCore(F) * TransNs * 1e-9;
       }
       CS.FreqGHz = F;
     }
@@ -189,9 +186,8 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
     double TimeNs = CS.ClockNs - CS.PhaseStartNs;
     if (TimeNs > 0.0) {
       double Ipc = static_cast<double>(CS.Acc.Instructions) / (TimeNs * F);
-      CS.Report.EnergyJ += (PM.dynamicPower(C, F, Ipc) +
-                            PM.staticPowerPerCore(C, F)) *
-                           TimeNs * 1e-9;
+      CS.Report.EnergyJ +=
+          (PM.dynamicPower(F, Ipc) + PM.staticPowerPerCore(F)) * TimeNs * 1e-9;
     }
     CS.Report.ComputeNs += CS.Acc.ComputeCycles / F;
     CS.Report.StallNs += CS.Acc.StallNs;
@@ -203,7 +199,7 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
     if (P.OverheadCycles > 0.0) {
       double OverheadNs = P.OverheadCycles / F;
       CS.ClockNs += OverheadNs;
-      CS.Report.EnergyJ += PM.phaseEnergy(C, OverheadStats(P.OverheadCycles), F);
+      CS.Report.EnergyJ += PM.phaseEnergy(OverheadStats(P.OverheadCycles), F);
       BusyNs += OverheadNs;
       ComputeNs += OverheadNs;
     }
@@ -322,7 +318,7 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
     Energy += R.Cores[C].EnergyJ;
     // Early finishers sleep until the slowest co-runner completes.
     Energy +=
-        PM.sleepPowerPerCore(C) * (R.MakespanNs - R.Cores[C].FinishNs) * 1e-9;
+        PM.sleepPowerPerCore() * (R.MakespanNs - R.Cores[C].FinishNs) * 1e-9;
   }
   Energy += PM.uncorePower() * R.MakespanNs * 1e-9;
   R.EnergyJ = Energy;

@@ -67,7 +67,7 @@ enum class TimelinePolicy {
   /// the compiler/profiling oracle. Solo stats are what offline profiling
   /// provides; the oracle does not get to see contention-inflated futures.
   OracleEdp,
-  /// Reactive cpufreq-style ondemand governor (see runtime/Evaluator.h).
+  /// Reactive cpufreq-style ondemand governor (see GovernorState).
   Ondemand,
   /// Reactive cpufreq-style conservative governor.
   Conservative,
@@ -89,6 +89,104 @@ inline const char *timelinePolicyName(TimelinePolicy P) {
   return "unknown";
 }
 
+/// One core's reactive-governor state: utilization-window accumulation plus
+/// the currently programmed frequency. Utilization is busy (compute) time
+/// over wall time, so memory stalls read as idle — cpufreq's io_is_busy=0
+/// view, which is precisely why reactive governors clock *down* during the
+/// memory-bound access phases DAE wants prefetched at low frequency, but
+/// only after the window has already elapsed at the wrong speed. The
+/// timeline observes decisions only at phase starts, the granularity at
+/// which a frequency can take effect.
+///
+/// The sampling constants follow cpufreq's ondemand/conservative semantics
+/// with the sampling period scaled down to the simulator's phase lengths
+/// (the same 1/16-style scaling as the cache geometry).
+class GovernorState {
+public:
+  /// Sampling window length (us).
+  static constexpr double SampleUs = 50.0;
+  /// Window utilization above which both governors raise the frequency.
+  static constexpr double UpThreshold = 0.80;
+  /// Window utilization below which conservative steps one rung down.
+  static constexpr double DownThreshold = 0.20;
+
+  GovernorState(const sim::MachineConfig &Cfg, bool Conservative)
+      : Cfg(Cfg), Conservative(Conservative), FreqGHz(Cfg.fmin()) {}
+
+  /// The frequency the governor currently has programmed. Governors start at
+  /// fmin — the ramp-up from cold is part of the reactive lag being
+  /// measured.
+  double frequency() const { return FreqGHz; }
+
+  /// Accounts \p ComputeNs of busy time within \p WallNs of elapsed time,
+  /// re-deciding the frequency once per completed sampling window. A span
+  /// longer than one window triggers multiple decisions (at the span's
+  /// uniform utilization), so e.g. Conservative ramps one rung per window
+  /// across a long phase.
+  ///
+  /// Spans are consumed chronologically: each window's decision sees only
+  /// the utilization of the wall time that actually fell inside it. A
+  /// zero-wall span is unobservable (no time elapsed in which to sample) and
+  /// is discarded outright — it must neither divide by zero nor smear stale
+  /// compute into the next window. Likewise, a span reporting more compute
+  /// than wall time saturates at 100% for its own duration only.
+  void account(double ComputeNs, double WallNs) {
+    const double WindowNs = SampleUs * 1000.0;
+    if (WallNs <= 0.0)
+      return;
+    double Util = ComputeNs / WallNs;
+    if (Util > 1.0)
+      Util = 1.0;
+    else if (Util < 0.0)
+      Util = 0.0;
+    double Remaining = WallNs;
+    while (Remaining > 0.0) {
+      double Take = WindowNs - WindowWallNs;
+      if (Take > Remaining)
+        Take = Remaining;
+      WindowWallNs += Take;
+      WindowComputeNs += Util * Take;
+      Remaining -= Take;
+      if (WindowWallNs >= WindowNs) {
+        double WUtil = WindowComputeNs / WindowNs;
+        decide(WUtil > 1.0 ? 1.0 : WUtil);
+        WindowComputeNs = 0.0;
+        WindowWallNs = 0.0;
+      }
+    }
+  }
+
+private:
+  void decide(double Util) {
+    if (!Conservative) {
+      // ondemand: saturate to fmax above the up-threshold; below it, map the
+      // load proportionally onto [0, fmax] with the up-threshold as headroom
+      // and take the next rung at or above (CPUFREQ_RELATION_L).
+      if (Util > UpThreshold) {
+        FreqGHz = Cfg.fmax();
+        return;
+      }
+      FreqGHz = Cfg.rungAtOrAbove(Util * Cfg.fmax() / UpThreshold);
+      return;
+    }
+    // conservative: one rung per window, either direction.
+    const std::vector<double> &L = Cfg.FrequenciesGHz;
+    std::size_t I = 0;
+    while (I + 1 < L.size() && L[I] < FreqGHz)
+      ++I;
+    if (Util > UpThreshold && I + 1 < L.size())
+      FreqGHz = L[I + 1];
+    else if (Util < DownThreshold && I > 0)
+      FreqGHz = L[I - 1];
+  }
+
+  const sim::MachineConfig &Cfg;
+  bool Conservative;
+  double FreqGHz;
+  double WindowComputeNs = 0.0;
+  double WindowWallNs = 0.0;
+};
+
 /// One co-runner: the solo-run artifacts of the workload pinned to one core.
 /// Solo and Traces must come from the same NumCores=1 run (index-aligned by
 /// construction — see TaskRuntime::execute's Traces out-param).
@@ -104,13 +202,10 @@ struct CoreStream {
   std::uint64_t AddrBias = 0;
 };
 
-/// Timeline evaluation configuration.
+/// Timeline evaluation configuration. DVFS transitions take
+/// MachineConfig::DvfsTransitionNs.
 struct TimelineConfig {
   TimelinePolicy Policy = TimelinePolicy::FixedMax;
-  /// Overrides MachineConfig::DvfsTransitionNs when >= 0.
-  double TransitionNs = -1.0;
-  /// Sampling parameters for the governor policies.
-  GovernorParams Governor;
 };
 
 /// One core's outcome on the timeline.

@@ -19,8 +19,6 @@
 #ifndef DAECC_SIM_ACCESSTRACE_H
 #define DAECC_SIM_ACCESSTRACE_H
 
-#include "support/EnvParse.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
@@ -56,29 +54,12 @@ public:
       : MaxPooled(MaxPooled), MaxBufferBytes(MaxBufferBytes),
         MaxTotalBytes(MaxTotalBytes) {}
 
-  /// Total retained-bytes cap from DAECC_TRACE_POOL_MB (MiB), or
-  /// DefaultMaxTotalBytes when unset. 8-way co-scheduled mixes keep one live
-  /// trace set per core, so the default 64 MiB free-list can be too small to
-  /// absorb their recycle traffic (or too large for a constrained host) —
-  /// the cap is an environment knob rather than a rebuild. A value that is
-  /// not a positive integer, or whose byte count overflows, is a hard
-  /// configuration error (exit 2; see support::envMiBOr), never a silent
-  /// fall-back: a sweep sized against a cap that was silently ignored would
-  /// thrash (or OOM) unexplained.
-  static std::size_t maxTotalBytesFromEnv() {
-    return support::envMiBOr("DAECC_TRACE_POOL_MB", DefaultMaxTotalBytes);
-  }
-
   /// Process-wide pool (suite jobs in one process share one allocator
-  /// anyway, so they share one free-list too). Sized by DAECC_TRACE_POOL_MB
-  /// when set; the per-buffer cap scales with the total (total/8, floored at
-  /// the default) so one outlier trace still cannot pin the whole budget.
+  /// anyway, so they share one free-list too), at the default caps. Traces a
+  /// co-run retains are freed with their run, never recycled, so the
+  /// free-list only absorbs per-task recycle traffic.
   static TracePool &global() {
-    static TracePool Pool = [] {
-      std::size_t Total = maxTotalBytesFromEnv();
-      std::size_t PerBuffer = std::max(Total / 8, DefaultMaxBufferBytes);
-      return TracePool(DefaultMaxPooled, PerBuffer, Total);
-    }();
+    static TracePool Pool;
     return Pool;
   }
 

@@ -314,17 +314,22 @@ Interpreter::interpret(const CompiledFunction &CF,
       S.ComputeCycles += CI.Cycles;
 
       switch (CI.Op) {
+      // Integer Add/Sub/Mul wrap in two's complement like native code:
+      // computed through uint64_t, as signed overflow is undefined in C++.
       case SimOp::Add:
-        Env[static_cast<unsigned>(CI.DstSlot)].I =
-            Get(CI.Ops[0]).I + Get(CI.Ops[1]).I;
+        Env[static_cast<unsigned>(CI.DstSlot)].I = static_cast<std::int64_t>(
+            static_cast<std::uint64_t>(Get(CI.Ops[0]).I) +
+            static_cast<std::uint64_t>(Get(CI.Ops[1]).I));
         break;
       case SimOp::Sub:
-        Env[static_cast<unsigned>(CI.DstSlot)].I =
-            Get(CI.Ops[0]).I - Get(CI.Ops[1]).I;
+        Env[static_cast<unsigned>(CI.DstSlot)].I = static_cast<std::int64_t>(
+            static_cast<std::uint64_t>(Get(CI.Ops[0]).I) -
+            static_cast<std::uint64_t>(Get(CI.Ops[1]).I));
         break;
       case SimOp::Mul:
-        Env[static_cast<unsigned>(CI.DstSlot)].I =
-            Get(CI.Ops[0]).I * Get(CI.Ops[1]).I;
+        Env[static_cast<unsigned>(CI.DstSlot)].I = static_cast<std::int64_t>(
+            static_cast<std::uint64_t>(Get(CI.Ops[0]).I) *
+            static_cast<std::uint64_t>(Get(CI.Ops[1]).I));
         break;
       case SimOp::SDiv: {
         std::int64_t R = Get(CI.Ops[1]).I;

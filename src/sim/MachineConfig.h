@@ -11,13 +11,15 @@
 /// core-clocked domain (cycles) and the wall-clock memory domain (ns), the
 /// DVFS ladder of the paper (1.6-3.4 GHz in 0.4 GHz steps), its V(f) curve,
 /// and the 500 ns transition latency of section 6.1 (zero for the
-/// "future hardware" case).
+/// "future hardware" case). The machine is homogeneous: every core runs on
+/// the one ladder and the one V(f) curve.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAECC_SIM_MACHINECONFIG_H
 #define DAECC_SIM_MACHINECONFIG_H
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -185,14 +187,6 @@ struct MachineConfig {
   /// DVFS ladder, fmin..fmax (GHz), 400 MHz steps as in section 6.2.
   std::vector<double> FrequenciesGHz{1.6, 2.0, 2.4, 2.8, 3.2, 3.4};
 
-  /// Per-core DVFS ladders for heterogeneous (big.LITTLE-style) topologies.
-  /// Core C runs on CoreLadders[C] when C < CoreLadders.size(), else on the
-  /// machine-wide FrequenciesGHz ladder — so the default (empty) keeps every
-  /// core on the homogeneous ladder and every existing consumer bit-exact.
-  /// Each entry must be non-empty and sorted ascending (like FrequenciesGHz);
-  /// a single-entry ladder pins the core to one operating point.
-  std::vector<std::vector<double>> CoreLadders;
-
   /// Shared DRAM channel bandwidth (GB/s == bytes/ns) for the multi-core
   /// contention timeline: concurrent LLC misses queue on the channel, each
   /// occupying it for LineBytes / DramBandwidthGBs ns. <= 0 disables the
@@ -207,39 +201,14 @@ struct MachineConfig {
   double fmin() const { return FrequenciesGHz.front(); }
   double fmax() const { return FrequenciesGHz.back(); }
 
-  /// The DVFS ladder core \p Core runs on (see CoreLadders).
-  const std::vector<double> &ladder(unsigned Core) const {
-    return Core < CoreLadders.size() ? CoreLadders[Core] : FrequenciesGHz;
-  }
-  double fminOf(unsigned Core) const { return ladder(Core).front(); }
-  double fmaxOf(unsigned Core) const { return ladder(Core).back(); }
-
-  /// \p FreqGHz clamped into core \p Core's ladder range [fminOf, fmaxOf].
-  /// A single-entry ladder clamps every query to its one operating point.
-  double clampToLadder(unsigned Core, double FreqGHz) const {
-    double Lo = fminOf(Core), Hi = fmaxOf(Core);
-    return FreqGHz < Lo ? Lo : FreqGHz > Hi ? Hi : FreqGHz;
-  }
-
-  /// The lowest ladder rung of core \p Core at or above \p FreqGHz (clamped
-  /// to fmaxOf for targets beyond the ladder) — cpufreq's CPUFREQ_RELATION_L
-  /// pick, used by the ondemand governor's target selection.
-  double rungAtOrAbove(unsigned Core, double FreqGHz) const {
-    for (double F : ladder(Core))
+  /// The lowest ladder rung at or above \p FreqGHz (fmax for targets beyond
+  /// the ladder): cpufreq's CPUFREQ_RELATION_L pick, used by the ondemand
+  /// governor's target selection.
+  double rungAtOrAbove(double FreqGHz) const {
+    for (double F : FrequenciesGHz)
       if (F >= FreqGHz)
         return F;
-    return fmaxOf(Core);
-  }
-
-  /// Configures a heterogeneous big.LITTLE topology: cores [0, NumBig) keep
-  /// the machine-wide ladder, cores [NumBig, NumBig + NumLittle) run an
-  /// efficiency ladder spanning 0.6-1.4 GHz (after the ARM big.LITTLE DAE
-  /// study, arXiv:1701.05478). Sets NumCores = NumBig + NumLittle.
-  void makeBigLittle(unsigned NumBig, unsigned NumLittle) {
-    NumCores = NumBig + NumLittle;
-    CoreLadders.assign(NumBig, FrequenciesGHz);
-    CoreLadders.insert(CoreLadders.end(), NumLittle,
-                       std::vector<double>{0.6, 0.8, 1.0, 1.2, 1.4});
+    return fmax();
   }
 
   /// Sandybridge-like V-f curve: ~0.93 V at 1.6 GHz, ~1.25 V at 3.4 GHz.
@@ -248,19 +217,7 @@ struct MachineConfig {
   /// ladder, a 0 GHz sentinel) prices the nearest real operating point
   /// instead of extrapolating the linear fit to nonsense voltages.
   double voltageAt(double FreqGHz) const {
-    if (FreqGHz < fmin())
-      FreqGHz = fmin();
-    else if (FreqGHz > fmax())
-      FreqGHz = fmax();
-    return 0.65 + 0.175 * FreqGHz;
-  }
-
-  /// Per-core V-f: the same linear curve, clamped to core \p Core's ladder —
-  /// a little core's voltage tops out at its own fmax, not the big ladder's,
-  /// so off-ladder queries on heterogeneous topologies price the nearest
-  /// operating point that core actually has.
-  double voltageAt(unsigned Core, double FreqGHz) const {
-    return 0.65 + 0.175 * clampToLadder(Core, FreqGHz);
+    return 0.65 + 0.175 * std::clamp(FreqGHz, fmin(), fmax());
   }
 };
 

@@ -14,7 +14,8 @@
 ///   Energy   = sum over phases of P * t;  EDP = Time_total * Energy.
 ///
 /// During DVFS transitions no instructions execute and only static power
-/// accrues (section 6.1).
+/// accrues (section 6.1). Every core shares the machine's one V(f) curve,
+/// so one set of formulas prices every core.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,36 +62,6 @@ public:
             staticPowerPerCore(FreqGHz)) *
            TimeS;
   }
-
-  /// \name Core-aware overloads for heterogeneous (per-core-ladder) machines
-  /// Identical formulas, but the voltage comes from \p Core's own ladder via
-  /// MachineConfig::voltageAt(Core, f) — a little core running 0.8 GHz must
-  /// be priced at its own low rail, not clamped up to the big ladder's fmin.
-  /// On a homogeneous machine every overload reduces exactly to the
-  /// single-ladder form above.
-  /// @{
-  double dynamicPower(unsigned Core, double FreqGHz, double Ipc) const {
-    double Ceff = 0.19 * Ipc + 1.64; // nF
-    double V = Cfg.voltageAt(Core, FreqGHz);
-    return Ceff * FreqGHz * V * V;
-  }
-
-  double staticPowerPerCore(unsigned Core, double FreqGHz) const {
-    double V = Cfg.voltageAt(Core, FreqGHz);
-    return StaticV * V + StaticVF * V * FreqGHz;
-  }
-
-  double sleepPowerPerCore(unsigned Core) const {
-    return SleepFraction * staticPowerPerCore(Core, Cfg.fminOf(Core));
-  }
-
-  double phaseEnergy(unsigned Core, const PhaseStats &S, double FreqGHz) const {
-    double TimeS = S.timeNs(FreqGHz) * 1e-9;
-    return (dynamicPower(Core, FreqGHz, S.ipc(FreqGHz)) +
-            staticPowerPerCore(Core, FreqGHz)) *
-           TimeS;
-  }
-  /// @}
 
 private:
   const MachineConfig &Cfg;

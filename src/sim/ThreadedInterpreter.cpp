@@ -123,16 +123,23 @@ PhaseStats ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
     DISPATCH();                                                                \
   } while (0)
 
+// Integer ops compute through uint64_t so Add/Sub/Mul wrap in two's
+// complement like native code (signed overflow is undefined in C++); the
+// bitwise ops give the same bits either way.
 #define INT_BIN(Name, OPER)                                                    \
   OP(Name) {                                                                   \
     STEP();                                                                    \
-    R[I->Dst].I = R[I->A].I OPER R[I->B].I;                                    \
+    R[I->Dst].I = static_cast<std::int64_t>(                                   \
+        static_cast<std::uint64_t>(R[I->A].I)                                  \
+            OPER static_cast<std::uint64_t>(R[I->B].I));                       \
     NEXT();                                                                    \
   }
 #define INT_BIN_IMM(Name, OPER)                                                \
   OP(Name) {                                                                   \
     STEP();                                                                    \
-    R[I->Dst].I = R[I->A].I OPER I->Imm.I;                                     \
+    R[I->Dst].I = static_cast<std::int64_t>(                                   \
+        static_cast<std::uint64_t>(R[I->A].I)                                  \
+            OPER static_cast<std::uint64_t>(I->Imm.I));                        \
     NEXT();                                                                    \
   }
 #define FP_BIN(Name, OPER)                                                     \
@@ -401,7 +408,9 @@ dispatch:
     Out.I = View.loadI64(Addr);
     R[I->Aux] = Out;
     STEP2();
-    R[I->Dst].I = R[I->B].I + R[I->C].I;
+    R[I->Dst].I = static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(R[I->B].I) +
+        static_cast<std::uint64_t>(R[I->C].I));
     NEXT();
   }
 

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// One validated parse for every DAECC_* environment knob. The contract is
-/// the one BenchOptions::parse and TracePool::maxTotalBytesFromEnv
-/// established: a value that is set but malformed is a hard configuration
-/// error (exit 2), never a silent fall-back to the default — a sweep that
-/// exported DAECC_JOBS=8x and silently ran sequentially would mislabel its
-/// own results. Unset variables return the caller's default.
+/// the one BenchOptions::parse established: a value that is set but
+/// malformed is a hard configuration error (exit 2), never a silent
+/// fall-back to the default — a sweep that exported DAECC_JOBS=8x and
+/// silently ran sequentially would mislabel its own results. Unset
+/// variables return the caller's default.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,28 +65,6 @@ inline bool envBool01Or(const char *Name, bool Default) {
   std::fprintf(stderr, "error: invalid %s value '%s' (expected 0 or 1)\n",
                Name, Env);
   std::exit(2);
-}
-
-/// Strict positive byte count from a MiB-denominated environment variable.
-/// Unset returns \p DefaultBytes; garbage exits 2, as does a count whose
-/// byte value would not fit std::size_t (the << 20 must not overflow).
-inline std::size_t envMiBOr(const char *Name, std::size_t DefaultBytes) {
-  const char *Env = std::getenv(Name);
-  if (!Env)
-    return DefaultBytes;
-  char *End = nullptr;
-  errno = 0;
-  long long Mb = std::strtoll(Env, &End, 10);
-  if (End == Env || *End != '\0' || errno == ERANGE || Mb <= 0 ||
-      static_cast<unsigned long long>(Mb) >
-          (std::numeric_limits<std::size_t>::max() >> 20)) {
-    std::fprintf(stderr,
-                 "error: invalid %s value '%s' (expected a positive integer "
-                 "number of MiB)\n",
-                 Name, Env);
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(Mb) << 20;
 }
 
 } // namespace support

@@ -107,20 +107,16 @@ TEST(BenchOptions, DefaultsMatchTheOldPerDriverParsing) {
   EXPECT_FALSE(O.PassStats);
   EXPECT_FALSE(O.DaeVerify);
   EXPECT_EQ(O.Cores, 0u);
-  EXPECT_EQ(O.BigCores + O.LittleCores, 0u);
   EXPECT_TRUE(O.Mix.empty());
-  EXPECT_EQ(O.Governor, "both");
 
   sim::MachineConfig Cfg = O.machineConfig();
   sim::MachineConfig Ref;
   EXPECT_EQ(Cfg.NumCores, Ref.NumCores);
-  EXPECT_TRUE(Cfg.CoreLadders.empty());
 }
 
 TEST(BenchOptions, ParsesTheNewFlags) {
   BenchOptions O = parseOpts({"--test-scale", "--jobs=3", "--cores=8",
-                              "--mix=libq,cigar,fft", "--governor=ondemand",
-                              "--dae-verify"});
+                              "--mix=libq,cigar,fft", "--dae-verify"});
   EXPECT_EQ(O.Scale, workloads::Scale::Test);
   EXPECT_EQ(O.Jobs, 3u);
   EXPECT_EQ(O.Cores, 8u);
@@ -128,21 +124,8 @@ TEST(BenchOptions, ParsesTheNewFlags) {
   EXPECT_EQ(O.Mix[0], "libq");
   EXPECT_EQ(O.Mix[1], "cigar");
   EXPECT_EQ(O.Mix[2], "fft");
-  EXPECT_EQ(O.Governor, "ondemand");
   EXPECT_TRUE(O.DaeVerify);
   EXPECT_EQ(O.machineConfig().NumCores, 8u);
-}
-
-TEST(BenchOptions, BigLittleShapesTheMachine) {
-  BenchOptions O = parseOpts({"--big-little=2,2", "--cores=16"});
-  EXPECT_EQ(O.BigCores, 2u);
-  EXPECT_EQ(O.LittleCores, 2u);
-  sim::MachineConfig Cfg = O.machineConfig();
-  // --big-little overrides --cores and installs per-core ladders.
-  EXPECT_EQ(Cfg.NumCores, 4u);
-  ASSERT_EQ(Cfg.CoreLadders.size(), 4u);
-  EXPECT_EQ(Cfg.ladder(0), Cfg.FrequenciesGHz);
-  EXPECT_DOUBLE_EQ(Cfg.fmaxOf(3), 1.4);
 }
 
 TEST(BenchUtilDeathTest, GarbageCoresIsAHardError) {
@@ -154,17 +137,6 @@ TEST(BenchUtilDeathTest, GarbageCoresIsAHardError) {
               "invalid --cores value '4x'");
 }
 
-TEST(BenchUtilDeathTest, MalformedBigLittleIsAHardError) {
-  EXPECT_EXIT(parseOpts({"--big-little=4"}), ::testing::ExitedWithCode(2),
-              "invalid --big-little value '4'");
-  EXPECT_EXIT(parseOpts({"--big-little=4,"}), ::testing::ExitedWithCode(2),
-              "invalid --big-little value '4,'");
-  EXPECT_EXIT(parseOpts({"--big-little=,4"}), ::testing::ExitedWithCode(2),
-              "invalid --big-little value ',4'");
-  EXPECT_EXIT(parseOpts({"--big-little=a,b"}), ::testing::ExitedWithCode(2),
-              "invalid --big-little value 'a'");
-}
-
 TEST(BenchUtilDeathTest, MalformedMixIsAHardError) {
   EXPECT_EXIT(parseOpts({"--mix="}), ::testing::ExitedWithCode(2),
               "--mix requires at least one workload name");
@@ -172,13 +144,6 @@ TEST(BenchUtilDeathTest, MalformedMixIsAHardError) {
               "trailing comma");
   EXPECT_EXIT(parseOpts({"--mix=libq,,fft"}), ::testing::ExitedWithCode(2),
               "empty workload name");
-}
-
-TEST(BenchUtilDeathTest, UnknownGovernorIsAHardError) {
-  EXPECT_EXIT(parseOpts({"--governor=powersave"}),
-              ::testing::ExitedWithCode(2),
-              "unknown --governor value 'powersave'.*'ondemand', "
-              "'conservative' or 'both'");
 }
 
 TEST(BenchOptions, DaeProfileGuidedFlagAndEnv) {
@@ -212,11 +177,6 @@ TEST(BenchOptions, RepeatedMixReplacesInsteadOfAppending) {
   EXPECT_EQ(O.Mix[0], "fft");
 }
 
-TEST(BenchOptions, RepeatedGovernorLastWins) {
-  BenchOptions O = parseOpts({"--governor=ondemand", "--governor=conservative"});
-  EXPECT_EQ(O.Governor, "conservative");
-}
-
 TEST(BenchOptions, RepeatedBackendLastWins) {
   unsetenv("DAECC_SIM_BACKEND");
   BenchOptions O = parseOpts({"--sim-backend=switch", "--sim-backend=native"});
@@ -231,9 +191,6 @@ TEST(BenchUtilDeathTest, EarlyInvalidOccurrenceStillHardErrors) {
               "unknown --sim-backend value 'fastest'");
   EXPECT_EXIT(parseOpts({"--cores=many", "--cores=4"}),
               ::testing::ExitedWithCode(2), "invalid --cores value 'many'");
-  EXPECT_EXIT(parseOpts({"--governor=powersave", "--governor=both"}),
-              ::testing::ExitedWithCode(2),
-              "unknown --governor value 'powersave'");
 }
 
 // The strict name mapping itself (shared by flag and env paths).
@@ -257,13 +214,12 @@ TEST(BenchOptions, EveryKnownFlagParses) {
   BenchOptions O = parseOpts(
       {"--test-scale", "--jobs=2", "--sim-backend=switch", "--verify-each",
        "--print-after-all", "--pass-stats", "--dae-verify",
-       "--dae-profile-guided", "--cores=4", "--big-little=2,2",
-       "--mix=libq,fft", "--governor=ondemand"});
+       "--dae-profile-guided", "--cores=4", "--mix=libq,fft"});
   EXPECT_EQ(O.Backend, SimBackend::Switch);
   EXPECT_EQ(O.Jobs, 2u);
   EXPECT_TRUE(O.PassStats);
   EXPECT_TRUE(O.DaeProfileGuided);
-  EXPECT_EQ(O.BigCores, 2u);
+  EXPECT_EQ(O.Cores, 4u);
   EXPECT_TRUE(pm::config().VerifyEach);
   pm::config() = Saved;
 }
@@ -271,11 +227,13 @@ TEST(BenchOptions, EveryKnownFlagParses) {
 TEST(BenchUtilDeathTest, UnknownFlagIsAHardError) {
   // A typo such as --dae-verfy must not run the suite without the check it
   // asked for, and removed flags (the daemon's, the in-run thread count and
-  // replay overlap, the in-driver baseline) must not silently run a suite
-  // configured differently from what was asked.
+  // replay overlap, the in-driver baseline, the big.LITTLE topology and the
+  // governor column filter) must not silently run a suite configured
+  // differently from what was asked.
   for (const char *Bad :
        {"--serve", "--socket=x", "--cache-dir=x", "--dae-verfy", "fig3",
-        "--jobs", "--sim-threads=2", "--no-replay-overlap", "--no-baseline"})
+        "--jobs", "--sim-threads=2", "--no-replay-overlap", "--no-baseline",
+        "--big-little=2,2", "--governor=ondemand"})
     EXPECT_EXIT(parseOpts({"--test-scale", Bad}), ::testing::ExitedWithCode(2),
                 std::string("error: unknown flag '") + Bad + "'")
         << "flag: '" << Bad << "'";

@@ -358,9 +358,6 @@ const GoldenMix GoldenMixes[] = {
        C.DramBandwidthGBs = 0.0;
      },
      false, 0x036f6085712ef5deull, 0x80f923ded0451659ull},
-    {"big_little", {"libq", "cigar", "cholesky", "fft"},
-     [](MachineConfig &C) { C.makeBigLittle(2, 2); }, false,
-     0xb2714896bf7313a9ull, 0x03d5356d3f6a7220ull},
     {"eight_way",
      {"lu", "cholesky", "fft", "lbm", "libq", "cigar", "cg", "lu"},
      [](MachineConfig &C) { C.NumCores = 8; }, false, 0x7a20cc31d33f5904ull,
@@ -386,7 +383,7 @@ TEST_P(TimelineGolden, MatchesReferenceInterleave) {
       Streams[S].push_back({&A.Profiles[S], &A.Traces[S], Bias});
   }
 
-  auto HashAll = [&](double TransitionNs) {
+  auto HashAll = [&](const MachineConfig &PriceCfg) {
     std::uint64_t H = 1469598103934665603ull;
     for (const std::vector<CoreStream> &St : Streams)
       for (TimelinePolicy P :
@@ -395,13 +392,14 @@ TEST_P(TimelineGolden, MatchesReferenceInterleave) {
             TimelinePolicy::Conservative}) {
         TimelineConfig TC;
         TC.Policy = P;
-        TC.TransitionNs = TransitionNs;
-        H = hashReport(interleaveTimeline(St, Cfg, TC), H);
+        H = hashReport(interleaveTimeline(St, PriceCfg, TC), H);
       }
     return H;
   };
-  EXPECT_EQ(HashAll(-1.0), G.DefaultTransition) << "default transition";
-  EXPECT_EQ(HashAll(0.0), G.ZeroTransition) << "0 ns transition";
+  MachineConfig Ideal = Cfg;
+  Ideal.DvfsTransitionNs = 0.0;
+  EXPECT_EQ(HashAll(Cfg), G.DefaultTransition) << "default transition";
+  EXPECT_EQ(HashAll(Ideal), G.ZeroTransition) << "0 ns transition";
 }
 
 INSTANTIATE_TEST_SUITE_P(Mixes, TimelineGolden,
@@ -410,40 +408,36 @@ INSTANTIATE_TEST_SUITE_P(Mixes, TimelineGolden,
                            return std::string(Info.param.Name);
                          });
 
-// --- Reactive governor dynamics (runtime/Evaluator.h) ---------------------
+// --- Reactive governor dynamics (GovernorState, runtime/Timeline.h) -------
 
-TEST(GovernorState, OndemandJumpsToMaxUnderLoad) {
+constexpr double WindowNs = GovernorState::SampleUs * 1000.0;
+
+TEST(GovernorStateTest, OndemandJumpsToMaxUnderLoad) {
   MachineConfig Cfg;
-  GovernorParams P;
-  GovernorState G(Cfg, /*Core=*/0, /*Conservative=*/false, P);
-  EXPECT_EQ(G.frequency(), Cfg.fminOf(0));
+  GovernorState G(Cfg, /*Conservative=*/false);
+  EXPECT_EQ(G.frequency(), Cfg.fmin());
   // One full window of >80% utilization: ondemand pins fmax immediately.
-  double WindowNs = P.SampleUs * 1000.0;
   G.account(/*ComputeNs=*/0.95 * WindowNs, /*WallNs=*/WindowNs);
-  EXPECT_EQ(G.frequency(), Cfg.fmaxOf(0));
+  EXPECT_EQ(G.frequency(), Cfg.fmax());
 }
 
-TEST(GovernorState, OndemandScalesProportionallyWhenIdle) {
+TEST(GovernorStateTest, OndemandScalesProportionallyWhenIdle) {
   MachineConfig Cfg;
-  GovernorParams P;
-  GovernorState G(Cfg, 0, false, P);
-  double WindowNs = P.SampleUs * 1000.0;
+  GovernorState G(Cfg, /*Conservative=*/false);
   // 40% utilization: target = 0.4 * fmax / 0.8 = fmax / 2, rounded up to a
   // ladder rung (cpufreq CPUFREQ_RELATION_L).
   G.account(0.4 * WindowNs, WindowNs);
-  double Target = 0.4 * Cfg.fmaxOf(0) / P.UpThreshold;
-  EXPECT_EQ(G.frequency(), Cfg.rungAtOrAbove(0, Target));
-  EXPECT_LT(G.frequency(), Cfg.fmaxOf(0));
+  double Target = 0.4 * Cfg.fmax() / GovernorState::UpThreshold;
+  EXPECT_EQ(G.frequency(), Cfg.rungAtOrAbove(Target));
+  EXPECT_LT(G.frequency(), Cfg.fmax());
 }
 
-TEST(GovernorState, ConservativeStepsOneRungAtATime) {
+TEST(GovernorStateTest, ConservativeStepsOneRungAtATime) {
   MachineConfig Cfg;
-  GovernorParams P;
-  GovernorState G(Cfg, 0, /*Conservative=*/true, P);
-  const std::vector<double> &L = Cfg.ladder(0);
+  GovernorState G(Cfg, /*Conservative=*/true);
+  const std::vector<double> &L = Cfg.FrequenciesGHz;
   ASSERT_GE(L.size(), 3u);
   EXPECT_EQ(G.frequency(), L.front());
-  double WindowNs = P.SampleUs * 1000.0;
   // Saturated windows climb exactly one rung each.
   G.account(WindowNs, WindowNs);
   EXPECT_EQ(G.frequency(), L[1]);
@@ -458,31 +452,76 @@ TEST(GovernorState, ConservativeStepsOneRungAtATime) {
   EXPECT_EQ(G.frequency(), L[0]);
 }
 
-TEST(GovernorState, SubWindowActivityAccumulates) {
+// Degenerate accounting sequences.
+
+TEST(GovernorStateTest, ZeroWallSpanIsDiscarded) {
   MachineConfig Cfg;
-  GovernorParams P;
-  GovernorState G(Cfg, 0, false, P);
-  double WindowNs = P.SampleUs * 1000.0;
-  // Half a window of full load: no decision yet.
-  G.account(0.5 * WindowNs, 0.5 * WindowNs);
-  EXPECT_EQ(G.frequency(), Cfg.fminOf(0));
-  // Completing the window triggers the decision over the whole window.
-  G.account(0.5 * WindowNs, 0.5 * WindowNs);
-  EXPECT_EQ(G.frequency(), Cfg.fmaxOf(0));
+  GovernorState G(Cfg, /*Conservative=*/false);
+
+  // A zero-wall span is unobservable: no division by zero, no frequency
+  // change, and — critically — no stale compute smeared into later windows.
+  G.account(1e9, 0.0);
+  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.fmin());
+
+  // A fully idle window right after must decide on 0% utilization, not on
+  // the discarded span's compute.
+  G.account(0.0, WindowNs);
+  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.fmin());
 }
 
-TEST(GovernorState, PerCoreLaddersOnBigLittle) {
+TEST(GovernorStateTest, SubWindowSpansAccumulateChronologically) {
   MachineConfig Cfg;
-  Cfg.makeBigLittle(/*NumBig=*/1, /*NumLittle=*/1);
-  GovernorParams P;
-  GovernorState Big(Cfg, 0, false, P);
-  GovernorState Little(Cfg, 1, false, P);
-  double WindowNs = P.SampleUs * 1000.0;
-  Big.account(WindowNs, WindowNs);
-  Little.account(WindowNs, WindowNs);
-  EXPECT_EQ(Big.frequency(), Cfg.fmaxOf(0));
-  EXPECT_EQ(Little.frequency(), Cfg.fmaxOf(1));
-  EXPECT_GT(Big.frequency(), Little.frequency());
+  GovernorState G(Cfg, /*Conservative=*/false);
+
+  // 90% of a window fully busy: no window has completed yet, so no decision.
+  G.account(0.9 * WindowNs, 0.9 * WindowNs);
+  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.fmin());
+
+  // The next idle span completes the window. Its decision must see only the
+  // time that fell inside the window: 90% busy + 10% idle = 90% > the 80%
+  // up-threshold, so ondemand jumps to fmax.
+  G.account(0.0, 0.2 * WindowNs);
+  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.fmax());
+
+  // The remaining 10% idle backlog belongs to the *next* window; after it
+  // fills up fully idle, the decision is 0% utilization -> fmin. Stale
+  // busy time from the first window must not leak in.
+  G.account(0.0, 0.9 * WindowNs);
+  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.fmin());
+}
+
+TEST(GovernorStateTest, OverfullComputeSaturatesItsOwnSpanOnly) {
+  MachineConfig Cfg;
+  GovernorState G(Cfg, /*Conservative=*/false);
+
+  // More compute than wall time saturates at 100% for its own duration; a
+  // window that is half saturated and half idle reads 50%, which ondemand
+  // maps below fmax.
+  G.account(10.0 * WindowNs, 0.5 * WindowNs);
+  G.account(0.0, 0.5 * WindowNs);
+  double F = G.frequency();
+  EXPECT_LT(F, Cfg.fmax()) << "50% utilization must not read as busy";
+  EXPECT_DOUBLE_EQ(F, Cfg.rungAtOrAbove(0.5 * Cfg.fmax() /
+                                        GovernorState::UpThreshold));
+}
+
+TEST(GovernorStateTest, ConservativeStepsOneRungPerWindow) {
+  MachineConfig Cfg;
+  GovernorState G(Cfg, /*Conservative=*/true);
+
+  // One fully busy multi-window span ramps one rung per completed window —
+  // chronological consumption, not one decision for the whole span.
+  G.account(3.0 * WindowNs, 3.0 * WindowNs);
+  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.FrequenciesGHz[3]);
+
+  // Zero-wall glitches between windows leave the ramp untouched.
+  G.account(1e12, 0.0);
+  G.account(WindowNs, WindowNs);
+  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.FrequenciesGHz[4]);
+
+  // Idle windows walk back down one rung at a time.
+  G.account(0.0, WindowNs);
+  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.FrequenciesGHz[3]);
 }
 
 } // namespace

@@ -267,86 +267,7 @@ TEST(EvaluatorTest, OptimalEdpBeatsOrMatchesFixedPolicies) {
     }
 }
 
-// --- GovernorState: degenerate accounting sequences -----------------------
-
-TEST(GovernorStateTest, ZeroWallSpanIsDiscarded) {
-  MachineConfig Cfg;
-  GovernorParams P;
-  GovernorState G(Cfg, 0, /*Conservative=*/false, P);
-  const double WindowNs = P.SampleUs * 1000.0;
-
-  // A zero-wall span is unobservable: no division by zero, no frequency
-  // change, and — critically — no stale compute smeared into later windows.
-  G.account(1e9, 0.0);
-  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.fmin());
-
-  // A fully idle window right after must decide on 0% utilization, not on
-  // the discarded span's compute.
-  G.account(0.0, WindowNs);
-  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.fmin());
-}
-
-TEST(GovernorStateTest, SubWindowSpansAccumulateChronologically) {
-  MachineConfig Cfg;
-  GovernorParams P;
-  GovernorState G(Cfg, 0, /*Conservative=*/false, P);
-  const double WindowNs = P.SampleUs * 1000.0;
-
-  // 90% of a window fully busy: no window has completed yet, so no decision.
-  G.account(0.9 * WindowNs, 0.9 * WindowNs);
-  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.fmin());
-
-  // The next idle span completes the window. Its decision must see only the
-  // time that fell inside the window: 90% busy + 10% idle = 90% > the 80%
-  // up-threshold, so ondemand jumps to fmax.
-  G.account(0.0, 0.2 * WindowNs);
-  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.fmax());
-
-  // The remaining 10% idle backlog belongs to the *next* window; after it
-  // fills up fully idle, the decision is 0% utilization -> fmin. Stale
-  // busy time from the first window must not leak in.
-  G.account(0.0, 0.9 * WindowNs);
-  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.fmin());
-}
-
-TEST(GovernorStateTest, OverfullComputeSaturatesItsOwnSpanOnly) {
-  MachineConfig Cfg;
-  GovernorParams P;
-  GovernorState G(Cfg, 0, /*Conservative=*/false, P);
-  const double WindowNs = P.SampleUs * 1000.0;
-
-  // More compute than wall time saturates at 100% for its own duration; a
-  // window that is half saturated and half idle reads 50%, which ondemand
-  // maps below fmax.
-  G.account(10.0 * WindowNs, 0.5 * WindowNs);
-  G.account(0.0, 0.5 * WindowNs);
-  double F = G.frequency();
-  EXPECT_LT(F, Cfg.fmax()) << "50% utilization must not read as busy";
-  EXPECT_DOUBLE_EQ(F, Cfg.rungAtOrAbove(0, 0.5 * Cfg.fmax() / P.UpThreshold));
-}
-
-TEST(GovernorStateTest, ConservativeStepsOneRungPerWindow) {
-  MachineConfig Cfg;
-  GovernorParams P;
-  GovernorState G(Cfg, 0, /*Conservative=*/true, P);
-  const double WindowNs = P.SampleUs * 1000.0;
-
-  // One fully busy multi-window span ramps one rung per completed window —
-  // chronological consumption, not one decision for the whole span.
-  G.account(3.0 * WindowNs, 3.0 * WindowNs);
-  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.FrequenciesGHz[3]);
-
-  // Zero-wall glitches between windows leave the ramp untouched.
-  G.account(1e12, 0.0);
-  G.account(WindowNs, WindowNs);
-  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.FrequenciesGHz[4]);
-
-  // Idle windows walk back down one rung at a time.
-  G.account(0.0, WindowNs);
-  EXPECT_DOUBLE_EQ(G.frequency(), Cfg.FrequenciesGHz[3]);
-}
-
-// --- Fixed policy on heterogeneous (big.LITTLE) ladders -------------------
+// --- Fixed targets at and beyond the ladder's rails ------------------------
 
 /// A hand-built two-core profile with one access+execute task per core.
 static RunProfile twoCoreProfile() {
@@ -366,78 +287,52 @@ static RunProfile twoCoreProfile() {
   return P;
 }
 
-TEST(EvaluatorTest, FixedTargetsClampToEachCoresOwnLadder) {
-  MachineConfig Cfg;
-  Cfg.makeBigLittle(1, 1);
-  RunProfile P = twoCoreProfile();
-
-  // Min/Max with the big ladder's endpoints: the little core (fmax 1.4,
-  // fmin 0.6) must run each phase at its own clamped frequency. Pricing the
-  // same profile with per-core in-range targets must agree exactly.
-  EvalConfig MinMax;
-  MinMax.Policy = FreqPolicy::Fixed;
-  MinMax.AccessFreqGHz = Cfg.fmin(); // 1.6 — above the little fmax of 1.4.
-  MinMax.ExecFreqGHz = Cfg.fmax();   // 3.4 — ditto.
-  MinMax.TransitionNs = 500.0;
-  RunReport Clamped = evaluate(P, Cfg, MinMax);
-  EXPECT_GT(Clamped.TimeSec, 0.0);
-
-  // Both targets clamp to 1.4 on the little core, so it never switches;
-  // only the big core does: boot fmax -> 1.6 (access) -> 3.4 (execute).
-  EXPECT_EQ(Clamped.NumTransitions, 2u)
-      << "little-core off-ladder targets must collapse to its single "
-         "clamped point";
-
-  // A little-only profile priced at off-ladder targets must be identical to
-  // pricing it at the clamped in-range targets.
-  RunProfile LittleOnly = twoCoreProfile();
-  LittleOnly.Tasks.erase(LittleOnly.Tasks.begin()); // keep core 1.
-  RunReport OffLadder = evaluate(LittleOnly, Cfg, MinMax);
-  EvalConfig InRange = MinMax;
-  InRange.AccessFreqGHz = Cfg.fmaxOf(1);
-  InRange.ExecFreqGHz = Cfg.fmaxOf(1);
-  RunReport AtClamp = evaluate(LittleOnly, Cfg, InRange);
-  EXPECT_DOUBLE_EQ(OffLadder.TimeSec, AtClamp.TimeSec);
-  EXPECT_DOUBLE_EQ(OffLadder.EnergyJ, AtClamp.EnergyJ);
-  EXPECT_EQ(OffLadder.NumTransitions, AtClamp.NumTransitions);
-}
-
-TEST(EvaluatorTest, BigCoreClampsBelowItsFmin) {
-  MachineConfig Cfg;
-  Cfg.makeBigLittle(1, 1);
-  RunProfile BigOnly = twoCoreProfile();
-  BigOnly.Tasks.pop_back(); // keep core 0.
-
-  // A target below the big core's fmin (e.g. a little-ladder frequency
-  // applied machine-wide) clamps up to the big fmin.
+static EvalConfig fixedAt(double AccessGHz, double ExecGHz) {
   EvalConfig E;
   E.Policy = FreqPolicy::Fixed;
-  E.AccessFreqGHz = 0.6;
-  E.ExecFreqGHz = 0.6;
-  E.TransitionNs = 0.0;
-  EvalConfig AtFmin = E;
-  AtFmin.AccessFreqGHz = AtFmin.ExecFreqGHz = Cfg.fminOf(0);
-  RunReport Low = evaluate(BigOnly, Cfg, E);
-  RunReport Ref = evaluate(BigOnly, Cfg, AtFmin);
-  EXPECT_DOUBLE_EQ(Low.TimeSec, Ref.TimeSec);
-  EXPECT_DOUBLE_EQ(Low.EnergyJ, Ref.EnergyJ);
+  E.AccessFreqGHz = AccessGHz;
+  E.ExecFreqGHz = ExecGHz;
+  E.TransitionNs = 500.0;
+  return E;
+}
+
+/// Expects \p Off and \p Rail to price \p P identically on \p Cfg.
+static void expectSamePrice(const RunProfile &P, const MachineConfig &Cfg,
+                            const EvalConfig &Off, const EvalConfig &Rail) {
+  RunReport A = evaluate(P, Cfg, Off);
+  RunReport B = evaluate(P, Cfg, Rail);
+  EXPECT_EQ(A.TimeSec, B.TimeSec);
+  EXPECT_EQ(A.EnergyJ, B.EnergyJ);
+  EXPECT_EQ(A.NumTransitions, B.NumTransitions);
+}
+
+TEST(EvaluatorTest, FixedTargetsClampToTheRails) {
+  MachineConfig Cfg;
+  RunProfile P = twoCoreProfile();
+  // Fixed targets come from outside the machine model: one below fmin runs
+  // (and is priced) exactly at fmin, one above fmax exactly at fmax, even
+  // when the two phases fall off opposite ends of the ladder.
+  expectSamePrice(P, Cfg, fixedAt(0.6, 9.0), fixedAt(Cfg.fmin(), Cfg.fmax()));
+  expectSamePrice(P, Cfg, fixedAt(9.0, 0.6), fixedAt(Cfg.fmax(), Cfg.fmin()));
+}
+
+TEST(EvaluatorTest, TargetBelowFminClampsUpToFmin) {
+  MachineConfig Cfg;
+  RunProfile P = twoCoreProfile();
+  // Both phases below fmin price exactly like both at fmin, and the clamped
+  // run switches once per core, from the boot frequency down to fmin.
+  expectSamePrice(P, Cfg, fixedAt(0.6, 0.6), fixedAt(Cfg.fmin(), Cfg.fmin()));
+  EXPECT_EQ(evaluate(P, Cfg, fixedAt(0.6, 0.6)).NumTransitions, 2u);
 }
 
 TEST(EvaluatorTest, CoresBootAtTheirOwnFmax) {
   MachineConfig Cfg;
-  Cfg.makeBigLittle(1, 1);
-  RunProfile LittleOnly = twoCoreProfile();
-  LittleOnly.Tasks.erase(LittleOnly.Tasks.begin());
-
-  // Running the little core at its own fmax from the start must cost zero
-  // transitions: it boots at 1.4, not at the big ladder's 3.4.
-  EvalConfig E;
-  E.Policy = FreqPolicy::Fixed;
-  E.AccessFreqGHz = Cfg.fmaxOf(1);
-  E.ExecFreqGHz = Cfg.fmaxOf(1);
-  E.TransitionNs = 500.0;
-  EXPECT_EQ(evaluate(LittleOnly, Cfg, E).NumTransitions, 0u)
-      << "little core must boot at its own ladder's top rung";
+  RunProfile P = twoCoreProfile();
+  // Every core boots at fmax, so a run at fmax, or at a target above it
+  // that clamps there, never switches.
+  EXPECT_EQ(evaluate(P, Cfg, fixedAt(Cfg.fmax(), Cfg.fmax())).NumTransitions,
+            0u);
+  EXPECT_EQ(evaluate(P, Cfg, fixedAt(9.0, 9.0)).NumTransitions, 0u);
 }
 
 TEST(EvaluatorTest, BreakdownBucketsSumSanely) {

@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <random>
 #include <vector>
@@ -44,61 +43,14 @@ TEST(MachineConfigTest, VoltageClampsOffLadderFrequencies) {
   EXPECT_LT(Mid, Cfg.voltageAt(Cfg.fmax()));
 }
 
-TEST(MachineConfigTest, PerCoreLaddersDefaultToMachineWide) {
+TEST(MachineConfigTest, RungAtOrAboveRoundsUpOntoTheLadder) {
   MachineConfig Cfg;
-  // Homogeneous machine (empty CoreLadders): every core's ladder IS the
-  // machine ladder, and the per-core voltage curve matches the global one
-  // exactly — the bit-exactness contract the single-core path relies on.
-  for (unsigned C : {0u, 1u, 3u, 17u}) {
-    EXPECT_EQ(&Cfg.ladder(C), &Cfg.FrequenciesGHz);
-    EXPECT_EQ(Cfg.fminOf(C), Cfg.fmin());
-    EXPECT_EQ(Cfg.fmaxOf(C), Cfg.fmax());
-    for (double F : Cfg.FrequenciesGHz)
-      EXPECT_EQ(Cfg.voltageAt(C, F), Cfg.voltageAt(F));
-  }
-}
-
-TEST(MachineConfigTest, BigLittleLaddersAndVoltages) {
-  MachineConfig Cfg;
-  Cfg.makeBigLittle(/*NumBig=*/2, /*NumLittle=*/2);
-  EXPECT_EQ(Cfg.NumCores, 4u);
-  // Big cores keep the machine ladder; little cores get the 0.6-1.4 GHz
-  // efficiency ladder.
-  EXPECT_EQ(Cfg.ladder(0), Cfg.FrequenciesGHz);
-  EXPECT_EQ(Cfg.ladder(1), Cfg.FrequenciesGHz);
-  EXPECT_DOUBLE_EQ(Cfg.fminOf(2), 0.6);
-  EXPECT_DOUBLE_EQ(Cfg.fmaxOf(2), 1.4);
-  EXPECT_DOUBLE_EQ(Cfg.fmaxOf(3), 1.4);
-
-  // Off-ladder queries clamp to the *core's* ladder: pricing a little core
-  // at the big fmax must cost the little fmax's voltage, not extrapolate
-  // into a range the core cannot reach.
-  EXPECT_DOUBLE_EQ(Cfg.clampToLadder(2, Cfg.fmax()), 1.4);
-  EXPECT_DOUBLE_EQ(Cfg.voltageAt(2, Cfg.fmax()), Cfg.voltageAt(2, 1.4));
-  EXPECT_DOUBLE_EQ(Cfg.clampToLadder(2, 0.1), 0.6);
-  EXPECT_LT(Cfg.voltageAt(2, 1.4), Cfg.voltageAt(0, Cfg.fmax()));
-
-  // rungAtOrAbove picks the core's own rungs (CPUFREQ_RELATION_L).
-  EXPECT_DOUBLE_EQ(Cfg.rungAtOrAbove(2, 0.7), 0.8);
-  EXPECT_DOUBLE_EQ(Cfg.rungAtOrAbove(2, 0.8), 0.8);
-  EXPECT_DOUBLE_EQ(Cfg.rungAtOrAbove(2, 5.0), 1.4);
-  EXPECT_DOUBLE_EQ(Cfg.rungAtOrAbove(0, 0.7), Cfg.fmin());
-}
-
-TEST(MachineConfigTest, SingleEntryLadderPinsTheCore) {
-  MachineConfig Cfg;
-  Cfg.NumCores = 2;
-  Cfg.CoreLadders = {{2.0}, Cfg.FrequenciesGHz};
-  // Every query on the pinned core resolves to its one operating point.
-  EXPECT_DOUBLE_EQ(Cfg.fminOf(0), 2.0);
-  EXPECT_DOUBLE_EQ(Cfg.fmaxOf(0), 2.0);
-  EXPECT_DOUBLE_EQ(Cfg.clampToLadder(0, 0.5), 2.0);
-  EXPECT_DOUBLE_EQ(Cfg.clampToLadder(0, 9.0), 2.0);
-  EXPECT_DOUBLE_EQ(Cfg.rungAtOrAbove(0, 0.5), 2.0);
-  EXPECT_DOUBLE_EQ(Cfg.rungAtOrAbove(0, 9.0), 2.0);
-  EXPECT_DOUBLE_EQ(Cfg.voltageAt(0, 3.4), Cfg.voltageAt(0, 2.0));
-  // The second core still sees the full machine ladder.
-  EXPECT_EQ(Cfg.ladder(1), Cfg.FrequenciesGHz);
+  // cpufreq's CPUFREQ_RELATION_L: the lowest rung at or above the target,
+  // fmin below the ladder and fmax beyond it.
+  EXPECT_DOUBLE_EQ(Cfg.rungAtOrAbove(0.7), Cfg.fmin());
+  EXPECT_DOUBLE_EQ(Cfg.rungAtOrAbove(2.1), 2.4);
+  EXPECT_DOUBLE_EQ(Cfg.rungAtOrAbove(2.4), 2.4);
+  EXPECT_DOUBLE_EQ(Cfg.rungAtOrAbove(5.0), Cfg.fmax());
 }
 
 TEST(DramChannelTest, QueuesConcurrentLines) {
@@ -119,60 +71,6 @@ TEST(DramChannelTest, NonPositiveBandwidthDisablesQueue) {
   EXPECT_DOUBLE_EQ(Ch.occupancyNs(), 0.0);
   for (int I = 0; I != 4; ++I)
     EXPECT_DOUBLE_EQ(Ch.requestLine(0.0), 0.0);
-}
-
-TEST(TracePoolTest, EnvCapParsing) {
-  // Unset: the built-in default.
-  unsetenv("DAECC_TRACE_POOL_MB");
-  std::size_t Default = TracePool::maxTotalBytesFromEnv();
-  EXPECT_GT(Default, 0u);
-  // Set: the cap in MiB.
-  setenv("DAECC_TRACE_POOL_MB", "64", 1);
-  EXPECT_EQ(TracePool::maxTotalBytesFromEnv(), 64u << 20);
-  unsetenv("DAECC_TRACE_POOL_MB");
-}
-
-TEST(TracePoolDeathTest, GarbageEnvCapIsAHardError) {
-  // A malformed cap must not be silently ignored (it would run with an
-  // unintended memory budget): exit 2, like a bad CLI flag.
-  EXPECT_EXIT(
-      {
-        setenv("DAECC_TRACE_POOL_MB", "lots", 1);
-        TracePool::maxTotalBytesFromEnv();
-      },
-      testing::ExitedWithCode(2), "invalid DAECC_TRACE_POOL_MB");
-  EXPECT_EXIT(
-      {
-        setenv("DAECC_TRACE_POOL_MB", "16MB", 1);
-        TracePool::maxTotalBytesFromEnv();
-      },
-      testing::ExitedWithCode(2), "invalid DAECC_TRACE_POOL_MB");
-  EXPECT_EXIT(
-      {
-        setenv("DAECC_TRACE_POOL_MB", "-4", 1);
-        TracePool::maxTotalBytesFromEnv();
-      },
-      testing::ExitedWithCode(2), "invalid DAECC_TRACE_POOL_MB");
-  EXPECT_EXIT(
-      {
-        setenv("DAECC_TRACE_POOL_MB", "0", 1);
-        TracePool::maxTotalBytesFromEnv();
-      },
-      testing::ExitedWithCode(2), "invalid DAECC_TRACE_POOL_MB");
-  // 2^44 MiB is 2^64 bytes: the << 20 would wrap to a 0-byte cap.
-  EXPECT_EXIT(
-      {
-        setenv("DAECC_TRACE_POOL_MB", "17592186044416", 1);
-        TracePool::maxTotalBytesFromEnv();
-      },
-      testing::ExitedWithCode(2), "invalid DAECC_TRACE_POOL_MB");
-  // Beyond long long: strtol would saturate to an ~18 EB cap.
-  EXPECT_EXIT(
-      {
-        setenv("DAECC_TRACE_POOL_MB", "99999999999999999999", 1);
-        TracePool::maxTotalBytesFromEnv();
-      },
-      testing::ExitedWithCode(2), "invalid DAECC_TRACE_POOL_MB");
 }
 
 TEST(TracePoolTest, RetainedBytesAreCapped) {
