@@ -102,6 +102,23 @@ bool isFloatBinOp(BinOp Op);
 /// Printable opcode mnemonic.
 const char *binOpName(BinOp Op);
 
+/// SDiv's semantics, total over int64: a zero divisor gives 0, and a divisor
+/// of -1 gives the wrapping negation (INT64_MIN sdiv -1 is INT64_MIN) where
+/// x86's idiv would trap. The switch and threaded loops and the constant
+/// folder compute SDiv with this; the native JIT's stencil matches it.
+inline std::int64_t sdivTotal(std::int64_t L, std::int64_t R) {
+  if (R == 0)
+    return 0;
+  if (R == -1)
+    return static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(L));
+  return L / R;
+}
+
+/// SRem's semantics: 0 for the divisors 0 and -1, L % R otherwise.
+inline std::int64_t sremTotal(std::int64_t L, std::int64_t R) {
+  return R == 0 || R == -1 ? 0 : L % R;
+}
+
 class BinaryInst : public Instruction {
 public:
   BinaryInst(BinOp Op, Value *L, Value *R)

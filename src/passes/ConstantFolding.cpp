@@ -19,21 +19,25 @@ namespace {
 
 std::optional<std::int64_t> foldIntBinOp(BinOp Op, std::int64_t L,
                                          std::int64_t R) {
+  // Add/Sub/Mul wrap through uint64_t like every backend; division by 0 is
+  // left to run (it gives 0 at run time).
+  const std::uint64_t UL = static_cast<std::uint64_t>(L),
+                      UR = static_cast<std::uint64_t>(R);
   switch (Op) {
   case BinOp::Add:
-    return L + R;
+    return static_cast<std::int64_t>(UL + UR);
   case BinOp::Sub:
-    return L - R;
+    return static_cast<std::int64_t>(UL - UR);
   case BinOp::Mul:
-    return L * R;
+    return static_cast<std::int64_t>(UL * UR);
   case BinOp::SDiv:
     if (R == 0)
       return std::nullopt;
-    return L / R;
+    return sdivTotal(L, R);
   case BinOp::SRem:
     if (R == 0)
       return std::nullopt;
-    return L % R;
+    return sremTotal(L, R);
   case BinOp::And:
     return L & R;
   case BinOp::Or:

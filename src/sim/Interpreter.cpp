@@ -331,18 +331,14 @@ Interpreter::interpret(const CompiledFunction &CF,
             static_cast<std::uint64_t>(Get(CI.Ops[0]).I) *
             static_cast<std::uint64_t>(Get(CI.Ops[1]).I));
         break;
-      case SimOp::SDiv: {
-        std::int64_t R = Get(CI.Ops[1]).I;
+      case SimOp::SDiv:
         Env[static_cast<unsigned>(CI.DstSlot)].I =
-            R != 0 ? Get(CI.Ops[0]).I / R : 0;
+            ir::sdivTotal(Get(CI.Ops[0]).I, Get(CI.Ops[1]).I);
         break;
-      }
-      case SimOp::SRem: {
-        std::int64_t R = Get(CI.Ops[1]).I;
+      case SimOp::SRem:
         Env[static_cast<unsigned>(CI.DstSlot)].I =
-            R != 0 ? Get(CI.Ops[0]).I % R : 0;
+            ir::sremTotal(Get(CI.Ops[0]).I, Get(CI.Ops[1]).I);
         break;
-      }
       case SimOp::And:
         Env[static_cast<unsigned>(CI.DstSlot)].I =
             Get(CI.Ops[0]).I & Get(CI.Ops[1]).I;

@@ -45,9 +45,9 @@ enum class SimBackend : std::uint8_t {
   Threaded,
   /// The threaded backend's bytecode lowered once more to executable host
   /// code (sim/NativeCodegen.h): an x86-64 template JIT with trace emission
-  /// and page translation inlined at the load/store sites, or portable
-  /// C-emission compiled through $DAECC_NATIVE_CC on other hosts. Functions
-  /// the lowerer cannot compile fall back to the threaded loop per function.
+  /// and bounds checks inlined at the load/store sites. Functions the
+  /// lowerer cannot compile, and every function on a host without the JIT,
+  /// fall back to the threaded loop per function.
   Native,
 };
 

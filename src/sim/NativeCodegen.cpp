@@ -2,26 +2,20 @@
 //
 // Part of daecc. Distributed under the MIT license.
 //
-// Lowers sim/Bytecode.h functions to executable host code; see
-// NativeCodegen.h for the architecture. Two lowering paths share one shape:
+// Lowers sim/Bytecode.h functions to x86-64 machine code; see
+// NativeCodegen.h for the architecture. FnEmitter below is a template JIT:
+// every opcode has a stencil of a few instructions; stencils are
+// concatenated per bytecode function with branch targets resolved by a
+// second pass over recorded fixups.
 //
-//  * The x86-64 template JIT (FnEmitter below): every opcode has a stencil
-//    of a few instructions; stencils are concatenated per bytecode function
-//    with branch targets resolved by a second pass over recorded fixups.
-//    Register plan (all callee-saved, so C++ helpers preserve them):
-//      rbp = NativeContext*          rbx = frame (RuntimeValue[])
-//      r13 = trace write cursor
-//      r14 = first footprint address r15 = arena base (host of sim 0)
-//      xmm15 = running ComputeCycles
-//    r14/r15 never change for an interpreter: loaded in the prologue, never
-//    written back. A load or store is sub + cmp + add (see translate()).
-//    rax/rcx/rdx are stencil scratch; xmm0/xmm1 are FP scratch.
-//
-//  * The C emitter: the same lowering printed as a C source file, compiled
-//    through $DAECC_NATIVE_CC into a shared object and dlopen'd. The
-//    generated C mirrors the stencils statement for statement (same FP
-//    addition order, same helper boundaries), so both modes are bit-exact
-//    against the threaded reference.
+// Register plan (all callee-saved, so C++ helpers preserve them):
+//   rbp = NativeContext*          rbx = frame (RuntimeValue[])
+//   r13 = trace write cursor
+//   r14 = first footprint address r15 = arena base (host of sim 0)
+//   xmm15 = running ComputeCycles
+// r14/r15 never change for an interpreter: loaded in the prologue, never
+// written back. A load or store is sub + cmp + add (see translate()).
+// rax/rcx/rdx are stencil scratch; xmm0/xmm1 are FP scratch.
 //
 // Bit-exactness ground rules (checked against ThreadedInterpreter::exec):
 //  - ComputeCycles additions happen in original program order: per-opcode
@@ -44,44 +38,18 @@
 #include "sim/Bytecode.h"
 #include "sim/NativeExec.h"
 
-#include <atomic>
 #include <cassert>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#if defined(__unix__) || defined(__linux__) || defined(__APPLE__)
-#define DAECC_NATIVE_POSIX 1
-#include <dlfcn.h>
+#if defined(DAECC_NATIVE_JIT)
 #include <sys/mman.h>
 #include <unistd.h>
-#endif
-
-// Sanitizers cannot instrument raw JIT code (and intercept enough of the
-// runtime that uninstrumented frames confuse them); Auto avoids the JIT
-// under ASan/TSan/MSan and uses C-emission instead, which the sanitizing
-// toolchain compiles like any other code.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define DAECC_NATIVE_SANITIZED 1
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) ||     \
-    __has_feature(memory_sanitizer)
-#ifndef DAECC_NATIVE_SANITIZED
-#define DAECC_NATIVE_SANITIZED 1
-#endif
-#endif
-#endif
-
-#if defined(__x86_64__) && defined(DAECC_NATIVE_POSIX) &&                      \
-    !defined(DAECC_NATIVE_SANITIZED)
-#define DAECC_NATIVE_JIT 1
 #endif
 
 using namespace dae;
@@ -89,51 +57,6 @@ using namespace dae::sim;
 using namespace dae::sim::native;
 
 namespace {
-
-/// Bumped whenever the generated code's ABI or semantics change; part of the
-/// content-cache key so stale entries can never alias across versions.
-constexpr std::uint64_t AbiVersion = 3;
-
-std::uint64_t bitsOf(double D) {
-  std::uint64_t U;
-  std::memcpy(&U, &D, sizeof(U));
-  return U;
-}
-
-//===----------------------------------------------------------------------===//
-// Mode resolution
-//===----------------------------------------------------------------------===//
-
-Mode hostAutoMode() {
-#if defined(DAECC_NATIVE_JIT)
-  return Mode::Jit;
-#else
-  return Mode::Cemit;
-#endif
-}
-
-/// Applies DAECC_NATIVE_MODE and the host capabilities to \p M. Read per
-/// compile() call so tests can setenv between compilations. An unknown value
-/// is a hard configuration error (exit 2), like DAECC_SIM_BACKEND: a sweep
-/// that asked for one lowering mode must never silently measure another.
-Mode resolveMode(Mode M) {
-  if (M != Mode::Auto)
-    return M;
-  if (const char *Env = std::getenv("DAECC_NATIVE_MODE")) {
-    if (std::strcmp(Env, "jit") == 0)
-      return Mode::Jit;
-    if (std::strcmp(Env, "cemit") == 0)
-      return Mode::Cemit;
-    if (std::strcmp(Env, "auto") != 0) {
-      std::fprintf(stderr,
-                   "error: unknown DAECC_NATIVE_MODE value '%s' (expected "
-                   "'jit', 'cemit' or 'auto')\n",
-                   Env);
-      std::exit(2);
-    }
-  }
-  return hostAutoMode();
-}
 
 //===----------------------------------------------------------------------===//
 // Rejection scan
@@ -165,6 +88,22 @@ const char *findUnsupported(const bc::BytecodeFunction &BF) {
   return nullptr;
 }
 
+} // namespace
+
+#if defined(DAECC_NATIVE_JIT)
+
+namespace {
+
+/// Bumped whenever the generated code's ABI or semantics change; part of the
+/// content-cache key so stale entries can never alias across versions.
+constexpr std::uint64_t AbiVersion = 3;
+
+std::uint64_t bitsOf(double D) {
+  std::uint64_t U;
+  std::memcpy(&U, &D, sizeof(U));
+  return U;
+}
+
 //===----------------------------------------------------------------------===//
 // Content-addressed cache
 //===----------------------------------------------------------------------===//
@@ -185,10 +124,9 @@ struct Fnv {
 /// addresses: bytecode that is byte-identical but calls through different
 /// descriptors must not share code. ConstPool/ConstBase are NOT hashed —
 /// constants are copied into the frame by the invoker, never baked.
-std::uint64_t keyOf(const bc::BytecodeFunction &BF, Mode Resolved) {
+std::uint64_t keyOf(const bc::BytecodeFunction &BF) {
   Fnv F;
   F.u64(AbiVersion);
-  F.u64(static_cast<std::uint64_t>(Resolved));
   F.u64(BF.NumRegs);
   F.u64(BF.NumArgs);
   F.u64(BF.Code.size());
@@ -233,9 +171,8 @@ std::mutex &cacheMutex() {
   return Mu;
 }
 
-/// Compiled code by content key. Null values are cached failures (mmap/cc
-/// trouble is persistent; retrying per function would hammer the
-/// toolchain).
+/// Compiled code by content key. Null values are cached failures (mmap
+/// trouble is persistent; retrying per function would not help).
 using CodeCache = std::unordered_map<std::uint64_t,
                                      std::shared_ptr<const NativeCode>>;
 
@@ -244,29 +181,9 @@ CodeCache &codeCache() {
   return C;
 }
 
-} // namespace
-
-namespace dae {
-namespace sim {
-namespace native {
-
-NativeCode::~NativeCode() = default;
-
-const char *activeModeName() {
-  return resolveMode(Mode::Auto) == Mode::Jit ? "jit" : "cemit";
-}
-
-} // namespace native
-} // namespace sim
-} // namespace dae
-
 //===----------------------------------------------------------------------===//
 // x86-64 encoder
 //===----------------------------------------------------------------------===//
-
-#if defined(DAECC_NATIVE_JIT)
-
-namespace {
 
 enum Reg : unsigned {
   RAX = 0,
@@ -578,12 +495,6 @@ struct Asm {
   }
 };
 
-} // namespace
-
-#endif // DAECC_NATIVE_JIT
-
-namespace {
-
 // NativeContext field offsets (static_asserted in NativeExec.h).
 constexpr std::int32_t CtxFrame = 0;
 constexpr std::int32_t CtxNInstr = 8;
@@ -648,12 +559,12 @@ bool fitsI32(std::int64_t V) {
   return V == static_cast<std::int64_t>(static_cast<std::int32_t>(V));
 }
 
-/// Region discovery shared by both emitters. The unit of control-flow
-/// bookkeeping is the straight-line *region*: leaders are the entry, every
-/// branch target, and the instruction after every terminator or Call.
-/// Fills \p Leader per pc and, at each leader, the trace-event count of its
-/// region in \p Events (a Call ends a region because the callee consumes
-/// capacity through its own cursor).
+/// Region discovery. The unit of control-flow bookkeeping is the
+/// straight-line *region*: leaders are the entry, every branch target, and
+/// the instruction after every terminator or Call. Fills \p Leader per pc
+/// and, at each leader, the trace-event count of its region in \p Events (a
+/// Call ends a region because the callee consumes capacity through its own
+/// cursor).
 void analyzeRegions(const bc::BytecodeFunction &BF, std::vector<bool> &Leader,
                     std::vector<std::uint32_t> &Events) {
   const std::size_t N = BF.Code.size();
@@ -709,12 +620,6 @@ void analyzeRegions(const bc::BytecodeFunction &BF, std::vector<bool> &Leader,
     Events[L] = Ev;
   }
 }
-
-} // namespace
-
-#if defined(DAECC_NATIVE_JIT)
-
-namespace {
 
 /// Emits one bytecode function. Invariants at every region boundary (label
 /// or jump; see analyzeRegions): pending counter increments are flushed to
@@ -932,16 +837,20 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     cost(I.Cost);
     ++PendInstr;
     A.movRM(RCX, RBX, fi(I.B));
-    A.testRR(RCX, RCX);
-    std::size_t Zero = A.jccFwd(CC_E);
     A.movRM(RAX, RBX, fi(I.A));
+    // Divisors 0 and -1 (exactly those with rcx + 1 <= 1 unsigned) skip
+    // idiv, which traps on INT64_MIN / -1. Both quotients are x * rcx
+    // (0, and the wrapping -x); both remainders are 0.
+    A.lea(RDX, RCX, 1);
+    A.aluImm32(7, RDX, 1);
+    std::size_t Special = A.jccFwd(CC_BE);
     A.cqo();
     A.idiv(RCX);
     if (WantRem)
       A.movRR(RAX, RDX);
     std::size_t Done = A.jmpFwd();
-    A.bind(Zero);
-    A.xorEax();
+    A.bind(Special);
+    WantRem ? A.xorEax() : A.imulRR(RAX, RCX);
     A.bind(Done);
     A.movMR(RBX, fi(I.Dst), RAX);
   };
@@ -1456,623 +1365,12 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
   return true;
 }
 
-} // namespace
-
-#endif // DAECC_NATIVE_JIT
-
-//===----------------------------------------------------------------------===//
-// C emitter
-//===----------------------------------------------------------------------===//
-
-#if defined(DAECC_NATIVE_POSIX)
-
-namespace {
-
-void cf(std::string &S, const char *Fmt, ...) {
-  char Buf[1024];
-  va_list Ap;
-  va_start(Ap, Fmt);
-  std::vsnprintf(Buf, sizeof(Buf), Fmt, Ap);
-  va_end(Ap);
-  S += Buf;
-}
-
-/// Emits the function as a C function body. The statements mirror the JIT
-/// stencils one for one — same cost-addition order, same helper boundaries,
-/// same RuntimeValue write patterns — so both modes are interchangeable.
-/// Integer +,-,*,<< run through unsigned types (defined wraparound, same
-/// bits as the reference's x86 semantics).
-void emitCFn(std::string &S, const bc::BytecodeFunction &BF) {
-  const std::size_t N = BF.Code.size();
-  std::vector<bool> Leader;
-  std::vector<std::uint32_t> Events;
-  analyzeRegions(BF, Leader, Events);
-
-  cf(S, "void daecc_native_entry(Ctx *c) {\n");
-  cf(S, "  RV *r = c->Frame;\n");
-  cf(S, "  unsigned long long ni = 0, nl = 0, ns = 0, np = 0;\n");
-  cf(S, "  unsigned char *mb = c->MemBase;\n");
-  cf(S, "  unsigned long long ml = c->MemLo, mn = c->MemLimit;\n");
-  cf(S, "  unsigned long long a = 0; long long x = 0; double fv = 0.0;\n");
-  cf(S, "  unsigned char *h = 0;\n");
-  cf(S, "  double cyc = c->Cycles;\n");
-  cf(S, "  unsigned long long *tp = c->TracePtr, *te = c->TraceEnd;\n");
-
-  // Statement fragments shared by several opcodes.
-  auto Cost = [&](double C) {
-    const std::uint64_t Bits = bitsOf(C);
-    if (Bits)
-      cf(S, " cyc += dbl(0x%llxULL);", (unsigned long long)Bits);
-  };
-  auto Imm = [&](std::int64_t V) { // hex form sidesteps INT64_MIN literals
-    cf(S, "(long long)0x%llxULL", (unsigned long long)V);
-  };
-  auto UImm = [&](std::int64_t V) {
-    cf(S, "0x%llxULL", (unsigned long long)V);
-  };
-  auto Translate = [&] {
-    cf(S, " if (a - ml >= mn) c->OutOfBounds(c, a); h = mb + a;");
-  };
-  auto LoadPrefix = [&](std::uint32_t AddrReg) {
-    cf(S, " nl++; a = (unsigned long long)r[%u].I; *tp++ = a;", AddrReg);
-    Translate();
-  };
-  auto IntBin = [&](const bc::Instr &I, const char *Op) {
-    cf(S,
-       " r[%u].I = (long long)((unsigned long long)r[%u].I %s (unsigned "
-       "long long)r[%u].I);",
-       I.Dst, I.A, Op, I.B);
-  };
-  auto IntBinImm = [&](const bc::Instr &I, const char *Op) {
-    cf(S, " r[%u].I = (long long)((unsigned long long)r[%u].I %s ", I.Dst,
-       I.A, Op);
-    UImm(I.Imm.I);
-    cf(S, ");");
-  };
-  auto CmpI = [&](const bc::Instr &I, const char *Op) {
-    cf(S, " r[%u].I = r[%u].I %s r[%u].I; r[%u].D = 0.0;", I.Dst, I.A, Op,
-       I.B, I.Dst);
-  };
-  auto CmpIImm = [&](const bc::Instr &I, const char *Op) {
-    cf(S, " r[%u].I = r[%u].I %s ", I.Dst, I.A, Op);
-    Imm(I.Imm.I);
-    cf(S, "; r[%u].D = 0.0;", I.Dst);
-  };
-  auto CmpF = [&](const bc::Instr &I, const char *Op) {
-    cf(S, " r[%u].I = r[%u].D %s r[%u].D; r[%u].D = 0.0;", I.Dst, I.A, Op,
-       I.B, I.Dst);
-  };
-  auto FpBin = [&](const bc::Instr &I, char Op) {
-    cf(S, " r[%u].D = r[%u].D %c r[%u].D;", I.Dst, I.A, Op, I.B);
-  };
-  auto FpBinImm = [&](const bc::Instr &I, char Op) {
-    cf(S, " r[%u].D = r[%u].D %c dbl(0x%llxULL);", I.Dst, I.A, Op,
-       (unsigned long long)bitsOf(I.Imm.D));
-  };
-  auto BrCmp = [&](const bc::Instr &I, const char *Op, bool ImmRhs) {
-    cf(S, " ni++;");
-    Cost(I.Cost);
-    cf(S, " x = r[%u].I %s ", I.A, Op);
-    if (ImmRhs)
-      Imm(I.Imm.I);
-    else
-      cf(S, "r[%u].I", I.B);
-    cf(S, "; r[%u].I = x; r[%u].D = 0.0; ni++;", I.Dst, I.Dst);
-    Cost(I.CostB);
-    cf(S, " if (x) goto L%u; else goto L%u;", I.C, I.Aux);
-  };
-
-  for (std::size_t Pc = 0; Pc != N; ++Pc) {
-    const bc::Instr &I = BF.Code[Pc];
-    using O = bc::Opcode;
-    if (Leader[Pc]) {
-      cf(S, "L%u: ;\n", (unsigned)Pc);
-      if (Events[Pc])
-        cf(S,
-           "  if ((unsigned long long)(te - tp) < %uULL) { c->TracePtr = tp; "
-           "c->TraceGrow(c, %u); tp = c->TracePtr; te = c->TraceEnd; }\n",
-           Events[Pc], Events[Pc]);
-    }
-    cf(S, " ");
-    switch (I.Op) {
-    case O::MovI:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " r[%u].I = r[%u].I;", I.Dst, I.A);
-      break;
-    case O::MovImm:
-    case O::PhiMovImm:
-      if (I.Op == O::MovImm) {
-        cf(S, " ni++;");
-        Cost(I.Cost);
-      }
-      cf(S, " r[%u].I = ", I.Dst);
-      Imm(I.Imm.I);
-      cf(S, "; r[%u].D = dbl(0x%llxULL);", I.Dst,
-         (unsigned long long)bitsOf(I.Imm.D));
-      break;
-    case O::PhiMov:
-      cf(S, " r[%u] = r[%u];", I.Dst, I.A);
-      break;
-
-    case O::Add:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      IntBin(I, "+");
-      break;
-    case O::Sub:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      IntBin(I, "-");
-      break;
-    case O::Mul:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      IntBin(I, "*");
-      break;
-    case O::SDiv:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " x = r[%u].I; r[%u].I = x ? r[%u].I / x : 0;", I.B, I.Dst, I.A);
-      break;
-    case O::SRem:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " x = r[%u].I; r[%u].I = x ? r[%u].I %% x : 0;", I.B, I.Dst, I.A);
-      break;
-    case O::And:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " r[%u].I = r[%u].I & r[%u].I;", I.Dst, I.A, I.B);
-      break;
-    case O::Or:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " r[%u].I = r[%u].I | r[%u].I;", I.Dst, I.A, I.B);
-      break;
-    case O::Xor:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " r[%u].I = r[%u].I ^ r[%u].I;", I.Dst, I.A, I.B);
-      break;
-    case O::Shl:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S,
-         " r[%u].I = (long long)((unsigned long long)r[%u].I << ((unsigned "
-         "long long)r[%u].I & 63));",
-         I.Dst, I.A, I.B);
-      break;
-    case O::AShr:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " r[%u].I = r[%u].I >> ((unsigned long long)r[%u].I & 63);",
-         I.Dst, I.A, I.B);
-      break;
-
-    case O::AddImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      IntBinImm(I, "+");
-      break;
-    case O::SubImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      IntBinImm(I, "-");
-      break;
-    case O::MulImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      IntBinImm(I, "*");
-      break;
-    case O::ShlImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " r[%u].I = (long long)((unsigned long long)r[%u].I << %u);",
-         I.Dst, I.A, (unsigned)I.Imm.I);
-      break;
-    case O::AShrImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " r[%u].I = r[%u].I >> %u;", I.Dst, I.A, (unsigned)I.Imm.I);
-      break;
-
-    case O::FAdd:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      FpBin(I, '+');
-      break;
-    case O::FSub:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      FpBin(I, '-');
-      break;
-    case O::FMul:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      FpBin(I, '*');
-      break;
-    case O::FDiv:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      FpBin(I, '/');
-      break;
-    case O::FAddImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      FpBinImm(I, '+');
-      break;
-    case O::FSubImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      FpBinImm(I, '-');
-      break;
-    case O::FMulImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      FpBinImm(I, '*');
-      break;
-    case O::FDivImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      FpBinImm(I, '/');
-      break;
-
-    case O::CmpEQ:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpI(I, "==");
-      break;
-    case O::CmpNE:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpI(I, "!=");
-      break;
-    case O::CmpSLT:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpI(I, "<");
-      break;
-    case O::CmpSLE:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpI(I, "<=");
-      break;
-    case O::CmpSGT:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpI(I, ">");
-      break;
-    case O::CmpSGE:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpI(I, ">=");
-      break;
-    case O::CmpFLT:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpF(I, "<");
-      break;
-    case O::CmpFLE:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpF(I, "<=");
-      break;
-    case O::CmpFGT:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpF(I, ">");
-      break;
-    case O::CmpFGE:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpF(I, ">=");
-      break;
-    case O::CmpFEQ:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpF(I, "==");
-      break;
-    case O::CmpFNE:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpF(I, "!=");
-      break;
-    case O::CmpEQImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpIImm(I, "==");
-      break;
-    case O::CmpNEImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpIImm(I, "!=");
-      break;
-    case O::CmpSLTImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpIImm(I, "<");
-      break;
-    case O::CmpSLEImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpIImm(I, "<=");
-      break;
-    case O::CmpSGTImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpIImm(I, ">");
-      break;
-    case O::CmpSGEImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      CmpIImm(I, ">=");
-      break;
-
-    case O::Select:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " r[%u] = r[%u].I != 0 ? r[%u] : r[%u];", I.Dst, I.A, I.B, I.C);
-      break;
-    case O::SIToFP:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " r[%u].D = (double)r[%u].I;", I.Dst, I.A);
-      break;
-    case O::FPToSI:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " r[%u].I = (long long)r[%u].D;", I.Dst, I.A);
-      break;
-
-    case O::Gep1Shl:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S,
-         " r[%u].I = (long long)((unsigned long long)r[%u].I + ((unsigned "
-         "long long)r[%u].I << %u)); r[%u].D = 0.0;",
-         I.Dst, I.A, I.B, (unsigned)I.Imm.I, I.Dst);
-      break;
-    case O::GepMul:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S,
-         " r[%u].I = (long long)((unsigned long long)r[%u].I + (unsigned "
-         "long long)r[%u].I * ",
-         I.Dst, I.A, I.B);
-      UImm(I.Imm.I);
-      cf(S, "); r[%u].D = 0.0;", I.Dst);
-      break;
-    case O::GepAddImm:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " r[%u].I = (long long)((unsigned long long)r[%u].I + ", I.Dst,
-         I.A);
-      UImm(I.Imm.I);
-      cf(S, "); r[%u].D = 0.0;", I.Dst);
-      break;
-    case O::GepN: {
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      const bc::GepDesc &G = BF.GepDescs[I.A];
-      cf(S, " r[%u].I = (long long)((unsigned long long)r[%u].I + (", I.Dst,
-         G.Base);
-      if (G.IdxRegs.empty()) {
-        cf(S, "0ULL");
-      } else {
-        std::string Acc;
-        cf(Acc, "(unsigned long long)r[%u].I", G.IdxRegs[0]);
-        for (std::size_t J = 1; J < G.IdxRegs.size(); ++J) {
-          std::string Next;
-          cf(Next, "(%s * 0x%llxULL + (unsigned long long)r[%u].I)",
-             Acc.c_str(), (unsigned long long)G.Dims[J], G.IdxRegs[J]);
-          Acc = Next;
-        }
-        S += Acc;
-      }
-      cf(S, ") * 0x%llxULL); r[%u].D = 0.0;",
-         (unsigned long long)G.ElemSize, I.Dst);
-      break;
-    }
-
-    case O::LoadI:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      LoadPrefix(I.A);
-      cf(S, " memcpy(&x, h, 8); r[%u].I = x; r[%u].D = 0.0;", I.Dst, I.Dst);
-      break;
-    case O::LoadF:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      LoadPrefix(I.A);
-      cf(S, " memcpy(&fv, h, 8); r[%u].D = fv; r[%u].I = 0;", I.Dst, I.Dst);
-      break;
-    case O::StoreI:
-    case O::StoreF:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " ns++; a = (unsigned long long)r[%u].I;", I.B);
-      cf(S, " *tp++ = a | (1ULL << 62);");
-      Translate();
-      cf(S, " memcpy(h, &r[%u].%c, 8);", I.A, I.Op == O::StoreI ? 'I' : 'D');
-      break;
-    case O::Prefetch:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " np++; a = (unsigned long long)r[%u].I;", I.A);
-      cf(S, " *tp++ = a | (2ULL << 62);");
-      break;
-
-    case O::LoadFAddF:
-    case O::LoadFSubF:
-    case O::LoadFMulF: {
-      const char Op2 =
-          I.Op == O::LoadFAddF ? '+' : (I.Op == O::LoadFSubF ? '-' : '*');
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      LoadPrefix(I.A);
-      cf(S, " memcpy(&fv, h, 8); r[%u].D = fv; r[%u].I = 0; ni++;", I.Aux,
-         I.Aux);
-      Cost(I.CostB);
-      cf(S, " r[%u].D = r[%u].D %c r[%u].D;", I.Dst, I.B, Op2, I.C);
-      break;
-    }
-    case O::LoadIAddI:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      LoadPrefix(I.A);
-      cf(S, " memcpy(&x, h, 8); r[%u].I = x; r[%u].D = 0.0; ni++;", I.Aux,
-         I.Aux);
-      Cost(I.CostB);
-      cf(S,
-         " r[%u].I = (long long)((unsigned long long)r[%u].I + (unsigned "
-         "long long)r[%u].I);",
-         I.Dst, I.B, I.C);
-      break;
-
-    case O::Jmp:
-      cf(S, " ni += %u;", (unsigned)I.Count);
-      Cost(I.Cost);
-      cf(S, " goto L%u;", I.A);
-      break;
-    case O::CondBr:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " if (r[%u].I != 0) goto L%u; else goto L%u;", I.A, I.B, I.C);
-      break;
-
-    case O::BrCmpEQ:
-      BrCmp(I, "==", false);
-      break;
-    case O::BrCmpNE:
-      BrCmp(I, "!=", false);
-      break;
-    case O::BrCmpSLT:
-      BrCmp(I, "<", false);
-      break;
-    case O::BrCmpSLE:
-      BrCmp(I, "<=", false);
-      break;
-    case O::BrCmpSGT:
-      BrCmp(I, ">", false);
-      break;
-    case O::BrCmpSGE:
-      BrCmp(I, ">=", false);
-      break;
-    case O::BrCmpEQImm:
-      BrCmp(I, "==", true);
-      break;
-    case O::BrCmpNEImm:
-      BrCmp(I, "!=", true);
-      break;
-    case O::BrCmpSLTImm:
-      BrCmp(I, "<", true);
-      break;
-    case O::BrCmpSLEImm:
-      BrCmp(I, "<=", true);
-      break;
-    case O::BrCmpSGTImm:
-      BrCmp(I, ">", true);
-      break;
-    case O::BrCmpSGEImm:
-      BrCmp(I, ">=", true);
-      break;
-
-    case O::Ret:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " c->RetValid = 0; goto Lepi;");
-      break;
-    case O::RetVal:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " c->Ret = r[%u]; c->RetValid = 1; goto Lepi;", I.A);
-      break;
-    case O::Call:
-      cf(S, " ni++;");
-      Cost(I.Cost);
-      cf(S, " c->Cycles = cyc; c->TracePtr = tp;");
-      cf(S, " c->Call(c, (const void *)0x%llxULL, %uU); r = c->Frame;",
-         (unsigned long long)reinterpret_cast<std::uintptr_t>(
-             &BF.CallDescs[I.A]),
-         I.Dst);
-      cf(S, " cyc = c->Cycles; tp = c->TracePtr; te = c->TraceEnd;");
-      break;
-
-    case O::Trap:
-    default:
-      cf(S, " /* unsupported */ goto Lepi;");
-      break;
-    }
-    cf(S, "\n");
-  }
-
-  cf(S, "  goto Lepi;\nLepi: ;\n");
-  cf(S, "  c->NInstr += ni; c->NLoads += nl; c->NStores += ns; "
-        "c->NPrefetches += np;\n");
-  cf(S, "  c->Cycles = cyc; c->TracePtr = tp;\n");
-  cf(S, "  (void)a; (void)x; (void)fv; (void)h; (void)r;\n");
-  cf(S, "}\n\n");
-}
-
-/// The complete generated translation unit: the re-declared ABI struct
-/// (field-for-field NativeContext; layout pinned by the static_asserts in
-/// NativeExec.h under any LP64 ABI) plus the function.
-std::string emitCSource(const bc::BytecodeFunction &BF) {
-  std::string S;
-  cf(S, "/* generated by daecc sim/NativeCodegen.cpp; ABI v%llu */\n",
-     (unsigned long long)AbiVersion);
-  cf(S, "#include <string.h>\n");
-  cf(S, "typedef struct { long long I; double D; } RV;\n");
-  cf(S, "typedef struct Ctx Ctx;\n");
-  cf(S, "struct Ctx {\n");
-  cf(S, "  RV *Frame;\n");
-  cf(S, "  unsigned long long NInstr, NLoads, NStores, NPrefetches;\n");
-  cf(S, "  double Cycles;\n");
-  cf(S, "  unsigned long long *TracePtr;\n");
-  cf(S, "  unsigned long long *TraceEnd;\n");
-  cf(S, "  unsigned char *MemBase;\n");
-  cf(S, "  unsigned long long MemLo, MemLimit;\n");
-  cf(S, "  RV Ret;\n");
-  cf(S, "  unsigned long long RetValid;\n");
-  cf(S, "  void *Self;\n");
-  cf(S, "  void (*OutOfBounds)(Ctx *, unsigned long long);\n");
-  cf(S, "  void (*TraceGrow)(Ctx *, unsigned long long);\n");
-  cf(S, "  void (*Call)(Ctx *, const void *, unsigned);\n");
-  cf(S, "};\n");
-  cf(S, "static double dbl(unsigned long long u) { double d; memcpy(&d, &u, "
-        "8); return d; }\n\n");
-  emitCFn(S, BF);
-  return S;
-}
-
-} // namespace
-
-#endif // DAECC_NATIVE_POSIX
-
 //===----------------------------------------------------------------------===//
 // Compile driver
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-#if defined(DAECC_NATIVE_JIT)
-
-/// The function in one mmap'd buffer, W^X: RW while the stencils are copied
-/// in, RX from publication on (never both).
-class JitCode final : public NativeCode {
-public:
-  JitCode(std::uint8_t *Base, std::size_t Size) {
-    Jit = true;
-    CodeAddr = Base;
-    CodeSize = Size;
-    Entry = reinterpret_cast<EntryFn>(Base);
-  }
-  ~JitCode() override {
-    munmap(const_cast<std::uint8_t *>(CodeAddr), CodeSize);
-  }
-};
-
+/// Emits \p BF into its own mmap'd buffer, W^X: RW while the stencils are
+/// copied in, RX from publication on (never both).
 std::shared_ptr<const NativeCode> jitCompile(const bc::BytecodeFunction &BF) {
   FnEmitter Emit(BF);
   if (!Emit.emit())
@@ -2089,103 +1387,26 @@ std::shared_ptr<const NativeCode> jitCompile(const bc::BytecodeFunction &BF) {
     munmap(Mem, MapSize);
     return nullptr;
   }
-  return std::make_shared<JitCode>(static_cast<std::uint8_t *>(Mem), MapSize);
+  return std::make_shared<const NativeCode>(static_cast<std::uint8_t *>(Mem),
+                                            MapSize);
 }
-
-#endif // DAECC_NATIVE_JIT
-
-#if defined(DAECC_NATIVE_POSIX)
-
-class CemitCode final : public NativeCode {
-public:
-  CemitCode(void *H, EntryFn E) : Handle(H) { Entry = E; }
-  ~CemitCode() override { dlclose(Handle); }
-
-private:
-  void *Handle;
-};
-
-void cemitWarnOnce(const char *What, const char *Detail) {
-  static std::atomic<bool> Warned{false};
-  if (!Warned.exchange(true))
-    std::fprintf(stderr,
-                 "daecc: native C-emission unavailable: %s%s%s; affected "
-                 "functions run on the threaded backend\n",
-                 What, Detail && *Detail ? ": " : "",
-                 Detail && *Detail ? Detail : "");
-}
-
-std::shared_ptr<const NativeCode>
-cemitCompile(const bc::BytecodeFunction &BF) {
-  const std::string Src = emitCSource(BF);
-
-  char CPath[] = "/tmp/daecc_native_XXXXXX.c";
-  int Fd = mkstemps(CPath, 2);
-  if (Fd < 0) {
-    cemitWarnOnce("cannot create temporary source", nullptr);
-    return nullptr;
-  }
-  const bool Keep = [] {
-    const char *K = std::getenv("DAECC_NATIVE_KEEP_TMP");
-    return K && *K && std::strcmp(K, "0") != 0;
-  }();
-  {
-    FILE *F = fdopen(Fd, "w");
-    if (!F) {
-      close(Fd);
-      unlink(CPath);
-      cemitWarnOnce("cannot open temporary source", nullptr);
-      return nullptr;
-    }
-    std::fwrite(Src.data(), 1, Src.size(), F);
-    if (std::fclose(F) != 0) {
-      unlink(CPath);
-      cemitWarnOnce("cannot write temporary source", nullptr);
-      return nullptr;
-    }
-  }
-
-  const char *Cc = std::getenv("DAECC_NATIVE_CC");
-  if (!Cc || !*Cc)
-    Cc = "cc";
-  const std::string SoPath = std::string(CPath) + ".so";
-  // -ffp-contract=off is load-bearing: a contracted fma would change the
-  // bits of the FP statistics relative to the reference interpreters.
-  const std::string Cmd = std::string(Cc) +
-                          " -O2 -fPIC -shared -x c -ffp-contract=off -w -o " +
-                          SoPath + " " + CPath + " 2>/dev/null";
-  const int Rc = std::system(Cmd.c_str());
-  if (Rc != 0) {
-    if (!Keep)
-      unlink(CPath);
-    cemitWarnOnce("host compiler failed", Cc);
-    return nullptr;
-  }
-  void *H = dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
-  if (!Keep) {
-    unlink(CPath);
-    unlink(SoPath.c_str()); // mapping survives the unlink on POSIX
-  }
-  if (!H) {
-    cemitWarnOnce("dlopen failed", dlerror());
-    return nullptr;
-  }
-  EntryFn E = reinterpret_cast<EntryFn>(dlsym(H, "daecc_native_entry"));
-  if (!E) {
-    dlclose(H);
-    cemitWarnOnce("generated symbol missing", nullptr);
-    return nullptr;
-  }
-  return std::make_shared<CemitCode>(H, E);
-}
-
-#endif // DAECC_NATIVE_POSIX
 
 } // namespace
+
+#endif // DAECC_NATIVE_JIT
 
 namespace dae {
 namespace sim {
 namespace native {
+
+NativeCode::NativeCode(std::uint8_t *Base, std::size_t Size)
+    : Base(Base), Size(Size) {}
+
+NativeCode::~NativeCode() {
+#if defined(DAECC_NATIVE_JIT)
+  munmap(Base, Size);
+#endif
+}
 
 std::shared_ptr<const NativeCode> compile(const bc::BytecodeFunction &BF,
                                           const Options &Opts) {
@@ -2204,17 +1425,8 @@ std::shared_ptr<const NativeCode> compile(const bc::BytecodeFunction &BF,
   if (BF.Code.empty())
     return nullptr;
 
-#if !defined(DAECC_NATIVE_POSIX)
-  (void)resolveMode;
-  return nullptr;
-#else
-  const Mode Resolved = resolveMode(Opts.LowerMode);
-#if !defined(DAECC_NATIVE_JIT)
-  if (Resolved == Mode::Jit) // forced JIT on a host without one
-    return nullptr;
-#endif
-
-  const std::uint64_t Key = keyOf(BF, Resolved);
+#if defined(DAECC_NATIVE_JIT)
+  const std::uint64_t Key = keyOf(BF);
   {
     std::lock_guard<std::mutex> Lock(cacheMutex());
     auto It = codeCache().find(Key);
@@ -2222,20 +1434,14 @@ std::shared_ptr<const NativeCode> compile(const bc::BytecodeFunction &BF,
       return It->second; // including cached failures (null)
   }
 
-  std::shared_ptr<const NativeCode> Code;
-#if defined(DAECC_NATIVE_JIT)
-  if (Resolved == Mode::Jit)
-    Code = jitCompile(BF);
-  else
-    Code = cemitCompile(BF);
-#else
-  Code = cemitCompile(BF);
-#endif
+  std::shared_ptr<const NativeCode> Code = jitCompile(BF);
 
   std::lock_guard<std::mutex> Lock(cacheMutex());
   // emplace keeps the entry of a thread that published first.
   return codeCache().emplace(Key, std::move(Code)).first->second;
-#endif // DAECC_NATIVE_POSIX
+#else
+  return nullptr;
+#endif
 }
 
 } // namespace native

@@ -6,32 +6,27 @@
 ///
 /// \file
 /// Lowers the register-allocated bytecode of sim/Bytecode.h once per function
-/// to executable host code, the third execution backend
-/// (MachineConfig::Backend == SimBackend::Native). Two lowering modes share
-/// one ABI (native::NativeContext in sim/NativeExec.h):
-///
-///  * Jit — an x86-64 template JIT: per-opcode stencils assembled into an
-///    mmap'd code buffer, made W^X (RW while emitting, RX before publishing).
-///    The load/store sites are the point: trace emission is two raw stores
-///    against a pre-reserved buffer with the capacity check hoisted to the
-///    head of each straight-line region, and page translation is
-///    strength-reduced to a tag compare + add against a register-cached
-///    (page tag, host-minus-simulated delta) pair.
-///  * Cemit — portable fallback: the same lowering emitted as a C source
-///    file, compiled through $DAECC_NATIVE_CC (default "cc") into a shared
-///    object and dlopen'd. Keeps the backend alive on non-x86-64 hosts and
-///    under sanitizers (which cannot instrument raw JIT code).
+/// to x86-64 machine code, the third execution backend
+/// (MachineConfig::Backend == SimBackend::Native). The lowering is a
+/// template JIT: per-opcode stencils assembled into an mmap'd code buffer,
+/// made W^X (RW while emitting, RX before publishing). The load/store sites
+/// are the point: trace emission is two raw stores against a pre-reserved
+/// buffer with the capacity check hoisted to the head of each straight-line
+/// region, and the bounds check is a subtract, compare and add against the
+/// register-resident footprint. Generated code and the C++ runtime meet at
+/// one ABI, native::NativeContext in sim/NativeExec.h.
 ///
 /// Every function is lowered once, to one entry point that appends its
 /// memory accesses to the AccessTrace inline and accumulates its costs
 /// locally; cache timing is added later by the runtime's trace replay.
 ///
 /// compile() returns null for functions the lowerer rejects (unsupported
-/// opcode, mmap/cc failure); the execution layer then falls back to the
-/// threaded interpreter for that function — degraded speed, never degraded
-/// correctness. Compiled code is immutable, self-contained except for the
-/// NativeContext helpers, and shared read-only across threads; a process-wide
-/// content-addressed cache dedupes identical bytecode across interpreters.
+/// opcode, mmap failure) and for every function on a host without the JIT
+/// (not x86-64, or not POSIX); the execution layer then runs that function
+/// on the threaded interpreter — degraded speed, never degraded correctness.
+/// Compiled code is immutable, self-contained except for the NativeContext
+/// helpers, and shared read-only across threads; a process-wide content-
+/// addressed cache dedupes identical bytecode across interpreters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +36,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+
+// The JIT needs an x86-64 host that can map executable pages. Elsewhere
+// compile() returns null and every function runs on the threaded loop.
+#if defined(__x86_64__) &&                                                     \
+    (defined(__unix__) || defined(__linux__) || defined(__APPLE__))
+#define DAECC_NATIVE_JIT 1
+#endif
 
 namespace dae {
 namespace sim {
@@ -56,61 +58,44 @@ struct NativeContext;
 /// context's current Frame/counters/trace cursor and returns at Ret/RetVal.
 using EntryFn = void (*)(NativeContext *);
 
-/// Lowering mode selection.
-enum class Mode : std::uint8_t {
-  /// Pick per host: Jit on x86-64 without address/thread sanitizers, Cemit
-  /// elsewhere. Overridable via DAECC_NATIVE_MODE={jit,cemit,auto}; any
-  /// other value is a hard configuration error (exit 2).
-  Auto,
-  Jit,
-  Cemit,
-};
-
 struct Options {
-  Mode LowerMode = Mode::Auto;
   /// Testing hook: abort (after a diagnostic) instead of returning null when
   /// a function contains an opcode the lowerer does not support. The death
   /// test pins that rejection is loud under the hook and graceful without.
   bool AbortOnUnsupported = false;
 };
 
-/// One function's executable native code: its entry point plus the backing
-/// storage (an mmap'd W^X buffer or a dlopen'd shared object). Immutable and
-/// safe to execute concurrently from any thread.
+/// One function's executable native code: an mmap'd W^X buffer that starts
+/// with the function's entry point. Immutable and safe to execute
+/// concurrently from any thread; unmaps the buffer when destroyed.
 class NativeCode {
 public:
-  virtual ~NativeCode();
+  /// Takes ownership of the \p Size mapped bytes at \p Base, already
+  /// read-execute.
+  NativeCode(std::uint8_t *Base, std::size_t Size);
+  ~NativeCode();
   NativeCode(const NativeCode &) = delete;
   NativeCode &operator=(const NativeCode &) = delete;
 
-  EntryFn entry() const { return Entry; }
+  EntryFn entry() const { return reinterpret_cast<EntryFn>(Base); }
 
-  /// True when backed by the x86-64 JIT (vs. a compiled-C shared object).
-  bool isJit() const { return Jit; }
-  /// Base/size of the executable region (W^X tests; null/0 for Cemit).
-  const std::uint8_t *codeAddr() const { return CodeAddr; }
-  std::size_t codeSize() const { return CodeSize; }
+  /// Base/size of the executable region (W^X tests).
+  const std::uint8_t *codeAddr() const { return Base; }
+  std::size_t codeSize() const { return Size; }
 
-protected:
-  NativeCode() = default;
-  EntryFn Entry = nullptr;
-  bool Jit = false;
-  const std::uint8_t *CodeAddr = nullptr;
-  std::size_t CodeSize = 0;
+private:
+  std::uint8_t *Base;
+  std::size_t Size;
 };
 
 /// Lowers \p BF to native code, or returns null when the function cannot be
-/// lowered (unsupported opcode, host without a usable mode, cc/mmap failure)
-/// — callers must then execute \p BF through the threaded interpreter.
+/// lowered (unsupported opcode, host without the JIT, mmap failure) —
+/// callers must then execute \p BF through the threaded interpreter.
 /// Results are served from a process-wide content-addressed cache that keeps
 /// every entry (failures included) for the life of the process, so compiling
 /// the same bytecode from many interpreters costs one lowering. Thread safe.
 std::shared_ptr<const NativeCode> compile(const bc::BytecodeFunction &BF,
                                           const Options &Opts = Options());
-
-/// The mode Auto resolves to on this host ("jit" or "cemit"), after
-/// DAECC_NATIVE_MODE; for logs and tests.
-const char *activeModeName();
 
 } // namespace native
 } // namespace sim

@@ -12,23 +12,23 @@
 /// and return values — verified by tests/sim/BackendDifferentialTest.cpp
 /// across all three backends.
 ///
-/// NativeContext is the ABI (version 3) between generated code (JIT stencils
-/// or emitted C) and the C++ runtime: a fixed-layout struct holding the
-/// current activation's register file, the register-resident counters, the
-/// inlined trace write cursor, the interpreter's memory bounds (arena base,
-/// first footprint address, valid-start count; see sim/Memory.h), and the
-/// helper entry points generated code calls for the slow paths (an access
-/// outside the footprint, trace growth, calls). The bounds are per
-/// interpreter and read at every entry, never baked into code: cached code
-/// outlives the Memory it first ran against. All fields are 8-byte scalars
-/// (Ret is two) at fixed offsets asserted below; the x86-64 emitter
-/// addresses them as [ctx + offset] and the C emitter re-declares the same
-/// layout in the generated source.
+/// NativeContext is the ABI (version 3) between the JIT's stencils and the
+/// C++ runtime: a fixed-layout struct holding the current activation's
+/// register file, the register-resident counters, the inlined trace write
+/// cursor, the interpreter's memory bounds (arena base, first footprint
+/// address, valid-start count; see sim/Memory.h), and the helper entry
+/// points generated code calls for the slow paths (an access outside the
+/// footprint, trace growth, calls). The bounds are per interpreter and read
+/// at every entry, never baked into code: cached code outlives the Memory it
+/// first ran against. All fields are 8-byte scalars (Ret is two) at fixed
+/// offsets asserted below; the x86-64 emitter addresses them as
+/// [ctx + offset].
 ///
-/// Functions the native lowerer rejects (see NativeCodegen.h) are executed
-/// by an embedded ThreadedInterpreter instead — per function, including
-/// callees reached from native code mid-trace — so a partially compilable
-/// program still runs, bit-identically, never miscompiled.
+/// Functions the native lowerer rejects (see NativeCodegen.h), and every
+/// function on a host without the JIT, are executed by an embedded
+/// ThreadedInterpreter instead — per function, including callees reached
+/// from native code mid-trace — so a partially compilable program still
+/// runs, bit-identically, never miscompiled.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,7 +54,7 @@ namespace native {
 
 class NativeCode;
 
-/// The ABI struct shared by JIT'd code, emitted C, and the C++ helpers.
+/// The ABI struct shared by JIT'd code and the C++ helpers.
 /// Canonical-at-boundaries rule: generated code may cache any field in a
 /// host register between helper calls, but must write the cached values
 /// back before every helper call and read them back afterwards — helpers

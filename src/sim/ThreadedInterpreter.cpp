@@ -236,14 +236,12 @@ dispatch:
   INT_BIN(Mul, *)
   OP(SDiv) {
     STEP();
-    std::int64_t Rhs = R[I->B].I;
-    R[I->Dst].I = Rhs != 0 ? R[I->A].I / Rhs : 0;
+    R[I->Dst].I = ir::sdivTotal(R[I->A].I, R[I->B].I);
     NEXT();
   }
   OP(SRem) {
     STEP();
-    std::int64_t Rhs = R[I->B].I;
-    R[I->Dst].I = Rhs != 0 ? R[I->A].I % Rhs : 0;
+    R[I->Dst].I = ir::sremTotal(R[I->A].I, R[I->B].I);
     NEXT();
   }
   INT_BIN(And, &)

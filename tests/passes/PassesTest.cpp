@@ -79,6 +79,38 @@ TEST(ConstantFoldingTest, FoldsArithmeticAndIdentities) {
   EXPECT_TRUE(HasConst5) << printFunction(*F);
 }
 
+/// Folding computes what the backends compute: INT64_MAX + 1 and
+/// INT64_MIN sdiv -1 wrap to INT64_MIN instead of overflowing or trapping,
+/// INT64_MIN srem -1 is 0, and a division by 0 is left to run.
+TEST(ConstantFoldingTest, FoldsOverflowByWrapping) {
+  Module M;
+  auto *G = M.createGlobal("g", 64);
+  Function *F = M.createFunction("f", Type::Void, {});
+  IRBuilder B(M, F->createBlock("entry"));
+  const std::int64_t Min = INT64_MIN, Max = INT64_MAX;
+  Value *Vals[] = {B.createAdd(M.getInt(Max), M.getInt(1)),
+                   B.createSDiv(M.getInt(Min), M.getInt(-1)),
+                   B.createSRem(M.getInt(Min), M.getInt(-1)),
+                   B.createSDiv(M.getInt(7), M.getInt(0))};
+  for (std::int64_t K = 0; K != 4; ++K)
+    B.createStore(Vals[K], B.createGep1D(G, M.getInt(K), 8));
+  B.createRet();
+
+  EXPECT_TRUE(runConstantFolding(*F));
+  std::vector<Value *> Stored;
+  for (const auto &BB : *F)
+    for (const auto &I : *BB)
+      if (auto *S = dyn_cast<StoreInst>(I.get()))
+        Stored.push_back(S->getValue());
+  ASSERT_EQ(Stored.size(), 4u) << printFunction(*F);
+  for (std::int64_t K = 0; K != 3; ++K) {
+    auto *C = dyn_cast<ConstantInt>(Stored[K]);
+    ASSERT_NE(C, nullptr) << K << "\n" << printFunction(*F);
+    EXPECT_EQ(C->getValue(), K == 2 ? 0 : Min) << K;
+  }
+  EXPECT_TRUE(isa<BinaryInst>(Stored[3])) << printFunction(*F);
+}
+
 TEST(SimplifyCFGTest, FoldsConstantBranchAndPrunes) {
   Module M;
   auto *G = M.createGlobal("g", 64);

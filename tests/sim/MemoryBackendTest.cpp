@@ -13,9 +13,14 @@
 // affine offsets and at indirect offsets (a loaded value reduced into range
 // with SRem), prefetches, and one call into a callee that also loads and
 // stores. Every address lies inside a global by construction. Each kernel
-// runs under the switch, threaded and native backends, and under the native
-// C-emission mode when a host compiler exists; traces, PhaseStats, return
-// values and memory images must equal the switch interpreter's.
+// runs under the switch, threaded and native backends; traces, PhaseStats,
+// return values and memory images must equal the switch interpreter's.
+//
+// BackendKernelTest runs two hand-built kernels the generator cannot reach
+// through the same comparison, and also checks their results against values
+// computed on the host: a loop whose header phis form swap cycles (built as
+// a self-loop, whose back edge is critical, and with a separate latch), and
+// SDiv/SRem by 0, INT64_MIN by -1 and operands of mixed sign.
 //
 // MemoryArenaTest and MemoryArenaDeathTest pin the arena's edges under every
 // backend: an 8-byte access that straddles a 4 KiB boundary inside a global
@@ -34,10 +39,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
-#include <memory>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,26 +52,6 @@ using namespace dae::ir;
 using namespace dae::sim;
 
 namespace {
-
-/// Sets an environment variable for one scope and restores its old value.
-class ScopedEnv {
-public:
-  ScopedEnv(const char *Name, const char *Value) : Name(Name) {
-    if (const char *Old = std::getenv(Name))
-      Saved = std::make_unique<std::string>(Old);
-    setenv(Name, Value, 1);
-  }
-  ~ScopedEnv() {
-    if (Saved)
-      setenv(Name, Saved->c_str(), 1);
-    else
-      unsetenv(Name);
-  }
-
-private:
-  const char *Name;
-  std::unique_ptr<std::string> Saved;
-};
 
 /// What one run leaves behind; every field must match across backends.
 struct Outcome {
@@ -95,11 +80,9 @@ void expectSameOutcome(const Outcome &Ref, const Outcome &Got,
 
 /// Runs \p F once under \p Backend over memory prepared by \p Init, replays
 /// the trace through a fresh one-core hierarchy, and records the outcome.
-/// \p Compiled, when given, reports whether \p F got native code.
 template <typename InitFn>
 Outcome runUnder(SimBackend Backend, const Module &M, const Function &F,
-                 const std::vector<RuntimeValue> &Args, InitFn Init,
-                 bool *Compiled = nullptr) {
+                 const std::vector<RuntimeValue> &Args, InitFn Init) {
   MachineConfig Cfg;
   Cfg.Backend = Backend;
   Loader L(M);
@@ -107,8 +90,6 @@ Outcome runUnder(SimBackend Backend, const Module &M, const Function &F,
   Init(Mem, L);
   CompiledProgram Prog(Cfg, L);
   Prog.add(F);
-  if (Compiled)
-    *Compiled = Prog.lookupNative(F) != nullptr;
   Interpreter Interp(Cfg, Mem, L, &Prog);
   AccessTrace Trace;
   Outcome O;
@@ -122,8 +103,7 @@ Outcome runUnder(SimBackend Backend, const Module &M, const Function &F,
 }
 
 /// Runs \p F under every backend and compares each with the switch
-/// interpreter. The C-emission case is skipped, with a note, when the host
-/// has no usable compiler.
+/// interpreter.
 template <typename InitFn>
 void expectBackendsAgree(const Module &M, const Function &F,
                          const std::vector<RuntimeValue> &Args, InitFn Init,
@@ -133,14 +113,6 @@ void expectBackendsAgree(const Module &M, const Function &F,
                     What + ", threaded");
   expectSameOutcome(Ref, runUnder(SimBackend::Native, M, F, Args, Init),
                     What + ", native");
-  ScopedEnv Cemit("DAECC_NATIVE_MODE", "cemit");
-  bool Compiled = false;
-  Outcome Got = runUnder(SimBackend::Native, M, F, Args, Init, &Compiled);
-  if (!Compiled) {
-    std::printf("note: no host C compiler; cemit case skipped\n");
-    return;
-  }
-  expectSameOutcome(Ref, Got, What + ", cemit");
 }
 
 //===----------------------------------------------------------------------===//
@@ -398,6 +370,179 @@ TEST_P(BackendMemoryFuzz, KernelMatchesSwitch) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendMemoryFuzz, ::testing::Range(0u, 32u));
 
 //===----------------------------------------------------------------------===//
+// Hand-built kernels
+//===----------------------------------------------------------------------===//
+
+/// The phi kernel's state, stepped on the host: the int 3-cycle
+/// (a, b, c) <- (c, a, b), the FP swap (x, y) <- (y, x), p <- a reading
+/// another phi's old value, and the accumulators s <- 10 s + p, z <- z + x.
+struct PhiState {
+  std::int64_t A = 1, B = 2, C = 3, P = 0, S = 0;
+  double X = 0.5, Y = 1.5, Z = 0.0;
+
+  void step() { *this = {C, A, B, A, S * 10 + P, Y, X, Z + X}; }
+};
+
+/// phi(n) runs PhiState::step n >= 1 times, every state variable a header
+/// phi, then stores the state to Out (a, b, c, p, s, x, y, z) and returns
+/// s. With \p SelfLoop the loop is one block that branches to itself or
+/// exits, so its back edge is critical and its phi copies need a
+/// trampoline; otherwise the header tests and a separate latch steps.
+Function *buildPhiKernel(Module &M, GlobalVariable *Out, bool SelfLoop) {
+  Function *F = M.createFunction("phi", Type::Int64, {Type::Int64});
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Header = F->createBlock("header");
+  BasicBlock *Latch = SelfLoop ? Header : F->createBlock("latch");
+  BasicBlock *Exit = F->createBlock("exit");
+  IRBuilder B(M, Entry);
+  B.createBr(Header);
+
+  B.setInsertBlock(Header);
+  auto Phi = [&](Type Ty, Value *Init) {
+    PhiInst *P = B.createPhi(Ty);
+    P->addIncoming(Init, Entry);
+    return P;
+  };
+  const PhiState Init;
+  PhiInst *I = Phi(Type::Int64, B.getInt(0));
+  PhiInst *A = Phi(Type::Int64, B.getInt(Init.A));
+  PhiInst *Bv = Phi(Type::Int64, B.getInt(Init.B));
+  PhiInst *C = Phi(Type::Int64, B.getInt(Init.C));
+  PhiInst *P = Phi(Type::Int64, B.getInt(Init.P));
+  PhiInst *S = Phi(Type::Int64, B.getInt(Init.S));
+  PhiInst *X = Phi(Type::Float64, B.getFloat(Init.X));
+  PhiInst *Y = Phi(Type::Float64, B.getFloat(Init.Y));
+  PhiInst *Z = Phi(Type::Float64, B.getFloat(Init.Z));
+  if (!SelfLoop) {
+    B.createCondBr(B.createCmp(CmpPred::SLT, I, F->getArg(0)), Latch, Exit);
+    B.setInsertBlock(Latch);
+  }
+  Value *I1 = B.createAdd(I, B.getInt(1));
+  Value *S1 = B.createAdd(B.createMul(S, B.getInt(10)), P);
+  Value *Z1 = B.createFAdd(Z, X);
+  const std::vector<std::pair<PhiInst *, Value *>> Next = {
+      {I, I1}, {A, C}, {Bv, A}, {C, Bv}, {P, A},
+      {S, S1}, {X, Y}, {Y, X},  {Z, Z1}};
+  for (const auto &[H, V] : Next)
+    H->addIncoming(V, Latch);
+  if (SelfLoop)
+    B.createCondBr(B.createCmp(CmpPred::SLT, I1, F->getArg(0)), Header, Exit);
+  else
+    B.createBr(Header);
+
+  // The state after n steps: the header phis after the latch, the back
+  // edge's values in the self-loop (its exit edge skips their copies).
+  B.setInsertBlock(Exit);
+  std::int64_t Slot = 0;
+  for (const auto &[H, V] : Next)
+    if (H != I)
+      B.createStore(SelfLoop ? V : H,
+                    B.createGep1D(Out, B.getInt(Slot++), 8));
+  B.createRet(SelfLoop ? S1 : S);
+  return F;
+}
+
+TEST(BackendKernelTest, PhiSwapCyclesMatchHost) {
+  for (bool SelfLoop : {true, false})
+    for (std::int64_t N : {1, 5}) {
+      const std::string What =
+          std::string(SelfLoop ? "self-loop" : "latch") + ", n=" +
+          std::to_string(N);
+      Module M;
+      GlobalVariable *Out = M.createGlobal("Out", 8 * 8);
+      Function *F = buildPhiKernel(M, Out, SelfLoop);
+      ASSERT_TRUE(verifyFunction(*F).empty()) << printFunction(*F);
+
+      PhiState Want;
+      for (std::int64_t K = 0; K != N; ++K)
+        Want.step();
+      const std::uint64_t Base = Loader(M).baseOf(Out);
+      Memory Expected;
+      std::uint64_t Addr = Base;
+      for (std::int64_t V : {Want.A, Want.B, Want.C, Want.P, Want.S}) {
+        Expected.storeI64(Addr, V);
+        Addr += 8;
+      }
+      for (double V : {Want.X, Want.Y, Want.Z}) {
+        Expected.storeF64(Addr, V);
+        Addr += 8;
+      }
+
+      const std::vector<RuntimeValue> Args{RuntimeValue::ofInt(N)};
+      auto NoInit = [](Memory &, const Loader &) {};
+      const Outcome Ref = runUnder(SimBackend::Switch, M, *F, Args, NoInit);
+      EXPECT_EQ(Ref.Ret.I, Want.S) << What;
+      EXPECT_EQ(Ref.Hash, Expected.imageHash()) << What;
+      expectBackendsAgree(M, *F, Args, NoInit, What);
+    }
+}
+
+/// One SDiv/SRem operand pair with its quotient and remainder.
+struct DivCase {
+  std::int64_t L, R, Quot, Rem;
+};
+
+constexpr std::int64_t Min = INT64_MIN, Max = INT64_MAX;
+constexpr DivCase DivCases[] = {
+    {7, 0, 0, 0},       {-7, 0, 0, 0},        {Min, 0, 0, 0},
+    {Min, -1, Min, 0},  {Max, -1, -Max, 0},   {7, -1, -7, 0},
+    {7, 2, 3, 1},       {-7, 2, -3, -1},      {7, -2, -3, 1},
+    {-7, -2, 3, -1},    {Min, 2, Min / 2, 0}, {Min, Min, 1, 0},
+    {-1, Min, 0, -1},   {Max, Min, 0, Max}};
+
+/// div(n): for k < n, Out[2k] = In[2k] sdiv In[2k+1] and Out[2k+1] =
+/// In[2k] srem In[2k+1]. The operands are loaded, so no lowering sees a
+/// constant divisor.
+Function *buildDivKernel(Module &M, GlobalVariable *In, GlobalVariable *Out) {
+  Function *F = M.createFunction("div", Type::Int64, {Type::Int64});
+  IRBuilder B(M, F->createBlock("entry"));
+  emitCountedLoop(B, B.getInt(0), F->getArg(0), B.getInt(1), "k",
+                  [&](IRBuilder &B, Value *K) {
+                    Value *LIdx = B.createMul(K, B.getInt(2));
+                    Value *RIdx = B.createAdd(LIdx, B.getInt(1));
+                    Value *L =
+                        B.createLoad(Type::Int64, B.createGep1D(In, LIdx, 8));
+                    Value *R =
+                        B.createLoad(Type::Int64, B.createGep1D(In, RIdx, 8));
+                    B.createStore(B.createSDiv(L, R),
+                                  B.createGep1D(Out, LIdx, 8));
+                    B.createStore(B.createSRem(L, R),
+                                  B.createGep1D(Out, RIdx, 8));
+                  });
+  B.createRet(B.getInt(0));
+  return F;
+}
+
+TEST(BackendKernelTest, DivisionEdgeCasesMatchHost) {
+  constexpr std::int64_t N = std::size(DivCases);
+  Module M;
+  GlobalVariable *In = M.createGlobal("In", N * 16);
+  GlobalVariable *Out = M.createGlobal("Out", N * 16);
+  Function *F = buildDivKernel(M, In, Out);
+  ASSERT_TRUE(verifyFunction(*F).empty()) << printFunction(*F);
+
+  const Loader L(M);
+  const std::uint64_t InBase = L.baseOf(In), OutBase = L.baseOf(Out);
+  auto Init = [InBase](Memory &Mem, const Loader &) {
+    for (std::int64_t K = 0; K != N; ++K) {
+      Mem.storeI64(InBase + 16 * K, DivCases[K].L);
+      Mem.storeI64(InBase + 16 * K + 8, DivCases[K].R);
+    }
+  };
+  Memory Expected;
+  Init(Expected, L);
+  for (std::int64_t K = 0; K != N; ++K) {
+    Expected.storeI64(OutBase + 16 * K, DivCases[K].Quot);
+    Expected.storeI64(OutBase + 16 * K + 8, DivCases[K].Rem);
+  }
+
+  const std::vector<RuntimeValue> Args{RuntimeValue::ofInt(N)};
+  const Outcome Ref = runUnder(SimBackend::Switch, M, *F, Args, Init);
+  EXPECT_EQ(Ref.Hash, Expected.imageHash());
+  expectBackendsAgree(M, *F, Args, Init, "division");
+}
+
+//===----------------------------------------------------------------------===//
 // Arena edges
 //===----------------------------------------------------------------------===//
 
@@ -481,44 +626,24 @@ struct TwoGlobals {
   }
 };
 
-/// The execution configurations every edge case runs under: the switch and
-/// threaded loops, JIT code and emitted C (each native mode skipped when
-/// the host cannot produce it).
-struct BackendMode {
-  const char *Name;
-  SimBackend Backend;
-  const char *NativeMode; ///< DAECC_NATIVE_MODE, or null.
-};
-const BackendMode Modes[] = {{"switch", SimBackend::Switch, nullptr},
-                             {"threaded", SimBackend::Threaded, nullptr},
-                             {"jit", SimBackend::Native, "jit"},
-                             {"cemit", SimBackend::Native, "cemit"}};
-
-/// Expects \p F to die with the out-of-footprint report under every mode.
+/// Expects \p F to die with the out-of-footprint report under every backend.
 void expectDiesEverywhere(const Module &M, const Function &F,
                           const std::string &What) {
-  for (const BackendMode &Mode : Modes) {
+  for (SimBackend Backend :
+       {SimBackend::Switch, SimBackend::Threaded, SimBackend::Native}) {
     MachineConfig Cfg;
-    Cfg.Backend = Mode.Backend;
-    std::unique_ptr<ScopedEnv> Env;
-    if (Mode.NativeMode)
-      Env = std::make_unique<ScopedEnv>("DAECC_NATIVE_MODE", Mode.NativeMode);
+    Cfg.Backend = Backend;
     Loader L(M);
     Memory Mem;
     // Compile here, in the parent: the forked child runs the code.
     CompiledProgram Prog(Cfg, L);
     Prog.add(F);
-    if (Mode.NativeMode && !Prog.lookupNative(F)) {
-      std::printf("note: no %s code on this host; case skipped\n",
-                  Mode.NativeMode);
-      continue;
-    }
     Interpreter Interp(Cfg, Mem, L, &Prog);
     AccessTrace Trace;
     EXPECT_DEATH(Interp.runTraced(F, {}, Trace),
                  "simulated access at 0x[0-9a-f]+ is outside the memory "
                  "footprint \\[0x[0-9a-f]+, 0x[0-9a-f]+\\)")
-        << What << " under " << Mode.Name;
+        << What << " under " << simBackendName(Backend);
   }
 }
 

@@ -7,10 +7,10 @@
 // Edge cases of the native codegen backend that the cross-backend
 // differential suite (BackendDifferentialTest.cpp) does not reach: code
 // storage across many compiled functions, W^X protection of the JIT buffer,
-// the C-emission fallback mode, the DAECC_NATIVE_MODE contract, and — most
-// important — the rejection path: a function the lowerer cannot compile must
-// fall back to the threaded interpreter bit-identically, never miscompile,
-// and must die loudly under the AbortOnUnsupported testing hook.
+// and — most important — the rejection path: a function the lowerer cannot
+// compile must fall back to the threaded interpreter bit-identically, never
+// miscompile, and must die loudly under the AbortOnUnsupported testing hook.
+// The fallback is also what a host without the JIT runs for every function.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +34,15 @@ using namespace dae::ir;
 using namespace dae::sim;
 
 namespace {
+
+/// Whether this build has the JIT. Without it compile() returns null by
+/// design and the JIT cases have nothing to check; with it a null result is
+/// a failure, never a skip.
+#if defined(DAECC_NATIVE_JIT)
+constexpr bool HostHasJit = true;
+#else
+constexpr bool HostHasJit = false;
+#endif
 
 /// Builds fn_k(x) = x * (k + 2) + k with a load, a store and an FP round
 /// trip, so every compiled function exercises translation, trace emission
@@ -103,6 +112,8 @@ void expectSameRun(const RunResult &A, const RunResult &B, const char *What) {
 /// held simultaneously (the CompiledProgram holds every function of a
 /// workload at once).
 TEST(NativeBackend, CodeBufferGrowthAcrossManyFunctions) {
+  if (!HostHasJit)
+    GTEST_SKIP() << "no JIT on this host";
   constexpr unsigned N = 48;
   Module M;
   auto *Out = M.createGlobal("Out", N * 8);
@@ -121,14 +132,9 @@ TEST(NativeBackend, CodeBufferGrowthAcrossManyFunctions) {
   for (Function *F : Fns)
     if (const native::NativeCode *NC = Prog.lookupNative(*F)) {
       ++Compiled;
-      if (NC->isJit()) {
-        EXPECT_NE(NC->codeAddr(), nullptr);
-        EXPECT_GT(NC->codeSize(), 0u);
-      }
+      EXPECT_NE(NC->codeAddr(), nullptr);
+      EXPECT_GT(NC->codeSize(), 0u);
     }
-  // On a host with a working mode every function must have compiled; with
-  // no usable mode the backend still runs (threaded fallback), but this
-  // test's point is the code storage, so require compilation.
   EXPECT_EQ(Compiled, N);
 
   // All functions execute correctly while every code object is live.
@@ -148,9 +154,10 @@ TEST(NativeBackend, CodeBufferGrowthAcrossManyFunctions) {
 }
 
 /// The JIT buffer must be W^X: readable and executable, never writable,
-/// once published. Verified against the kernel's own view (/proc/self/maps);
-/// skipped when the host compiles through the C-emission fallback.
+/// once published. Verified against the kernel's own view (/proc/self/maps).
 TEST(NativeBackend, JitBufferIsWxProtected) {
+  if (!HostHasJit)
+    GTEST_SKIP() << "no JIT on this host";
   Module M;
   auto *Out = M.createGlobal("Out", 8);
   Function *F = buildFn(M, Out, 0);
@@ -158,8 +165,7 @@ TEST(NativeBackend, JitBufferIsWxProtected) {
   MachineConfig Cfg;
   auto BF = bc::lower(*F, L, Cfg);
   std::shared_ptr<const native::NativeCode> NC = native::compile(*BF);
-  if (!NC || !NC->isJit())
-    GTEST_SKIP() << "host uses the C-emission mode (no JIT buffer to check)";
+  ASSERT_NE(NC, nullptr);
 
   std::FILE *Maps = std::fopen("/proc/self/maps", "r");
   if (!Maps)
@@ -183,33 +189,6 @@ TEST(NativeBackend, JitBufferIsWxProtected) {
   }
   std::fclose(Maps);
   EXPECT_TRUE(Found) << "JIT buffer not in /proc/self/maps";
-}
-
-/// The C-emission mode (DAECC_NATIVE_MODE=cemit; auto-selected under
-/// sanitizers and on non-x86-64 hosts) must produce the same bits as the
-/// reference backend.
-TEST(NativeBackend, CEmissionFallbackMatchesReference) {
-  Module M;
-  auto *Out = M.createGlobal("Out", 4 * 8);
-  Function *F = buildFn(M, Out, 3);
-  Loader L(M);
-  MachineConfig Cfg;
-  auto BF = bc::lower(*F, L, Cfg);
-
-  native::Options Opts;
-  Opts.LowerMode = native::Mode::Cemit;
-  std::shared_ptr<const native::NativeCode> NC = native::compile(*BF, Opts);
-  if (!NC)
-    GTEST_SKIP() << "no host C compiler available for the cemit mode";
-  EXPECT_FALSE(NC->isJit());
-  EXPECT_NE(NC->entry(), nullptr);
-
-  // End to end through the interpreter, pinned to cemit via the env knob.
-  setenv("DAECC_NATIVE_MODE", "cemit", 1);
-  RunResult Ref = runUnder(SimBackend::Switch, M, *F, 11);
-  RunResult Got = runUnder(SimBackend::Native, M, *F, 11);
-  unsetenv("DAECC_NATIVE_MODE");
-  expectSameRun(Ref, Got, "cemit vs switch");
 }
 
 /// A function containing an opcode the lowerer rejects (here forced via
@@ -249,28 +228,6 @@ TEST(NativeBackendDeathTest, UnsupportedOpcodeAbortsUnderHook) {
   setenv("DAECC_NATIVE_REJECT_OP", "SIToFP", 1);
   EXPECT_DEATH(native::compile(*BF, Opts), "rejected opcode 'SIToFP'");
   unsetenv("DAECC_NATIVE_REJECT_OP");
-}
-
-/// DAECC_NATIVE_MODE accepts exactly jit, cemit and auto; anything else is a
-/// hard configuration error (exit 2), like DAECC_SIM_BACKEND — never a
-/// silent fall-back to auto that would mislabel a mode comparison.
-TEST(NativeBackendDeathTest, UnknownNativeModeExits2) {
-  Module M;
-  auto *Out = M.createGlobal("Out", 8);
-  Function *F = buildFn(M, Out, 0);
-  Loader L(M);
-  MachineConfig Cfg;
-  auto BF = bc::lower(*F, L, Cfg);
-  for (const char *Bad : {"JIT", "jit ", "c", "native", ""}) {
-    setenv("DAECC_NATIVE_MODE", Bad, 1);
-    EXPECT_EXIT(native::compile(*BF), ::testing::ExitedWithCode(2),
-                "unknown DAECC_NATIVE_MODE")
-        << "'" << Bad << "'";
-    EXPECT_EXIT(native::activeModeName(), ::testing::ExitedWithCode(2),
-                "unknown DAECC_NATIVE_MODE")
-        << "'" << Bad << "'";
-  }
-  unsetenv("DAECC_NATIVE_MODE");
 }
 
 } // namespace
