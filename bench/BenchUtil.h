@@ -135,9 +135,10 @@ inline bool pipelineFlagsFromArgs(int Argc, char **Argv) {
 }
 
 /// DAE correctness oracle switch: `--dae-verify` (or DAECC_DAE_VERIFY=1)
-/// runs the static purity audit + dynamic differential checker per (app,
-/// DAE scheme); verdicts print per app and land in the dae_verify block of
-/// BENCH_<name>.json. Simulated profiles and outputs are unchanged.
+/// runs the static purity audit + dynamic differential per (app, DAE
+/// scheme), taken from the scheme runs themselves; verdicts print per app
+/// and land in the dae_verify block of BENCH_<name>.json. Simulated
+/// profiles and outputs are unchanged.
 inline bool daeVerifyFromArgs(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I)
     if (std::strcmp(Argv[I], "--dae-verify") == 0)
@@ -295,7 +296,7 @@ inline std::uint64_t simInstructions(const runtime::RunProfile &P) {
 ///                                     (audit + differential both clean),
 ///                                     coverage (footprint), strict_coverage
 ///                                     (same-task), overshoot (see
-///                                     verify/DifferentialChecker.h for the
+///                                     verify/Differential.h for the
 ///                                     definitions), baseline_misses,
 ///                                     covered_misses, strict_covered_misses,
 ///                                     prefetched_lines, unused_lines,

@@ -20,8 +20,9 @@
 #include "sim/CacheSim.h"
 #include "sim/Interpreter.h"
 #include "verify/AccessPhaseAudit.h"
-#include "verify/DifferentialChecker.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <memory>
 #include <set>
@@ -51,28 +52,50 @@ std::vector<std::uint8_t> snapshotOutputs(const Workload &W, Memory &Mem,
   return Bytes;
 }
 
-/// Runs one scheme (fresh memory + init) and snapshots the outputs. When
-/// \p Traces is non-null the run's traces are retained for a later
-/// contention-timeline interleave.
-RunProfile runScheme(const Workload &W, const std::vector<Task> &Tasks,
-                     const MachineConfig &Cfg, const Loader &L,
-                     std::vector<std::uint8_t> &OutBytes,
-                     RunTraces *Traces = nullptr) {
+/// Runs one scheme (fresh memory + init) and snapshots the outputs. With
+/// \p Capture the run also records the oracle capture and hashes the final
+/// memory image. When \p Traces is non-null the run's traces are retained
+/// for a later contention-timeline interleave.
+verify::CapturedRun runScheme(const Workload &W, const std::vector<Task> &Tasks,
+                              const MachineConfig &Cfg, const Loader &L,
+                              bool Capture, RunTraces *Traces = nullptr) {
   Memory Mem;
   W.Init(Mem, L);
   TaskRuntime RT(Cfg, Mem, L);
-  RunProfile P = RT.execute(Tasks, /*RunAccess=*/true, nullptr, Traces);
-  OutBytes = snapshotOutputs(W, Mem, L);
-  return P;
+  verify::CapturedRun Run;
+  Run.Profile = RT.execute(Tasks, /*RunAccess=*/true,
+                           Capture ? &Run.Capture : nullptr, Traces);
+  if (Capture)
+    Run.ImageHash = Mem.imageHash();
+  Run.Outputs = snapshotOutputs(W, Mem, L);
+  return Run;
+}
+
+/// Appends the static purity audit's findings for \p AccessFn to
+/// \p Violations (one string each) and clears \p Pure when there are any.
+void auditInto(const ir::Function &AccessFn, pm::FunctionAnalysisManager &FAM,
+               bool &Pure, std::vector<std::string> &Violations) {
+  // The audit only reads the function; the analysis manager's interface
+  // is mutable because passes share it.
+  verify::AuditReport Rep =
+      verify::auditAccessPhase(const_cast<ir::Function &>(AccessFn), FAM);
+  for (const verify::AuditViolation &Viol : Rep.Violations) {
+    Pure = false;
+    std::string S = AccessFn.getName() + ": " + Viol.Reason;
+    if (Viol.Inst)
+      S += ": " + ir::printInstruction(*Viol.Inst);
+    Violations.push_back(std::move(S));
+  }
 }
 
 /// The per-scheme correctness oracle (--dae-verify): static purity audit of
-/// every access phase in \p Tasks, then the with/without-access dynamic
-/// differential. Returns Ran == false for schemes with no decoupled tasks
-/// (there is nothing to verify; CAE always lands here).
-DaeVerifyResult verifyScheme(const Workload &W,
-                             const std::vector<Task> &Tasks,
-                             const MachineConfig &Cfg, const Loader &L) {
+/// every access phase in \p Tasks, then the dynamic differential of the
+/// scheme's captured run \p With against the captured CAE run \p Cae (the
+/// scheme's run with its access phases suppressed). Returns Ran == false for
+/// schemes with no decoupled tasks (there is nothing to verify).
+DaeVerifyResult verifyScheme(const std::vector<Task> &Tasks,
+                             const verify::CapturedRun &With,
+                             const verify::CapturedRun &Cae) {
   DaeVerifyResult V;
   V.AuditPure = true;
 
@@ -83,89 +106,93 @@ DaeVerifyResult verifyScheme(const Workload &W,
     if (!T.Access)
       continue;
     AnyAccess = true;
-    if (!Audited.insert(T.Access).second)
-      continue;
-    // The audit only reads the function; the analysis manager's interface
-    // is mutable because passes share it.
-    auto &AccessFn = *const_cast<ir::Function *>(T.Access);
-    verify::AuditReport Rep = verify::auditAccessPhase(AccessFn, FAM);
-    for (const verify::AuditViolation &Viol : Rep.Violations) {
-      V.AuditPure = false;
-      std::string S = T.Access->getName() + ": " + Viol.Reason;
-      if (Viol.Inst)
-        S += ": " + ir::printInstruction(*Viol.Inst);
-      V.AuditViolations.push_back(std::move(S));
-    }
+    if (Audited.insert(T.Access).second)
+      auditInto(*T.Access, FAM, V.AuditPure, V.AuditViolations);
   }
   if (!AnyAccess)
     return V;
   V.Ran = true;
-
-  verify::DifferentialSpec Spec;
-  Spec.Init = W.Init;
-  Spec.OutputGlobals = W.OutputGlobals;
-  Spec.OutputSizes = W.OutputSizes;
-  verify::DifferentialChecker Checker(Cfg, L, std::move(Spec));
-  V.Diff = Checker.check(Tasks);
+  V.Diff = verify::compare(With, Cae);
   return V;
 }
 
-/// Everything one app needs before its three scheme simulations can run:
-/// generated access phases, the three task lists, and the loader. Shared by
-/// runApp (sequential) and runSuite (job pool).
+/// Everything one app needs before its scheme simulations can run:
+/// generated access phases, the three task lists, and the loader.
 struct PreparedApp {
-  const Workload *W = nullptr;
+  Workload *W = nullptr;
+  /// The generator options the Auto phases were generated with.
+  const DaeOptions *Opts = nullptr;
   std::vector<AccessPhaseResult> Generation;
   unsigned AffineLoops = 0, TotalLoops = 0;
   /// Task lists indexed by Scheme (Cae, Manual, Auto).
   std::vector<Task> SchemeTasks[3];
   std::unique_ptr<Loader> L;
-  /// Profile-guided refinement outcome (when prepareApp ran it).
+  /// Generation's analysis cache, kept for refinement (null otherwise).
+  std::unique_ptr<pm::FunctionAnalysisManager> FAM;
+};
+
+/// What runApps simulates and derives for each app.
+struct AppPlan {
+  /// Schemes to simulate, indexed by Scheme (Cae, Manual, Auto).
+  bool Run[3] = {true, true, true};
+  /// Retain every run's traces for a contention timeline.
+  bool RetainTraces = false;
+  /// Profile-guided refinement of the Auto scheme.
+  bool Refine = false;
+  /// Oracle verdicts of every simulated DAE scheme.
+  bool Verify = false;
+
+  /// Whether scheme \p S's run carries the oracle capture: the CAE run is
+  /// every comparison's baseline, and a DAE run is captured when its
+  /// verdict (or, for Auto, refinement) reads it.
+  bool captures(int S) const { return Verify || (Refine && S != 1); }
+};
+
+/// One app's pipeline state inside runApps.
+struct AppSlot {
+  PreparedApp P;
+  /// Scheme runs and their retained traces, indexed by Scheme.
+  verify::CapturedRun Runs[3];
+  RunTraces Traces[3];
+  /// Scheme runs still in flight; the one that brings it to zero finishes
+  /// the app.
+  std::atomic<unsigned> Pending{0};
+  DaeVerifyResult Verify[2]; ///< Manual, Auto.
   ProfileGuidedResult Pg;
 };
 
-/// The profile-guided refinement loop over one prepared app's Auto scheme
-/// (see dae/ProfileGuidedRefinement.h): measure per-task coverage/overshoot
-/// from the differential checker's captures, persist them into an
-/// AccessProfile keyed by task fingerprint, run the pm-registered
-/// refinement pass over the task functions, then swap the refined phases
-/// into SchemeTasks[2] (and Generation) and re-measure. Runs inside the
-/// app-preparation step, *before* any scheme simulation is submitted, so
-/// the Auto simulations always see the final phases.
-ProfileGuidedResult refineAutoScheme(Workload &W, PreparedApp &P,
-                                     const MachineConfig &Cfg,
-                                     const DaeOptions &Opts,
-                                     GenerationMemo *Memo,
-                                     pm::FunctionAnalysisManager &FAM) {
+/// The profile-guided refinement loop over one app's Auto scheme (see
+/// dae/ProfileGuidedRefinement.h): measure per-task coverage/overshoot from
+/// the captured Auto and CAE runs, persist them into an AccessProfile keyed
+/// by task fingerprint, run the pm-registered refinement pass over the task
+/// functions (with generation's analysis cache), then swap the refined
+/// phases into SchemeTasks[2] (and Generation) and re-simulate the Auto
+/// scheme. Refinement only adds and renames access functions, never changes
+/// a task function, so the CAE and Manual runs stand.
+ProfileGuidedResult refineAutoScheme(AppSlot &S, const MachineConfig &Cfg,
+                                     GenerationMemo *Memo) {
+  PreparedApp &P = S.P;
+  Workload &W = *P.W;
+  pm::FunctionAnalysisManager &FAM = *P.FAM;
+  std::vector<Task> &AutoTasks = P.SchemeTasks[2];
   ProfileGuidedResult R;
-  bool AnyAccess = false;
-  for (const Task &T : P.SchemeTasks[2])
-    if (T.Access) {
-      AnyAccess = true;
-      break;
-    }
-  if (!AnyAccess)
+  if (std::none_of(AutoTasks.begin(), AutoTasks.end(),
+                   [](const Task &T) { return T.Access; }))
     return R;
   R.Ran = true;
 
-  verify::DifferentialSpec Spec;
-  Spec.Init = W.Init;
-  Spec.OutputGlobals = W.OutputGlobals;
-  Spec.OutputSizes = W.OutputSizes;
-  verify::DifferentialChecker Checker(Cfg, *P.L, std::move(Spec));
-
   std::vector<TaskObservation> Obs;
-  RunProfile BeforeProfile;
-  R.Before = Checker.check(P.SchemeTasks[2], &Obs, &BeforeProfile);
-  R.EdpBefore = evaluate(BeforeProfile, Cfg, minMaxConfig(Cfg, 0.0)).EdpJs;
+  R.Before = verify::compare(S.Runs[2], S.Runs[0], &Obs);
+  R.EdpBefore =
+      evaluate(S.Runs[2].Profile, Cfg, minMaxConfig(Cfg, 0.0)).EdpJs;
 
   // Persist the observations keyed by task content fingerprint; instances
   // of the same task function merge into one record.
   dae::AccessProfile Profile;
-  for (size_t I = 0; I != P.SchemeTasks[2].size(); ++I) {
-    if (!P.SchemeTasks[2][I].Access)
+  for (size_t I = 0; I != AutoTasks.size(); ++I) {
+    if (!AutoTasks[I].Access)
       continue;
-    auto *Task = const_cast<ir::Function *>(P.SchemeTasks[2][I].Execute);
+    auto *Task = const_cast<ir::Function *>(AutoTasks[I].Execute);
     Profile.record(taskContentFingerprint(*Task, FAM), Obs[I]);
   }
 
@@ -191,7 +218,7 @@ ProfileGuidedResult refineAutoScheme(Workload &W, PreparedApp &P,
   // Run the refinement pass through a pass manager so it is instrumented
   // (PipelineStats) and honors --verify-each like every other pass.
   auto PassPtr = std::make_unique<dae::ProfileGuidedRefinementPass>(
-      *W.M, Profile, Opts, RC, Memo);
+      *W.M, Profile, *P.Opts, RC, Memo);
   dae::ProfileGuidedRefinementPass *Refiner = PassPtr.get();
   for (size_t GI = 0; GI != TaskFns.size(); ++GI)
     Refiner->noteBaseline(TaskFns[GI], P.Generation[GI]);
@@ -216,45 +243,37 @@ ProfileGuidedResult refineAutoScheme(Workload &W, PreparedApp &P,
       continue;
     P.Generation[GI] = *RR;
     R.Actions.push_back(TaskFns[GI]->getName() + ": " + RR->RefinementNote);
-    for (Task &T : P.SchemeTasks[2])
+    for (Task &T : AutoTasks)
       if (T.Execute == TaskFns[GI])
         T.Access = RR->AccessFn;
-    verify::AuditReport Rep = verify::auditAccessPhase(*RR->AccessFn, FAM);
-    for (const verify::AuditViolation &Viol : Rep.Violations) {
-      R.AuditPure = false;
-      std::string S = RR->AccessFn->getName() + ": " + Viol.Reason;
-      if (Viol.Inst)
-        S += ": " + ir::printInstruction(*Viol.Inst);
-      R.AuditViolations.push_back(std::move(S));
-    }
+    auditInto(*RR->AccessFn, FAM, R.AuditPure, R.AuditViolations);
   }
 
-  RunProfile AfterProfile;
-  R.After = Checker.check(P.SchemeTasks[2], nullptr, &AfterProfile);
-  R.EdpAfter = evaluate(AfterProfile, Cfg, minMaxConfig(Cfg, 0.0)).EdpJs;
+  S.Runs[2] = runScheme(W, AutoTasks, Cfg, *P.L, /*Capture=*/true);
+  R.After = verify::compare(S.Runs[2], S.Runs[0]);
+  R.EdpAfter = evaluate(S.Runs[2].Profile, Cfg, minMaxConfig(Cfg, 0.0)).EdpJs;
   return R;
 }
 
 PreparedApp prepareApp(Workload &W, const DaeOptions *OptsOverride,
-                       GenerationMemo *Memo,
-                       const MachineConfig *PgCfg = nullptr) {
+                       GenerationMemo *Memo, bool KeepAnalyses) {
   PreparedApp P;
   P.W = &W;
-  const DaeOptions &Opts = OptsOverride ? *OptsOverride : W.Opts;
+  P.Opts = OptsOverride ? OptsOverride : &W.Opts;
 
   // Generate the Auto DAE access phase per task function. Generation
   // optimizes the task body first (shared by all schemes). One analysis
   // cache serves the whole app: classification computed during generation
   // is reused for the Table 1 loop counts below.
-  pm::FunctionAnalysisManager FAM;
+  auto FAM = std::make_unique<pm::FunctionAnalysisManager>();
   std::map<const ir::Function *, const ir::Function *> AutoAccess;
   for (ir::Function *F : W.taskFunctions()) {
-    AccessPhaseResult G = Memo ? Memo->generate(*W.M, *F, Opts, FAM)
-                               : generateAccessPhase(*W.M, *F, Opts, FAM);
+    AccessPhaseResult G = Memo ? Memo->generate(*W.M, *F, *P.Opts, *FAM)
+                               : generateAccessPhase(*W.M, *F, *P.Opts, *FAM);
     if (G.AccessFn)
       AutoAccess[F] = G.AccessFn;
     const analysis::TaskClassification &Cls =
-        FAM.getResult<pm::TaskClassificationAnalysis>(*F);
+        FAM->getResult<pm::TaskClassificationAnalysis>(*F);
     P.AffineLoops += Cls.AffineLoops;
     P.TotalLoops += Cls.TotalLoops;
     P.Generation.push_back(std::move(G));
@@ -273,40 +292,87 @@ PreparedApp prepareApp(Workload &W, const DaeOptions *OptsOverride,
         AIt == AutoAccess.end() ? nullptr : AIt->second;
   }
 
+  // Refinement adds functions but no globals, so the layout stays valid.
   P.L = std::make_unique<Loader>(*W.M);
-
-  // Profile-guided refinement runs here — after the Loader exists (the
-  // differential runs need it; regeneration adds functions but no globals,
-  // so the layout stays valid) and before any scheme simulation can start.
-  if (PgCfg)
-    P.Pg = refineAutoScheme(W, P, *PgCfg, Opts, Memo, FAM);
+  // Refinement reuses generation's analyses: its fingerprints and the
+  // regeneration's task optimization are then cache hits.
+  if (KeepAnalyses)
+    P.FAM = std::move(FAM);
   return P;
 }
 
-AppResult assembleApp(PreparedApp &P, RunProfile Profiles[3],
-                      std::vector<std::uint8_t> Outputs[3],
-                      const MachineConfig &Cfg) {
+/// Runs \p Plan over every item on a JobPool of \p Jobs: one preparation job
+/// per app fans out the app's scheme runs as further jobs (a private Memory
+/// each; the Loader and the module are shared read-only between them), and
+/// the run that finishes last derives the app's refinement and oracle
+/// verdicts inline from the captured runs, then frees the captures and the
+/// analysis cache. Slots are returned in item order.
+std::vector<AppSlot> runApps(const std::vector<SuiteItem> &Items,
+                             const MachineConfig &Cfg, const AppPlan &Plan,
+                             unsigned Jobs, GenerationMemo *Memo) {
+  assert(!(Plan.Refine && Plan.RetainTraces) &&
+         "the re-simulated Auto run does not retain traces");
+  JobPool Pool(Jobs);
+  std::vector<AppSlot> Slots(Items.size());
+
+  auto Finish = [&Cfg, &Plan, Memo](AppSlot &S) {
+    if (Plan.Refine)
+      S.Pg = refineAutoScheme(S, Cfg, Memo);
+    for (int D = 0; D != 2; ++D)
+      if (Plan.Verify && Plan.Run[D + 1])
+        S.Verify[D] =
+            verifyScheme(S.P.SchemeTasks[D + 1], S.Runs[D + 1], S.Runs[0]);
+    for (verify::CapturedRun &Run : S.Runs)
+      Run.Capture = RunCapture();
+    S.P.FAM.reset();
+  };
+
+  for (size_t I = 0; I != Items.size(); ++I) {
+    Pool.submit([&Pool, &Slots, &Items, &Cfg, &Plan, &Finish, Memo, I] {
+      AppSlot &S = Slots[I];
+      S.P = prepareApp(*Items[I].W, Items[I].OptsOverride, Memo, Plan.Refine);
+      S.Pending = Plan.Run[0] + Plan.Run[1] + Plan.Run[2];
+      for (int Sch = 0; Sch != 3; ++Sch)
+        if (Plan.Run[Sch])
+          Pool.submit([&S, &Cfg, &Plan, &Finish, Sch] {
+            S.Runs[Sch] =
+                runScheme(*S.P.W, S.P.SchemeTasks[Sch], Cfg, *S.P.L,
+                          Plan.captures(Sch),
+                          Plan.RetainTraces ? &S.Traces[Sch] : nullptr);
+            if (--S.Pending == 0)
+              Finish(S);
+          });
+    });
+  }
+  Pool.wait();
+  return Slots;
+}
+
+AppResult assembleApp(AppSlot &S, const MachineConfig &Cfg) {
   AppResult R;
-  R.Name = P.W->Name;
-  R.Cae = std::move(Profiles[0]);
-  R.Manual = std::move(Profiles[1]);
-  R.Auto = std::move(Profiles[2]);
-  R.Generation = std::move(P.Generation);
-  R.OutputsMatch = Outputs[0] == Outputs[1] && Outputs[0] == Outputs[2];
-  R.CaeOutputs = std::move(Outputs[0]);
-  R.ManualOutputs = std::move(Outputs[1]);
-  R.AutoOutputs = std::move(Outputs[2]);
+  R.Name = S.P.W->Name;
+  R.Cae = std::move(S.Runs[0].Profile);
+  R.Manual = std::move(S.Runs[1].Profile);
+  R.Auto = std::move(S.Runs[2].Profile);
+  R.Generation = std::move(S.P.Generation);
+  R.CaeOutputs = std::move(S.Runs[0].Outputs);
+  R.ManualOutputs = std::move(S.Runs[1].Outputs);
+  R.AutoOutputs = std::move(S.Runs[2].Outputs);
+  R.OutputsMatch =
+      R.CaeOutputs == R.ManualOutputs && R.CaeOutputs == R.AutoOutputs;
 
   // Table 1 row, measured from the Auto DAE profile at the Min/Max policy
   // (access at fmin as in the paper's TA methodology).
   RunReport Rep = evaluate(R.Auto, Cfg, minMaxConfig(Cfg, 0.0));
-  R.Row.Name = P.W->Name;
-  R.Row.AffineLoops = P.AffineLoops;
-  R.Row.TotalLoops = P.TotalLoops;
-  R.Row.NumTasks = P.W->Tasks.size();
+  R.Row.Name = R.Name;
+  R.Row.AffineLoops = S.P.AffineLoops;
+  R.Row.TotalLoops = S.P.TotalLoops;
+  R.Row.NumTasks = S.P.W->Tasks.size();
   R.Row.AccessTimePercent = Rep.accessTimeFraction() * 100.0;
   R.Row.AccessTimeUs = Rep.avgAccessUs();
-  R.AutoPg = std::move(P.Pg);
+  R.ManualVerify = std::move(S.Verify[0]);
+  R.AutoVerify = std::move(S.Verify[1]);
+  R.AutoPg = std::move(S.Pg);
   return R;
 }
 
@@ -316,66 +382,25 @@ AppResult harness::runApp(Workload &W, const MachineConfig &Cfg,
                           const DaeOptions *OptsOverride,
                           GenerationMemo *Memo, bool DaeVerify,
                           bool DaeProfileGuided) {
-  PreparedApp P =
-      prepareApp(W, OptsOverride, Memo, DaeProfileGuided ? &Cfg : nullptr);
-  RunProfile Profiles[3];
-  std::vector<std::uint8_t> Outputs[3];
-  for (int S = 0; S != 3; ++S)
-    Profiles[S] = runScheme(W, P.SchemeTasks[S], Cfg, *P.L, Outputs[S]);
-  AppResult R = assembleApp(P, Profiles, Outputs, Cfg);
-  if (DaeVerify) {
-    R.ManualVerify = verifyScheme(W, P.SchemeTasks[1], Cfg, *P.L);
-    R.AutoVerify = verifyScheme(W, P.SchemeTasks[2], Cfg, *P.L);
-  }
-  return R;
+  SuiteConfig SC;
+  SC.Memo = Memo;
+  SC.DaeVerify = DaeVerify;
+  SC.DaeProfileGuided = DaeProfileGuided;
+  return std::move(runSuite({{&W, OptsOverride}}, Cfg, SC).front());
 }
 
 std::vector<AppResult> harness::runSuite(const std::vector<SuiteItem> &Items,
                                          const MachineConfig &Cfg,
                                          const SuiteConfig &SC) {
-  JobPool Pool(SC.Jobs);
+  AppPlan Plan;
+  Plan.Refine = SC.DaeProfileGuided;
+  Plan.Verify = SC.DaeVerify;
+  std::vector<AppSlot> Slots = runApps(Items, Cfg, Plan, SC.Jobs, SC.Memo);
 
-  struct AppSlot {
-    PreparedApp P;
-    RunProfile Profiles[3];
-    std::vector<std::uint8_t> Outputs[3];
-    DaeVerifyResult Verify[2]; ///< Manual, Auto (under SC.DaeVerify).
-  };
-  std::vector<AppSlot> Slots(Items.size());
-
-  // One preparation job per app; each fans out its three scheme simulations
-  // (plus, under --dae-verify, the two DAE-scheme oracle runs) as further
-  // jobs (private Memory per simulation; the Loader and the module are
-  // shared read-only between them).
-  for (size_t I = 0; I != Items.size(); ++I) {
-    Pool.submit([&Pool, &Slots, &Items, &Cfg, &SC, I] {
-      AppSlot &S = Slots[I];
-      S.P = prepareApp(*Items[I].W, Items[I].OptsOverride, SC.Memo,
-                       SC.DaeProfileGuided ? &Cfg : nullptr);
-      for (int Sch = 0; Sch != 3; ++Sch)
-        Pool.submit([&S, &Cfg, Sch] {
-          S.Profiles[Sch] = runScheme(*S.P.W, S.P.SchemeTasks[Sch], Cfg,
-                                      *S.P.L, S.Outputs[Sch]);
-        });
-      if (SC.DaeVerify)
-        for (int D = 0; D != 2; ++D)
-          Pool.submit([&S, &Cfg, D] {
-            S.Verify[D] = verifyScheme(*S.P.W, S.P.SchemeTasks[D + 1],
-                                       Cfg, *S.P.L);
-          });
-    });
-  }
-  Pool.wait();
-
-  // Assemble in item order, independent of completion order.
   std::vector<AppResult> Results;
   Results.reserve(Slots.size());
-  for (AppSlot &S : Slots) {
-    AppResult R = assembleApp(S.P, S.Profiles, S.Outputs, Cfg);
-    R.ManualVerify = std::move(S.Verify[0]);
-    R.AutoVerify = std::move(S.Verify[1]);
-    Results.push_back(std::move(R));
-  }
+  for (AppSlot &S : Slots)
+    Results.push_back(assembleApp(S, Cfg));
   return Results;
 }
 
@@ -384,61 +409,38 @@ MixResult harness::runMix(const std::vector<Workload *> &Mix,
   if (Mix.empty() || Mix.size() > Cfg.NumCores)
     throw std::invalid_argument("mix size must be in [1, NumCores]");
 
-  JobPool Pool(MC.Jobs);
   // Solo runs are single-core: each stream is one program pinned to one
   // timeline core, so its tasks execute sequentially and its retained traces
   // are already in that core's execution order.
   MachineConfig SoloCfg = Cfg;
   SoloCfg.NumCores = 1;
 
-  struct StreamSlot {
-    PreparedApp P;
-    RunProfile CaeProfile, DaeProfile;
-    RunTraces CaeTraces, DaeTraces;
-    std::vector<std::uint8_t> CaeOut, DaeOut;
-    DaeVerifyResult Verify;
-  };
-  std::vector<StreamSlot> Slots(Mix.size());
-
-  // One preparation job per stream, fanning out the two traced scheme runs
-  // (and, under DaeVerify, the per-stream differential oracle) as further
-  // jobs — the same shape as runSuite.
-  for (size_t I = 0; I != Mix.size(); ++I) {
-    Pool.submit([&Pool, &Slots, &Mix, &SoloCfg, &MC, I] {
-      StreamSlot &S = Slots[I];
-      S.P = prepareApp(*Mix[I], nullptr, MC.Memo);
-      Pool.submit([&S, &SoloCfg] {
-        S.CaeProfile = runScheme(*S.P.W, S.P.SchemeTasks[0], SoloCfg, *S.P.L,
-                                 S.CaeOut, &S.CaeTraces);
-      });
-      Pool.submit([&S, &SoloCfg] {
-        S.DaeProfile = runScheme(*S.P.W, S.P.SchemeTasks[2], SoloCfg, *S.P.L,
-                                 S.DaeOut, &S.DaeTraces);
-      });
-      if (MC.DaeVerify)
-        Pool.submit([&S, &SoloCfg] {
-          S.Verify =
-              verifyScheme(*S.P.W, S.P.SchemeTasks[2], SoloCfg, *S.P.L);
-        });
-    });
-  }
-  Pool.wait();
+  // Each stream simulates its CAE and Auto DAE schemes with retained traces;
+  // under DaeVerify the stream's oracle verdict comes from that pair.
+  std::vector<SuiteItem> Items;
+  for (Workload *W : Mix)
+    Items.push_back({W, nullptr});
+  AppPlan Plan;
+  Plan.Run[1] = false;
+  Plan.RetainTraces = true;
+  Plan.Verify = MC.DaeVerify;
+  std::vector<AppSlot> Slots = runApps(Items, SoloCfg, Plan, MC.Jobs, MC.Memo);
 
   MixResult R;
   std::vector<CoreStream> CaeStreams, DaeStreams;
   for (size_t I = 0; I != Mix.size(); ++I) {
-    StreamSlot &S = Slots[I];
+    AppSlot &S = Slots[I];
     MixStreamResult MS;
     MS.Name = S.P.W->Name;
-    MS.OutputsMatch = S.CaeOut == S.DaeOut;
-    MS.Verify = std::move(S.Verify);
+    MS.OutputsMatch = S.Runs[0].Outputs == S.Runs[2].Outputs;
+    MS.Verify = std::move(S.Verify[1]);
     R.Streams.push_back(std::move(MS));
     // Co-runners are distinct address spaces: bias each stream far above any
     // footprint so they never falsely alias in the shared LLC (the bias
     // stays well inside the trace encoding's 62-bit address space).
     std::uint64_t Bias = static_cast<std::uint64_t>(I) << 40;
-    CaeStreams.push_back({&S.CaeProfile, &S.CaeTraces, Bias});
-    DaeStreams.push_back({&S.DaeProfile, &S.DaeTraces, Bias});
+    CaeStreams.push_back({&S.Runs[0].Profile, &S.Traces[0], Bias});
+    DaeStreams.push_back({&S.Runs[2].Profile, &S.Traces[2], Bias});
   }
 
   auto Price = [&](const std::vector<CoreStream> &Streams,
@@ -453,8 +455,8 @@ MixResult harness::runMix(const std::vector<Workload *> &Mix,
   R.DaeMinMax = Price(DaeStreams, runtime::TimelinePolicy::DaeMinMax);
   R.DaeOracle = Price(DaeStreams, runtime::TimelinePolicy::OracleEdp);
   for (size_t I = 0; I != Mix.size(); ++I) {
-    R.Streams[I].CaeProfile = std::move(Slots[I].CaeProfile);
-    R.Streams[I].DaeProfile = std::move(Slots[I].DaeProfile);
+    R.Streams[I].CaeProfile = std::move(Slots[I].Runs[0].Profile);
+    R.Streams[I].DaeProfile = std::move(Slots[I].Runs[2].Profile);
   }
   return R;
 }

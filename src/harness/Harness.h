@@ -11,7 +11,9 @@
 /// each, verify that all three produce bit-identical outputs (the access
 /// phase is a pure prefetch), and price every paper configuration from the
 /// profiles. One call yields everything Table 1, Figure 3, and Figure 4
-/// need for that application.
+/// need for that application. The correctness oracle and profile-guided
+/// refinement read the same scheme runs; only a refined Auto scheme is
+/// simulated again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +24,7 @@
 #include "runtime/Evaluator.h"
 #include "runtime/Runtime.h"
 #include "runtime/Timeline.h"
-#include "verify/DifferentialChecker.h"
+#include "verify/Differential.h"
 #include "workloads/Workload.h"
 
 #include <cstdint>
@@ -49,7 +51,8 @@ struct Table1Row {
 
 /// Oracle verdict for one (app, scheme); produced under --dae-verify /
 /// DAECC_DAE_VERIFY (see verify/). Ran is false when verification was off
-/// or the scheme has no decoupled tasks to check.
+/// or the scheme has no decoupled tasks to check. The dynamic half compares
+/// the scheme's own run against the CAE run (verify/Differential.h).
 struct DaeVerifyResult {
   bool Ran = false;
   /// Static half: every access phase of the scheme passed AccessPhaseAudit.
@@ -67,8 +70,10 @@ struct DaeVerifyResult {
 /// simulated profile (AppResult::Auto) reflects the *refined* phases.
 struct ProfileGuidedResult {
   bool Ran = false;
-  /// Differential verdicts of the Auto scheme before and after refinement.
-  /// When no task warranted regeneration, After == Before.
+  /// Differential verdicts of the Auto scheme before and after refinement:
+  /// Before compares the Auto scheme run against the CAE run, After the
+  /// refined Auto run (the only scheme run simulated twice) against the same
+  /// CAE run. When no task warranted regeneration, After == Before.
   verify::DifferentialResult Before, After;
   /// Every refined access phase passed the static purity audit.
   bool AuditPure = true;
@@ -130,8 +135,8 @@ struct Fig3Row {
 /// Runs the full pipeline for one workload. \p Opts overrides the workload's
 /// generator options when non-null. When \p Memo is non-null, access-phase
 /// generation goes through it (results are identical either way; see
-/// dae/GenerationMemo.h). \p DaeVerify additionally runs the correctness
-/// oracle over the Manual and Auto schemes (see SuiteConfig::DaeVerify).
+/// dae/GenerationMemo.h). \p DaeVerify and \p DaeProfileGuided act as the
+/// SuiteConfig fields do. A one-item runSuite at one job.
 AppResult runApp(workloads::Workload &W, const sim::MachineConfig &Cfg,
                  const DaeOptions *OptsOverride = nullptr,
                  GenerationMemo *Memo = nullptr, bool DaeVerify = false,
@@ -152,26 +157,30 @@ struct SuiteConfig {
   GenerationMemo *Memo = nullptr;
   /// Run the DAE correctness oracle per (app, DAE scheme): static
   /// AccessPhaseAudit over every access phase plus the with/without-access
-  /// DifferentialChecker (--dae-verify / DAECC_DAE_VERIFY). Results land in
+  /// differential of the scheme's run against the CAE run, both captured
+  /// (--dae-verify / DAECC_DAE_VERIFY). Results land in
   /// AppResult::ManualVerify / AutoVerify; simulated profiles and outputs
-  /// are unaffected.
+  /// are unaffected, and no extra run is simulated.
   bool DaeVerify = false;
-  /// Run the profile-guided refinement loop per app before the scheme
-  /// simulations (--dae-profile-guided / DAECC_DAE_PG): measure the Auto
-  /// scheme's per-task coverage/overshoot via the differential checker's
-  /// captures, regenerate the phases the planner flags, and simulate the
-  /// Auto scheme with the refined phases. Results land in
-  /// AppResult::AutoPg. Unlike DaeVerify this *changes* the Auto profile
+  /// Run the profile-guided refinement loop per app once its CAE and Auto
+  /// runs are done (--dae-profile-guided / DAECC_DAE_PG): measure the Auto
+  /// scheme's per-task coverage/overshoot from those two captured runs,
+  /// regenerate the phases the planner flags, and, when any phase changed,
+  /// simulate the Auto scheme again with the refined phases. Results land
+  /// in AppResult::AutoPg. Unlike DaeVerify this *changes* the Auto profile
   /// (that is its purpose); with the flag off nothing is touched.
   bool DaeProfileGuided = false;
 };
 
 /// Runs every item through the full per-app pipeline on a JobPool: each app
 /// is prepared (generation) as one job that fans out its three scheme
-/// simulations as further jobs, every simulation with a private Memory,
-/// Loader and TaskRuntime. Results are returned in item order regardless of
-/// completion order and are bit-identical to a sequential runApp loop for
-/// every Jobs value.
+/// simulations as further jobs, every simulation with a private Memory and
+/// TaskRuntime. Under DaeVerify or DaeProfileGuided the runs carry the
+/// oracle capture, and whichever of an app's runs finishes last derives the
+/// app's refinement and verdicts from them (re-simulating Auto only when
+/// refinement changed a phase), then frees the captures. Results are
+/// returned in item order regardless of completion order and are
+/// bit-identical to a sequential runApp loop for every Jobs value.
 std::vector<AppResult> runSuite(const std::vector<SuiteItem> &Items,
                                 const sim::MachineConfig &Cfg,
                                 const SuiteConfig &SC);
@@ -182,8 +191,8 @@ struct MixStreamResult {
   /// True when the stream's CAE and Auto DAE solo runs produced identical
   /// outputs (the DAE access phase must be a pure prefetch per core).
   bool OutputsMatch = false;
-  /// Per-stream correctness oracle (under MixConfig::DaeVerify): the
-  /// differential checker runs once per core's workload.
+  /// Per-stream correctness oracle over the Auto DAE scheme (under
+  /// MixConfig::DaeVerify), derived from the stream's two solo runs.
   DaeVerifyResult Verify;
   /// The stream's solo CAE and Auto DAE run profiles (NumCores=1), moved
   /// here once the timeline has priced every policy.
@@ -207,7 +216,9 @@ struct MixResult {
 struct MixConfig {
   unsigned Jobs = 1;
   GenerationMemo *Memo = nullptr;
-  /// Run the differential checker per stream (per core's workload).
+  /// Derive a per-stream oracle verdict from the stream's CAE and Auto DAE
+  /// solo runs, which then carry the capture until the verdict is out
+  /// (before the timeline runs).
   bool DaeVerify = false;
 };
 

@@ -7,10 +7,10 @@
 /// \file
 /// Reduces a pair of RunCaptures (one run with access phases, one with them
 /// suppressed) to per-task coverage/overshoot observations — the feedback
-/// signal of profiling-assisted DAE. The differential checker (verify/)
-/// sums these into its whole-scheme verdict, and the profile-guided
-/// refinement loop (dae/AccessProfile.h) persists them per task fingerprint
-/// to decide which access phases to regenerate.
+/// signal of profiling-assisted DAE. The oracle's compare step
+/// (verify/Differential.h) sums these into its whole-scheme verdict, and
+/// the profile-guided refinement loop (dae/AccessProfile.h) persists them
+/// per task fingerprint to decide which access phases to regenerate.
 ///
 //===----------------------------------------------------------------------===//
 

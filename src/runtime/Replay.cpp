@@ -6,7 +6,9 @@
 
 #include "runtime/Replay.h"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 
 using namespace dae;
 using namespace dae::runtime;
@@ -52,6 +54,13 @@ void replayLoop(const std::uint64_t *E, const std::uint64_t *End,
   double Cycles = S.ComputeCycles;
   double StallNs = S.StallNs;
   std::uint64_t Counts[12] = {};
+  // Capture records a phase's lines, not its events: a direct-mapped filter
+  // of already-recorded lines skips most repeats. A collision only evicts,
+  // so a line may be recorded more than once but is never dropped; the
+  // runtime's final sort/unique removes the repeats.
+  std::uint64_t Recorded[WithCapture ? CaptureFilterLines : 1];
+  if (WithCapture)
+    std::fill(std::begin(Recorded), std::end(Recorded), ~0ull);
   for (; E != End; ++E) {
     std::uint64_t Event = *E;
     unsigned Kind = static_cast<unsigned>(Event >> 62);
@@ -64,7 +73,11 @@ void replayLoop(const std::uint64_t *E, const std::uint64_t *End,
     ++Counts[Idx];
     if (WithCapture) {
       std::uint64_t Line = Addr >> LineShift;
-      Cap->Lines.push_back(Line);
+      std::uint64_t &Slot = Recorded[Line & (CaptureFilterLines - 1)];
+      if (Slot != Line) {
+        Slot = Line;
+        Cap->Lines.push_back(Line);
+      }
       if (Level == HitLevel::Memory &&
           Kind == static_cast<unsigned>(AccessTrace::Kind::Load))
         Cap->MissLines.push_back(Line);

@@ -17,7 +17,8 @@
 ///  * hit-level counters accumulate into a dense local array and flush once
 ///    per trace (integer sums are order-independent);
 ///  * the oracle-capture branch is hoisted out of the loop (two specialized
-///    instantiations instead of a per-event test).
+///    instantiations instead of a per-event test), and the capture records
+///    each phase's lines rather than its events (CaptureFilterLines).
 ///
 /// The floating-point accumulation order is exactly the scalar reference's —
 /// one add per event, in trace order, of bit-identical addends — so profiles
@@ -48,6 +49,13 @@ struct ReplayCostModel {
   explicit ReplayCostModel(const sim::MachineConfig &Cfg);
 };
 
+/// Entries of the direct-mapped filter through which a captured replay
+/// records lines (indexed by the line's low bits): a line already in its slot
+/// is not appended again, so PhaseCapture::Lines grows with a phase's
+/// distinct lines instead of its events. A collision evicts the slot's line,
+/// so a line can be appended more than once but never dropped.
+constexpr unsigned CaptureFilterLines = 4096;
+
 /// Adds per-(kind, level) event counts, indexed like ReplayCostModel's
 /// tables, to \p S's hit counters. Demand (load/store) hits count per level;
 /// prefetch hits are free and uncounted, but prefetch DRAM fills do count as
@@ -62,11 +70,12 @@ inline void addHitCounts(sim::PhaseStats &S,
 
 /// Streams \p Tr through \p Caches as \p Core, adding the cache-dependent
 /// statistics to \p S under \p Costs. When \p Cap is non-null, every event's
-/// cache line (byte address >> \p LineShift) lands in Cap->Lines and every
-/// DRAM-missing demand load in Cap->MissLines (oracle capture; has no effect
-/// on any simulated outcome). This is the only place cache timing is
-/// charged: the interpreters record accesses, and every profile's hit
-/// levels, hit cycles and stalls come from here.
+/// cache line (byte address >> \p LineShift) lands in Cap->Lines at least
+/// once (repeats are filtered, not removed; TaskRuntime::execute sorts and
+/// dedupes) and every DRAM-missing demand load in Cap->MissLines (oracle
+/// capture; has no effect on any simulated outcome). This is the only place
+/// cache timing is charged: the interpreters record accesses, and every
+/// profile's hit levels, hit cycles and stalls come from here.
 void replayTrace(const sim::AccessTrace &Tr, sim::CacheHierarchy &Caches,
                  unsigned Core, const ReplayCostModel &Costs,
                  sim::PhaseStats &S, PhaseCapture *Cap = nullptr,

@@ -164,11 +164,16 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
   assert(Profile.Tasks.size() == Tasks.size() && "lost tasks");
 
   if (Capture) {
+    // The replay's filter leaves repeats behind; a capture may outlive the
+    // run by a while (the oracle holds a suite app's captures until its last
+    // scheme run), so it keeps no spare capacity either.
     for (TaskCapture &TC : Capture->Tasks) {
       for (PhaseCapture *PC : {&TC.Access, &TC.Execute}) {
         std::sort(PC->Lines.begin(), PC->Lines.end());
         PC->Lines.erase(std::unique(PC->Lines.begin(), PC->Lines.end()),
                         PC->Lines.end());
+        PC->Lines.shrink_to_fit();
+        PC->MissLines.shrink_to_fit();
       }
     }
   }

@@ -36,9 +36,11 @@ class Module;
 namespace runtime {
 
 /// Cache-line-granular record of one simulated phase, collected during the
-/// timing replay when the caller asks for it (the DAE correctness oracle;
-/// see verify/DifferentialChecker.h). Lines are byte addresses divided by
-/// RunCapture::LineBytes.
+/// timing replay when the caller asks for it (the DAE correctness oracle and
+/// the profile-guided refinement loop; see verify/Differential.h). Lines are
+/// byte addresses divided by RunCapture::LineBytes. Its size follows the
+/// phase's distinct lines, not its events: the replay filters repeats as it
+/// records (runtime/Replay.h), and execute() sorts, dedupes and trims.
 struct PhaseCapture {
   /// Unique lines touched by the phase, sorted ascending.
   std::vector<std::uint64_t> Lines;
@@ -46,7 +48,7 @@ struct PhaseCapture {
   /// multiplicity is meaningful. Prefetches are excluded (not demand
   /// misses), and so are store (RFO) misses: a prefetch-only access phase
   /// cannot cover a write allocation, so they are not part of the coverage
-  /// population (see verify/DifferentialChecker.h).
+  /// population (see verify/Differential.h).
   std::vector<std::uint64_t> MissLines;
 };
 

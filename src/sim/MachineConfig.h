@@ -184,7 +184,8 @@ struct MachineConfig {
   /// irregular and indirect patterns.
   bool HwNextLinePrefetch = true;
 
-  /// DVFS ladder, fmin..fmax (GHz), 400 MHz steps as in section 6.2.
+  /// DVFS ladder (GHz), 400 MHz steps as in section 6.2, listed fmin..fmax
+  /// by default.
   std::vector<double> FrequenciesGHz{1.6, 2.0, 2.4, 2.8, 3.2, 3.4};
 
   /// Shared DRAM channel bandwidth (GB/s == bytes/ns) for the multi-core
@@ -198,8 +199,13 @@ struct MachineConfig {
   /// ideal future-hardware study.
   double DvfsTransitionNs = 500.0;
 
-  double fmin() const { return FrequenciesGHz.front(); }
-  double fmax() const { return FrequenciesGHz.back(); }
+  /// The ladder's lowest and highest rungs, whatever order it is listed in.
+  double fmin() const {
+    return *std::min_element(FrequenciesGHz.begin(), FrequenciesGHz.end());
+  }
+  double fmax() const {
+    return *std::max_element(FrequenciesGHz.begin(), FrequenciesGHz.end());
+  }
 
   /// The lowest ladder rung at or above \p FreqGHz (fmax for targets beyond
   /// the ladder): cpufreq's CPUFREQ_RELATION_L pick, used by the ondemand

@@ -6,8 +6,6 @@
 
 #include "verify/DifferentialChecker.h"
 
-#include <algorithm>
-
 using namespace dae;
 using namespace dae::verify;
 using namespace dae::runtime;
@@ -33,59 +31,28 @@ std::vector<std::uint8_t> snapshotOutputs(const DifferentialSpec &Spec,
 
 } // namespace
 
+CapturedRun DifferentialChecker::run(const std::vector<Task> &Tasks,
+                                     bool RunAccess) const {
+  sim::Memory Mem;
+  Spec.Init(Mem, L);
+  TaskRuntime RT(Cfg, Mem, L);
+  CapturedRun Run;
+  Run.Profile = RT.execute(Tasks, RunAccess, &Run.Capture);
+  Run.ImageHash = Mem.imageHash();
+  Run.Outputs = snapshotOutputs(Spec, Mem, L);
+  return Run;
+}
+
 DifferentialResult
 DifferentialChecker::check(const std::vector<Task> &Tasks,
                            std::vector<TaskObservation> *Observations,
                            RunProfile *WithProfile) const {
-  DifferentialResult R;
-  R.TotalTasks = Tasks.size();
-
-  // Run 1: with access phases, capturing what each phase touched.
-  RunCapture With;
-  std::uint64_t HashWith;
-  std::vector<std::uint8_t> OutWith;
-  {
-    sim::Memory Mem;
-    Spec.Init(Mem, L);
-    TaskRuntime RT(Cfg, Mem, L);
-    RunProfile P = RT.execute(Tasks, /*RunAccess=*/true, &With);
-    if (WithProfile)
-      *WithProfile = std::move(P);
-    HashWith = Mem.imageHash();
-    OutWith = snapshotOutputs(Spec, Mem, L);
-  }
-
-  // Run 2: access phases suppressed — the miss baseline and the reference
-  // memory image a pure prefetcher must reproduce bit for bit.
-  RunCapture Without;
-  std::uint64_t HashWithout;
-  std::vector<std::uint8_t> OutWithout;
-  {
-    sim::Memory Mem;
-    Spec.Init(Mem, L);
-    TaskRuntime RT(Cfg, Mem, L);
-    RT.execute(Tasks, /*RunAccess=*/false, &Without);
-    HashWithout = Mem.imageHash();
-    OutWithout = snapshotOutputs(Spec, Mem, L);
-  }
-
-  R.MemoryMatch = HashWith == HashWithout;
-  R.OutputsMatch = OutWith == OutWithout;
-
-  // Per-task coverage & overshoot via the capture->profile bridge; the
-  // scheme verdict is the sum over decoupled tasks.
-  std::vector<TaskObservation> Obs = observeCaptures(With, Without);
-  for (const TaskObservation &O : Obs) {
-    if (!O.HasAccess)
-      continue;
-    ++R.DecoupledTasks;
-    R.BaselineExecMisses += O.BaselineMisses;
-    R.CoveredMisses += O.FootprintCoveredMisses;
-    R.StrictCoveredMisses += O.StrictCoveredMisses;
-    R.PrefetchedLines += O.PrefetchedLines;
-    R.UnusedPrefetchedLines += O.UnusedPrefetchedLines;
-  }
-  if (Observations)
-    *Observations = std::move(Obs);
+  CapturedRun With = run(Tasks, /*RunAccess=*/true);
+  // The miss baseline and the reference memory image a pure prefetcher must
+  // reproduce bit for bit.
+  CapturedRun Without = run(Tasks, /*RunAccess=*/false);
+  DifferentialResult R = compare(With, Without, Observations);
+  if (WithProfile)
+    *WithProfile = std::move(With.Profile);
   return R;
 }

@@ -5,40 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The dynamic half of the DAE correctness oracle. For one task list it runs
-/// the simulation twice from identically initialized memory — once with the
-/// access phases, once with them suppressed — and checks:
-///
-///   * purity: the two runs leave bit-identical program-visible memory
-///     (sim::Memory::imageHash over nonzero pages, so pages an access phase
-///     merely touches do not count) and bit-identical output arrays;
-///   * coverage: the fraction of the *baseline* run's execute-phase demand-
-///     load DRAM misses whose cache lines appear in the scheme's access-phase
-///     footprint — the union of lines touched by any decoupled task's access
-///     phase. A generator bug that loses an access class (a hull that drops
-///     an array) removes those lines from *every* phase and tanks this
-///     number; intended per-task gaps do not. The stricter per-task match
-///     (miss line in the *same task's* access lines) is reported alongside
-///     as strictCoverage — it additionally charges the generator for reads
-///     §5.2.2 deliberately discards (conditional arms, e.g. FFT's bit-
-///     reverse swap), so it is diagnostic, not a gate. Store (RFO) misses
-///     are excluded from both: a prefetch-only phase cannot cover a write
-///     allocation (the paper's LBM discussion, §6.1);
-///   * overshoot: the fraction of access-phase-touched lines the owning
-///     task's execute phase never uses — prefetch wasted on memory the task
-///     does not read.
-///
-/// Tasks without an access phase (non-decoupled) contribute to neither
-/// coverage population. A task list with no decoupled tasks reports
-/// coverage 1.0 and overshoot 0.0.
+/// The two-run convenience of the dynamic DAE oracle (verify/Differential.h):
+/// for one task list it simulates the run with access phases and the run
+/// with them suppressed, each from identically initialized memory, and
+/// compares the pair. The harness derives its verdicts from its scheme runs
+/// instead and never calls this; tests and the benchmark's traced mirror do.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAECC_VERIFY_DIFFERENTIALCHECKER_H
 #define DAECC_VERIFY_DIFFERENTIALCHECKER_H
 
-#include "runtime/CaptureObservation.h"
-#include "runtime/Runtime.h"
+#include "verify/Differential.h"
 
 #include <cstdint>
 #include <functional>
@@ -60,52 +38,6 @@ struct DifferentialSpec {
   std::vector<std::uint64_t> OutputSizes;
 };
 
-/// Verdict and counters of one differential check.
-struct DifferentialResult {
-  bool MemoryMatch = false;  ///< imageHash identical with/without access.
-  bool OutputsMatch = false; ///< Output arrays byte-identical.
-
-  /// Execute-phase demand-load DRAM-miss events in the baseline (access
-  /// suppressed) run, decoupled tasks only; the coverage denominator.
-  std::uint64_t BaselineExecMisses = 0;
-  /// Of those, events whose line any access phase of the scheme touched
-  /// (footprint coverage numerator).
-  std::uint64_t CoveredMisses = 0;
-  /// Of those, events whose line the *same task's* access phase touched
-  /// (strict per-task numerator; <= CoveredMisses).
-  std::uint64_t StrictCoveredMisses = 0;
-  /// Unique lines touched by access phases (summed per task).
-  std::uint64_t PrefetchedLines = 0;
-  /// Of those, lines the owning task's execute phase never touched.
-  std::uint64_t UnusedPrefetchedLines = 0;
-
-  std::size_t DecoupledTasks = 0;
-  std::size_t TotalTasks = 0;
-
-  /// True when the access phases had no observable effect.
-  bool pure() const { return MemoryMatch && OutputsMatch; }
-  /// Fraction of baseline execute misses inside the scheme's access-phase
-  /// footprint; 1.0 when there were no baseline misses to cover.
-  double coverage() const {
-    return BaselineExecMisses == 0
-               ? 1.0
-               : static_cast<double>(CoveredMisses) / BaselineExecMisses;
-  }
-  /// Fraction of baseline execute misses covered by the same task's own
-  /// access phase (diagnostic; penalizes §5.2.2's intended discards).
-  double strictCoverage() const {
-    return BaselineExecMisses == 0
-               ? 1.0
-               : static_cast<double>(StrictCoveredMisses) / BaselineExecMisses;
-  }
-  /// Fraction of prefetched lines never used by their execute phase.
-  double overshoot() const {
-    return PrefetchedLines == 0 ? 0.0
-                                : static_cast<double>(UnusedPrefetchedLines) /
-                                      PrefetchedLines;
-  }
-};
-
 /// Runs the with/without-access differential over one task list.
 class DifferentialChecker {
 public:
@@ -114,23 +46,21 @@ public:
       : Cfg(Cfg), L(L), Spec(std::move(Spec)) {}
 
   /// Executes \p Tasks twice (with and without access phases) from freshly
-  /// initialized memory and returns the verdict. Thread-compatible: uses
-  /// only private Memory instances, so concurrent checks over shared
-  /// read-only modules are safe (the suite engine runs one per scheme job).
-  ///
-  /// When \p Observations is non-null it receives the per-task
-  /// coverage/overshoot breakdown (index-aligned with \p Tasks) that the
-  /// whole-scheme counters are summed from — the feedback signal the
-  /// profile-guided refinement loop persists per task fingerprint. When
-  /// \p WithProfile is non-null it receives the with-access run's
-  /// RunProfile, so callers pricing the scheme (EDP before/after
-  /// refinement) need no extra simulation.
+  /// initialized memory and returns compare()'s verdict on the pair, with
+  /// \p Observations as compare() fills them. Thread-compatible: uses only
+  /// private Memory instances, so concurrent checks over shared read-only
+  /// modules are safe. When \p WithProfile is non-null it receives the
+  /// with-access run's RunProfile, so callers pricing the scheme need no
+  /// extra simulation.
   DifferentialResult
   check(const std::vector<runtime::Task> &Tasks,
         std::vector<runtime::TaskObservation> *Observations = nullptr,
         runtime::RunProfile *WithProfile = nullptr) const;
 
 private:
+  CapturedRun run(const std::vector<runtime::Task> &Tasks,
+                  bool RunAccess) const;
+
   const sim::MachineConfig &Cfg;
   const sim::Loader &L;
   DifferentialSpec Spec;

@@ -7,19 +7,28 @@
 // The engine's core guarantees: RunProfiles do not depend on the order in
 // which same-wave tasks run (the schedule order, which changes with
 // NumCores), on whether the oracle capture is on, or on the --jobs value of
-// the suite engine. Every comparison here is exact (EXPECT_EQ on doubles
-// included) — any divergence is a bug, not noise.
+// the suite engine; and a DAE scheme run with its access phases suppressed
+// is the CAE run, so the oracle's verdicts taken from the scheme runs equal
+// the two-run checker's. Every comparison here is exact (EXPECT_EQ on
+// doubles included) — any divergence is a bug, not noise.
 //
 //===----------------------------------------------------------------------===//
 
+#include "dae/AccessProfile.h"
 #include "dae/GenerationMemo.h"
+#include "dae/ProfileGuidedRefinement.h"
 #include "harness/Harness.h"
+#include "ir/Function.h"
+#include "pm/AnalysisManager.h"
 #include "runtime/Runtime.h"
+#include "verify/DifferentialChecker.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 using namespace dae;
@@ -70,6 +79,43 @@ void expectCapturesEqual(const RunCapture &A, const RunCapture &B) {
     EXPECT_EQ(A.Tasks[I].Execute.MissLines, B.Tasks[I].Execute.MissLines)
         << "execute misses, task " << I;
   }
+}
+
+void expectDiffEqual(const verify::DifferentialResult &A,
+                     const verify::DifferentialResult &B,
+                     const std::string &What) {
+  EXPECT_EQ(A.MemoryMatch, B.MemoryMatch) << What;
+  EXPECT_EQ(A.OutputsMatch, B.OutputsMatch) << What;
+  EXPECT_EQ(A.BaselineExecMisses, B.BaselineExecMisses) << What;
+  EXPECT_EQ(A.CoveredMisses, B.CoveredMisses) << What;
+  EXPECT_EQ(A.StrictCoveredMisses, B.StrictCoveredMisses) << What;
+  EXPECT_EQ(A.PrefetchedLines, B.PrefetchedLines) << What;
+  EXPECT_EQ(A.UnusedPrefetchedLines, B.UnusedPrefetchedLines) << What;
+  EXPECT_EQ(A.DecoupledTasks, B.DecoupledTasks) << What;
+  EXPECT_EQ(A.TotalTasks, B.TotalTasks) << What;
+}
+
+void expectVerifyEqual(const harness::DaeVerifyResult &A,
+                       const harness::DaeVerifyResult &B,
+                       const std::string &What) {
+  EXPECT_EQ(A.Ran, B.Ran) << What;
+  EXPECT_EQ(A.AuditPure, B.AuditPure) << What;
+  EXPECT_EQ(A.AuditViolations, B.AuditViolations) << What;
+  expectDiffEqual(A.Diff, B.Diff, What);
+}
+
+/// Every field of a refinement outcome except the audit's, which the
+/// callers compare where both sides ran it.
+void expectRefinementEqual(const harness::ProfileGuidedResult &A,
+                           const harness::ProfileGuidedResult &B,
+                           const std::string &What) {
+  EXPECT_EQ(A.Ran, B.Ran) << What;
+  expectDiffEqual(A.Before, B.Before, What + " before");
+  expectDiffEqual(A.After, B.After, What + " after");
+  EXPECT_EQ(A.RefinedTasks, B.RefinedTasks) << What;
+  EXPECT_EQ(A.Actions, B.Actions) << What;
+  EXPECT_EQ(A.EdpBefore, B.EdpBefore) << What;
+  EXPECT_EQ(A.EdpAfter, B.EdpAfter) << What;
 }
 
 /// The workload's task list with the Manual-DAE access phases attached when
@@ -206,26 +252,27 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, CaptureDeterminismTest,
                          ::testing::Values("lu", "cholesky", "fft", "lbm",
                                            "libq", "cigar", "cg"));
 
-/// Suite-level: the full Figure 3 pipeline over all seven apps on the job
-/// pool (--jobs=4, shared generation memo) must be bit-identical to the
-/// sequential reference (--jobs=1, no memo): profiles, Table 1 rows, priced
-/// Figure 3 rows, and the raw output snapshots of every scheme.
-TEST(SuiteDeterminismTest, JobPoolMatchesSequentialReference) {
-  auto RunAt = [](unsigned Jobs, bool UseMemo) {
-    MachineConfig Cfg;
-    auto Ws = workloads::buildAll(workloads::Scale::Test);
-    std::vector<harness::SuiteItem> Items;
-    for (auto &W : Ws)
-      Items.push_back({W.get(), nullptr});
-    GenerationMemo Memo;
-    harness::SuiteConfig SC;
-    SC.Jobs = Jobs;
-    SC.Memo = UseMemo ? &Memo : nullptr;
-    return harness::runSuite(Items, Cfg, SC);
-  };
-  std::vector<harness::AppResult> Seq = RunAt(1, false);
-  std::vector<harness::AppResult> Par = RunAt(4, true);
+/// Runs all seven apps at test scale through runSuite.
+std::vector<harness::AppResult> runSuiteAt(unsigned Jobs, bool UseMemo,
+                                           bool Oracle) {
+  MachineConfig Cfg;
+  auto Ws = workloads::buildAll(workloads::Scale::Test);
+  std::vector<harness::SuiteItem> Items;
+  for (auto &W : Ws)
+    Items.push_back({W.get(), nullptr});
+  GenerationMemo Memo;
+  harness::SuiteConfig SC;
+  SC.Jobs = Jobs;
+  SC.Memo = UseMemo ? &Memo : nullptr;
+  SC.DaeVerify = Oracle;
+  SC.DaeProfileGuided = Oracle;
+  return harness::runSuite(Items, Cfg, SC);
+}
 
+/// Profiles, Table 1 rows, priced Figure 3 rows and output snapshots of two
+/// suite runs, app by app.
+void expectSuitesEqual(const std::vector<harness::AppResult> &Seq,
+                       const std::vector<harness::AppResult> &Par) {
   ASSERT_EQ(Seq.size(), Par.size());
   MachineConfig Cfg;
   for (size_t I = 0; I != Seq.size(); ++I) {
@@ -256,6 +303,203 @@ TEST(SuiteDeterminismTest, JobPoolMatchesSequentialReference) {
         EXPECT_EQ(RA.AutoOpt[M], RB.AutoOpt[M]) << A.Name;
       }
     }
+  }
+}
+
+/// Suite-level: the full Figure 3 pipeline over all seven apps on the job
+/// pool (--jobs=4, shared generation memo) must be bit-identical to the
+/// sequential reference (--jobs=1, no memo): profiles, Table 1 rows, priced
+/// Figure 3 rows, and the raw output snapshots of every scheme.
+TEST(SuiteDeterminismTest, JobPoolMatchesSequentialReference) {
+  expectSuitesEqual(runSuiteAt(1, false, false), runSuiteAt(4, true, false));
+}
+
+/// The same with the oracle and refinement on: each app's verdicts come from
+/// its scheme runs, and refinement runs inside whichever job finishes the
+/// app's last run while other apps' simulations proceed. Every verdict
+/// field must match the sequential reference.
+TEST(SuiteDeterminismTest, OracleVerdictsMatchSequentialReference) {
+  std::vector<harness::AppResult> Seq = runSuiteAt(1, false, true);
+  std::vector<harness::AppResult> Par = runSuiteAt(4, true, true);
+  expectSuitesEqual(Seq, Par);
+  ASSERT_EQ(Seq.size(), Par.size());
+  for (size_t I = 0; I != Seq.size(); ++I) {
+    const harness::AppResult &A = Seq[I];
+    const harness::AppResult &B = Par[I];
+    EXPECT_TRUE(A.AutoVerify.Ran && A.AutoPg.Ran) << A.Name;
+    expectVerifyEqual(A.ManualVerify, B.ManualVerify, A.Name + " manual");
+    expectVerifyEqual(A.AutoVerify, B.AutoVerify, A.Name + " auto");
+    expectRefinementEqual(A.AutoPg, B.AutoPg, A.Name + " refinement");
+    EXPECT_EQ(A.AutoPg.AuditPure, B.AutoPg.AuditPure) << A.Name;
+    EXPECT_EQ(A.AutoPg.AuditViolations, B.AutoPg.AuditViolations) << A.Name;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Oracle reuse: the suite's verdicts come from its scheme runs
+//===----------------------------------------------------------------------===//
+
+/// \p W's task list with the Auto DAE phases of \p Generation (one result
+/// per task function, in taskFunctions() order) attached.
+std::vector<Task> autoTaskSet(const workloads::Workload &W,
+                              const std::vector<AccessPhaseResult> &Gen) {
+  std::vector<ir::Function *> Fns = W.taskFunctions();
+  std::vector<Task> Tasks = W.Tasks;
+  for (Task &T : Tasks) {
+    T.Access = nullptr;
+    for (size_t GI = 0; GI != Fns.size(); ++GI)
+      if (Fns[GI] == T.Execute)
+        T.Access = Gen[GI].AccessFn;
+  }
+  return Tasks;
+}
+
+verify::CapturedRun capturedRun(const workloads::Workload &W, const Loader &L,
+                                const std::vector<Task> &Tasks,
+                                bool RunAccess) {
+  MachineConfig Cfg;
+  Memory Mem;
+  W.Init(Mem, L);
+  TaskRuntime RT(Cfg, Mem, L);
+  verify::CapturedRun Run;
+  Run.Profile = RT.execute(Tasks, RunAccess, &Run.Capture);
+  Run.ImageHash = Mem.imageHash();
+  Run.Outputs = outputBytes(W, Mem, L);
+  return Run;
+}
+
+verify::DifferentialChecker checkerFor(const workloads::Workload &W,
+                                       const MachineConfig &Cfg,
+                                       const Loader &L) {
+  verify::DifferentialSpec Spec;
+  Spec.Init = W.Init;
+  Spec.OutputGlobals = W.OutputGlobals;
+  Spec.OutputSizes = W.OutputSizes;
+  return verify::DifferentialChecker(Cfg, L, std::move(Spec));
+}
+
+/// The fact the reuse rests on: the three scheme task lists differ only in
+/// Task::Access, and a run with access phases suppressed never runs one, so
+/// the Manual and Auto lists run that way are the CAE run — same profile,
+/// capture, memory image and outputs.
+class OracleReuseTest : public ::testing::TestWithParam<const char *> {};
+
+TEST_P(OracleReuseTest, SuppressedDaeRunsAreTheCaeRun) {
+  auto W = workloads::buildByName(GetParam(), workloads::Scale::Test);
+  MachineConfig Cfg;
+  harness::AppResult R = harness::runApp(*W, Cfg);
+  Loader L(*W->M);
+  verify::CapturedRun Cae =
+      capturedRun(*W, L, taskSet(*W, /*Manual=*/false), /*RunAccess=*/true);
+  const std::vector<Task> Dae[2] = {taskSet(*W, /*Manual=*/true),
+                                    autoTaskSet(*W, R.Generation)};
+  for (const std::vector<Task> &Tasks : Dae) {
+    verify::CapturedRun Run = capturedRun(*W, L, Tasks, /*RunAccess=*/false);
+    expectProfilesEqual(Run.Profile, Cae.Profile);
+    expectCapturesEqual(Run.Capture, Cae.Capture);
+    EXPECT_EQ(Run.ImageHash, Cae.ImageHash);
+    EXPECT_EQ(Run.Outputs, Cae.Outputs);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, OracleReuseTest,
+                         ::testing::Values("lu", "cholesky", "fft", "lbm",
+                                           "libq", "cigar", "cg"));
+
+/// The profile-guided loop on a fresh instance of a workload, driven by the
+/// two-run checker: generate, check the Auto scheme, refine from the
+/// checker's observations, check again.
+harness::ProfileGuidedResult checkerRefinement(workloads::Workload &W,
+                                               const MachineConfig &Cfg) {
+  pm::FunctionAnalysisManager FAM;
+  std::vector<ir::Function *> Fns = W.taskFunctions();
+  std::vector<AccessPhaseResult> Gen;
+  for (ir::Function *F : Fns)
+    Gen.push_back(generateAccessPhase(*W.M, *F, W.Opts, FAM));
+  Loader L(*W.M);
+  verify::DifferentialChecker Checker = checkerFor(W, Cfg, L);
+  runtime::EvalConfig MinMax = harness::minMaxConfig(Cfg, 0.0);
+
+  harness::ProfileGuidedResult R;
+  R.Ran = true;
+  std::vector<Task> Tasks = autoTaskSet(W, Gen);
+  std::vector<TaskObservation> Obs;
+  RunProfile Before;
+  R.Before = Checker.check(Tasks, &Obs, &Before);
+  R.EdpBefore = runtime::evaluate(Before, Cfg, MinMax).EdpJs;
+
+  AccessProfile Profile;
+  for (size_t I = 0; I != Tasks.size(); ++I)
+    if (Tasks[I].Access)
+      Profile.record(
+          taskContentFingerprint(*const_cast<ir::Function *>(Tasks[I].Execute),
+                                 FAM),
+          Obs[I]);
+  RefinementConfig RC;
+  RC.PhaseSplitFootprintBytes = Cfg.L2.SizeBytes;
+  std::set<const ir::Instruction *> Cold;
+  for (ir::Function *F : Fns) {
+    TaskProfileData D;
+    if (Profile.lookup(taskContentFingerprint(*F, FAM), D) &&
+        D.overshoot() > RC.OvershootBudget) {
+      Cold = harness::profileColdLoads(W, Cfg);
+      if (!Cold.empty())
+        RC.ColdLoads = &Cold;
+      break;
+    }
+  }
+  ProfileGuidedRefinementPass Pass(*W.M, Profile, W.Opts, RC);
+  for (size_t GI = 0; GI != Fns.size(); ++GI)
+    Pass.noteBaseline(Fns[GI], Gen[GI]);
+  for (ir::Function *F : Fns)
+    Pass.run(*F, FAM);
+  R.RefinedTasks = Pass.numRefined();
+  for (size_t GI = 0; GI != Fns.size(); ++GI)
+    if (const AccessPhaseResult *RR = Pass.refinedResult(Fns[GI])) {
+      Gen[GI] = *RR;
+      R.Actions.push_back(Fns[GI]->getName() + ": " + RR->RefinementNote);
+    }
+
+  RunProfile After;
+  R.After = Checker.check(autoTaskSet(W, Gen), nullptr, &After);
+  R.EdpAfter = runtime::evaluate(After, Cfg, MinMax).EdpJs;
+  return R;
+}
+
+/// runSuite's oracle and refinement verdicts, derived from its scheme runs,
+/// equal what the two-run checker returns on the same final task lists (and,
+/// for refinement, what the loop driven by the checker decides on a fresh
+/// instance), field by field.
+TEST(OracleReuseTest, SuiteVerdictsEqualTheCheckersVerdicts) {
+  const char *Apps[] = {"lu", "cholesky", "fft", "lbm", "libq", "cigar", "cg"};
+  MachineConfig Cfg;
+  std::vector<std::unique_ptr<workloads::Workload>> Ws;
+  std::vector<harness::SuiteItem> Items;
+  for (const char *App : Apps) {
+    Ws.push_back(workloads::buildByName(App, workloads::Scale::Test));
+    Items.push_back({Ws.back().get(), nullptr});
+  }
+  harness::SuiteConfig SC;
+  SC.DaeVerify = true;
+  SC.DaeProfileGuided = true;
+  std::vector<harness::AppResult> Results = harness::runSuite(Items, Cfg, SC);
+  ASSERT_EQ(Results.size(), Ws.size());
+
+  for (size_t I = 0; I != Ws.size(); ++I) {
+    const workloads::Workload &W = *Ws[I];
+    const harness::AppResult &R = Results[I];
+    Loader L(*W.M);
+    verify::DifferentialChecker Checker = checkerFor(W, Cfg, L);
+    ASSERT_TRUE(R.ManualVerify.Ran && R.AutoVerify.Ran) << R.Name;
+    expectDiffEqual(R.ManualVerify.Diff, Checker.check(taskSet(W, true)),
+                    R.Name + " manual");
+    expectDiffEqual(R.AutoVerify.Diff,
+                    Checker.check(autoTaskSet(W, R.Generation)),
+                    R.Name + " auto");
+
+    auto Fresh = workloads::buildByName(Apps[I], workloads::Scale::Test);
+    expectRefinementEqual(R.AutoPg, checkerRefinement(*Fresh, Cfg),
+                          R.Name + " refinement");
   }
 }
 

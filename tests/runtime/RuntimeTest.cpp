@@ -6,9 +6,13 @@
 
 #include "ir/IRBuilder.h"
 #include "runtime/Evaluator.h"
+#include "runtime/Replay.h"
 #include "runtime/Runtime.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
 
 using namespace dae;
 using namespace dae::ir;
@@ -216,11 +220,11 @@ TEST(EvaluatorTest, EdpTieBreaksTowardLowerFrequency) {
   EXPECT_EQ(evaluate(P, Cfg, Opt).NumTransitions, 1u)
       << "tied phases must all pick the lowest frequency";
 
-  // Same ladder listed high-to-low: cores boot at 1.6 (the last entry) and a
-  // first-match scan would hop to 3.4; the order-independent tie break keeps
-  // every phase at 1.6, so no switch happens at all.
+  // Same ladder listed high-to-low: cores still boot at fmax (3.4, the first
+  // entry) and a first-match scan would stay there with no switch; the
+  // order-independent tie break drops every phase to 1.6 — again one switch.
   Cfg.FrequenciesGHz = {3.4, 2.8, 2.0, 1.6};
-  EXPECT_EQ(evaluate(P, Cfg, Opt).NumTransitions, 0u)
+  EXPECT_EQ(evaluate(P, Cfg, Opt).NumTransitions, 1u)
       << "tie break must not depend on ladder order";
 }
 
@@ -351,6 +355,69 @@ TEST(EvaluatorTest, BreakdownBucketsSumSanely) {
   EXPECT_NEAR(Total, R.TimeSec * Fx.Cfg.NumCores, R.TimeSec * 0.01);
   EXPECT_GT(R.AccessTimeSec, 0.0);
   EXPECT_GT(R.ExecuteTimeSec, 0.0);
+}
+
+/// A captured replay records a phase's lines through a small direct-mapped
+/// filter. Whatever the filter keeps or evicts, the recorded lines, sorted
+/// and deduped as TaskRuntime::execute does, must be exactly the phase's
+/// distinct lines, and MissLines every DRAM-missing load in order. The
+/// trace's lines collide in the filter and in every cache level's set index
+/// (so the second round sends them to DRAM again), each load is repeated
+/// back to back, and a store and a prefetch far outside any global ride
+/// along.
+TEST(ReplayCaptureTest, RecordsEveryLineAndEveryLoadMiss) {
+  MachineConfig Cfg;
+  const unsigned LineShift = lineShiftOf(Cfg.L1.LineBytes);
+  const std::uint64_t Base = 0x10000 >> LineShift;
+  AccessTrace Tr;
+  for (int Round = 0; Round != 2; ++Round)
+    for (std::uint64_t K = 0; K != 20; ++K) {
+      std::uint64_t Addr = (Base + K * CaptureFilterLines) << LineShift;
+      Tr.push(AccessTrace::Kind::Load, Addr);
+      Tr.push(AccessTrace::Kind::Load, Addr + 8);
+      if (K % 5 == 0)
+        Tr.push(AccessTrace::Kind::Store, Addr + Cfg.L1.LineBytes);
+    }
+  Tr.push(AccessTrace::Kind::Prefetch, 1ull << 40);
+  Tr.push(AccessTrace::Kind::Load, Base << LineShift);
+
+  // Reference: every event's line, and the loads a plain walk of the same
+  // cold hierarchy sends to DRAM.
+  std::vector<std::uint64_t> Lines, MissLines;
+  CacheHierarchy Ref(Cfg, 1);
+  for (std::uint64_t E : Tr.events()) {
+    std::uint64_t Line = AccessTrace::addrOf(E) >> LineShift;
+    Lines.push_back(Line);
+    if (Ref.access(0, AccessTrace::addrOf(E)) == HitLevel::Memory &&
+        AccessTrace::kindOf(E) == AccessTrace::Kind::Load)
+      MissLines.push_back(Line);
+  }
+  std::sort(Lines.begin(), Lines.end());
+  Lines.erase(std::unique(Lines.begin(), Lines.end()), Lines.end());
+  ASSERT_GT(MissLines.size(),
+            std::set<std::uint64_t>(MissLines.begin(), MissLines.end()).size())
+      << "the trace must make some line miss DRAM twice";
+
+  const ReplayCostModel Costs(Cfg);
+  CacheHierarchy Caches(Cfg, 1);
+  PhaseStats S;
+  PhaseCapture Cap;
+  replayTrace(Tr, Caches, 0, Costs, S, &Cap, LineShift);
+  EXPECT_LT(Cap.Lines.size(), Tr.size()) << "repeats were not filtered";
+  std::sort(Cap.Lines.begin(), Cap.Lines.end());
+  Cap.Lines.erase(std::unique(Cap.Lines.begin(), Cap.Lines.end()),
+                  Cap.Lines.end());
+  EXPECT_EQ(Cap.Lines, Lines);
+  EXPECT_EQ(Cap.MissLines, MissLines);
+
+  // Capture is observational.
+  CacheHierarchy Plain(Cfg, 1);
+  PhaseStats P;
+  replayTrace(Tr, Plain, 0, Costs, P, nullptr, LineShift);
+  EXPECT_EQ(S.ComputeCycles, P.ComputeCycles);
+  EXPECT_EQ(S.StallNs, P.StallNs);
+  EXPECT_EQ(S.L1Hits, P.L1Hits);
+  EXPECT_EQ(S.MemAccesses, P.MemAccesses);
 }
 
 } // namespace
