@@ -19,6 +19,7 @@
 #include "sim/AccessTrace.h"
 #include "sim/CacheSim.h"
 #include "sim/Interpreter.h"
+#include "support/MathUtil.h"
 #include "verify/AccessPhaseAudit.h"
 
 #include <algorithm>
@@ -540,6 +541,41 @@ std::vector<Fig4Point> harness::priceFig4(const AppResult &R,
     Series.push_back(Pt);
   }
   return Series;
+}
+
+PaperFigures harness::paperFigures(const std::vector<AppResult> &Results,
+                                   const MachineConfig &Cfg) {
+  PaperFigures F;
+  for (const AppResult &R : Results)
+    F.Table1.push_back(R.Row);
+
+  // Figure 3 prints the sweep's 500 ns and 0 ns rows, so its geomeans and
+  // the sweep's agree by construction.
+  for (double Ns : {0.0, 100.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0}) {
+    std::vector<Fig3Row> Rows;
+    std::vector<double> Man, Auto, AutoTime;
+    for (const AppResult &R : Results) {
+      Rows.push_back(priceFig3(R, Cfg, Ns));
+      Man.push_back(Rows.back().ManualOpt[2]);
+      Auto.push_back(Rows.back().AutoOpt[2]);
+      AutoTime.push_back(Rows.back().AutoOpt[0]);
+    }
+    F.Latency.push_back({Ns, geometricMean(Man), geometricMean(Auto),
+                         geometricMean(AutoTime)});
+    if (Ns == 500.0)
+      F.Fig3At500 = std::move(Rows);
+    else if (Ns == 0.0)
+      F.Fig3At0 = std::move(Rows);
+  }
+
+  // The paper's three case studies: Cholesky (polyhedral access), FFT and
+  // LibQ (skeleton access).
+  for (const char *App : {"Cholesky", "FFT", "LibQ"})
+    for (const AppResult &R : Results)
+      if (R.Name == App)
+        for (Scheme Which : {Scheme::Cae, Scheme::Manual, Scheme::Auto})
+          F.Fig4.push_back({R.Name, Which, priceFig4(R, Cfg, Which, 500.0)});
+  return F;
 }
 
 std::set<const ir::Instruction *>

@@ -10,10 +10,11 @@
 /// phases, simulate the three schemes (CAE / Manual DAE / Auto DAE) once
 /// each, verify that all three produce bit-identical outputs (the access
 /// phase is a pure prefetch), and price every paper configuration from the
-/// profiles. One call yields everything Table 1, Figure 3, and Figure 4
-/// need for that application. The correctness oracle and profile-guided
-/// refinement read the same scheme runs; only a refined Auto scheme is
-/// simulated again.
+/// profiles. The correctness oracle and profile-guided refinement read the
+/// same scheme runs; only a refined Auto scheme is simulated again.
+/// paperFigures then prices every paper section (Table 1, Figures 3 and 4,
+/// the section 6.1 latency sweep) from one suite's results, without
+/// simulating again; the bench drivers only print what it returns.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -247,6 +248,41 @@ enum class Scheme { Cae, Manual, Auto };
 std::vector<Fig4Point> priceFig4(const AppResult &R,
                                  const sim::MachineConfig &Cfg,
                                  Scheme Which, double TransitionNs);
+
+/// One Figure 4 series: one application under one scheme.
+struct Fig4Series {
+  std::string App;
+  Scheme Which;
+  std::vector<Fig4Point> Points;
+};
+
+/// One point of the section 6.1 transition-latency sweep: geomeans over
+/// every application of the Optimal-EDP configurations, normalized to CAE at
+/// max frequency.
+struct LatencyPoint {
+  double Ns;
+  double ManualOptEdp, AutoOptEdp, AutoOptTime;
+};
+
+/// Every paper section, priced from one suite's results.
+struct PaperFigures {
+  /// Each application's AppResult::Row, in suite order.
+  std::vector<Table1Row> Table1;
+  /// priceFig3 per application at 500 ns and at 0 ns, in suite order.
+  std::vector<Fig3Row> Fig3At500, Fig3At0;
+  /// Cholesky, FFT and LibQ (those in the suite), each under CAE, Manual DAE
+  /// and Auto DAE, at 500 ns.
+  std::vector<Fig4Series> Fig4;
+  /// 0, 100, 250, 500, 1000, 2000 and 4000 ns, in that order.
+  std::vector<LatencyPoint> Latency;
+};
+
+/// Prices every paper section from \p Results (one runSuite over the
+/// applications, at least one): the paper's evaluation protocol — which
+/// latencies, which Figure 4 applications — is named here only. Pure: no
+/// simulation runs.
+PaperFigures paperFigures(const std::vector<AppResult> &Results,
+                          const sim::MachineConfig &Cfg);
 
 /// Helper: evaluates one profile under the paper's named configurations.
 runtime::RunReport priceCaeMax(const AppResult &R,

@@ -14,8 +14,12 @@
 
 #include "analysis/TaskAnalysis.h"
 #include "ir/Printer.h"
+#include "support/MathUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <utility>
 
 using namespace dae;
 using namespace dae::harness;
@@ -119,6 +123,77 @@ TEST(HarnessTest, Fig4SeriesCoversLadder) {
   for (size_t I = 1; I < Series.size(); ++I)
     EXPECT_NEAR(Series[I].PrefetchSec, Series[0].PrefetchSec,
                 1e-12 + Series[0].PrefetchSec * 1e-9);
+}
+
+void expectSameFig3Row(const Fig3Row &A, const Fig3Row &B) {
+  EXPECT_EQ(A.Name, B.Name);
+  for (int M = 0; M != 3; ++M) {
+    EXPECT_EQ(A.CaeOpt[M], B.CaeOpt[M]) << A.Name;
+    EXPECT_EQ(A.ManualMinMax[M], B.ManualMinMax[M]) << A.Name;
+    EXPECT_EQ(A.ManualOpt[M], B.ManualOpt[M]) << A.Name;
+    EXPECT_EQ(A.AutoMinMax[M], B.AutoMinMax[M]) << A.Name;
+    EXPECT_EQ(A.AutoOpt[M], B.AutoOpt[M]) << A.Name;
+  }
+}
+
+// Every paper section comes from one suite run through paperFigures. Each
+// must be exactly what the pricing calls give, and the latency sweep's
+// 500 ns and 0 ns rows exactly the geomeans of Figure 3's two sections —
+// an agreement separate drivers, each with its own suite run, never checked.
+TEST(HarnessTest, PaperFiguresAgreeWithThePricingCalls) {
+  auto Workloads = buildAll(Scale::Test);
+  std::vector<SuiteItem> Items;
+  for (auto &W : Workloads)
+    Items.push_back({W.get(), nullptr});
+  sim::MachineConfig Cfg = testMachine();
+  std::vector<AppResult> Results = runSuite(Items, Cfg, SuiteConfig());
+  ASSERT_EQ(Results.size(), 7u);
+  PaperFigures F = paperFigures(Results, Cfg);
+
+  ASSERT_EQ(F.Table1.size(), Results.size());
+  ASSERT_EQ(F.Fig3At500.size(), Results.size());
+  ASSERT_EQ(F.Fig3At0.size(), Results.size());
+  for (size_t I = 0; I != Results.size(); ++I) {
+    const Table1Row &Got = F.Table1[I], &Want = Results[I].Row;
+    EXPECT_EQ(Got.Name, Want.Name);
+    EXPECT_EQ(Got.AffineLoops, Want.AffineLoops);
+    EXPECT_EQ(Got.TotalLoops, Want.TotalLoops);
+    EXPECT_EQ(Got.NumTasks, Want.NumTasks);
+    EXPECT_EQ(Got.AccessTimePercent, Want.AccessTimePercent);
+    EXPECT_EQ(Got.AccessTimeUs, Want.AccessTimeUs);
+    expectSameFig3Row(F.Fig3At500[I], priceFig3(Results[I], Cfg, 500.0));
+    expectSameFig3Row(F.Fig3At0[I], priceFig3(Results[I], Cfg, 0.0));
+  }
+
+  const double Latencies[] = {0.0, 100.0, 250.0, 500.0, 1000.0, 2000.0,
+                              4000.0};
+  ASSERT_EQ(F.Latency.size(), std::size(Latencies));
+  for (size_t I = 0; I != F.Latency.size(); ++I)
+    EXPECT_EQ(F.Latency[I].Ns, Latencies[I]);
+  for (auto [Point, Rows] : {std::pair{&F.Latency[3], &F.Fig3At500},
+                             std::pair{&F.Latency[0], &F.Fig3At0}}) {
+    std::vector<double> Man, Auto, AutoTime;
+    for (const Fig3Row &R : *Rows) {
+      Man.push_back(R.ManualOpt[2]);
+      Auto.push_back(R.AutoOpt[2]);
+      AutoTime.push_back(R.AutoOpt[0]);
+    }
+    EXPECT_EQ(Point->ManualOptEdp, geometricMean(Man)) << Point->Ns;
+    EXPECT_EQ(Point->AutoOptEdp, geometricMean(Auto)) << Point->Ns;
+    EXPECT_EQ(Point->AutoOptTime, geometricMean(AutoTime)) << Point->Ns;
+  }
+
+  ASSERT_EQ(F.Fig4.size(), 9u);
+  size_t Next = 0;
+  for (const char *App : {"Cholesky", "FFT", "LibQ"})
+    for (Scheme Which : {Scheme::Cae, Scheme::Manual, Scheme::Auto}) {
+      const Fig4Series &S = F.Fig4[Next++];
+      EXPECT_EQ(S.App, App);
+      EXPECT_EQ(S.Which, Which) << App;
+      ASSERT_EQ(S.Points.size(), Cfg.FrequenciesGHz.size()) << App;
+      for (size_t I = 0; I != S.Points.size(); ++I)
+        EXPECT_EQ(S.Points[I].FreqGHz, Cfg.FrequenciesGHz[I]) << App;
+    }
 }
 
 } // namespace
