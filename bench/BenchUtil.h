@@ -165,8 +165,21 @@ inline bool daeProfileGuidedFromArgs(int Argc, char **Argv) {
 /// fallbacks) are interpreted, and machineConfig() is the single place they
 /// are applied to a MachineConfig. Unknown flags, and unknown values of
 /// closed-set flags, are hard errors (exit 2): a typo such as `--dae-verfy`
-/// must not silently run the suite without the check it asked for.
+/// must not silently run the suite without the check it asked for. So is a
+/// driver-specific option (DriverOption) that the driver does not act on:
+/// a correctly spelled `--dae-verify` must not do that either.
 struct BenchOptions {
+  /// Options only some drivers act on; each driver names those it does when
+  /// it parses. Every driver applies the shared flags (--test-scale, --jobs,
+  /// --sim-backend, --cores and the pipeline flags).
+  enum DriverOption : unsigned {
+    NoDriverOptions = 0,
+    DaeVerifyOption = 1u << 0,        ///< --dae-verify / DAECC_DAE_VERIFY=1
+    DaeProfileGuidedOption = 1u << 1, ///< --dae-profile-guided / DAECC_DAE_PG=1
+    MixOption = 1u << 2,              ///< --mix=a,b,c
+    AllDriverOptions = DaeVerifyOption | DaeProfileGuidedOption | MixOption,
+  };
+
   workloads::Scale Scale = workloads::Scale::Full;
   unsigned Jobs = 1;
   sim::SimBackend Backend = sim::defaultSimBackend();
@@ -181,7 +194,9 @@ struct BenchOptions {
   /// workloads::buildByName).
   std::vector<std::string> Mix;
 
-  static BenchOptions parse(int Argc, char **Argv) {
+  /// Parses the command line of the driver named by Argv[0], which acts on
+  /// the driver-specific options in \p ActsOn (a DriverOption mask).
+  static BenchOptions parse(int Argc, char **Argv, unsigned ActsOn) {
     BenchOptions O;
     O.Scale = scaleFromArgs(Argc, Argv);
     O.Jobs = jobsFromArgs(Argc, Argv);
@@ -228,6 +243,21 @@ struct BenchOptions {
         std::exit(2);
       }
     }
+    const char *Driver = Argc > 0 ? Argv[0] : "this driver";
+    if (const char *Slash = std::strrchr(Driver, '/'))
+      Driver = Slash + 1;
+    auto RejectUnused = [Driver, ActsOn](DriverOption Option, bool Given,
+                                         const char *Name) {
+      if (Given && !(ActsOn & Option)) {
+        std::fprintf(stderr, "error: %s does not act on %s\n", Driver, Name);
+        std::exit(2);
+      }
+    };
+    RejectUnused(DaeVerifyOption, O.DaeVerify,
+                 "--dae-verify (or DAECC_DAE_VERIFY=1)");
+    RejectUnused(DaeProfileGuidedOption, O.DaeProfileGuided,
+                 "--dae-profile-guided (or DAECC_DAE_PG=1)");
+    RejectUnused(MixOption, !O.Mix.empty(), "--mix");
     return O;
   }
 

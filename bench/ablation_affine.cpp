@@ -36,7 +36,8 @@ struct Variant {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchOptions Opts = BenchOptions::parse(Argc, Argv);
+  BenchOptions Opts =
+      BenchOptions::parse(Argc, Argv, BenchOptions::NoDriverOptions);
   workloads::Scale S = Opts.Scale;
   sim::MachineConfig Cfg = Opts.machineConfig();
   unsigned Jobs = Opts.Jobs;

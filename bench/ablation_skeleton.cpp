@@ -26,7 +26,8 @@ using namespace dae::bench;
 using namespace dae::harness;
 
 int main(int Argc, char **Argv) {
-  BenchOptions Opts = BenchOptions::parse(Argc, Argv);
+  BenchOptions Opts =
+      BenchOptions::parse(Argc, Argv, BenchOptions::NoDriverOptions);
   workloads::Scale S = Opts.Scale;
   sim::MachineConfig Cfg = Opts.machineConfig();
   unsigned Jobs = Opts.Jobs;

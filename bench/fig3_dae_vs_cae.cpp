@@ -170,7 +170,9 @@ void printLatencySweep(const PaperFigures &Figs) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchOptions Opts = BenchOptions::parse(Argc, Argv);
+  BenchOptions Opts = BenchOptions::parse(
+      Argc, Argv,
+      BenchOptions::DaeVerifyOption | BenchOptions::DaeProfileGuidedOption);
   workloads::Scale S = Opts.Scale;
   sim::MachineConfig Cfg = Opts.machineConfig();
   unsigned Jobs = Opts.Jobs;

@@ -22,9 +22,9 @@
 ///    ramps rung-by-rung and lags phase changes — both trail the per-phase
 ///    oracle that knows each phase's profile in advance.
 ///
-/// Flags beyond the common set: --cores=N (default 8) and --mix=a,b,c
+/// Flags beyond the common set: --cores=N (default 8), --mix=a,b,c
 /// (workload names cycled to fill each width; default
-/// libq,cigar,cholesky,fft).
+/// libq,cigar,cholesky,fft) and --dae-verify (each stream's oracle verdict).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +43,8 @@ using namespace dae::bench;
 using namespace dae::harness;
 
 int main(int Argc, char **Argv) {
-  BenchOptions Opts = BenchOptions::parse(Argc, Argv);
+  BenchOptions Opts = BenchOptions::parse(
+      Argc, Argv, BenchOptions::DaeVerifyOption | BenchOptions::MixOption);
   // This bench is about co-run widths: default to an 8-core machine unless
   // the user pinned a core count.
   if (Opts.Cores == 0)

@@ -88,14 +88,16 @@ TEST(BenchUtilDeathTest, UnknownBackendEnvIsAHardError) {
 
 // --- BenchOptions: the drivers' unified flag surface ----------------------
 
-BenchOptions parseOpts(std::initializer_list<const char *> Flags) {
+BenchOptions parseOpts(std::initializer_list<const char *> Flags,
+                       unsigned ActsOn = BenchOptions::AllDriverOptions) {
   std::vector<std::string> Storage = {"bench"};
   for (const char *F : Flags)
     Storage.push_back(F);
   std::vector<char *> Argv;
   for (std::string &S : Storage)
     Argv.push_back(S.data());
-  return BenchOptions::parse(static_cast<int>(Argv.size()), Argv.data());
+  return BenchOptions::parse(static_cast<int>(Argv.size()), Argv.data(),
+                             ActsOn);
 }
 
 TEST(BenchOptions, DefaultsMatchTheOldPerDriverParsing) {
@@ -237,6 +239,62 @@ TEST(BenchUtilDeathTest, UnknownFlagIsAHardError) {
     EXPECT_EXIT(parseOpts({"--test-scale", Bad}), ::testing::ExitedWithCode(2),
                 std::string("error: unknown flag '") + Bad + "'")
         << "flag: '" << Bad << "'";
+}
+
+// A correctly spelled driver-specific option must not silently run a driver
+// that never reads it, any more than a misspelled one may: every driver
+// names the options it acts on, and any other exits 2, naming the option
+// and the driver (Argv[0], here "bench").
+TEST(BenchUtilDeathTest, OptionTheDriverDoesNotActOnIsAHardError) {
+  unsetenv("DAECC_DAE_VERIFY");
+  unsetenv("DAECC_DAE_PG");
+  const unsigned Fig3 =
+      BenchOptions::DaeVerifyOption | BenchOptions::DaeProfileGuidedOption;
+  const unsigned Contention =
+      BenchOptions::DaeVerifyOption | BenchOptions::MixOption;
+  EXPECT_EXIT(parseOpts({"--dae-verify"}, BenchOptions::NoDriverOptions),
+              ::testing::ExitedWithCode(2),
+              "error: bench does not act on --dae-verify");
+  EXPECT_EXIT(parseOpts({"--dae-profile-guided"}, Contention),
+              ::testing::ExitedWithCode(2),
+              "error: bench does not act on --dae-profile-guided");
+  EXPECT_EXIT(parseOpts({"--mix=lu"}, Fig3), ::testing::ExitedWithCode(2),
+              "error: bench does not act on --mix");
+  // The options a driver acts on still parse.
+  BenchOptions O = parseOpts({"--dae-verify", "--mix=lu"}, Contention);
+  EXPECT_TRUE(O.DaeVerify);
+  EXPECT_EQ(O.Mix.size(), 1u);
+}
+
+TEST(BenchUtilDeathTest, EnvOptionTheDriverDoesNotActOnIsAHardError) {
+  EXPECT_EXIT(
+      {
+        setenv("DAECC_DAE_VERIFY", "1", 1);
+        parseOpts({}, BenchOptions::DaeProfileGuidedOption);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(2),
+      "error: bench does not act on --dae-verify \\(or "
+      "DAECC_DAE_VERIFY=1\\)");
+  unsetenv("DAECC_DAE_VERIFY");
+  EXPECT_EXIT(
+      {
+        setenv("DAECC_DAE_PG", "1", 1);
+        parseOpts({}, BenchOptions::DaeVerifyOption);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(2),
+      "error: bench does not act on --dae-profile-guided \\(or "
+      "DAECC_DAE_PG=1\\)");
+  unsetenv("DAECC_DAE_PG");
+  // Set to 0, the variables ask for nothing.
+  setenv("DAECC_DAE_VERIFY", "0", 1);
+  setenv("DAECC_DAE_PG", "0", 1);
+  BenchOptions O = parseOpts({}, BenchOptions::NoDriverOptions);
+  EXPECT_FALSE(O.DaeVerify);
+  EXPECT_FALSE(O.DaeProfileGuided);
+  unsetenv("DAECC_DAE_VERIFY");
+  unsetenv("DAECC_DAE_PG");
 }
 
 TEST(BenchUtilDeathTest, GarbageIntegerEnvIsAHardError) {
