@@ -530,14 +530,9 @@ std::vector<Fig4Point> harness::priceFig4(const AppResult &R,
     Pt.PrefetchSec = Rep.AccessTimeSec;
     Pt.TaskSec = Rep.ExecuteTimeSec;
     Pt.OsiSec = Rep.OsiTimeSec;
-    // Energy split proportional to the per-bucket core time at that
-    // bucket's frequency; a faithful split would need per-phase bookkeeping,
-    // so approximate by time share (the buckets' power levels are close).
-    double TotalSec = Pt.PrefetchSec + Pt.TaskSec + Pt.OsiSec;
-    double Scale = TotalSec > 0.0 ? Rep.EnergyJ / TotalSec : 0.0;
-    Pt.PrefetchJ = Pt.PrefetchSec * Scale;
-    Pt.TaskJ = Pt.TaskSec * Scale;
-    Pt.OsiJ = Pt.OsiSec * Scale;
+    Pt.PrefetchJ = Rep.AccessEnergyJ;
+    Pt.TaskJ = Rep.ExecuteEnergyJ;
+    Pt.OsiJ = Rep.OsiEnergyJ;
     Series.push_back(Pt);
   }
   return Series;

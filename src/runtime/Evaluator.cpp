@@ -59,16 +59,20 @@ RunReport runtime::evaluate(const RunProfile &Profile,
     if (std::abs(CoreFreq[Core] - FreqGHz) > 1e-9) {
       ++R.NumTransitions;
       if (TransNs > 0.0) {
+        double TransJ = PM.staticPowerPerCore(FreqGHz) * TransNs * 1e-9;
         CoreBusyNs[Core] += TransNs;
-        CoreEnergyJ[Core] += PM.staticPowerPerCore(FreqGHz) * TransNs * 1e-9;
+        CoreEnergyJ[Core] += TransJ;
         R.OsiTimeSec += TransNs * 1e-9;
+        R.OsiEnergyJ += TransJ;
       }
       CoreFreq[Core] = FreqGHz;
     }
     double TNs = S.timeNs(FreqGHz);
+    double PhaseJ = PM.phaseEnergy(S, FreqGHz);
     CoreBusyNs[Core] += TNs;
-    CoreEnergyJ[Core] += PM.phaseEnergy(S, FreqGHz);
+    CoreEnergyJ[Core] += PhaseJ;
     (IsAccess ? R.AccessTimeSec : R.ExecuteTimeSec) += TNs * 1e-9;
+    (IsAccess ? R.AccessEnergyJ : R.ExecuteEnergyJ) += PhaseJ;
   };
 
   double IdleEnergyJ = 0.0;
@@ -110,9 +114,11 @@ RunReport runtime::evaluate(const RunProfile &Profile,
 
       // Runtime bookkeeping (dequeue/hand-off) at the execute frequency.
       double OverheadNs = Profile.PerTaskOverheadCycles / FE;
+      double OverheadJ = PM.phaseEnergy(Overhead, FE);
       CoreBusyNs[Core] += OverheadNs;
-      CoreEnergyJ[Core] += PM.phaseEnergy(Overhead, FE);
+      CoreEnergyJ[Core] += OverheadJ;
       R.OsiTimeSec += OverheadNs * 1e-9;
+      R.OsiEnergyJ += OverheadJ;
     }
     // Barrier.
     double WaveEndNs = 0.0;
@@ -135,6 +141,14 @@ RunReport runtime::evaluate(const RunProfile &Profile,
   R.TimeSec = MakespanNs * 1e-9;
   R.EnergyJ = Energy;
   R.EdpJs = R.TimeSec * R.EnergyJ;
+
+  // Every core is busy or asleep until the makespan, so the buckets'
+  // core-seconds sum to NumCores x makespan and split the uncore energy.
+  const double UncorePerCoreW =
+      PM.uncorePower() / static_cast<double>(Profile.NumCores);
+  R.AccessEnergyJ += UncorePerCoreW * R.AccessTimeSec;
+  R.ExecuteEnergyJ += UncorePerCoreW * R.ExecuteTimeSec;
+  R.OsiEnergyJ += IdleEnergyJ + UncorePerCoreW * R.OsiTimeSec;
   return R;
 }
 

@@ -55,6 +55,13 @@ struct RunReport {
   double ExecuteTimeSec = 0.0;  ///< "Task" bucket.
   double OsiTimeSec = 0.0;      ///< Overhead + transitions + idle.
 
+  // The same buckets' energy for Figure 4: each phase's energy at its own
+  // frequency, plus the uncore power's share by the bucket's core-seconds.
+  // They sum to EnergyJ up to rounding.
+  double AccessEnergyJ = 0.0;
+  double ExecuteEnergyJ = 0.0;
+  double OsiEnergyJ = 0.0;
+
   std::size_t NumTasks = 0;
   std::size_t NumTransitions = 0;
 

@@ -123,6 +123,11 @@ TEST(HarnessTest, Fig4SeriesCoversLadder) {
   for (size_t I = 1; I < Series.size(); ++I)
     EXPECT_NEAR(Series[I].PrefetchSec, Series[0].PrefetchSec,
                 1e-12 + Series[0].PrefetchSec * 1e-9);
+  // So is Prefetch energy: the access phases draw fmin's power whatever the
+  // execute frequency.
+  for (size_t I = 1; I < Series.size(); ++I)
+    EXPECT_NEAR(Series[I].PrefetchJ, Series[0].PrefetchJ,
+                Series[0].PrefetchJ * 1e-12);
 }
 
 void expectSameFig3Row(const Fig3Row &A, const Fig3Row &B) {

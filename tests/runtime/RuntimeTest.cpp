@@ -355,6 +355,12 @@ TEST(EvaluatorTest, BreakdownBucketsSumSanely) {
   EXPECT_NEAR(Total, R.TimeSec * Fx.Cfg.NumCores, R.TimeSec * 0.01);
   EXPECT_GT(R.AccessTimeSec, 0.0);
   EXPECT_GT(R.ExecuteTimeSec, 0.0);
+  // The buckets' energies split the run's energy exactly, up to rounding.
+  EXPECT_NEAR(R.AccessEnergyJ + R.ExecuteEnergyJ + R.OsiEnergyJ, R.EnergyJ,
+              R.EnergyJ * 1e-12);
+  EXPECT_GT(R.AccessEnergyJ, 0.0);
+  EXPECT_GT(R.ExecuteEnergyJ, 0.0);
+  EXPECT_GT(R.OsiEnergyJ, 0.0);
 }
 
 /// A captured replay records a phase's lines through a small direct-mapped
