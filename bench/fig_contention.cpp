@@ -29,12 +29,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "dae/GenerationMemo.h"
 #include "harness/Harness.h"
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -84,7 +85,6 @@ int main(int Argc, char **Argv) {
 
   ThroughputReporter Throughput("fig_contention", Opts.Jobs);
   Throughput.setBackend(Cfg.Backend);
-  GenerationMemo Memo;
 
   std::printf("%5s %-28s %10s %10s %10s %10s %10s %10s %12s\n", "ways", "mix",
               "cae-max", "ondemand", "conserv", "dae-mm", "dae-oracle",
@@ -92,34 +92,48 @@ int main(int Argc, char **Argv) {
   printRule(100);
 
   Throughput.start();
+  // One workload per distinct name: every width's streams of that name
+  // share its solo runs, which runMixes simulates once.
+  std::map<std::string, std::unique_ptr<workloads::Workload>> Owned;
+  std::vector<std::vector<workloads::Workload *>> Mixes;
+  std::vector<std::string> Labels;
   for (unsigned W : Ways) {
-    // Fresh workload instances per width: runs mutate workload memory.
-    std::vector<std::unique_ptr<workloads::Workload>> Owned;
     std::vector<workloads::Workload *> Mix;
     std::string Label;
     for (unsigned I = 0; I < W; ++I) {
       const std::string &Name = MixNames[I % MixNames.size()];
-      Owned.push_back(workloads::buildByName(Name, S));
-      Mix.push_back(Owned.back().get());
+      std::unique_ptr<workloads::Workload> &Wl = Owned[Name];
+      if (!Wl)
+        Wl = workloads::buildByName(Name, S);
+      Mix.push_back(Wl.get());
       if (I)
         Label += ",";
       Label += Name;
     }
+    Mixes.push_back(std::move(Mix));
+    Labels.push_back(std::move(Label));
+  }
 
-    MixConfig MC;
-    MC.Jobs = Opts.Jobs;
-    MC.Memo = &Memo;
-    MC.DaeVerify = Opts.DaeVerify;
-    MixResult R = runMix(Mix, Cfg, MC);
+  MixConfig MC;
+  MC.Jobs = Opts.Jobs;
+  MC.DaeVerify = Opts.DaeVerify;
+  std::vector<MixResult> Results = runMixes(Mixes, Cfg, MC);
 
+  std::set<std::string> Counted;
+  for (size_t WI = 0; WI != Ways.size(); ++WI) {
+    const unsigned W = Ways[WI];
+    const std::string &Label = Labels[WI];
+    const MixResult &R = Results[WI];
     for (const MixStreamResult &St : R.Streams) {
       if (!St.OutputsMatch) {
         std::printf("WARNING: %s outputs differ between CAE and DAE!\n",
                     St.Name.c_str());
         Throughput.noteFailure();
       }
-      Throughput.add(St.CaeProfile);
-      Throughput.add(St.DaeProfile);
+      if (Counted.insert(St.Name).second) {
+        Throughput.add(St.CaeProfile);
+        Throughput.add(St.DaeProfile);
+      }
       if (MC.DaeVerify)
         Throughput.addDaeVerify(St.Name, "auto", St.Verify);
     }

@@ -19,6 +19,8 @@
 ///    have.
 ///  * MixedCapture: Mixed with oracle capture enabled, bounding the cost the
 ///    --dae-verify differential adds per event.
+///  * MixedRetained: Mixed recording each event's L1 outcome, as a run that
+///    retains its traces for a co-run timeline does.
 ///
 /// The Timeline* benchmarks drive the multi-core co-run timeline
 /// (runtime/Timeline.h) instead: four co-runners, each one task whose
@@ -78,7 +80,7 @@ AccessTrace mixedTrace() {
 }
 
 void benchReplay(benchmark::State &State, const AccessTrace &Tr,
-                 bool WithCapture) {
+                 bool WithCapture, bool WithL1Hits = false) {
   MachineConfig Cfg;
   ReplayCostModel Costs(Cfg);
   CacheHierarchy Caches(Cfg, Cfg.NumCores);
@@ -88,9 +90,11 @@ void benchReplay(benchmark::State &State, const AccessTrace &Tr,
     Caches.flush();
     PhaseStats S;
     PhaseCapture Cap;
+    std::vector<std::uint64_t> L1Hits;
     State.ResumeTiming();
     replayTrace(Tr, Caches, /*Core=*/0, Costs, S,
-                WithCapture ? &Cap : nullptr, LineShift);
+                WithCapture ? &Cap : nullptr, LineShift,
+                WithL1Hits ? &L1Hits : nullptr);
     benchmark::DoNotOptimize(S.StallNs);
     benchmark::DoNotOptimize(S.L1Hits);
   }
@@ -118,20 +122,35 @@ void BM_ReplayMixedCapture(benchmark::State &State) {
 }
 BENCHMARK(BM_ReplayMixedCapture)->Unit(benchmark::kMillisecond);
 
+void BM_ReplayMixedRetained(benchmark::State &State) {
+  benchReplay(State, mixedTrace(), /*WithCapture=*/false,
+              /*WithL1Hits=*/true);
+}
+BENCHMARK(BM_ReplayMixedRetained)->Unit(benchmark::kMillisecond);
+
 /// Interleaves four co-runners, each replaying \p Tr as the execute phase of
-/// its only task, with one functional cycle and instruction per event.
+/// its only task, with one functional cycle and instruction per event. The
+/// L1 outcomes the timeline reads come from a solo replay of \p Tr on a
+/// one-core hierarchy, as TaskRuntime::execute records them.
 void benchTimeline(benchmark::State &State, const AccessTrace &Tr) {
   MachineConfig Cfg;
   const unsigned NumStreams = 4;
+  CacheHierarchy SoloCaches(Cfg, 1);
+  PhaseStats SoloStats;
+  std::vector<std::uint64_t> L1Hits;
+  replayTrace(Tr, SoloCaches, /*Core=*/0, ReplayCostModel(Cfg), SoloStats,
+              nullptr, lineShiftOf(Cfg.L1.LineBytes), &L1Hits);
   std::vector<RunProfile> Solo(NumStreams);
   std::vector<RunTraces> Traces(NumStreams);
   std::vector<CoreStream> Streams;
   for (unsigned C = 0; C != NumStreams; ++C) {
     TaskTraces TT;
     TT.Execute = Tr;
+    TT.ExecuteL1Hits = L1Hits;
     TT.FunctionalExecute.Instructions = Tr.size();
     TT.FunctionalExecute.ComputeCycles = static_cast<double>(Tr.size());
     Traces[C].Tasks.push_back(std::move(TT));
+    Traces[C].L1 = Cfg.L1;
     Solo[C].Tasks.resize(1);
     Streams.push_back(
         {&Solo[C], &Traces[C], static_cast<std::uint64_t>(C) << 40});

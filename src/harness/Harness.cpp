@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cassert>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
@@ -405,10 +406,12 @@ std::vector<AppResult> harness::runSuite(const std::vector<SuiteItem> &Items,
   return Results;
 }
 
-MixResult harness::runMix(const std::vector<Workload *> &Mix,
-                          const MachineConfig &Cfg, const MixConfig &MC) {
-  if (Mix.empty() || Mix.size() > Cfg.NumCores)
-    throw std::invalid_argument("mix size must be in [1, NumCores]");
+std::vector<MixResult>
+harness::runMixes(const std::vector<std::vector<Workload *>> &Mixes,
+                  const MachineConfig &Cfg, const MixConfig &MC) {
+  for (const std::vector<Workload *> &Mix : Mixes)
+    if (Mix.empty() || Mix.size() > Cfg.NumCores)
+      throw std::invalid_argument("mix size must be in [1, NumCores]");
 
   // Solo runs are single-core: each stream is one program pinned to one
   // timeline core, so its tasks execute sequentially and its retained traces
@@ -416,50 +419,80 @@ MixResult harness::runMix(const std::vector<Workload *> &Mix,
   MachineConfig SoloCfg = Cfg;
   SoloCfg.NumCores = 1;
 
-  // Each stream simulates its CAE and Auto DAE schemes with retained traces;
-  // under DaeVerify the stream's oracle verdict comes from that pair.
+  // Each distinct workload simulates its CAE and Auto DAE schemes once, with
+  // retained traces, however many streams run it; under DaeVerify its one
+  // oracle verdict comes from that pair.
   std::vector<SuiteItem> Items;
-  for (Workload *W : Mix)
-    Items.push_back({W, nullptr});
+  std::map<const Workload *, std::size_t> AppOf;
+  for (const std::vector<Workload *> &Mix : Mixes)
+    for (Workload *W : Mix)
+      if (AppOf.emplace(W, Items.size()).second)
+        Items.push_back({W, nullptr});
   AppPlan Plan;
   Plan.Run[1] = false;
   Plan.RetainTraces = true;
   Plan.Verify = MC.DaeVerify;
   std::vector<AppSlot> Slots = runApps(Items, SoloCfg, Plan, MC.Jobs, MC.Memo);
 
-  MixResult R;
-  std::vector<CoreStream> CaeStreams, DaeStreams;
-  for (size_t I = 0; I != Mix.size(); ++I) {
-    AppSlot &S = Slots[I];
-    MixStreamResult MS;
-    MS.Name = S.P.W->Name;
-    MS.OutputsMatch = S.Runs[0].Outputs == S.Runs[2].Outputs;
-    MS.Verify = std::move(S.Verify[1]);
-    R.Streams.push_back(std::move(MS));
-    // Co-runners are distinct address spaces: bias each stream far above any
-    // footprint so they never falsely alias in the shared LLC (the bias
-    // stays well inside the trace encoding's 62-bit address space).
-    std::uint64_t Bias = static_cast<std::uint64_t>(I) << 40;
-    CaeStreams.push_back({&S.Runs[0].Profile, &S.Traces[0], Bias});
-    DaeStreams.push_back({&S.Runs[2].Profile, &S.Traces[2], Bias});
-  }
+  // Every stream points into its app's runs. Co-runners are distinct
+  // address spaces: bias each stream far above any footprint so they never
+  // falsely alias in the shared LLC (the bias stays well inside the trace
+  // encoding's 62-bit address space).
+  std::vector<MixResult> Results(Mixes.size());
+  std::vector<std::vector<CoreStream>> CaeStreams(Mixes.size()),
+      DaeStreams(Mixes.size());
+  for (size_t M = 0; M != Mixes.size(); ++M)
+    for (size_t I = 0; I != Mixes[M].size(); ++I) {
+      AppSlot &S = Slots[AppOf.at(Mixes[M][I])];
+      MixStreamResult MS;
+      MS.Name = S.P.W->Name;
+      MS.OutputsMatch = S.Runs[0].Outputs == S.Runs[2].Outputs;
+      MS.Verify = S.Verify[1];
+      MS.CaeProfile = S.Runs[0].Profile;
+      MS.DaeProfile = S.Runs[2].Profile;
+      Results[M].Streams.push_back(std::move(MS));
+      std::uint64_t Bias = static_cast<std::uint64_t>(I) << 40;
+      CaeStreams[M].push_back({&S.Runs[0].Profile, &S.Traces[0], Bias});
+      DaeStreams[M].push_back({&S.Runs[2].Profile, &S.Traces[2], Bias});
+    }
 
-  auto Price = [&](const std::vector<CoreStream> &Streams,
-                   runtime::TimelinePolicy P) {
-    runtime::TimelineConfig TC;
-    TC.Policy = P;
-    return interleaveTimeline(Streams, Cfg, TC);
+  // One job per (mix, policy): CAE streams under the performance and
+  // reactive governors, Auto DAE streams under the DAE policies. The
+  // interleaves only read the shared runs. Wider mixes go first, so the
+  // longest interleaves do not start last.
+  struct PolicyJob {
+    TimelinePolicy Policy;
+    bool Dae; ///< Interleaves the Auto DAE streams, else the CAE ones.
+    TimelineReport MixResult::*Out;
   };
-  R.CaeMax = Price(CaeStreams, runtime::TimelinePolicy::FixedMax);
-  R.CaeOndemand = Price(CaeStreams, runtime::TimelinePolicy::Ondemand);
-  R.CaeConservative = Price(CaeStreams, runtime::TimelinePolicy::Conservative);
-  R.DaeMinMax = Price(DaeStreams, runtime::TimelinePolicy::DaeMinMax);
-  R.DaeOracle = Price(DaeStreams, runtime::TimelinePolicy::OracleEdp);
-  for (size_t I = 0; I != Mix.size(); ++I) {
-    R.Streams[I].CaeProfile = std::move(Slots[I].Runs[0].Profile);
-    R.Streams[I].DaeProfile = std::move(Slots[I].Runs[2].Profile);
-  }
-  return R;
+  static const PolicyJob Policies[] = {
+      {TimelinePolicy::FixedMax, false, &MixResult::CaeMax},
+      {TimelinePolicy::Ondemand, false, &MixResult::CaeOndemand},
+      {TimelinePolicy::Conservative, false, &MixResult::CaeConservative},
+      {TimelinePolicy::DaeMinMax, true, &MixResult::DaeMinMax},
+      {TimelinePolicy::OracleEdp, true, &MixResult::DaeOracle},
+  };
+  std::vector<size_t> Order(Mixes.size());
+  std::iota(Order.begin(), Order.end(), 0);
+  std::stable_sort(Order.begin(), Order.end(), [&Mixes](size_t A, size_t B) {
+    return Mixes[A].size() > Mixes[B].size();
+  });
+  JobPool Pool(MC.Jobs);
+  for (size_t M : Order)
+    for (const PolicyJob &J : Policies)
+      Pool.submit([&, M, J] {
+        TimelineConfig TC;
+        TC.Policy = J.Policy;
+        Results[M].*J.Out = interleaveTimeline(
+            (J.Dae ? DaeStreams : CaeStreams)[M], Cfg, TC);
+      });
+  Pool.wait();
+  return Results;
+}
+
+MixResult harness::runMix(const std::vector<Workload *> &Mix,
+                          const MachineConfig &Cfg, const MixConfig &MC) {
+  return std::move(runMixes({Mix}, Cfg, MC).front());
 }
 
 runtime::RunReport harness::priceCaeMax(const AppResult &R,

@@ -15,6 +15,9 @@
 /// paperFigures then prices every paper section (Table 1, Figures 3 and 4,
 /// the section 6.1 latency sweep) from one suite's results, without
 /// simulating again; the bench drivers only print what it returns.
+/// runMixes does the same for co-run mixes: it simulates each distinct
+/// workload's solo runs once and prices every mix's contention timelines
+/// from them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -193,10 +196,11 @@ struct MixStreamResult {
   /// outputs (the DAE access phase must be a pure prefetch per core).
   bool OutputsMatch = false;
   /// Per-stream correctness oracle over the Auto DAE scheme (under
-  /// MixConfig::DaeVerify), derived from the stream's two solo runs.
+  /// MixConfig::DaeVerify), derived from the stream's two solo runs: every
+  /// stream of one workload reports that workload's one verdict.
   DaeVerifyResult Verify;
-  /// The stream's solo CAE and Auto DAE run profiles (NumCores=1), moved
-  /// here once the timeline has priced every policy.
+  /// The stream's solo CAE and Auto DAE run profiles (NumCores=1). Streams
+  /// of one workload carry copies of the same two runs.
   runtime::RunProfile CaeProfile, DaeProfile;
 };
 
@@ -217,19 +221,28 @@ struct MixResult {
 struct MixConfig {
   unsigned Jobs = 1;
   GenerationMemo *Memo = nullptr;
-  /// Derive a per-stream oracle verdict from the stream's CAE and Auto DAE
-  /// solo runs, which then carry the capture until the verdict is out
-  /// (before the timeline runs).
+  /// Derive an oracle verdict per workload from its CAE and Auto DAE solo
+  /// runs, which then carry the capture until the verdict is out (before
+  /// any timeline runs).
   bool DaeVerify = false;
 };
 
-/// Runs \p Mix co-scheduled, one workload per core (Mix.size() must be in
-/// [1, Cfg.NumCores]): each stream's solo CAE and Auto DAE runs execute on a
-/// JobPool with retained traces (NumCores=1, so per-stream profiles are
-/// sequential), then the retained traces are interleaved on the shared-LLC /
-/// bandwidth-throttled timeline once per policy, with DVFS transitions
-/// taking Cfg.DvfsTransitionNs. Results are bit-identical for every Jobs
-/// value (MultiCoreDeterminismTest).
+/// Runs every mix of \p Mixes co-scheduled, one workload per core (each
+/// mix's size must be in [1, Cfg.NumCores]), and returns one MixResult per
+/// mix, in order. Workloads are keyed by pointer: each distinct one
+/// simulates its solo CAE and Auto DAE runs once, on a JobPool with
+/// retained traces (NumCores=1, so per-stream profiles are sequential),
+/// however many streams of however many mixes run it. Then every (mix,
+/// policy) interleave runs as one job of a second JobPool on the
+/// shared-LLC / bandwidth-throttled timeline, its streams pointing into the
+/// shared runs, with DVFS transitions taking Cfg.DvfsTransitionNs. Results
+/// equal a runMix per mix on fresh workloads and are bit-identical for every
+/// Jobs value (MultiCoreDeterminismTest).
+std::vector<MixResult>
+runMixes(const std::vector<std::vector<workloads::Workload *>> &Mixes,
+         const sim::MachineConfig &Cfg, const MixConfig &MC);
+
+/// Runs one mix: runMixes({Mix}, Cfg, MC).front().
 MixResult runMix(const std::vector<workloads::Workload *> &Mix,
                  const sim::MachineConfig &Cfg, const MixConfig &MC);
 

@@ -43,11 +43,11 @@ ReplayCostModel::ReplayCostModel(const MachineConfig &Cfg)
 
 namespace {
 
-template <bool WithCapture>
+template <bool WithCapture, bool WithL1Hits>
 void replayLoop(const std::uint64_t *E, const std::uint64_t *End,
                 CacheHierarchy &Caches, unsigned Core,
                 const ReplayCostModel &Costs, PhaseStats &S, PhaseCapture *Cap,
-                unsigned LineShift) {
+                unsigned LineShift, std::uint64_t *L1Hits) {
   // Accumulate in registers, seeded from (and stored back to) the phase's
   // running totals: the adds happen in the same order with the same values
   // as the per-event `S.x += cost` reference, so the result is bit-exact.
@@ -61,6 +61,10 @@ void replayLoop(const std::uint64_t *E, const std::uint64_t *End,
   std::uint64_t Recorded[WithCapture ? CaptureFilterLines : 1];
   if (WithCapture)
     std::fill(std::begin(Recorded), std::end(Recorded), ~0ull);
+  // L1 outcomes: the word being filled stays in a register and is stored
+  // once per 64 events, plus once for a partial last word.
+  std::uint64_t HitWord = 0;
+  unsigned HitBit = 0;
   for (; E != End; ++E) {
     std::uint64_t Event = *E;
     unsigned Kind = static_cast<unsigned>(Event >> 62);
@@ -82,7 +86,17 @@ void replayLoop(const std::uint64_t *E, const std::uint64_t *End,
           Kind == static_cast<unsigned>(AccessTrace::Kind::Load))
         Cap->MissLines.push_back(Line);
     }
+    if (WithL1Hits) {
+      HitWord |= static_cast<std::uint64_t>(Level == HitLevel::L1) << HitBit;
+      if (++HitBit == 64) {
+        *L1Hits++ = HitWord;
+        HitWord = 0;
+        HitBit = 0;
+      }
+    }
   }
+  if (WithL1Hits && HitBit != 0)
+    *L1Hits = HitWord;
   S.ComputeCycles = Cycles;
   S.StallNs = StallNs;
   addHitCounts(S, Counts);
@@ -93,11 +107,23 @@ void replayLoop(const std::uint64_t *E, const std::uint64_t *End,
 void runtime::replayTrace(const AccessTrace &Tr, CacheHierarchy &Caches,
                           unsigned Core, const ReplayCostModel &Costs,
                           PhaseStats &S, PhaseCapture *Cap,
-                          unsigned LineShift) {
+                          unsigned LineShift,
+                          std::vector<std::uint64_t> *L1Hits) {
   const std::uint64_t *E = Tr.events().data();
   const std::uint64_t *End = E + Tr.events().size();
-  if (Cap)
-    replayLoop<true>(E, End, Caches, Core, Costs, S, Cap, LineShift);
-  else
-    replayLoop<false>(E, End, Caches, Core, Costs, S, nullptr, LineShift);
+  if (L1Hits) {
+    L1Hits->assign((Tr.size() + 63) / 64, 0);
+    if (Cap)
+      replayLoop<true, true>(E, End, Caches, Core, Costs, S, Cap, LineShift,
+                             L1Hits->data());
+    else
+      replayLoop<false, true>(E, End, Caches, Core, Costs, S, nullptr,
+                              LineShift, L1Hits->data());
+  } else if (Cap) {
+    replayLoop<true, false>(E, End, Caches, Core, Costs, S, Cap, LineShift,
+                            nullptr);
+  } else {
+    replayLoop<false, false>(E, End, Caches, Core, Costs, S, nullptr,
+                             LineShift, nullptr);
+  }
 }

@@ -16,9 +16,11 @@
 ///    into two table-indexed adds;
 ///  * hit-level counters accumulate into a dense local array and flush once
 ///    per trace (integer sums are order-independent);
-///  * the oracle-capture branch is hoisted out of the loop (two specialized
-///    instantiations instead of a per-event test), and the capture records
-///    each phase's lines rather than its events (CaptureFilterLines).
+///  * the oracle-capture and L1-outcome branches are hoisted out of the loop
+///    (specialized instantiations instead of per-event tests), and the
+///    capture records each phase's lines rather than its events
+///    (CaptureFilterLines). A run that neither captures nor retains its
+///    traces runs the plain loop.
 ///
 /// The floating-point accumulation order is exactly the scalar reference's —
 /// one add per event, in trace order, of bit-identical addends — so profiles
@@ -73,13 +75,17 @@ inline void addHitCounts(sim::PhaseStats &S,
 /// cache line (byte address >> \p LineShift) lands in Cap->Lines at least
 /// once (repeats are filtered, not removed; TaskRuntime::execute sorts and
 /// dedupes) and every DRAM-missing demand load in Cap->MissLines (oracle
-/// capture; has no effect on any simulated outcome). This is the only place
-/// cache timing is charged: the interpreters record accesses, and every
-/// profile's hit levels, hit cycles and stalls come from here.
+/// capture; has no effect on any simulated outcome). When \p L1Hits is
+/// non-null it is resized to ceil(events / 64) words and bit I % 64 of word
+/// I / 64 is set exactly when event I hit \p Core's L1 (see TaskTraces;
+/// also observational). This is the only place cache timing is charged: the
+/// interpreters record accesses, and every profile's hit levels, hit cycles
+/// and stalls come from here.
 void replayTrace(const sim::AccessTrace &Tr, sim::CacheHierarchy &Caches,
                  unsigned Core, const ReplayCostModel &Costs,
                  sim::PhaseStats &S, PhaseCapture *Cap = nullptr,
-                 unsigned LineShift = 6);
+                 unsigned LineShift = 6,
+                 std::vector<std::uint64_t> *L1Hits = nullptr);
 
 } // namespace runtime
 } // namespace dae

@@ -53,6 +53,8 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
     Capture->LineBytes = Cfg.L1.LineBytes;
     Capture->Tasks.assign(Tasks.size(), TaskCapture());
   }
+  if (Traces)
+    Traces->L1 = Cfg.L1;
 
   // Compile every task function (and transitive callees) up front, so
   // compilation stays outside the functional-pass timer.
@@ -134,14 +136,17 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
         if (Cap)
           Cap->HasAccess = true;
         replayTrace(TT.Access, Caches, Core, Costs, TP.Access,
-                    Cap ? &Cap->Access : nullptr, LineShift);
+                    Cap ? &Cap->Access : nullptr, LineShift,
+                    Traces ? &TT.AccessL1Hits : nullptr);
       }
       TP.Execute = TT.FunctionalExecute;
       replayTrace(TT.Execute, Caches, Core, Costs, TP.Execute,
-                  Cap ? &Cap->Execute : nullptr, LineShift);
+                  Cap ? &Cap->Execute : nullptr, LineShift,
+                  Traces ? &TT.ExecuteL1Hits : nullptr);
 
-      // Retain the traces for a later multi-core timeline, or recycle them.
-      // Retention is observational: the replay above already happened.
+      // Retain the traces and their L1 outcomes for a later multi-core
+      // timeline, or recycle them. Retention is observational: the replay
+      // above already happened.
       if (Traces) {
         Traces->Tasks.push_back(std::move(TT));
       } else {

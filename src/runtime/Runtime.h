@@ -76,22 +76,33 @@ struct RunCapture {
 /// interpreter-charged compute cycles, before any cache hit cycles or memory
 /// stalls — i.e. exactly the frequency-scalable work the timeline spreads
 /// across the phase's trace events.
+///
+/// The replay also records each event's L1 outcome: bit I % 64 of word
+/// I / 64 of a phase's L1Hits is set when its event I hit the core's L1
+/// (ceil(events / 64) words). A core's L1 sees only that core's accesses,
+/// so in a one-core run these are the outcomes the timeline's core would
+/// compute again; it reads them instead (runtime/Timeline.h).
 struct TaskTraces {
   bool HasAccess = false;
   sim::AccessTrace Access, Execute;
   sim::PhaseStats FunctionalAccess, FunctionalExecute;
+  std::vector<std::uint64_t> AccessL1Hits, ExecuteL1Hits;
 };
 
 /// Whole-run trace retention, requested via execute()'s Traces out-param.
 /// Purely observational: the replay consumes each trace exactly as without
 /// retention, it just moves the buffer here instead of recycling it to the
-/// TracePool. Retained traces never go back to the pool: they are freed with
-/// their RunTraces (harness::runMix frees them with its stream slots), so a
-/// co-run holds one live trace set per stream while its timeline runs.
-/// Entries are in replay schedule order, index-aligned with the returned
+/// TracePool, and records the L1 bits beside it. Retained traces never go
+/// back to the pool: they are freed with their RunTraces (harness::runMixes
+/// frees them once every interleave has read them), so a co-run holds one
+/// live trace set per distinct solo run while its timelines run. Entries
+/// are in replay schedule order, index-aligned with the returned
 /// RunProfile::Tasks.
 struct RunTraces {
   std::vector<TaskTraces> Tasks;
+  /// The L1 geometry the L1Hits bits were recorded under (execute() sets
+  /// the run's MachineConfig::L1); the timeline rejects bits from another.
+  sim::CacheConfig L1{0, 0};
 };
 
 /// Executes task sets over the simulated machine.
@@ -107,9 +118,10 @@ public:
   /// the same binaries). Returns the per-task profiles. When \p Capture is
   /// non-null it is filled with one TaskCapture per input task (original
   /// order), recording the cache lines each phase touched and demand-missed.
-  /// When \p Traces is non-null, every task's traces and functional stats
-  /// are retained there (replay order) instead of being recycled — the
-  /// input a multi-core contention timeline interleaves later.
+  /// When \p Traces is non-null, every task's traces, functional stats and
+  /// L1 outcomes are retained there (replay order) instead of being
+  /// recycled — the input a multi-core contention timeline interleaves
+  /// later.
   RunProfile execute(const std::vector<Task> &Tasks, bool RunAccess = true,
                      RunCapture *Capture = nullptr,
                      RunTraces *Traces = nullptr);

@@ -21,10 +21,12 @@ using namespace dae::sim;
 namespace {
 
 /// One phase of one stream, flattened into interleave order: the retained
-/// trace, the pre-replay functional stats (the frequency-scalable work), and
-/// the post-replay *solo* stats the oracle policy prices from.
+/// trace and its solo L1 outcomes, the pre-replay functional stats (the
+/// frequency-scalable work), and the post-replay *solo* stats the oracle
+/// policy prices from.
 struct PhaseRef {
   const AccessTrace *Trace = nullptr;
+  const std::uint64_t *L1Hits = nullptr;
   const PhaseStats *Functional = nullptr;
   const PhaseStats *Solo = nullptr;
   bool IsAccess = false;
@@ -38,11 +40,13 @@ struct CoreState {
   std::vector<PhaseRef> Phases;
   std::size_t PhaseIdx = 0;
   bool InPhase = false;
-  /// Cursor over the in-flight phase's trace. While the core is blocked,
-  /// *Event is the event whose private half has run and whose shared half
-  /// waits for its turn in global clock order.
-  const std::uint64_t *Event = nullptr;
-  const std::uint64_t *End = nullptr;
+  /// The in-flight phase's events and L1 bits, and the cursor over them.
+  /// While the core is blocked, Events[Next] is the event whose private
+  /// half has run and whose shared half waits for its turn in global clock
+  /// order.
+  const std::uint64_t *Events = nullptr;
+  const std::uint64_t *L1Hits = nullptr;
+  std::size_t Next = 0, NumEvents = 0;
 
   double ClockNs = 0.0;
   double FreqGHz = 0.0;      ///< Hardware frequency (last programmed).
@@ -83,9 +87,21 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
     for (unsigned C = 0; C != NumCores; ++C)
       Governors.emplace_back(Cfg, TC.Policy == TimelinePolicy::Conservative);
 
+  // A phase's L1 bits must cover its events exactly (TaskTraces).
+  auto CheckL1Hits = [](const AccessTrace &Tr,
+                        const std::vector<std::uint64_t> &L1Hits) {
+    if (L1Hits.size() != (Tr.size() + 63) / 64)
+      throw std::invalid_argument(
+          "timeline stream's L1 bits do not cover its trace");
+  };
+
   // Flatten every stream into phase order. Solo profiles come from a
   // NumCores=1 replay, so profile order == sequential execution order and is
-  // index-aligned with the retained traces by the engine's contract.
+  // index-aligned with the retained traces by the engine's contract. The
+  // same one-core replay recorded each event's L1 outcome: its L1 saw
+  // exactly the sequence this core replays, and a line-aligned bias maps
+  // lines one to one and only rotates set indices, so every set sees the
+  // same tag sequence and every outcome holds here (DESIGN.md section 12.2).
   std::vector<CoreState> Cores(NumCores);
   for (unsigned C = 0; C != NumCores; ++C) {
     const CoreStream &S = Streams[C];
@@ -93,6 +109,14 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
       throw std::invalid_argument("timeline stream missing solo artifacts");
     if (S.Solo->Tasks.size() != S.Traces->Tasks.size())
       throw std::invalid_argument("solo profile / retained traces mismatch");
+    if (S.Solo->NumCores != 1)
+      throw std::invalid_argument("timeline stream is not a one-core run");
+    if (S.AddrBias % Cfg.L1.LineBytes != 0)
+      throw std::invalid_argument(
+          "timeline stream's address bias is not line-aligned");
+    if (!S.Traces->Tasks.empty() && S.Traces->L1 != Cfg.L1)
+      throw std::invalid_argument(
+          "timeline stream's L1 bits come from another L1 geometry");
     CoreState &CS = Cores[C];
     CS.FreqGHz = Cfg.fmax();
     CS.Phases.reserve(S.Traces->Tasks.size() * 2);
@@ -100,15 +124,19 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
       const TaskTraces &TT = S.Traces->Tasks[T];
       const TaskProfile &TP = S.Solo->Tasks[T];
       if (TT.HasAccess) {
+        CheckL1Hits(TT.Access, TT.AccessL1Hits);
         PhaseRef P;
         P.Trace = &TT.Access;
+        P.L1Hits = TT.AccessL1Hits.data();
         P.Functional = &TT.FunctionalAccess;
         P.Solo = &TP.Access;
         P.IsAccess = true;
         CS.Phases.push_back(P);
       }
+      CheckL1Hits(TT.Execute, TT.ExecuteL1Hits);
       PhaseRef P;
       P.Trace = &TT.Execute;
+      P.L1Hits = TT.ExecuteL1Hits.data();
       P.Functional = &TT.FunctionalExecute;
       P.Solo = &TP.Execute;
       P.OverheadCycles = S.Solo->PerTaskOverheadCycles;
@@ -166,8 +194,10 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
       CS.Dt[I] = (PerEventCycles + Costs.CycleAdd[I]) / F + Costs.StallAdd[I];
       CS.Counts[I] = 0;
     }
-    CS.Event = P.Trace->events().data();
-    CS.End = CS.Event + N;
+    CS.Events = P.Trace->events().data();
+    CS.L1Hits = P.L1Hits;
+    CS.Next = 0;
+    CS.NumEvents = N;
     CS.InPhase = true;
   };
 
@@ -212,10 +242,12 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
 
   // Runs core C ahead through everything that touches only its own state:
   // phase starts and finishes, and every event its own L1 or L2 satisfies.
-  // Stops when an event misses the L2 (the core is then blocked, that
-  // event's private half done) or when the stream ends. Per event it does
-  // what the solo replay loop (runtime/Replay.cpp) does, plus the clock: one
-  // add each to ComputeCycles, StallNs and the clock, in trace order.
+  // The L1 outcome is the solo replay's recorded bit; only an L1 miss looks
+  // up the core's L2. Stops when an event misses the L2 (the core is then
+  // blocked, that event's private half done) or when the stream ends. Per
+  // event it does what the solo replay loop (runtime/Replay.cpp) does, plus
+  // the clock: one add each to ComputeCycles, StallNs and the clock, in
+  // trace order.
   auto RunAhead = [&](unsigned C) {
     CoreState &CS = Cores[C];
     const std::uint64_t Bias = Streams[C].AddrBias;
@@ -228,12 +260,16 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
       double Clock = CS.ClockNs;
       double Cycles = CS.Acc.ComputeCycles;
       double StallNs = CS.Acc.StallNs;
-      const std::uint64_t *E = CS.Event, *End = CS.End;
-      for (; E != End; ++E) {
-        const std::uint64_t Event = *E;
+      const std::uint64_t *Events = CS.Events, *L1Hits = CS.L1Hits;
+      const std::size_t N = CS.NumEvents;
+      std::size_t I = CS.Next;
+      for (; I != N; ++I) {
+        const std::uint64_t Event = Events[I];
         const unsigned Kind = static_cast<unsigned>(Event >> 62);
         HitLevel Level =
-            Caches.accessPrivate(C, (Event & AccessTrace::AddrMask) + Bias);
+            (L1Hits[I / 64] >> (I % 64) & 1)
+                ? HitLevel::L1
+                : Caches.accessL2(C, (Event & AccessTrace::AddrMask) + Bias);
         if (Level == HitLevel::LLC)
           break;
         unsigned Idx = Kind * 4 + static_cast<unsigned>(Level);
@@ -246,8 +282,8 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
       CS.ClockNs = Clock;
       CS.Acc.ComputeCycles = Cycles;
       CS.Acc.StallNs = StallNs;
-      CS.Event = E;
-      if (E != End)
+      CS.Next = I;
+      if (I != N)
         return;
       FinishPhase(C);
     }
@@ -260,7 +296,7 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
   // bandwidth without adding to this core's stall.
   auto Commit = [&](unsigned C) {
     CoreState &CS = Cores[C];
-    const std::uint64_t Event = *CS.Event;
+    const std::uint64_t Event = CS.Events[CS.Next];
     const unsigned Kind = static_cast<unsigned>(Event >> 62);
     HitLevel Level = Caches.accessShared(
         C, (Event & AccessTrace::AddrMask) + Streams[C].AddrBias);
@@ -278,7 +314,7 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
         Dram.requestLine(CS.ClockNs);
     }
     CS.ClockNs += Dt;
-    ++CS.Event;
+    ++CS.Next;
   };
 
   // The interleave proper. Only the shared halves of accesses (the LLC and

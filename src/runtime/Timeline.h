@@ -15,30 +15,33 @@
 ///
 /// Inputs are solo-run artifacts: each stream's RunProfile (NumCores=1
 /// replay, post-replay per-phase stats — what an offline profiler would
-/// know) and its RunTraces (the retained access traces plus pre-replay
-/// functional stats — the frequency-scalable work). The interleaver
-/// re-prices every phase under contention: per event, the phase's compute is
-/// spread uniformly across its trace, cache costs come from the shared
-/// hierarchy's actual hit level, and DRAM misses additionally queue on the
-/// channel. Frequencies are chosen per phase by the configured policy —
-/// fixed fmax, the DAE min/max split, the per-phase EDP oracle (priced from
-/// solo stats, the paper's compiler-guided choice), or a reactive
-/// ondemand/conservative governor baseline.
+/// know) and its RunTraces (the retained access traces, each event's L1
+/// outcome, and pre-replay functional stats — the frequency-scalable work).
+/// The interleaver re-prices every phase under contention: per event, the
+/// phase's compute is spread uniformly across its trace, cache costs come
+/// from the shared hierarchy's actual hit level, and DRAM misses
+/// additionally queue on the channel. Frequencies are chosen per phase by
+/// the configured policy — fixed fmax, the DAE min/max split, the per-phase
+/// EDP oracle (priced from solo stats, the paper's compiler-guided choice),
+/// or a reactive ondemand/conservative governor baseline.
 ///
 /// The interleave is single-threaded and fully deterministic. Its result is
 /// that of stepping, one event at a time, the unfinished core with the
 /// smallest clock (ties toward the lowest core index). It gets there by
 /// private run-ahead: an access splits into a private half (the core's own
 /// L1/L2) and a shared half (LLC, next-line fill, DRAM channel; see
-/// sim::CacheHierarchy). Each core streams its events through the private
-/// half until one misses its L2, and the blocked core with the smallest
-/// (clock, index) commits that event's shared half and runs on. Private
-/// halves commute with other cores' events and clocks never decrease, so
-/// shared events commit in exactly the per-event order (DESIGN.md section
-/// 12.2). Co-run reports are bit-identical for any --jobs value — solo
-/// artifacts are already bit-identical by the engine's determinism
-/// guarantee, and nothing here depends on host order (asserted by
-/// MultiCoreDeterminismTest, which also pins the reports to goldens).
+/// sim::CacheHierarchy). A core's L1 sees only its own stream, the same
+/// event sequence as its solo run, so the L1 half is not simulated again:
+/// each event's L1 outcome is the bit the solo replay recorded, and only an
+/// L1 miss looks up the core's L2. Each core streams its events through the
+/// private half until one misses its L2, and the blocked core with the
+/// smallest (clock, index) commits that event's shared half and runs on.
+/// Private halves commute with other cores' events and clocks never
+/// decrease, so shared events commit in exactly the per-event order
+/// (DESIGN.md section 12.2). Co-run reports are bit-identical for any --jobs
+/// value — solo artifacts are already bit-identical by the engine's
+/// determinism guarantee, and nothing here depends on host order (asserted
+/// by MultiCoreDeterminismTest, which also pins the reports to goldens).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -189,16 +192,20 @@ private:
 
 /// One co-runner: the solo-run artifacts of the workload pinned to one core.
 /// Solo and Traces must come from the same NumCores=1 run (index-aligned by
-/// construction — see TaskRuntime::execute's Traces out-param).
+/// construction — see TaskRuntime::execute's Traces out-param), on a machine
+/// with the timeline's L1 geometry: the timeline reads every event's L1
+/// outcome from that run. Streams point at their artifacts, so several
+/// streams (of one mix or of several) may share one solo run.
 struct CoreStream {
   const RunProfile *Solo = nullptr;
   const RunTraces *Traces = nullptr;
   /// Added to every trace address before it touches the shared hierarchy.
   /// Co-runners are separate programs with separate address spaces; without
   /// a per-stream bias their loader images alias line-for-line in the shared
-  /// LLC and the model would hallucinate cross-program "sharing". The
-  /// harness uses (core << 40), far above any footprint and well below the
-  /// trace encoding's 62-bit address space.
+  /// LLC and the model would hallucinate cross-program "sharing". Must be a
+  /// multiple of the L1 line size, so that the biased stream's L1 outcomes
+  /// are the solo run's. The harness uses (core << 40), far above any
+  /// footprint and well below the trace encoding's 62-bit address space.
   std::uint64_t AddrBias = 0;
 };
 
@@ -230,8 +237,9 @@ struct TimelineReport {
 
 /// Interleaves \p Streams (stream i pinned to core i) on machine \p Cfg
 /// under \p TC. Throws std::invalid_argument unless the stream count is in
-/// [1, Cfg.NumCores] and every stream has a profile and traces with the
-/// same number of tasks.
+/// [1, Cfg.NumCores] and every stream has a one-core profile and traces with
+/// the same number of tasks, a line-aligned AddrBias, and L1 bits covering
+/// every trace, recorded under Cfg.L1.
 TimelineReport interleaveTimeline(const std::vector<CoreStream> &Streams,
                                   const sim::MachineConfig &Cfg,
                                   const TimelineConfig &TC);

@@ -175,16 +175,19 @@ private:
 
 /// Per-core L1/L2 over a shared LLC.
 ///
-/// An access splits into a private half (accessPrivate: the core's own L1
-/// and L2) and, when that misses, a shared half (accessShared: the LLC and
-/// the next-line prefetch); access() is their composition. The private half
-/// reads and writes only the requesting core's caches, and the shared half
-/// writes no other core's L1 or L2 (the prefetched line goes to the
-/// requester's own L2). So one core's private halves commute with every
-/// other core's accesses, which is what lets the multi-core timeline
-/// (runtime/Timeline.h) run each core ahead through its private hits and
-/// order only the shared halves globally. Coherence or an inclusive LLC
-/// with back-invalidation would break that property (SimTest checks it).
+/// An access splits into a private half (accessPrivate: the core's own L1,
+/// then accessL2) and, when that misses, a shared half (accessShared: the
+/// LLC and the next-line prefetch); access() is their composition. The
+/// private half reads and writes only the requesting core's caches, and the
+/// shared half writes no L1 at all and no other core's L2 (the prefetched
+/// line goes to the requester's own L2). So one core's private halves
+/// commute with every other core's accesses, which is what lets the
+/// multi-core timeline (runtime/Timeline.h) run each core ahead through its
+/// private hits and order only the shared halves globally; and a core's L1
+/// sees exactly its own access sequence, so the timeline takes each event's
+/// L1 outcome from the solo replay and calls accessL2 on a miss. Coherence
+/// or an inclusive LLC with back-invalidation would break both properties
+/// (SimTest checks them).
 class CacheHierarchy {
 public:
   CacheHierarchy(const MachineConfig &Cfg, unsigned NumCores);
@@ -204,11 +207,15 @@ public:
   /// accessShared() completes it.
   HitLevel accessPrivate(unsigned Core, std::uint64_t Addr) {
     assert(Core < L1s.size() && "core index out of range");
-    if (L1s[Core].access(Addr))
-      return HitLevel::L1;
-    if (L2s[Core].access(Addr))
-      return HitLevel::L2;
-    return HitLevel::LLC;
+    return L1s[Core].access(Addr) ? HitLevel::L1 : accessL2(Core, Addr);
+  }
+
+  /// The private half of an access that missed \p Core's L1: looks \p Addr
+  /// up in the core's L2, installing it on a miss. Returns L2 on a hit and
+  /// HitLevel::LLC otherwise, as accessPrivate does.
+  HitLevel accessL2(unsigned Core, std::uint64_t Addr) {
+    assert(Core < L2s.size() && "core index out of range");
+    return L2s[Core].access(Addr) ? HitLevel::L2 : HitLevel::LLC;
   }
 
   /// The shared half of access(), for an access whose private half missed:

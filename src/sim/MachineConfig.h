@@ -126,6 +126,8 @@ struct CacheConfig {
   std::uint64_t SizeBytes;
   unsigned Assoc;
   unsigned LineBytes = 64;
+
+  bool operator==(const CacheConfig &) const = default;
 };
 
 /// The simulated machine.

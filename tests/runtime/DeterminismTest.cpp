@@ -6,7 +6,8 @@
 //
 // The engine's core guarantees: RunProfiles do not depend on the order in
 // which same-wave tasks run (the schedule order, which changes with
-// NumCores), on whether the oracle capture is on, or on the --jobs value of
+// NumCores), on whether the oracle capture is on or traces are retained
+// (whose L1 bits are a fresh L1's walk), or on the --jobs value of
 // the suite engine; and a DAE scheme run with its access phases suppressed
 // is the CAE run, so the oracle's verdicts taken from the scheme runs equal
 // the two-run checker's. Every comparison here is exact (EXPECT_EQ on
@@ -21,6 +22,7 @@
 #include "ir/Function.h"
 #include "pm/AnalysisManager.h"
 #include "runtime/Runtime.h"
+#include "sim/CacheSim.h"
 #include "verify/DifferentialChecker.h"
 #include "workloads/Workload.h"
 
@@ -251,6 +253,55 @@ TEST_P(CaptureDeterminismTest, CaptureIsObservational) {
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, CaptureDeterminismTest,
                          ::testing::Values("lu", "cholesky", "fft", "lbm",
                                            "libq", "cigar", "cg"));
+
+/// The L1 bits a one-core run retains, the co-run timeline's input, are a
+/// fresh L1's walk over the run's phases in replay order (each task's access
+/// trace, then its execute trace), with the capture on and off; and
+/// retaining them changes no profile.
+TEST(RetainedL1HitsTest, OneCoreRunBitsAreAFreshL1Walk) {
+  auto W = workloads::buildByName("cholesky", workloads::Scale::Test);
+  Loader L(*W->M);
+  std::vector<Task> Tasks = taskSet(*W, /*Manual=*/true);
+  MachineConfig Cfg;
+  Cfg.NumCores = 1;
+  auto Run = [&](RunCapture *Cap, RunTraces *Traces) {
+    Memory Mem;
+    W->Init(Mem, L);
+    TaskRuntime RT(Cfg, Mem, L);
+    return RT.execute(Tasks, /*RunAccess=*/true, Cap, Traces);
+  };
+  const RunProfile Plain = Run(nullptr, nullptr);
+
+  for (bool WithCapture : {false, true}) {
+    SCOPED_TRACE(WithCapture ? "captured" : "not captured");
+    RunCapture Cap;
+    RunTraces Traces;
+    expectProfilesEqual(Run(WithCapture ? &Cap : nullptr, &Traces), Plain);
+    EXPECT_TRUE(Traces.L1 == Cfg.L1);
+    ASSERT_EQ(Traces.Tasks.size(), Tasks.size());
+
+    Cache L1(Cfg.L1);
+    auto Walk = [&L1](const AccessTrace &Tr) {
+      std::vector<std::uint64_t> Words((Tr.size() + 63) / 64, 0);
+      for (std::size_t I = 0; I != Tr.size(); ++I)
+        if (L1.access(AccessTrace::addrOf(Tr.events()[I])))
+          Words[I / 64] |= 1ull << (I % 64);
+      return Words;
+    };
+    size_t WithAccess = 0;
+    for (size_t T = 0; T != Traces.Tasks.size(); ++T) {
+      const TaskTraces &TT = Traces.Tasks[T];
+      WithAccess += TT.HasAccess;
+      if (TT.HasAccess) {
+        EXPECT_EQ(TT.AccessL1Hits, Walk(TT.Access)) << "access, task " << T;
+      }
+      EXPECT_EQ(TT.ExecuteL1Hits, Walk(TT.Execute)) << "execute, task " << T;
+    }
+    EXPECT_GT(WithAccess, 0u);
+    EXPECT_GT(L1.hits(), 0u);
+    EXPECT_GT(L1.misses(), 0u);
+  }
+}
 
 /// Runs all seven apps at test scale through runSuite.
 std::vector<harness::AppResult> runSuiteAt(unsigned Jobs, bool UseMemo,

@@ -10,9 +10,11 @@
 // with a fixed tie-break, so nothing about the host may leak into the
 // result. All comparisons are exact — EXPECT_EQ on doubles included.
 //
-// Also pins the timeline's outputs to golden hashes (TimelineGolden), covers
-// the contention physics the sweep bench relies on (DRAM queuing appears
-// under co-run, not solo) and the reactive-governor frequency dynamics.
+// Also pins the timeline's outputs to golden hashes (TimelineGolden), checks
+// that a sweep sharing solo runs across widths equals one runMix per width,
+// and covers the contention physics the sweep bench relies on (DRAM queuing
+// appears under co-run, not solo) and the reactive-governor frequency
+// dynamics.
 //
 //===----------------------------------------------------------------------===//
 
@@ -225,6 +227,88 @@ TEST(MultiCoreDeterminism, InterleaveRejectsBadStreams) {
                std::invalid_argument);
   // Well-formed empty streams are accepted.
   EXPECT_EQ(interleaveTimeline({Ok, Ok}, Cfg, TC).Cores.size(), 2u);
+
+  // Every event's L1 outcome is read from a one-core solo run, so inputs
+  // under which those outcomes would not hold are rejected: a multi-core
+  // profile, a bias that is not line-aligned, L1 bits that do not cover
+  // their trace, and bits recorded under another L1 geometry.
+  RunProfile TwoCores;
+  TwoCores.NumCores = 2;
+  EXPECT_THROW(interleaveTimeline({{&TwoCores, &Traces, 0}}, Cfg, TC),
+               std::invalid_argument);
+  EXPECT_THROW(
+      interleaveTimeline({{&Solo, &Traces, Cfg.L1.LineBytes / 2}}, Cfg, TC),
+      std::invalid_argument);
+  RunTraces OneTrace;
+  OneTrace.L1 = Cfg.L1;
+  OneTrace.Tasks.resize(1);
+  for (std::uint64_t I = 0; I != 65; ++I)
+    OneTrace.Tasks[0].Execute.push(AccessTrace::Kind::Load, 0x10000 + I * 8);
+  OneTrace.Tasks[0].ExecuteL1Hits.assign(2, 0);
+  const CoreStream Good{&OneTask, &OneTrace, Cfg.L1.LineBytes};
+  EXPECT_EQ(interleaveTimeline({Good}, Cfg, TC).Cores.size(), 1u);
+  auto Rejects = [&](void (*Break)(RunTraces &)) {
+    RunTraces Bad = OneTrace;
+    Break(Bad);
+    return interleaveTimeline({{&OneTask, &Bad, 0}}, Cfg, TC);
+  };
+  EXPECT_THROW(Rejects([](RunTraces &T) { T.Tasks[0].ExecuteL1Hits.clear(); }),
+               std::invalid_argument);
+  EXPECT_THROW(
+      Rejects([](RunTraces &T) { T.Tasks[0].ExecuteL1Hits.resize(1); }),
+      std::invalid_argument);
+  EXPECT_THROW(
+      Rejects([](RunTraces &T) { T.Tasks[0].ExecuteL1Hits.resize(3); }),
+      std::invalid_argument);
+  EXPECT_THROW(Rejects([](RunTraces &T) {
+                 T.Tasks[0].HasAccess = true;
+                 T.Tasks[0].Access.push(AccessTrace::Kind::Prefetch, 0x10000);
+               }),
+               std::invalid_argument);
+  EXPECT_THROW(Rejects([](RunTraces &T) { T.L1.Assoc *= 2; }),
+               std::invalid_argument);
+}
+
+/// runMixes simulates each distinct workload's solo runs once and points
+/// every stream of every mix into them. Each width's result must equal a
+/// runMix on freshly built workloads. Widths 1, 2, 4 and 8 cycle 4 apps, so
+/// the 8-way mix runs each app on two cores.
+TEST(MultiCoreDeterminism, SweepEqualsOneMixPerWidth) {
+  MachineConfig Cfg;
+  Cfg.NumCores = 8;
+  const std::vector<std::string> Apps = {"libq", "cigar", "cholesky", "fft"};
+  const unsigned Widths[] = {1, 2, 4, 8};
+  std::vector<MixResult> Ref;
+  for (unsigned Ways : Widths) {
+    std::vector<std::string> Names;
+    for (unsigned I = 0; I != Ways; ++I)
+      Names.push_back(Apps[I % Apps.size()]);
+    Ref.push_back(runNamedMix(Names, Cfg, 1));
+  }
+
+  for (unsigned Jobs : {1u, 4u}) {
+    std::map<std::string, std::unique_ptr<workloads::Workload>> Owned;
+    std::vector<std::vector<workloads::Workload *>> Mixes;
+    for (unsigned Ways : Widths) {
+      Mixes.emplace_back();
+      for (unsigned I = 0; I != Ways; ++I) {
+        const std::string &Name = Apps[I % Apps.size()];
+        std::unique_ptr<workloads::Workload> &W = Owned[Name];
+        if (!W)
+          W = workloads::buildByName(Name, workloads::Scale::Test);
+        Mixes.back().push_back(W.get());
+      }
+    }
+    MixConfig MC;
+    MC.Jobs = Jobs;
+    std::vector<MixResult> Sweep = runMixes(Mixes, Cfg, MC);
+    ASSERT_EQ(Sweep.size(), Ref.size());
+    for (size_t W = 0; W != Ref.size(); ++W) {
+      SCOPED_TRACE("jobs=" + std::to_string(Jobs) + ", " +
+                   std::to_string(Widths[W]) + "-way");
+      expectMixesEqual(Ref[W], Sweep[W]);
+    }
+  }
 }
 
 // --- Timeline goldens -------------------------------------------------------

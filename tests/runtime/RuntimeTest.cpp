@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 using namespace dae;
 using namespace dae::ir;
@@ -424,6 +425,85 @@ TEST(ReplayCaptureTest, RecordsEveryLineAndEveryLoadMiss) {
   EXPECT_EQ(S.StallNs, P.StallNs);
   EXPECT_EQ(S.L1Hits, P.L1Hits);
   EXPECT_EQ(S.MemAccesses, P.MemAccesses);
+}
+
+void expectStatsIdentical(const PhaseStats &A, const PhaseStats &B,
+                          const std::string &Where) {
+  EXPECT_EQ(A.Instructions, B.Instructions) << Where;
+  EXPECT_EQ(A.ComputeCycles, B.ComputeCycles) << Where;
+  EXPECT_EQ(A.StallNs, B.StallNs) << Where;
+  EXPECT_EQ(A.Loads, B.Loads) << Where;
+  EXPECT_EQ(A.Stores, B.Stores) << Where;
+  EXPECT_EQ(A.Prefetches, B.Prefetches) << Where;
+  EXPECT_EQ(A.L1Hits, B.L1Hits) << Where;
+  EXPECT_EQ(A.L2Hits, B.L2Hits) << Where;
+  EXPECT_EQ(A.LLCHits, B.LLCHits) << Where;
+  EXPECT_EQ(A.MemAccesses, B.MemAccesses) << Where;
+}
+
+/// The L1 bits a retaining replay records: one per event, set exactly when
+/// a fresh L1 walking the phases in order hits, with and without the
+/// capture; and recording them leaves every statistic unchanged. The phases
+/// share one hierarchy as one core's tasks do. The second revisits the
+/// first's lines and cycles more lines than the L1 has ways through one
+/// set, so the bits see hits, cold misses and conflict misses. The others
+/// fill exactly two 64-event words, or hold one event or none.
+TEST(ReplayL1HitsTest, BitsAreAFreshL1Walk) {
+  MachineConfig Cfg;
+  const unsigned LineShift = lineShiftOf(Cfg.L1.LineBytes);
+  const std::uint64_t SetStride =
+      Cfg.L1.SizeBytes / Cfg.L1.Assoc; // Same L1 set, next tag.
+  std::vector<AccessTrace> Phases(5);
+  for (std::uint64_t I = 0; I != 300; ++I)
+    Phases[0].push(AccessTrace::Kind::Load, 0x10000 + I * 24);
+  for (int Round = 0; Round != 2; ++Round)
+    for (std::uint64_t K = 0; K != Cfg.L1.Assoc + 3; ++K) {
+      Phases[1].push(AccessTrace::Kind::Store, 0x10000 + K * SetStride);
+      Phases[1].push(AccessTrace::Kind::Prefetch, 0x10040 + K * 200);
+      Phases[1].push(AccessTrace::Kind::Load, 0x10000 + K * 96);
+    }
+  for (std::uint64_t I = 0; I != 128; ++I)
+    Phases[2].push(AccessTrace::Kind::Load, 0x40000 + (I % 40) * 72);
+  Phases[3].push(AccessTrace::Kind::Store, 0x10008);
+
+  // Reference: one fresh L1 over every phase's events, in order.
+  Cache L1(Cfg.L1);
+  std::vector<std::vector<std::uint64_t>> Expected;
+  std::set<std::uint64_t> Lines;
+  for (const AccessTrace &Tr : Phases) {
+    std::vector<std::uint64_t> Words((Tr.size() + 63) / 64, 0);
+    for (std::size_t I = 0; I != Tr.size(); ++I) {
+      std::uint64_t Addr = AccessTrace::addrOf(Tr.events()[I]);
+      Lines.insert(Addr >> LineShift);
+      if (L1.access(Addr))
+        Words[I / 64] |= 1ull << (I % 64);
+    }
+    Expected.push_back(std::move(Words));
+  }
+  ASSERT_GT(L1.hits(), 0u);
+  ASSERT_GT(L1.misses(), Lines.size()) << "some line must miss twice";
+
+  const ReplayCostModel Costs(Cfg);
+  CacheHierarchy Plain(Cfg, 1);
+  std::vector<PhaseStats> PlainStats(Phases.size());
+  for (size_t P = 0; P != Phases.size(); ++P)
+    replayTrace(Phases[P], Plain, 0, Costs, PlainStats[P], nullptr,
+                LineShift);
+
+  for (bool WithCapture : {false, true}) {
+    CacheHierarchy Caches(Cfg, 1);
+    for (size_t P = 0; P != Phases.size(); ++P) {
+      std::string Where = std::string(WithCapture ? "captured" : "plain") +
+                          " phase " + std::to_string(P);
+      PhaseStats S;
+      PhaseCapture Cap;
+      std::vector<std::uint64_t> Bits = {~0ull, ~0ull}; // Stale contents.
+      replayTrace(Phases[P], Caches, 0, Costs, S,
+                  WithCapture ? &Cap : nullptr, LineShift, &Bits);
+      EXPECT_EQ(Bits, Expected[P]) << Where;
+      expectStatsIdentical(S, PlainStats[P], Where);
+    }
+  }
 }
 
 } // namespace
