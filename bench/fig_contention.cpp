@@ -24,7 +24,7 @@
 ///
 /// Flags beyond the common set: --cores=N (default 8), --mix=a,b,c
 /// (workload names cycled to fill each width; default
-/// libq,cigar,cholesky,fft) and --dae-verify (each stream's oracle verdict).
+/// libq,cigar,cholesky,fft) and --dae-verify (each app's oracle verdict).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -130,12 +130,14 @@ int main(int Argc, char **Argv) {
                     St.Name.c_str());
         Throughput.noteFailure();
       }
+      // Each app's solo runs, and so its verdict, are shared by all its
+      // streams: count and report them once.
       if (Counted.insert(St.Name).second) {
         Throughput.add(St.CaeProfile);
         Throughput.add(St.DaeProfile);
+        if (MC.DaeVerify)
+          Throughput.addDaeVerify(St.Name, "auto", St.Verify);
       }
-      if (MC.DaeVerify)
-        Throughput.addDaeVerify(St.Name, "auto", St.Verify);
     }
 
     double Base = R.CaeMax.EdpJs;

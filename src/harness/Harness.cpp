@@ -39,21 +39,6 @@ using dae::workloads::Workload;
 
 namespace {
 
-/// Snapshot of the workload's output arrays.
-std::vector<std::uint8_t> snapshotOutputs(const Workload &W, Memory &Mem,
-                                          const Loader &L) {
-  std::vector<std::uint8_t> Bytes;
-  for (size_t G = 0; G != W.OutputGlobals.size(); ++G) {
-    std::uint64_t Base = L.baseOf(W.OutputGlobals[G]);
-    for (std::uint64_t Off = 0; Off != W.OutputSizes[G]; Off += 8) {
-      std::int64_t V = Mem.loadI64(Base + Off);
-      for (int B = 0; B != 8; ++B)
-        Bytes.push_back(static_cast<std::uint8_t>(V >> (8 * B)));
-    }
-  }
-  return Bytes;
-}
-
 /// Runs one scheme (fresh memory + init) and snapshots the outputs. With
 /// \p Capture the run also records the oracle capture and hashes the final
 /// memory image. When \p Traces is non-null the run's traces are retained
@@ -69,7 +54,8 @@ verify::CapturedRun runScheme(const Workload &W, const std::vector<Task> &Tasks,
                            Capture ? &Run.Capture : nullptr, Traces);
   if (Capture)
     Run.ImageHash = Mem.imageHash();
-  Run.Outputs = snapshotOutputs(W, Mem, L);
+  Run.Outputs =
+      verify::snapshotOutputs(W.OutputGlobals, W.OutputSizes, Mem, L);
   return Run;
 }
 

@@ -58,13 +58,12 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
 
   // Compile every task function (and transitive callees) up front, so
   // compilation stays outside the functional-pass timer.
-  CompiledProgram Program(Cfg, Loader);
+  Interpreter Interp(Cfg, Mem, Loader);
   for (const Task &T : Tasks) {
-    Program.add(*T.Execute);
-    if (T.Access)
-      Program.add(*T.Access);
+    Interp.program().lookup(*T.Execute);
+    if (RunAccess && T.Access)
+      Interp.program().lookup(*T.Access);
   }
-  Interpreter Interp(Cfg, Mem, Loader, &Program);
 
   RunProfile Profile;
   Profile.NumCores = NumCores;

@@ -172,15 +172,21 @@ private:
       FreqGHz = Cfg.rungAtOrAbove(Util * Cfg.fmax() / UpThreshold);
       return;
     }
-    // conservative: one rung per window, either direction.
-    const std::vector<double> &L = Cfg.FrequenciesGHz;
-    std::size_t I = 0;
-    while (I + 1 < L.size() && L[I] < FreqGHz)
-      ++I;
-    if (Util > UpThreshold && I + 1 < L.size())
-      FreqGHz = L[I + 1];
-    else if (Util < DownThreshold && I > 0)
-      FreqGHz = L[I - 1];
+    // conservative: one rung per window, either direction. Rungs are
+    // neighbours by value, whatever order the ladder is listed in.
+    if (Util > UpThreshold) {
+      double Up = Cfg.fmax();
+      for (double F : Cfg.FrequenciesGHz)
+        if (F > FreqGHz && F < Up)
+          Up = F;
+      FreqGHz = Up;
+    } else if (Util < DownThreshold) {
+      double Down = Cfg.fmin();
+      for (double F : Cfg.FrequenciesGHz)
+        if (F < FreqGHz && F > Down)
+          Down = F;
+      FreqGHz = Down;
+    }
   }
 
   const sim::MachineConfig &Cfg;

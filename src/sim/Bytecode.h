@@ -34,9 +34,9 @@
 /// program order, and every handler reproduces the reference's exact
 /// RuntimeValue write pattern (.I-only / .D-only / full-struct).
 ///
-/// Lowering happens once, single-threaded (CompiledProgram::add or a
-/// ThreadedInterpreter's lazy cache); BytecodeFunction is immutable
-/// afterwards and safe to share read-only across threads.
+/// Each function is lowered once per run, on its first lookup in the run's
+/// sim::Program, which owns the result; BytecodeFunction is immutable
+/// afterwards.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -199,45 +199,41 @@ private:
 } // namespace dae
 
 //===----------------------------------------------------------------------===//
-// CompiledProgram
+// Program
 //===----------------------------------------------------------------------===//
 
-CompiledProgram::CompiledProgram(const MachineConfig &Cfg, const Loader &L)
+Program::Program(const MachineConfig &Cfg, const Loader &L)
     : Cfg(Cfg), Load(L) {}
 
-CompiledProgram::~CompiledProgram() = default;
+Program::~Program() = default;
 
-void CompiledProgram::add(const Function &F) {
-  if (Fns.count(&F))
-    return;
-  Fns.emplace(&F, std::make_unique<CompiledFunction>(F, Load, Cfg));
-  if (Cfg.Backend != SimBackend::Switch) {
-    auto It = BCs.emplace(&F, bc::lower(F, Load, Cfg)).first;
+const Program::Forms &Program::lookup(const Function &F) {
+  Forms &Fm = Fns[&F];
+  if (Cfg.Backend == SimBackend::Switch) {
+    if (Fm.Switch)
+      return Fm;
+    Fm.Switch = std::make_unique<CompiledFunction>(F, Load, Cfg);
+  } else {
+    if (Fm.Bytecode)
+      return Fm;
+    Fm.Bytecode = bc::lower(F, Load, Cfg);
     if (Cfg.Backend == SimBackend::Native)
-      NCs.emplace(&F, native::compile(*It->second));
+      Fm.Native = native::compile(*Fm.Bytecode);
   }
-  // Pull in everything reachable through calls so execution never compiles.
+  // Callees too, so a run that looked up its entry functions beforehand
+  // compiles nothing.
   for (const auto &BB : F)
     for (const auto &I : *BB)
       if (const auto *Call = dyn_cast<CallInst>(I.get()))
-        add(*Call->getCallee());
+        lookup(*Call->getCallee());
+  return Fm;
 }
 
-const CompiledFunction *CompiledProgram::lookup(const Function &F) const {
-  auto It = Fns.find(&F);
-  return It == Fns.end() ? nullptr : It->second.get();
-}
-
-const bc::BytecodeFunction *
-CompiledProgram::lookupBytecode(const Function &F) const {
-  auto It = BCs.find(&F);
-  return It == BCs.end() ? nullptr : It->second.get();
-}
-
-const native::NativeCode *
-CompiledProgram::lookupNative(const Function &F) const {
-  auto It = NCs.find(&F);
-  return It == NCs.end() ? nullptr : It->second.get();
+const CompiledFunction &Program::switchForm(const Function &F) {
+  Forms &Fm = Fns[&F];
+  if (!Fm.Switch)
+    Fm.Switch = std::make_unique<CompiledFunction>(F, Load, Cfg);
+  return *Fm.Switch;
 }
 
 //===----------------------------------------------------------------------===//
@@ -245,27 +241,15 @@ CompiledProgram::lookupNative(const Function &F) const {
 //===----------------------------------------------------------------------===//
 
 Interpreter::Interpreter(const MachineConfig &Cfg, Memory &Mem,
-                         const Loader &L, const CompiledProgram *Shared)
-    : Cfg(Cfg), View(Mem, L), Load(L), Shared(Shared) {
+                         const Loader &L)
+    : View(Mem, L), Prog(Cfg, L) {
   if (Cfg.Backend == SimBackend::Threaded)
-    Threaded = std::make_unique<ThreadedInterpreter>(Cfg, Mem, L, Shared);
+    Threaded = std::make_unique<ThreadedInterpreter>(Prog, Mem);
   else if (Cfg.Backend == SimBackend::Native)
-    Native = std::make_unique<NativeInterpreter>(Cfg, Mem, L, Shared);
+    Native = std::make_unique<NativeInterpreter>(Prog, Mem);
 }
 
 Interpreter::~Interpreter() = default;
-
-const CompiledFunction &Interpreter::getCompiled(const Function &F) {
-  if (Shared)
-    if (const CompiledFunction *CF = Shared->lookup(F))
-      return *CF;
-  auto It = Cache.find(&F);
-  if (It == Cache.end())
-    It = Cache.emplace(&F,
-                       std::make_unique<CompiledFunction>(F, Load, Cfg))
-             .first;
-  return *It->second;
-}
 
 PhaseStats
 Interpreter::interpret(const CompiledFunction &CF,
@@ -500,8 +484,8 @@ Interpreter::interpret(const CompiledFunction &CF,
         for (const OperandRef &Op : CI.Ops)
           CallArgs.push_back(Get(Op));
         RuntimeValue Ret;
-        PhaseStats Sub = interpret(getCompiled(*CI.Callee), CallArgs, &Ret,
-                                   Trace, LoadSites);
+        PhaseStats Sub = interpret(Prog.switchForm(*CI.Callee), CallArgs,
+                                   &Ret, Trace, LoadSites);
         S += Sub;
         if (CI.DstSlot >= 0)
           Env[static_cast<unsigned>(CI.DstSlot)] = Ret;
@@ -532,5 +516,5 @@ Interpreter::runTraced(const Function &F, const std::vector<RuntimeValue> &Args,
       return Native->runTraced(F, Args, Trace, RetOut);
   }
   assert(Args.size() == F.getNumArgs() && "argument count mismatch");
-  return interpret(getCompiled(F), Args, RetOut, Trace, LoadSites);
+  return interpret(Prog.switchForm(F), Args, RetOut, Trace, LoadSites);
 }

@@ -27,9 +27,11 @@
 ///    fall back to the threaded interpreter per function. Same bit-identical
 ///    contract as the threaded backend.
 ///
-/// Compiled/lowered functions are built before execution starts into a
-/// CompiledProgram, which carries every backend's form and is read-only
-/// from then on.
+/// Each Interpreter owns one Program, which holds every compiled form of
+/// the functions it runs (slot-addressed, bytecode, native code). A function
+/// is compiled on its first lookup, only into the forms the backend runs,
+/// and freed with the Interpreter. TaskRuntime::execute looks up every task
+/// function before its functional-pass timer starts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -86,47 +88,49 @@ namespace native {
 class NativeCode;
 } // namespace native
 
-/// A read-only set of compiled functions, built once before execution so
-/// compilation stays outside the functional pass and its timer. Populate
-/// with add(), then share: lookup() is const and safe to call concurrently.
-/// Under SimBackend::Threaded and SimBackend::Native each function is
-/// additionally lowered to bytecode (lookupBytecode); under Native the
-/// bytecode is further compiled to native code (lookupNative), null per
-/// function when the lowerer rejected it.
-class CompiledProgram {
+/// The compiled forms of the functions one run executes: the one program
+/// its Interpreter owns. A function is compiled on its first lookup, into
+/// the forms its backend runs only, and its forms live as long as the
+/// Interpreter; native code is unmapped with them. Like the run's Memory, a
+/// program is confined to the thread that runs the simulation.
+class Program {
 public:
-  CompiledProgram(const MachineConfig &Cfg, const Loader &L);
-  ~CompiledProgram();
-  CompiledProgram(const CompiledProgram &) = delete;
-  CompiledProgram &operator=(const CompiledProgram &) = delete;
+  /// One function's compiled forms.
+  struct Forms {
+    /// The slot-addressed form the switch loop runs: built under
+    /// SimBackend::Switch, and under the other backends only when a run
+    /// asks for load sites (Interpreter::runTraced).
+    std::unique_ptr<CompiledFunction> Switch;
+    /// Register-allocated bytecode (sim/Bytecode.h), built under
+    /// SimBackend::Threaded and SimBackend::Native.
+    std::unique_ptr<bc::BytecodeFunction> Bytecode;
+    /// Native code (sim/NativeCodegen.h), built from Bytecode under
+    /// SimBackend::Native; null when the lowerer rejected the function or
+    /// the host has no JIT, and the function runs on the threaded loop.
+    std::unique_ptr<native::NativeCode> Native;
+  };
 
-  /// Compiles \p F and every function reachable from it through calls.
-  /// Idempotent; not thread safe.
-  void add(const ir::Function &F);
+  Program(const MachineConfig &Cfg, const Loader &L);
+  ~Program();
+  Program(const Program &) = delete;
+  Program &operator=(const Program &) = delete;
 
-  /// Returns the compiled form of \p F, or null when it was never added.
-  const CompiledFunction *lookup(const ir::Function &F) const;
+  /// Returns \p F's forms for the configured backend. The first lookup of a
+  /// function compiles it and every function reachable from it through
+  /// calls, so looking up each entry function before a run keeps
+  /// compilation out of the run.
+  const Forms &lookup(const ir::Function &F);
 
-  /// Returns the bytecode form of \p F, or null when it was never added or
-  /// the program was built for the switch backend.
-  const bc::BytecodeFunction *lookupBytecode(const ir::Function &F) const;
+  /// Returns \p F's switch form, building it on first request whatever the
+  /// backend.
+  const CompiledFunction &switchForm(const ir::Function &F);
 
-  /// Returns the native code of \p F, or null when it was never added, the
-  /// program was not built for the native backend, or the native lowerer
-  /// rejected the function (callers fall back to the bytecode form).
-  const native::NativeCode *lookupNative(const ir::Function &F) const;
+  const Loader &loader() const { return Load; }
 
 private:
   const MachineConfig &Cfg;
   const Loader &Load;
-  std::unordered_map<const ir::Function *, std::unique_ptr<CompiledFunction>>
-      Fns;
-  std::unordered_map<const ir::Function *,
-                     std::unique_ptr<bc::BytecodeFunction>>
-      BCs;
-  std::unordered_map<const ir::Function *,
-                     std::shared_ptr<const native::NativeCode>>
-      NCs;
+  std::unordered_map<const ir::Function *, Forms> Fns;
 };
 
 /// Interprets functions on a simulated core, through the backend selected by
@@ -134,8 +138,7 @@ private:
 class Interpreter {
 public:
   /// \p Mem must already hold the workload's initialized data.
-  Interpreter(const MachineConfig &Cfg, Memory &Mem, const Loader &L,
-              const CompiledProgram *Shared = nullptr);
+  Interpreter(const MachineConfig &Cfg, Memory &Mem, const Loader &L);
   ~Interpreter();
 
   /// Runs \p F with \p Args (one per formal), recording every memory access
@@ -155,21 +158,17 @@ public:
                        std::vector<const ir::Instruction *> *LoadSites =
                            nullptr);
 
+  /// The run's compiled functions.
+  Program &program() { return Prog; }
+
 private:
   PhaseStats interpret(const CompiledFunction &CF,
                        const std::vector<RuntimeValue> &Args,
                        RuntimeValue *RetOut, AccessTrace &Trace,
                        std::vector<const ir::Instruction *> *LoadSites);
 
-  const CompiledFunction &getCompiled(const ir::Function &F);
-
-  const MachineConfig &Cfg;
   MemoryView View;
-  const Loader &Load;
-  const CompiledProgram *Shared; ///< Read-only; preferred over Cache.
-  /// Lazy per-interpreter fallback for functions outside the shared program.
-  std::unordered_map<const ir::Function *, std::unique_ptr<CompiledFunction>>
-      Cache;
+  Program Prog;
   /// Non-null iff Cfg.Backend == SimBackend::Threaded; runTraced delegates
   /// to it.
   std::unique_ptr<ThreadedInterpreter> Threaded;

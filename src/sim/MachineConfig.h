@@ -210,13 +210,15 @@ struct MachineConfig {
   }
 
   /// The lowest ladder rung at or above \p FreqGHz (fmax for targets beyond
-  /// the ladder): cpufreq's CPUFREQ_RELATION_L pick, used by the ondemand
-  /// governor's target selection.
+  /// the ladder), whatever order the ladder is listed in: cpufreq's
+  /// CPUFREQ_RELATION_L pick, used by the ondemand governor's target
+  /// selection.
   double rungAtOrAbove(double FreqGHz) const {
+    double Best = fmax();
     for (double F : FrequenciesGHz)
-      if (F >= FreqGHz)
-        return F;
-    return fmax();
+      if (F >= FreqGHz && F < Best)
+        Best = F;
+    return Best;
   }
 
   /// Sandybridge-like V-f curve: ~0.93 V at 1.6 GHz, ~1.25 V at 3.4 GHz.

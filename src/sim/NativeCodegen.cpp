@@ -42,7 +42,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -74,7 +74,7 @@ bool opcodeSupported(bc::Opcode Op) {
 /// Returns the name of the first unsupported opcode in \p BF, or null when
 /// every instruction can be lowered. DAECC_NATIVE_REJECT_OP=<name> force-
 /// rejects one opcode by name — the test hook for the graceful-fallback and
-/// death-test paths; checked before the cache so it always wins.
+/// death-test paths.
 const char *findUnsupported(const bc::BytecodeFunction &BF) {
   const char *Reject = std::getenv("DAECC_NATIVE_REJECT_OP");
   if (Reject && !*Reject)
@@ -94,91 +94,10 @@ const char *findUnsupported(const bc::BytecodeFunction &BF) {
 
 namespace {
 
-/// Bumped whenever the generated code's ABI or semantics change; part of the
-/// content-cache key so stale entries can never alias across versions.
-constexpr std::uint64_t AbiVersion = 3;
-
 std::uint64_t bitsOf(double D) {
   std::uint64_t U;
   std::memcpy(&U, &D, sizeof(U));
   return U;
-}
-
-//===----------------------------------------------------------------------===//
-// Content-addressed cache
-//===----------------------------------------------------------------------===//
-
-struct Fnv {
-  std::uint64_t H = 1469598103934665603ull;
-  void u64(std::uint64_t V) {
-    for (int K = 0; K != 8; ++K) {
-      H ^= (V >> (K * 8)) & 0xff;
-      H *= 1099511628211ull;
-    }
-  }
-  void ptr(const void *P) { u64(reinterpret_cast<std::uintptr_t>(P)); }
-};
-
-/// Content hash of everything the generated code depends on. CallDesc
-/// pointers are baked into the code as immediates, so they hash as
-/// addresses: bytecode that is byte-identical but calls through different
-/// descriptors must not share code. ConstPool/ConstBase are NOT hashed —
-/// constants are copied into the frame by the invoker, never baked.
-std::uint64_t keyOf(const bc::BytecodeFunction &BF) {
-  Fnv F;
-  F.u64(AbiVersion);
-  F.u64(BF.NumRegs);
-  F.u64(BF.NumArgs);
-  F.u64(BF.Code.size());
-  for (const bc::Instr &I : BF.Code) {
-    F.u64(static_cast<std::uint64_t>(I.Op));
-    F.u64(I.Count);
-    F.u64(I.Dst);
-    F.u64(I.A);
-    F.u64(I.B);
-    F.u64(I.C);
-    F.u64(I.Aux);
-    F.u64(bitsOf(I.Cost));
-    F.u64(bitsOf(I.CostB));
-    F.u64(static_cast<std::uint64_t>(I.Imm.I));
-    F.u64(bitsOf(I.Imm.D));
-  }
-  F.u64(BF.GepDescs.size());
-  for (const bc::GepDesc &G : BF.GepDescs) {
-    F.u64(G.Base);
-    F.u64(static_cast<std::uint64_t>(G.ElemSize));
-    F.u64(G.Dims.size());
-    for (std::int64_t D : G.Dims)
-      F.u64(static_cast<std::uint64_t>(D));
-    for (std::uint32_t R : G.IdxRegs)
-      F.u64(R);
-  }
-  // The generated Call sites hold &CallDescs[i] as an immediate, so both the
-  // element addresses and the callee identities are part of the content.
-  F.u64(BF.CallDescs.size());
-  F.ptr(BF.CallDescs.data());
-  for (const bc::CallDesc &D : BF.CallDescs) {
-    F.ptr(D.Callee);
-    F.u64(D.ArgRegs.size());
-    for (std::uint32_t R : D.ArgRegs)
-      F.u64(R);
-  }
-  return F.H;
-}
-
-std::mutex &cacheMutex() {
-  static std::mutex Mu;
-  return Mu;
-}
-
-/// Compiled code by content key. Null values are cached failures (mmap
-/// trouble is persistent; retrying per function would not help).
-using CodeCache = std::unordered_map<std::uint64_t,
-                                     std::shared_ptr<const NativeCode>>;
-
-CodeCache &codeCache() {
-  static CodeCache C;
-  return C;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1371,7 +1290,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
 
 /// Emits \p BF into its own mmap'd buffer, W^X: RW while the stencils are
 /// copied in, RX from publication on (never both).
-std::shared_ptr<const NativeCode> jitCompile(const bc::BytecodeFunction &BF) {
+std::unique_ptr<NativeCode> jitCompile(const bc::BytecodeFunction &BF) {
   FnEmitter Emit(BF);
   if (!Emit.emit())
     return nullptr;
@@ -1387,8 +1306,8 @@ std::shared_ptr<const NativeCode> jitCompile(const bc::BytecodeFunction &BF) {
     munmap(Mem, MapSize);
     return nullptr;
   }
-  return std::make_shared<const NativeCode>(static_cast<std::uint8_t *>(Mem),
-                                            MapSize);
+  return std::make_unique<NativeCode>(static_cast<std::uint8_t *>(Mem),
+                                      MapSize);
 }
 
 } // namespace
@@ -1408,10 +1327,8 @@ NativeCode::~NativeCode() {
 #endif
 }
 
-std::shared_ptr<const NativeCode> compile(const bc::BytecodeFunction &BF,
-                                          const Options &Opts) {
-  // Rejection runs before the cache so DAECC_NATIVE_REJECT_OP always wins,
-  // and rejections (test-dependent) are never cached.
+std::unique_ptr<NativeCode> compile(const bc::BytecodeFunction &BF,
+                                    const Options &Opts) {
   if (const char *Bad = findUnsupported(BF)) {
     if (Opts.AbortOnUnsupported) {
       std::fprintf(
@@ -1426,19 +1343,7 @@ std::shared_ptr<const NativeCode> compile(const bc::BytecodeFunction &BF,
     return nullptr;
 
 #if defined(DAECC_NATIVE_JIT)
-  const std::uint64_t Key = keyOf(BF);
-  {
-    std::lock_guard<std::mutex> Lock(cacheMutex());
-    auto It = codeCache().find(Key);
-    if (It != codeCache().end())
-      return It->second; // including cached failures (null)
-  }
-
-  std::shared_ptr<const NativeCode> Code = jitCompile(BF);
-
-  std::lock_guard<std::mutex> Lock(cacheMutex());
-  // emplace keeps the entry of a thread that published first.
-  return codeCache().emplace(Key, std::move(Code)).first->second;
+  return jitCompile(BF);
 #else
   return nullptr;
 #endif

@@ -24,9 +24,10 @@
 /// opcode, mmap failure) and for every function on a host without the JIT
 /// (not x86-64, or not POSIX); the execution layer then runs that function
 /// on the threaded interpreter — degraded speed, never degraded correctness.
-/// Compiled code is immutable, self-contained except for the NativeContext
-/// helpers, and shared read-only across threads; a process-wide content-
-/// addressed cache dedupes identical bytecode across interpreters.
+/// Compiled code is immutable and self-contained except for the
+/// NativeContext helpers. The run's sim::Program owns it next to the
+/// bytecode it was lowered from, whose call descriptors it addresses, and
+/// unmaps it when the run ends.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,8 +67,8 @@ struct Options {
 };
 
 /// One function's executable native code: an mmap'd W^X buffer that starts
-/// with the function's entry point. Immutable and safe to execute
-/// concurrently from any thread; unmaps the buffer when destroyed.
+/// with the function's entry point. Immutable; unmaps the buffer when
+/// destroyed.
 class NativeCode {
 public:
   /// Takes ownership of the \p Size mapped bytes at \p Base, already
@@ -90,12 +91,11 @@ private:
 
 /// Lowers \p BF to native code, or returns null when the function cannot be
 /// lowered (unsupported opcode, host without the JIT, mmap failure) —
-/// callers must then execute \p BF through the threaded interpreter.
-/// Results are served from a process-wide content-addressed cache that keeps
-/// every entry (failures included) for the life of the process, so compiling
-/// the same bytecode from many interpreters costs one lowering. Thread safe.
-std::shared_ptr<const NativeCode> compile(const bc::BytecodeFunction &BF,
-                                          const Options &Opts = Options());
+/// callers must then execute \p BF through the threaded interpreter. The
+/// code embeds the addresses of \p BF's call descriptors, so it must not
+/// outlive \p BF.
+std::unique_ptr<NativeCode> compile(const bc::BytecodeFunction &BF,
+                                    const Options &Opts = Options());
 
 } // namespace native
 } // namespace sim

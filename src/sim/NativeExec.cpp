@@ -62,12 +62,9 @@ struct NativeHelpers {
 } // namespace sim
 } // namespace dae
 
-NativeInterpreter::NativeInterpreter(const MachineConfig &Cfg, Memory &Mem,
-                                     const Loader &L,
-                                     const CompiledProgram *Shared)
-    : Cfg(Cfg), Mem(Mem), Load(L), Shared(Shared),
-      Fallback(Cfg, Mem, L, Shared) {
-  const MemoryView View(Mem, L);
+NativeInterpreter::NativeInterpreter(Program &Prog, Memory &Mem)
+    : Prog(Prog), Mem(Mem), Fallback(Prog, Mem) {
+  const MemoryView View(Mem, Prog.loader());
   Ctx.MemBase = View.base();
   Ctx.MemLo = View.lo();
   Ctx.MemLimit = View.limit();
@@ -78,31 +75,6 @@ NativeInterpreter::NativeInterpreter(const MachineConfig &Cfg, Memory &Mem,
 }
 
 NativeInterpreter::~NativeInterpreter() = default;
-
-NativeInterpreter::FnEntry NativeInterpreter::getFn(const Function &F) {
-  if (&F == LastFn)
-    return LastEntry;
-  FnEntry E;
-  if (Shared) {
-    E.BC = Shared->lookupBytecode(F);
-    E.Code = Shared->lookupNative(F);
-  }
-  if (!E.BC) {
-    auto It = LocalBC.find(&F);
-    if (It == LocalBC.end())
-      It = LocalBC.emplace(&F, bc::lower(F, Load, Cfg)).first;
-    E.BC = It->second.get();
-  }
-  if (!E.Code) {
-    auto It = LocalCode.find(&F);
-    if (It == LocalCode.end())
-      It = LocalCode.emplace(&F, native::compile(*E.BC)).first;
-    E.Code = It->second.get();
-  }
-  LastFn = &F;
-  LastEntry = E;
-  return E;
-}
 
 void NativeInterpreter::traceGrow(std::uint64_t Needed) {
   assert(CurTrace && "trace growth outside a traced run");
@@ -153,12 +125,12 @@ void NativeInterpreter::nativeCall(const bc::CallDesc &D,
   const std::ptrdiff_t CallerBase = Ctx.Frame - Arena.data();
 
   RuntimeValue Ret;
-  FnEntry E = getFn(*D.Callee);
-  if (E.Code) {
+  const Program::Forms &Callee = Prog.lookup(*D.Callee);
+  if (Callee.Native) {
     Ctx.RetValid = 0;
     const double CallerPartial = Ctx.Cycles;
     Ctx.Cycles = 0.0;
-    invoke(*E.BC, *E.Code, CallArgs, N);
+    invoke(*Callee.Bytecode, *Callee.Native, CallArgs, N);
     const double SubCycles = Ctx.Cycles; // 0.0 + calleeTotal == calleeTotal
     if (Ctx.RetValid)
       Ret = Ctx.Ret;
@@ -189,8 +161,8 @@ PhaseStats NativeInterpreter::runTraced(const Function &F,
                                         AccessTrace &Trace,
                                         RuntimeValue *RetOut) {
   assert(Args.size() == F.getNumArgs() && "argument count mismatch");
-  FnEntry E = getFn(F);
-  if (!E.Code)
+  const Program::Forms &Fm = Prog.lookup(F);
+  if (!Fm.Native)
     return Fallback.runTraced(F, Args, Trace, RetOut);
   CurTrace = &Trace;
   PhaseStats S;
@@ -199,7 +171,7 @@ PhaseStats NativeInterpreter::runTraced(const Function &F,
   Ctx.RetValid = 0;
   Ctx.TracePtr = Trace.nativeBegin(0);
   Ctx.TraceEnd = Trace.nativeEnd();
-  invoke(*E.BC, *E.Code, Args.data(), Args.size());
+  invoke(*Fm.Bytecode, *Fm.Native, Args.data(), Args.size());
   Trace.nativeCommit(Ctx.TracePtr);
   CurTrace = nullptr;
   S.Instructions += Ctx.NInstr;

@@ -19,16 +19,17 @@
 /// address, valid-start count; see sim/Memory.h), and the helper entry
 /// points generated code calls for the slow paths (an access outside the
 /// footprint, trace growth, calls). The bounds are per interpreter and read
-/// at every entry, never baked into code: cached code outlives the Memory it
-/// first ran against. All fields are 8-byte scalars (Ret is two) at fixed
-/// offsets asserted below; the x86-64 emitter addresses them as
-/// [ctx + offset].
+/// at every entry, never baked into code. All fields are 8-byte scalars (Ret
+/// is two) at fixed offsets asserted below; the x86-64 emitter addresses
+/// them as [ctx + offset].
 ///
-/// Functions the native lowerer rejects (see NativeCodegen.h), and every
-/// function on a host without the JIT, are executed by an embedded
-/// ThreadedInterpreter instead — per function, including callees reached
-/// from native code mid-trace — so a partially compilable program still
-/// runs, bit-identically, never miscompiled.
+/// Every function's bytecode and native code come from the owning
+/// Interpreter's Program. Functions the native lowerer rejects (see
+/// NativeCodegen.h), and every function on a host without the JIT, are
+/// executed by an embedded ThreadedInterpreter over the same Program instead
+/// — per function, including callees reached from native code mid-trace —
+/// so a partially compilable program still runs, bit-identically, never
+/// miscompiled.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,8 +42,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace dae {
@@ -111,13 +110,12 @@ static_assert(offsetof(NativeContext, Call) == 136, "ABI layout");
 } // namespace native
 
 /// Executes functions compiled to native code on a simulated core. One
-/// instance per Interpreter; compiled code is shared read-only through the
-/// CompiledProgram (with a lazy per-interpreter fallback), mirroring the
-/// other backends.
+/// instance per Interpreter, reading every function's bytecode and native
+/// code from that Interpreter's Program.
 class NativeInterpreter {
 public:
-  NativeInterpreter(const MachineConfig &Cfg, Memory &Mem, const Loader &L,
-                    const CompiledProgram *Shared);
+  /// \p Prog is the owning Interpreter's and outlives this one.
+  NativeInterpreter(Program &Prog, Memory &Mem);
   ~NativeInterpreter();
 
   /// Identical contract to Interpreter::runTraced without a load-site sink.
@@ -127,16 +125,6 @@ public:
 
 private:
   friend struct NativeHelpers; ///< The extern-"C"-style helper shims.
-
-  /// One function's executable forms: the bytecode (always present; compile
-  /// input and threaded-fallback form) plus the native code (null when the
-  /// lowerer rejected the function).
-  struct FnEntry {
-    const bc::BytecodeFunction *BC = nullptr;
-    const native::NativeCode *Code = nullptr;
-  };
-
-  FnEntry getFn(const ir::Function &F);
 
   /// Carves a frame, copies args + const pool, and invokes \p Code's entry
   /// point with the context set up for a fresh activation.
@@ -156,26 +144,11 @@ private:
   std::vector<RuntimeValue> Arena;
   std::size_t FrameTop = 0;
 
-  /// One-entry memo in front of the Shared/local lookups (tasks run the same
-  /// function back to back).
-  const ir::Function *LastFn = nullptr;
-  FnEntry LastEntry;
-
-  const MachineConfig &Cfg;
+  Program &Prog;
   const Memory &Mem; ///< Reports accesses outside the footprint.
-  const Loader &Load;
-  const CompiledProgram *Shared;
   /// Executes functions without native code; also the source of bytecode
   /// semantics for mid-trace callee fallback.
   ThreadedInterpreter Fallback;
-  /// Lazy per-interpreter lowering/compilation for functions outside the
-  /// shared program.
-  std::unordered_map<const ir::Function *,
-                     std::unique_ptr<bc::BytecodeFunction>>
-      LocalBC;
-  std::unordered_map<const ir::Function *,
-                     std::shared_ptr<const native::NativeCode>>
-      LocalCode;
 
   AccessTrace *CurTrace = nullptr;
 };

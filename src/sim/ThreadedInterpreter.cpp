@@ -37,28 +37,8 @@ using namespace dae::sim;
 #define DAECC_COMPUTED_GOTO 0
 #endif
 
-ThreadedInterpreter::ThreadedInterpreter(const MachineConfig &Cfg, Memory &Mem,
-                                         const Loader &L,
-                                         const CompiledProgram *Shared)
-    : Cfg(Cfg), View(Mem, L), Load(L), Shared(Shared) {}
-
-const bc::BytecodeFunction &
-ThreadedInterpreter::getBytecode(const Function &F) {
-  if (&F == LastFn)
-    return *LastBC;
-  const bc::BytecodeFunction *BF = nullptr;
-  if (Shared)
-    BF = Shared->lookupBytecode(F);
-  if (!BF) {
-    auto It = Cache.find(&F);
-    if (It == Cache.end())
-      It = Cache.emplace(&F, bc::lower(F, Load, Cfg)).first;
-    BF = It->second.get();
-  }
-  LastFn = &F;
-  LastBC = BF;
-  return *BF;
-}
+ThreadedInterpreter::ThreadedInterpreter(Program &Prog, Memory &Mem)
+    : Prog(Prog), View(Mem, Prog.loader()) {}
 
 PhaseStats ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
                                      const RuntimeValue *Args,
@@ -460,8 +440,8 @@ dispatch:
     for (std::size_t K = 0; K != D.ArgRegs.size(); ++K)
       CallArgs[K] = R[D.ArgRegs[K]];
     RuntimeValue Ret;
-    PhaseStats Sub = exec(getBytecode(*D.Callee), CallArgs, D.ArgRegs.size(),
-                          &Ret, Trace);
+    PhaseStats Sub = exec(*Prog.lookup(*D.Callee).Bytecode, CallArgs,
+                          D.ArgRegs.size(), &Ret, Trace);
     // The callee may have grown the arena; re-derive our frame pointer.
     R = Frame.data() + FrameBase;
     // Fold the callee's counts into ours: the same totals, and the same one
@@ -513,5 +493,6 @@ PhaseStats ThreadedInterpreter::runTraced(const Function &F,
                                           AccessTrace &Trace,
                                           RuntimeValue *RetOut) {
   assert(Args.size() == F.getNumArgs() && "argument count mismatch");
-  return exec(getBytecode(F), Args.data(), Args.size(), RetOut, Trace);
+  return exec(*Prog.lookup(F).Bytecode, Args.data(), Args.size(), RetOut,
+              Trace);
 }

@@ -9,7 +9,9 @@
 /// sim/Bytecode.h through a direct-threaded dispatch loop (computed goto on
 /// GCC/Clang via a label-address table, a plain switch elsewhere). It is the
 /// default backend (MachineConfig::Backend); sim::Interpreter constructs one
-/// internally and delegates, so callers keep the single Interpreter API.
+/// internally and delegates, so callers keep the single Interpreter API. It
+/// runs the bytecode of that Interpreter's Program, which lowers each
+/// function on its first lookup.
 ///
 /// Semantics are bit-identical to the switch interpreter — same PhaseStats
 /// (including FP addend order), AccessTraces, memory images and return
@@ -26,21 +28,18 @@
 #include "sim/Bytecode.h"
 #include "sim/Interpreter.h"
 
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace dae {
 namespace sim {
 
 /// Executes functions lowered to bytecode on a simulated core. One instance
-/// per Interpreter; compiled/lowered code is shared read-only through the
-/// CompiledProgram, with a lazy per-interpreter fallback for functions
-/// outside it (mirroring Interpreter).
+/// per Interpreter (two under the native backend, whose fallback is one),
+/// reading every function's bytecode from that Interpreter's Program.
 class ThreadedInterpreter {
 public:
-  ThreadedInterpreter(const MachineConfig &Cfg, Memory &Mem, const Loader &L,
-                      const CompiledProgram *Shared);
+  /// \p Prog is the owning Interpreter's and outlives this one.
+  ThreadedInterpreter(Program &Prog, Memory &Mem);
 
   /// Identical contract to Interpreter::runTraced without a load-site sink.
   PhaseStats runTraced(const ir::Function &F,
@@ -53,8 +52,6 @@ private:
   PhaseStats exec(const bc::BytecodeFunction &BF, const RuntimeValue *Args,
                   std::size_t NArgs, RuntimeValue *RetOut, AccessTrace &Trace);
 
-  const bc::BytecodeFunction &getBytecode(const ir::Function &F);
-
   /// Register-file arena shared by all activations: each exec() carves its
   /// frame at FrameTop and restores it on return, so repeated task runs and
   /// nested calls reuse one allocation instead of a fresh zeroed vector per
@@ -63,20 +60,8 @@ private:
   std::vector<RuntimeValue> Frame;
   std::size_t FrameTop = 0;
 
-  /// One-entry memo in front of the Shared/Cache lookups: tasks run the same
-  /// function back to back, so getBytecode is almost always a pointer
-  /// compare.
-  const ir::Function *LastFn = nullptr;
-  const bc::BytecodeFunction *LastBC = nullptr;
-
-  const MachineConfig &Cfg;
+  Program &Prog;
   MemoryView View;
-  const Loader &Load;
-  const CompiledProgram *Shared; ///< Read-only; preferred over Cache.
-  /// Lazy per-interpreter fallback for functions outside the shared program.
-  std::unordered_map<const ir::Function *,
-                     std::unique_ptr<bc::BytecodeFunction>>
-      Cache;
 };
 
 } // namespace sim

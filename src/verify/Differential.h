@@ -47,6 +47,7 @@
 #include "runtime/Runtime.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace dae {
@@ -63,6 +64,13 @@ struct CapturedRun {
   /// in output-global order.
   std::vector<std::uint8_t> Outputs;
 };
+
+/// The output arrays \p Names (with byte sizes \p Sizes, multiples of 8) of
+/// \p Mem, in the layout of CapturedRun::Outputs.
+std::vector<std::uint8_t>
+snapshotOutputs(const std::vector<std::string> &Names,
+                const std::vector<std::uint64_t> &Sizes, sim::Memory &Mem,
+                const sim::Loader &L);
 
 /// Verdict and counters of one differential check.
 struct DifferentialResult {

@@ -10,27 +10,6 @@ using namespace dae;
 using namespace dae::verify;
 using namespace dae::runtime;
 
-namespace {
-
-/// Byte snapshot of the named output arrays (same layout as the harness'
-/// output comparison: little-endian 8-byte words).
-std::vector<std::uint8_t> snapshotOutputs(const DifferentialSpec &Spec,
-                                          sim::Memory &Mem,
-                                          const sim::Loader &L) {
-  std::vector<std::uint8_t> Bytes;
-  for (size_t G = 0; G != Spec.OutputGlobals.size(); ++G) {
-    std::uint64_t Base = L.baseOf(Spec.OutputGlobals[G]);
-    for (std::uint64_t Off = 0; Off != Spec.OutputSizes[G]; Off += 8) {
-      std::int64_t V = Mem.loadI64(Base + Off);
-      for (int B = 0; B != 8; ++B)
-        Bytes.push_back(static_cast<std::uint8_t>(V >> (8 * B)));
-    }
-  }
-  return Bytes;
-}
-
-} // namespace
-
 CapturedRun DifferentialChecker::run(const std::vector<Task> &Tasks,
                                      bool RunAccess) const {
   sim::Memory Mem;
@@ -39,7 +18,7 @@ CapturedRun DifferentialChecker::run(const std::vector<Task> &Tasks,
   CapturedRun Run;
   Run.Profile = RT.execute(Tasks, RunAccess, &Run.Capture);
   Run.ImageHash = Mem.imageHash();
-  Run.Outputs = snapshotOutputs(Spec, Mem, L);
+  Run.Outputs = snapshotOutputs(Spec.OutputGlobals, Spec.OutputSizes, Mem, L);
   return Run;
 }
 

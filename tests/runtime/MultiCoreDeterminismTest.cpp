@@ -27,10 +27,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -606,6 +609,32 @@ TEST(GovernorStateTest, ConservativeStepsOneRungPerWindow) {
   // Idle windows walk back down one rung at a time.
   G.account(0.0, WindowNs);
   EXPECT_DOUBLE_EQ(G.frequency(), Cfg.FrequenciesGHz[3]);
+}
+
+TEST(GovernorStateTest, ReversedLadderGivesTheAscendingSequence) {
+  // Both governors pick rungs by value, so a ladder listed fmax..fmin must
+  // program the same frequency after every window as the ascending default.
+  MachineConfig Ascending;
+  MachineConfig Reversed = Ascending;
+  std::reverse(Reversed.FrequenciesGHz.begin(),
+               Reversed.FrequenciesGHz.end());
+  // A mid-ladder ondemand pick, a conservative climb and descent, and a
+  // window between the thresholds.
+  const double Utils[] = {0.4, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.5, 0.95, 0.1};
+  for (bool Conservative : {false, true}) {
+    GovernorState Asc(Ascending, Conservative);
+    GovernorState Rev(Reversed, Conservative);
+    std::set<double> Visited;
+    for (std::size_t W = 0; W != std::size(Utils); ++W) {
+      Asc.account(Utils[W] * WindowNs, WindowNs);
+      Rev.account(Utils[W] * WindowNs, WindowNs);
+      EXPECT_EQ(Rev.frequency(), Asc.frequency())
+          << (Conservative ? "conservative" : "ondemand") << ", window " << W;
+      Visited.insert(Asc.frequency());
+    }
+    // Interior rungs are visited, where list order could show.
+    EXPECT_GT(Visited.size(), 2u);
+  }
 }
 
 } // namespace

@@ -152,10 +152,9 @@ TEST_P(BackendTraceDifferential, AccessTracesMatch) {
     Loader L(*W->M);
     Memory Mem;
     W->Init(Mem, L);
-    CompiledProgram Prog(Cfg, L);
+    Interpreter Interp(Cfg, Mem, L);
     for (const Task &T : W->Tasks)
-      Prog.add(*T.Execute);
-    Interpreter Interp(Cfg, Mem, L, &Prog);
+      Interp.program().lookup(*T.Execute);
     for (const Task &T : W->Tasks) {
       Traces->emplace_back();
       Stats->push_back(Interp.runTraced(*T.Execute, T.Args, Traces->back()));

@@ -88,9 +88,8 @@ Outcome runUnder(SimBackend Backend, const Module &M, const Function &F,
   Loader L(M);
   Memory Mem;
   Init(Mem, L);
-  CompiledProgram Prog(Cfg, L);
-  Prog.add(F);
-  Interpreter Interp(Cfg, Mem, L, &Prog);
+  Interpreter Interp(Cfg, Mem, L);
+  Interp.program().lookup(F);
   AccessTrace Trace;
   Outcome O;
   O.Stats = Interp.runTraced(F, Args, Trace, &O.Ret);
@@ -636,9 +635,8 @@ void expectDiesEverywhere(const Module &M, const Function &F,
     Loader L(M);
     Memory Mem;
     // Compile here, in the parent: the forked child runs the code.
-    CompiledProgram Prog(Cfg, L);
-    Prog.add(F);
-    Interpreter Interp(Cfg, Mem, L, &Prog);
+    Interpreter Interp(Cfg, Mem, L);
+    Interp.program().lookup(F);
     AccessTrace Trace;
     EXPECT_DEATH(Interp.runTraced(F, {}, Trace),
                  "simulated access at 0x[0-9a-f]+ is outside the memory "

@@ -7,9 +7,10 @@
 // Edge cases of the native codegen backend that the cross-backend
 // differential suite (BackendDifferentialTest.cpp) does not reach: code
 // storage across many compiled functions, W^X protection of the JIT buffer,
-// and — most important — the rejection path: a function the lowerer cannot
-// compile must fall back to the threaded interpreter bit-identically, never
-// miscompile, and must die loudly under the AbortOnUnsupported testing hook.
+// the code's lifetime (unmapped with its run), and — most important — the
+// rejection path: a function the lowerer cannot compile must fall back to
+// the threaded interpreter bit-identically, never miscompile, and must die
+// loudly under the AbortOnUnsupported testing hook.
 // The fallback is also what a host without the JIT runs for every function.
 //
 //===----------------------------------------------------------------------===//
@@ -26,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,6 +68,40 @@ Function *buildFn(Module &M, GlobalVariable *Out, unsigned K) {
   Value *Back = B.createLoad(Type::Int64, Slot);
   B.createRet(B.createBinOp(BinOp::Add, Back, M.getInt(1)));
   return F;
+}
+
+/// What fn_K returns for \p X.
+std::int64_t fnResult(unsigned K, std::int64_t X) {
+  const std::int64_t Sum = X * (static_cast<std::int64_t>(K) + 2) + K;
+  return static_cast<std::int64_t>(static_cast<double>(Sum) * 1.5) + 1;
+}
+
+/// One line of /proc/self/maps, the kernel's own view of the address space.
+struct Mapping {
+  std::string Perms; ///< For example "r-xp".
+  std::string Line;
+};
+
+/// The mappings that overlap [\p Addr, \p Addr + \p Size), or false when
+/// /proc/self/maps cannot be read.
+bool mappingsOverlapping(const void *Addr, std::size_t Size,
+                         std::vector<Mapping> &Out) {
+  std::FILE *Maps = std::fopen("/proc/self/maps", "r");
+  if (!Maps)
+    return false;
+  const std::uintptr_t Lo = reinterpret_cast<std::uintptr_t>(Addr);
+  char Line[512];
+  while (std::fgets(Line, sizeof(Line), Maps)) {
+    unsigned long long MapLo = 0, MapHi = 0;
+    char Perms[8] = {0};
+    if (std::sscanf(Line, "%llx-%llx %7s", &MapLo, &MapHi, Perms) != 3)
+      continue;
+    if (Lo + Size <= MapLo || Lo >= MapHi)
+      continue;
+    Out.push_back({Perms, Line});
+  }
+  std::fclose(Maps);
+  return true;
 }
 
 /// Runs \p F under \p Backend in a fresh memory/cache world, replays its
@@ -109,8 +145,8 @@ void expectSameRun(const RunResult &A, const RunResult &B, const char *What) {
 
 /// Compiling many distinct functions must yield many live code objects —
 /// each with its own executable storage — that all execute correctly while
-/// held simultaneously (the CompiledProgram holds every function of a
-/// workload at once).
+/// held simultaneously (a run's Program holds every function of a workload
+/// at once).
 TEST(NativeBackend, CodeBufferGrowthAcrossManyFunctions) {
   if (!HostHasJit)
     GTEST_SKIP() << "no JIT on this host";
@@ -124,13 +160,15 @@ TEST(NativeBackend, CodeBufferGrowthAcrossManyFunctions) {
   MachineConfig Cfg;
   Cfg.Backend = SimBackend::Native;
   Loader L(M);
-  CompiledProgram Prog(Cfg, L);
+  Memory Mem;
+  Interpreter Interp(Cfg, Mem, L);
   for (Function *F : Fns)
-    Prog.add(*F);
+    Interp.program().lookup(*F);
 
   unsigned Compiled = 0;
   for (Function *F : Fns)
-    if (const native::NativeCode *NC = Prog.lookupNative(*F)) {
+    if (const native::NativeCode *NC =
+            Interp.program().lookup(*F).Native.get()) {
       ++Compiled;
       EXPECT_NE(NC->codeAddr(), nullptr);
       EXPECT_GT(NC->codeSize(), 0u);
@@ -138,18 +176,11 @@ TEST(NativeBackend, CodeBufferGrowthAcrossManyFunctions) {
   EXPECT_EQ(Compiled, N);
 
   // All functions execute correctly while every code object is live.
-  Memory Mem;
-  Interpreter Interp(Cfg, Mem, L, &Prog);
   AccessTrace Trace;
   for (unsigned K = 0; K != N; ++K) {
     RuntimeValue Ret;
     Interp.runTraced(*Fns[K], {RuntimeValue::ofInt(7)}, Trace, &Ret);
-    const std::int64_t Expect =
-        static_cast<std::int64_t>(
-            static_cast<double>(7 * (static_cast<std::int64_t>(K) + 2) + K) *
-            1.5) +
-        1;
-    EXPECT_EQ(Ret.I, Expect) << "fn_" << K;
+    EXPECT_EQ(Ret.I, fnResult(K, 7)) << "fn_" << K;
   }
 }
 
@@ -164,31 +195,59 @@ TEST(NativeBackend, JitBufferIsWxProtected) {
   Loader L(M);
   MachineConfig Cfg;
   auto BF = bc::lower(*F, L, Cfg);
-  std::shared_ptr<const native::NativeCode> NC = native::compile(*BF);
+  std::unique_ptr<native::NativeCode> NC = native::compile(*BF);
   ASSERT_NE(NC, nullptr);
 
-  std::FILE *Maps = std::fopen("/proc/self/maps", "r");
-  if (!Maps)
+  std::vector<Mapping> Maps;
+  if (!mappingsOverlapping(NC->codeAddr(), 1, Maps))
     GTEST_SKIP() << "/proc/self/maps unavailable";
-  const std::uintptr_t Addr =
-      reinterpret_cast<std::uintptr_t>(NC->codeAddr());
-  bool Found = false;
-  char Line[512];
-  while (std::fgets(Line, sizeof(Line), Maps)) {
-    unsigned long long Lo = 0, Hi = 0;
-    char Perms[8] = {0};
-    if (std::sscanf(Line, "%llx-%llx %7s", &Lo, &Hi, Perms) != 3)
-      continue;
-    if (Addr < Lo || Addr >= Hi)
-      continue;
-    Found = true;
-    EXPECT_EQ(Perms[0], 'r') << Line;
-    EXPECT_EQ(Perms[1], '-') << "JIT buffer writable after publish: " << Line;
-    EXPECT_EQ(Perms[2], 'x') << Line;
-    break;
+  ASSERT_EQ(Maps.size(), 1u) << "JIT buffer not in /proc/self/maps";
+  const Mapping &Map = Maps.front();
+  EXPECT_EQ(Map.Perms[0], 'r') << Map.Line;
+  EXPECT_EQ(Map.Perms[1], '-') << "JIT buffer writable after publish: "
+                               << Map.Line;
+  EXPECT_EQ(Map.Perms[2], 'x') << Map.Line;
+}
+
+/// A run's native code lives exactly as long as its Interpreter: once the
+/// Interpreter is destroyed, no executable mapping remains where the code
+/// was, so runs do not accumulate JIT buffers over a process's life.
+TEST(NativeBackend, JitCodeIsUnmappedWithItsRun) {
+  if (!HostHasJit)
+    GTEST_SKIP() << "no JIT on this host";
+  Module M;
+  auto *Out = M.createGlobal("Out", 8);
+  Function *F = buildFn(M, Out, 0);
+  MachineConfig Cfg;
+  Cfg.Backend = SimBackend::Native;
+  Loader L(M);
+  Memory Mem;
+
+  const void *Code = nullptr;
+  std::size_t Size = 0;
+  {
+    Interpreter Interp(Cfg, Mem, L);
+    AccessTrace Trace;
+    RuntimeValue Ret;
+    Interp.runTraced(*F, {RuntimeValue::ofInt(7)}, Trace, &Ret);
+    EXPECT_EQ(Ret.I, fnResult(0, 7));
+    const native::NativeCode *NC = Interp.program().lookup(*F).Native.get();
+    ASSERT_NE(NC, nullptr);
+    Code = NC->codeAddr();
+    Size = NC->codeSize();
+
+    std::vector<Mapping> Live;
+    if (!mappingsOverlapping(Code, Size, Live))
+      GTEST_SKIP() << "/proc/self/maps unavailable";
+    ASSERT_EQ(Live.size(), 1u) << "JIT buffer not in /proc/self/maps";
+    EXPECT_EQ(Live.front().Perms[2], 'x') << Live.front().Line;
   }
-  std::fclose(Maps);
-  EXPECT_TRUE(Found) << "JIT buffer not in /proc/self/maps";
+
+  std::vector<Mapping> After;
+  ASSERT_TRUE(mappingsOverlapping(Code, Size, After));
+  for (const Mapping &Map : After)
+    EXPECT_NE(Map.Perms[2], 'x')
+        << "JIT code still mapped after its run: " << Map.Line;
 }
 
 /// A function containing an opcode the lowerer rejects (here forced via
@@ -203,7 +262,7 @@ TEST(NativeBackend, RejectedFunctionFallsBackBitIdentically) {
   auto BF = bc::lower(*F, L, Cfg);
 
   setenv("DAECC_NATIVE_REJECT_OP", "SIToFP", 1);
-  std::shared_ptr<const native::NativeCode> NC = native::compile(*BF);
+  std::unique_ptr<native::NativeCode> NC = native::compile(*BF);
   EXPECT_EQ(NC, nullptr) << "rejected opcode must not compile";
 
   RunResult Ref = runUnder(SimBackend::Switch, M, *F, 9);

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -51,6 +52,18 @@ TEST(MachineConfigTest, RungAtOrAboveRoundsUpOntoTheLadder) {
   EXPECT_DOUBLE_EQ(Cfg.rungAtOrAbove(2.1), 2.4);
   EXPECT_DOUBLE_EQ(Cfg.rungAtOrAbove(2.4), 2.4);
   EXPECT_DOUBLE_EQ(Cfg.rungAtOrAbove(5.0), Cfg.fmax());
+}
+
+TEST(MachineConfigTest, RungAtOrAboveReadsAReversedLadderByValue) {
+  MachineConfig Ascending;
+  MachineConfig Reversed = Ascending;
+  std::reverse(Reversed.FrequenciesGHz.begin(),
+               Reversed.FrequenciesGHz.end());
+  EXPECT_DOUBLE_EQ(Reversed.rungAtOrAbove(2.1), 2.4);
+  for (double Target : {0.7, 1.6, 1.7, 2.1, 2.4, 3.3, 3.4, 5.0})
+    EXPECT_DOUBLE_EQ(Reversed.rungAtOrAbove(Target),
+                     Ascending.rungAtOrAbove(Target))
+        << Target;
 }
 
 TEST(DramChannelTest, QueuesConcurrentLines) {
