@@ -209,9 +209,10 @@ std::unique_ptr<BytecodeFunction> Lowerer::run() {
 }
 
 /// Integer cmp directly feeding the block's conditional branch fuses into one
-/// compare-and-branch superinstruction. The cmp's register is still written
-/// (its value may have other users), and both IR instructions keep their own
-/// Instructions bump and ComputeCycles addend, in order.
+/// compare-and-branch superinstruction in the shapes the workloads execute;
+/// any other pair stays a compare plus CondBr. The cmp's register is still
+/// written (its value may have other users), and both IR instructions keep
+/// their own Instructions bump and ComputeCycles addend, in order.
 bool Lowerer::tryFuseCmpBr(const Instruction *I, const Instruction *Next,
                            unsigned BlockNo) {
   const auto *Cmp = dyn_cast<CmpInst>(I);
@@ -219,86 +220,54 @@ bool Lowerer::tryFuseCmpBr(const Instruction *I, const Instruction *Next,
   if (!Cmp || !Br || !Br->isConditional() || Br->getCondition() != Cmp)
     return false;
 
-  Opcode Reg, ImmOp;
-  switch (Cmp->getPredicate()) {
-  case CmpPred::EQ:
-    Reg = Opcode::BrCmpEQ;
-    ImmOp = Opcode::BrCmpEQImm;
-    break;
-  case CmpPred::NE:
-    Reg = Opcode::BrCmpNE;
-    ImmOp = Opcode::BrCmpNEImm;
-    break;
-  case CmpPred::SLT:
-    Reg = Opcode::BrCmpSLT;
-    ImmOp = Opcode::BrCmpSLTImm;
-    break;
-  case CmpPred::SLE:
-    Reg = Opcode::BrCmpSLE;
-    ImmOp = Opcode::BrCmpSLEImm;
-    break;
-  case CmpPred::SGT:
-    Reg = Opcode::BrCmpSGT;
-    ImmOp = Opcode::BrCmpSGTImm;
-    break;
-  case CmpPred::SGE:
-    Reg = Opcode::BrCmpSGE;
-    ImmOp = Opcode::BrCmpSGEImm;
-    break;
-  default:
-    return false; // FP predicates stay unfused.
-  }
+  RuntimeValue K;
+  const bool ImmRhs = constValue(Cmp->getRHS(), K);
+  const CmpPred Pred = Cmp->getPredicate();
+  Opcode Op;
+  if (Pred == CmpPred::SLT)
+    Op = ImmRhs ? Opcode::BrCmpSLTImm : Opcode::BrCmpSLT;
+  else if (Pred == CmpPred::EQ && !ImmRhs)
+    Op = Opcode::BrCmpEQ;
+  else if (Pred == CmpPred::NE && ImmRhs)
+    Op = Opcode::BrCmpNEImm;
+  else
+    return false;
 
   Instr In;
+  In.Op = Op;
   In.Dst = ValueReg.at(Cmp);
   In.A = regOf(Cmp->getLHS());
   In.Cost = instCycles(*Cmp, Cfg);
   In.CostB = instCycles(*Next, Cfg);
-  RuntimeValue K;
-  if (constValue(Cmp->getRHS(), K)) {
-    In.Op = ImmOp;
+  if (ImmRhs)
     In.Imm = K;
-  } else {
-    In.Op = Reg;
+  else
     In.B = regOf(Cmp->getRHS());
-  }
   emit(In);
   branchTo(Field::C, BlockNo, BlockIndex.at(Br->getTrueDest()));
   branchTo(Field::Aux, BlockNo, BlockIndex.at(Br->getFalseDest()));
   return true;
 }
 
-/// Load whose value directly feeds the next instruction's binop fuses into a
-/// load+op superinstruction. The loaded value is written to its own register
-/// (Aux) before the binop's operands are read, so "binop of the load with
-/// itself / with an older value of the same slot" behaves exactly like the
-/// unfused sequence.
+/// FP load whose value directly feeds the next instruction's FSub or FMul
+/// fuses into a load+op superinstruction. The loaded value is written to its
+/// own register (Aux) before the binop's operands are read, so "binop of the
+/// load with itself / with an older value of the same slot" behaves exactly
+/// like the unfused sequence.
 bool Lowerer::tryFuseLoadBin(const Instruction *I, const Instruction *Next) {
   const auto *Load = dyn_cast<LoadInst>(I);
   const auto *Bin = dyn_cast<BinaryInst>(Next);
-  if (!Load || !Bin || (Bin->getLHS() != Load && Bin->getRHS() != Load))
+  if (!Load || !Bin || Load->getType() != Type::Float64 ||
+      (Bin->getLHS() != Load && Bin->getRHS() != Load))
     return false;
 
   Opcode Op;
-  if (Load->getType() == Type::Float64) {
-    switch (Bin->getOpcode()) {
-    case BinOp::FAdd:
-      Op = Opcode::LoadFAddF;
-      break;
-    case BinOp::FSub:
-      Op = Opcode::LoadFSubF;
-      break;
-    case BinOp::FMul:
-      Op = Opcode::LoadFMulF;
-      break;
-    default:
-      return false;
-    }
-  } else {
-    if (Bin->getOpcode() != BinOp::Add)
-      return false;
-    Op = Opcode::LoadIAddI;
-  }
+  if (Bin->getOpcode() == BinOp::FSub)
+    Op = Opcode::LoadFSubF;
+  else if (Bin->getOpcode() == BinOp::FMul)
+    Op = Opcode::LoadFMulF;
+  else
+    return false;
 
   Instr In;
   In.Op = Op;
@@ -329,10 +298,6 @@ void Lowerer::lowerBinary(const BinaryInst *Bin) {
     In.Imm = Imm;
     emit(In);
   };
-  auto MaskShift = [](RuntimeValue K) {
-    K.I = static_cast<std::int64_t>(static_cast<std::uint64_t>(K.I) & 63);
-    return K;
-  };
 
   if (RConst) {
     switch (O) {
@@ -342,20 +307,10 @@ void Lowerer::lowerBinary(const BinaryInst *Bin) {
       return EmitImm(Opcode::SubImm, regOf(Bin->getLHS()), RK);
     case BinOp::Mul:
       return EmitImm(Opcode::MulImm, regOf(Bin->getLHS()), RK);
-    case BinOp::Shl:
-      return EmitImm(Opcode::ShlImm, regOf(Bin->getLHS()), MaskShift(RK));
-    case BinOp::AShr:
-      return EmitImm(Opcode::AShrImm, regOf(Bin->getLHS()), MaskShift(RK));
-    case BinOp::FAdd:
-      return EmitImm(Opcode::FAddImm, regOf(Bin->getLHS()), RK);
-    case BinOp::FSub:
-      return EmitImm(Opcode::FSubImm, regOf(Bin->getLHS()), RK);
     case BinOp::FMul:
       return EmitImm(Opcode::FMulImm, regOf(Bin->getLHS()), RK);
-    case BinOp::FDiv:
-      return EmitImm(Opcode::FDivImm, regOf(Bin->getLHS()), RK);
     default:
-      break; // Div/rem/bitwise keep the reg-reg form (const pool operand).
+      break; // The reg-reg form reads the constant from its pool register.
     }
   } else if (LConst) {
     // Integer Add/Mul are exactly commutative, so a constant LHS swaps into
@@ -425,41 +380,6 @@ void Lowerer::lowerCmp(const CmpInst *Cmp) {
   In.Dst = ValueReg.at(Cmp);
   In.Cost = instCycles(*Cmp, Cfg);
 
-  RuntimeValue RK;
-  if (constValue(Cmp->getRHS(), RK)) {
-    Opcode ImmOp;
-    switch (Cmp->getPredicate()) {
-    case CmpPred::EQ:
-      ImmOp = Opcode::CmpEQImm;
-      break;
-    case CmpPred::NE:
-      ImmOp = Opcode::CmpNEImm;
-      break;
-    case CmpPred::SLT:
-      ImmOp = Opcode::CmpSLTImm;
-      break;
-    case CmpPred::SLE:
-      ImmOp = Opcode::CmpSLEImm;
-      break;
-    case CmpPred::SGT:
-      ImmOp = Opcode::CmpSGTImm;
-      break;
-    case CmpPred::SGE:
-      ImmOp = Opcode::CmpSGEImm;
-      break;
-    default:
-      ImmOp = Opcode::Trap; // FP predicates: reg-reg form below.
-      break;
-    }
-    if (ImmOp != Opcode::Trap) {
-      In.Op = ImmOp;
-      In.A = regOf(Cmp->getLHS());
-      In.Imm = RK;
-      emit(In);
-      return;
-    }
-  }
-
   switch (Cmp->getPredicate()) {
   case CmpPred::EQ:
     In.Op = Opcode::CmpEQ;
@@ -509,38 +429,15 @@ void Lowerer::lowerGep(const GepInst *Gep) {
   In.Cost = instCycles(*Gep, Cfg);
   std::int64_t Elem = Gep->getElemSize();
 
-  if (Gep->getNumIndices() == 1) {
-    RuntimeValue BaseK, IdxK;
-    bool BaseConst = constValue(Gep->getBase(), BaseK);
-    if (constValue(Gep->getIndex(0), IdxK)) {
-      // Constant index: the offset (or the whole address) folds away.
-      std::int64_t Off = static_cast<std::int64_t>(
-          static_cast<std::uint64_t>(IdxK.I) *
-          static_cast<std::uint64_t>(Elem));
-      if (BaseConst) {
-        In.Op = Opcode::MovImm;
-        In.Imm = RuntimeValue::ofInt(BaseK.I + Off);
-      } else {
-        In.Op = Opcode::GepAddImm;
-        In.A = regOf(Gep->getBase());
-        In.Imm = RuntimeValue::ofInt(Off);
-      }
-      emit(In);
-      return;
-    }
+  if (Gep->getNumIndices() == 1 && (Elem & (Elem - 1)) == 0) {
+    // Power-of-two element size: add+shl address math.
+    std::int64_t Shift = 0;
+    while ((std::int64_t(1) << Shift) < Elem)
+      ++Shift;
+    In.Op = Opcode::Gep1Shl;
     In.A = regOf(Gep->getBase());
     In.B = regOf(Gep->getIndex(0));
-    if ((Elem & (Elem - 1)) == 0) {
-      // Power-of-two element size: add+shl address math.
-      std::int64_t Shift = 0;
-      while ((std::int64_t(1) << Shift) < Elem)
-        ++Shift;
-      In.Op = Opcode::Gep1Shl;
-      In.Imm = RuntimeValue::ofInt(Shift);
-    } else {
-      In.Op = Opcode::GepMul;
-      In.Imm = RuntimeValue::ofInt(Elem);
-    }
+    In.Imm = RuntimeValue::ofInt(Shift);
     emit(In);
     return;
   }

@@ -14,18 +14,22 @@
 ///    copied into its register range on function entry, so every operand of
 ///    every instruction is a plain register index — no per-operand
 ///    immediate-vs-slot branch on the hot path.
-///  * Constants additionally fold into immediate opcode variants (AddImm,
-///    CmpSLTImm, FMulImm, ...) for the common const-RHS shapes; integer
-///    commutative ops swap a const LHS into the immediate form.
 ///  * Phis are resolved at lowering time: every CFG edge into a block with
 ///    phis gets a trampoline of PhiMov/PhiMovImm parallel-copy moves
 ///    (cycles broken through scratch registers) ending in a Jmp that carries
 ///    the phi instruction count, so PhaseStats::Instructions matches the
 ///    reference interpreter exactly.
-///  * Superinstruction fusion for the hot adjacent pairs the workloads
-///    execute: integer cmp + condbr (BrCmp*, also *Imm forms), FP/int
-///    load + binop (LoadFAddF, ...), and GEP-style add+shl address math
-///    (Gep1Shl for power-of-two element sizes).
+///  * A specialized form exists only where a paper workload executes it.
+///    BytecodeCensus (tests/sim) enforces this: it fails when an opcode is
+///    on neither its specialized nor its base list, or when no workload's
+///    lowering emits a specialized one. The forms are the immediates AddImm,
+///    SubImm, MulImm (a constant LHS of Add/Mul swaps in) and FMulImm; the
+///    integer cmp + condbr fusions BrCmpEQ, BrCmpSLT, BrCmpNEImm and
+///    BrCmpSLTImm; the FP load + binop fusions LoadFSubF and LoadFMulF; and
+///    Gep1Shl, add+shl address math for a one-index GEP with a power-of-two
+///    element size. Every other shape takes the generic form: a constant
+///    operand is read from its pool register, a compare feeding a branch
+///    stays Cmp* + CondBr, a load stays unfused, and a GEP becomes GepN.
 ///
 /// Simulated observables — PhaseStats (including FP addend order on
 /// ComputeCycles/StallNs), AccessTraces, memory images, and return values —
@@ -65,40 +69,33 @@ namespace bc {
   /* Control / data movement. */                                               \
   X(Trap)                                                                      \
   X(MovI)      /* PtrToInt/IntToPtr: Dst.I = R[A].I (counted). */              \
-  X(MovImm)    /* Fully folded value: Dst = Imm (counted). */                  \
   X(PhiMov)    /* Phi-edge copy: Dst = R[A] (uncounted). */                    \
   X(PhiMovImm) /* Phi-edge copy: Dst = Imm (uncounted). */                     \
   /* Integer binops, reg-reg. */                                               \
   X(Add) X(Sub) X(Mul) X(SDiv) X(SRem)                                         \
   X(And) X(Or) X(Xor) X(Shl) X(AShr)                                           \
   /* Integer binops, reg-imm. */                                               \
-  X(AddImm) X(SubImm) X(MulImm) X(ShlImm) X(AShrImm)                           \
-  /* FP binops, reg-reg and reg-imm (const RHS only; FP operand order is      \
-     preserved, so const-LHS shapes stay on the reg-reg path). */              \
-  X(FAdd) X(FSub) X(FMul) X(FDiv)                                              \
-  X(FAddImm) X(FSubImm) X(FMulImm) X(FDivImm)                                  \
+  X(AddImm) X(SubImm) X(MulImm)                                                \
+  /* FP binops, reg-reg, and FMul by a constant RHS (FP operand order is      \
+     preserved, so a constant LHS stays on the reg-reg path). */              \
+  X(FAdd) X(FSub) X(FMul) X(FDiv) X(FMulImm)                                   \
   /* Comparisons (write the full 0/1 RuntimeValue like the reference). */      \
   X(CmpEQ) X(CmpNE) X(CmpSLT) X(CmpSLE) X(CmpSGT) X(CmpSGE)                    \
   X(CmpFLT) X(CmpFLE) X(CmpFGT) X(CmpFGE) X(CmpFEQ) X(CmpFNE)                  \
-  X(CmpEQImm) X(CmpNEImm) X(CmpSLTImm) X(CmpSLEImm) X(CmpSGTImm) X(CmpSGEImm)  \
   /* Misc value ops. */                                                        \
   X(Select) X(SIToFP) X(FPToSI)                                                \
   /* Address math. */                                                          \
   X(Gep1Shl)   /* Dst = R[A].I + (R[B].I << Imm.I); pow2 elem size. */         \
-  X(GepMul)    /* Dst = R[A].I + R[B].I * Imm.I. */                            \
-  X(GepAddImm) /* Dst = R[A].I + Imm.I; constant index. */                     \
-  X(GepN)      /* Multi-index form via GepDesc[A]. */                          \
+  X(GepN)      /* Every other GEP, via GepDesc[A]. */                          \
   /* Memory. */                                                                \
   X(LoadI) X(LoadF) X(StoreI) X(StoreF) X(Prefetch)                            \
-  /* Fused load + binop superinstructions (Aux = load dst). */                 \
-  X(LoadFAddF) X(LoadFSubF) X(LoadFMulF) X(LoadIAddI)                          \
+  /* Fused FP load + binop superinstructions (Aux = load dst). */              \
+  X(LoadFSubF) X(LoadFMulF)                                                    \
   /* Branches; targets are absolute PCs. */                                    \
   X(Jmp)    /* Instructions += Count (1 for IR br, #phis on trampolines). */   \
   X(CondBr) /* pc = R[A].I ? B : C. */                                         \
   /* Fused integer cmp + condbr (cmp dst is still written). */                 \
-  X(BrCmpEQ) X(BrCmpNE) X(BrCmpSLT) X(BrCmpSLE) X(BrCmpSGT) X(BrCmpSGE)        \
-  X(BrCmpEQImm) X(BrCmpNEImm) X(BrCmpSLTImm) X(BrCmpSLEImm)                    \
-  X(BrCmpSGTImm) X(BrCmpSGEImm)                                                \
+  X(BrCmpEQ) X(BrCmpSLT) X(BrCmpNEImm) X(BrCmpSLTImm)                          \
   /* Function exit / calls. */                                                 \
   X(Ret) X(RetVal) X(Call)
 

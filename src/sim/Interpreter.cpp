@@ -424,14 +424,16 @@ Interpreter::interpret(const CompiledFunction &CF,
       case SimOp::PtrCast:
         Env[static_cast<unsigned>(CI.DstSlot)].I = Get(CI.Ops[0]).I;
         break;
-      case SimOp::Gep: {
-        std::int64_t Addr = Get(CI.Ops[0]).I;
-        std::int64_t Linear = 0;
+      case SimOp::Gep: { // Wraps like Add/Sub/Mul, through uint64_t.
+        std::uint64_t Linear = 0;
         for (unsigned J = 1; J != CI.Ops.size(); ++J)
-          Linear =
-              Linear * (J > 1 ? CI.GepDims[J - 1] : 1) + Get(CI.Ops[J]).I;
-        Addr += Linear * CI.GepElemSize;
-        Env[static_cast<unsigned>(CI.DstSlot)] = RuntimeValue::ofInt(Addr);
+          Linear = Linear * static_cast<std::uint64_t>(
+                                J > 1 ? CI.GepDims[J - 1] : 1) +
+                   static_cast<std::uint64_t>(Get(CI.Ops[J]).I);
+        Env[static_cast<unsigned>(CI.DstSlot)] =
+            RuntimeValue::ofInt(static_cast<std::int64_t>(
+                static_cast<std::uint64_t>(Get(CI.Ops[0]).I) +
+                Linear * static_cast<std::uint64_t>(CI.GepElemSize)));
         break;
       }
       case SimOp::LoadI:

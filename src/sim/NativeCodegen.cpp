@@ -265,12 +265,6 @@ struct Asm {
     modrm(3, 4, Rm);
     b(S);
   }
-  void sarImm8(unsigned Rm, std::uint8_t S) {
-    rex(true, 0, 0, Rm);
-    b(0xC1);
-    modrm(3, 7, Rm);
-    b(S);
-  }
   void testRR(unsigned A, unsigned B2) {
     rex(true, A, 0, B2);
     b(0x85);
@@ -437,17 +431,9 @@ bool isTerminator(bc::Opcode Op) {
   case bc::Opcode::Jmp:
   case bc::Opcode::CondBr:
   case bc::Opcode::BrCmpEQ:
-  case bc::Opcode::BrCmpNE:
   case bc::Opcode::BrCmpSLT:
-  case bc::Opcode::BrCmpSLE:
-  case bc::Opcode::BrCmpSGT:
-  case bc::Opcode::BrCmpSGE:
-  case bc::Opcode::BrCmpEQImm:
   case bc::Opcode::BrCmpNEImm:
   case bc::Opcode::BrCmpSLTImm:
-  case bc::Opcode::BrCmpSLEImm:
-  case bc::Opcode::BrCmpSGTImm:
-  case bc::Opcode::BrCmpSGEImm:
   case bc::Opcode::Ret:
   case bc::Opcode::RetVal:
     return true;
@@ -464,10 +450,8 @@ unsigned traceEventsOf(bc::Opcode Op) {
   case bc::Opcode::StoreI:
   case bc::Opcode::StoreF:
   case bc::Opcode::Prefetch:
-  case bc::Opcode::LoadFAddF:
   case bc::Opcode::LoadFSubF:
   case bc::Opcode::LoadFMulF:
-  case bc::Opcode::LoadIAddI:
     return 1;
   default:
     return 0;
@@ -504,17 +488,9 @@ void analyzeRegions(const bc::BytecodeFunction &BF, std::vector<bool> &Leader,
       Mark(I.C);
       break;
     case bc::Opcode::BrCmpEQ:
-    case bc::Opcode::BrCmpNE:
     case bc::Opcode::BrCmpSLT:
-    case bc::Opcode::BrCmpSLE:
-    case bc::Opcode::BrCmpSGT:
-    case bc::Opcode::BrCmpSGE:
-    case bc::Opcode::BrCmpEQImm:
     case bc::Opcode::BrCmpNEImm:
     case bc::Opcode::BrCmpSLTImm:
-    case bc::Opcode::BrCmpSLEImm:
-    case bc::Opcode::BrCmpSGTImm:
-    case bc::Opcode::BrCmpSGEImm:
       Mark(I.C);
       Mark(I.Aux);
       break;
@@ -788,13 +764,6 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     A.sseRM(0xF2, SseOp, XMM0, RBX, fd(I.B));
     A.sseRM(0xF2, 0x11, XMM0, RBX, fd(I.Dst));
   };
-  auto fpBinImm = [&](std::uint8_t SseOp) {
-    cost(I.Cost);
-    ++PendInstr;
-    A.sseRM(0xF2, 0x10, XMM0, RBX, fd(I.A));
-    A.sseRip(0xF2, SseOp, XMM0, bitsOf(I.Imm.D));
-    A.sseRM(0xF2, 0x11, XMM0, RBX, fd(I.Dst));
-  };
   auto cmpStore = [&] {
     A.movMR(RBX, fi(I.Dst), RCX);
     A.movMemImm32(RBX, fd(I.Dst), 0);
@@ -805,20 +774,6 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     A.xorEcx();
     A.movRM(RAX, RBX, fi(I.A));
     A.aluRM(0x3B, RAX, RBX, fi(I.B));
-    A.setcc(CC, RCX);
-    cmpStore();
-  };
-  auto cmpIImm = [&](std::uint8_t CC) {
-    cost(I.Cost);
-    ++PendInstr;
-    A.xorEcx();
-    A.movRM(RAX, RBX, fi(I.A));
-    if (fitsI32(I.Imm.I)) {
-      A.aluImm32(7, RAX, static_cast<std::int32_t>(I.Imm.I));
-    } else {
-      A.movImm64(RDX, static_cast<std::uint64_t>(I.Imm.I));
-      A.aluRR(0x3B, RAX, RDX);
-    }
     A.setcc(CC, RCX);
     cmpStore();
   };
@@ -860,7 +815,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
       A.movMemImm32(RBX, fd(Dst), 0);
     }
   };
-  auto loadFBin = [&](std::uint8_t SseOp) { // LoadF{Add,Sub,Mul}F
+  auto loadFBin = [&](std::uint8_t SseOp) { // LoadF{Sub,Mul}F
     cost(I.Cost);
     ++PendInstr;
     ++PendLoads;
@@ -902,12 +857,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     A.movRM(RAX, RBX, fi(I.A));
     A.movMR(RBX, fi(I.Dst), RAX);
     break;
-  case O::MovImm:
-  case O::PhiMovImm:
-    if (I.Op == O::MovImm) {
-      cost(I.Cost);
-      ++PendInstr;
-    }
+  case O::PhiMovImm: // uncounted, uncosted
     A.movImm64(RAX, static_cast<std::uint64_t>(I.Imm.I));
     A.movMR(RBX, fi(I.Dst), RAX);
     A.movImm64(RAX, bitsOf(I.Imm.D));
@@ -969,20 +919,6 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     A.imulRR(RAX, RCX);
     A.movMR(RBX, fi(I.Dst), RAX);
     break;
-  case O::ShlImm: // Imm pre-masked to [0,63] at lowering
-    cost(I.Cost);
-    ++PendInstr;
-    A.movRM(RAX, RBX, fi(I.A));
-    A.shlImm8(RAX, static_cast<std::uint8_t>(I.Imm.I));
-    A.movMR(RBX, fi(I.Dst), RAX);
-    break;
-  case O::AShrImm:
-    cost(I.Cost);
-    ++PendInstr;
-    A.movRM(RAX, RBX, fi(I.A));
-    A.sarImm8(RAX, static_cast<std::uint8_t>(I.Imm.I));
-    A.movMR(RBX, fi(I.Dst), RAX);
-    break;
 
   case O::FAdd:
     fpBin(0x58);
@@ -996,17 +932,12 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
   case O::FDiv:
     fpBin(0x5E);
     break;
-  case O::FAddImm:
-    fpBinImm(0x58);
-    break;
-  case O::FSubImm:
-    fpBinImm(0x5C);
-    break;
   case O::FMulImm:
-    fpBinImm(0x59);
-    break;
-  case O::FDivImm:
-    fpBinImm(0x5E);
+    cost(I.Cost);
+    ++PendInstr;
+    A.sseRM(0xF2, 0x10, XMM0, RBX, fd(I.A));
+    A.sseRip(0xF2, 0x59, XMM0, bitsOf(I.Imm.D));
+    A.sseRM(0xF2, 0x11, XMM0, RBX, fd(I.Dst));
     break;
 
   case O::CmpEQ:
@@ -1045,24 +976,6 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
   case O::CmpFNE:
     cmpFEq(true);
     break;
-  case O::CmpEQImm:
-    cmpIImm(CC_E);
-    break;
-  case O::CmpNEImm:
-    cmpIImm(CC_NE);
-    break;
-  case O::CmpSLTImm:
-    cmpIImm(CC_L);
-    break;
-  case O::CmpSLEImm:
-    cmpIImm(CC_LE);
-    break;
-  case O::CmpSGTImm:
-    cmpIImm(CC_G);
-    break;
-  case O::CmpSGEImm:
-    cmpIImm(CC_GE);
-    break;
 
   case O::Select:
     cost(I.Cost);
@@ -1095,27 +1008,6 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     A.movRM(RAX, RBX, fi(I.B));
     A.shlImm8(RAX, static_cast<std::uint8_t>(I.Imm.I));
     A.aluRM(0x03, RAX, RBX, fi(I.A));
-    storeOfInt(I.Dst);
-    break;
-  case O::GepMul:
-    cost(I.Cost);
-    ++PendInstr;
-    A.movRM(RAX, RBX, fi(I.B));
-    A.movImm64(RCX, static_cast<std::uint64_t>(I.Imm.I));
-    A.imulRR(RAX, RCX);
-    A.aluRM(0x03, RAX, RBX, fi(I.A));
-    storeOfInt(I.Dst);
-    break;
-  case O::GepAddImm:
-    cost(I.Cost);
-    ++PendInstr;
-    A.movRM(RAX, RBX, fi(I.A));
-    if (fitsI32(I.Imm.I)) {
-      A.aluImm32(0, RAX, static_cast<std::int32_t>(I.Imm.I));
-    } else {
-      A.movImm64(RCX, static_cast<std::uint64_t>(I.Imm.I));
-      A.aluRR(0x03, RAX, RCX);
-    }
     storeOfInt(I.Dst);
     break;
   case O::GepN: {
@@ -1166,26 +1058,11 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     tracePush(2);
     break;
 
-  case O::LoadFAddF:
-    loadFBin(0x58);
-    break;
   case O::LoadFSubF:
     loadFBin(0x5C);
     break;
   case O::LoadFMulF:
     loadFBin(0x59);
-    break;
-  case O::LoadIAddI:
-    cost(I.Cost);
-    ++PendInstr;
-    ++PendLoads;
-    A.movRM(RAX, RBX, fi(I.A));
-    loadCommon(false, I.Aux);
-    cost(I.CostB);
-    ++PendInstr;
-    A.movRM(RAX, RBX, fi(I.B));
-    A.aluRM(0x03, RAX, RBX, fi(I.C));
-    A.movMR(RBX, fi(I.Dst), RAX);
     break;
 
   case O::Jmp:
@@ -1207,38 +1084,14 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
   case O::BrCmpEQ:
     brCmp(CC_E, false);
     break;
-  case O::BrCmpNE:
-    brCmp(CC_NE, false);
-    break;
   case O::BrCmpSLT:
     brCmp(CC_L, false);
-    break;
-  case O::BrCmpSLE:
-    brCmp(CC_LE, false);
-    break;
-  case O::BrCmpSGT:
-    brCmp(CC_G, false);
-    break;
-  case O::BrCmpSGE:
-    brCmp(CC_GE, false);
-    break;
-  case O::BrCmpEQImm:
-    brCmp(CC_E, true);
     break;
   case O::BrCmpNEImm:
     brCmp(CC_NE, true);
     break;
   case O::BrCmpSLTImm:
     brCmp(CC_L, true);
-    break;
-  case O::BrCmpSLEImm:
-    brCmp(CC_LE, true);
-    break;
-  case O::BrCmpSGTImm:
-    brCmp(CC_G, true);
-    break;
-  case O::BrCmpSGEImm:
-    brCmp(CC_GE, true);
     break;
 
   case O::Ret:

@@ -128,12 +128,6 @@ PhaseStats ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
     R[I->Dst].D = R[I->A].D OPER R[I->B].D;                                    \
     NEXT();                                                                    \
   }
-#define FP_BIN_IMM(Name, OPER)                                                 \
-  OP(Name) {                                                                   \
-    STEP();                                                                    \
-    R[I->Dst].D = R[I->A].D OPER I->Imm.D;                                     \
-    NEXT();                                                                    \
-  }
 #define CMP_I(Name, OPER)                                                      \
   OP(Name) {                                                                   \
     STEP();                                                                    \
@@ -144,12 +138,6 @@ PhaseStats ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
   OP(Name) {                                                                   \
     STEP();                                                                    \
     R[I->Dst] = RuntimeValue::ofInt(R[I->A].D OPER R[I->B].D);                 \
-    NEXT();                                                                    \
-  }
-#define CMP_I_IMM(Name, OPER)                                                  \
-  OP(Name) {                                                                   \
-    STEP();                                                                    \
-    R[I->Dst] = RuntimeValue::ofInt(R[I->A].I OPER I->Imm.I);                  \
     NEXT();                                                                    \
   }
 #define BR_CMP(Name, OPER)                                                     \
@@ -197,11 +185,6 @@ dispatch:
     R[I->Dst].I = R[I->A].I;
     NEXT();
   }
-  OP(MovImm) {
-    STEP();
-    R[I->Dst] = I->Imm;
-    NEXT();
-  }
   OP(PhiMov) {
     R[I->Dst] = R[I->A];
     NEXT();
@@ -244,27 +227,16 @@ dispatch:
   INT_BIN_IMM(AddImm, +)
   INT_BIN_IMM(SubImm, -)
   INT_BIN_IMM(MulImm, *)
-  OP(ShlImm) {
-    // Imm.I is pre-masked to [0, 63] at lowering.
-    STEP();
-    R[I->Dst].I = static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(R[I->A].I) << I->Imm.I);
-    NEXT();
-  }
-  OP(AShrImm) {
-    STEP();
-    R[I->Dst].I = R[I->A].I >> I->Imm.I;
-    NEXT();
-  }
 
   FP_BIN(FAdd, +)
   FP_BIN(FSub, -)
   FP_BIN(FMul, *)
   FP_BIN(FDiv, /)
-  FP_BIN_IMM(FAddImm, +)
-  FP_BIN_IMM(FSubImm, -)
-  FP_BIN_IMM(FMulImm, *)
-  FP_BIN_IMM(FDivImm, /)
+  OP(FMulImm) {
+    STEP();
+    R[I->Dst].D = R[I->A].D * I->Imm.D;
+    NEXT();
+  }
 
   CMP_I(CmpEQ, ==)
   CMP_I(CmpNE, !=)
@@ -278,12 +250,6 @@ dispatch:
   CMP_F(CmpFGE, >=)
   CMP_F(CmpFEQ, ==)
   CMP_F(CmpFNE, !=)
-  CMP_I_IMM(CmpEQImm, ==)
-  CMP_I_IMM(CmpNEImm, !=)
-  CMP_I_IMM(CmpSLTImm, <)
-  CMP_I_IMM(CmpSLEImm, <=)
-  CMP_I_IMM(CmpSGTImm, >)
-  CMP_I_IMM(CmpSGEImm, >=)
 
   OP(Select) {
     STEP();
@@ -301,30 +267,24 @@ dispatch:
     NEXT();
   }
 
+  // Address math wraps like Add/Sub/Mul, through uint64_t.
   OP(Gep1Shl) {
     STEP();
-    R[I->Dst] = RuntimeValue::ofInt(
-        R[I->A].I + static_cast<std::int64_t>(
-                        static_cast<std::uint64_t>(R[I->B].I) << I->Imm.I));
-    NEXT();
-  }
-  OP(GepMul) {
-    STEP();
-    R[I->Dst] = RuntimeValue::ofInt(R[I->A].I + R[I->B].I * I->Imm.I);
-    NEXT();
-  }
-  OP(GepAddImm) {
-    STEP();
-    R[I->Dst] = RuntimeValue::ofInt(R[I->A].I + I->Imm.I);
+    R[I->Dst] = RuntimeValue::ofInt(static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(R[I->A].I) +
+        (static_cast<std::uint64_t>(R[I->B].I) << I->Imm.I)));
     NEXT();
   }
   OP(GepN) {
     STEP();
     const bc::GepDesc &G = BF.GepDescs[I->A];
-    std::int64_t Linear = 0;
+    std::uint64_t Linear = 0;
     for (std::size_t J = 0; J != G.IdxRegs.size(); ++J)
-      Linear = Linear * (J ? G.Dims[J] : 1) + R[G.IdxRegs[J]].I;
-    R[I->Dst] = RuntimeValue::ofInt(R[G.Base].I + Linear * G.ElemSize);
+      Linear = Linear * static_cast<std::uint64_t>(J ? G.Dims[J] : 1) +
+               static_cast<std::uint64_t>(R[G.IdxRegs[J]].I);
+    R[I->Dst] = RuntimeValue::ofInt(static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(R[G.Base].I) +
+        Linear * static_cast<std::uint64_t>(G.ElemSize)));
     NEXT();
   }
 
@@ -374,23 +334,8 @@ dispatch:
     NEXT();
   }
 
-  LOAD_F_BIN(LoadFAddF, +)
   LOAD_F_BIN(LoadFSubF, -)
   LOAD_F_BIN(LoadFMulF, *)
-  OP(LoadIAddI) {
-    STEP();
-    std::uint64_t Addr = static_cast<std::uint64_t>(R[I->A].I);
-    ++NLoads;
-    Trace.push(AccessTrace::Kind::Load, Addr);
-    RuntimeValue Out;
-    Out.I = View.loadI64(Addr);
-    R[I->Aux] = Out;
-    STEP2();
-    R[I->Dst].I = static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(R[I->B].I) +
-        static_cast<std::uint64_t>(R[I->C].I));
-    NEXT();
-  }
 
   OP(Jmp) {
     NInstr += I->Count;
@@ -403,17 +348,9 @@ dispatch:
   }
 
   BR_CMP(BrCmpEQ, ==)
-  BR_CMP(BrCmpNE, !=)
   BR_CMP(BrCmpSLT, <)
-  BR_CMP(BrCmpSLE, <=)
-  BR_CMP(BrCmpSGT, >)
-  BR_CMP(BrCmpSGE, >=)
-  BR_CMP_IMM(BrCmpEQImm, ==)
   BR_CMP_IMM(BrCmpNEImm, !=)
   BR_CMP_IMM(BrCmpSLTImm, <)
-  BR_CMP_IMM(BrCmpSLEImm, <=)
-  BR_CMP_IMM(BrCmpSGTImm, >)
-  BR_CMP_IMM(BrCmpSGEImm, >=)
 
   OP(Ret) {
     STEP();
@@ -473,10 +410,8 @@ done:
 #undef LOAD_F_BIN
 #undef BR_CMP_IMM
 #undef BR_CMP
-#undef CMP_I_IMM
 #undef CMP_F
 #undef CMP_I
-#undef FP_BIN_IMM
 #undef FP_BIN
 #undef INT_BIN_IMM
 #undef INT_BIN

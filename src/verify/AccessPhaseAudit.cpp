@@ -74,12 +74,6 @@ AuditReport verify::auditAccessPhase(ir::Function &F,
   return Report;
 }
 
-pm::PreservedAnalyses
-AccessPhaseAuditPass::run(ir::Function &F, pm::FunctionAnalysisManager &FAM) {
-  Report = auditAccessPhase(F, FAM);
-  return pm::PreservedAnalyses::all();
-}
-
 void verify::auditGenerated(ir::Function &F, const char *Context) {
   pm::FunctionAnalysisManager FAM;
   AuditReport Report = auditAccessPhase(F, FAM);

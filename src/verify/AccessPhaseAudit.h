@@ -20,16 +20,16 @@
 ///     the task's parameters produce.
 ///
 /// `auditAccessPhase` returns the violation list for tests and tooling;
-/// `AccessPhaseAuditPass` is the pm-pass wrapper; `auditGenerated` is the
-/// always-on hook the generators call next to pm::verifyGenerated — it
-/// aborts with the offending instructions and a dump of the function.
+/// `auditGenerated` is the always-on hook the generators call next to
+/// pm::verifyGenerated — it aborts with the offending instructions and a
+/// dump of the function.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAECC_VERIFY_ACCESSPHASEAUDIT_H
 #define DAECC_VERIFY_ACCESSPHASEAUDIT_H
 
-#include "pm/Pass.h"
+#include "pm/AnalysisManager.h"
 
 #include <string>
 #include <vector>
@@ -64,22 +64,6 @@ struct AuditReport {
 /// Audits \p F as an access phase. Uses (and caches into) \p FAM's loop
 /// analysis; never mutates the function.
 AuditReport auditAccessPhase(ir::Function &F, pm::FunctionAnalysisManager &FAM);
-
-/// pm-pass wrapper so the audit can ride any pipeline. Analysis-only: always
-/// preserves everything. Violations are reported through report() after
-/// run(); the pass never aborts by itself.
-class AccessPhaseAuditPass : public pm::FunctionPass {
-public:
-  const char *name() const override { return "access-phase-audit"; }
-  pm::PreservedAnalyses run(ir::Function &F,
-                            pm::FunctionAnalysisManager &FAM) override;
-
-  /// Report of the most recent run().
-  const AuditReport &report() const { return Report; }
-
-private:
-  AuditReport Report;
-};
 
 /// Always-on generation hook (the static-oracle sibling of
 /// pm::verifyGenerated): audits \p F and aborts with the violation list and

@@ -16,11 +16,15 @@
 // runs under the switch, threaded and native backends; traces, PhaseStats,
 // return values and memory images must equal the switch interpreter's.
 //
-// BackendKernelTest runs two hand-built kernels the generator cannot reach
-// through the same comparison, and also checks their results against values
-// computed on the host: a loop whose header phis form swap cycles (built as
-// a self-loop, whose back edge is critical, and with a separate latch), and
-// SDiv/SRem by 0, INT64_MIN by -1 and operands of mixed sign.
+// BackendKernelTest runs hand-built kernels the generator cannot reach
+// through the same comparison: a loop whose header phis form swap cycles
+// (built as a self-loop, whose back edge is critical, and with a separate
+// latch); SDiv/SRem by 0, INT64_MIN by -1 and operands of mixed sign; GEPs
+// whose byte offsets wrap past 2^64; and the shapes the bytecode leaves to
+// its generic forms (constant operands of compares, shifts and FP ops,
+// compare-and-branch pairs, loads feeding FAdd and Add, one-index GEPs with
+// a constant index or a 24-byte element). The first three also check their
+// results against values computed on the host.
 //
 // MemoryArenaTest and MemoryArenaDeathTest pin the arena's edges under every
 // backend: an 8-byte access that straddles a 4 KiB boundary inside a global
@@ -272,7 +276,8 @@ private:
     }
     case 4: { // Load feeding FP arithmetic directly (fused load-op forms).
       Value *L = B.createLoad(Type::Float64, address(B, G, Levels));
-      Floats.push_back(B.createFAdd(L, pickFloat()));
+      Floats.push_back(below(2) ? B.createFSub(L, pickFloat())
+                                : B.createFMul(L, pickFloat()));
       break;
     }
     default:
@@ -539,6 +544,143 @@ TEST(BackendKernelTest, DivisionEdgeCasesMatchHost) {
   const Outcome Ref = runUnder(SimBackend::Switch, M, *F, Args, Init);
   EXPECT_EQ(Ref.Hash, Expected.imageHash());
   expectBackendsAgree(M, *F, Args, Init, "division");
+}
+
+/// wrap(i, r): loads A[i] through a one-index GEP and A[r][1] through a
+/// two-index GEP over 4 columns, stores the two values to A[2] and A[3] and
+/// returns the first. With i = 2^61 + 1 and r = 2^60 the byte offsets are
+/// 2^64 + 8 and 2^65 + 8, which wrap to 8 (A[1]) as native code computes.
+TEST(BackendKernelTest, GepAddressMathWraps) {
+  Module M;
+  GlobalVariable *A = M.createGlobal("A", 4 * 8);
+  Function *F =
+      M.createFunction("wrap", Type::Int64, {Type::Int64, Type::Int64});
+  IRBuilder B(M, F->createBlock("entry"));
+  Value *V1 = B.createLoad(Type::Int64, B.createGep1D(A, F->getArg(0), 8));
+  Value *V2 = B.createLoad(
+      Type::Int64, B.createGep2D(A, F->getArg(1), B.getInt(1), 4, 8));
+  B.createStore(V1, B.createGep1D(A, B.getInt(2), 8));
+  B.createStore(V2, B.createGep1D(A, B.getInt(3), 8));
+  B.createRet(V1);
+  ASSERT_TRUE(verifyFunction(*F).empty()) << printFunction(*F);
+
+  const std::uint64_t Base = Loader(M).baseOf(A);
+  constexpr std::int64_t Elem1 = 0x5eed;
+  auto Init = [Base](Memory &Mem, const Loader &) {
+    Mem.storeI64(Base + 8, Elem1);
+  };
+  Memory Expected;
+  for (std::uint64_t Off : {8, 16, 24})
+    Expected.storeI64(Base + Off, Elem1);
+
+  const std::vector<RuntimeValue> Args{
+      RuntimeValue::ofInt((std::int64_t(1) << 61) + 1),
+      RuntimeValue::ofInt(std::int64_t(1) << 60)};
+  const Outcome Ref = runUnder(SimBackend::Switch, M, *F, Args, Init);
+  EXPECT_EQ(Ref.Ret.I, Elem1);
+  EXPECT_EQ(Ref.Hash, Expected.imageHash());
+  expectBackendsAgree(M, *F, Args, Init, "gep wrap");
+}
+
+/// shapes(n, x, y) runs, for k < n, one instance of each shape that lowers
+/// to a generic form: compare-and-branch pairs on == against a constant, on
+/// != against a register, and on <=, > and >= against both; compares
+/// against a constant used as values; FAdd, FSub, FDiv, Shl and AShr by a
+/// constant; a float load feeding FAdd and int loads feeding Add; one-index
+/// GEPs with a constant index (off a global and off a register) and with a
+/// 24-byte element. In[k] cycles through [-4, 4] and x is 1, so every
+/// branch goes both ways.
+Function *buildShapesKernel(Module &M) {
+  GlobalVariable *In = M.getGlobal("In"), *Fv = M.getGlobal("Fv"),
+                 *Rec = M.getGlobal("Rec"), *Counts = M.getGlobal("Counts"),
+                 *Bits = M.getGlobal("Bits"), *Out = M.getGlobal("Out"),
+                 *Shifted = M.getGlobal("Shifted");
+  Function *F = M.createFunction("shapes", Type::Int64,
+                                 {Type::Int64, Type::Int64, Type::Float64});
+  Value *X = F->getArg(1), *Y = F->getArg(2);
+  IRBuilder B(M, F->createBlock("entry"));
+  emitCountedLoop(
+      B, B.getInt(0), F->getArg(0), B.getInt(1), "k",
+      [&](IRBuilder &B, Value *K) {
+        Value *A = B.createLoad(Type::Int64, B.createGep1D(In, K, 8));
+
+        // Branch s, when taken, adds k to Counts[s].
+        std::int64_t Slot = 0;
+        auto Branch = [&](CmpPred P, Value *Rhs) {
+          BasicBlock *Taken = F->createBlock("taken");
+          BasicBlock *Join = F->createBlock("join");
+          B.createCondBr(B.createCmp(P, A, Rhs), Taken, Join);
+          B.setInsertBlock(Taken);
+          Value *C = B.createGep1D(Counts, B.getInt(Slot++), 8);
+          B.createStore(B.createAdd(B.createLoad(Type::Int64, C), K), C);
+          B.createBr(Join);
+          B.setInsertBlock(Join);
+        };
+        Branch(CmpPred::EQ, B.getInt(3));
+        Branch(CmpPred::NE, X);
+        for (CmpPred P : {CmpPred::SLE, CmpPred::SGT, CmpPred::SGE}) {
+          Branch(P, B.getInt(0));
+          Branch(P, X);
+        }
+
+        // Bits[k] packs the six integer compares of In[k] against 1.
+        Value *Mask = B.getInt(0);
+        for (CmpPred P : {CmpPred::EQ, CmpPred::NE, CmpPred::SLT, CmpPred::SLE,
+                          CmpPred::SGT, CmpPred::SGE})
+          Mask = B.createAdd(B.createMul(Mask, B.getInt(2)),
+                             B.createCmp(P, A, B.getInt(1)));
+        B.createStore(Mask, B.createGep1D(Bits, K, 8));
+
+        Value *V = B.createFAdd(
+            B.createLoad(Type::Float64, B.createGep1D(Fv, K, 8)), Y);
+        V = B.createFDiv(B.createFSub(B.createFAdd(V, B.getFloat(0.25)),
+                                      B.getFloat(1.5)),
+                         B.getFloat(3.0));
+        B.createStore(V, B.createGep1D(Out, K, 8));
+
+        // A shift amount past 63 is taken mod 64.
+        Value *S = B.createAShr(B.createShl(A, B.getInt(3)), B.getInt(66));
+        B.createStore(S, B.createGep1D(Shifted, K, 8));
+
+        // Rec[k] is a 24-byte record: its third field is added into its
+        // first.
+        Value *R = B.createGep1D(Rec, K, 24);
+        Value *Third = B.createGep1D(R, B.getInt(2), 8);
+        B.createStore(B.createAdd(B.createLoad(Type::Int64, Third), A), R);
+      });
+  B.createRet(
+      B.createLoad(Type::Int64, B.createGep1D(Counts, B.getInt(0), 8)));
+  return F;
+}
+
+TEST(BackendKernelTest, GenericFormsOfPrunedShapesMatchSwitch) {
+  constexpr std::int64_t N = 18;
+  Module M;
+  GlobalVariable *In = M.createGlobal("In", N * 8);
+  GlobalVariable *Fv = M.createGlobal("Fv", N * 8);
+  GlobalVariable *Rec = M.createGlobal("Rec", N * 24);
+  M.createGlobal("Counts", 8 * 8);
+  M.createGlobal("Bits", N * 8);
+  M.createGlobal("Out", N * 8);
+  M.createGlobal("Shifted", N * 8);
+  Function *F = buildShapesKernel(M);
+  ASSERT_TRUE(verifyFunction(*F).empty()) << printFunction(*F);
+
+  const Loader L(M);
+  const std::uint64_t InBase = L.baseOf(In), FvBase = L.baseOf(Fv),
+                      RecBase = L.baseOf(Rec);
+  auto Init = [=](Memory &Mem, const Loader &) {
+    for (std::int64_t K = 0; K != N; ++K) {
+      Mem.storeI64(InBase + 8 * K, (K * 5) % 9 - 4);
+      Mem.storeF64(FvBase + 8 * K, 0.75 * static_cast<double>(K) - 2.0);
+      for (std::int64_t Field = 0; Field != 3; ++Field)
+        Mem.storeI64(RecBase + 24 * K + 8 * Field, 100 * K + Field);
+    }
+  };
+  const std::vector<RuntimeValue> Args{RuntimeValue::ofInt(N),
+                                       RuntimeValue::ofInt(1),
+                                       RuntimeValue::ofFloat(0.5)};
+  expectBackendsAgree(M, *F, Args, Init, "pruned shapes");
 }
 
 //===----------------------------------------------------------------------===//
