@@ -20,11 +20,11 @@
 #include "harness/Harness.h"
 #include "pm/Instrumentation.h"
 #include "runtime/Task.h"
-#include "sim/AccessTrace.h"
 #include "sim/MachineConfig.h"
 #include "support/EnvParse.h"
 #include "workloads/Workload.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -362,14 +362,12 @@ inline std::uint64_t simInstructions(const runtime::RunProfile &P) {
 ///                                         sim_instructions /
 ///                                         functional_wall_seconds; -1 when
 ///                                         no functional time was recorded
-///                                       trace_retained_bytes     int     trace
-///                                         storage capacity held in the
-///                                         process-wide TracePool free-list
-///                                         at report time
 ///                                       trace_peak_bytes         int
-///                                         high-water mark of a single
-///                                         trace's recorded bytes across the
-///                                         run (sizing evidence for the
+///                                         recorded bytes of the largest
+///                                         single phase trace among the
+///                                         added profiles: 8 bytes per
+///                                         load, store and prefetch of that
+///                                         phase (sizing evidence for the
 ///                                         reserve-doubling growth policy)
 ///   contention                array   multi-core co-run sweep entries
 ///                                     (bench/fig_contention.cpp), one object
@@ -416,9 +414,17 @@ public:
     End = std::chrono::steady_clock::now();
   }
   void add(const runtime::RunProfile &P) {
+    // A phase's trace holds one 8-byte event per load, store and prefetch.
+    std::uint64_t PeakEvents = 0;
+    for (const runtime::TaskProfile &T : P.Tasks)
+      for (const sim::PhaseStats *S : {&T.Access, &T.Execute})
+        PeakEvents =
+            std::max(PeakEvents, S->Loads + S->Stores + S->Prefetches);
     std::lock_guard<std::mutex> Lock(Mu);
     Instructions += simInstructions(P);
     FunctionalSeconds += P.FunctionalSeconds;
+    TracePeakBytes =
+        std::max(TracePeakBytes, PeakEvents * sizeof(std::uint64_t));
   }
   /// Records a partial failure (e.g. one app's schemes disagreed). The JSON
   /// is still written; status becomes "partial".
@@ -635,8 +641,7 @@ private:
                    "  \"interp\": {\"backend\": \"%s\", "
                    "\"functional_wall_seconds\": %.6f, "
                    "\"functional_instr_per_sec\": %.1f, "
-                   "\"trace_retained_bytes\": %zu, "
-                   "\"trace_peak_bytes\": %zu},\n"
+                   "\"trace_peak_bytes\": %llu},\n"
                    "  \"contention\": %s,\n"
                    "  \"failures\": %u,\n"
                    "  \"status\": \"%s\"\n"
@@ -646,8 +651,9 @@ private:
                    pm::PipelineStats::get().json().c_str(), DaeVerify.c_str(),
                    DaePg.c_str(),
                    sim::simBackendName(Backend), FunctionalSeconds,
-                   FunctionalIps, sim::TracePool::global().retainedBytes(),
-                   sim::TracePool::global().peakBytes(), Contention.c_str(),
+                   FunctionalIps,
+                   static_cast<unsigned long long>(TracePeakBytes),
+                   Contention.c_str(),
                    Failures, Status);
       std::fclose(F);
       std::rename(Tmp.c_str(), Path.c_str());
@@ -662,6 +668,7 @@ private:
   sim::SimBackend Backend = sim::defaultSimBackend();
   double FunctionalSeconds = 0.0;
   std::uint64_t Instructions = 0;
+  std::uint64_t TracePeakBytes = 0;
   std::vector<std::string> DaeVerifyEntries;
   std::vector<std::string> DaePgEntries;
   std::vector<std::string> ContentionEntries;

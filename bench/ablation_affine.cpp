@@ -15,7 +15,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "dae/GenerationMemo.h"
 #include "harness/Harness.h"
 
 #include <cstdio>
@@ -64,10 +63,7 @@ int main(int Argc, char **Argv) {
       {"per-cache-line 5.2.3", LineGranular},
   };
 
-  // Every variant runs its own LU instance; the shared memo regenerates an
-  // access phase only when the flipped knob actually matters for the task
-  // (e.g. "hull guard off" still accepts exactly the same hulls on LU, so
-  // all four tasks hit the cache).
+  // Every variant runs its own LU instance and generates its own phases.
   std::vector<std::unique_ptr<workloads::Workload>> Workloads;
   std::vector<SuiteItem> Items;
   for (Variant &V : Variants) {
@@ -76,10 +72,8 @@ int main(int Argc, char **Argv) {
     Items.push_back({Workloads.back().get(), &V.Opts});
   }
 
-  GenerationMemo Memo;
   SuiteConfig SC;
   SC.Jobs = Jobs;
-  SC.Memo = &Memo;
   std::vector<AppResult> Results = runSuite(Items, Cfg, SC);
 
   std::printf("Affine-path ablation on LU (Optimal-EDP policy, 500 ns "
@@ -111,12 +105,6 @@ int main(int Argc, char **Argv) {
                 R.OutputsMatch ? "" : "  [OUTPUT MISMATCH]");
   }
   printRule(84);
-  GenerationMemo::Stats MS = Memo.stats();
-  std::printf("[memo] generation cache: %llu hits, %llu misses, %llu "
-              "uncacheable\n",
-              static_cast<unsigned long long>(MS.Hits),
-              static_cast<unsigned long long>(MS.Misses),
-              static_cast<unsigned long long>(MS.Rejections));
   std::printf("(expected: memory-range scans far more than it needs — "
               "Figure 1(b); guard-off may over-prefetch; per-cache-line "
               "shrinks the access instruction count ~8x)\n");

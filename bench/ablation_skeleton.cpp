@@ -13,7 +13,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "dae/GenerationMemo.h"
 #include "harness/Harness.h"
 
 #include <cstdio>
@@ -48,11 +47,9 @@ int main(int Argc, char **Argv) {
   };
   const char *Apps[] = {"lbm", "libq", "cg"};
 
-  // All 15 (app x variant) runs go through one suite on the job pool and
-  // share one generation memo: only the knobs a variant actually flips for
-  // a given task force regeneration (e.g. PrefetchWrites is irrelevant for
-  // store-free tasks). The profile-guided cold-load sets are measured
-  // sequentially up front — they are an input to generation, not suite work.
+  // All 15 (app x variant) runs go through one suite on the job pool. The
+  // profile-guided cold-load sets are measured sequentially up front — they
+  // are an input to generation, not suite work.
   struct Item {
     std::unique_ptr<workloads::Workload> W;
     DaeOptions Opts;
@@ -76,10 +73,8 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  GenerationMemo Memo;
   SuiteConfig SC;
   SC.Jobs = Jobs;
-  SC.Memo = &Memo;
   std::vector<AppResult> Results = runSuite(Suite, Cfg, SC);
 
   std::size_t Next = 0;
@@ -103,12 +98,6 @@ int main(int Argc, char **Argv) {
     }
   }
   printRule(70);
-  GenerationMemo::Stats MS = Memo.stats();
-  std::printf("[memo] generation cache: %llu hits, %llu misses, %llu "
-              "uncacheable\n",
-              static_cast<unsigned long long>(MS.Hits),
-              static_cast<unsigned long long>(MS.Misses),
-              static_cast<unsigned long long>(MS.Rejections));
   std::printf("(expected: keeping conditionals replicates computation into "
               "the access phase; prefetching writes adds traffic without "
               "helping — the paper's section 5.2.1 finding)\n");

@@ -48,7 +48,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "dae/GenerationMemo.h"
 #include "harness/Harness.h"
 #include "support/MathUtil.h"
 
@@ -190,10 +189,8 @@ int main(int Argc, char **Argv) {
   for (auto &W : Workloads)
     Items.push_back({W.get(), nullptr});
 
-  GenerationMemo Memo;
   SuiteConfig SC;
   SC.Jobs = Jobs;
-  SC.Memo = &Memo;
   SC.DaeVerify = DaeVerify;
   SC.DaeProfileGuided = DaeProfileGuided;
 

@@ -33,19 +33,7 @@ AccessPhaseResult dae::generateAccessPhase(Module &M, Function &Task,
     return Result;
   }
   passes::optimizeFunction(Task, FAM);
-  return generateAccessPhaseForOptimizedTask(M, Task, Opts, FAM);
-}
 
-AccessPhaseResult dae::generateAccessPhase(Module &M, Function &Task,
-                                           const DaeOptions &Opts) {
-  pm::FunctionAnalysisManager FAM;
-  return generateAccessPhase(M, Task, Opts, FAM);
-}
-
-AccessPhaseResult
-dae::generateAccessPhaseForOptimizedTask(Module &M, Function &Task,
-                                         const DaeOptions &Opts,
-                                         pm::FunctionAnalysisManager &FAM) {
   const TaskClassification &Cls =
       FAM.getResult<pm::TaskClassificationAnalysis>(Task);
   if (Cls.Class == TaskClass::Rejected) {
@@ -86,4 +74,10 @@ dae::generateAccessPhaseForOptimizedTask(Module &M, Function &Task,
     verify::auditGenerated(*Result.AccessFn, "access-phase generation");
   }
   return Result;
+}
+
+AccessPhaseResult dae::generateAccessPhase(Module &M, Function &Task,
+                                           const DaeOptions &Opts) {
+  pm::FunctionAnalysisManager FAM;
+  return generateAccessPhase(M, Task, Opts, FAM);
 }

@@ -30,32 +30,19 @@ class Function;
 class Module;
 } // namespace ir
 
-/// What the generators actually consulted while producing a phase. The
-/// generation memo (GenerationMemo.h) uses this to decide which DaeOptions
-/// knobs were *relevant* to the produced function: a knob the generator
-/// never acted on can be wildcarded in the cache key, which is what lets
-/// ablation sweeps hit the cache for variants whose knob changes nothing.
+/// What the generators did, as far as the profile-guided refinement planner
+/// (dae/AccessProfile.h) needs to know: it only proposes a knob change that
+/// can alter the phase.
 struct GenerationTrace {
   /// The affine generator ran to completion (emitted a phase).
   bool AffineRan = false;
-  /// Per access class: whether the hull scan was emittable at all, and the
-  /// minimal slack that accepts it (NconvUn - NOrig). A class takes the hull
-  /// iff Emittable && HullSlackThreshold >= Need, so two thresholds are
-  /// interchangeable when they accept exactly the same classes.
-  struct ClassGuard {
-    bool Emittable = false;
-    long long Need = 0;
-  };
-  std::vector<ClassGuard> Guards;
   /// At least two nests were actually merged (MergeLoopNests acted).
   bool MergeApplied = false;
 
   /// The skeleton generator ran.
   bool SkeletonRan = false;
-  /// In-loop conditionals that were candidates for 5.2.2 step 6 removal, and
-  /// how many were rewritten. When both runs see zero rewrites the SimplifyCfg
-  /// knob is irrelevant to this task.
-  unsigned CondCandidates = 0;
+  /// In-loop conditionals that section 5.2.2 step 6 rewrote. Zero means
+  /// SimplifyCfg=false would regenerate the same phase.
   unsigned CondsRewritten = 0;
 };
 
@@ -85,15 +72,13 @@ struct AccessPhaseResult {
   /// Access classes discovered (arrays x parameter signatures).
   unsigned NumClasses = 0;
 
-  /// Knob-relevance record for the generation memo.
+  /// What the refinement planner reads about this generation.
   GenerationTrace Trace;
 
   // --- Profile provenance (dae/ProfileGuidedRefinement.h) ---
 
   /// The phase was regenerated by the profile-guided refinement loop; the
-  /// knob changes it ran with are recorded in RefinementNote. Carried
-  /// through GenerationMemo transplants untouched, so a refined phase keeps
-  /// its provenance when reused across modules.
+  /// knob changes it ran with are recorded in RefinementNote.
   bool ProfileRefined = false;
   /// Human-readable refinement actions ("keep-control-flow", ...); empty
   /// when ProfileRefined is false.
@@ -114,15 +99,6 @@ AccessPhaseResult generateAccessPhase(ir::Module &M, ir::Function &Task,
 /// Convenience overload with a throwaway analysis cache (tests, examples).
 AccessPhaseResult generateAccessPhase(ir::Module &M, ir::Function &Task,
                                       const DaeOptions &Opts);
-
-/// Same as generateAccessPhase but assumes \p Task has already been checked
-/// for inlinability and optimized (exactly what generateAccessPhase does
-/// first). The generation memo uses this entry so the task is optimized once
-/// for both the content key and any subsequent generation.
-AccessPhaseResult
-generateAccessPhaseForOptimizedTask(ir::Module &M, ir::Function &Task,
-                                    const DaeOptions &Opts,
-                                    pm::FunctionAnalysisManager &FAM);
 
 } // namespace dae
 

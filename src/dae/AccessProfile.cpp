@@ -6,7 +6,28 @@
 
 #include "dae/AccessProfile.h"
 
+#include "ir/Function.h"
+#include "pm/Analyses.h"
+#include "support/Casting.h"
+
 using namespace dae;
+using namespace dae::ir;
+
+std::string dae::taskContentFingerprint(Function &Task,
+                                        pm::FunctionAnalysisManager &FAM) {
+  // The print names globals but not their sizes, and a task over larger
+  // arrays generates a different phase (GEP shapes, loader layout).
+  std::string Key = FAM.getResult<pm::FunctionPrintAnalysis>(Task);
+  std::map<std::string, std::uint64_t> Globals;
+  for (const auto &BB : Task)
+    for (const auto &I : *BB)
+      for (Value *Op : I->operands())
+        if (auto *G = dyn_cast<GlobalVariable>(Op))
+          Globals[G->getName()] = G->getSizeInBytes();
+  for (const auto &[Name, Size] : Globals)
+    Key += "@" + Name + ":" + std::to_string(Size) + "\n";
+  return Key;
+}
 
 std::string RefinementAction::str() const {
   std::string S;

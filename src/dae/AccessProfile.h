@@ -11,9 +11,9 @@
 /// skeleton prefetches loads that rarely miss, merged affine nests stream a
 /// footprint larger than the cache levels they target. The differential
 /// checker's captures measure each gap per task; this header persists those
-/// measurements keyed by the GenerationMemo task fingerprint (so a profile
-/// recorded against one module applies to structurally identical tasks in
-/// any module) and turns them into refinement decisions:
+/// measurements keyed by a task content fingerprint (so a profile recorded
+/// against one module applies to structurally identical tasks in any
+/// module) and turns them into refinement decisions:
 ///
 ///   * keep-control-flow: strict coverage below target while CFG
 ///     simplification rewrote conditionals -> regenerate with
@@ -43,6 +43,15 @@
 #include <string>
 
 namespace dae {
+
+/// Content fingerprint of an *optimized* task: the pipeline's cached print
+/// of the body plus the name/size of every referenced global. Structurally
+/// identical tasks from different workload instances fingerprint equal, so
+/// an AccessProfile record observed on one module's task applies to its
+/// twin in another. \p Task must already be optimized
+/// (passes::optimizeFunction); the print is taken from \p FAM's cache.
+std::string taskContentFingerprint(ir::Function &Task,
+                                   pm::FunctionAnalysisManager &FAM);
 
 /// Accumulated observations for one task fingerprint. Counters sum over
 /// task instances (and repeated runs); the footprint keeps the maximum, the
@@ -84,8 +93,8 @@ struct TaskProfileData {
   }
 };
 
-/// Thread-safe store of TaskProfileData keyed by the GenerationMemo task
-/// fingerprint (taskContentFingerprint). Drivers record the differential
+/// Thread-safe store of TaskProfileData keyed by taskContentFingerprint.
+/// Drivers record the differential
 /// checker's observations here, then hand the store to the refinement pass.
 class AccessProfile {
 public:

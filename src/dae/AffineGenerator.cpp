@@ -522,16 +522,12 @@ AccessPhaseResult dae::generateAffineAccess(Module &M, Function &Task,
       return Result;
     }
 
-    GenerationTrace::ClassGuard Guard;
-    Guard.Emittable = scanIsEmittable(Hull, D);
-    Guard.Need = *NHull - *NOrig;
-    Result.Trace.Guards.push_back(Guard);
-
     // The count guard is the refinement introduced with the convex-union
     // analysis; the 5.1.1 baseline scans its range unconditionally.
-    if (Guard.Emittable &&
-        (!Opts.UseConvexUnion ||
-         *NHull - Opts.HullSlackThreshold <= *NOrig)) {
+    const bool TakeHull = scanIsEmittable(Hull, D) &&
+                          (!Opts.UseConvexUnion ||
+                           *NHull - Opts.HullSlackThreshold <= *NOrig);
+    if (TakeHull) {
       TotalNScan += *NHull;
       Nests.emplace_back(&C, std::move(Hull));
     } else {

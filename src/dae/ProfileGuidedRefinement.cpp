@@ -6,7 +6,6 @@
 
 #include "dae/ProfileGuidedRefinement.h"
 
-#include "dae/GenerationMemo.h"
 #include "ir/Function.h"
 #include "ir/Module.h"
 #include "passes/Passes.h"
@@ -21,7 +20,7 @@ ProfileGuidedRefinementPass::run(ir::Function &F,
     return pm::PreservedAnalyses::all();
   const AccessPhaseResult &Base = BIt->second;
 
-  // Generation fingerprints the *optimized* body; the baseline generation
+  // The fingerprint reads the *optimized* body; the baseline generation
   // already optimized the task, so this is a cached no-op that just
   // guarantees the print the fingerprint reads is current.
   passes::optimizeFunction(F, FAM);
@@ -35,7 +34,7 @@ ProfileGuidedRefinementPass::run(ir::Function &F,
     return pm::PreservedAnalyses::all();
 
   // Move the unrefined phase out of the generators' naming slot so the
-  // regeneration (fresh or memo transplant) can claim "<task>.access". It
+  // regeneration can claim "<task>.access". It
   // stays in the module — callers may still be simulating or pricing it —
   // but its cached analyses are stale once renamed.
   ir::Function *Old = Base.AccessFn;
@@ -44,8 +43,7 @@ ProfileGuidedRefinementPass::run(ir::Function &F,
   Old->setName(OldName + ".unrefined");
 
   DaeOptions Opts = refinedOptions(BaseOpts, Action, Config);
-  AccessPhaseResult R = Memo ? Memo->generate(M, F, Opts, FAM)
-                             : generateAccessPhase(M, F, Opts, FAM);
+  AccessPhaseResult R = generateAccessPhase(M, F, Opts, FAM);
   if (!R.AccessFn) {
     // Regeneration declined (e.g. the refined knobs pushed the task off the
     // affine path and the skeleton refused it): keep the baseline phase.

@@ -13,10 +13,9 @@
 /// access-phase generation with the refined knobs. The unrefined phase is
 /// renamed aside ("<task>.access.unrefined") — not erased, callers may still
 /// be pricing it — and the regenerated "<task>.access" carries
-/// AccessPhaseResult::ProfileRefined provenance. Regeneration goes through
-/// the GenerationMemo when one is supplied, so structurally identical tasks
-/// in other modules receive the refined phase by transplant, provenance
-/// intact.
+/// AccessPhaseResult::ProfileRefined provenance. Each module's pass
+/// regenerates its own tasks' phases, so structurally identical tasks in two
+/// modules refine alike from one shared profile.
 ///
 /// The pass transforms the *module* (new access function), never the task
 /// function itself, so it preserves all function analyses; the renamed
@@ -48,13 +47,14 @@ class ProfileGuidedRefinementPass : public pm::FunctionPass {
 public:
   /// \p Profile holds the accumulated observations, \p BaseOpts the options
   /// the baseline generation ran with, \p Config the thresholds (and the
-  /// cold-load set, whose storage must outlive the pass). \p Memo routes
-  /// regeneration through the shared generation cache when non-null.
+  /// cold-load set, whose storage must outlive the pass). The trailing
+  /// GenerationMemo pointer has no effect; deleted in the next benchmark
+  /// revision.
   ProfileGuidedRefinementPass(ir::Module &M, const AccessProfile &Profile,
                               DaeOptions BaseOpts, RefinementConfig Config,
-                              GenerationMemo *Memo = nullptr)
+                              GenerationMemo * = nullptr)
       : M(M), Profile(Profile), BaseOpts(std::move(BaseOpts)),
-        Config(std::move(Config)), Memo(Memo) {}
+        Config(std::move(Config)) {}
 
   /// Registers the baseline generation result for \p Task. Tasks without a
   /// baseline (or whose baseline produced no access phase) are skipped —
@@ -84,7 +84,6 @@ private:
   const AccessProfile &Profile;
   DaeOptions BaseOpts;
   RefinementConfig Config;
-  GenerationMemo *Memo;
   std::map<const ir::Function *, AccessPhaseResult> Baselines;
   std::map<const ir::Function *, AccessPhaseResult> Refined;
 };

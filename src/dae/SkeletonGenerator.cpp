@@ -46,8 +46,8 @@ Value *pickSafeIncoming(PhiInst *Phi, BasicBlock *BB,
   return nullptr;
 }
 
-/// Returns the number of conditionals rewritten (for the generation memo's
-/// knob-relevance trace).
+/// Returns the number of conditionals rewritten (for the refinement
+/// planner's GenerationTrace).
 unsigned simplifyControlFlow(Function &F, pm::FunctionAnalysisManager &FAM) {
   unsigned Rewritten = 0;
   bool Changed = true;
@@ -121,27 +121,6 @@ unsigned simplifyControlFlow(Function &F, pm::FunctionAnalysisManager &FAM) {
   return Rewritten;
 }
 
-/// Counts conditional branches inside loop bodies that are not loop exit
-/// tests — the candidates simplifyControlFlow would consider. Zero means the
-/// SimplifyCfg knob cannot affect this task.
-unsigned countLoopConditionals(Function &F,
-                               pm::FunctionAnalysisManager &FAM) {
-  const LoopInfo &LI = FAM.getResult<pm::LoopAnalysis>(F);
-  unsigned Candidates = 0;
-  for (const auto &BB : F) {
-    auto *Br = dyn_cast_if_present<BrInst>(BB->getTerminator());
-    if (!Br || !Br->isConditional())
-      continue;
-    Loop *L = LI.getLoopFor(BB.get());
-    if (!L)
-      continue;
-    if (L->contains(Br->getTrueDest()) != L->contains(Br->getFalseDest()))
-      continue;
-    ++Candidates;
-  }
-  return Candidates;
-}
-
 } // namespace
 
 AccessPhaseResult dae::generateSkeletonAccess(Module &M, Function &Task,
@@ -206,7 +185,6 @@ AccessPhaseResult dae::generateSkeletonAccess(Module &M, Function &Task,
     St->getParent()->erase(St);
   Stores.clear();
   Result.Trace.SkeletonRan = true;
-  Result.Trace.CondCandidates = countLoopConditionals(*Clone, FAM);
   if (Opts.SimplifyCfg)
     Result.Trace.CondsRewritten = simplifyControlFlow(*Clone, FAM);
 

@@ -8,7 +8,6 @@
 
 #include "analysis/TaskAnalysis.h"
 #include "dae/AccessProfile.h"
-#include "dae/GenerationMemo.h"
 #include "dae/ProfileGuidedRefinement.h"
 #include "harness/JobPool.h"
 #include "ir/Function.h"
@@ -157,8 +156,7 @@ struct AppSlot {
 /// phases into SchemeTasks[2] (and Generation) and re-simulate the Auto
 /// scheme. Refinement only adds and renames access functions, never changes
 /// a task function, so the CAE and Manual runs stand.
-ProfileGuidedResult refineAutoScheme(AppSlot &S, const MachineConfig &Cfg,
-                                     GenerationMemo *Memo) {
+ProfileGuidedResult refineAutoScheme(AppSlot &S, const MachineConfig &Cfg) {
   PreparedApp &P = S.P;
   Workload &W = *P.W;
   pm::FunctionAnalysisManager &FAM = *P.FAM;
@@ -206,7 +204,7 @@ ProfileGuidedResult refineAutoScheme(AppSlot &S, const MachineConfig &Cfg,
   // Run the refinement pass through a pass manager so it is instrumented
   // (PipelineStats) and honors --verify-each like every other pass.
   auto PassPtr = std::make_unique<dae::ProfileGuidedRefinementPass>(
-      *W.M, Profile, *P.Opts, RC, Memo);
+      *W.M, Profile, *P.Opts, RC);
   dae::ProfileGuidedRefinementPass *Refiner = PassPtr.get();
   for (size_t GI = 0; GI != TaskFns.size(); ++GI)
     Refiner->noteBaseline(TaskFns[GI], P.Generation[GI]);
@@ -244,7 +242,7 @@ ProfileGuidedResult refineAutoScheme(AppSlot &S, const MachineConfig &Cfg,
 }
 
 PreparedApp prepareApp(Workload &W, const DaeOptions *OptsOverride,
-                       GenerationMemo *Memo, bool KeepAnalyses) {
+                       bool KeepAnalyses) {
   PreparedApp P;
   P.W = &W;
   P.Opts = OptsOverride ? OptsOverride : &W.Opts;
@@ -256,8 +254,7 @@ PreparedApp prepareApp(Workload &W, const DaeOptions *OptsOverride,
   auto FAM = std::make_unique<pm::FunctionAnalysisManager>();
   std::map<const ir::Function *, const ir::Function *> AutoAccess;
   for (ir::Function *F : W.taskFunctions()) {
-    AccessPhaseResult G = Memo ? Memo->generate(*W.M, *F, *P.Opts, *FAM)
-                               : generateAccessPhase(*W.M, *F, *P.Opts, *FAM);
+    AccessPhaseResult G = generateAccessPhase(*W.M, *F, *P.Opts, *FAM);
     if (G.AccessFn)
       AutoAccess[F] = G.AccessFn;
     const analysis::TaskClassification &Cls =
@@ -297,15 +294,15 @@ PreparedApp prepareApp(Workload &W, const DaeOptions *OptsOverride,
 /// analysis cache. Slots are returned in item order.
 std::vector<AppSlot> runApps(const std::vector<SuiteItem> &Items,
                              const MachineConfig &Cfg, const AppPlan &Plan,
-                             unsigned Jobs, GenerationMemo *Memo) {
+                             unsigned Jobs) {
   assert(!(Plan.Refine && Plan.RetainTraces) &&
          "the re-simulated Auto run does not retain traces");
   JobPool Pool(Jobs);
   std::vector<AppSlot> Slots(Items.size());
 
-  auto Finish = [&Cfg, &Plan, Memo](AppSlot &S) {
+  auto Finish = [&Cfg, &Plan](AppSlot &S) {
     if (Plan.Refine)
-      S.Pg = refineAutoScheme(S, Cfg, Memo);
+      S.Pg = refineAutoScheme(S, Cfg);
     for (int D = 0; D != 2; ++D)
       if (Plan.Verify && Plan.Run[D + 1])
         S.Verify[D] =
@@ -316,9 +313,9 @@ std::vector<AppSlot> runApps(const std::vector<SuiteItem> &Items,
   };
 
   for (size_t I = 0; I != Items.size(); ++I) {
-    Pool.submit([&Pool, &Slots, &Items, &Cfg, &Plan, &Finish, Memo, I] {
+    Pool.submit([&Pool, &Slots, &Items, &Cfg, &Plan, &Finish, I] {
       AppSlot &S = Slots[I];
-      S.P = prepareApp(*Items[I].W, Items[I].OptsOverride, Memo, Plan.Refine);
+      S.P = prepareApp(*Items[I].W, Items[I].OptsOverride, Plan.Refine);
       S.Pending = Plan.Run[0] + Plan.Run[1] + Plan.Run[2];
       for (int Sch = 0; Sch != 3; ++Sch)
         if (Plan.Run[Sch])
@@ -367,11 +364,9 @@ AppResult assembleApp(AppSlot &S, const MachineConfig &Cfg) {
 } // namespace
 
 AppResult harness::runApp(Workload &W, const MachineConfig &Cfg,
-                          const DaeOptions *OptsOverride,
-                          GenerationMemo *Memo, bool DaeVerify,
+                          const DaeOptions *OptsOverride, bool DaeVerify,
                           bool DaeProfileGuided) {
   SuiteConfig SC;
-  SC.Memo = Memo;
   SC.DaeVerify = DaeVerify;
   SC.DaeProfileGuided = DaeProfileGuided;
   return std::move(runSuite({{&W, OptsOverride}}, Cfg, SC).front());
@@ -383,7 +378,7 @@ std::vector<AppResult> harness::runSuite(const std::vector<SuiteItem> &Items,
   AppPlan Plan;
   Plan.Refine = SC.DaeProfileGuided;
   Plan.Verify = SC.DaeVerify;
-  std::vector<AppSlot> Slots = runApps(Items, Cfg, Plan, SC.Jobs, SC.Memo);
+  std::vector<AppSlot> Slots = runApps(Items, Cfg, Plan, SC.Jobs);
 
   std::vector<AppResult> Results;
   Results.reserve(Slots.size());
@@ -418,7 +413,7 @@ harness::runMixes(const std::vector<std::vector<Workload *>> &Mixes,
   Plan.Run[1] = false;
   Plan.RetainTraces = true;
   Plan.Verify = MC.DaeVerify;
-  std::vector<AppSlot> Slots = runApps(Items, SoloCfg, Plan, MC.Jobs, MC.Memo);
+  std::vector<AppSlot> Slots = runApps(Items, SoloCfg, Plan, MC.Jobs);
 
   // Every stream points into its app's runs. Co-runners are distinct
   // address spaces: bias each stream far above any footprint so they never

@@ -137,14 +137,11 @@ struct Fig3Row {
 };
 
 /// Runs the full pipeline for one workload. \p Opts overrides the workload's
-/// generator options when non-null. When \p Memo is non-null, access-phase
-/// generation goes through it (results are identical either way; see
-/// dae/GenerationMemo.h). \p DaeVerify and \p DaeProfileGuided act as the
-/// SuiteConfig fields do. A one-item runSuite at one job.
+/// generator options when non-null. \p DaeVerify and \p DaeProfileGuided
+/// act as the SuiteConfig fields do. A one-item runSuite at one job.
 AppResult runApp(workloads::Workload &W, const sim::MachineConfig &Cfg,
                  const DaeOptions *OptsOverride = nullptr,
-                 GenerationMemo *Memo = nullptr, bool DaeVerify = false,
-                 bool DaeProfileGuided = false);
+                 bool DaeVerify = false, bool DaeProfileGuided = false);
 
 /// One unit of suite work: a workload plus optional per-item generator
 /// options (the ablation drivers pass a different override per variant).
@@ -157,7 +154,7 @@ struct SuiteItem {
 struct SuiteConfig {
   /// Concurrent jobs (--jobs / DAECC_JOBS). 1 = sequential reference.
   unsigned Jobs = 1;
-  /// Shared generation memo; null disables memoization.
+  /// Has no effect; deleted in the next benchmark revision.
   GenerationMemo *Memo = nullptr;
   /// Run the DAE correctness oracle per (app, DAE scheme): static
   /// AccessPhaseAudit over every access phase plus the with/without-access
@@ -220,6 +217,7 @@ struct MixResult {
 /// Mix execution parameters (see SuiteConfig for the shared fields).
 struct MixConfig {
   unsigned Jobs = 1;
+  /// Has no effect; deleted in the next benchmark revision.
   GenerationMemo *Memo = nullptr;
   /// Derive an oracle verdict per workload from its CAE and Auto DAE solo
   /// runs, which then carry the capture until the verdict is out (before

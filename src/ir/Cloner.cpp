@@ -6,7 +6,7 @@
 
 #include "ir/Cloner.h"
 
-#include "ir/Module.h"
+#include "ir/Function.h"
 #include "support/Casting.h"
 
 using namespace dae;
@@ -155,71 +155,4 @@ std::unique_ptr<Function> ir::cloneFunction(const Function &F,
   if (MapOut)
     *MapOut = std::move(VM);
   return Clone;
-}
-
-Function *ir::transplantFunction(const Function &F, Module &Dst,
-                                 std::string NewName) {
-  std::vector<Type> ParamTys;
-  for (const auto &A : F.args())
-    ParamTys.push_back(A->getType());
-  auto Copy = std::make_unique<Function>(std::move(NewName),
-                                         F.getReturnType(), ParamTys);
-  Copy->setTask(F.isTask());
-  Copy->setNoInline(F.isNoInline());
-
-  ValueMap VM;
-  for (unsigned I = 0; I != F.getNumArgs(); ++I)
-    VM[F.getArg(I)] = Copy->getArg(I);
-
-  // Pre-seed the map with destination-module equivalents of every constant
-  // and global the source references, so cloneInstruction never shares a
-  // value owned by the source module.
-  for (const auto &BB : F)
-    for (const auto &I : *BB) {
-      assert(!isa<CallInst>(I.get()) &&
-             "transplantFunction requires a call-free function");
-      for (Value *Op : I->operands()) {
-        if (VM.count(Op))
-          continue;
-        if (auto *CI = dyn_cast<ConstantInt>(Op)) {
-          VM[Op] = Dst.getInt(CI->getValue());
-        } else if (auto *CF = dyn_cast<ConstantFloat>(Op)) {
-          VM[Op] = Dst.getFloat(CF->getValue());
-        } else if (auto *G = dyn_cast<GlobalVariable>(Op)) {
-          GlobalVariable *DG = Dst.getGlobal(G->getName());
-          if (!DG)
-            DG = Dst.createGlobal(G->getName(), G->getSizeInBytes());
-          assert(DG->getSizeInBytes() == G->getSizeInBytes() &&
-                 "global size mismatch between modules");
-          VM[Op] = DG;
-        }
-      }
-    }
-
-  std::map<const BasicBlock *, BasicBlock *> BlockMap;
-  for (const auto &BB : F)
-    BlockMap[BB.get()] = Copy->createBlock(BB->getName());
-
-  std::vector<std::pair<const PhiInst *, PhiInst *>> PendingPhis;
-  for (const auto &BB : F) {
-    BasicBlock *NewBB = BlockMap[BB.get()];
-    for (const auto &I : *BB) {
-      if (const auto *P = dyn_cast<PhiInst>(I.get())) {
-        auto NewPhi = std::make_unique<PhiInst>(P->getType());
-        PendingPhis.emplace_back(P, NewPhi.get());
-        VM[P] = NewPhi.get();
-        NewBB->append(std::move(NewPhi));
-        continue;
-      }
-      auto NewI = cloneInstruction(*I, VM, BlockMap);
-      VM[I.get()] = NewI.get();
-      NewBB->append(std::move(NewI));
-    }
-  }
-  for (auto &[OldPhi, NewPhi] : PendingPhis)
-    for (unsigned J = 0; J != OldPhi->getNumIncoming(); ++J)
-      NewPhi->addIncoming(mapValue(VM, OldPhi->getIncomingValue(J)),
-                          mapBlock(BlockMap, OldPhi->getIncomingBlock(J)));
-
-  return Dst.addFunction(std::move(Copy));
 }

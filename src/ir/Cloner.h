@@ -43,17 +43,6 @@ std::unique_ptr<class Instruction>
 cloneInstruction(const Instruction &I, const ValueMap &VM,
                  const std::map<const BasicBlock *, BasicBlock *> &BlockMap);
 
-class Module;
-
-/// Deep-copies \p F into \p Dst as \p NewName and registers it there.
-/// Unlike cloneFunction, nothing is shared with the source module: integer
-/// and float constants are re-uniqued through \p Dst's pools and globals are
-/// resolved by name (created with the same size when absent), so the copy
-/// stays valid after the source module is destroyed. \p F must be call-free
-/// (generated access phases are, post-inlining).
-Function *transplantFunction(const Function &F, Module &Dst,
-                             std::string NewName);
-
 } // namespace ir
 } // namespace dae
 

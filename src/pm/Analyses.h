@@ -75,8 +75,8 @@ struct ScalarEvolutionAnalysis {
   static Result run(ir::Function &F, FunctionAnalysisManager &FAM);
 };
 
-/// analysis::classifyTask, cached: the generators, the memo, and the
-/// harness all need the same classification of the same optimized task.
+/// analysis::classifyTask, cached: the generators and the harness both need
+/// the same classification of the same optimized task.
 struct TaskClassificationAnalysis {
   using Result = analysis::TaskClassification;
   static inline AnalysisKey Key;
@@ -85,9 +85,9 @@ struct TaskClassificationAnalysis {
   static Result run(ir::Function &F, FunctionAnalysisManager &FAM);
 };
 
-/// The printed body (ir::Printer), cached. The generation memo fingerprints
-/// the optimized task with this, sharing the print with anything else that
-/// needs the text.
+/// The printed body (ir::Printer), cached. taskContentFingerprint
+/// (dae/AccessProfile.h) keys refinement profiles by the optimized task's
+/// print, sharing it with anything else that needs the text.
 struct FunctionPrintAnalysis {
   using Result = std::string;
   static inline AnalysisKey Key;

@@ -33,6 +33,7 @@
 #include <chrono>
 #include <deque>
 #include <map>
+#include <utility>
 
 using namespace dae;
 using namespace dae::runtime;
@@ -78,7 +79,10 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
   CacheHierarchy Caches(Cfg, NumCores);
   const unsigned LineShift = lineShiftOf(Cfg.L1.LineBytes);
   std::vector<double> CoreTimeNs(NumCores, 0.0);
-  TracePool &Pool = TracePool::global();
+  // The run's two trace buffers, TT.Access and TT.Execute: every task records
+  // into them and the next task reuses their capacity. A run that retains
+  // its traces moves them out instead.
+  TaskTraces TT;
 
   for (auto &[WaveId, WaveTasks] : Waves) {
     std::vector<std::deque<const Task *>> Queues(NumCores);
@@ -109,14 +113,12 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
       const Task &T = *Chosen;
 
       // Functional pass: values and access traces.
-      TaskTraces TT;
+      TT.HasAccess = RunAccess && T.Access;
+      TT.Access.clear();
+      TT.Execute.clear();
       auto Start = std::chrono::steady_clock::now();
-      if (RunAccess && T.Access) {
-        TT.HasAccess = true;
-        TT.Access.acquireFrom(Pool);
+      if (TT.HasAccess)
         TT.FunctionalAccess = Interp.runTraced(*T.Access, T.Args, TT.Access);
-      }
-      TT.Execute.acquireFrom(Pool);
       TT.FunctionalExecute = Interp.runTraced(*T.Execute, T.Args, TT.Execute);
       Profile.FunctionalSeconds +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -144,15 +146,10 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
                   Traces ? &TT.ExecuteL1Hits : nullptr);
 
       // Retain the traces and their L1 outcomes for a later multi-core
-      // timeline, or recycle them. Retention is observational: the replay
-      // above already happened.
-      if (Traces) {
-        Traces->Tasks.push_back(std::move(TT));
-      } else {
-        if (TT.HasAccess)
-          TT.Access.releaseTo(Pool);
-        TT.Execute.releaseTo(Pool);
-      }
+      // timeline. Retention is observational: the replay above already
+      // happened.
+      if (Traces)
+        Traces->Tasks.push_back(std::exchange(TT, TaskTraces()));
 
       CoreTimeNs[Core] += TP.Access.timeNs(Cfg.fmax()) +
                           TP.Execute.timeNs(Cfg.fmax()) +

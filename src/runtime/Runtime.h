@@ -91,13 +91,12 @@ struct TaskTraces {
 
 /// Whole-run trace retention, requested via execute()'s Traces out-param.
 /// Purely observational: the replay consumes each trace exactly as without
-/// retention, it just moves the buffer here instead of recycling it to the
-/// TracePool, and records the L1 bits beside it. Retained traces never go
-/// back to the pool: they are freed with their RunTraces (harness::runMixes
-/// frees them once every interleave has read them), so a co-run holds one
-/// live trace set per distinct solo run while its timelines run. Entries
-/// are in replay schedule order, index-aligned with the returned
-/// RunProfile::Tasks.
+/// retention, it just moves the task's buffers here instead of reusing them
+/// for the next task, and records the L1 bits beside them. Retained traces
+/// are freed with their RunTraces (harness::runMixes frees them once every
+/// interleave has read them), so a co-run holds one live trace set per
+/// distinct solo run while its timelines run. Entries are in replay
+/// schedule order, index-aligned with the returned RunProfile::Tasks.
 struct RunTraces {
   std::vector<TaskTraces> Tasks;
   /// The L1 geometry the L1Hits bits were recorded under (execute() sets
@@ -120,8 +119,8 @@ public:
   /// order), recording the cache lines each phase touched and demand-missed.
   /// When \p Traces is non-null, every task's traces, functional stats and
   /// L1 outcomes are retained there (replay order) instead of being
-  /// recycled — the input a multi-core contention timeline interleaves
-  /// later.
+  /// overwritten by the next task — the input a multi-core contention
+  /// timeline interleaves later.
   RunProfile execute(const std::vector<Task> &Tasks, bool RunAccess = true,
                      RunCapture *Capture = nullptr,
                      RunTraces *Traces = nullptr);

@@ -22,124 +22,18 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace dae {
 namespace sim {
 
-/// Free-list of trace storage buffers, shared across tasks and concurrently
-/// running simulations. Traces are bulky and short-lived (one task phase
-/// each); recycling their grown capacity removes the per-task allocation
-/// churn. Purely a storage cache: trace *contents* never cross users, so
-/// simulated results are unaffected.
-///
-/// Retention is bounded three ways: at most MaxPooled buffers, at most
-/// MaxBufferBytes of capacity per buffer (one huge trace must not pin its
-/// worst-case footprint forever), and at most MaxTotalBytes of capacity
-/// across the whole free-list. Buffers over either byte cap are simply
-/// freed on recycle.
+/// Has no effect; deleted in the next benchmark revision.
 class TracePool {
 public:
-  static constexpr std::size_t DefaultMaxPooled = 256;
-  /// 8 MiB per buffer = 1M trace events; larger traces are outliers whose
-  /// capacity should go back to the allocator.
-  static constexpr std::size_t DefaultMaxBufferBytes = 8u << 20;
-  /// 64 MiB total retained across the pool.
-  static constexpr std::size_t DefaultMaxTotalBytes = 64u << 20;
-
-  explicit TracePool(std::size_t MaxPooled = DefaultMaxPooled,
-                     std::size_t MaxBufferBytes = DefaultMaxBufferBytes,
-                     std::size_t MaxTotalBytes = DefaultMaxTotalBytes)
-      : MaxPooled(MaxPooled), MaxBufferBytes(MaxBufferBytes),
-        MaxTotalBytes(MaxTotalBytes) {}
-
-  /// Process-wide pool (suite jobs in one process share one allocator
-  /// anyway, so they share one free-list too), at the default caps. Traces a
-  /// co-run retains are freed with their run, never recycled, so the
-  /// free-list only absorbs per-task recycle traffic.
   static TracePool &global() {
     static TracePool Pool;
     return Pool;
   }
-
-  /// Returns an empty buffer, reusing pooled capacity when available.
-  std::vector<std::uint64_t> acquire() {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (Free.empty())
-      return {};
-    std::vector<std::uint64_t> Buf = std::move(Free.back());
-    Free.pop_back();
-    RetainedBytes -= Buf.capacity() * sizeof(std::uint64_t);
-    ++Reuses;
-    return Buf;
-  }
-
-  /// Takes \p Buf back (cleared, capacity kept) unless pooling it would
-  /// break a cap, in which case the storage is simply freed. The buffer's
-  /// recorded length (before clearing) feeds the sizing hint the next
-  /// acquirer pre-reserves against — the last trace's length is the best
-  /// available predictor for the next one's.
-  void recycle(std::vector<std::uint64_t> Buf) {
-    const std::size_t Events = Buf.size();
-    const std::size_t UsedBytes = Events * sizeof(std::uint64_t);
-    Buf.clear();
-    std::size_t Bytes = Buf.capacity() * sizeof(std::uint64_t);
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (Events > 0)
-      LastEvents = Events;
-    if (UsedBytes > PeakBytes)
-      PeakBytes = UsedBytes;
-    if (Free.size() >= MaxPooled || Bytes > MaxBufferBytes ||
-        RetainedBytes + Bytes > MaxTotalBytes)
-      return;
-    RetainedBytes += Bytes;
-    Free.push_back(std::move(Buf));
-  }
-
-  std::uint64_t reuses() const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    return Reuses;
-  }
-
-  /// Capacity bytes currently held in the free-list (testing/diagnostics).
-  std::size_t retainedBytes() const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    return RetainedBytes;
-  }
-
-  /// Event count of the last non-empty recycled trace: the reserve hint
-  /// AccessTrace::acquireFrom applies so hot-loop push never reallocates
-  /// mid-trace in the steady state (tasks resemble their predecessors).
-  std::size_t suggestedEvents() const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    return LastEvents;
-  }
-
-  /// High-water mark of a single trace's recorded bytes (size at recycle,
-  /// not capacity) across the pool's lifetime; reported per run in the
-  /// BENCH_*.json `interp` block.
-  std::size_t peakBytes() const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    return PeakBytes;
-  }
-
-  /// Buffers currently pooled (testing/diagnostics).
-  std::size_t pooledBuffers() const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    return Free.size();
-  }
-
-private:
-  const std::size_t MaxPooled;
-  const std::size_t MaxBufferBytes;
-  const std::size_t MaxTotalBytes;
-  mutable std::mutex Mutex;
-  std::vector<std::vector<std::uint64_t>> Free;
-  std::size_t RetainedBytes = 0;
-  std::size_t LastEvents = 0;
-  std::size_t PeakBytes = 0;
-  std::uint64_t Reuses = 0;
 };
 
 /// One phase's memory accesses, packed one event per 64-bit word: the access
@@ -157,8 +51,8 @@ public:
     // Explicit reserve-doubling instead of the library's growth policy: the
     // policy is then identical across standard libraries and matches the
     // native backend's nativeGrow, and the branch is a single predictable
-    // compare in the hot loop (almost never taken once acquireFrom has
-    // applied the pool's sizing hint).
+    // compare in the hot loop (almost never taken once a reused buffer has
+    // grown to the run's largest phase).
     if (Events.size() == Events.capacity())
       Events.reserve(Events.capacity() ? Events.capacity() * 2 : MinReserve);
     Events.push_back((static_cast<std::uint64_t>(K) << 62) |
@@ -173,25 +67,11 @@ public:
   const std::vector<std::uint64_t> &events() const { return Events; }
   bool empty() const { return Events.empty(); }
   std::size_t size() const { return Events.size(); }
+  /// Empties the trace and keeps its capacity for the next phase.
   void clear() { Events.clear(); }
-  /// Releases the storage (traces are bulky; the runtime frees each one right
-  /// after its replay).
-  void release() { std::vector<std::uint64_t>().swap(Events); }
-
-  /// Adopts pooled storage from \p Pool before recording begins and
-  /// pre-reserves the pool's sizing hint (the last recycled trace's length),
-  /// so steady-state recording never grows mid-trace.
-  void acquireFrom(TracePool &Pool) {
-    Events = Pool.acquire();
-    std::size_t Hint = Pool.suggestedEvents();
-    if (Hint > Events.capacity())
-      Events.reserve(Hint);
-  }
-  /// Hands the storage back to \p Pool (replaces release() on hot paths).
-  void releaseTo(TracePool &Pool) {
-    Pool.recycle(std::move(Events));
-    Events.clear();
-  }
+  /// Frees the storage. The TracePool argument has no effect; deleted in the
+  /// next benchmark revision.
+  void releaseTo(TracePool &) { std::vector<std::uint64_t>().swap(Events); }
 
   /// \name Raw-cursor protocol for the native backend
   /// Generated code appends events through a raw write pointer instead of

@@ -398,6 +398,39 @@ TEST(BenchUtil, ReporterJsonIsPublishedAtomically) {
   std::remove("BENCH_atomic_probe.json");
 }
 
+TEST(BenchUtil, ReporterTracePeakComesFromProfiles) {
+  // trace_peak_bytes is 8 bytes per event of the largest phase among the
+  // added profiles, whichever run and phase kind it sits in. A phase's
+  // events are its loads, stores and prefetches.
+  auto Phase = [](std::uint64_t Loads, std::uint64_t Stores,
+                  std::uint64_t Prefetches) {
+    PhaseStats S;
+    S.Loads = Loads;
+    S.Stores = Stores;
+    S.Prefetches = Prefetches;
+    return S;
+  };
+  runtime::RunProfile Small, Large;
+  Small.Tasks.resize(1);
+  Small.Tasks[0].Execute = Phase(90, 10, 0);
+  Large.Tasks.resize(2);
+  Large.Tasks[0].HasAccess = true;
+  Large.Tasks[0].Access = Phase(3, 0, 120);
+  Large.Tasks[0].Execute = Phase(40, 20, 0);
+  Large.Tasks[1].Execute = Phase(200, 50, 0); // N = 250 events.
+
+  ThroughputReporter R("trace_peak_probe", 1);
+  R.start();
+  R.add(Small);
+  R.add(Large);
+  R.add(Small);
+  R.report();
+  std::string Content = readFile("BENCH_trace_peak_probe.json");
+  EXPECT_NE(Content.find("\"trace_peak_bytes\": 2000}"), std::string::npos)
+      << Content;
+  std::remove("BENCH_trace_peak_probe.json");
+}
+
 TEST(BenchUtil, ConcurrentCheckpointsPublishCompleteJson) {
   // The reporter serializes publications internally, so however racing
   // start() and report() calls from several threads interleave, the

@@ -7,13 +7,12 @@
 // The profile-guided DAE refinement loop (--dae-profile-guided): the
 // planner's rules and gating, the end-to-end coverage lift on FFT (whose
 // bit-reversal task is the canonical victim of 5.2.2's conditional pruning),
-// purity/differential invariants across the whole suite, and memo-transplant
-// provenance across structurally identical modules.
+// purity/differential invariants across the whole suite, and identical
+// refinement of structurally identical modules for every --jobs value.
 //
 //===----------------------------------------------------------------------===//
 
 #include "dae/AccessProfile.h"
-#include "dae/GenerationMemo.h"
 #include "harness/Harness.h"
 #include "workloads/Workload.h"
 
@@ -43,7 +42,6 @@ TEST(RefinementPlanner, KeepControlFlowNeedsARewrittenConditional) {
   RefinementConfig C;
   GenerationTrace T;
   T.SkeletonRan = true;
-  T.CondCandidates = 1;
   T.CondsRewritten = 1;
 
   // Strict coverage 0.5 with a pruned conditional: restore it.
@@ -153,7 +151,7 @@ TEST(ProfileGuidedRefinement, LiftsFftStrictCoverageWithoutOvershoot) {
   auto W = buildByName("fft", Scale::Test);
   ASSERT_TRUE(W);
   sim::MachineConfig Cfg;
-  AppResult R = runApp(*W, Cfg, nullptr, nullptr, /*DaeVerify=*/true,
+  AppResult R = runApp(*W, Cfg, nullptr, /*DaeVerify=*/true,
                        /*DaeProfileGuided=*/true);
 
   const ProfileGuidedResult &Pg = R.AutoPg;
@@ -210,9 +208,7 @@ TEST(ProfileGuidedRefinement, EveryWorkloadStaysPureAndMeetsTheGate) {
   for (auto &W : Workloads)
     Items.push_back({W.get(), nullptr});
 
-  GenerationMemo Memo;
   SuiteConfig SC;
-  SC.Memo = &Memo;
   SC.DaeVerify = true;
   SC.DaeProfileGuided = true;
   sim::MachineConfig Cfg;
@@ -234,29 +230,26 @@ TEST(ProfileGuidedRefinement, EveryWorkloadStaysPureAndMeetsTheGate) {
   }
 }
 
-// --- Memo transplant: provenance crosses modules, results cross nothing ----
+// --- Twin modules: each refines alike, whatever the job count --------------
 
-TEST(ProfileGuidedRefinement, TransplantCarriesProvenanceDeterministically) {
+TEST(ProfileGuidedRefinement, TwinInstancesRefineIdenticallyForAnyJobs) {
   struct Snapshot {
     std::vector<std::uint8_t> Outputs[2];
     double Strict[2], Overshoot[2], Edp[2];
   };
   std::vector<Snapshot> Runs;
 
-  // Two structurally identical FFT instances share one memo: the first
-  // instance's refined generation seeds the cache, the second receives the
-  // phase by transplant. Every --jobs value must agree bit-for-bit and both
-  // instances must carry refinement provenance.
+  // Two structurally identical FFT instances each refine their own module.
+  // Every --jobs value must agree bit-for-bit and both instances must carry
+  // refinement provenance.
   for (unsigned Jobs : {1u, 2u, 4u}) {
     auto A = buildByName("fft", Scale::Test);
     auto B = buildByName("fft", Scale::Test);
     ASSERT_TRUE(A && B);
     std::vector<SuiteItem> Items = {{A.get(), nullptr}, {B.get(), nullptr}};
 
-    GenerationMemo Memo;
     SuiteConfig SC;
     SC.Jobs = Jobs;
-    SC.Memo = &Memo;
     SC.DaeVerify = true;
     SC.DaeProfileGuided = true;
     sim::MachineConfig Cfg;
@@ -273,8 +266,7 @@ TEST(ProfileGuidedRefinement, TransplantCarriesProvenanceDeterministically) {
       EXPECT_TRUE(R.AutoVerify.Diff.pure()) << "instance " << I;
       EXPECT_TRUE(R.OutputsMatch) << "instance " << I;
 
-      // Provenance must survive the memo transplant into instance B's
-      // module, not just the fresh generation in instance A's.
+      // Both instances' regenerated phases carry provenance.
       bool Found = false;
       for (const AccessPhaseResult &G : R.Generation)
         if (G.ProfileRefined) {

@@ -16,7 +16,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "dae/AccessProfile.h"
-#include "dae/GenerationMemo.h"
 #include "dae/ProfileGuidedRefinement.h"
 #include "harness/Harness.h"
 #include "ir/Function.h"
@@ -304,17 +303,14 @@ TEST(RetainedL1HitsTest, OneCoreRunBitsAreAFreshL1Walk) {
 }
 
 /// Runs all seven apps at test scale through runSuite.
-std::vector<harness::AppResult> runSuiteAt(unsigned Jobs, bool UseMemo,
-                                           bool Oracle) {
+std::vector<harness::AppResult> runSuiteAt(unsigned Jobs, bool Oracle) {
   MachineConfig Cfg;
   auto Ws = workloads::buildAll(workloads::Scale::Test);
   std::vector<harness::SuiteItem> Items;
   for (auto &W : Ws)
     Items.push_back({W.get(), nullptr});
-  GenerationMemo Memo;
   harness::SuiteConfig SC;
   SC.Jobs = Jobs;
-  SC.Memo = UseMemo ? &Memo : nullptr;
   SC.DaeVerify = Oracle;
   SC.DaeProfileGuided = Oracle;
   return harness::runSuite(Items, Cfg, SC);
@@ -358,11 +354,11 @@ void expectSuitesEqual(const std::vector<harness::AppResult> &Seq,
 }
 
 /// Suite-level: the full Figure 3 pipeline over all seven apps on the job
-/// pool (--jobs=4, shared generation memo) must be bit-identical to the
-/// sequential reference (--jobs=1, no memo): profiles, Table 1 rows, priced
-/// Figure 3 rows, and the raw output snapshots of every scheme.
+/// pool (--jobs=4) must be bit-identical to the sequential reference
+/// (--jobs=1): profiles, Table 1 rows, priced Figure 3 rows, and the raw
+/// output snapshots of every scheme.
 TEST(SuiteDeterminismTest, JobPoolMatchesSequentialReference) {
-  expectSuitesEqual(runSuiteAt(1, false, false), runSuiteAt(4, true, false));
+  expectSuitesEqual(runSuiteAt(1, false), runSuiteAt(4, false));
 }
 
 /// The same with the oracle and refinement on: each app's verdicts come from
@@ -370,8 +366,8 @@ TEST(SuiteDeterminismTest, JobPoolMatchesSequentialReference) {
 /// app's last run while other apps' simulations proceed. Every verdict
 /// field must match the sequential reference.
 TEST(SuiteDeterminismTest, OracleVerdictsMatchSequentialReference) {
-  std::vector<harness::AppResult> Seq = runSuiteAt(1, false, true);
-  std::vector<harness::AppResult> Par = runSuiteAt(4, true, true);
+  std::vector<harness::AppResult> Seq = runSuiteAt(1, true);
+  std::vector<harness::AppResult> Par = runSuiteAt(4, true);
   expectSuitesEqual(Seq, Par);
   ASSERT_EQ(Seq.size(), Par.size());
   for (size_t I = 0; I != Seq.size(); ++I) {

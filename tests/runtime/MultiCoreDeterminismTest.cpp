@@ -19,7 +19,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "dae/AccessGenerator.h"
-#include "dae/GenerationMemo.h"
 #include "harness/Harness.h"
 #include "runtime/Evaluator.h"
 #include "runtime/Timeline.h"
@@ -120,10 +119,8 @@ MixResult runNamedMix(const std::vector<std::string> &Names,
     Owned.push_back(workloads::buildByName(N, workloads::Scale::Test));
     Mix.push_back(Owned.back().get());
   }
-  GenerationMemo Memo;
   MixConfig MC;
   MC.Jobs = Jobs;
-  MC.Memo = &Memo;
   return runMix(Mix, Cfg, MC);
 }
 
@@ -195,9 +192,7 @@ TEST(MultiCoreDeterminism, CoRunnersQueueOnDram) {
 TEST(MultiCoreDeterminism, MixValidation) {
   MachineConfig Cfg;
   Cfg.NumCores = 2;
-  GenerationMemo Memo;
   MixConfig MC;
-  MC.Memo = &Memo;
   std::vector<workloads::Workload *> Empty;
   EXPECT_THROW(runMix(Empty, Cfg, MC), std::invalid_argument);
 

@@ -86,33 +86,6 @@ TEST(DramChannelTest, NonPositiveBandwidthDisablesQueue) {
     EXPECT_DOUBLE_EQ(Ch.requestLine(0.0), 0.0);
 }
 
-TEST(TracePoolTest, RetainedBytesAreCapped) {
-  // Per-buffer cap: a huge-wave trace must not pin its capacity forever.
-  TracePool Pool(/*MaxPooled=*/4, /*MaxBufferBytes=*/1024,
-                 /*MaxTotalBytes=*/4096);
-  std::vector<std::uint64_t> Huge;
-  Huge.reserve(1024); // 8 KiB > per-buffer cap.
-  Pool.recycle(std::move(Huge));
-  EXPECT_EQ(Pool.pooledBuffers(), 0u);
-  EXPECT_EQ(Pool.retainedBytes(), 0u);
-
-  // Total cap: buffers under the per-buffer cap stop pooling once the
-  // free-list's summed capacity would exceed MaxTotalBytes.
-  for (int I = 0; I != 8; ++I) {
-    std::vector<std::uint64_t> Buf;
-    Buf.reserve(128); // 1 KiB each.
-    Pool.recycle(std::move(Buf));
-  }
-  EXPECT_LE(Pool.retainedBytes(), 4096u);
-  EXPECT_LE(Pool.pooledBuffers(), 4u);
-
-  // Acquire returns retained capacity and releases its accounting.
-  std::size_t Before = Pool.retainedBytes();
-  std::vector<std::uint64_t> Got = Pool.acquire();
-  EXPECT_GE(Got.capacity(), 128u);
-  EXPECT_LT(Pool.retainedBytes(), Before);
-}
-
 TEST(MemoryTest, ImageHashIgnoresUntouchedAndZeroPages) {
   Memory A, B;
   A.storeI64(0x1000, 7);
