@@ -6,20 +6,37 @@
 
 #include "sim/CacheSim.h"
 
-#include <cassert>
+#include <stdexcept>
 
 using namespace dae;
 using namespace dae::sim;
 
-Cache::Cache(const CacheConfig &Cfg)
-    : LineShift(lineShiftOf(Cfg.LineBytes)),
-      NumSets(Cfg.SizeBytes / (Cfg.LineBytes * Cfg.Assoc)), Assoc(Cfg.Assoc),
-      Tags(NumSets * Cfg.Assoc, InvalidTag), Lrus(NumSets * Cfg.Assoc, 0) {
-  assert(NumSets > 0 && (NumSets & (NumSets - 1)) == 0 &&
-         "set count must be a power of two");
+namespace {
+
+/// The set count of \p Cfg, whose LineBytes lineShiftOf has already
+/// checked. Throws std::invalid_argument for a geometry Cache cannot index.
+std::uint64_t numSetsOf(const CacheConfig &Cfg) {
+  if (Cfg.Assoc == 0)
+    throw std::invalid_argument("cache Assoc must be at least 1");
+  std::uint64_t Sets =
+      Cfg.SizeBytes / (std::uint64_t{Cfg.LineBytes} * Cfg.Assoc);
+  if (Sets == 0)
+    throw std::invalid_argument("cache SizeBytes must hold at least one set");
+  if ((Sets & (Sets - 1)) != 0)
+    throw std::invalid_argument("cache set count must be a power of two");
+  return Sets;
 }
 
+} // namespace
+
+Cache::Cache(const CacheConfig &Cfg)
+    : LineShift(lineShiftOf(Cfg.LineBytes)), NumSets(numSetsOf(Cfg)),
+      Assoc(Cfg.Assoc), Tags(NumSets * Cfg.Assoc, InvalidTag),
+      Lrus(NumSets * Cfg.Assoc, 0) {}
+
 void Cache::flush() {
+  // An invalid way must hold stamp 0: the miss path's victim choice relies
+  // on it (see CacheSim.h).
   Tags.assign(Tags.size(), InvalidTag);
   Lrus.assign(Lrus.size(), 0);
   Hits = Misses = 0;

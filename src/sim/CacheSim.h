@@ -25,6 +25,12 @@
 /// Tick increment, LRU stamp, hit count and victim choice is identical to
 /// the scalar reference, so simulated profiles are bit-identical.
 ///
+/// The miss path picks its victim as the first way with the smallest LRU
+/// stamp, without a branch per way. That is exact because of one invariant:
+/// an invalid way holds stamp 0, and the valid ways' stamps are unique and
+/// at least 1 (Tick is incremented before every stamp). The constructor and
+/// flush() establish it; anything that invalidates a way must keep it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAECC_SIM_CACHESIM_H
@@ -47,7 +53,9 @@ class alignas(64) Cache {
 public:
   /// Throws std::invalid_argument when Cfg.LineBytes is zero or not a power
   /// of two (see lineShiftOf; a silently rounded-up shift would desynchronize
-  /// set indexing from every line-granular consumer).
+  /// set indexing from every line-granular consumer), when Cfg.Assoc is
+  /// zero, and when Cfg.SizeBytes holds no whole set or a set count that is
+  /// not a power of two (set indexing masks the line address).
   explicit Cache(const CacheConfig &Cfg);
 
   /// True on hit; on miss the line is installed (evicting LRU).
@@ -74,13 +82,20 @@ public:
         return true;
       }
     }
-    // Miss: evict the first invalid way, else the least recently used.
-    std::size_t Victim = Base;
-    for (unsigned W = 1; W != Assoc && Tags[Victim] != InvalidTag; ++W) {
-      std::size_t I = Base + W;
-      if (Tags[I] == InvalidTag || Lrus[I] < Lrus[Victim])
-        Victim = I;
+    // Miss: evict the first way with the smallest stamp. Invalid ways hold
+    // stamp 0 and valid stamps are unique and at least 1, so that is the
+    // first invalid way if there is one and the LRU way otherwise. The scan
+    // selects instead of branching per way and never exits early: a
+    // miss-heavy stream would mispredict a branch on each way's stamp.
+    const std::uint64_t *Stamps = &Lrus[Base];
+    std::uint64_t Min = Stamps[0];
+    unsigned MinWay = 0;
+    for (unsigned W = 1; W != Assoc; ++W) {
+      bool Older = Stamps[W] < Min;
+      Min = Older ? Stamps[W] : Min;
+      MinWay = Older ? W : MinWay;
     }
+    std::size_t Victim = Base + MinWay;
     Tags[Victim] = LineAddr;
     Lrus[Victim] = Tick;
     ++Misses;

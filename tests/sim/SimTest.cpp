@@ -160,6 +160,104 @@ TEST(CacheTest, SameLineFastPathKeepsLruExact) {
   EXPECT_EQ(C.misses(), 3u);
 }
 
+/// The reference LRU model: each set is a list of line addresses, most
+/// recently used first. A hit moves its line to the front; a miss fills an
+/// empty way, or evicts the tail when the set is full.
+class ReferenceLru {
+public:
+  ReferenceLru(std::uint64_t NumSets, unsigned Assoc)
+      : Sets(NumSets), Assoc(Assoc) {}
+
+  bool access(std::uint64_t Line) {
+    std::vector<std::uint64_t> &S = setOf(Line);
+    auto It = std::find(S.begin(), S.end(), Line);
+    bool Hit = It != S.end();
+    if (Hit)
+      S.erase(It);
+    else if (S.size() == Assoc)
+      S.pop_back();
+    S.insert(S.begin(), Line);
+    ++(Hit ? Hits : Misses);
+    return Hit;
+  }
+
+  bool contains(std::uint64_t Line) {
+    const std::vector<std::uint64_t> &S = setOf(Line);
+    return std::find(S.begin(), S.end(), Line) != S.end();
+  }
+
+  void flush() {
+    for (std::vector<std::uint64_t> &S : Sets)
+      S.clear();
+    Hits = Misses = 0;
+  }
+
+  std::uint64_t Hits = 0, Misses = 0;
+
+private:
+  std::vector<std::uint64_t> &setOf(std::uint64_t Line) {
+    return Sets[Line % Sets.size()];
+  }
+
+  std::vector<std::vector<std::uint64_t>> Sets;
+  unsigned Assoc;
+};
+
+TEST(CacheTest, MatchesReferenceLruOnRandomStreams) {
+  // Cache's victim choice relies on an invariant (invalid ways hold stamp
+  // 0, valid stamps are unique and at least 1) that flush() must restore
+  // and the same-line short circuit must keep, so drive both through
+  // streams that mix hot lines, same-line repeats and periodic flushes, on
+  // power-of-two and odd associativities.
+  constexpr unsigned LineBytes = 64;
+  constexpr std::uint64_t BaseLine = 0x10000 / LineBytes;
+  for (unsigned Assoc : {1u, 2u, 3u, 8u, 16u}) {
+    for (std::uint64_t NumSets = 1; NumSets <= 64; NumSets *= 2) {
+      for (std::uint64_t Seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(::testing::Message() << Assoc << " ways x " << NumSets
+                                          << " sets, seed " << Seed);
+        Cache C({NumSets * Assoc * LineBytes, Assoc, LineBytes});
+        ReferenceLru Ref(NumSets, Assoc);
+        std::mt19937_64 Rng(Seed * 1000 + Assoc * 100 + NumSets);
+        // Three times the capacity, with a capacity's worth of hot lines
+        // scattered over it so some sets run hotter than others.
+        std::uint64_t Capacity = NumSets * Assoc;
+        std::uint64_t Lines = 3 * Capacity + 1;
+        std::vector<std::uint64_t> Hot(Capacity);
+        for (std::uint64_t &H : Hot)
+          H = BaseLine + Rng() % Lines;
+
+        auto CompareResidency = [&] {
+          for (std::uint64_t L = BaseLine; L != BaseLine + Lines; ++L)
+            ASSERT_EQ(C.probe(L * LineBytes), Ref.contains(L)) << "line " << L;
+        };
+
+        std::uint64_t Line = BaseLine;
+        for (unsigned Step = 0; Step != 3000; ++Step) {
+          unsigned Roll = Rng() % 100;
+          if (Roll == 0) {
+            ASSERT_NO_FATAL_FAILURE(CompareResidency());
+            C.flush();
+            Ref.flush();
+            continue;
+          }
+          // Below 25 the line repeats: the same-line short circuit, unless
+          // a flush came in between.
+          if (Roll >= 65)
+            Line = BaseLine + Rng() % Lines;
+          else if (Roll >= 25)
+            Line = Hot[Rng() % Hot.size()];
+          std::uint64_t Addr = Line * LineBytes + Rng() % LineBytes;
+          ASSERT_EQ(C.access(Addr), Ref.access(Line)) << "step " << Step;
+          ASSERT_EQ(C.hits(), Ref.Hits);
+          ASSERT_EQ(C.misses(), Ref.Misses);
+        }
+        ASSERT_NO_FATAL_FAILURE(CompareResidency());
+      }
+    }
+  }
+}
+
 TEST(CacheTest, RejectsNonPowerOfTwoLineBytes) {
   EXPECT_THROW(Cache({1024, 2, 48}), std::invalid_argument);
   EXPECT_THROW(Cache({1024, 2, 0}), std::invalid_argument);
@@ -168,6 +266,21 @@ TEST(CacheTest, RejectsNonPowerOfTwoLineBytes) {
   EXPECT_THROW(CacheHierarchy(Cfg, 1), std::invalid_argument);
   EXPECT_EQ(lineShiftOf(64), 6u);
   EXPECT_EQ(lineShiftOf(1), 0u);
+}
+
+TEST(CacheTest, RejectsDegenerateGeometry) {
+  // Zero ways: the set count's divisor is zero.
+  EXPECT_THROW(Cache(CacheConfig{16 * 1024, 0}), std::invalid_argument);
+  // Less than one whole set.
+  EXPECT_THROW(Cache({64, 2, 64}), std::invalid_argument);
+  EXPECT_THROW(Cache({0, 8, 64}), std::invalid_argument);
+  // Three sets: set indexing masks the line address.
+  EXPECT_THROW(Cache({3 * 2 * 64, 2, 64}), std::invalid_argument);
+  MachineConfig Cfg;
+  Cfg.LLC.Assoc = 0;
+  EXPECT_THROW(CacheHierarchy(Cfg, 1), std::invalid_argument);
+  // An odd associativity over a power-of-two set count is legal.
+  EXPECT_NO_THROW(Cache({4 * 3 * 64, 3, 64}));
 }
 
 TEST(CacheHierarchyTest, FillsAllLevelsAndIsolatesCores) {
