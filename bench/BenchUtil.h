@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 namespace dae {
@@ -312,6 +313,11 @@ inline std::uint64_t simInstructions(const runtime::RunProfile &P) {
 ///   wall_seconds              double  simulation-section wall clock
 ///   sim_instructions          int     simulated instructions retired
 ///   sim_instructions_per_sec  double  sim_instructions / wall_seconds
+///   peak_rss_mb               double  peak resident memory of the whole
+///                                     process so far, in MB of 10^6 bytes
+///                                     (getrusage(RUSAGE_SELF) ru_maxrss, as
+///                                     perfbench's peak_rss_mb); -1 when
+///                                     getrusage fails
 ///   pass_stats                object  compilation-pipeline instrumentation
 ///                                     (pm::PipelineStats): per-pass runs /
 ///                                     changed / wall_seconds and
@@ -620,6 +626,10 @@ private:
       Contention += ContentionEntries[I];
     }
     Contention += "]";
+    struct rusage RU;
+    double PeakRssMb =
+        ::getrusage(RUSAGE_SELF, &RU) == 0 ? RU.ru_maxrss * 1024.0 * 1e-6
+                                           : -1.0;
     // Temp-file + rename publication: readers polling the file (dashboards,
     // sweep scripts) must never see a truncated object. The temp
     // file lives in the same directory so the rename cannot cross a
@@ -635,6 +645,7 @@ private:
                    "  \"wall_seconds\": %.6f,\n"
                    "  \"sim_instructions\": %llu,\n"
                    "  \"sim_instructions_per_sec\": %.1f,\n"
+                   "  \"peak_rss_mb\": %.1f,\n"
                    "  \"pass_stats\": %s,\n"
                    "  \"dae_verify\": %s,\n"
                    "  \"dae_pg\": %s,\n"
@@ -648,8 +659,8 @@ private:
                    "}\n",
                    Name.c_str(), Jobs, Seconds,
                    static_cast<unsigned long long>(Instructions), Ips,
-                   pm::PipelineStats::get().json().c_str(), DaeVerify.c_str(),
-                   DaePg.c_str(),
+                   PeakRssMb, pm::PipelineStats::get().json().c_str(),
+                   DaeVerify.c_str(), DaePg.c_str(),
                    sim::simBackendName(Backend), FunctionalSeconds,
                    FunctionalIps,
                    static_cast<unsigned long long>(TracePeakBytes),

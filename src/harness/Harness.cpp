@@ -118,15 +118,11 @@ struct PreparedApp {
   std::unique_ptr<pm::FunctionAnalysisManager> FAM;
 };
 
-/// What runApps simulates and derives for each app.
+/// What runApps derives for each app beside its three scheme runs.
 struct AppPlan {
-  /// Schemes to simulate, indexed by Scheme (Cae, Manual, Auto).
-  bool Run[3] = {true, true, true};
-  /// Retain every run's traces for a contention timeline.
-  bool RetainTraces = false;
   /// Profile-guided refinement of the Auto scheme.
   bool Refine = false;
-  /// Oracle verdicts of every simulated DAE scheme.
+  /// Oracle verdicts of both DAE schemes.
   bool Verify = false;
 
   /// Whether scheme \p S's run carries the oracle capture: the CAE run is
@@ -138,9 +134,8 @@ struct AppPlan {
 /// One app's pipeline state inside runApps.
 struct AppSlot {
   PreparedApp P;
-  /// Scheme runs and their retained traces, indexed by Scheme.
+  /// Scheme runs, indexed by Scheme.
   verify::CapturedRun Runs[3];
-  RunTraces Traces[3];
   /// Scheme runs still in flight; the one that brings it to zero finishes
   /// the app.
   std::atomic<unsigned> Pending{0};
@@ -295,16 +290,14 @@ PreparedApp prepareApp(Workload &W, const DaeOptions *OptsOverride,
 std::vector<AppSlot> runApps(const std::vector<SuiteItem> &Items,
                              const MachineConfig &Cfg, const AppPlan &Plan,
                              unsigned Jobs) {
-  assert(!(Plan.Refine && Plan.RetainTraces) &&
-         "the re-simulated Auto run does not retain traces");
   JobPool Pool(Jobs);
   std::vector<AppSlot> Slots(Items.size());
 
   auto Finish = [&Cfg, &Plan](AppSlot &S) {
     if (Plan.Refine)
       S.Pg = refineAutoScheme(S, Cfg);
-    for (int D = 0; D != 2; ++D)
-      if (Plan.Verify && Plan.Run[D + 1])
+    if (Plan.Verify)
+      for (int D = 0; D != 2; ++D)
         S.Verify[D] =
             verifyScheme(S.P.SchemeTasks[D + 1], S.Runs[D + 1], S.Runs[0]);
     for (verify::CapturedRun &Run : S.Runs)
@@ -316,17 +309,14 @@ std::vector<AppSlot> runApps(const std::vector<SuiteItem> &Items,
     Pool.submit([&Pool, &Slots, &Items, &Cfg, &Plan, &Finish, I] {
       AppSlot &S = Slots[I];
       S.P = prepareApp(*Items[I].W, Items[I].OptsOverride, Plan.Refine);
-      S.Pending = Plan.Run[0] + Plan.Run[1] + Plan.Run[2];
+      S.Pending = 3;
       for (int Sch = 0; Sch != 3; ++Sch)
-        if (Plan.Run[Sch])
-          Pool.submit([&S, &Cfg, &Plan, &Finish, Sch] {
-            S.Runs[Sch] =
-                runScheme(*S.P.W, S.P.SchemeTasks[Sch], Cfg, *S.P.L,
-                          Plan.captures(Sch),
-                          Plan.RetainTraces ? &S.Traces[Sch] : nullptr);
-            if (--S.Pending == 0)
-              Finish(S);
-          });
+        Pool.submit([&S, &Cfg, &Plan, &Finish, Sch] {
+          S.Runs[Sch] = runScheme(*S.P.W, S.P.SchemeTasks[Sch], Cfg, *S.P.L,
+                                  Plan.captures(Sch));
+          if (--S.Pending == 0)
+            Finish(S);
+        });
     });
   }
   Pool.wait();
@@ -402,40 +392,36 @@ harness::runMixes(const std::vector<std::vector<Workload *>> &Mixes,
 
   // Each distinct workload simulates its CAE and Auto DAE schemes once, with
   // retained traces, however many streams run it; under DaeVerify its one
-  // oracle verdict comes from that pair.
-  std::vector<SuiteItem> Items;
+  // oracle verdict comes from that pair. Runs and traces are indexed by
+  // side: 0 is CAE, 1 is Auto DAE.
+  struct MixApp {
+    PreparedApp P;
+    verify::CapturedRun Runs[2];
+    RunTraces Traces[2];
+    DaeVerifyResult Verify;
+  };
+  std::vector<Workload *> Ws;
   std::map<const Workload *, std::size_t> AppOf;
   for (const std::vector<Workload *> &Mix : Mixes)
     for (Workload *W : Mix)
-      if (AppOf.emplace(W, Items.size()).second)
-        Items.push_back({W, nullptr});
-  AppPlan Plan;
-  Plan.Run[1] = false;
-  Plan.RetainTraces = true;
-  Plan.Verify = MC.DaeVerify;
-  std::vector<AppSlot> Slots = runApps(Items, SoloCfg, Plan, MC.Jobs);
+      if (AppOf.emplace(W, Ws.size()).second)
+        Ws.push_back(W);
+  std::vector<MixApp> Apps(Ws.size());
 
-  // Every stream points into its app's runs. Co-runners are distinct
-  // address spaces: bias each stream far above any footprint so they never
-  // falsely alias in the shared LLC (the bias stays well inside the trace
-  // encoding's 62-bit address space).
-  std::vector<MixResult> Results(Mixes.size());
-  std::vector<std::vector<CoreStream>> CaeStreams(Mixes.size()),
-      DaeStreams(Mixes.size());
-  for (size_t M = 0; M != Mixes.size(); ++M)
-    for (size_t I = 0; I != Mixes[M].size(); ++I) {
-      AppSlot &S = Slots[AppOf.at(Mixes[M][I])];
-      MixStreamResult MS;
-      MS.Name = S.P.W->Name;
-      MS.OutputsMatch = S.Runs[0].Outputs == S.Runs[2].Outputs;
-      MS.Verify = S.Verify[1];
-      MS.CaeProfile = S.Runs[0].Profile;
-      MS.DaeProfile = S.Runs[2].Profile;
-      Results[M].Streams.push_back(std::move(MS));
-      std::uint64_t Bias = static_cast<std::uint64_t>(I) << 40;
-      CaeStreams[M].push_back({&S.Runs[0].Profile, &S.Traces[0], Bias});
-      DaeStreams[M].push_back({&S.Runs[2].Profile, &S.Traces[2], Bias});
-    }
+  // Every stream points into its app's runs, per side. Co-runners are
+  // distinct address spaces: bias each stream far above any footprint so
+  // they never falsely alias in the shared LLC (the bias stays well inside
+  // the trace encoding's 62-bit address space).
+  std::vector<std::vector<CoreStream>> Streams[2];
+  for (int Side = 0; Side != 2; ++Side) {
+    Streams[Side].resize(Mixes.size());
+    for (size_t M = 0; M != Mixes.size(); ++M)
+      for (size_t I = 0; I != Mixes[M].size(); ++I) {
+        MixApp &A = Apps[AppOf.at(Mixes[M][I])];
+        Streams[Side][M].push_back({&A.Runs[Side].Profile, &A.Traces[Side],
+                                    static_cast<std::uint64_t>(I) << 40});
+      }
+  }
 
   // One job per (mix, policy): CAE streams under the performance and
   // reactive governors, Auto DAE streams under the DAE policies. The
@@ -443,31 +429,86 @@ harness::runMixes(const std::vector<std::vector<Workload *>> &Mixes,
   // longest interleaves do not start last.
   struct PolicyJob {
     TimelinePolicy Policy;
-    bool Dae; ///< Interleaves the Auto DAE streams, else the CAE ones.
+    int Side; ///< The streams it interleaves: 1 Auto DAE, 0 CAE.
     TimelineReport MixResult::*Out;
   };
   static const PolicyJob Policies[] = {
-      {TimelinePolicy::FixedMax, false, &MixResult::CaeMax},
-      {TimelinePolicy::Ondemand, false, &MixResult::CaeOndemand},
-      {TimelinePolicy::Conservative, false, &MixResult::CaeConservative},
-      {TimelinePolicy::DaeMinMax, true, &MixResult::DaeMinMax},
-      {TimelinePolicy::OracleEdp, true, &MixResult::DaeOracle},
+      {TimelinePolicy::FixedMax, 0, &MixResult::CaeMax},
+      {TimelinePolicy::Ondemand, 0, &MixResult::CaeOndemand},
+      {TimelinePolicy::Conservative, 0, &MixResult::CaeConservative},
+      {TimelinePolicy::DaeMinMax, 1, &MixResult::DaeMinMax},
+      {TimelinePolicy::OracleEdp, 1, &MixResult::DaeOracle},
   };
   std::vector<size_t> Order(Mixes.size());
   std::iota(Order.begin(), Order.end(), 0);
   std::stable_sort(Order.begin(), Order.end(), [&Mixes](size_t A, size_t B) {
     return Mixes[A].size() > Mixes[B].size();
   });
+
+  // One side's traces live at a time, in one pool. Each app's first job
+  // prepares it and runs its CAE solo run; the job that finishes the last
+  // one submits the CAE interleaves, then the Auto DAE solo runs. Each Auto
+  // run derives its app's verdict from its capture and the CAE run's and
+  // frees both; the last one submits the DAE interleaves. The last
+  // interleave of a side frees that side's traces. At one job (FIFO) the
+  // Auto runs therefore start after the CAE traces are gone; a wider pool
+  // overlaps the CAE interleaves' tail with the first Auto runs.
+  std::vector<MixResult> Results(Mixes.size());
+  std::atomic<std::size_t> SolosLeft[2] = {Apps.size(), Apps.size()};
+  std::atomic<std::size_t> InterleavesLeft[2] = {0, 0};
+  for (const PolicyJob &J : Policies)
+    InterleavesLeft[J.Side] += Mixes.size();
   JobPool Pool(MC.Jobs);
-  for (size_t M : Order)
-    for (const PolicyJob &J : Policies)
-      Pool.submit([&, M, J] {
-        TimelineConfig TC;
-        TC.Policy = J.Policy;
-        Results[M].*J.Out = interleaveTimeline(
-            (J.Dae ? DaeStreams : CaeStreams)[M], Cfg, TC);
-      });
+  auto SubmitInterleaves = [&](int Side) {
+    for (size_t M : Order)
+      for (const PolicyJob &J : Policies)
+        if (J.Side == Side)
+          Pool.submit([&, M, J] {
+            TimelineConfig TC;
+            TC.Policy = J.Policy;
+            Results[M].*J.Out =
+                interleaveTimeline(Streams[J.Side][M], Cfg, TC);
+            if (--InterleavesLeft[J.Side] == 0)
+              for (MixApp &A : Apps)
+                A.Traces[J.Side] = RunTraces();
+          });
+  };
+  // Runs one side's solo run of A; true when it was that side's last.
+  auto RunSolo = [&](MixApp &A, int Side) {
+    A.Runs[Side] = runScheme(*A.P.W, A.P.SchemeTasks[Side ? 2 : 0], SoloCfg,
+                             *A.P.L, MC.DaeVerify, &A.Traces[Side]);
+    if (Side == 1 && MC.DaeVerify) {
+      A.Verify = verifyScheme(A.P.SchemeTasks[2], A.Runs[1], A.Runs[0]);
+      A.Runs[0].Capture = RunCapture();
+      A.Runs[1].Capture = RunCapture();
+    }
+    return --SolosLeft[Side] == 0;
+  };
+  for (size_t I = 0; I != Apps.size(); ++I)
+    Pool.submit([&, I] {
+      Apps[I].P = prepareApp(*Ws[I], nullptr, /*KeepAnalyses=*/false);
+      if (!RunSolo(Apps[I], 0))
+        return;
+      SubmitInterleaves(0);
+      for (MixApp &A : Apps)
+        Pool.submit([&RunSolo, &SubmitInterleaves, &A] {
+          if (RunSolo(A, 1))
+            SubmitInterleaves(1);
+        });
+    });
   Pool.wait();
+
+  for (size_t M = 0; M != Mixes.size(); ++M)
+    for (Workload *W : Mixes[M]) {
+      const MixApp &A = Apps[AppOf.at(W)];
+      MixStreamResult MS;
+      MS.Name = W->Name;
+      MS.OutputsMatch = A.Runs[0].Outputs == A.Runs[1].Outputs;
+      MS.Verify = A.Verify;
+      MS.CaeProfile = A.Runs[0].Profile;
+      MS.DaeProfile = A.Runs[1].Profile;
+      Results[M].Streams.push_back(std::move(MS));
+    }
   return Results;
 }
 

@@ -220,22 +220,26 @@ struct MixConfig {
   /// Has no effect; deleted in the next benchmark revision.
   GenerationMemo *Memo = nullptr;
   /// Derive an oracle verdict per workload from its CAE and Auto DAE solo
-  /// runs, which then carry the capture until the verdict is out (before
-  /// any timeline runs).
+  /// runs, which then carry the capture until the verdict is out: the
+  /// workload's Auto run derives it and frees both captures, before any DAE
+  /// interleave runs (the CAE interleaves may run first).
   bool DaeVerify = false;
 };
 
 /// Runs every mix of \p Mixes co-scheduled, one workload per core (each
 /// mix's size must be in [1, Cfg.NumCores]), and returns one MixResult per
 /// mix, in order. Workloads are keyed by pointer: each distinct one
-/// simulates its solo CAE and Auto DAE runs once, on a JobPool with
-/// retained traces (NumCores=1, so per-stream profiles are sequential),
-/// however many streams of however many mixes run it. Then every (mix,
-/// policy) interleave runs as one job of a second JobPool on the
-/// shared-LLC / bandwidth-throttled timeline, its streams pointing into the
-/// shared runs, with DVFS transitions taking Cfg.DvfsTransitionNs. Results
-/// equal a runMix per mix on fresh workloads and are bit-identical for every
-/// Jobs value (MultiCoreDeterminismTest).
+/// simulates its solo CAE and Auto DAE runs once, with retained traces
+/// (NumCores=1, so per-stream profiles are sequential), however many
+/// streams of however many mixes run it. Every (mix, policy) interleave
+/// runs on the shared-LLC / bandwidth-throttled timeline, its streams
+/// pointing into the shared runs, with DVFS transitions taking
+/// Cfg.DvfsTransitionNs. Everything runs as jobs of one JobPool, one side
+/// at a time: the CAE solo runs, then the CAE interleaves followed by the
+/// Auto DAE solo runs, then the DAE interleaves. Each side's traces are
+/// freed by its last interleave, so at Jobs == 1 the two sides' traces are
+/// never live together. Results equal a runMix per mix on fresh workloads
+/// and are bit-identical for every Jobs value (MultiCoreDeterminismTest).
 std::vector<MixResult>
 runMixes(const std::vector<std::vector<workloads::Workload *>> &Mixes,
          const sim::MachineConfig &Cfg, const MixConfig &MC);

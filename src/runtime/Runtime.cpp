@@ -54,8 +54,10 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
     Capture->LineBytes = Cfg.L1.LineBytes;
     Capture->Tasks.assign(Tasks.size(), TaskCapture());
   }
-  if (Traces)
+  if (Traces) {
     Traces->L1 = Cfg.L1;
+    Traces->Tasks.reserve(Traces->Tasks.size() + Tasks.size());
+  }
 
   // Compile every task function (and transitive callees) up front, so
   // compilation stays outside the functional-pass timer.
@@ -81,7 +83,7 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
   std::vector<double> CoreTimeNs(NumCores, 0.0);
   // The run's two trace buffers, TT.Access and TT.Execute: every task records
   // into them and the next task reuses their capacity. A run that retains
-  // its traces moves them out instead.
+  // its traces copies each task's out at its exact size.
   TaskTraces TT;
 
   for (auto &[WaveId, WaveTasks] : Waves) {
@@ -116,6 +118,10 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
       TT.HasAccess = RunAccess && T.Access;
       TT.Access.clear();
       TT.Execute.clear();
+      if (!TT.HasAccess) {
+        TT.FunctionalAccess = PhaseStats();
+        TT.AccessL1Hits.clear();
+      }
       auto Start = std::chrono::steady_clock::now();
       if (TT.HasAccess)
         TT.FunctionalAccess = Interp.runTraced(*T.Access, T.Args, TT.Access);
@@ -147,9 +153,10 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
 
       // Retain the traces and their L1 outcomes for a later multi-core
       // timeline. Retention is observational: the replay above already
-      // happened.
+      // happened. The copy holds exactly the recorded events and bits, and
+      // TT keeps its buffers for the next task.
       if (Traces)
-        Traces->Tasks.push_back(std::exchange(TT, TaskTraces()));
+        Traces->Tasks.push_back(TT);
 
       CoreTimeNs[Core] += TP.Access.timeNs(Cfg.fmax()) +
                           TP.Execute.timeNs(Cfg.fmax()) +

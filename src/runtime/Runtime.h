@@ -91,11 +91,12 @@ struct TaskTraces {
 
 /// Whole-run trace retention, requested via execute()'s Traces out-param.
 /// Purely observational: the replay consumes each trace exactly as without
-/// retention, it just moves the task's buffers here instead of reusing them
-/// for the next task, and records the L1 bits beside them. Retained traces
-/// are freed with their RunTraces (harness::runMixes frees them once every
-/// interleave has read them), so a co-run holds one live trace set per
-/// distinct solo run while its timelines run. Entries are in replay
+/// retention, and records the L1 bits beside it. Each task's traces and bits
+/// are then copied here at their exact size (capacity == size), while the
+/// run's two trace buffers go on to the next task as in a run that retains
+/// nothing, so no retained byte is growth slack. Retained traces are freed
+/// with their RunTraces (harness::runMixes frees one scheme's traces once
+/// that scheme's last interleave has read them). Entries are in replay
 /// schedule order, index-aligned with the returned RunProfile::Tasks.
 struct RunTraces {
   std::vector<TaskTraces> Tasks;
@@ -118,9 +119,9 @@ public:
   /// non-null it is filled with one TaskCapture per input task (original
   /// order), recording the cache lines each phase touched and demand-missed.
   /// When \p Traces is non-null, every task's traces, functional stats and
-  /// L1 outcomes are retained there (replay order) instead of being
-  /// overwritten by the next task — the input a multi-core contention
-  /// timeline interleaves later.
+  /// L1 outcomes are copied there (replay order, exact size) before the next
+  /// task overwrites them — the input a multi-core contention timeline
+  /// interleaves later.
   RunProfile execute(const std::vector<Task> &Tasks, bool RunAccess = true,
                      RunCapture *Capture = nullptr,
                      RunTraces *Traces = nullptr);

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 using namespace dae;
@@ -429,6 +430,31 @@ TEST(BenchUtil, ReporterTracePeakComesFromProfiles) {
   EXPECT_NE(Content.find("\"trace_peak_bytes\": 2000}"), std::string::npos)
       << Content;
   std::remove("BENCH_trace_peak_probe.json");
+}
+
+TEST(BenchUtil, ReporterRecordsPeakRss) {
+  // peak_rss_mb is the process's getrusage peak in MB of 10^6 bytes, read
+  // when the file is published: no less than the peak before report(), no
+  // more than the peak after it.
+  auto PeakMb = [] {
+    struct rusage RU;
+    EXPECT_EQ(::getrusage(RUSAGE_SELF, &RU), 0);
+    return RU.ru_maxrss * 1024.0 * 1e-6;
+  };
+  ThroughputReporter R("peak_rss_probe", 1);
+  R.start();
+  double Before = PeakMb();
+  R.report();
+  double After = PeakMb();
+  std::string Content = readFile("BENCH_peak_rss_probe.json");
+  const std::string Key = "\"peak_rss_mb\": ";
+  std::size_t At = Content.find(Key);
+  ASSERT_NE(At, std::string::npos) << Content;
+  double Mb = std::strtod(Content.c_str() + At + Key.size(), nullptr);
+  EXPECT_GE(Mb, 1.0);
+  EXPECT_GE(Mb, Before - 0.05);
+  EXPECT_LE(Mb, After + 0.05);
+  std::remove("BENCH_peak_rss_probe.json");
 }
 
 TEST(BenchUtil, ConcurrentCheckpointsPublishCompleteJson) {

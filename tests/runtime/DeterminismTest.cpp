@@ -255,12 +255,18 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, CaptureDeterminismTest,
 
 /// The L1 bits a one-core run retains, the co-run timeline's input, are a
 /// fresh L1's walk over the run's phases in replay order (each task's access
-/// trace, then its execute trace), with the capture on and off; and
-/// retaining them changes no profile.
+/// trace, then its execute trace), with the capture on and off; retaining
+/// them changes no profile; and every retained trace and bit vector is an
+/// exact-size copy (capacity == size), empty for a task without an access
+/// phase.
 TEST(RetainedL1HitsTest, OneCoreRunBitsAreAFreshL1Walk) {
   auto W = workloads::buildByName("cholesky", workloads::Scale::Test);
   Loader L(*W->M);
   std::vector<Task> Tasks = taskSet(*W, /*Manual=*/true);
+  // Every third task runs coupled, so tasks without an access phase follow
+  // tasks with one through the run's reused trace buffers.
+  for (size_t I = 0; I < Tasks.size(); I += 3)
+    Tasks[I].Access = nullptr;
   MachineConfig Cfg;
   Cfg.NumCores = 1;
   auto Run = [&](RunCapture *Cap, RunTraces *Traces) {
@@ -293,10 +299,20 @@ TEST(RetainedL1HitsTest, OneCoreRunBitsAreAFreshL1Walk) {
       WithAccess += TT.HasAccess;
       if (TT.HasAccess) {
         EXPECT_EQ(TT.AccessL1Hits, Walk(TT.Access)) << "access, task " << T;
+      } else {
+        EXPECT_TRUE(TT.Access.empty()) << "task " << T;
+        EXPECT_TRUE(TT.AccessL1Hits.empty()) << "task " << T;
       }
       EXPECT_EQ(TT.ExecuteL1Hits, Walk(TT.Execute)) << "execute, task " << T;
+      // Retained traces and bits are exact copies: no growth slack.
+      for (const AccessTrace *Tr : {&TT.Access, &TT.Execute})
+        EXPECT_EQ(Tr->events().capacity(), Tr->size()) << "task " << T;
+      for (const std::vector<std::uint64_t> *Bits :
+           {&TT.AccessL1Hits, &TT.ExecuteL1Hits})
+        EXPECT_EQ(Bits->capacity(), Bits->size()) << "task " << T;
     }
     EXPECT_GT(WithAccess, 0u);
+    EXPECT_LT(WithAccess, Tasks.size());
     EXPECT_GT(L1.hits(), 0u);
     EXPECT_GT(L1.misses(), 0u);
   }

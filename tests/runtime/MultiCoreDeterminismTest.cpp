@@ -112,7 +112,8 @@ void expectMixesEqual(const MixResult &A, const MixResult &B) {
 }
 
 MixResult runNamedMix(const std::vector<std::string> &Names,
-                      const MachineConfig &Cfg, unsigned Jobs) {
+                      const MachineConfig &Cfg, unsigned Jobs,
+                      bool DaeVerify = false) {
   std::vector<std::unique_ptr<workloads::Workload>> Owned;
   std::vector<workloads::Workload *> Mix;
   for (const std::string &N : Names) {
@@ -121,6 +122,7 @@ MixResult runNamedMix(const std::vector<std::string> &Names,
   }
   MixConfig MC;
   MC.Jobs = Jobs;
+  MC.DaeVerify = DaeVerify;
   return runMix(Mix, Cfg, MC);
 }
 
@@ -151,6 +153,50 @@ TEST(MultiCoreDeterminism, CoRunIdenticalForAnyHostConfig) {
     MixResult R = runNamedMix(Names, Cfg, Jobs);
     SCOPED_TRACE("jobs=" + std::to_string(Jobs));
     expectMixesEqual(Ref, R);
+  }
+}
+
+/// Under DaeVerify each app's Auto DAE solo run derives the app's verdict
+/// from its own capture and the CAE run's, while CAE interleaves may still
+/// be running. Every verdict must hold and must not depend on the job
+/// count, and the capture must change no profile and no timeline.
+TEST(MultiCoreDeterminism, MixVerdictsIdenticalForAnyJobs) {
+  MachineConfig Cfg;
+  Cfg.NumCores = 4;
+  const std::vector<std::string> Names = {"libq", "cholesky", "fft"};
+  const MixResult Plain = runNamedMix(Names, Cfg, 1);
+  for (const MixStreamResult &S : Plain.Streams)
+    EXPECT_FALSE(S.Verify.Ran) << S.Name;
+
+  const MixResult Ref = runNamedMix(Names, Cfg, 1, /*DaeVerify=*/true);
+  for (unsigned Jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    const MixResult R =
+        Jobs == 1 ? Ref : runNamedMix(Names, Cfg, Jobs, /*DaeVerify=*/true);
+    expectMixesEqual(Plain, R);
+    ASSERT_EQ(R.Streams.size(), Names.size());
+    for (size_t I = 0; I != Names.size(); ++I) {
+      const DaeVerifyResult &V = R.Streams[I].Verify;
+      const DaeVerifyResult &RV = Ref.Streams[I].Verify;
+      const std::string &Name = Names[I];
+      EXPECT_TRUE(V.Ran) << Name;
+      EXPECT_TRUE(V.AuditPure) << Name;
+      EXPECT_TRUE(V.AuditViolations.empty()) << Name;
+      EXPECT_TRUE(V.Diff.pure()) << Name;
+      EXPECT_GT(V.Diff.DecoupledTasks, 0u) << Name;
+      EXPECT_EQ(V.AuditViolations, RV.AuditViolations) << Name;
+      EXPECT_EQ(V.Diff.MemoryMatch, RV.Diff.MemoryMatch) << Name;
+      EXPECT_EQ(V.Diff.OutputsMatch, RV.Diff.OutputsMatch) << Name;
+      EXPECT_EQ(V.Diff.BaselineExecMisses, RV.Diff.BaselineExecMisses) << Name;
+      EXPECT_EQ(V.Diff.CoveredMisses, RV.Diff.CoveredMisses) << Name;
+      EXPECT_EQ(V.Diff.StrictCoveredMisses, RV.Diff.StrictCoveredMisses)
+          << Name;
+      EXPECT_EQ(V.Diff.PrefetchedLines, RV.Diff.PrefetchedLines) << Name;
+      EXPECT_EQ(V.Diff.UnusedPrefetchedLines, RV.Diff.UnusedPrefetchedLines)
+          << Name;
+      EXPECT_EQ(V.Diff.DecoupledTasks, RV.Diff.DecoupledTasks) << Name;
+      EXPECT_EQ(V.Diff.TotalTasks, RV.Diff.TotalTasks) << Name;
+    }
   }
 }
 
