@@ -90,7 +90,8 @@ inline unsigned jobsFromArgs(int Argc, char **Argv) {
 
 /// Functional execution backend: `--sim-backend={switch,threaded,native}`
 /// overrides the process default (DAECC_SIM_BACKEND, else threaded; see
-/// sim::defaultSimBackend). Every backend produces bit-identical simulated
+/// sim::defaultSimBackend). `native` is a name only where the JIT is built
+/// (sim::simBackendBuilt). Every backend produces bit-identical simulated
 /// results; the flag exists to measure the backends' host-side win (the
 /// `interp` block of BENCH_<name>.json) and to keep the reference
 /// interpreter reachable for differential debugging. An unknown value is a

@@ -10,13 +10,13 @@
 /// (affine polyhedral synthesis vs. skeleton cloning+marking), the
 /// interpreter's simulated-instruction throughput, and functional-pass
 /// microbenches comparing the execution backends
-/// (--sim-backend={switch,threaded,native}) on loop shapes that isolate one
-/// cost each: a tight arithmetic loop (pure dispatch + ALU handlers), a
-/// phi-heavy loop with a parallel-copy swap cycle (trampoline cost), and a
-/// load/store stream (trace appends + load/binop fusion — for the native
-/// backend, the strength-reduced page translation and inlined trace
-/// stores). Each reports a per-backend sim_instr/s counter in the benchmark
-/// JSON.
+/// (--sim-backend={switch,threaded,native}; native where the JIT is built)
+/// on loop shapes that isolate one cost each: a tight arithmetic loop (pure
+/// dispatch + ALU handlers), a phi-heavy loop with a parallel-copy swap
+/// cycle (trampoline cost), and a load/store stream (trace appends +
+/// load/binop fusion — for the native backend, the strength-reduced page
+/// translation and inlined trace stores). Each reports a per-backend
+/// sim_instr/s counter in the benchmark JSON.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -179,9 +179,14 @@ DispatchPrograms &dispatchPrograms() {
 /// trace cleared per iteration) and reports sim_instr/s. Memory persists
 /// across iterations. Arith/Phi have no memory ops (empty trace = pure
 /// dispatch); Stream adds the trace-append cost every backend pays. This is
-/// the path the [interp] line of the figure benches reports.
+/// the path the [interp] line of the figure benches reports. The native
+/// cases are skipped in a build without the JIT.
 void benchTrace(benchmark::State &State, const ir::Function *F,
                 sim::SimBackend Backend) {
+  if (!sim::simBackendBuilt(Backend)) {
+    State.SkipWithError("no JIT in this build");
+    return;
+  }
   DispatchPrograms &P = dispatchPrograms();
   sim::MachineConfig Cfg;
   Cfg.Backend = Backend;

@@ -91,14 +91,6 @@ DominatorTree::DominatorTree(const Function &F) {
   }
 }
 
-BasicBlock *DominatorTree::idom(const BasicBlock *BB) const {
-  auto It = IDom.find(BB);
-  if (It == IDom.end())
-    return nullptr;
-  // The entry's sentinel self-loop is reported as "no idom".
-  return It->second == BB ? nullptr : It->second;
-}
-
 bool DominatorTree::isReachable(const ir::BasicBlock *BB) const {
   return IDom.count(BB) != 0;
 }

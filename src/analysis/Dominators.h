@@ -33,10 +33,6 @@ class DominatorTree {
 public:
   explicit DominatorTree(const ir::Function &F);
 
-  /// Immediate dominator of \p BB (null for the entry block and for
-  /// unreachable blocks).
-  ir::BasicBlock *idom(const ir::BasicBlock *BB) const;
-
   /// True if \p A dominates \p B (reflexively).
   bool dominates(const ir::BasicBlock *A, const ir::BasicBlock *B) const;
 

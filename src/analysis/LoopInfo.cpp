@@ -196,11 +196,6 @@ Loop *LoopInfo::getLoopFor(const BasicBlock *BB) const {
   return Innermost;
 }
 
-unsigned LoopInfo::getLoopDepth(const BasicBlock *BB) const {
-  Loop *L = getLoopFor(BB);
-  return L ? L->getDepth() : 0;
-}
-
 std::vector<Loop *> LoopInfo::loopsInnermostFirst() const {
   std::vector<Loop *> Result;
   for (const auto &LPtr : AllLoops)

@@ -98,8 +98,6 @@ public:
 
   /// Innermost loop containing \p BB, or null.
   Loop *getLoopFor(const ir::BasicBlock *BB) const;
-  /// Nesting depth of \p BB (0 when outside all loops).
-  unsigned getLoopDepth(const ir::BasicBlock *BB) const;
 
   /// All loops, innermost first (children before parents).
   std::vector<Loop *> loopsInnermostFirst() const;

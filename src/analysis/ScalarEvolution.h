@@ -52,17 +52,6 @@ struct AffineExpr {
   std::map<const ir::Value *, std::int64_t> ParamCoeffs;
 
   bool isConstant() const { return IVCoeffs.empty() && ParamCoeffs.empty(); }
-  /// True when no IV appears (may still reference parameters).
-  bool isLoopInvariant() const { return IVCoeffs.empty(); }
-
-  std::int64_t coeffOf(const Loop *L) const {
-    auto It = IVCoeffs.find(L);
-    return It == IVCoeffs.end() ? 0 : It->second;
-  }
-  std::int64_t coeffOfParam(const ir::Value *P) const {
-    auto It = ParamCoeffs.find(P);
-    return It == ParamCoeffs.end() ? 0 : It->second;
-  }
 
   AffineExpr operator+(const AffineExpr &R) const;
   AffineExpr operator-(const AffineExpr &R) const;

@@ -24,6 +24,14 @@ using namespace dae::poly;
 
 namespace {
 
+/// Lattice-point counting gives up beyond this many points. A guard only:
+/// the counts run at small representative sizes.
+constexpr long long CountLimit = 4000000;
+
+/// The line size per-cache-line prefetching steps by
+/// (DaeOptions::PrefetchPerCacheLine).
+constexpr std::int64_t CacheLineBytes = 64;
+
 //===----------------------------------------------------------------------===//
 // Parameter space
 //===----------------------------------------------------------------------===//
@@ -505,9 +513,9 @@ AccessPhaseResult dae::generateAffineAccess(Module &M, Function &Task,
 
   for (AccessClass &C : Classes) {
     const unsigned D = C.dims();
-    auto NOrig = countUnion(C.Images, D, RepValues, Opts.CountLimit);
+    auto NOrig = countUnion(C.Images, D, RepValues, CountLimit);
     if (!NOrig) {
-      Result.Notes = "lattice-point counting exceeded the configured limit";
+      Result.Notes = "lattice-point counting exceeded its limit";
       return Result;
     }
     TotalNOrig += *NOrig;
@@ -516,9 +524,9 @@ AccessPhaseResult dae::generateAffineAccess(Module &M, Function &Task,
     // of the union *is* the union-of-ranges interval of section 5.1.1.
     Polyhedron Hull = convexHullOfUnion(C.Images);
     auto NHull = instantiateParams(Hull, D, RepValues)
-                     .countIntegerPoints(Opts.CountLimit);
+                     .countIntegerPoints(CountLimit);
     if (!NHull) {
-      Result.Notes = "hull counting exceeded the configured limit";
+      Result.Notes = "hull counting exceeded its limit";
       return Result;
     }
 
@@ -552,7 +560,7 @@ AccessPhaseResult dae::generateAffineAccess(Module &M, Function &Task,
           return Result;
         }
         auto N = instantiateParams(Img, D, RepValues)
-                     .countIntegerPoints(Opts.CountLimit);
+                     .countIntegerPoints(CountLimit);
         TotalNScan += N ? *N : 0;
         Nests.emplace_back(&C, std::move(Img));
       }
@@ -631,8 +639,8 @@ AccessPhaseResult dae::generateAffineAccess(Module &M, Function &Task,
       bool SameElem = true;
       for (const PlannedNest *N : MN.Members)
         SameElem &= N->Class->ElemSize == Elem;
-      if (SameElem && Elem > 0 && Opts.CacheLineBytes > Elem)
-        InnerStep = Opts.CacheLineBytes / Elem;
+      if (SameElem && Elem > 0 && CacheLineBytes > Elem)
+        InnerStep = CacheLineBytes / Elem;
     }
 
     // Prefetch targets: the lead scans its own shape; merged members are

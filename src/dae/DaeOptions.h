@@ -66,20 +66,15 @@ struct DaeOptions {
 
   // --- Shared ---
 
-  /// Issue one prefetch per cache line instead of per element in generated
-  /// affine nests (5.2.3 "avenue of further optimizations").
+  /// Issue one prefetch per 64-byte cache line instead of per element in
+  /// generated affine nests (5.2.3 "avenue of further optimizations").
   bool PrefetchPerCacheLine = false;
-  std::int64_t CacheLineBytes = 64;
 
   /// Representative values for the task's integer arguments, used to
   /// evaluate NOrig / NconvUn (our stand-in for parametric Ehrhart
   /// evaluation; see DESIGN.md). Indexed by argument position; entries for
   /// pointer arguments are ignored.
   std::vector<std::int64_t> RepresentativeArgs;
-
-  /// Abort counting beyond this many lattice points (guard only; counting is
-  /// compile-time work on small representative sizes).
-  long long CountLimit = 4000000;
 };
 
 } // namespace dae

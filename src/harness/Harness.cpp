@@ -641,7 +641,11 @@ harness::profileColdLoads(Workload &W, const MachineConfig &Cfg,
   Loader L(*W.M);
   Memory Mem;
   W.Init(Mem, L);
-  Interpreter Interp(Cfg, Mem, L);
+  // Only the switch backend records load sites; the trace and the sites do
+  // not depend on the backend, so neither does the result.
+  MachineConfig SwitchCfg = Cfg;
+  SwitchCfg.Backend = SimBackend::Switch;
+  Interpreter Interp(SwitchCfg, Mem, L);
   // Each task runs functionally with a load-site sink; its trace then walks,
   // in order, through one private core's hierarchy — the access order a
   // coupled run presents to the caches — charging every load and DRAM miss

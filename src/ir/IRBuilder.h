@@ -29,7 +29,6 @@ public:
   explicit IRBuilder(Module &M) : M(M) {}
   IRBuilder(Module &M, BasicBlock *BB) : M(M), Block(BB) {}
 
-  Module &getModule() const { return M; }
   BasicBlock *getInsertBlock() const { return Block; }
   void setInsertBlock(BasicBlock *BB) { Block = BB; }
 
@@ -47,7 +46,6 @@ public:
     return createBinOp(BinOp::SRem, L, R);
   }
   Value *createAnd(Value *L, Value *R) { return createBinOp(BinOp::And, L, R); }
-  Value *createOr(Value *L, Value *R) { return createBinOp(BinOp::Or, L, R); }
   Value *createXor(Value *L, Value *R) { return createBinOp(BinOp::Xor, L, R); }
   Value *createShl(Value *L, Value *R) { return createBinOp(BinOp::Shl, L, R); }
   Value *createAShr(Value *L, Value *R) {

@@ -149,13 +149,3 @@ std::string ir::printFunction(Function &F) {
   Res += "}\n";
   return Res;
 }
-
-std::string ir::printModule(Module &M) {
-  std::string Res;
-  for (const auto &G : M.globals())
-    Res += strfmt("global @%s, %llu bytes\n", G->getName().c_str(),
-                  static_cast<unsigned long long>(G->getSizeInBytes()));
-  for (const auto &F : M.functions())
-    Res += "\n" + printFunction(*F);
-  return Res;
-}

@@ -20,7 +20,6 @@ namespace dae {
 namespace ir {
 
 class Function;
-class Module;
 class Instruction;
 class Value;
 
@@ -30,8 +29,6 @@ std::string printInstruction(const Instruction &I);
 std::string printOperand(const Value &V);
 /// Renders an entire function. Assigns names to unnamed values first.
 std::string printFunction(Function &F);
-/// Renders every function in the module.
-std::string printModule(Module &M);
 
 } // namespace ir
 } // namespace dae

@@ -186,12 +186,3 @@ private:
 std::vector<std::string> ir::verifyFunction(const Function &F) {
   return VerifierImpl(F).run();
 }
-
-std::vector<std::string> ir::verifyModule(const Module &M) {
-  std::vector<std::string> All;
-  for (const auto &F : M.functions()) {
-    auto Problems = verifyFunction(*F);
-    All.insert(All.end(), Problems.begin(), Problems.end());
-  }
-  return All;
-}

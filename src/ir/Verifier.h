@@ -22,13 +22,9 @@ namespace dae {
 namespace ir {
 
 class Function;
-class Module;
 
 /// Returns the list of problems found in \p F (empty means well-formed).
 std::vector<std::string> verifyFunction(const Function &F);
-
-/// Verifies every function; returns all problems.
-std::vector<std::string> verifyModule(const Module &M);
 
 } // namespace ir
 } // namespace dae

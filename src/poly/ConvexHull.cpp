@@ -135,30 +135,3 @@ Polyhedron pairwiseHull(const std::vector<const Polyhedron *> &Members) {
 }
 
 } // namespace
-
-Polyhedron poly::rangeHull(const std::vector<Polyhedron> &Ps,
-                           const std::vector<unsigned> &BoxDims) {
-  assert(!Ps.empty() && "range hull of an empty union");
-  // Per dimension: project every member onto (that dimension + parameters),
-  // hull the resulting 1-D-per-member ranges (a union of intervals hulls to
-  // one interval), then intersect across dimensions. This is the bounding
-  // box of the union — the paper's memory-range analysis.
-  Polyhedron Box(Ps.front().getNumVars());
-  for (unsigned D : BoxDims) {
-    std::vector<unsigned> Others;
-    for (unsigned O : BoxDims)
-      if (O != D)
-        Others.push_back(O);
-    std::vector<Polyhedron> Ranges;
-    for (const Polyhedron &P : Ps) {
-      if (P.isEmpty())
-        continue;
-      Ranges.push_back(P.eliminateAll(Others));
-    }
-    Polyhedron DimHull = convexHullOfUnion(Ranges);
-    for (const PolyConstraint &C : DimHull.constraints())
-      Box.addInequality(C.Coeffs, C.Const);
-  }
-  Box.simplify();
-  return Box.removeRedundant();
-}

@@ -17,10 +17,6 @@
 /// is what makes the generated prefetch loop bounds symbolic in the task
 /// parameters.
 ///
-/// Also provides the per-dimension range hull, which is exactly the paper's
-/// "memory range analysis" baseline (section 5.1.1) used by the ablation
-/// bench.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAECC_POLY_CONVEXHULL_H
@@ -36,13 +32,6 @@ namespace poly {
 /// Closed convex hull of the union of \p Ps (all over the same space).
 /// Empty members are ignored; asserts at least one non-empty member.
 Polyhedron convexHullOfUnion(const std::vector<Polyhedron> &Ps);
-
-/// The section-5.1.1 baseline: per-dimension projection box. For each
-/// dimension in \p BoxDims, takes the projection of each member onto that
-/// dimension (plus the non-boxed dimensions, i.e. the parameters) and hulls
-/// the per-member boxes. Coarser than convexHullOfUnion.
-Polyhedron rangeHull(const std::vector<Polyhedron> &Ps,
-                     const std::vector<unsigned> &BoxDims);
 
 } // namespace poly
 } // namespace dae

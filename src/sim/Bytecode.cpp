@@ -135,6 +135,7 @@ private:
 };
 
 std::unique_ptr<BytecodeFunction> Lowerer::run() {
+  BF->Source = &F;
   unsigned NumBlocks = 0;
   for (const auto &BB : F)
     BlockIndex[BB.get()] = NumBlocks++;

@@ -156,6 +156,8 @@ struct CallDesc {
 /// shareable read-only across threads.
 class BytecodeFunction {
 public:
+  /// The function this was lowered from, named in diagnostics.
+  const ir::Function *Source = nullptr;
   std::vector<Instr> Code;
   std::vector<GepDesc> GepDescs;
   std::vector<CallDesc> CallDescs;

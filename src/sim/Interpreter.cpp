@@ -17,6 +17,7 @@
 #include <cassert>
 #include <cmath>
 #include <map>
+#include <stdexcept>
 
 using namespace dae;
 using namespace dae::ir;
@@ -227,13 +228,6 @@ const Program::Forms &Program::lookup(const Function &F) {
       if (const auto *Call = dyn_cast<CallInst>(I.get()))
         lookup(*Call->getCallee());
   return Fm;
-}
-
-const CompiledFunction &Program::switchForm(const Function &F) {
-  Forms &Fm = Fns[&F];
-  if (!Fm.Switch)
-    Fm.Switch = std::make_unique<CompiledFunction>(F, Load, Cfg);
-  return *Fm.Switch;
 }
 
 //===----------------------------------------------------------------------===//
@@ -486,7 +480,7 @@ Interpreter::interpret(const CompiledFunction &CF,
         for (const OperandRef &Op : CI.Ops)
           CallArgs.push_back(Get(Op));
         RuntimeValue Ret;
-        PhaseStats Sub = interpret(Prog.switchForm(*CI.Callee), CallArgs,
+        PhaseStats Sub = interpret(*Prog.lookup(*CI.Callee).Switch, CallArgs,
                                    &Ret, Trace, LoadSites);
         S += Sub;
         if (CI.DstSlot >= 0)
@@ -511,12 +505,13 @@ PhaseStats
 Interpreter::runTraced(const Function &F, const std::vector<RuntimeValue> &Args,
                        AccessTrace &Trace, RuntimeValue *RetOut,
                        std::vector<const ir::Instruction *> *LoadSites) {
-  if (!LoadSites) {
-    if (Threaded)
-      return Threaded->runTraced(F, Args, Trace, RetOut);
-    if (Native)
-      return Native->runTraced(F, Args, Trace, RetOut);
-  }
+  if (LoadSites && (Threaded || Native))
+    throw std::invalid_argument(
+        "load sites are recorded by the switch backend only");
+  if (Threaded)
+    return Threaded->runTraced(F, Args, Trace, RetOut);
+  if (Native)
+    return Native->runTraced(F, Args, Trace, RetOut);
   assert(Args.size() == F.getNumArgs() && "argument count mismatch");
-  return interpret(Prog.switchForm(F), Args, RetOut, Trace, LoadSites);
+  return interpret(*Prog.lookup(F).Switch, Args, RetOut, Trace, LoadSites);
 }

@@ -23,15 +23,18 @@
 ///    tests/sim/BackendDifferentialTest.cpp); only host speed differs.
 ///  * SimBackend::Native — the bytecode lowered once per function to
 ///    executable host code (sim/NativeCodegen.h) and run by a
-///    NativeInterpreter (sim/NativeExec.h); functions the lowerer rejects
-///    fall back to the threaded interpreter per function. Same bit-identical
+///    NativeInterpreter (sim/NativeExec.h). It runs JIT code only: a
+///    function the JIT rejects stops the run, and a build without the JIT
+///    has no native backend (sim::simBackendBuilt). Same bit-identical
 ///    contract as the threaded backend.
 ///
-/// Each Interpreter owns one Program, which holds every compiled form of
-/// the functions it runs (slot-addressed, bytecode, native code). A function
-/// is compiled on its first lookup, only into the forms the backend runs,
-/// and freed with the Interpreter. TaskRuntime::execute looks up every task
-/// function before its functional-pass timer starts.
+/// One engine per backend: a run executes every function, callees
+/// included, on its configured backend's engine alone. Each Interpreter
+/// owns one Program, which compiles a function on its first lookup into
+/// exactly the form that engine runs, and frees it with the Interpreter.
+/// TaskRuntime::execute looks up every task function before its
+/// functional-pass timer starts. Load-site recording
+/// (harness::profileColdLoads) is the switch engine's alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,24 +92,23 @@ class NativeCode;
 } // namespace native
 
 /// The compiled forms of the functions one run executes: the one program
-/// its Interpreter owns. A function is compiled on its first lookup, into
-/// the forms its backend runs only, and its forms live as long as the
+/// its Interpreter owns. A function is compiled on its first lookup into
+/// exactly the form its backend runs, and its forms live as long as the
 /// Interpreter; native code is unmapped with them. Like the run's Memory, a
 /// program is confined to the thread that runs the simulation.
 class Program {
 public:
-  /// One function's compiled forms.
+  /// One function's compiled forms; only the configured backend's are set.
   struct Forms {
-    /// The slot-addressed form the switch loop runs: built under
-    /// SimBackend::Switch, and under the other backends only when a run
-    /// asks for load sites (Interpreter::runTraced).
+    /// The slot-addressed form the switch loop runs, under
+    /// SimBackend::Switch.
     std::unique_ptr<CompiledFunction> Switch;
-    /// Register-allocated bytecode (sim/Bytecode.h), built under
+    /// Register-allocated bytecode (sim/Bytecode.h), under
     /// SimBackend::Threaded and SimBackend::Native.
     std::unique_ptr<bc::BytecodeFunction> Bytecode;
     /// Native code (sim/NativeCodegen.h), built from Bytecode under
-    /// SimBackend::Native; null when the lowerer rejected the function or
-    /// the host has no JIT, and the function runs on the threaded loop.
+    /// SimBackend::Native. Never null there: a function the JIT cannot
+    /// compile stops the run.
     std::unique_ptr<native::NativeCode> Native;
   };
 
@@ -120,10 +122,6 @@ public:
   /// calls, so looking up each entry function before a run keeps
   /// compilation out of the run.
   const Forms &lookup(const ir::Function &F);
-
-  /// Returns \p F's switch form, building it on first request whatever the
-  /// backend.
-  const CompiledFunction &switchForm(const ir::Function &F);
 
   const Loader &loader() const { return Load; }
 
@@ -149,9 +147,9 @@ public:
   ///
   /// When \p LoadSites is non-null, the originating load instruction of
   /// every Load event is appended to it in trace order (per-site profiling,
-  /// see harness::profileColdLoads). Only the switch loop records sites, so
-  /// asking for them runs that loop whatever the configured backend; the
-  /// threaded and native hot loops never test for a sink.
+  /// see harness::profileColdLoads). Only the switch backend records sites:
+  /// passing a sink to any other throws std::invalid_argument, so the
+  /// threaded and native hot loops never test for one.
   PhaseStats runTraced(const ir::Function &F,
                        const std::vector<RuntimeValue> &Args,
                        AccessTrace &Trace, RuntimeValue *RetOut = nullptr,

@@ -12,7 +12,8 @@
 /// DVFS ladder of the paper (1.6-3.4 GHz in 0.4 GHz steps), its V(f) curve,
 /// and the 500 ns transition latency of section 6.1 (zero for the
 /// "future hardware" case). The machine is homogeneous: every core runs on
-/// the one ladder and the one V(f) curve.
+/// the one ladder and the one V(f) curve. It also names the functional
+/// execution backends this build can run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,13 @@
 #include <cstring>
 #include <stdexcept>
 #include <vector>
+
+// The native backend's JIT needs an x86-64 host that can map executable
+// pages. Elsewhere the build has no native backend.
+#if defined(__x86_64__) &&                                                     \
+    (defined(__unix__) || defined(__linux__) || defined(__APPLE__))
+#define DAECC_NATIVE_JIT 1
+#endif
 
 namespace dae {
 namespace sim {
@@ -45,11 +53,22 @@ enum class SimBackend : std::uint8_t {
   Threaded,
   /// The threaded backend's bytecode lowered once more to executable host
   /// code (sim/NativeCodegen.h): an x86-64 template JIT with trace emission
-  /// and bounds checks inlined at the load/store sites. Functions the
-  /// lowerer cannot compile, and every function on a host without the JIT,
-  /// fall back to the threaded loop per function.
+  /// and bounds checks inlined at the load/store sites. Runs JIT code only:
+  /// a function the JIT cannot compile stops the run. Built only where
+  /// DAECC_NATIVE_JIT is defined (simBackendBuilt).
   Native,
 };
+
+/// Whether this build can run \p B: every backend but Native, which needs
+/// the JIT.
+constexpr bool simBackendBuilt(SimBackend B) {
+#if defined(DAECC_NATIVE_JIT)
+  (void)B;
+  return true;
+#else
+  return B != SimBackend::Native;
+#endif
+}
 
 inline const char *simBackendName(SimBackend B) {
   switch (B) {
@@ -65,33 +84,30 @@ inline const char *simBackendName(SimBackend B) {
 
 /// All valid values of --sim-backend / DAECC_SIM_BACKEND, for error messages.
 inline const char *simBackendValidValues() {
-  return "'switch', 'threaded' or 'native'";
+  return simBackendBuilt(SimBackend::Native)
+             ? "'switch', 'threaded' or 'native'"
+             : "'switch' or 'threaded'";
 }
 
 /// Strict name -> backend mapping. Returns false (leaving \p Out untouched)
-/// for anything but the exact lowercase names.
+/// for anything but the exact lowercase name of a backend this build runs.
 inline bool simBackendFromName(const char *Name, SimBackend &Out) {
   if (!Name)
     return false;
-  if (std::strcmp(Name, "switch") == 0) {
-    Out = SimBackend::Switch;
-    return true;
-  }
-  if (std::strcmp(Name, "threaded") == 0) {
-    Out = SimBackend::Threaded;
-    return true;
-  }
-  if (std::strcmp(Name, "native") == 0) {
-    Out = SimBackend::Native;
-    return true;
-  }
+  for (SimBackend B :
+       {SimBackend::Switch, SimBackend::Threaded, SimBackend::Native})
+    if (simBackendBuilt(B) && std::strcmp(Name, simBackendName(B)) == 0) {
+      Out = B;
+      return true;
+    }
   return false;
 }
 
 /// Process-default backend: DAECC_SIM_BACKEND={switch,threaded,native} when
-/// set, otherwise Threaded. An unknown value is a hard configuration error
-/// (exit 2), not a silent fall-back: a sweep that thinks it measured the
-/// native backend but silently ran threaded would produce wrong conclusions.
+/// set (native only where the JIT is built), otherwise Threaded. An unknown
+/// value is a hard configuration error (exit 2), not a silent fall-back: a
+/// sweep that thinks it measured the native backend but silently ran
+/// threaded would produce wrong conclusions.
 /// The bench drivers' --sim-backend= flag overrides this per run (see
 /// bench/BenchUtil.h).
 inline SimBackend defaultSimBackend() {
@@ -139,8 +155,9 @@ struct MachineConfig {
 
   /// Functional execution backend (CLI: --sim-backend={switch,threaded,
   /// native} / DAECC_SIM_BACKEND). Threaded is the default; Switch keeps the
-  /// reference interpreter; Native compiles the bytecode to host code.
-  /// Simulated results are bit-identical for every choice.
+  /// reference interpreter; Native, where the JIT is built, compiles the
+  /// bytecode to host code. Simulated results are bit-identical for every
+  /// choice.
   SimBackend Backend = defaultSimBackend();
 
   // Private per-core L1/L2, shared LLC. The geometry is a proportionally

@@ -4,7 +4,7 @@
 //
 // Lowers sim/Bytecode.h functions to x86-64 machine code; see
 // NativeCodegen.h for the architecture. FnEmitter below is a template JIT:
-// every opcode has a stencil of a few instructions; stencils are
+// every opcode but Trap has a stencil of a few instructions; stencils are
 // concatenated per bytecode function with branch targets resolved by a
 // second pass over recorded fixups.
 //
@@ -39,10 +39,12 @@
 #include "sim/NativeExec.h"
 
 #include <cassert>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -58,34 +60,13 @@ using namespace dae::sim::native;
 
 namespace {
 
-//===----------------------------------------------------------------------===//
-// Rejection scan
-//===----------------------------------------------------------------------===//
-
-/// True when the lowerer handles \p Op. Trap is deliberately unsupported
-/// (reaching it is a lowering bug the threaded loop reports better), and the
-/// range check catches corrupted opcodes before they index any table.
-bool opcodeSupported(bc::Opcode Op) {
-  if (Op == bc::Opcode::Trap)
-    return false;
-  return static_cast<unsigned>(Op) <= static_cast<unsigned>(bc::Opcode::Call);
-}
-
-/// Returns the name of the first unsupported opcode in \p BF, or null when
-/// every instruction can be lowered. DAECC_NATIVE_REJECT_OP=<name> force-
-/// rejects one opcode by name — the test hook for the graceful-fallback and
-/// death-test paths.
-const char *findUnsupported(const bc::BytecodeFunction &BF) {
-  const char *Reject = std::getenv("DAECC_NATIVE_REJECT_OP");
-  if (Reject && !*Reject)
-    Reject = nullptr;
-  for (const bc::Instr &I : BF.Code) {
-    if (!opcodeSupported(I.Op))
-      return bc::opcodeName(I.Op);
-    if (Reject && std::strcmp(bc::opcodeName(I.Op), Reject) == 0)
-      return bc::opcodeName(I.Op);
-  }
-  return nullptr;
+/// Stops the run: the native backend has no other engine to run \p BF on.
+[[noreturn]] void cannotCompile(const bc::BytecodeFunction &BF,
+                                const std::string &Cause) {
+  std::fprintf(stderr,
+               "error: the native backend cannot compile function '%s': %s\n",
+               BF.Source->getName().c_str(), Cause.c_str());
+  std::abort();
 }
 
 } // namespace
@@ -93,6 +74,28 @@ const char *findUnsupported(const bc::BytecodeFunction &BF) {
 #if defined(DAECC_NATIVE_JIT)
 
 namespace {
+
+//===----------------------------------------------------------------------===//
+// Rejection scan
+//===----------------------------------------------------------------------===//
+
+/// True when the lowerer handles \p Op. Trap is deliberately unsupported
+/// (a correct lowering never emits it), and the range check catches
+/// corrupted opcodes before they index any table.
+bool opcodeSupported(bc::Opcode Op) {
+  if (Op == bc::Opcode::Trap)
+    return false;
+  return static_cast<unsigned>(Op) <= static_cast<unsigned>(bc::Opcode::Call);
+}
+
+/// Returns the name of the first unsupported opcode in \p BF, or null when
+/// every instruction can be lowered.
+const char *findUnsupported(const bc::BytecodeFunction &BF) {
+  for (const bc::Instr &I : BF.Code)
+    if (!opcodeSupported(I.Op))
+      return bc::opcodeName(I.Op);
+  return nullptr;
+}
 
 std::uint64_t bitsOf(double D) {
   std::uint64_t U;
@@ -524,6 +527,8 @@ class FnEmitter {
 public:
   explicit FnEmitter(const bc::BytecodeFunction &BF) : BF(BF) {}
 
+  /// False when \p BF has no code. Every opcode it meets must have a
+  /// stencil (findUnsupported).
   bool emit();
 
   Asm A;
@@ -1144,21 +1149,21 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
 /// Emits \p BF into its own mmap'd buffer, W^X: RW while the stencils are
 /// copied in, RX from publication on (never both).
 std::unique_ptr<NativeCode> jitCompile(const bc::BytecodeFunction &BF) {
+  if (const char *Bad = findUnsupported(BF))
+    cannotCompile(BF, std::string("opcode '") + Bad + "' has no stencil");
   FnEmitter Emit(BF);
   if (!Emit.emit())
-    return nullptr;
+    cannotCompile(BF, "it has no code");
   const std::size_t Total = Emit.A.Code.size();
   const std::size_t Page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   const std::size_t MapSize = (Total + Page - 1) & ~(Page - 1);
   void *Mem = mmap(nullptr, MapSize, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (Mem == MAP_FAILED)
-    return nullptr;
+    cannotCompile(BF, std::string("mmap failed: ") + std::strerror(errno));
   std::memcpy(Mem, Emit.A.Code.data(), Total);
-  if (mprotect(Mem, MapSize, PROT_READ | PROT_EXEC) != 0) {
-    munmap(Mem, MapSize);
-    return nullptr;
-  }
+  if (mprotect(Mem, MapSize, PROT_READ | PROT_EXEC) != 0)
+    cannotCompile(BF, std::string("mprotect failed: ") + std::strerror(errno));
   return std::make_unique<NativeCode>(static_cast<std::uint8_t *>(Mem),
                                       MapSize);
 }
@@ -1180,25 +1185,11 @@ NativeCode::~NativeCode() {
 #endif
 }
 
-std::unique_ptr<NativeCode> compile(const bc::BytecodeFunction &BF,
-                                    const Options &Opts) {
-  if (const char *Bad = findUnsupported(BF)) {
-    if (Opts.AbortOnUnsupported) {
-      std::fprintf(
-          stderr,
-          "daecc: native lowering rejected opcode '%s' (AbortOnUnsupported)\n",
-          Bad);
-      std::abort();
-    }
-    return nullptr;
-  }
-  if (BF.Code.empty())
-    return nullptr;
-
+std::unique_ptr<NativeCode> compile(const bc::BytecodeFunction &BF) {
 #if defined(DAECC_NATIVE_JIT)
   return jitCompile(BF);
 #else
-  return nullptr;
+  cannotCompile(BF, "this build has no JIT");
 #endif
 }
 

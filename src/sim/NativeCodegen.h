@@ -20,12 +20,12 @@
 /// memory accesses to the AccessTrace inline and accumulates its costs
 /// locally; cache timing is added later by the runtime's trace replay.
 ///
-/// compile() returns null for functions the lowerer rejects (unsupported
-/// opcode, mmap failure) and for every function on a host without the JIT
-/// (not x86-64, or not POSIX); the execution layer then runs that function
-/// on the threaded interpreter — degraded speed, never degraded correctness.
-/// Compiled code is immutable and self-contained except for the
-/// NativeContext helpers. The run's sim::Program owns it next to the
+/// The native backend runs JIT code only, so a function the lowerer rejects
+/// (an opcode without a stencil, an mmap or mprotect failure) stops the run
+/// in compile() with a diagnostic naming the function and the cause. A
+/// build without the JIT (DAECC_NATIVE_JIT, see sim/MachineConfig.h) has no
+/// native backend. Compiled code is immutable and self-contained except for
+/// the NativeContext helpers. The run's sim::Program owns it next to the
 /// bytecode it was lowered from, whose call descriptors it addresses, and
 /// unmaps it when the run ends.
 ///
@@ -34,16 +34,11 @@
 #ifndef DAECC_SIM_NATIVECODEGEN_H
 #define DAECC_SIM_NATIVECODEGEN_H
 
+#include "sim/MachineConfig.h"
+
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-
-// The JIT needs an x86-64 host that can map executable pages. Elsewhere
-// compile() returns null and every function runs on the threaded loop.
-#if defined(__x86_64__) &&                                                     \
-    (defined(__unix__) || defined(__linux__) || defined(__APPLE__))
-#define DAECC_NATIVE_JIT 1
-#endif
 
 namespace dae {
 namespace sim {
@@ -58,13 +53,6 @@ struct NativeContext;
 /// Entry point of one compiled function: runs a full activation against the
 /// context's current Frame/counters/trace cursor and returns at Ret/RetVal.
 using EntryFn = void (*)(NativeContext *);
-
-struct Options {
-  /// Testing hook: abort (after a diagnostic) instead of returning null when
-  /// a function contains an opcode the lowerer does not support. The death
-  /// test pins that rejection is loud under the hook and graceful without.
-  bool AbortOnUnsupported = false;
-};
 
 /// One function's executable native code: an mmap'd W^X buffer that starts
 /// with the function's entry point. Immutable; unmaps the buffer when
@@ -89,13 +77,12 @@ private:
   std::size_t Size;
 };
 
-/// Lowers \p BF to native code, or returns null when the function cannot be
-/// lowered (unsupported opcode, host without the JIT, mmap failure) —
-/// callers must then execute \p BF through the threaded interpreter. The
-/// code embeds the addresses of \p BF's call descriptors, so it must not
-/// outlive \p BF.
-std::unique_ptr<NativeCode> compile(const bc::BytecodeFunction &BF,
-                                    const Options &Opts = Options());
+/// Lowers \p BF to native code. A function that cannot be lowered (an
+/// opcode without a stencil, an mmap or mprotect failure, a build without
+/// the JIT) is a hard error: a diagnostic naming the function and the
+/// opcode or cause, then abort. The code embeds the addresses of \p BF's
+/// call descriptors, so it must not outlive \p BF.
+std::unique_ptr<NativeCode> compile(const bc::BytecodeFunction &BF);
 
 } // namespace native
 } // namespace sim

@@ -2,11 +2,12 @@
 //
 // Part of daecc. Distributed under the MIT license.
 //
-// The C++ half of the native backend: frame management, the slow-path
+// The C++ half of the native backend: frame management and the slow-path
 // helpers generated code calls (an access outside the footprint, trace
-// growth, calls), and the per-function threaded fallback. The fast paths —
-// dispatch, value ops, trace appends, bounds-checked loads and stores — live
-// entirely in the generated code (sim/NativeCodegen.cpp).
+// growth, calls). The fast paths — dispatch, value ops, trace appends,
+// bounds-checked loads and stores — live entirely in the generated code
+// (sim/NativeCodegen.cpp). Every function runs as native code; the Program
+// has compiled each one, or stopped the run, before it is first called.
 //
 // Bit-exactness protocols (verified against ThreadedInterpreter::exec):
 //
@@ -63,7 +64,7 @@ struct NativeHelpers {
 } // namespace dae
 
 NativeInterpreter::NativeInterpreter(Program &Prog, Memory &Mem)
-    : Prog(Prog), Mem(Mem), Fallback(Prog, Mem) {
+    : Prog(Prog), Mem(Mem) {
   const MemoryView View(Mem, Prog.loader());
   Ctx.MemBase = View.base();
   Ctx.MemLo = View.lo();
@@ -126,30 +127,14 @@ void NativeInterpreter::nativeCall(const bc::CallDesc &D,
 
   RuntimeValue Ret;
   const Program::Forms &Callee = Prog.lookup(*D.Callee);
-  if (Callee.Native) {
-    Ctx.RetValid = 0;
-    const double CallerPartial = Ctx.Cycles;
-    Ctx.Cycles = 0.0;
-    invoke(*Callee.Bytecode, *Callee.Native, CallArgs, N);
-    const double SubCycles = Ctx.Cycles; // 0.0 + calleeTotal == calleeTotal
-    if (Ctx.RetValid)
-      Ret = Ctx.Ret;
-    Ctx.Cycles = CallerPartial + SubCycles; // the one reference addition
-  } else {
-    // Callee has no native code: run it through the threaded interpreter and
-    // resume. Semantically this IS the reference Call handler. Hand the open
-    // trace cursor back to the vector for the duration.
-    std::vector<RuntimeValue> ArgVec(CallArgs, CallArgs + N);
-    CurTrace->nativeCommit(Ctx.TracePtr);
-    PhaseStats Sub = Fallback.runTraced(*D.Callee, ArgVec, *CurTrace, &Ret);
-    Ctx.TracePtr = CurTrace->nativeBegin(0);
-    Ctx.TraceEnd = CurTrace->nativeEnd();
-    Ctx.NInstr += Sub.Instructions;
-    Ctx.NLoads += Sub.Loads;
-    Ctx.NStores += Sub.Stores;
-    Ctx.NPrefetches += Sub.Prefetches;
-    Ctx.Cycles += Sub.ComputeCycles;
-  }
+  Ctx.RetValid = 0;
+  const double CallerPartial = Ctx.Cycles;
+  Ctx.Cycles = 0.0;
+  invoke(*Callee.Bytecode, *Callee.Native, CallArgs, N);
+  const double SubCycles = Ctx.Cycles; // 0.0 + calleeTotal == calleeTotal
+  if (Ctx.RetValid)
+    Ret = Ctx.Ret;
+  Ctx.Cycles = CallerPartial + SubCycles; // the one reference addition
 
   Ctx.Frame = Arena.data() + CallerBase;
   if (DstReg != bc::NoReg)
@@ -162,8 +147,6 @@ PhaseStats NativeInterpreter::runTraced(const Function &F,
                                         RuntimeValue *RetOut) {
   assert(Args.size() == F.getNumArgs() && "argument count mismatch");
   const Program::Forms &Fm = Prog.lookup(F);
-  if (!Fm.Native)
-    return Fallback.runTraced(F, Args, Trace, RetOut);
   CurTrace = &Trace;
   PhaseStats S;
   Ctx.NInstr = Ctx.NLoads = Ctx.NStores = Ctx.NPrefetches = 0;

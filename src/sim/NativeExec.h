@@ -24,12 +24,10 @@
 /// them as [ctx + offset].
 ///
 /// Every function's bytecode and native code come from the owning
-/// Interpreter's Program. Functions the native lowerer rejects (see
-/// NativeCodegen.h), and every function on a host without the JIT, are
-/// executed by an embedded ThreadedInterpreter over the same Program instead
-/// — per function, including callees reached from native code mid-trace —
-/// so a partially compilable program still runs, bit-identically, never
-/// miscompiled.
+/// Interpreter's Program, and every function runs as JIT code, callees
+/// reached mid-trace included: there is no second engine. A function the
+/// JIT cannot compile stops the run when the Program compiles it (see
+/// NativeCodegen.h), and a build without the JIT has no native backend.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +36,6 @@
 
 #include "sim/Bytecode.h"
 #include "sim/Interpreter.h"
-#include "sim/ThreadedInterpreter.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -131,9 +128,9 @@ private:
   void invoke(const bc::BytecodeFunction &BF, const native::NativeCode &Code,
               const RuntimeValue *Args, std::size_t NArgs);
 
-  /// The Call-helper body: runs a callee (native or threaded fallback) from
-  /// inside generated code and merges its stats exactly like the threaded
-  /// backend's Call handler.
+  /// The Call-helper body: runs a callee's native code from inside generated
+  /// code and merges its stats exactly like the threaded backend's Call
+  /// handler.
   void nativeCall(const bc::CallDesc &D, std::uint32_t DstReg);
 
   void traceGrow(std::uint64_t Needed);
@@ -146,9 +143,6 @@ private:
 
   Program &Prog;
   const Memory &Mem; ///< Reports accesses outside the footprint.
-  /// Executes functions without native code; also the source of bytecode
-  /// semantics for mid-trace callee fallback.
-  ThreadedInterpreter Fallback;
 
   AccessTrace *CurTrace = nullptr;
 };

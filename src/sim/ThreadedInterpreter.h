@@ -11,7 +11,7 @@
 /// default backend (MachineConfig::Backend); sim::Interpreter constructs one
 /// internally and delegates, so callers keep the single Interpreter API. It
 /// runs the bytecode of that Interpreter's Program, which lowers each
-/// function on its first lookup.
+/// function on its first lookup. Only the threaded backend runs it.
 ///
 /// Semantics are bit-identical to the switch interpreter — same PhaseStats
 /// (including FP addend order), AccessTraces, memory images and return
@@ -34,8 +34,8 @@ namespace dae {
 namespace sim {
 
 /// Executes functions lowered to bytecode on a simulated core. One instance
-/// per Interpreter (two under the native backend, whose fallback is one),
-/// reading every function's bytecode from that Interpreter's Program.
+/// per threaded-backend Interpreter, reading every function's bytecode from
+/// that Interpreter's Program.
 class ThreadedInterpreter {
 public:
   /// \p Prog is the owning Interpreter's and outlives this one.

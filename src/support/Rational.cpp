@@ -6,6 +6,7 @@
 
 #include "support/Rational.h"
 
+#include <cassert>
 #include <cstdlib>
 
 using namespace dae;
@@ -34,15 +35,6 @@ std::int64_t dae::gcd64(std::int64_t A, std::int64_t B) {
     B = T;
   }
   return A;
-}
-
-std::int64_t dae::lcm64(std::int64_t A, std::int64_t B) {
-  if (A == 0 || B == 0)
-    return 0;
-  std::int64_t G = gcd64(A, B);
-  return narrow(static_cast<__int128>(A / G) * B < 0
-                    ? -(static_cast<__int128>(A / G) * B)
-                    : static_cast<__int128>(A / G) * B);
 }
 
 Rational::Rational(std::int64_t N, std::int64_t D) {

@@ -20,7 +20,6 @@
 #ifndef DAECC_SUPPORT_RATIONAL_H
 #define DAECC_SUPPORT_RATIONAL_H
 
-#include <cassert>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -49,23 +48,11 @@ public:
   std::int64_t den() const { return Den; }
 
   bool isZero() const { return Num == 0; }
-  bool isInteger() const { return Den == 1; }
-  bool isNegative() const { return Num < 0; }
-
-  /// Integer value; asserts the value is integral.
-  std::int64_t asInteger() const {
-    assert(isInteger() && "rational is not an integer");
-    return Num;
-  }
 
   /// Largest integer <= value.
   std::int64_t floor() const;
   /// Smallest integer >= value.
   std::int64_t ceil() const;
-
-  double toDouble() const {
-    return static_cast<double>(Num) / static_cast<double>(Den);
-  }
 
   Rational operator-() const;
   Rational operator+(const Rational &R) const;
@@ -97,9 +84,6 @@ private:
 
 /// Greatest common divisor of |A| and |B|; gcd(0, 0) == 0.
 std::int64_t gcd64(std::int64_t A, std::int64_t B);
-/// Least common multiple of |A| and |B|; throws RationalOverflow when the
-/// result does not fit in 64 bits.
-std::int64_t lcm64(std::int64_t A, std::int64_t B);
 
 } // namespace dae
 

@@ -312,8 +312,7 @@ TEST(AffineGeneratorTest, CacheLineStrideReducesPrefetchCount) {
   Module M;
   Function *Task = buildBlockCopy(M);
   DaeOptions Opts = optsWithArgs({8});
-  Opts.PrefetchPerCacheLine = true;
-  Opts.CacheLineBytes = 64; // 8 doubles per line.
+  Opts.PrefetchPerCacheLine = true; // 64-byte lines: 8 doubles per line.
   AccessPhaseResult R = generateAccessPhase(M, *Task, Opts);
   ASSERT_TRUE(R.succeeded()) << R.Notes;
   // The innermost loop must advance by 8 elements: find a loop whose step

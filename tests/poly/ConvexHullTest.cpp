@@ -105,29 +105,4 @@ TEST(ConvexHullTest, SymbolicParameterDimension) {
   EXPECT_EQ(At7.countIntegerPoints().value(), 8);
 }
 
-TEST(RangeHullTest, CoarserThanConvexHull) {
-  // Two blocks on the diagonal (the Figure 2 situation): the range hull
-  // (bounding box) covers the full square; the convex hull is the diagonal
-  // band, strictly smaller.
-  Polyhedron A = box2D(0, 3, 0, 3);
-  Polyhedron B = box2D(10, 13, 10, 13);
-  Polyhedron Box = rangeHull({A, B}, {0, 1});
-  Polyhedron Hull = convexHullOfUnion({A, B});
-  long long BoxCount = Box.countIntegerPoints().value();
-  long long HullCount = Hull.countIntegerPoints().value();
-  EXPECT_EQ(BoxCount, 14 * 14);
-  EXPECT_LT(HullCount, BoxCount);
-  EXPECT_TRUE(Box.contains({0, 13}));   // Box corner...
-  EXPECT_FALSE(Hull.contains({0, 13})); // ...outside the hull.
-}
-
-TEST(RangeHullTest, FullMatrixMatchesHull) {
-  // When the accesses already cover the whole matrix (Listing 1(a)),
-  // range analysis and convex union agree (the paper's "efficient when the
-  // whole array is accessed" case).
-  Polyhedron A = box2D(0, 9, 0, 9);
-  Polyhedron Box = rangeHull({A}, {0, 1});
-  EXPECT_EQ(Box.countIntegerPoints().value(), 100);
-}
-
 } // namespace

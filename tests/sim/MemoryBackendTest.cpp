@@ -114,8 +114,9 @@ void expectBackendsAgree(const Module &M, const Function &F,
   const Outcome Ref = runUnder(SimBackend::Switch, M, F, Args, Init);
   expectSameOutcome(Ref, runUnder(SimBackend::Threaded, M, F, Args, Init),
                     What + ", threaded");
-  expectSameOutcome(Ref, runUnder(SimBackend::Native, M, F, Args, Init),
-                    What + ", native");
+  if (simBackendBuilt(SimBackend::Native))
+    expectSameOutcome(Ref, runUnder(SimBackend::Native, M, F, Args, Init),
+                      What + ", native");
 }
 
 //===----------------------------------------------------------------------===//
@@ -772,6 +773,8 @@ void expectDiesEverywhere(const Module &M, const Function &F,
                           const std::string &What) {
   for (SimBackend Backend :
        {SimBackend::Switch, SimBackend::Threaded, SimBackend::Native}) {
+    if (!simBackendBuilt(Backend))
+      continue;
     MachineConfig Cfg;
     Cfg.Backend = Backend;
     Loader L(M);

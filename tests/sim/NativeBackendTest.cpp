@@ -7,16 +7,14 @@
 // Edge cases of the native codegen backend that the cross-backend
 // differential suite (BackendDifferentialTest.cpp) does not reach: code
 // storage across many compiled functions, W^X protection of the JIT buffer,
-// the code's lifetime (unmapped with its run), and — most important — the
-// rejection path: a function the lowerer cannot compile must fall back to
-// the threaded interpreter bit-identically, never miscompile, and must die
-// loudly under the AbortOnUnsupported testing hook.
-// The fallback is also what a host without the JIT runs for every function.
+// the code's lifetime (unmapped with its run), and the rejection path: the
+// native backend runs JIT code only, so a function the JIT cannot compile
+// must stop the run with a diagnostic, never run elsewhere or miscompile.
+// A build without the JIT has no native backend and skips every case.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ir/IRBuilder.h"
-#include "runtime/Replay.h"
 #include "sim/Bytecode.h"
 #include "sim/Interpreter.h"
 #include "sim/Memory.h"
@@ -25,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -36,15 +33,6 @@ using namespace dae::ir;
 using namespace dae::sim;
 
 namespace {
-
-/// Whether this build has the JIT. Without it compile() returns null by
-/// design and the JIT cases have nothing to check; with it a null result is
-/// a failure, never a skip.
-#if defined(DAECC_NATIVE_JIT)
-constexpr bool HostHasJit = true;
-#else
-constexpr bool HostHasJit = false;
-#endif
 
 /// Builds fn_k(x) = x * (k + 2) + k with a load, a store and an FP round
 /// trip, so every compiled function exercises translation, trace emission
@@ -104,52 +92,13 @@ bool mappingsOverlapping(const void *Addr, std::size_t Size,
   return true;
 }
 
-/// Runs \p F under \p Backend in a fresh memory/cache world, replays its
-/// trace, and returns (return value, replayed profile, trace, image hash).
-struct RunResult {
-  RuntimeValue Ret;
-  PhaseStats Stats;
-  std::vector<std::uint64_t> Events;
-  std::uint64_t Hash;
-};
-
-RunResult runUnder(SimBackend Backend, Module &M, Function &F,
-                   std::int64_t Arg) {
-  MachineConfig Cfg;
-  Cfg.Backend = Backend;
-  Loader L(M);
-  Memory Mem;
-  Interpreter Interp(Cfg, Mem, L);
-  AccessTrace Trace;
-  RunResult R;
-  R.Stats = Interp.runTraced(F, {RuntimeValue::ofInt(Arg)}, Trace, &R.Ret);
-  CacheHierarchy Caches(Cfg, 1);
-  runtime::replayTrace(Trace, Caches, 0, runtime::ReplayCostModel(Cfg),
-                       R.Stats);
-  R.Events = Trace.events();
-  R.Hash = Mem.imageHash();
-  return R;
-}
-
-void expectSameRun(const RunResult &A, const RunResult &B, const char *What) {
-  EXPECT_EQ(A.Ret.I, B.Ret.I) << What;
-  EXPECT_EQ(A.Events, B.Events) << What;
-  EXPECT_EQ(A.Hash, B.Hash) << What;
-  EXPECT_EQ(A.Stats.Instructions, B.Stats.Instructions) << What;
-  EXPECT_EQ(A.Stats.ComputeCycles, B.Stats.ComputeCycles) << What;
-  EXPECT_EQ(A.Stats.Loads, B.Stats.Loads) << What;
-  EXPECT_EQ(A.Stats.Stores, B.Stats.Stores) << What;
-  EXPECT_EQ(A.Stats.L1Hits, B.Stats.L1Hits) << What;
-  EXPECT_EQ(A.Stats.MemAccesses, B.Stats.MemAccesses) << What;
-}
-
 /// Compiling many distinct functions must yield many live code objects —
 /// each with its own executable storage — that all execute correctly while
 /// held simultaneously (a run's Program holds every function of a workload
 /// at once).
 TEST(NativeBackend, CodeBufferGrowthAcrossManyFunctions) {
-  if (!HostHasJit)
-    GTEST_SKIP() << "no JIT on this host";
+  if (!simBackendBuilt(SimBackend::Native))
+    GTEST_SKIP() << "no JIT in this build";
   constexpr unsigned N = 48;
   Module M;
   auto *Out = M.createGlobal("Out", N * 8);
@@ -187,8 +136,8 @@ TEST(NativeBackend, CodeBufferGrowthAcrossManyFunctions) {
 /// The JIT buffer must be W^X: readable and executable, never writable,
 /// once published. Verified against the kernel's own view (/proc/self/maps).
 TEST(NativeBackend, JitBufferIsWxProtected) {
-  if (!HostHasJit)
-    GTEST_SKIP() << "no JIT on this host";
+  if (!simBackendBuilt(SimBackend::Native))
+    GTEST_SKIP() << "no JIT in this build";
   Module M;
   auto *Out = M.createGlobal("Out", 8);
   Function *F = buildFn(M, Out, 0);
@@ -213,8 +162,8 @@ TEST(NativeBackend, JitBufferIsWxProtected) {
 /// Interpreter is destroyed, no executable mapping remains where the code
 /// was, so runs do not accumulate JIT buffers over a process's life.
 TEST(NativeBackend, JitCodeIsUnmappedWithItsRun) {
-  if (!HostHasJit)
-    GTEST_SKIP() << "no JIT on this host";
+  if (!simBackendBuilt(SimBackend::Native))
+    GTEST_SKIP() << "no JIT in this build";
   Module M;
   auto *Out = M.createGlobal("Out", 8);
   Function *F = buildFn(M, Out, 0);
@@ -250,43 +199,21 @@ TEST(NativeBackend, JitCodeIsUnmappedWithItsRun) {
         << "JIT code still mapped after its run: " << Map.Line;
 }
 
-/// A function containing an opcode the lowerer rejects (here forced via
-/// DAECC_NATIVE_REJECT_OP) must run through the threaded fallback with
-/// bit-identical results — a rejected function may be slow, never wrong.
-TEST(NativeBackend, RejectedFunctionFallsBackBitIdentically) {
+/// A function the JIT cannot compile stops the run with a diagnostic naming
+/// the function and the opcode: the native backend has no other engine to
+/// run it on. Trap is the one opcode without a stencil; a correct lowering
+/// never emits it, so the function is built by hand.
+TEST(NativeBackendDeathTest, UncompilableFunctionDiesNamingFunctionAndOpcode) {
+  if (!simBackendBuilt(SimBackend::Native))
+    GTEST_SKIP() << "no JIT in this build";
   Module M;
-  auto *Out = M.createGlobal("Out", 4 * 8);
-  Function *F = buildFn(M, Out, 2);
-  Loader L(M);
-  MachineConfig Cfg;
-  auto BF = bc::lower(*F, L, Cfg);
-
-  setenv("DAECC_NATIVE_REJECT_OP", "SIToFP", 1);
-  std::unique_ptr<native::NativeCode> NC = native::compile(*BF);
-  EXPECT_EQ(NC, nullptr) << "rejected opcode must not compile";
-
-  RunResult Ref = runUnder(SimBackend::Switch, M, *F, 9);
-  RunResult Got = runUnder(SimBackend::Native, M, *F, 9);
-  unsetenv("DAECC_NATIVE_REJECT_OP");
-  expectSameRun(Ref, Got, "threaded fallback vs switch");
-}
-
-/// Under the AbortOnUnsupported testing hook the same rejection must be
-/// loud: a diagnostic naming the opcode, then abort. Pins that an
-/// unsupported opcode can never silently produce wrong code.
-TEST(NativeBackendDeathTest, UnsupportedOpcodeAbortsUnderHook) {
-  Module M;
-  auto *Out = M.createGlobal("Out", 4 * 8);
-  Function *F = buildFn(M, Out, 1);
-  Loader L(M);
-  MachineConfig Cfg;
-  auto BF = bc::lower(*F, L, Cfg);
-
-  native::Options Opts;
-  Opts.AbortOnUnsupported = true;
-  setenv("DAECC_NATIVE_REJECT_OP", "SIToFP", 1);
-  EXPECT_DEATH(native::compile(*BF, Opts), "rejected opcode 'SIToFP'");
-  unsetenv("DAECC_NATIVE_REJECT_OP");
+  bc::BytecodeFunction BF;
+  BF.Source = M.createFunction("holds_trap", Type::Void, {});
+  BF.Code.resize(2);
+  BF.Code[0].Op = bc::Opcode::Trap;
+  BF.Code[1].Op = bc::Opcode::Ret;
+  EXPECT_DEATH(native::compile(BF),
+               "cannot compile function 'holds_trap': opcode 'Trap'");
 }
 
 } // namespace

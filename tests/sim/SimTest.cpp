@@ -20,6 +20,7 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 using namespace dae;
@@ -466,6 +467,36 @@ TEST(InterpreterTest, ComputesCorrectResult) {
   EXPECT_EQ(S.Loads, 200u);
   EXPECT_EQ(S.Stores, 100u);
   EXPECT_EQ(Trace.size(), 300u);
+}
+
+/// Load sites are the switch backend's alone: it records one per Load event,
+/// and the threaded and native backends refuse a sink instead of running
+/// some other engine for it.
+TEST(InterpreterTest, LoadSitesNeedTheSwitchBackend) {
+  InterpFixture Fx;
+  Loader L(Fx.M);
+  for (SimBackend B :
+       {SimBackend::Switch, SimBackend::Threaded, SimBackend::Native}) {
+    if (!simBackendBuilt(B))
+      continue;
+    SCOPED_TRACE(simBackendName(B));
+    MachineConfig Cfg;
+    Cfg.Backend = B;
+    Interpreter Interp(Cfg, Fx.Mem, L);
+    AccessTrace Trace;
+    std::vector<const Instruction *> Sites;
+    if (B == SimBackend::Switch) {
+      PhaseStats S = Interp.runTraced(*Fx.F, {RuntimeValue::ofInt(10)}, Trace,
+                                      nullptr, &Sites);
+      EXPECT_EQ(Sites.size(), S.Loads);
+    } else {
+      EXPECT_THROW(Interp.runTraced(*Fx.F, {RuntimeValue::ofInt(10)}, Trace,
+                                    nullptr, &Sites),
+                   std::invalid_argument);
+      EXPECT_TRUE(Sites.empty());
+      EXPECT_EQ(Trace.size(), 0u);
+    }
+  }
 }
 
 TEST(InterpreterTest, ColdMissesProduceStalls) {
