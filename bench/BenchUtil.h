@@ -25,12 +25,10 @@
 #include "workloads/Workload.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -40,26 +38,6 @@
 
 namespace dae {
 namespace bench {
-
-/// Strict positive-integer flag value. Garbage (non-numeric, trailing junk,
-/// zero, negative) is a hard configuration error (exit 2), never a silent
-/// fall-back to a default — a sweep that asked for 8 cores and silently got
-/// 1 would mislabel its own results. Environment fallbacks go through the
-/// same contract via support::envUnsignedOr / envBool01Or.
-inline unsigned parseUnsignedFlag(const char *Flag, const char *Value) {
-  char *End = nullptr;
-  errno = 0;
-  long long N = std::strtoll(Value, &End, 10);
-  if (End == Value || *End != '\0' || errno == ERANGE || N <= 0 ||
-      N > static_cast<long long>(std::numeric_limits<unsigned>::max())) {
-    std::fprintf(stderr,
-                 "error: invalid %s value '%s' (expected a positive "
-                 "integer)\n",
-                 Flag, Value);
-    std::exit(2);
-  }
-  return static_cast<unsigned>(N);
-}
 
 /// Full scale by default; `--test-scale` (or DAECC_TEST_SCALE=1) shrinks the
 /// inputs so the whole suite runs in seconds (used by ctest smoke runs).
@@ -84,7 +62,7 @@ inline unsigned jobsFromArgs(int Argc, char **Argv) {
     if (std::strncmp(Argv[I], "--jobs=", 7) == 0)
       Last = Argv[I] + 7;
   if (Last)
-    return parseUnsignedFlag("--jobs", Last);
+    return support::parseUnsignedOrExit("--jobs", Last);
   return support::envUnsignedOr("DAECC_JOBS", 1u);
 }
 
@@ -118,18 +96,16 @@ inline sim::SimBackend backendFromArgs(int Argc, char **Argv) {
   return HaveFlag ? Chosen : sim::defaultSimBackend();
 }
 
-/// Compilation-pipeline switches shared by the drivers: `--verify-each` and
-/// `--print-after-all` flip pm::config() (same effect as DAECC_VERIFY_EACH=1
-/// / DAECC_PRINT_AFTER_ALL=1); returns true when `--pass-stats` was given,
-/// in which case the driver prints pm::PipelineStats before exiting. The
-/// per-pass timing block goes into BENCH_<name>.json unconditionally.
+/// Compilation-pipeline switches shared by the drivers: `--verify-each`
+/// flips pm::config() (same effect as DAECC_VERIFY_EACH=1); returns true
+/// when `--pass-stats` was given, in which case the driver prints
+/// pm::PipelineStats before exiting. The per-pass timing block goes into
+/// BENCH_<name>.json unconditionally.
 inline bool pipelineFlagsFromArgs(int Argc, char **Argv) {
   bool PassStats = false;
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--verify-each") == 0)
       pm::config().VerifyEach = true;
-    else if (std::strcmp(Argv[I], "--print-after-all") == 0)
-      pm::config().PrintAfterAll = true;
     else if (std::strcmp(Argv[I], "--pass-stats") == 0)
       PassStats = true;
   }
@@ -209,7 +185,7 @@ struct BenchOptions {
     for (int I = 1; I < Argc; ++I) {
       const char *A = Argv[I];
       if (std::strncmp(A, "--cores=", 8) == 0) {
-        O.Cores = parseUnsignedFlag("--cores", A + 8);
+        O.Cores = support::parseUnsignedOrExit("--cores", A + 8);
       } else if (std::strncmp(A, "--mix=", 6) == 0) {
         // Repeated --mix flags last-win like every other flag: each
         // occurrence replaces the list instead of silently appending (which
@@ -277,8 +253,8 @@ private:
   /// Flags the *FromArgs helpers above interpret (and validate).
   static bool parsedByHelper(const char *A) {
     for (const char *Flag :
-         {"--test-scale", "--verify-each", "--print-after-all", "--pass-stats",
-          "--dae-verify", "--dae-profile-guided"})
+         {"--test-scale", "--verify-each", "--pass-stats", "--dae-verify",
+          "--dae-profile-guided"})
       if (std::strcmp(A, Flag) == 0)
         return true;
     for (const char *Prefix : {"--jobs=", "--sim-backend="})

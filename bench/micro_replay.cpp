@@ -7,9 +7,14 @@
 /// \file
 /// google-benchmark microbenchmarks for the cache-timing replay hot loop
 /// (runtime/Replay.h) — the sequential half of the simulation engine and the
-/// stage the pipelined wave overlap hides. Events/s here bound how fast any
-/// simulation can retire its timing pass, so this is the number to watch
-/// when touching Cache::access or the replay fast path. Patterns:
+/// stage the pipelined wave overlap hides. Events/s here show the loop's
+/// cost in isolation, but each pattern is one synthetic stream of 2^18
+/// events replayed from flushed caches, which does not stand for the
+/// workloads' streams: a per-set MRU-way check before the tag scan read
+/// 20-23% faster here while perfbench `corun` got slower. A change to the
+/// hit path (Cache::access, the replay fast path) therefore needs
+/// alternating perfbench `corun` pairs against the base commit, not these
+/// numbers alone. Patterns:
 ///
 ///  * Sequential: a streaming load walk (same-line fast path + next-line
 ///    hardware prefetcher — the best case).

@@ -12,12 +12,11 @@
 
 using namespace dae;
 
-pm::PreservedAnalyses
-ProfileGuidedRefinementPass::run(ir::Function &F,
-                                 pm::FunctionAnalysisManager &FAM) {
+bool ProfileGuidedRefinementPass::run(ir::Function &F,
+                                      pm::FunctionAnalysisManager &FAM) {
   auto BIt = Baselines.find(&F);
   if (BIt == Baselines.end() || !BIt->second.AccessFn)
-    return pm::PreservedAnalyses::all();
+    return false;
   const AccessPhaseResult &Base = BIt->second;
 
   // The fingerprint reads the *optimized* body; the baseline generation
@@ -27,11 +26,11 @@ ProfileGuidedRefinementPass::run(ir::Function &F,
 
   TaskProfileData P;
   if (!Profile.lookup(taskContentFingerprint(F, FAM), P))
-    return pm::PreservedAnalyses::all();
+    return false;
 
   RefinementAction Action = planRefinement(P, Base.Trace, Config);
   if (!Action.any())
-    return pm::PreservedAnalyses::all();
+    return false;
 
   // Move the unrefined phase out of the generators' naming slot so the
   // regeneration can claim "<task>.access". It
@@ -48,7 +47,7 @@ ProfileGuidedRefinementPass::run(ir::Function &F,
     // Regeneration declined (e.g. the refined knobs pushed the task off the
     // affine path and the skeleton refused it): keep the baseline phase.
     Old->setName(OldName);
-    return pm::PreservedAnalyses::all();
+    return false;
   }
 
   R.ProfileRefined = true;
@@ -57,5 +56,5 @@ ProfileGuidedRefinementPass::run(ir::Function &F,
 
   // The task function itself is untouched (regeneration only reads it), so
   // every cached analysis of F survives.
-  return pm::PreservedAnalyses::all();
+  return false;
 }

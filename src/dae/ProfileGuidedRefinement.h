@@ -18,8 +18,8 @@
 /// modules refine alike from one shared profile.
 ///
 /// The pass transforms the *module* (new access function), never the task
-/// function itself, so it preserves all function analyses; the renamed
-/// unrefined phase's cached analyses are explicitly invalidated.
+/// function itself, so it reports no change and the task's cached analyses
+/// stay; the renamed unrefined phase's cached analyses are cleared.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,8 +66,7 @@ public:
 
   const char *name() const override { return "dae-profile-refine"; }
 
-  pm::PreservedAnalyses run(ir::Function &F,
-                            pm::FunctionAnalysisManager &FAM) override;
+  bool run(ir::Function &F, pm::FunctionAnalysisManager &FAM) override;
 
   /// The refined result for \p Task; null when the pass left it alone (no
   /// profile, no applicable action, or regeneration declined).

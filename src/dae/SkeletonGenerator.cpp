@@ -54,7 +54,7 @@ unsigned simplifyControlFlow(Function &F, pm::FunctionAnalysisManager &FAM) {
   while (Changed) {
     Changed = false;
     // Pulled once per sweep; the rewrites below work against this snapshot
-    // and the cache is invalidated at the end of a changing sweep.
+    // and the cache is cleared at the end of a changing sweep.
     const LoopInfo &LI = FAM.getResult<pm::LoopAnalysis>(F);
     const PostDominatorTree &PDT = FAM.getResult<pm::PostDominatorsAnalysis>(F);
     const DominatorTree &DT = FAM.getResult<pm::DominatorsAnalysis>(F);
@@ -113,7 +113,7 @@ unsigned simplifyControlFlow(Function &F, pm::FunctionAnalysisManager &FAM) {
       Changed = true;
     }
     if (Changed) {
-      FAM.invalidate(F, pm::PreservedAnalyses::none());
+      FAM.clear(F);
       passes::runSimplifyCFG(F);
       passes::runDCE(F);
     }
@@ -233,7 +233,7 @@ AccessPhaseResult dae::generateSkeletonAccess(Module &M, Function &Task,
   // whose entire body was discarded, iterated to a declared fixpoint (one
   // pipeline instead of the historical optimize/delete-loops/optimize
   // sequence). The marking above mutated the clone behind the cache.
-  FAM.invalidate(*Clone, pm::PreservedAnalyses::none());
+  FAM.clear(*Clone);
   passes::buildAccessCleanupPipeline()->run(*Clone, FAM);
 
   Result.AccessFn = M.addFunction(std::move(CloneOwner));

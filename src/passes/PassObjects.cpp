@@ -1,15 +1,16 @@
-//===- passes/PassObjects.cpp - pm:: adapters and pipelines ----------------===//
+//===- passes/PassObjects.cpp - The declared pipelines ---------------------===//
 //
 // Part of daecc. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pass objects wrapping this directory's free-function passes, plus the
-/// declared pipelines. optimizeFunction — historically a hand-rolled loop in
-/// Inliner.cpp — is now buildO3Pipeline() run through the pass manager, so
-/// every caller shares the instrumentation and the fixpoint logic lives in
-/// exactly one place (pm::FixpointPassManager).
+/// The declared pipelines over this directory's free-function passes. One
+/// adapter, CleanupPass, runs any of them as a pm pass under its pass_stats
+/// name. optimizeFunction — historically a hand-rolled loop in Inliner.cpp —
+/// is buildO3Pipeline() run through the pass manager, so every caller shares
+/// the instrumentation and the fixpoint logic lives in exactly one place
+/// (pm::FixpointPassManager).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,50 +18,43 @@
 
 using namespace dae;
 using namespace dae::passes;
-using pm::PreservedAnalyses;
 
-static PreservedAnalyses fromChanged(bool Changed) {
-  return Changed ? PreservedAnalyses::none() : PreservedAnalyses::all();
-}
+namespace {
 
-PreservedAnalyses DCEPass::run(ir::Function &F,
-                               pm::FunctionAnalysisManager &) {
-  return fromChanged(runDCE(F));
-}
+/// A free-function pass as a pm pass: \p Name is its pass_stats key and
+/// \p Fn the transformation, true when it changed the function.
+class CleanupPass : public pm::FunctionPass {
+public:
+  using TransformFn = bool (*)(ir::Function &);
+  CleanupPass(const char *Name, TransformFn Fn) : Name(Name), Fn(Fn) {}
 
-PreservedAnalyses ConstantFoldingPass::run(ir::Function &F,
-                                           pm::FunctionAnalysisManager &) {
-  return fromChanged(runConstantFolding(F));
-}
+  const char *name() const override { return Name; }
+  bool run(ir::Function &F, pm::FunctionAnalysisManager &) override {
+    return Fn(F);
+  }
 
-PreservedAnalyses SimplifyCFGPass::run(ir::Function &F,
-                                       pm::FunctionAnalysisManager &) {
-  return fromChanged(runSimplifyCFG(F));
-}
+private:
+  const char *Name;
+  TransformFn Fn;
+};
 
-PreservedAnalyses InlinerPass::run(ir::Function &F,
-                                   pm::FunctionAnalysisManager &) {
-  return fromChanged(runInliner(F) > 0);
-}
+} // namespace
 
-PreservedAnalyses LoopDeletionPass::run(ir::Function &F,
-                                        pm::FunctionAnalysisManager &) {
-  return fromChanged(runLoopDeletion(F));
-}
+static bool inlineAll(ir::Function &F) { return runInliner(F) > 0; }
 
 /// {constant fold, simplify CFG, DCE} to a fixpoint — the cleanup core both
 /// pipelines share.
 static std::unique_ptr<pm::FixpointPassManager> buildCleanupFixpoint() {
   auto Fix = std::make_unique<pm::FixpointPassManager>("o3.fixpoint");
-  Fix->add<ConstantFoldingPass>();
-  Fix->add<SimplifyCFGPass>();
-  Fix->add<DCEPass>();
+  Fix->add<CleanupPass>("constfold", runConstantFolding);
+  Fix->add<CleanupPass>("simplifycfg", runSimplifyCFG);
+  Fix->add<CleanupPass>("dce", runDCE);
   return Fix;
 }
 
 std::unique_ptr<pm::PassManager> passes::buildO3Pipeline() {
   auto PM = std::make_unique<pm::PassManager>("o3");
-  PM->add<InlinerPass>();
+  PM->add<CleanupPass>("inliner", inlineAll);
   PM->addPass(buildCleanupFixpoint());
   return PM;
 }
@@ -71,7 +65,7 @@ std::unique_ptr<pm::PassManager> passes::buildAccessCleanupPipeline() {
   // more cleanup and vice versa, hence the outer fixpoint.
   auto Outer = std::make_unique<pm::FixpointPassManager>("access.cleanup");
   Outer->addPass(buildCleanupFixpoint());
-  Outer->add<LoopDeletionPass>();
+  Outer->add<CleanupPass>("loopdeletion", runLoopDeletion);
   return Outer;
 }
 

@@ -10,8 +10,10 @@
 /// (section 5.2.1), and one of the stated advantages of the compiler approach
 /// is deriving the access phase *after* optimizing the execute code —
 /// notably inlining FFT's callees (section 6.2.2). This module provides dead
-/// code elimination, constant folding, a light CFG cleanup, an inliner, and
-/// the composite optimizeFunction ("-O3") driver.
+/// code elimination, constant folding, a light CFG cleanup, an inliner and
+/// dead-loop deletion as free functions, and the two pipelines that run them
+/// through the pass manager (timing, change counts, --verify-each): "o3",
+/// behind the composite optimizeFunction driver, and "access.cleanup".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,52 +56,6 @@ bool allCallsInlinable(const ir::Function &F);
 /// on change.
 bool runLoopDeletion(ir::Function &F);
 
-//===----------------------------------------------------------------------===//
-// Pass objects (pm:: interface). Thin adapters over the free functions
-// above; the pass manager supplies the shared analysis cache, timing,
-// verify-each, and print-after-all instrumentation.
-//===----------------------------------------------------------------------===//
-
-/// runDCE as a pass.
-class DCEPass : public pm::FunctionPass {
-public:
-  const char *name() const override { return "dce"; }
-  pm::PreservedAnalyses run(ir::Function &F,
-                            pm::FunctionAnalysisManager &FAM) override;
-};
-
-/// runConstantFolding as a pass.
-class ConstantFoldingPass : public pm::FunctionPass {
-public:
-  const char *name() const override { return "constfold"; }
-  pm::PreservedAnalyses run(ir::Function &F,
-                            pm::FunctionAnalysisManager &FAM) override;
-};
-
-/// runSimplifyCFG as a pass.
-class SimplifyCFGPass : public pm::FunctionPass {
-public:
-  const char *name() const override { return "simplifycfg"; }
-  pm::PreservedAnalyses run(ir::Function &F,
-                            pm::FunctionAnalysisManager &FAM) override;
-};
-
-/// runInliner as a pass.
-class InlinerPass : public pm::FunctionPass {
-public:
-  const char *name() const override { return "inliner"; }
-  pm::PreservedAnalyses run(ir::Function &F,
-                            pm::FunctionAnalysisManager &FAM) override;
-};
-
-/// runLoopDeletion as a pass.
-class LoopDeletionPass : public pm::FunctionPass {
-public:
-  const char *name() const override { return "loopdeletion"; }
-  pm::PreservedAnalyses run(ir::Function &F,
-                            pm::FunctionAnalysisManager &FAM) override;
-};
-
 /// The "-O3" composite as a declared pipeline: inline once, then iterate
 /// {constant fold, simplify CFG, DCE} to a fixpoint.
 std::unique_ptr<pm::PassManager> buildO3Pipeline();
@@ -111,7 +67,7 @@ std::unique_ptr<pm::PassManager> buildO3Pipeline();
 std::unique_ptr<pm::PassManager> buildAccessCleanupPipeline();
 
 /// The "-O3" composite: runs buildO3Pipeline over \p F with the caller's
-/// analysis cache (invalidated as the passes report changes).
+/// analysis cache (cleared whenever a pass reports a change).
 void optimizeFunction(ir::Function &F, pm::FunctionAnalysisManager &FAM);
 
 /// Convenience overload with a throwaway analysis cache.

@@ -11,11 +11,9 @@
 /// own internals — every consumer (generators, harness, tests) pulls them
 /// from the manager so each is computed once per function state.
 ///
-/// Dependency edges matter for invalidation: a cached ScalarEvolution holds
-/// a reference into the cached LoopInfo, so invalidating LoopAnalysis
-/// cascades to ScalarEvolutionAnalysis (see
-/// FunctionAnalysisManager::invalidate). TaskClassification and the printed
-/// body are plain values and carry no edges.
+/// A cached ScalarEvolution holds a reference into the cached LoopInfo. That
+/// is safe because a function's results are only ever dropped together
+/// (FunctionAnalysisManager::clear), never one at a time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +27,6 @@
 #include "pm/AnalysisManager.h"
 
 #include <string>
-#include <vector>
 
 namespace dae {
 namespace pm {
@@ -39,7 +36,6 @@ struct DominatorsAnalysis {
   using Result = analysis::DominatorTree;
   static inline AnalysisKey Key;
   static const char *name() { return "dominators"; }
-  static std::vector<const AnalysisKey *> dependencies() { return {}; }
   static Result run(ir::Function &F, FunctionAnalysisManager &FAM);
 };
 
@@ -48,30 +44,24 @@ struct PostDominatorsAnalysis {
   using Result = analysis::PostDominatorTree;
   static inline AnalysisKey Key;
   static const char *name() { return "postdominators"; }
-  static std::vector<const AnalysisKey *> dependencies() { return {}; }
   static Result run(ir::Function &F, FunctionAnalysisManager &FAM);
 };
 
 /// analysis::LoopInfo, cached. Reuses the cached dominator tree for loop
-/// detection but keeps no reference into it afterwards, so it carries no
-/// dependency edge.
+/// detection but keeps no reference into it afterwards.
 struct LoopAnalysis {
   using Result = analysis::LoopInfo;
   static inline AnalysisKey Key;
   static const char *name() { return "loopinfo"; }
-  static std::vector<const AnalysisKey *> dependencies() { return {}; }
   static Result run(ir::Function &F, FunctionAnalysisManager &FAM);
 };
 
 /// analysis::ScalarEvolution, cached. Holds a reference to the cached
-/// LoopInfo for the lifetime of the entry, hence the dependency edge.
+/// LoopInfo for the lifetime of the entry.
 struct ScalarEvolutionAnalysis {
   using Result = analysis::ScalarEvolution;
   static inline AnalysisKey Key;
   static const char *name() { return "scalarevolution"; }
-  static std::vector<const AnalysisKey *> dependencies() {
-    return {&LoopAnalysis::Key};
-  }
   static Result run(ir::Function &F, FunctionAnalysisManager &FAM);
 };
 
@@ -81,7 +71,6 @@ struct TaskClassificationAnalysis {
   using Result = analysis::TaskClassification;
   static inline AnalysisKey Key;
   static const char *name() { return "taskclass"; }
-  static std::vector<const AnalysisKey *> dependencies() { return {}; }
   static Result run(ir::Function &F, FunctionAnalysisManager &FAM);
 };
 
@@ -92,7 +81,6 @@ struct FunctionPrintAnalysis {
   using Result = std::string;
   static inline AnalysisKey Key;
   static const char *name() { return "print"; }
-  static std::vector<const AnalysisKey *> dependencies() { return {}; }
   static Result run(ir::Function &F, FunctionAnalysisManager &FAM);
 };
 

@@ -7,10 +7,10 @@
 /// \file
 /// LLVM-new-PM-style analysis caching for the compilation pipeline. A
 /// FunctionAnalysisManager memoizes analysis results keyed by
-/// (function, analysis); passes report what they kept intact through a
-/// PreservedAnalyses value and the manager drops exactly the invalidated
-/// entries (plus anything that depends on them, so a cached ScalarEvolution
-/// never outlives the LoopInfo it references).
+/// (function, analysis). There is one invalidation rule: whatever changes a
+/// function drops every cached result of that function (clear), so a cached
+/// ScalarEvolution never outlives the LoopInfo it references. The pass
+/// manager applies the rule after every pass that reports a change.
 ///
 /// An analysis is any type with this shape:
 ///
@@ -18,15 +18,12 @@
 ///     using Result = ...;                       // movable
 ///     static inline AnalysisKey Key;            // identity, by address
 ///     static const char *name();                // for instrumentation
-///     static std::vector<const AnalysisKey *> dependencies();
 ///     static Result run(ir::Function &F, FunctionAnalysisManager &FAM);
 ///   };
 ///
-/// dependencies() lists the analyses whose cached results this analysis
-/// holds *references into*; invalidating a dependency invalidates the
-/// dependent (transitively). Results are held behind stable heap addresses,
-/// so a reference returned by getResult stays valid until the entry is
-/// invalidated, even across nested getResult calls.
+/// Results are held behind stable heap addresses, so a reference returned
+/// by getResult stays valid until the function's entries are cleared, even
+/// across nested getResult calls.
 ///
 /// The manager is deliberately not thread-safe: the harness creates one per
 /// app-preparation job (see harness/JobPool.h for the job model), the same
@@ -43,7 +40,6 @@
 #include <chrono>
 #include <map>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -62,54 +58,6 @@ struct AnalysisKey {
   AnalysisKey &operator=(const AnalysisKey &) = delete;
 };
 
-/// What a pass left intact. Passes return this from run(); the manager
-/// drops every cached entry the value does not cover. The common cases are
-/// all() (pass changed nothing) and none() (pass mutated the IR and makes
-/// no finer claim).
-class PreservedAnalyses {
-public:
-  /// Everything is preserved: the pass did not change the function.
-  static PreservedAnalyses all() {
-    PreservedAnalyses PA;
-    PA.All = true;
-    return PA;
-  }
-
-  /// Nothing is preserved: the pass changed the function.
-  static PreservedAnalyses none() { return PreservedAnalyses(); }
-
-  /// Marks one analysis as preserved despite other invalidation; the pass
-  /// guarantees it kept that analysis' result correct.
-  template <typename AnalysisT> PreservedAnalyses &preserve() {
-    Kept.insert(&AnalysisT::Key);
-    return *this;
-  }
-
-  /// Narrows to what both this and \p Other preserve.
-  void intersect(const PreservedAnalyses &Other) {
-    if (Other.All)
-      return;
-    if (All) {
-      *this = Other;
-      return;
-    }
-    std::set<const AnalysisKey *> Common;
-    for (const AnalysisKey *K : Kept)
-      if (Other.Kept.count(K))
-        Common.insert(K);
-    Kept = std::move(Common);
-  }
-
-  bool areAllPreserved() const { return All; }
-  bool preserved(const AnalysisKey *K) const {
-    return All || Kept.count(K) != 0;
-  }
-
-private:
-  bool All = false;
-  std::set<const AnalysisKey *> Kept;
-};
-
 /// Caches analysis results per function. See file comment for the analysis
 /// concept and the threading model.
 class FunctionAnalysisManager {
@@ -119,86 +67,34 @@ public:
   FunctionAnalysisManager &operator=(const FunctionAnalysisManager &) = delete;
 
   /// Returns the cached result for (\p F, AnalysisT), computing (and
-  /// caching) it on a miss. The reference is stable until the entry is
-  /// invalidated.
+  /// caching) it on a miss. The reference is stable until \p F is cleared.
   template <typename AnalysisT>
   typename AnalysisT::Result &getResult(ir::Function &F) {
-    if (auto *Cached = getCachedResult<AnalysisT>(F)) {
-      PipelineStats::get().noteAnalysis(AnalysisT::name(), 0.0,
-                                        /*CacheHit=*/true);
-      return *Cached;
-    }
+    using ModelT = ResultModel<typename AnalysisT::Result>;
+    if (auto It = Cache.find(&F); It != Cache.end())
+      for (Slot &S : It->second)
+        if (S.Key == &AnalysisT::Key) {
+          PipelineStats::get().noteAnalysis(AnalysisT::name(), 0.0,
+                                            /*CacheHit=*/true);
+          return static_cast<ModelT *>(S.Model.get())->Value;
+        }
     auto T0 = std::chrono::steady_clock::now();
     // run() may itself query the manager; the new slot is appended only
     // after it returns, so nested insertions cannot dangle.
-    auto Model = std::make_unique<ResultModel<typename AnalysisT::Result>>(
-        AnalysisT::run(F, *this));
+    auto Model = std::make_unique<ModelT>(AnalysisT::run(F, *this));
     double Seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
             .count();
     typename AnalysisT::Result &Ref = Model->Value;
-    Cache[&F].push_back(Slot{&AnalysisT::Key, AnalysisT::dependencies(),
-                             std::move(Model)});
+    Cache[&F].push_back(Slot{&AnalysisT::Key, std::move(Model)});
     PipelineStats::get().noteAnalysis(AnalysisT::name(), Seconds,
                                       /*CacheHit=*/false);
     return Ref;
   }
 
-  /// Returns the cached result for (\p F, AnalysisT) or null; never
-  /// computes.
-  template <typename AnalysisT>
-  typename AnalysisT::Result *getCachedResult(const ir::Function &F) {
-    auto It = Cache.find(&F);
-    if (It == Cache.end())
-      return nullptr;
-    for (Slot &S : It->second)
-      if (S.Key == &AnalysisT::Key)
-        return &static_cast<ResultModel<typename AnalysisT::Result> *>(
-                    S.Model.get())
-                    ->Value;
-    return nullptr;
-  }
-
-  /// Drops every cached entry for \p F that \p PA does not preserve, then
-  /// cascades: an entry whose dependency was dropped is dropped too.
-  void invalidate(const ir::Function &F, const PreservedAnalyses &PA) {
-    if (PA.areAllPreserved())
-      return;
-    auto It = Cache.find(&F);
-    if (It == Cache.end())
-      return;
-    std::set<const AnalysisKey *> Dropped;
-    auto Doomed = [&](const Slot &S) {
-      if (!PA.preserved(S.Key))
-        return true;
-      for (const AnalysisKey *D : S.Deps)
-        if (!PA.preserved(D) || Dropped.count(D))
-          return true;
-      return false;
-    };
-    bool Again = true;
-    while (Again) {
-      Again = false;
-      for (auto SlotIt = It->second.begin(); SlotIt != It->second.end();) {
-        if (Doomed(*SlotIt)) {
-          Dropped.insert(SlotIt->Key);
-          SlotIt = It->second.erase(SlotIt);
-          Again = true;
-        } else {
-          ++SlotIt;
-        }
-      }
-    }
-    if (It->second.empty())
-      Cache.erase(It);
-  }
-
-  /// Forgets everything cached for \p F (e.g. the function is being
-  /// destroyed or rewritten wholesale).
+  /// Forgets everything cached for \p F: it changed, is being rewritten
+  /// wholesale, or is about to be destroyed.
   void clear(const ir::Function &F) { Cache.erase(&F); }
-
-  /// Forgets everything.
-  void clear() { Cache.clear(); }
 
 private:
   struct ResultConcept {
@@ -210,7 +106,6 @@ private:
   };
   struct Slot {
     const AnalysisKey *Key;
-    std::vector<const AnalysisKey *> Deps;
     std::unique_ptr<ResultConcept> Model;
   };
 

@@ -18,7 +18,6 @@ PipelineConfig &pm::config() {
   static PipelineConfig C = [] {
     PipelineConfig Init;
     Init.VerifyEach = support::envBool01Or("DAECC_VERIFY_EACH", false);
-    Init.PrintAfterAll = support::envBool01Or("DAECC_PRINT_AFTER_ALL", false);
     return Init;
   }();
   return C;

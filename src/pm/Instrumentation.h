@@ -8,10 +8,9 @@
 /// Built-in instrumentation for the compilation pipeline: a process-wide
 /// registry of per-pass and per-analysis wall time / change / cache-hit
 /// counts (mutex-protected — generation jobs run concurrently under the
-/// harness job pool), pipeline configuration sourced from the environment
-/// (DAECC_VERIFY_EACH, DAECC_PRINT_AFTER_ALL) or the bench drivers'
-/// --verify-each / --print-after-all flags, and the verification hooks the
-/// pass manager and the access generators call.
+/// harness job pool), the one pipeline switch, sourced from
+/// DAECC_VERIFY_EACH or the bench drivers' --verify-each flag, and the
+/// verification hooks the pass manager and the access generators call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,13 +35,11 @@ namespace pm {
 struct PipelineConfig {
   /// Run ir::verify after every pass and abort with diagnostics on failure.
   bool VerifyEach = false;
-  /// Dump the IR (ir::Printer) to stderr after every pass that changed it.
-  bool PrintAfterAll = false;
 };
 
-/// The process-wide configuration (DAECC_VERIFY_EACH=1 / DAECC_PRINT_AFTER_ALL=1
-/// set the corresponding fields on first use; 0 clears them, and any other
-/// value exits 2 — see support::envBool01Or).
+/// The process-wide configuration (DAECC_VERIFY_EACH=1 sets VerifyEach on
+/// first use; 0 clears it, and any other value exits 2 — see
+/// support::envBool01Or).
 PipelineConfig &config();
 
 /// Per-pass counters.

@@ -6,18 +6,17 @@
 ///
 /// \file
 /// First-class function passes for the compilation pipeline. A pass is an
-/// object with a name and a run() that transforms the function and reports
-/// what analyses survived via PreservedAnalyses; "did it change anything" is
-/// exactly !areAllPreserved(). The PassManager runs a fixed sequence once;
-/// the FixpointPassManager repeats its sequence until a whole sweep changes
+/// object with a name and a run() that transforms the function and returns
+/// whether it changed it. The PassManager runs a fixed sequence once; the
+/// FixpointPassManager repeats its sequence until a whole sweep changes
 /// nothing (with an iteration cap as a safety net). Both are passes
 /// themselves, so pipelines nest.
 ///
-/// The pass manager provides the instrumentation the free-function passes
-/// never had: per-pass wall time and change counts into pm::PipelineStats,
-/// ir::verify after every pass under --verify-each / DAECC_VERIFY_EACH, and
-/// IR dumps after changing passes under --print-after-all /
-/// DAECC_PRINT_AFTER_ALL.
+/// After every pass that reports a change, the manager drops every cached
+/// analysis of the function (FunctionAnalysisManager::clear). It also
+/// provides the instrumentation the free-function passes never had: per-pass
+/// wall time and change counts into pm::PipelineStats, and ir::verify after
+/// every pass under --verify-each / DAECC_VERIFY_EACH.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,19 +42,17 @@ public:
   /// Stable pass name (instrumentation key, diagnostics).
   virtual const char *name() const = 0;
 
-  /// Transforms \p F. Returns what it preserved: all() when the function is
-  /// untouched, none() (or a finer claim) when it changed.
-  virtual PreservedAnalyses run(ir::Function &F,
-                                FunctionAnalysisManager &FAM) = 0;
+  /// Transforms \p F. Returns true when it changed the function.
+  virtual bool run(ir::Function &F, FunctionAnalysisManager &FAM) = 0;
 
   /// True for pass managers; their contained passes self-report to the
   /// statistics registry, so the container must not be counted again.
   virtual bool isPipeline() const { return false; }
 };
 
-/// Runs a sequence of passes once, in order. After each pass the manager
-/// invalidates the analysis cache with the pass's PreservedAnalyses and
-/// applies the configured verify/print instrumentation.
+/// Runs a sequence of passes once, in order. After each pass that changed
+/// the function the manager clears the function's cached analyses; after
+/// every pass it applies the configured verify instrumentation.
 class PassManager : public FunctionPass {
 public:
   explicit PassManager(std::string Name) : Name(std::move(Name)) {}
@@ -71,13 +68,8 @@ public:
   const char *name() const override { return Name.c_str(); }
   bool isPipeline() const override { return true; }
 
-  PreservedAnalyses run(ir::Function &F, FunctionAnalysisManager &FAM) override;
-
-protected:
-  /// One sweep over the sequence; \p Changed is set when any pass changed
-  /// the function.
-  PreservedAnalyses runOnce(ir::Function &F, FunctionAnalysisManager &FAM,
-                            bool &Changed);
+  /// One sweep over the sequence; true when any pass changed the function.
+  bool run(ir::Function &F, FunctionAnalysisManager &FAM) override;
 
 private:
   std::string Name;
@@ -92,14 +84,11 @@ public:
   explicit FixpointPassManager(std::string Name, unsigned MaxIterations = 32)
       : PassManager(std::move(Name)), MaxIterations(MaxIterations) {}
 
-  PreservedAnalyses run(ir::Function &F, FunctionAnalysisManager &FAM) override;
-
-  /// Sweeps executed by the last run() (test-facing).
-  unsigned lastIterations() const { return LastIterations; }
+  /// True when any sweep changed the function.
+  bool run(ir::Function &F, FunctionAnalysisManager &FAM) override;
 
 private:
   unsigned MaxIterations;
-  unsigned LastIterations = 0;
 };
 
 } // namespace pm

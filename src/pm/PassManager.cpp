@@ -6,55 +6,37 @@
 
 #include "pm/Pass.h"
 
-#include "ir/Function.h"
-#include "ir/Printer.h"
-
 #include <chrono>
 
 using namespace dae;
 using namespace dae::pm;
 
-PreservedAnalyses PassManager::runOnce(ir::Function &F,
-                                       FunctionAnalysisManager &FAM,
-                                       bool &Changed) {
-  PreservedAnalyses PA = PreservedAnalyses::all();
+bool PassManager::run(ir::Function &F, FunctionAnalysisManager &FAM) {
+  bool Changed = false;
   for (const std::unique_ptr<FunctionPass> &P : Passes) {
     auto T0 = std::chrono::steady_clock::now();
-    PreservedAnalyses PassPA = P->run(F, FAM);
+    bool PassChanged = P->run(F, FAM);
     double Seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
             .count();
-    bool PassChanged = !PassPA.areAllPreserved();
-    Changed |= PassChanged;
     // Nested pipelines already reported their contained passes.
     if (!P->isPipeline())
       PipelineStats::get().notePass(P->name(), Seconds, PassChanged);
-    FAM.invalidate(F, PassPA);
+    if (PassChanged)
+      FAM.clear(F);
     if (config().VerifyEach)
       verifyNow(F, P->name());
-    if (config().PrintAfterAll && PassChanged)
-      std::fprintf(stderr, "; IR after %s on '%s':\n%s\n", P->name(),
-                   F.getName().c_str(), ir::printFunction(F).c_str());
-    PA.intersect(PassPA);
+    Changed |= PassChanged;
   }
-  return PA;
+  return Changed;
 }
 
-PreservedAnalyses PassManager::run(ir::Function &F,
-                                   FunctionAnalysisManager &FAM) {
+bool FixpointPassManager::run(ir::Function &F, FunctionAnalysisManager &FAM) {
   bool Changed = false;
-  return runOnce(F, FAM, Changed);
-}
-
-PreservedAnalyses FixpointPassManager::run(ir::Function &F,
-                                           FunctionAnalysisManager &FAM) {
-  PreservedAnalyses PA = PreservedAnalyses::all();
-  LastIterations = 0;
-  bool Changed = true;
-  while (Changed && LastIterations < MaxIterations) {
-    Changed = false;
-    ++LastIterations;
-    PA.intersect(runOnce(F, FAM, Changed));
+  for (unsigned Sweep = 0; Sweep != MaxIterations; ++Sweep) {
+    if (!PassManager::run(F, FAM))
+      break;
+    Changed = true;
   }
-  return PA;
+  return Changed;
 }

@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One validated parse for every DAECC_* environment knob. The contract is
-/// the one BenchOptions::parse established: a value that is set but
-/// malformed is a hard configuration error (exit 2), never a silent
-/// fall-back to the default — a sweep that exported DAECC_JOBS=8x and
-/// silently ran sequentially would mislabel its own results. Unset
-/// variables return the caller's default.
+/// One validated parse for every DAECC_* environment knob and the bench
+/// drivers' integer flags. The contract is the one BenchOptions::parse
+/// established: a value that is set but malformed is a hard configuration
+/// error (exit 2), never a silent fall-back to the default — a sweep that
+/// exported DAECC_JOBS=8x and silently ran sequentially would mislabel its
+/// own results. Unset variables return the caller's default.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,28 +26,32 @@
 namespace dae {
 namespace support {
 
-/// Strict positive integer from the environment. Unset returns \p Default;
-/// garbage (non-numeric, trailing junk, zero, negative, or out of range for
-/// unsigned — strtoll saturates on overflow, and a saturated or too-wide
-/// value truncated through the cast would silently misconfigure, e.g.
-/// DAECC_JOBS=4294967297 reading as 1) exits 2 with a diagnostic naming the
-/// variable.
-inline unsigned envUnsignedOr(const char *Name, unsigned Default) {
-  const char *Env = std::getenv(Name);
-  if (!Env)
-    return Default;
+/// Strict positive integer: \p Value parsed for the setting \p Name (a flag
+/// such as --jobs, or a variable such as DAECC_JOBS). Garbage (non-numeric,
+/// trailing junk, zero, negative, or out of range for unsigned — strtoll
+/// saturates on overflow, and a saturated or too-wide value truncated
+/// through the cast would silently misconfigure, e.g. DAECC_JOBS=4294967297
+/// reading as 1) exits 2 with a diagnostic naming the setting.
+inline unsigned parseUnsignedOrExit(const char *Name, const char *Value) {
   char *End = nullptr;
   errno = 0;
-  long long N = std::strtoll(Env, &End, 10);
-  if (End == Env || *End != '\0' || errno == ERANGE || N <= 0 ||
+  long long N = std::strtoll(Value, &End, 10);
+  if (End == Value || *End != '\0' || errno == ERANGE || N <= 0 ||
       N > static_cast<long long>(std::numeric_limits<unsigned>::max())) {
     std::fprintf(stderr,
                  "error: invalid %s value '%s' (expected a positive "
                  "integer)\n",
-                 Name, Env);
+                 Name, Value);
     std::exit(2);
   }
   return static_cast<unsigned>(N);
+}
+
+/// Strict positive integer from the environment: unset returns \p Default,
+/// anything else goes through parseUnsignedOrExit.
+inline unsigned envUnsignedOr(const char *Name, unsigned Default) {
+  const char *Env = std::getenv(Name);
+  return Env ? parseUnsignedOrExit(Name, Env) : Default;
 }
 
 /// Strict boolean from the environment, accepting only "0" and "1". Unset

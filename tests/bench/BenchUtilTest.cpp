@@ -234,8 +234,8 @@ TEST(BenchOptions, EveryKnownFlagParses) {
   const pm::PipelineConfig Saved = pm::config();
   BenchOptions O = parseOpts(
       {"--test-scale", "--jobs=2", "--sim-backend=switch", "--verify-each",
-       "--print-after-all", "--pass-stats", "--dae-verify",
-       "--dae-profile-guided", "--cores=4", "--mix=libq,fft"});
+       "--pass-stats", "--dae-verify", "--dae-profile-guided", "--cores=4",
+       "--mix=libq,fft"});
   EXPECT_EQ(O.Backend, SimBackend::Switch);
   EXPECT_EQ(O.Jobs, 2u);
   EXPECT_TRUE(O.PassStats);

@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 //
 // The pass/analysis manager contract: analysis results are cached per
-// (function, analysis); a mutating pass (empty PreservedAnalyses) drops the
-// cache and forces recomputation; a no-op pass (all preserved) keeps cached
-// results pointer-identical; invalidating LoopInfo cascades to the cached
-// ScalarEvolution that references it; and fixpoint pipelines terminate —
-// both by reaching a steady state and by the iteration cap.
+// (function, analysis); a pass that reports a change drops the function's
+// cache and forces recomputation, also when it runs inside a nested
+// pipeline, so a recomputed ScalarEvolution references the current LoopInfo;
+// a no-op pass keeps cached results pointer-identical; and fixpoint
+// pipelines terminate — both by reaching a steady state and by the
+// iteration cap.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,8 +25,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
-#include <string>
+#include <memory>
 
 using namespace dae;
 using namespace dae::ir;
@@ -58,7 +60,6 @@ struct CountingAnalysis {
   };
   static inline pm::AnalysisKey Key;
   static const char *name() { return "counting"; }
-  static std::vector<const pm::AnalysisKey *> dependencies() { return {}; }
   static inline unsigned Computes = 0;
   static Result run(Function &, pm::FunctionAnalysisManager &) {
     return Result{++Computes};
@@ -68,29 +69,52 @@ struct CountingAnalysis {
 /// Pass that touches nothing and says so.
 struct NoOpPass : pm::FunctionPass {
   const char *name() const override { return "noop"; }
-  pm::PreservedAnalyses run(Function &,
-                            pm::FunctionAnalysisManager &) override {
-    return pm::PreservedAnalyses::all();
+  bool run(Function &, pm::FunctionAnalysisManager &) override {
+    return false;
   }
 };
 
-/// Pass that claims to have changed the function (preserving nothing).
+/// Pass that claims to have changed the function.
 struct ClobberPass : pm::FunctionPass {
   const char *name() const override { return "clobber"; }
-  pm::PreservedAnalyses run(Function &,
-                            pm::FunctionAnalysisManager &) override {
-    return pm::PreservedAnalyses::none();
+  bool run(Function &, pm::FunctionAnalysisManager &) override {
+    return true;
   }
 };
 
 /// Claims change forever: exercises the fixpoint iteration cap.
 struct NeverConvergesPass : pm::FunctionPass {
   const char *name() const override { return "neverconverges"; }
-  pm::PreservedAnalyses run(Function &,
-                            pm::FunctionAnalysisManager &) override {
-    return pm::PreservedAnalyses::none();
+  bool run(Function &, pm::FunctionAnalysisManager &) override {
+    return true;
   }
 };
+
+/// Claims a change on its first run only, so a fixpoint around it converges.
+struct ChangesOncePass : pm::FunctionPass {
+  bool Ran = false;
+  const char *name() const override { return "changesonce"; }
+  bool run(Function &, pm::FunctionAnalysisManager &) override {
+    bool Changed = !Ran;
+    Ran = true;
+    return Changed;
+  }
+};
+
+/// Reads ScalarEvolution and keeps the result it was handed.
+struct ReadsScalarEvolutionPass : pm::FunctionPass {
+  analysis::ScalarEvolution *Seen = nullptr;
+  const char *name() const override { return "readsse"; }
+  bool run(Function &F, pm::FunctionAnalysisManager &FAM) override {
+    Seen = &FAM.getResult<pm::ScalarEvolutionAnalysis>(F);
+    return false;
+  }
+};
+
+/// Times \p Name ran since the last PipelineStats reset.
+std::uint64_t passRuns(const char *Name) {
+  return pm::PipelineStats::get().passes().at(Name).Runs;
+}
 
 TEST(AnalysisManagerTest, SecondQueryHitsTheCache) {
   LoopFixture Fx;
@@ -127,8 +151,7 @@ TEST(AnalysisManagerTest, MutatingPassForcesRecompute) {
 
   pm::PassManager PM("test");
   PM.add<ClobberPass>();
-  pm::PreservedAnalyses PA = PM.run(*Fx.F, FAM);
-  EXPECT_FALSE(PA.areAllPreserved());
+  EXPECT_TRUE(PM.run(*Fx.F, FAM));
 
   unsigned Second = FAM.getResult<CountingAnalysis>(*Fx.F).Serial;
   EXPECT_EQ(CountingAnalysis::Computes, 2u);
@@ -142,44 +165,41 @@ TEST(AnalysisManagerTest, NoOpPassKeepsCachedLoopInfoPointerIdentical) {
 
   pm::PassManager PM("test");
   PM.add<NoOpPass>();
-  pm::PreservedAnalyses PA = PM.run(*Fx.F, FAM);
-  EXPECT_TRUE(PA.areAllPreserved());
+  EXPECT_FALSE(PM.run(*Fx.F, FAM));
 
   analysis::LoopInfo *After = &FAM.getResult<pm::LoopAnalysis>(*Fx.F);
   EXPECT_EQ(Before, After);
 }
 
-TEST(AnalysisManagerTest, SelectivePreservationKeepsOnlyTheClaimed) {
+TEST(PassManagerTest, ChangeInNestedFixpointRecomputesScalarEvolution) {
   LoopFixture Fx;
   pm::FunctionAnalysisManager FAM;
-  CountingAnalysis::Computes = 0;
-  FAM.getResult<CountingAnalysis>(*Fx.F);
-  analysis::LoopInfo *LI = &FAM.getResult<pm::LoopAnalysis>(*Fx.F);
+  pm::PipelineStats::get().reset();
+  FAM.getResult<pm::ScalarEvolutionAnalysis>(*Fx.F);
 
-  pm::PreservedAnalyses PA = pm::PreservedAnalyses::none();
-  PA.preserve<pm::LoopAnalysis>();
-  FAM.invalidate(*Fx.F, PA);
+  // The nested fixpoint changes F in its first sweep and caches a fresh SE
+  // after the change; its second sweep is clean. The outer manager counts
+  // the whole fixpoint as one changing pass, so the later reader must get
+  // yet another SE, built on the LoopInfo the cache now holds.
+  auto Fix = std::make_unique<pm::FixpointPassManager>("inner");
+  Fix->add<ChangesOncePass>();
+  Fix->add<ReadsScalarEvolutionPass>();
+  auto Reader = std::make_unique<ReadsScalarEvolutionPass>();
+  ReadsScalarEvolutionPass *Later = Reader.get();
+  pm::PassManager PM("outer");
+  PM.addPass(std::move(Fix));
+  PM.addPass(std::move(Reader));
+  EXPECT_TRUE(PM.run(*Fx.F, FAM));
 
-  EXPECT_EQ(&FAM.getResult<pm::LoopAnalysis>(*Fx.F), LI);
-  FAM.getResult<CountingAnalysis>(*Fx.F);
-  EXPECT_EQ(CountingAnalysis::Computes, 2u) << "unclaimed analysis recomputed";
-}
-
-TEST(AnalysisManagerTest, InvalidatingLoopInfoCascadesToScalarEvolution) {
-  LoopFixture Fx;
-  pm::FunctionAnalysisManager FAM;
-  analysis::ScalarEvolution *SE =
-      &FAM.getResult<pm::ScalarEvolutionAnalysis>(*Fx.F);
-  EXPECT_EQ(&SE->getLoopInfo(), FAM.getCachedResult<pm::LoopAnalysis>(*Fx.F))
-      << "cached SE must reference the cached LoopInfo";
-
-  // Preserve ScalarEvolution but not LoopInfo: the dependency edge must
-  // drop SE anyway, or it would dangle.
-  pm::PreservedAnalyses PA = pm::PreservedAnalyses::none();
-  PA.preserve<pm::ScalarEvolutionAnalysis>();
-  FAM.invalidate(*Fx.F, PA);
-  EXPECT_EQ(FAM.getCachedResult<pm::ScalarEvolutionAnalysis>(*Fx.F), nullptr);
-  EXPECT_EQ(FAM.getCachedResult<pm::LoopAnalysis>(*Fx.F), nullptr);
+  EXPECT_EQ(passRuns("changesonce"), 2u);
+  EXPECT_EQ(
+      pm::PipelineStats::get().analyses().at("scalarevolution").Computes, 3u)
+      << "SE computed before the run, after the change, and after the "
+         "nested pipeline";
+  ASSERT_NE(Later->Seen, nullptr);
+  EXPECT_EQ(&Later->Seen->getLoopInfo(),
+            &FAM.getResult<pm::LoopAnalysis>(*Fx.F))
+      << "the recomputed SE must reference the cached LoopInfo";
 }
 
 TEST(PassManagerTest, FixpointTerminatesOnRealCleanup) {
@@ -199,27 +219,27 @@ TEST(PassManagerTest, FixpointTerminatesOnRealCleanup) {
   EXPECT_TRUE(verifyFunction(*F).empty());
 
   // Running the (idempotent) pipeline again changes nothing.
-  pm::PreservedAnalyses PA = Pipeline->run(*F, FAM);
-  EXPECT_TRUE(PA.areAllPreserved());
+  EXPECT_FALSE(Pipeline->run(*F, FAM));
 }
 
 TEST(PassManagerTest, FixpointIterationCapStopsNonConvergingPipelines) {
   LoopFixture Fx;
   pm::FunctionAnalysisManager FAM;
+  pm::PipelineStats::get().reset();
   pm::FixpointPassManager Fix("spin", /*MaxIterations=*/5);
   Fix.add<NeverConvergesPass>();
-  pm::PreservedAnalyses PA = Fix.run(*Fx.F, FAM);
-  EXPECT_FALSE(PA.areAllPreserved());
-  EXPECT_EQ(Fix.lastIterations(), 5u);
+  EXPECT_TRUE(Fix.run(*Fx.F, FAM));
+  EXPECT_EQ(passRuns("neverconverges"), 5u);
 }
 
 TEST(PassManagerTest, FixpointStopsAfterOneCleanSweep) {
   LoopFixture Fx;
   pm::FunctionAnalysisManager FAM;
+  pm::PipelineStats::get().reset();
   pm::FixpointPassManager Fix("clean");
   Fix.add<NoOpPass>();
-  Fix.run(*Fx.F, FAM);
-  EXPECT_EQ(Fix.lastIterations(), 1u);
+  EXPECT_FALSE(Fix.run(*Fx.F, FAM));
+  EXPECT_EQ(passRuns("noop"), 1u);
 }
 
 TEST(PassManagerDeathTest, MalformedPipelineEnvFlagsExit2) {
@@ -228,17 +248,14 @@ TEST(PassManagerDeathTest, MalformedPipelineEnvFlagsExit2) {
   // pm::config() parses once per process: re-exec each child so it starts
   // from an unparsed configuration.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  for (const char *Var : {"DAECC_VERIFY_EACH", "DAECC_PRINT_AFTER_ALL"})
-    for (const char *Bad : {"true", "yes", "10", "1x"}) {
-      EXPECT_EXIT(
-          {
-            setenv(Var, Bad, 1);
-            pm::config();
-          },
-          ::testing::ExitedWithCode(2),
-          std::string("invalid ") + Var + " value")
-          << Var << "=" << Bad;
-    }
+  for (const char *Bad : {"true", "yes", "10", "1x"})
+    EXPECT_EXIT(
+        {
+          setenv("DAECC_VERIFY_EACH", Bad, 1);
+          pm::config();
+        },
+        ::testing::ExitedWithCode(2), "invalid DAECC_VERIFY_EACH value")
+        << "DAECC_VERIFY_EACH=" << Bad;
 }
 
 } // namespace
