@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -145,7 +146,8 @@ inline bool daeProfileGuidedFromArgs(int Argc, char **Argv) {
 /// closed-set flags, are hard errors (exit 2): a typo such as `--dae-verfy`
 /// must not silently run the suite without the check it asked for. So is a
 /// driver-specific option (DriverOption) that the driver does not act on:
-/// a correctly spelled `--dae-verify` must not do that either.
+/// a correctly spelled `--dae-verify` must not do that either. And so is a
+/// set DAECC_* variable outside the six the drivers read.
 struct BenchOptions {
   /// Options only some drivers act on; each driver names those it does when
   /// it parses. Every driver applies the shared flags (--test-scale, --jobs,
@@ -175,6 +177,7 @@ struct BenchOptions {
   /// Parses the command line of the driver named by Argv[0], which acts on
   /// the driver-specific options in \p ActsOn (a DriverOption mask).
   static BenchOptions parse(int Argc, char **Argv, unsigned ActsOn) {
+    rejectUnknownEnv();
     BenchOptions O;
     O.Scale = scaleFromArgs(Argc, Argv);
     O.Jobs = jobsFromArgs(Argc, Argv);
@@ -250,6 +253,28 @@ struct BenchOptions {
   }
 
 private:
+  /// Exits 2 on any set DAECC_* variable the drivers do not read, naming it:
+  /// a variable a removed feature read must not be silently ignored.
+  static void rejectUnknownEnv() {
+    static const char *const Known[] = {
+        "DAECC_TEST_SCALE", "DAECC_JOBS",   "DAECC_SIM_BACKEND",
+        "DAECC_DAE_VERIFY", "DAECC_DAE_PG", "DAECC_VERIFY_EACH"};
+    for (char **Env = environ; *Env; ++Env) {
+      if (std::strncmp(*Env, "DAECC_", 6) != 0)
+        continue;
+      std::string Name(*Env, std::strcspn(*Env, "="));
+      if (std::find(std::begin(Known), std::end(Known), Name) !=
+          std::end(Known))
+        continue;
+      std::fprintf(stderr,
+                   "error: unknown environment variable %s (the drivers "
+                   "read DAECC_TEST_SCALE, DAECC_JOBS, DAECC_SIM_BACKEND, "
+                   "DAECC_DAE_VERIFY, DAECC_DAE_PG and DAECC_VERIFY_EACH)\n",
+                   Name.c_str());
+      std::exit(2);
+    }
+  }
+
   /// Flags the *FromArgs helpers above interpret (and validate).
   static bool parsedByHelper(const char *A) {
     for (const char *Flag :

@@ -10,7 +10,9 @@
 /// NconvUn <= NOrig hull guard, parameter-class separation, nest merging,
 /// and the 5.2.3 cache-line-granular prefetch extension. For each variant:
 /// the scan-set size, access-phase instruction count, and full-run
-/// time/EDP under the Optimal-EDP policy.
+/// time/EDP under the Optimal-EDP policy. Like every driver it writes
+/// BENCH_ablation_affine.json, whose status is "partial" when a variant's
+/// schemes disagree on the outputs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,9 +74,13 @@ int main(int Argc, char **Argv) {
     Items.push_back({Workloads.back().get(), &V.Opts});
   }
 
+  ThroughputReporter Throughput("ablation_affine", Jobs);
+  Throughput.setBackend(Cfg.Backend);
   SuiteConfig SC;
   SC.Jobs = Jobs;
+  Throughput.start();
   std::vector<AppResult> Results = runSuite(Items, Cfg, SC);
+  Throughput.stop();
 
   std::printf("Affine-path ablation on LU (Optimal-EDP policy, 500 ns "
               "transitions)\n");
@@ -93,6 +99,11 @@ int main(int Argc, char **Argv) {
       if (G.NOrig > 0)
         NOrig += G.NOrig;
     }
+    Throughput.add(R.Cae);
+    Throughput.add(R.Manual);
+    Throughput.add(R.Auto);
+    if (!R.OutputsMatch)
+      Throughput.noteFailure();
     runtime::RunReport BaseRep = priceCaeMax(R, Cfg, 500.0);
     runtime::RunReport Rep =
         runtime::evaluate(R.Auto, Cfg, optimalEdpConfig(500.0));
@@ -108,6 +119,7 @@ int main(int Argc, char **Argv) {
   std::printf("(expected: memory-range scans far more than it needs — "
               "Figure 1(b); guard-off may over-prefetch; per-cache-line "
               "shrinks the access instruction count ~8x)\n");
+  Throughput.report();
   if (PassStats)
     pm::PipelineStats::get().print(stdout);
   return 0;

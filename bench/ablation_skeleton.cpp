@@ -9,6 +9,8 @@
 /// applications (LBM and LibQ): the Simplified-CFG optimization (section
 /// 5.2.2) and the discard-the-stores finding (section 5.2.1, "prefetching
 /// the memory addresses accessed for writing does not improve performance").
+/// Like every driver it writes BENCH_ablation_skeleton.json, whose status is
+/// "partial" when a variant's schemes disagree on the outputs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,9 +75,13 @@ int main(int Argc, char **Argv) {
     }
   }
 
+  ThroughputReporter Throughput("ablation_skeleton", Jobs);
+  Throughput.setBackend(Cfg.Backend);
   SuiteConfig SC;
   SC.Jobs = Jobs;
+  Throughput.start();
   std::vector<AppResult> Results = runSuite(Suite, Cfg, SC);
+  Throughput.stop();
 
   std::size_t Next = 0;
   for (const char *App : Apps) {
@@ -86,6 +92,11 @@ int main(int Argc, char **Argv) {
     printRule(70);
     for (const Variant &V : Variants) {
       const AppResult &R = Results[Next++];
+      Throughput.add(R.Cae);
+      Throughput.add(R.Manual);
+      Throughput.add(R.Auto);
+      if (!R.OutputsMatch)
+        Throughput.noteFailure();
       runtime::RunReport Base = priceCaeMax(R, Cfg, 500.0);
       runtime::RunReport Rep =
           runtime::evaluate(R.Auto, Cfg, optimalEdpConfig(500.0));
@@ -101,6 +112,7 @@ int main(int Argc, char **Argv) {
   std::printf("(expected: keeping conditionals replicates computation into "
               "the access phase; prefetching writes adds traffic without "
               "helping — the paper's section 5.2.1 finding)\n");
+  Throughput.report();
   if (PassStats)
     pm::PipelineStats::get().print(stdout);
   return 0;

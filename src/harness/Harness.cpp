@@ -78,11 +78,14 @@ void auditInto(const ir::Function &AccessFn, pm::FunctionAnalysisManager &FAM,
 /// The per-scheme correctness oracle (--dae-verify): static purity audit of
 /// every access phase in \p Tasks, then the dynamic differential of the
 /// scheme's captured run \p With against the captured CAE run \p Cae (the
-/// scheme's run with its access phases suppressed). Returns Ran == false for
-/// schemes with no decoupled tasks (there is nothing to verify).
+/// scheme's run with its access phases suppressed). \p Diff, when non-null,
+/// is that pair's differential, already computed (refinement's After), and
+/// is taken instead of comparing again. Returns Ran == false for schemes
+/// with no decoupled tasks (there is nothing to verify).
 DaeVerifyResult verifyScheme(const std::vector<Task> &Tasks,
                              const verify::CapturedRun &With,
-                             const verify::CapturedRun &Cae) {
+                             const verify::CapturedRun &Cae,
+                             const verify::DifferentialResult *Diff = nullptr) {
   DaeVerifyResult V;
   V.AuditPure = true;
 
@@ -99,7 +102,7 @@ DaeVerifyResult verifyScheme(const std::vector<Task> &Tasks,
   if (!AnyAccess)
     return V;
   V.Ran = true;
-  V.Diff = verify::compare(With, Cae);
+  V.Diff = Diff ? *Diff : verify::compare(With, Cae);
   return V;
 }
 
@@ -296,10 +299,13 @@ std::vector<AppSlot> runApps(const std::vector<SuiteItem> &Items,
   auto Finish = [&Cfg, &Plan](AppSlot &S) {
     if (Plan.Refine)
       S.Pg = refineAutoScheme(S, Cfg);
+    // Refinement's After already compares the final Auto run with the CAE
+    // run; the Auto verdict takes it and only adds the audit.
     if (Plan.Verify)
       for (int D = 0; D != 2; ++D)
         S.Verify[D] =
-            verifyScheme(S.P.SchemeTasks[D + 1], S.Runs[D + 1], S.Runs[0]);
+            verifyScheme(S.P.SchemeTasks[D + 1], S.Runs[D + 1], S.Runs[0],
+                         D == 1 && S.Pg.Ran ? &S.Pg.After : nullptr);
     for (verify::CapturedRun &Run : S.Runs)
       Run.Capture = RunCapture();
     S.P.FAM.reset();

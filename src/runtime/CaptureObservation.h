@@ -61,7 +61,10 @@ struct TaskObservation {
 /// list with them suppressed; the two must have the same task count (they
 /// were recorded from the same list). The scheme-wide access footprint
 /// (union over every decoupled task) is built internally for the
-/// footprint-coverage numerator.
+/// footprint-coverage numerator. Time is linear in the captured lines and
+/// misses: membership is a bit test in bitmaps over the span of the
+/// baseline's miss lines, and UnusedPrefetchedLines one merge walk of the
+/// two sorted line lists (DESIGN.md §9).
 std::vector<TaskObservation> observeCaptures(const RunCapture &With,
                                              const RunCapture &Without);
 

@@ -19,8 +19,9 @@
 ///  * the oracle-capture and L1-outcome branches are hoisted out of the loop
 ///    (specialized instantiations instead of per-event tests), and the
 ///    capture records each phase's lines rather than its events
-///    (CaptureFilterLines). A run that neither captures nor retains its
-///    traces runs the plain loop.
+///    (CaptureFilterLines), which TaskRuntime::execute then radix-sorts in
+///    linear time. A run that neither captures nor retains its traces runs
+///    the plain loop.
 ///
 /// The floating-point accumulation order is exactly the scalar reference's —
 /// one add per event, in trace order, of bit-identical addends — so profiles

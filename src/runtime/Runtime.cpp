@@ -27,6 +27,7 @@
 #include "runtime/Replay.h"
 #include "sim/AccessTrace.h"
 #include "sim/Interpreter.h"
+#include "support/RadixSort.h"
 
 #include <algorithm>
 #include <cassert>
@@ -172,12 +173,15 @@ RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
   assert(Profile.Tasks.size() == Tasks.size() && "lost tasks");
 
   if (Capture) {
-    // The replay's filter leaves repeats behind; a capture may outlive the
-    // run by a while (the oracle holds a suite app's captures until its last
-    // scheme run), so it keeps no spare capacity either.
+    // The replay's filter leaves repeats behind. A phase's lines lie within
+    // the run's memory footprint, so a radix sort orders them in a few
+    // linear passes. A capture may outlive the run by a while (the oracle
+    // holds a suite app's captures until its last scheme run), so it keeps
+    // no spare capacity either.
+    std::vector<std::uint64_t> Scratch;
     for (TaskCapture &TC : Capture->Tasks) {
       for (PhaseCapture *PC : {&TC.Access, &TC.Execute}) {
-        std::sort(PC->Lines.begin(), PC->Lines.end());
+        radixSort(PC->Lines, Scratch);
         PC->Lines.erase(std::unique(PC->Lines.begin(), PC->Lines.end()),
                         PC->Lines.end());
         PC->Lines.shrink_to_fit();

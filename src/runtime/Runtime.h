@@ -40,7 +40,8 @@ namespace runtime {
 /// the profile-guided refinement loop; see verify/Differential.h). Lines are
 /// byte addresses divided by RunCapture::LineBytes. Its size follows the
 /// phase's distinct lines, not its events: the replay filters repeats as it
-/// records (runtime/Replay.h), and execute() sorts, dedupes and trims.
+/// records (runtime/Replay.h), and execute() radix-sorts them
+/// (support/RadixSort.h), dedupes and trims.
 struct PhaseCapture {
   /// Unique lines touched by the phase, sorted ascending.
   std::vector<std::uint64_t> Lines;

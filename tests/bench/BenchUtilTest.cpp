@@ -381,6 +381,36 @@ TEST(BenchUtilDeathTest, OutOfRangeIntegerEnvIsAHardError) {
               "invalid --jobs value '4294967297'");
 }
 
+// The drivers read six DAECC_* variables. Any other, such as one a removed
+// feature read, is a hard error naming it: the run must not silently
+// ignore a setting it no longer has.
+TEST(BenchUtilDeathTest, UnknownDaeccEnvIsAHardError) {
+  for (const char *Name :
+       {"DAECC_PRINT_AFTER_ALL", "DAECC_SIM_THREADS", "DAECC_REPLAY_OVERLAP"})
+    EXPECT_EXIT(
+        {
+          setenv(Name, "1", 1);
+          parseOpts({});
+          std::exit(0);
+        },
+        ::testing::ExitedWithCode(2),
+        std::string("error: unknown environment variable ") + Name)
+        << Name;
+  // The six the drivers read still parse.
+  for (const char *Name : {"DAECC_TEST_SCALE", "DAECC_DAE_VERIFY",
+                           "DAECC_DAE_PG", "DAECC_VERIFY_EACH"})
+    setenv(Name, "0", 1);
+  setenv("DAECC_JOBS", "2", 1);
+  setenv("DAECC_SIM_BACKEND", "switch", 1);
+  BenchOptions O = parseOpts({}, BenchOptions::AllDriverOptions);
+  EXPECT_EQ(O.Jobs, 2u);
+  EXPECT_EQ(O.Backend, SimBackend::Switch);
+  for (const char *Name :
+       {"DAECC_TEST_SCALE", "DAECC_DAE_VERIFY", "DAECC_DAE_PG",
+        "DAECC_VERIFY_EACH", "DAECC_JOBS", "DAECC_SIM_BACKEND"})
+    unsetenv(Name);
+}
+
 TEST(BenchUtil, ValidIntegerEnvStillWorks) {
   setenv("DAECC_JOBS", "4", 1);
   BenchOptions O = parseOpts({});

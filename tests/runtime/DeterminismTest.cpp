@@ -27,7 +27,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -224,7 +226,9 @@ TEST(ScheduleOrder, MultiCoreRunsReorderWaves) {
 /// The oracle capture is observational: for each paper workload, the
 /// Manual-DAE task set (both replay paths and both capture phases per task)
 /// profiles identically with the capture on and off, and two captured runs
-/// capture identical line and miss sets.
+/// capture identical line and miss sets. Each phase's capture holds exactly
+/// the lines of its trace, sorted and unique, as a run that also retains
+/// its traces shows.
 class CaptureDeterminismTest : public ::testing::TestWithParam<const char *> {
 };
 
@@ -247,6 +251,44 @@ TEST_P(CaptureDeterminismTest, CaptureIsObservational) {
   expectProfilesEqual(Captured, Run(&Second));
   expectCapturesEqual(First, Second);
   ASSERT_EQ(First.Tasks.size(), Tasks.size());
+
+  // Retained traces come in replay order, which at one core is wave by
+  // wave, each wave in index order.
+  MachineConfig OneCore;
+  OneCore.NumCores = 1;
+  Memory Mem;
+  W->Init(Mem, L);
+  TaskRuntime RT(OneCore, Mem, L);
+  RunCapture Cap;
+  RunTraces Traces;
+  RunProfile P = RT.execute(Tasks, /*RunAccess=*/true, &Cap, &Traces);
+  std::vector<size_t> Order(Tasks.size());
+  std::iota(Order.begin(), Order.end(), 0);
+  std::stable_sort(Order.begin(), Order.end(), [&Tasks](size_t A, size_t B) {
+    return Tasks[A].Wave < Tasks[B].Wave;
+  });
+  auto TraceLines = [&Cap](const AccessTrace &Tr) {
+    std::vector<std::uint64_t> Lines;
+    for (std::uint64_t Event : Tr.events())
+      Lines.push_back(AccessTrace::addrOf(Event) / Cap.LineBytes);
+    std::sort(Lines.begin(), Lines.end());
+    Lines.erase(std::unique(Lines.begin(), Lines.end()), Lines.end());
+    return Lines;
+  };
+  ASSERT_EQ(Traces.Tasks.size(), Tasks.size());
+  for (size_t K = 0; K != Order.size(); ++K) {
+    const size_t T = Order[K];
+    ASSERT_EQ(P.Tasks[K].Wave, Tasks[T].Wave) << "replay position " << K;
+    const TaskCapture &TC = Cap.Tasks[T];
+    const TaskTraces &TT = Traces.Tasks[K];
+    EXPECT_EQ(TC.HasAccess, TT.HasAccess) << "task " << T;
+    EXPECT_EQ(TC.Access.Lines, TraceLines(TT.Access)) << "access, task " << T;
+    EXPECT_EQ(TC.Execute.Lines, TraceLines(TT.Execute))
+        << "execute, task " << T;
+    // A phase's lines do not depend on the core count.
+    EXPECT_EQ(TC.Access.Lines, First.Tasks[T].Access.Lines) << "task " << T;
+    EXPECT_EQ(TC.Execute.Lines, First.Tasks[T].Execute.Lines) << "task " << T;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, CaptureDeterminismTest,
@@ -468,6 +510,15 @@ TEST_P(OracleReuseTest, SuppressedDaeRunsAreTheCaeRun) {
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, OracleReuseTest,
                          ::testing::Values("lu", "cholesky", "fft", "lbm",
                                            "libq", "cigar", "cg"));
+
+/// With refinement on, the Auto verdict's differential is refinement's After
+/// (the final Auto run against the CAE run), field by field, for every app.
+TEST(OracleReuseTest, AutoVerdictIsRefinementsAfter) {
+  for (const harness::AppResult &R : runSuiteAt(1, /*Oracle=*/true)) {
+    ASSERT_TRUE(R.AutoVerify.Ran && R.AutoPg.Ran) << R.Name;
+    expectDiffEqual(R.AutoVerify.Diff, R.AutoPg.After, R.Name);
+  }
+}
 
 /// The profile-guided loop on a fresh instance of a workload, driven by the
 /// two-run checker: generate, check the Auto scheme, refine from the

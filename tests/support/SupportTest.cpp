@@ -6,9 +6,14 @@
 
 #include "support/Format.h"
 #include "support/MathUtil.h"
+#include "support/RadixSort.h"
 #include "support/Rational.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 using namespace dae;
 
@@ -106,6 +111,36 @@ TEST(FormatTest, Strfmt) {
   EXPECT_EQ(strfmt("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(strfmt("%.2f", 1.5), "1.50");
   EXPECT_EQ(strfmt("plain"), "plain");
+}
+
+/// radixSort then unique equals std::sort then unique, for sizes 0, 1, 2,
+/// 63 to 65 and 10^5, and for spans that need 0, 1, 2, 3 and 7 passes. Keys
+/// sit above a base offset, since the sort works on key - min.
+TEST(RadixSortTest, MatchesStdSort) {
+  const std::uint64_t Spans[] = {0,   1,         255,
+                                 256, 1ull << 20, (1ull << 56) - 1};
+  std::vector<std::uint64_t> Scratch;
+  for (std::size_t Size : {0, 1, 2, 63, 64, 65, 100000})
+    for (std::uint64_t Span : Spans) {
+      SplitMixRng Rng(Size * 131 + Span % 1000003);
+      const std::uint64_t Base = 1000 + Rng.nextBelow(1000);
+      std::vector<std::uint64_t> Keys;
+      for (std::size_t I = 0; I != Size; ++I)
+        Keys.push_back(Base + Rng.nextBelow(Span + 1));
+      // The span is exact: both of its ends are keys, in reverse order.
+      if (Size >= 2) {
+        Keys.front() = Base + Span;
+        Keys.back() = Base;
+      }
+      std::vector<std::uint64_t> Expected = Keys;
+      std::sort(Expected.begin(), Expected.end());
+      radixSort(Keys, Scratch);
+      EXPECT_EQ(Keys, Expected) << "size " << Size << ", span " << Span;
+      Keys.erase(std::unique(Keys.begin(), Keys.end()), Keys.end());
+      Expected.erase(std::unique(Expected.begin(), Expected.end()),
+                     Expected.end());
+      EXPECT_EQ(Keys, Expected) << "size " << Size << ", span " << Span;
+    }
 }
 
 } // namespace
