@@ -12,9 +12,15 @@
 // 3 pages, one or two nested counted loops, int and FP loads and stores at
 // affine offsets and at indirect offsets (a loaded value reduced into range
 // with SRem), prefetches, and one call into a callee that also loads and
-// stores. Every address lies inside a global by construction. Each kernel
-// runs under the switch, threaded and native backends; traces, PhaseStats,
-// return values and memory images must equal the switch interpreter's.
+// stores. Every address lies inside a global by construction. The loop body
+// also holds one data-dependent if/else: a loaded int compared against
+// another value picks an arm, one arm divides with SDiv by an odd int and
+// the other with FDiv by 1 + x*x (neither divisor can be zero), and int and
+// FP phis join the arms. So every cost class (simple ops, FP ops, divides,
+// the call's two units, free phis) and a counter flush at a join run in
+// every kernel. Each kernel runs under the switch, threaded and native
+// backends; traces, PhaseStats, return values and memory images must equal
+// the switch interpreter's.
 //
 // BackendKernelTest runs hand-built kernels the generator cannot reach
 // through the same comparison: a loop whose header phis form swap cycles
@@ -307,16 +313,68 @@ private:
     B.createRet(B.createXor(V, A));
   }
 
-  /// The innermost loop body: 3-7 statements with the call among them.
+  /// A data-dependent if/else diamond: a loaded int compared against a value
+  /// or a small constant branches to one of two arms, each one statement
+  /// plus a division whose divisor cannot be zero (SDiv by x | 1, FDiv by
+  /// 1 + x * x), then an int phi and an FP phi join the arms. The compare
+  /// takes every fused compare-and-branch shape and the generic one.
+  void diamond(IRBuilder &B, const std::vector<LoopLevel> &Levels) {
+    Function *F = B.getInsertBlock()->getParent();
+    BasicBlock *Then = F->createBlock("then");
+    BasicBlock *Else = F->createBlock("else");
+    BasicBlock *Join = F->createBlock("join");
+    Value *Loaded =
+        B.createLoad(Type::Int64, address(B, pickGlobal(), Levels));
+    static const CmpPred Preds[] = {CmpPred::SLT, CmpPred::EQ, CmpPred::NE,
+                                    CmpPred::SGT};
+    Value *Rhs = below(2) ? pickInt() : B.getInt(below(7) - 3);
+    B.createCondBr(B.createCmp(Preds[below(4)], Loaded, Rhs), Then, Else);
+    // Values defined in one arm do not dominate the other or the join.
+    const std::size_t IntsBefore = Ints.size(), FloatsBefore = Floats.size();
+
+    B.setInsertBlock(Then);
+    statement(B, Levels);
+    Value *Quot = B.createSDiv(
+        pickInt(), B.createBinOp(BinOp::Or, pickInt(), B.getInt(1)));
+    Value *ThenF = pickFloat();
+    B.createBr(Join);
+    Ints.resize(IntsBefore);
+    Floats.resize(FloatsBefore);
+
+    B.setInsertBlock(Else);
+    statement(B, Levels);
+    Value *X = pickFloat();
+    Value *Ratio = B.createFDiv(
+        pickFloat(), B.createFAdd(B.createFMul(X, X), B.getFloat(1.0)));
+    Value *ElseI = below(2) ? pickInt() : B.getInt(below(100));
+    B.createBr(Join);
+    Ints.resize(IntsBefore);
+    Floats.resize(FloatsBefore);
+
+    B.setInsertBlock(Join);
+    PhiInst *JoinI = B.createPhi(Type::Int64);
+    JoinI->addIncoming(Quot, Then);
+    JoinI->addIncoming(ElseI, Else);
+    PhiInst *JoinF = B.createPhi(Type::Float64);
+    JoinF->addIncoming(ThenF, Then);
+    JoinF->addIncoming(Ratio, Else);
+    Ints.push_back(JoinI);
+    Floats.push_back(JoinF);
+  }
+
+  /// The innermost loop body: 3-7 statements with the call and the diamond
+  /// among them.
   void body(IRBuilder &B, const std::vector<LoopLevel> &Levels) {
     const std::size_t IntsBefore = Ints.size(), FloatsBefore = Floats.size();
     Ints.push_back(Levels.back().IV);
     Floats.push_back(B.createCast(CastOp::SIToFP, Levels.back().IV));
     const std::int64_t N = 3 + below(5);
-    const std::int64_t CallAt = below(N + 1);
+    const std::int64_t CallAt = below(N + 1), DiamondAt = below(N + 1);
     for (std::int64_t S = 0; S <= N; ++S) {
       if (S == CallAt)
         Ints.push_back(B.createCall(Callee, {pickInt(), pickFloat()}));
+      if (S == DiamondAt)
+        diamond(B, Levels);
       if (S != N)
         statement(B, Levels);
     }
@@ -366,6 +424,16 @@ TEST_P(BackendMemoryFuzz, KernelMatchesSwitch) {
   FuzzKernel K(GetParam());
   ASSERT_TRUE(verifyFunction(*K.Callee).empty()) << printFunction(*K.Callee);
   ASSERT_TRUE(verifyFunction(*K.Entry).empty()) << printFunction(*K.Entry);
+  // The body's diamond divides once each way in every kernel.
+  unsigned SDivs = 0, FDivs = 0;
+  for (const auto &BB : *K.Entry)
+    for (const auto &I : *BB)
+      if (const auto *Bin = dyn_cast<BinaryInst>(I.get())) {
+        SDivs += Bin->getOpcode() == BinOp::SDiv;
+        FDivs += Bin->getOpcode() == BinOp::FDiv;
+      }
+  EXPECT_EQ(SDivs, 1u);
+  EXPECT_EQ(FDivs, 1u);
   expectBackendsAgree(
       K.M, *K.Entry, K.args(),
       [&K](Memory &Mem, const Loader &L) { K.init(Mem, L); },
