@@ -25,6 +25,7 @@
 #include "workloads/Workload.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -411,6 +412,9 @@ public:
   explicit ThroughputReporter(std::string BenchName, unsigned Jobs = 1)
       : Name(std::move(BenchName)), Jobs(Jobs) {}
 
+  /// Starts the clock and publishes a "started" record, so a
+  /// BENCH_<name>.json that cannot be written stops the driver (exit 1)
+  /// before it simulates anything.
   void start() {
     std::lock_guard<std::mutex> Lock(Mu);
     Start = std::chrono::steady_clock::now();
@@ -576,7 +580,7 @@ public:
   }
 
   /// Prints the throughput line and finalizes BENCH_<name>.json in the
-  /// binary's working directory.
+  /// binary's working directory; exits 1 when the file cannot be written.
   void report() {
     std::lock_guard<std::mutex> Lock(Mu);
     double Seconds = secondsLocked();
@@ -637,40 +641,57 @@ private:
     // file lives in the same directory so the rename cannot cross a
     // filesystem boundary, and carries the pid so two processes publishing
     // the same bench name cannot write through each other's temp file.
+    //
+    // A record that cannot be written stops the driver (exit 1) before it
+    // simulates anything, or before it reports having finished: start()
+    // writes one too. No temp file is left behind.
     std::string Path = "BENCH_" + Name + ".json";
     std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
-    if (std::FILE *F = std::fopen(Tmp.c_str(), "w")) {
-      std::fprintf(F,
-                   "{\n"
-                   "  \"bench\": \"%s\",\n"
-                   "  \"jobs\": %u,\n"
-                   "  \"wall_seconds\": %.6f,\n"
-                   "  \"sim_instructions\": %llu,\n"
-                   "  \"sim_instructions_per_sec\": %.1f,\n"
-                   "  \"peak_rss_mb\": %.1f,\n"
-                   "  \"pass_stats\": %s,\n"
-                   "  \"dae_verify\": %s,\n"
-                   "  \"dae_pg\": %s,\n"
-                   "  \"interp\": {\"backend\": \"%s\", "
-                   "\"functional_wall_seconds\": %.6f, "
-                   "\"functional_instr_per_sec\": %.1f, "
-                   "\"trace_peak_bytes\": %llu},\n"
-                   "  \"contention\": %s,\n"
-                   "  \"failures\": %u,\n"
-                   "  \"status\": \"%s\"\n"
-                   "}\n",
-                   Name.c_str(), Jobs, Seconds,
-                   static_cast<unsigned long long>(Instructions), Ips,
-                   PeakRssMb, pm::PipelineStats::get().json().c_str(),
-                   DaeVerify.c_str(), DaePg.c_str(),
-                   sim::simBackendName(Backend), FunctionalSeconds,
-                   FunctionalIps,
-                   static_cast<unsigned long long>(TracePeakBytes),
-                   Contention.c_str(),
-                   Failures, Status);
+    auto Fail = [&Path, &Tmp](int Err) {
+      std::remove(Tmp.c_str());
+      std::fprintf(stderr, "error: cannot write %s: %s\n", Path.c_str(),
+                   std::strerror(Err));
+      std::exit(1);
+    };
+    std::FILE *F = std::fopen(Tmp.c_str(), "w");
+    if (!F)
+      Fail(errno);
+    const int Written = std::fprintf(
+        F,
+        "{\n"
+        "  \"bench\": \"%s\",\n"
+        "  \"jobs\": %u,\n"
+        "  \"wall_seconds\": %.6f,\n"
+        "  \"sim_instructions\": %llu,\n"
+        "  \"sim_instructions_per_sec\": %.1f,\n"
+        "  \"peak_rss_mb\": %.1f,\n"
+        "  \"pass_stats\": %s,\n"
+        "  \"dae_verify\": %s,\n"
+        "  \"dae_pg\": %s,\n"
+        "  \"interp\": {\"backend\": \"%s\", "
+        "\"functional_wall_seconds\": %.6f, "
+        "\"functional_instr_per_sec\": %.1f, "
+        "\"trace_peak_bytes\": %llu},\n"
+        "  \"contention\": %s,\n"
+        "  \"failures\": %u,\n"
+        "  \"status\": \"%s\"\n"
+        "}\n",
+        Name.c_str(), Jobs, Seconds,
+        static_cast<unsigned long long>(Instructions), Ips,
+        PeakRssMb, pm::PipelineStats::get().json().c_str(),
+        DaeVerify.c_str(), DaePg.c_str(),
+        sim::simBackendName(Backend), FunctionalSeconds,
+        FunctionalIps,
+        static_cast<unsigned long long>(TracePeakBytes),
+        Contention.c_str(),
+        Failures, Status);
+    if (Written < 0) {
+      const int Err = errno;
       std::fclose(F);
-      std::rename(Tmp.c_str(), Path.c_str());
+      Fail(Err);
     }
+    if (std::fclose(F) != 0 || std::rename(Tmp.c_str(), Path.c_str()) != 0)
+      Fail(errno);
   }
 
   /// Serializes the mutators and publications against each other.

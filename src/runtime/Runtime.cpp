@@ -34,6 +34,7 @@
 #include <chrono>
 #include <deque>
 #include <map>
+#include <stdexcept>
 #include <utility>
 
 using namespace dae;
@@ -42,7 +43,10 @@ using namespace dae::sim;
 
 TaskRuntime::TaskRuntime(const MachineConfig &Cfg, Memory &Mem,
                          const sim::Loader &L)
-    : Cfg(Cfg), Mem(Mem), Loader(L) {}
+    : Cfg(Cfg), Mem(Mem), Loader(L) {
+  if (Cfg.NumCores == 0)
+    throw std::invalid_argument("machine NumCores must be at least 1");
+}
 
 RunProfile TaskRuntime::execute(const std::vector<Task> &Tasks, bool RunAccess,
                                 RunCapture *Capture, RunTraces *Traces) {

@@ -110,7 +110,8 @@ struct RunTraces {
 class TaskRuntime {
 public:
   /// \p Mem must already hold the workload's initialized data (see
-  /// sim::Loader); caches start cold per run.
+  /// sim::Loader); caches start cold per run. Throws std::invalid_argument
+  /// when \p Cfg has no cores: no task could ever be scheduled.
   TaskRuntime(const sim::MachineConfig &Cfg, sim::Memory &Mem,
               const sim::Loader &Loader);
 

@@ -16,13 +16,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdlib>
 #include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <dirent.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace dae;
@@ -530,6 +533,25 @@ TEST(BenchUtil, ConcurrentCheckpointsPublishCompleteJson) {
       "BENCH_concurrent_probe.json.tmp." + std::to_string(::getpid());
   EXPECT_EQ(std::fopen(Tmp.c_str(), "r"), nullptr);
   std::remove("BENCH_concurrent_probe.json");
+}
+
+// A BENCH_<name>.json that cannot be written stops the driver with exit 1,
+// naming the file and the cause, already at start(), and leaves no temp
+// file behind. A directory in the file's place makes the final rename fail.
+TEST(BenchUtilDeathTest, UnwritableJsonIsAHardError) {
+  const std::string Name = "unwritable_record";
+  const std::string Path = "BENCH_" + Name + ".json";
+  ASSERT_TRUE(::mkdir(Path.c_str(), 0755) == 0 || errno == EEXIST);
+  EXPECT_EXIT(ThroughputReporter(Name).start(), ::testing::ExitedWithCode(1),
+              "error: cannot write " + Path + ": Is a directory");
+  unsigned TempFiles = 0;
+  if (DIR *D = ::opendir(".")) {
+    while (const dirent *E = ::readdir(D))
+      TempFiles += std::string(E->d_name).rfind(Path + ".tmp.", 0) == 0;
+    ::closedir(D);
+  }
+  EXPECT_EQ(TempFiles, 0u);
+  ::rmdir(Path.c_str());
 }
 
 } // namespace

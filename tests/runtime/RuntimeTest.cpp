@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 using namespace dae;
@@ -79,6 +80,14 @@ TEST(TaskRuntimeTest, RunsEveryTaskOnce) {
     EXPECT_GT(T.Access.Prefetches, 0u);
     EXPECT_GT(T.Execute.Instructions, 0u);
   }
+}
+
+TEST(TaskRuntimeTest, ZeroCoresIsRejected) {
+  RtFixture Fx;
+  Fx.Cfg.NumCores = 0;
+  Memory Mem;
+  Loader L(Fx.M);
+  EXPECT_THROW(TaskRuntime(Fx.Cfg, Mem, L), std::invalid_argument);
 }
 
 TEST(TaskRuntimeTest, BalancesAcrossCores) {
