@@ -48,11 +48,7 @@ void replayLoop(const std::uint64_t *E, const std::uint64_t *End,
                 CacheHierarchy &Caches, unsigned Core,
                 const ReplayCostModel &Costs, PhaseStats &S, PhaseCapture *Cap,
                 unsigned LineShift, std::uint64_t *L1Hits) {
-  // Accumulate in registers, seeded from (and stored back to) the phase's
-  // running totals: the adds happen in the same order with the same values
-  // as the per-event `S.x += cost` reference, so the result is bit-exact.
-  double Cycles = S.ComputeCycles;
-  double StallNs = S.StallNs;
+  // Each event only counts; priceEvents prices the phase once at the end.
   std::uint64_t Counts[12] = {};
   // Capture records a phase's lines, not its events: a direct-mapped filter
   // of already-recorded lines skips most repeats. A collision only evicts,
@@ -72,8 +68,6 @@ void replayLoop(const std::uint64_t *E, const std::uint64_t *End,
     HitLevel Level = Caches.access(Core, Addr);
     unsigned Idx = Kind * 4 + static_cast<unsigned>(Level);
     assert(Idx < 12 && "unknown access kind");
-    Cycles += Costs.CycleAdd[Idx];
-    StallNs += Costs.StallAdd[Idx];
     ++Counts[Idx];
     if (WithCapture) {
       std::uint64_t Line = Addr >> LineShift;
@@ -97,9 +91,7 @@ void replayLoop(const std::uint64_t *E, const std::uint64_t *End,
   }
   if (WithL1Hits && HitBit != 0)
     *L1Hits = HitWord;
-  S.ComputeCycles = Cycles;
-  S.StallNs = StallNs;
-  addHitCounts(S, Counts);
+  priceEvents(S, Counts, Costs);
 }
 
 } // namespace

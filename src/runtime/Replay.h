@@ -11,11 +11,11 @@
 /// of every task goes through it, in schedule order — so it is built for
 /// throughput:
 ///
-///  * the per-(kind, level) cost model is precomputed once per run into flat
-///    lookup tables (ReplayCostModel), collapsing the per-event double switch
-///    into two table-indexed adds;
-///  * hit-level counters accumulate into a dense local array and flush once
-///    per trace (integer sums are order-independent);
+///  * each event only counts: its (kind, level) counter in a dense local
+///    array goes up by one, and priceEvents turns the counts into hit-level
+///    counters, hit cycles and stalls once per phase, under the
+///    per-(kind, level) cost tables precomputed once per run
+///    (ReplayCostModel);
 ///  * the oracle-capture and L1-outcome branches are hoisted out of the loop
 ///    (specialized instantiations instead of per-event tests), and the
 ///    capture records each phase's lines rather than its events
@@ -23,11 +23,12 @@
 ///    linear time. A run that neither captures nor retains its traces runs
 ///    the plain loop.
 ///
-/// The floating-point accumulation order is exactly the scalar reference's —
-/// one add per event, in trace order, of bit-identical addends — so profiles
-/// are unchanged down to the last ulp (pinned by SnapshotTest's golden
-/// hashes). Exposed as a header so bench/micro_replay.cpp can drive the loop
-/// in isolation.
+/// A phase's cache costs are priced from its integer counts, in one fixed
+/// order, so they do not depend on how its events were stepped: the
+/// co-run timeline (runtime/Timeline.h) prices each phase with the same
+/// priceEvents. Profiles are pinned by SnapshotTest's golden hashes.
+/// Exposed as a header so bench/micro_replay.cpp can drive the loop in
+/// isolation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,8 +44,8 @@ namespace runtime {
 
 /// Precomputed per-(access kind, hit level) cost tables, indexed
 /// [kind * 4 + level] with kind in {Load=0, Store=1, Prefetch=2} and level in
-/// {L1=0, L2=1, LLC=2, Memory=3}. Entries that the reference model does not
-/// charge are 0.0 (adding +0.0 to a non-negative accumulator is exact).
+/// {L1=0, L2=1, LLC=2, Memory=3}. Entries that the model does not charge are
+/// 0.0.
 struct ReplayCostModel {
   double CycleAdd[12];
   double StallAdd[12];
@@ -59,16 +60,26 @@ struct ReplayCostModel {
 /// so a line can be appended more than once but never dropped.
 constexpr unsigned CaptureFilterLines = 4096;
 
-/// Adds per-(kind, level) event counts, indexed like ReplayCostModel's
-/// tables, to \p S's hit counters. Demand (load/store) hits count per level;
-/// prefetch hits are free and uncounted, but prefetch DRAM fills do count as
-/// memory accesses.
-inline void addHitCounts(sim::PhaseStats &S,
-                         const std::uint64_t (&Counts)[12]) {
+/// Adds one phase's per-(kind, level) event counts, indexed like
+/// ReplayCostModel's tables, to \p S: its hit counters, and its hit cycles
+/// and stalls priced under \p Costs. Demand (load/store) hits count per
+/// level; prefetch hits are free and uncounted, but prefetch DRAM fills do
+/// count as memory accesses. Together with sim::priceCounts this is the
+/// only writer of a simulated phase's ComputeCycles and StallNs; the solo
+/// replay and the co-run timeline each call it once per phase.
+inline void priceEvents(sim::PhaseStats &S, const std::uint64_t (&Counts)[12],
+                        const ReplayCostModel &Costs) {
   S.L1Hits += Counts[0] + Counts[4];
   S.L2Hits += Counts[1] + Counts[5];
   S.LLCHits += Counts[2] + Counts[6];
   S.MemAccesses += Counts[3] + Counts[7] + Counts[11];
+  double Cycles = 0.0, StallNs = 0.0;
+  for (unsigned I = 0; I != 12; ++I) {
+    Cycles += static_cast<double>(Counts[I]) * Costs.CycleAdd[I];
+    StallNs += static_cast<double>(Counts[I]) * Costs.StallAdd[I];
+  }
+  S.ComputeCycles += Cycles;
+  S.StallNs += StallNs;
 }
 
 /// Streams \p Tr through \p Caches as \p Core, adding the cache-dependent

@@ -59,7 +59,9 @@ struct CoreState {
   /// comes on top.
   double Dt[12] = {};
   std::uint64_t Counts[12] = {}; ///< Events per (kind, level), this phase.
-  PhaseStats Acc;                ///< Phase stats under contention.
+  /// Phase stats under contention: the functional stats until FinishPhase
+  /// prices Counts into them.
+  PhaseStats Acc;
 
   CoreTimelineReport Report;
 };
@@ -201,15 +203,16 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
     CS.InPhase = true;
   };
 
-  // Closes the phase in flight on core C: zero-event phases charge their
-  // whole compute as one slice, then the phase's energy is priced over its
-  // actual (contention-inflated) wall time, task overhead is appended after
-  // execute phases, and the governor window observes the phase.
+  // Closes the phase in flight on core C: its event counts are priced into
+  // its stats, zero-event phases charge their whole compute as one slice,
+  // then the phase's energy is priced over its actual (contention-inflated)
+  // wall time, task overhead is appended after execute phases, and the
+  // governor window observes the phase.
   auto FinishPhase = [&](unsigned C) {
     CoreState &CS = Cores[C];
     const PhaseRef &P = CS.Phases[CS.PhaseIdx];
     const double F = CS.PhaseFreqGHz;
-    addHitCounts(CS.Acc, CS.Counts);
+    priceEvents(CS.Acc, CS.Counts, Costs);
     CS.Report.DramMisses += CS.Counts[3] + CS.Counts[7] + CS.Counts[11];
     if (P.Trace->empty())
       CS.ClockNs += CS.Acc.ComputeCycles / F;
@@ -245,9 +248,9 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
   // The L1 outcome is the solo replay's recorded bit; only an L1 miss looks
   // up the core's L2. Stops when an event misses the L2 (the core is then
   // blocked, that event's private half done) or when the stream ends. Per
-  // event it does what the solo replay loop (runtime/Replay.cpp) does, plus
-  // the clock: one add each to ComputeCycles, StallNs and the clock, in
-  // trace order.
+  // event it does what the solo replay loop (runtime/Replay.cpp) does, count
+  // the event's (kind, level), plus the clock: one add, in trace order.
+  // FinishPhase prices the counts.
   auto RunAhead = [&](unsigned C) {
     CoreState &CS = Cores[C];
     const std::uint64_t Bias = Streams[C].AddrBias;
@@ -258,8 +261,6 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
         StartPhase(C);
       }
       double Clock = CS.ClockNs;
-      double Cycles = CS.Acc.ComputeCycles;
-      double StallNs = CS.Acc.StallNs;
       const std::uint64_t *Events = CS.Events, *L1Hits = CS.L1Hits;
       const std::size_t N = CS.NumEvents;
       std::size_t I = CS.Next;
@@ -274,14 +275,10 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
           break;
         unsigned Idx = Kind * 4 + static_cast<unsigned>(Level);
         assert(Idx < 12 && "unknown access kind");
-        Cycles += Costs.CycleAdd[Idx];
-        StallNs += Costs.StallAdd[Idx];
         Clock += CS.Dt[Idx];
         ++CS.Counts[Idx];
       }
       CS.ClockNs = Clock;
-      CS.Acc.ComputeCycles = Cycles;
-      CS.Acc.StallNs = StallNs;
       CS.Next = I;
       if (I != N)
         return;
@@ -302,8 +299,6 @@ TimelineReport runtime::interleaveTimeline(const std::vector<CoreStream> &Stream
         C, (Event & AccessTrace::AddrMask) + Streams[C].AddrBias);
     unsigned Idx = Kind * 4 + static_cast<unsigned>(Level);
     assert(Idx < 12 && "unknown access kind");
-    CS.Acc.ComputeCycles += Costs.CycleAdd[Idx];
-    CS.Acc.StallNs += Costs.StallAdd[Idx];
     ++CS.Counts[Idx];
     double Dt = CS.Dt[Idx];
     if (Level == HitLevel::Memory) {

@@ -43,15 +43,14 @@ struct PhiCopy {
 
 class Lowerer {
 public:
-  Lowerer(const Function &F, const Loader &L, const MachineConfig &Cfg)
-      : F(F), L(L), Cfg(Cfg), BF(std::make_unique<BytecodeFunction>()) {}
+  Lowerer(const Function &F, const Loader &L)
+      : F(F), L(L), BF(std::make_unique<BytecodeFunction>()) {}
 
   std::unique_ptr<BytecodeFunction> run();
 
 private:
   const Function &F;
   const Loader &L;
-  const MachineConfig &Cfg;
   std::unique_ptr<BytecodeFunction> BF;
 
   std::map<const BasicBlock *, unsigned> BlockIndex;
@@ -212,8 +211,8 @@ std::unique_ptr<BytecodeFunction> Lowerer::run() {
 /// Integer cmp directly feeding the block's conditional branch fuses into one
 /// compare-and-branch superinstruction in the shapes the workloads execute;
 /// any other pair stays a compare plus CondBr. The cmp's register is still
-/// written (its value may have other users), and both IR instructions keep
-/// their own Instructions bump and ComputeCycles addend, in order.
+/// written (its value may have other users), and the handler counts both IR
+/// instructions, each a simple-op unit.
 bool Lowerer::tryFuseCmpBr(const Instruction *I, const Instruction *Next,
                            unsigned BlockNo) {
   const auto *Cmp = dyn_cast<CmpInst>(I);
@@ -238,8 +237,6 @@ bool Lowerer::tryFuseCmpBr(const Instruction *I, const Instruction *Next,
   In.Op = Op;
   In.Dst = ValueReg.at(Cmp);
   In.A = regOf(Cmp->getLHS());
-  In.Cost = instCycles(*Cmp, Cfg);
-  In.CostB = instCycles(*Next, Cfg);
   if (ImmRhs)
     In.Imm = K;
   else
@@ -277,8 +274,6 @@ bool Lowerer::tryFuseLoadBin(const Instruction *I, const Instruction *Next) {
   In.Aux = ValueReg.at(Load);
   In.B = regOf(Bin->getLHS());
   In.C = regOf(Bin->getRHS());
-  In.Cost = instCycles(*Load, Cfg);
-  In.CostB = instCycles(*Bin, Cfg);
   emit(In);
   return true;
 }
@@ -286,7 +281,6 @@ bool Lowerer::tryFuseLoadBin(const Instruction *I, const Instruction *Next) {
 void Lowerer::lowerBinary(const BinaryInst *Bin) {
   Instr In;
   In.Dst = ValueReg.at(Bin);
-  In.Cost = instCycles(*Bin, Cfg);
 
   RuntimeValue RK, LK;
   bool RConst = constValue(Bin->getRHS(), RK);
@@ -379,7 +373,6 @@ void Lowerer::lowerBinary(const BinaryInst *Bin) {
 void Lowerer::lowerCmp(const CmpInst *Cmp) {
   Instr In;
   In.Dst = ValueReg.at(Cmp);
-  In.Cost = instCycles(*Cmp, Cfg);
 
   switch (Cmp->getPredicate()) {
   case CmpPred::EQ:
@@ -427,7 +420,6 @@ void Lowerer::lowerCmp(const CmpInst *Cmp) {
 void Lowerer::lowerGep(const GepInst *Gep) {
   Instr In;
   In.Dst = ValueReg.at(Gep);
-  In.Cost = instCycles(*Gep, Cfg);
   std::int64_t Elem = Gep->getElemSize();
 
   if (Gep->getNumIndices() == 1 && (Elem & (Elem - 1)) == 0) {
@@ -457,7 +449,6 @@ void Lowerer::lowerGep(const GepInst *Gep) {
 
 void Lowerer::lowerOne(const Instruction *I, unsigned BlockNo) {
   Instr In;
-  In.Cost = instCycles(*I, Cfg);
   auto DstIt = ValueReg.find(I);
   if (DstIt != ValueReg.end())
     In.Dst = DstIt->second;
@@ -519,17 +510,15 @@ void Lowerer::lowerOne(const Instruction *I, unsigned BlockNo) {
     const auto *Br = cast<BrInst>(I);
     if (!Br->isConditional()) {
       In.Op = Opcode::Jmp;
-      In.Count = 1;
       emit(In);
       branchTo(Field::A, BlockNo, BlockIndex.at(Br->getTrueDest()));
       return;
     }
     RuntimeValue CondK;
     if (constValue(Br->getCondition(), CondK)) {
-      // Constant condition folds to an unconditional jump; the branch keeps
-      // its own count and cost.
+      // Constant condition folds to an unconditional jump, which still
+      // counts the branch.
       In.Op = Opcode::Jmp;
-      In.Count = 1;
       emit(In);
       branchTo(Field::A, BlockNo,
                BlockIndex.at(CondK.I != 0 ? Br->getTrueDest()
@@ -573,7 +562,7 @@ void Lowerer::lowerOne(const Instruction *I, unsigned BlockNo) {
 }
 
 /// Lays out the trampoline for the CFG edge Pred -> Succ: the parallel copy
-/// of Succ's phis serialized into PhiMov/PhiMovImm moves, then a Jmp into
+/// of Succ's phis serialized into PhiMov/PhiMovImm moves, then a PhiJmp into
 /// Succ's body carrying the phi count. Copy cycles are broken by saving a
 /// still-needed source into a fresh scratch register; constant inputs are
 /// written last, after every old register value has been read.
@@ -645,17 +634,15 @@ void Lowerer::emitTrampoline(unsigned Pred, unsigned Succ) {
   }
 
   Instr Jump;
-  Jump.Op = Opcode::Jmp;
+  Jump.Op = Opcode::PhiJmp;
   Jump.Count = static_cast<std::uint16_t>(Phis[Succ].size());
-  Jump.Cost = 0.0;
   Jump.A = BodyPC[Succ];
   emit(Jump);
 }
 
 } // namespace
 
-std::unique_ptr<BytecodeFunction>
-dae::sim::bc::lower(const Function &F, const Loader &L,
-                    const MachineConfig &Cfg) {
-  return Lowerer(F, L, Cfg).run();
+std::unique_ptr<BytecodeFunction> dae::sim::bc::lower(const Function &F,
+                                                     const Loader &L) {
+  return Lowerer(F, L).run();
 }

@@ -16,9 +16,9 @@
 ///    immediate-vs-slot branch on the hot path.
 ///  * Phis are resolved at lowering time: every CFG edge into a block with
 ///    phis gets a trampoline of PhiMov/PhiMovImm parallel-copy moves
-///    (cycles broken through scratch registers) ending in a Jmp that carries
-///    the phi instruction count, so PhaseStats::Instructions matches the
-///    reference interpreter exactly.
+///    (cycles broken through scratch registers) ending in a PhiJmp that
+///    carries the phi instruction count, so PhaseStats::Instructions matches
+///    the reference interpreter exactly.
 ///  * A specialized form exists only where a paper workload executes it.
 ///    BytecodeCensus (tests/sim) enforces this: it fails when an opcode is
 ///    on neither its specialized nor its base list, or when no workload's
@@ -31,12 +31,13 @@
 ///    operand is read from its pool register, a compare feeding a branch
 ///    stays Cmp* + CondBr, a load stays unfused, and a GEP becomes GepN.
 ///
-/// Simulated observables — PhaseStats (including FP addend order on
-/// ComputeCycles/StallNs), AccessTraces, memory images, and return values —
-/// are bit-identical to the switch interpreter's: fused handlers apply the
-/// two per-instruction cycle costs as two separate additions in original
-/// program order, and every handler reproduces the reference's exact
-/// RuntimeValue write pattern (.I-only / .D-only / full-struct).
+/// An instruction carries no cost. Each handler counts the IR instructions
+/// it executes into their cost classes (sim::RunCounts) the way it counts
+/// its instruction bump: hardcoded per opcode, a fused pair counting each
+/// of its two. Simulated observables — the counts and so PhaseStats,
+/// AccessTraces, memory images, and return values — are bit-identical to
+/// the switch interpreter's, and every handler reproduces the reference's
+/// exact RuntimeValue write pattern (.I-only / .D-only / full-struct).
 ///
 /// Each function is lowered once per run, on its first lookup in the run's
 /// sim::Program, which owns the result; BytecodeFunction is immutable
@@ -92,7 +93,8 @@ namespace bc {
   /* Fused FP load + binop superinstructions (Aux = load dst). */              \
   X(LoadFSubF) X(LoadFMulF)                                                    \
   /* Branches; targets are absolute PCs. */                                    \
-  X(Jmp)    /* Instructions += Count (1 for IR br, #phis on trampolines). */   \
+  X(Jmp)    /* IR br: one simple-op unit. */                                   \
+  X(PhiJmp) /* Trampoline tail: Instructions += Count (#phis, free). */        \
   X(CondBr) /* pc = R[A].I ? B : C. */                                         \
   /* Fused integer cmp + condbr (cmp dst is still written). */                 \
   X(BrCmpEQ) X(BrCmpSLT) X(BrCmpNEImm) X(BrCmpSLTImm)                          \
@@ -110,15 +112,14 @@ const char *opcodeName(Opcode Op);
 /// Register index sentinel for "no destination" (void calls).
 constexpr std::uint32_t NoReg = 0xFFFFFFFFu;
 
-/// One bytecode instruction. Fixed 56-byte layout: opcode + up to five
-/// register operands + an inline immediate + the one or two per-IR-instruction
-/// cycle costs.
+/// One bytecode instruction. Fixed 40-byte layout: opcode + up to five
+/// register operands + an inline immediate.
 struct Instr {
   Opcode Op = Opcode::Trap;
-  /// PhaseStats::Instructions bump for Jmp (1 for an IR branch, the phi
-  /// count on trampoline tails, 0 is never emitted). Other opcodes hardcode
-  /// their bump count in the handler.
-  std::uint16_t Count = 1;
+  /// PhaseStats::Instructions bump of a PhiJmp: its block's phi count,
+  /// never 0. Other opcodes hardcode their bump and cost classes in the
+  /// handler.
+  std::uint16_t Count = 0;
   std::uint32_t Dst = 0;
   std::uint32_t A = 0;
   std::uint32_t B = 0;
@@ -126,15 +127,9 @@ struct Instr {
   /// Fifth operand: load destination for fused loads, false-target PC for
   /// fused compare-and-branch.
   std::uint32_t Aux = 0;
-  /// Core-clocked cost of the (first fused) IR instruction; added to
-  /// ComputeCycles before the op executes, exactly like the reference.
-  double Cost = 0.0;
-  /// Cost of the second fused IR instruction; applied as a separate addition
-  /// after the first op's effects so the FP addend order matches an unfused
-  /// execution.
-  double CostB = 0.0;
   RuntimeValue Imm;
 };
+static_assert(sizeof(Instr) == 40, "bytecode layout");
 
 /// Multi-index GEP payload:
 ///   Dst = R[Base].I + ElemSize * (((i0 * Dims[1] + i1) * Dims[2] + i2) ...)
@@ -169,10 +164,10 @@ public:
   std::uint32_t NumArgs = 0;
 };
 
-/// Lowers \p F to bytecode. Global addresses are baked in through \p L and
-/// per-instruction costs through \p Cfg, exactly as CompiledFunction does.
-std::unique_ptr<BytecodeFunction>
-lower(const ir::Function &F, const Loader &L, const MachineConfig &Cfg);
+/// Lowers \p F to bytecode. Global addresses are baked in through \p L,
+/// exactly as CompiledFunction does.
+std::unique_ptr<BytecodeFunction> lower(const ir::Function &F,
+                                        const Loader &L);
 
 } // namespace bc
 } // namespace sim

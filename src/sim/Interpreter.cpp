@@ -36,7 +36,6 @@ struct CompiledInstr {
   const Instruction *I = nullptr;
   SimOp Op = SimOp::Phi;
   int DstSlot = -1; ///< -1 for void results.
-  double Cycles = 0.0;
   std::vector<OperandRef> Ops;
   // Branch successors / phi incoming block indices.
   int BlockA = -1, BlockB = -1;
@@ -60,8 +59,7 @@ namespace sim {
 /// Slot-addressed executable form of one function.
 class CompiledFunction {
 public:
-  CompiledFunction(const Function &F, const Loader &L,
-                   const MachineConfig &Cfg) {
+  CompiledFunction(const Function &F, const Loader &L) {
     std::map<const BasicBlock *, unsigned> BlockIndex;
     unsigned Idx = 0;
     for (const auto &BB : F)
@@ -102,7 +100,6 @@ public:
         const Instruction *I = IPtr.get();
         CompiledInstr CI;
         CI.I = I;
-        CI.Cycles = instCycles(*I, Cfg);
         auto SlotIt = Slots.find(I);
         CI.DstSlot = SlotIt == Slots.end() ? -1 : static_cast<int>(SlotIt->second);
         if (const auto *Phi = dyn_cast<PhiInst>(I)) {
@@ -213,11 +210,11 @@ const Program::Forms &Program::lookup(const Function &F) {
   if (Cfg.Backend == SimBackend::Switch) {
     if (Fm.Switch)
       return Fm;
-    Fm.Switch = std::make_unique<CompiledFunction>(F, Load, Cfg);
+    Fm.Switch = std::make_unique<CompiledFunction>(F, Load);
   } else {
     if (Fm.Bytecode)
       return Fm;
-    Fm.Bytecode = bc::lower(F, Load, Cfg);
+    Fm.Bytecode = bc::lower(F, Load);
     if (Cfg.Backend == SimBackend::Native)
       Fm.Native = native::compile(*Fm.Bytecode);
   }
@@ -236,7 +233,7 @@ const Program::Forms &Program::lookup(const Function &F) {
 
 Interpreter::Interpreter(const MachineConfig &Cfg, Memory &Mem,
                          const Loader &L)
-    : View(Mem, L), Prog(Cfg, L) {
+    : Cfg(Cfg), View(Mem, L), Prog(Cfg, L) {
   if (Cfg.Backend == SimBackend::Threaded)
     Threaded = std::make_unique<ThreadedInterpreter>(Prog, Mem);
   else if (Cfg.Backend == SimBackend::Native)
@@ -245,12 +242,16 @@ Interpreter::Interpreter(const MachineConfig &Cfg, Memory &Mem,
 
 Interpreter::~Interpreter() = default;
 
-PhaseStats
-Interpreter::interpret(const CompiledFunction &CF,
-                       const std::vector<RuntimeValue> &Args,
-                       RuntimeValue *RetOut, AccessTrace &Trace,
-                       std::vector<const ir::Instruction *> *LoadSites) {
-  PhaseStats S;
+void Interpreter::interpret(const CompiledFunction &CF,
+                            const std::vector<RuntimeValue> &Args,
+                            RuntimeValue *RetOut, AccessTrace &Trace,
+                            std::vector<const ir::Instruction *> *LoadSites,
+                            RunCounts &Total) {
+  // Counted in locals and added to Total at exit; a callee adds its own.
+  // The FP, divide and call cases count their class; every other body
+  // instruction is one simple-op unit, derived at exit.
+  RunCounts C;
+  std::uint64_t Phis = 0, Calls = 0;
   std::vector<RuntimeValue> Env(CF.numSlots());
   for (unsigned I = 0; I != Args.size(); ++I)
     Env[CF.argSlot(I)] = Args[I];
@@ -280,7 +281,7 @@ Interpreter::interpret(const CompiledFunction &CF,
         assert(Found && "phi has no entry for the incoming edge");
         if (!Found)
           PhiTemp.push_back(RuntimeValue());
-        S.Instructions++;
+        ++Phis;
       }
       for (unsigned J = 0; J != CB.Phis.size(); ++J)
         Env[static_cast<unsigned>(CB.Phis[J].DstSlot)] = PhiTemp[J];
@@ -288,8 +289,7 @@ Interpreter::interpret(const CompiledFunction &CF,
 
     int Next = -1;
     for (const CompiledInstr &CI : CB.Body) {
-      ++S.Instructions;
-      S.ComputeCycles += CI.Cycles;
+      ++C.Instructions;
 
       switch (CI.Op) {
       // Integer Add/Sub/Mul wrap in two's complement like native code:
@@ -310,10 +310,12 @@ Interpreter::interpret(const CompiledFunction &CF,
             static_cast<std::uint64_t>(Get(CI.Ops[1]).I));
         break;
       case SimOp::SDiv:
+        ++C.Divides;
         Env[static_cast<unsigned>(CI.DstSlot)].I =
             ir::sdivTotal(Get(CI.Ops[0]).I, Get(CI.Ops[1]).I);
         break;
       case SimOp::SRem:
+        ++C.Divides;
         Env[static_cast<unsigned>(CI.DstSlot)].I =
             ir::sremTotal(Get(CI.Ops[0]).I, Get(CI.Ops[1]).I);
         break;
@@ -340,18 +342,22 @@ Interpreter::interpret(const CompiledFunction &CF,
             (static_cast<std::uint64_t>(Get(CI.Ops[1]).I) & 63);
         break;
       case SimOp::FAdd:
+        ++C.FpOps;
         Env[static_cast<unsigned>(CI.DstSlot)].D =
             Get(CI.Ops[0]).D + Get(CI.Ops[1]).D;
         break;
       case SimOp::FSub:
+        ++C.FpOps;
         Env[static_cast<unsigned>(CI.DstSlot)].D =
             Get(CI.Ops[0]).D - Get(CI.Ops[1]).D;
         break;
       case SimOp::FMul:
+        ++C.FpOps;
         Env[static_cast<unsigned>(CI.DstSlot)].D =
             Get(CI.Ops[0]).D * Get(CI.Ops[1]).D;
         break;
       case SimOp::FDiv:
+        ++C.Divides;
         Env[static_cast<unsigned>(CI.DstSlot)].D =
             Get(CI.Ops[0]).D / Get(CI.Ops[1]).D;
         break;
@@ -433,7 +439,7 @@ Interpreter::interpret(const CompiledFunction &CF,
       case SimOp::LoadI:
       case SimOp::LoadF: {
         std::uint64_t Addr = static_cast<std::uint64_t>(Get(CI.Ops[0]).I);
-        ++S.Loads;
+        ++C.Loads;
         Trace.push(AccessTrace::Kind::Load, Addr);
         if (LoadSites)
           LoadSites->push_back(CI.I);
@@ -449,7 +455,7 @@ Interpreter::interpret(const CompiledFunction &CF,
       case SimOp::StoreF: {
         std::uint64_t Addr = static_cast<std::uint64_t>(Get(CI.Ops[1]).I);
         const RuntimeValue &V = Get(CI.Ops[0]);
-        ++S.Stores;
+        ++C.Stores;
         Trace.push(AccessTrace::Kind::Store, Addr);
         if (CI.Op == SimOp::StoreF)
           View.storeF64(Addr, V.D);
@@ -459,7 +465,7 @@ Interpreter::interpret(const CompiledFunction &CF,
       }
       case SimOp::Prefetch: {
         std::uint64_t Addr = static_cast<std::uint64_t>(Get(CI.Ops[0]).I);
-        ++S.Prefetches;
+        ++C.Prefetches;
         Trace.push(AccessTrace::Kind::Prefetch, Addr);
         break;
       }
@@ -475,14 +481,14 @@ Interpreter::interpret(const CompiledFunction &CF,
         Next = -1;
         break;
       case SimOp::Call: {
+        ++Calls;
         std::vector<RuntimeValue> CallArgs;
         CallArgs.reserve(CI.Ops.size());
         for (const OperandRef &Op : CI.Ops)
           CallArgs.push_back(Get(Op));
         RuntimeValue Ret;
-        PhaseStats Sub = interpret(*Prog.lookup(*CI.Callee).Switch, CallArgs,
-                                   &Ret, Trace, LoadSites);
-        S += Sub;
+        interpret(*Prog.lookup(*CI.Callee).Switch, CallArgs, &Ret, Trace,
+                  LoadSites, Total);
         if (CI.DstSlot >= 0)
           Env[static_cast<unsigned>(CI.DstSlot)] = Ret;
         break;
@@ -498,7 +504,9 @@ Interpreter::interpret(const CompiledFunction &CF,
     PrevBlock = Block;
     Block = Next;
   }
-  return S;
+  C.SimpleUnits = C.Instructions - C.FpOps - C.Divides + Calls;
+  C.Instructions += Phis;
+  Total += C;
 }
 
 PhaseStats
@@ -508,10 +516,13 @@ Interpreter::runTraced(const Function &F, const std::vector<RuntimeValue> &Args,
   if (LoadSites && (Threaded || Native))
     throw std::invalid_argument(
         "load sites are recorded by the switch backend only");
-  if (Threaded)
-    return Threaded->runTraced(F, Args, Trace, RetOut);
-  if (Native)
-    return Native->runTraced(F, Args, Trace, RetOut);
   assert(Args.size() == F.getNumArgs() && "argument count mismatch");
-  return interpret(*Prog.lookup(F).Switch, Args, RetOut, Trace, LoadSites);
+  RunCounts C;
+  if (Threaded)
+    Threaded->runTraced(F, Args, Trace, C, RetOut);
+  else if (Native)
+    Native->runTraced(F, Args, Trace, C, RetOut);
+  else
+    interpret(*Prog.lookup(F).Switch, Args, RetOut, Trace, LoadSites, C);
+  return priceCounts(C, Cfg);
 }

@@ -18,15 +18,18 @@
 ///  * SimBackend::Threaded (default) — register-allocated bytecode run by a
 ///    direct-threaded dispatch loop (sim/Bytecode.h,
 ///    sim/ThreadedInterpreter.h); Interpreter constructs a
-///    ThreadedInterpreter internally and delegates. Simulated results are
-///    bit-identical to the switch backend (SnapshotTest goldens,
-///    tests/sim/BackendDifferentialTest.cpp); only host speed differs.
+///    ThreadedInterpreter internally and delegates.
 ///  * SimBackend::Native — the bytecode lowered once per function to
 ///    executable host code (sim/NativeCodegen.h) and run by a
 ///    NativeInterpreter (sim/NativeExec.h). It runs JIT code only: a
 ///    function the JIT rejects stops the run, and a build without the JIT
-///    has no native backend (sim::simBackendBuilt). Same bit-identical
-///    contract as the threaded backend.
+///    has no native backend (sim::simBackendBuilt).
+///
+/// Every backend counts the same integers for a run (sim::RunCounts:
+/// instructions, accesses, and instructions per cost class), and runTraced
+/// prices them once with sim::priceCounts. So simulated results are
+/// bit-identical across backends (SnapshotTest goldens,
+/// tests/sim/BackendDifferentialTest.cpp); only host speed differs.
 ///
 /// One engine per backend: a run executes every function, callees
 /// included, on its configured backend's engine alone. Each Interpreter
@@ -141,9 +144,10 @@ public:
 
   /// Runs \p F with \p Args (one per formal), recording every memory access
   /// into \p Trace. The returned PhaseStats carries the cache-independent
-  /// part only (instruction counts, base compute cycles, load/store/prefetch
-  /// counts); hit levels, hit cycles and stalls are added by the runtime's
-  /// trace replay. The optional return value is written to \p RetOut.
+  /// part only: the run's counts, and its compute cycles priced once from
+  /// its instructions' cost classes (priceCounts). Hit levels, hit cycles
+  /// and stalls are added by the runtime's trace replay. The optional
+  /// return value is written to \p RetOut.
   ///
   /// When \p LoadSites is non-null, the originating load instruction of
   /// every Load event is appended to it in trace order (per-site profiling,
@@ -160,11 +164,15 @@ public:
   Program &program() { return Prog; }
 
 private:
-  PhaseStats interpret(const CompiledFunction &CF,
-                       const std::vector<RuntimeValue> &Args,
-                       RuntimeValue *RetOut, AccessTrace &Trace,
-                       std::vector<const ir::Instruction *> *LoadSites);
+  /// Runs \p CF on the switch engine, adding its counts, and its callees',
+  /// to \p Total.
+  void interpret(const CompiledFunction &CF,
+                 const std::vector<RuntimeValue> &Args, RuntimeValue *RetOut,
+                 AccessTrace &Trace,
+                 std::vector<const ir::Instruction *> *LoadSites,
+                 RunCounts &Total);
 
+  const MachineConfig &Cfg;
   MemoryView View;
   Program Prog;
   /// Non-null iff Cfg.Backend == SimBackend::Threaded; runTraced delegates

@@ -12,23 +12,19 @@
 //   rbp = NativeContext*          rbx = frame (RuntimeValue[])
 //   r13 = trace write cursor
 //   r14 = first footprint address r15 = arena base (host of sim 0)
-//   xmm15 = running ComputeCycles
 // r14/r15 never change for an interpreter: loaded in the prologue, never
 // written back. A load or store is sub + cmp + add (see translate()).
 // rax/rcx/rdx are stencil scratch; xmm0/xmm1 are FP scratch.
 //
 // Bit-exactness ground rules (checked against ThreadedInterpreter::exec):
-//  - ComputeCycles additions happen in original program order: per-opcode
-//    Cost, then the op's effects, then CostB for fused pairs. They
-//    accumulate into xmm15 (mirroring ctx->Cycles, canonical at helper
-//    boundaries).
-//  - Integer counters are region-coalesced into the shared ctx cells
-//    (order-independent totals; flushed before any point with multiple
-//    predecessors, so no path double-counts).
+//  - Every count is an integer: the instruction count, the accesses, and
+//    the instructions per cost class, which each stencil hardcodes like the
+//    threaded handlers do. The counts are region-coalesced into the shared
+//    ctx cells (order-independent totals; flushed before any point with
+//    multiple predecessors, so no path double-counts). Nothing is priced
+//    here.
 //  - Value writes reproduce the reference's RuntimeValue write pattern
 //    (.I-only / .D-only / full 16 bytes with a zeroed other half).
-//  - Costs equal to +0.0 are skipped: every cost is non-negative and the
-//    accumulators never hold -0.0, so x += 0.0 is a bitwise identity.
 //
 //===----------------------------------------------------------------------===//
 
@@ -121,7 +117,7 @@ enum Reg : unsigned {
   R15 = 15,
 };
 
-enum Xmm : unsigned { XMM0 = 0, XMM1 = 1, XMM15 = 15 };
+enum Xmm : unsigned { XMM0 = 0, XMM1 = 1 };
 
 // Condition codes (the low nibble of 0F 8x / 0F 9x).
 enum Cc : std::uint8_t {
@@ -354,8 +350,8 @@ struct Asm {
     b(Op);
     modrm(3, X, Rm);
   }
-  /// SSE op xmm, qword [rip + lit]: the literal pool carries FP immediates
-  /// (costs, FP Imm operands); deduplicated by bit pattern.
+  /// SSE op xmm, qword [rip + lit]: the literal pool carries the FP Imm
+  /// operands, deduplicated by bit pattern.
   void sseRip(std::uint8_t Pfx, std::uint8_t Op, unsigned X,
               std::uint64_t Bits) {
     if (Pfx)
@@ -417,21 +413,24 @@ constexpr std::int32_t CtxNInstr = 8;
 constexpr std::int32_t CtxNLoads = 16;
 constexpr std::int32_t CtxNStores = 24;
 constexpr std::int32_t CtxNPref = 32;
-constexpr std::int32_t CtxCycles = 40;
-constexpr std::int32_t CtxTracePtr = 48;
-constexpr std::int32_t CtxTraceEnd = 56;
-constexpr std::int32_t CtxMemBase = 64;
-constexpr std::int32_t CtxMemLo = 72;
-constexpr std::int32_t CtxMemLimit = 80;
-constexpr std::int32_t CtxRet = 88;
-constexpr std::int32_t CtxRetValid = 104;
-constexpr std::int32_t CtxOutOfBounds = 120;
-constexpr std::int32_t CtxTraceGrow = 128;
-constexpr std::int32_t CtxCall = 136;
+constexpr std::int32_t CtxNSimple = 40;
+constexpr std::int32_t CtxNFp = 48;
+constexpr std::int32_t CtxNDiv = 56;
+constexpr std::int32_t CtxTracePtr = 64;
+constexpr std::int32_t CtxTraceEnd = 72;
+constexpr std::int32_t CtxMemBase = 80;
+constexpr std::int32_t CtxMemLo = 88;
+constexpr std::int32_t CtxMemLimit = 96;
+constexpr std::int32_t CtxRet = 104;
+constexpr std::int32_t CtxRetValid = 120;
+constexpr std::int32_t CtxOutOfBounds = 136;
+constexpr std::int32_t CtxTraceGrow = 144;
+constexpr std::int32_t CtxCall = 152;
 
 bool isTerminator(bc::Opcode Op) {
   switch (Op) {
   case bc::Opcode::Jmp:
+  case bc::Opcode::PhiJmp:
   case bc::Opcode::CondBr:
   case bc::Opcode::BrCmpEQ:
   case bc::Opcode::BrCmpSLT:
@@ -484,6 +483,7 @@ void analyzeRegions(const bc::BytecodeFunction &BF, std::vector<bool> &Leader,
     const bc::Instr &I = BF.Code[Pc];
     switch (I.Op) {
     case bc::Opcode::Jmp:
+    case bc::Opcode::PhiJmp:
       Mark(I.A);
       break;
     case bc::Opcode::CondBr:
@@ -542,6 +542,7 @@ private:
   std::vector<bool> Leader;
   std::vector<std::uint32_t> RegionEvents; // at leaders
   std::uint64_t PendInstr = 0, PendLoads = 0, PendStores = 0, PendPref = 0;
+  std::uint64_t PendSimple = 0, PendFp = 0, PendDiv = 0;
 
   std::int32_t fi(std::uint32_t R) const {
     return static_cast<std::int32_t>(R) * 16;
@@ -569,29 +570,36 @@ private:
     A.i32(0);
   }
 
-  /// One ComputeCycles addition, in program order, into xmm15 (mirror of
-  /// ctx->Cycles). +0.0 is skipped: a bitwise identity here (costs are never
-  /// -0.0/NaN and the accumulator never holds -0.0).
-  void cost(double C) {
-    const std::uint64_t Bits = bitsOf(C);
-    if (Bits)
-      A.sseRip(0xF2, 0x58, XMM15, Bits); // addsd xmm15, [rip+lit]
+  /// One executed IR instruction of each cost class, counted into the
+  /// region's pending increments.
+  void countSimple() {
+    ++PendInstr;
+    ++PendSimple;
+  }
+  void countFp() {
+    ++PendInstr;
+    ++PendFp;
+  }
+  void countDiv() {
+    ++PendInstr;
+    ++PendDiv;
   }
 
   /// Writes the region's accumulated counter increments to the shared ctx
   /// cells. Clobbers EFLAGS — every stencil that branches on a computed flag
   /// re-tests after flushing.
   void flushPending() {
-    assert(PendInstr < (1u << 30) && "region counter overflows imm32");
-    if (PendInstr)
-      A.addMemImm32(RBP, CtxNInstr, static_cast<std::int32_t>(PendInstr));
-    if (PendLoads)
-      A.addMemImm32(RBP, CtxNLoads, static_cast<std::int32_t>(PendLoads));
-    if (PendStores)
-      A.addMemImm32(RBP, CtxNStores, static_cast<std::int32_t>(PendStores));
-    if (PendPref)
-      A.addMemImm32(RBP, CtxNPref, static_cast<std::int32_t>(PendPref));
-    PendInstr = PendLoads = PendStores = PendPref = 0;
+    const std::pair<std::uint64_t *, std::int32_t> Cells[] = {
+        {&PendInstr, CtxNInstr}, {&PendLoads, CtxNLoads},
+        {&PendStores, CtxNStores}, {&PendPref, CtxNPref},
+        {&PendSimple, CtxNSimple}, {&PendFp, CtxNFp},
+        {&PendDiv, CtxNDiv}};
+    for (const auto &[Pend, Off] : Cells) {
+      assert(*Pend < (1u << 30) && "region counter overflows imm32");
+      if (*Pend)
+        A.addMemImm32(RBP, Off, static_cast<std::int32_t>(*Pend));
+      *Pend = 0;
+    }
   }
 
   /// Bounds check and translation: simulated address in rax -> host
@@ -610,13 +618,11 @@ private:
     A.lea(RAX, R13, static_cast<std::int32_t>(8 * M));
     A.aluRM(0x3B, RAX, RBP, CtxTraceEnd);
     std::size_t Ok = A.jccFwd(CC_BE);
-    A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
     A.movMR(RBP, CtxTracePtr, R13);
     A.movRR(RDI, RBP);
     A.movImm32(RSI, M);
     A.callMem(RBP, CtxTraceGrow);
     A.movRM(R13, RBP, CtxTracePtr);
-    A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles);
     A.bind(Ok);
   }
 
@@ -659,7 +665,6 @@ bool FnEmitter::emit() {
   A.movRM(R14, RBP, CtxMemLo);
   A.movRM(R15, RBP, CtxMemBase);
   A.movRM(R13, RBP, CtxTracePtr);
-  A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles); // invoker zeroed it
 
   for (std::uint32_t Pc = 0; Pc != N; ++Pc) {
     if (Leader[Pc]) {
@@ -680,7 +685,6 @@ bool FnEmitter::emit() {
 
   const std::size_t Epi = A.pos();
   A.movMR(RBP, CtxTracePtr, R13);
-  A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
   A.pop(R15);
   A.pop(R14);
   A.pop(R13);
@@ -715,15 +719,13 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
   using O = bc::Opcode;
 
   auto intBin = [&](std::uint8_t AluOp) {
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     A.movRM(RAX, RBX, fi(I.A));
     A.aluRM(AluOp, RAX, RBX, fi(I.B));
     A.movMR(RBX, fi(I.Dst), RAX);
   };
   auto intBinImm = [&](std::uint8_t AluOp, std::uint8_t ImmSlash) {
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     A.movRM(RAX, RBX, fi(I.A));
     if (fitsI32(I.Imm.I)) {
       A.aluImm32(ImmSlash, RAX, static_cast<std::int32_t>(I.Imm.I));
@@ -734,8 +736,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     A.movMR(RBX, fi(I.Dst), RAX);
   };
   auto divRem = [&](bool WantRem) {
-    cost(I.Cost);
-    ++PendInstr;
+    countDiv();
     A.movRM(RCX, RBX, fi(I.B));
     A.movRM(RAX, RBX, fi(I.A));
     // Divisors 0 and -1 (exactly those with rcx + 1 <= 1 unsigned) skip
@@ -755,16 +756,14 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     A.movMR(RBX, fi(I.Dst), RAX);
   };
   auto shiftCl = [&](bool Left) {
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     A.movRM(RCX, RBX, fi(I.B));
     A.movRM(RAX, RBX, fi(I.A));
     Left ? A.shlCl(RAX) : A.sarCl(RAX); // hw masks cl & 63 like the reference
     A.movMR(RBX, fi(I.Dst), RAX);
   };
   auto fpBin = [&](std::uint8_t SseOp) {
-    cost(I.Cost);
-    ++PendInstr;
+    I.Op == O::FDiv ? countDiv() : countFp();
     A.sseRM(0xF2, 0x10, XMM0, RBX, fd(I.A));
     A.sseRM(0xF2, SseOp, XMM0, RBX, fd(I.B));
     A.sseRM(0xF2, 0x11, XMM0, RBX, fd(I.Dst));
@@ -774,8 +773,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     A.movMemImm32(RBX, fd(I.Dst), 0);
   };
   auto cmpI = [&](std::uint8_t CC) {
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     A.xorEcx();
     A.movRM(RAX, RBX, fi(I.A));
     A.aluRM(0x3B, RAX, RBX, fi(I.B));
@@ -786,8 +784,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
   // unordered outcome (CF=1) reads false; ==/!= combine ZF with PF to get
   // IEEE semantics for NaN.
   auto cmpF = [&](bool Swapped, std::uint8_t CC) {
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     A.xorEcx();
     A.sseRM(0xF2, 0x10, XMM0, RBX, fd(Swapped ? I.B : I.A));
     A.sseRM(0x66, 0x2E, XMM0, RBX, fd(Swapped ? I.A : I.B)); // ucomisd
@@ -795,8 +792,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     cmpStore();
   };
   auto cmpFEq = [&](bool Negated) {
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     A.xorEcx();
     A.xorEdx();
     A.sseRM(0xF2, 0x10, XMM0, RBX, fd(I.A));
@@ -821,20 +817,17 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     }
   };
   auto loadFBin = [&](std::uint8_t SseOp) { // LoadF{Sub,Mul}F
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     ++PendLoads;
     A.movRM(RAX, RBX, fi(I.A));
     loadCommon(true, I.Aux);
-    cost(I.CostB);
-    ++PendInstr;
+    countFp();
     A.sseRM(0xF2, 0x10, XMM0, RBX, fd(I.B));
     A.sseRM(0xF2, SseOp, XMM0, RBX, fd(I.C));
     A.sseRM(0xF2, 0x11, XMM0, RBX, fd(I.Dst));
   };
   auto brCmp = [&](std::uint8_t CC, bool ImmRhs) {
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     A.xorEcx();
     A.movRM(RAX, RBX, fi(I.A));
     if (!ImmRhs) {
@@ -847,8 +840,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     }
     A.setcc(CC, RCX);
     cmpStore();
-    cost(I.CostB);
-    ++PendInstr;
+    countSimple();
     flushPending(); // clobbers EFLAGS; re-test the materialized 0/1
     A.testRR(RCX, RCX);
     pcJcc(CC_NE, I.C);
@@ -857,8 +849,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
 
   switch (I.Op) {
   case O::MovI:
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     A.movRM(RAX, RBX, fi(I.A));
     A.movMR(RBX, fi(I.Dst), RAX);
     break;
@@ -882,8 +873,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     intBin(0x2B);
     break;
   case O::Mul:
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     A.movRM(RAX, RBX, fi(I.A));
     A.imulRM(RAX, RBX, fi(I.B));
     A.movMR(RBX, fi(I.Dst), RAX);
@@ -917,8 +907,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     intBinImm(0x2B, 5);
     break;
   case O::MulImm:
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     A.movRM(RAX, RBX, fi(I.A));
     A.movImm64(RCX, static_cast<std::uint64_t>(I.Imm.I));
     A.imulRR(RAX, RCX);
@@ -938,8 +927,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     fpBin(0x5E);
     break;
   case O::FMulImm:
-    cost(I.Cost);
-    ++PendInstr;
+    countFp();
     A.sseRM(0xF2, 0x10, XMM0, RBX, fd(I.A));
     A.sseRip(0xF2, 0x59, XMM0, bitsOf(I.Imm.D));
     A.sseRM(0xF2, 0x11, XMM0, RBX, fd(I.Dst));
@@ -983,8 +971,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     break;
 
   case O::Select:
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     A.movRM(RCX, RBX, fi(I.A));
     A.movRM(RAX, RBX, fi(I.B));
     A.movRM(RDX, RBX, fd(I.B));
@@ -995,29 +982,25 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     A.movMR(RBX, fd(I.Dst), RDX);
     break;
   case O::SIToFP:
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     A.sseRM(0xF2, 0x2A, XMM0, RBX, fi(I.A), true); // cvtsi2sd
     A.sseRM(0xF2, 0x11, XMM0, RBX, fd(I.Dst));
     break;
   case O::FPToSI:
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     A.sseRM(0xF2, 0x2C, RAX, RBX, fd(I.A), true); // cvttsd2si
     A.movMR(RBX, fi(I.Dst), RAX);
     break;
 
   case O::Gep1Shl:
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     A.movRM(RAX, RBX, fi(I.B));
     A.shlImm8(RAX, static_cast<std::uint8_t>(I.Imm.I));
     A.aluRM(0x03, RAX, RBX, fi(I.A));
     storeOfInt(I.Dst);
     break;
   case O::GepN: {
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     const bc::GepDesc &G = BF.GepDescs[I.A];
     if (G.IdxRegs.empty()) {
       A.xorEax();
@@ -1038,16 +1021,14 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
 
   case O::LoadI:
   case O::LoadF:
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     ++PendLoads;
     A.movRM(RAX, RBX, fi(I.A));
     loadCommon(I.Op == O::LoadF, I.Dst);
     break;
   case O::StoreI:
   case O::StoreF:
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     ++PendStores;
     A.movRM(RAX, RBX, fi(I.B));
     tracePush(1);
@@ -1056,8 +1037,7 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     A.movMR(RDX, 0, RCX);
     break;
   case O::Prefetch: // trace only: no translation, no memory touch
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     ++PendPref;
     A.movRM(RAX, RBX, fi(I.A));
     tracePush(2);
@@ -1071,14 +1051,17 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     break;
 
   case O::Jmp:
+    countSimple();
+    flushPending();
+    pcJmp(I.A);
+    break;
+  case O::PhiJmp: // the phis' count; phis are free
     PendInstr += I.Count;
-    cost(I.Cost);
     flushPending();
     pcJmp(I.A);
     break;
   case O::CondBr:
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     flushPending();
     A.movRM(RAX, RBX, fi(I.A));
     A.testRR(RAX, RAX);
@@ -1100,15 +1083,13 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     break;
 
   case O::Ret:
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     flushPending();
     A.movMemImm32(RBP, CtxRetValid, 0);
     jmpEpilogue();
     break;
   case O::RetVal:
-    cost(I.Cost);
-    ++PendInstr;
+    countSimple();
     flushPending();
     A.movRM(RAX, RBX, fi(I.A));
     A.movMR(RBP, CtxRet, RAX);
@@ -1117,22 +1098,20 @@ bool FnEmitter::emitOne(std::uint32_t Pc) {
     A.movMemImm32(RBP, CtxRetValid, 1);
     jmpEpilogue();
     break;
-  case O::Call:
-    cost(I.Cost);
+  case O::Call: // two simple-op units
     ++PendInstr;
+    PendSimple += 2;
     flushPending();
     // Full helper boundary: the callee traces and may move the frame arena;
-    // write the cursor and cycles back, reload them and the frame afterwards
-    // (r14/r15 are callee-saved and the same for every activation).
+    // write the cursor back, reload it and the frame afterwards (r14/r15 are
+    // callee-saved and the same for every activation).
     A.movMR(RBP, CtxTracePtr, R13);
-    A.sseRM(0xF2, 0x11, XMM15, RBP, CtxCycles);
     A.movRR(RDI, RBP);
     A.movImm64(RSI, reinterpret_cast<std::uintptr_t>(&BF.CallDescs[I.A]));
     A.movImm32(RDX, I.Dst);
     A.callMem(RBP, CtxCall);
     A.movRM(RBX, RBP, CtxFrame);
     A.movRM(R13, RBP, CtxTracePtr);
-    A.sseRM(0xF2, 0x10, XMM15, RBP, CtxCycles);
     break;
 
   case O::Trap:

@@ -17,8 +17,11 @@
 /// one ABI, native::NativeContext in sim/NativeExec.h.
 ///
 /// Every function is lowered once, to one entry point that appends its
-/// memory accesses to the AccessTrace inline and accumulates its costs
-/// locally; cache timing is added later by the runtime's trace replay.
+/// memory accesses to the AccessTrace inline and adds its counts
+/// (sim::RunCounts: instructions, accesses, instructions per cost class)
+/// into the context's cells. Nothing is priced in generated code: the
+/// counts are priced where Interpreter::runTraced returns, and cache
+/// timing is added later by the runtime's trace replay.
 ///
 /// The native backend runs JIT code only, so a function the lowerer rejects
 /// (an opcode without a stencil, an mmap or mprotect failure) stops the run

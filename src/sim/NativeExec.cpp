@@ -9,21 +9,12 @@
 // (sim/NativeCodegen.cpp). Every function runs as native code; the Program
 // has compiled each one, or stopped the run, before it is first called.
 //
-// Bit-exactness protocols (verified against ThreadedInterpreter::exec):
-//
-//  * Integer counters (Instructions/Loads/Stores/Prefetches) are
-//    order-independent totals; all activations of one top-level run
-//    accumulate into the shared NativeContext cells (generated code flushes
-//    region-constant increments), flushed into the returned PhaseStats once.
-//
-//  * ComputeCycles must reproduce the reference's FP addend order exactly.
-//    Each generated function accumulates its own costs in a register
-//    (starting at 0.0) and adds the total into ctx->Cycles at its epilogue.
-//    Across a call, nativeCall saves the caller's partial sum, zeroes
-//    ctx->Cycles, runs the callee (so ctx->Cycles ends as 0.0 + calleeTotal
-//    — bitwise equal to calleeTotal, costs being non-negative), restores,
-//    and merges with ONE addition — exactly the reference's
-//    `Cycles += Sub.ComputeCycles`.
+// Every count of a run (sim::RunCounts: instructions, accesses, and
+// instructions per cost class) is an order-independent integer total. All
+// activations of one top-level run add into the shared NativeContext cells
+// (generated code flushes region-constant increments), and runTraced hands
+// them back unpriced; Interpreter::runTraced prices them, as it does the
+// other backends' (verified against ThreadedInterpreter::exec).
 //
 //===----------------------------------------------------------------------===//
 
@@ -128,41 +119,30 @@ void NativeInterpreter::nativeCall(const bc::CallDesc &D,
   RuntimeValue Ret;
   const Program::Forms &Callee = Prog.lookup(*D.Callee);
   Ctx.RetValid = 0;
-  const double CallerPartial = Ctx.Cycles;
-  Ctx.Cycles = 0.0;
   invoke(*Callee.Bytecode, *Callee.Native, CallArgs, N);
-  const double SubCycles = Ctx.Cycles; // 0.0 + calleeTotal == calleeTotal
   if (Ctx.RetValid)
     Ret = Ctx.Ret;
-  Ctx.Cycles = CallerPartial + SubCycles; // the one reference addition
 
   Ctx.Frame = Arena.data() + CallerBase;
   if (DstReg != bc::NoReg)
     Ctx.Frame[DstReg] = Ret;
 }
 
-PhaseStats NativeInterpreter::runTraced(const Function &F,
-                                        const std::vector<RuntimeValue> &Args,
-                                        AccessTrace &Trace,
-                                        RuntimeValue *RetOut) {
+void NativeInterpreter::runTraced(const Function &F,
+                                  const std::vector<RuntimeValue> &Args,
+                                  AccessTrace &Trace, RunCounts &C,
+                                  RuntimeValue *RetOut) {
   assert(Args.size() == F.getNumArgs() && "argument count mismatch");
   const Program::Forms &Fm = Prog.lookup(F);
   CurTrace = &Trace;
-  PhaseStats S;
-  Ctx.NInstr = Ctx.NLoads = Ctx.NStores = Ctx.NPrefetches = 0;
-  Ctx.Cycles = 0.0;
+  Ctx.Counts = C;
   Ctx.RetValid = 0;
   Ctx.TracePtr = Trace.nativeBegin(0);
   Ctx.TraceEnd = Trace.nativeEnd();
   invoke(*Fm.Bytecode, *Fm.Native, Args.data(), Args.size());
   Trace.nativeCommit(Ctx.TracePtr);
   CurTrace = nullptr;
-  S.Instructions += Ctx.NInstr;
-  S.Loads += Ctx.NLoads;
-  S.Stores += Ctx.NStores;
-  S.Prefetches += Ctx.NPrefetches;
-  S.ComputeCycles += Ctx.Cycles; // 0.0 + total, like the reference's flush
+  C = Ctx.Counts;
   if (RetOut && Ctx.RetValid)
     *RetOut = Ctx.Ret;
-  return S;
 }

@@ -8,20 +8,21 @@
 /// The native execution backend (MachineConfig::Backend == SimBackend::
 /// Native): runs functions lowered by sim/NativeCodegen.h to executable host
 /// code. NativeInterpreter mirrors ThreadedInterpreter's contract exactly —
-/// same PhaseStats (FP addend order included), AccessTraces, memory images
-/// and return values — verified by tests/sim/BackendDifferentialTest.cpp
-/// across all three backends.
+/// same counts (sim::RunCounts), AccessTraces, memory images and return
+/// values — verified by tests/sim/BackendDifferentialTest.cpp across all
+/// three backends.
 ///
-/// NativeContext is the ABI (version 3) between the JIT's stencils and the
+/// NativeContext is the ABI (version 4) between the JIT's stencils and the
 /// C++ runtime: a fixed-layout struct holding the current activation's
-/// register file, the register-resident counters, the inlined trace write
-/// cursor, the interpreter's memory bounds (arena base, first footprint
-/// address, valid-start count; see sim/Memory.h), and the helper entry
-/// points generated code calls for the slow paths (an access outside the
-/// footprint, trace growth, calls). The bounds are per interpreter and read
-/// at every entry, never baked into code. All fields are 8-byte scalars (Ret
-/// is two) at fixed offsets asserted below; the x86-64 emitter addresses
-/// them as [ctx + offset].
+/// register file, the run's counts (instructions, accesses and cost
+/// classes), the inlined trace write cursor, the interpreter's memory
+/// bounds (arena base, first footprint address, valid-start count; see
+/// sim/Memory.h), and the helper entry points generated code calls for the
+/// slow paths (an access outside the footprint, trace growth, calls). The
+/// bounds are per interpreter and read at every entry, never baked into
+/// code. All fields are 8-byte scalars (Ret is two, Counts seven) at fixed
+/// offsets asserted below; the x86-64 emitter addresses them as
+/// [ctx + offset].
 ///
 /// Every function's bytecode and native code come from the owning
 /// Interpreter's Program, and every function runs as JIT code, callees
@@ -59,14 +60,9 @@ class NativeCode;
 /// need neither.
 struct NativeContext {
   RuntimeValue *Frame = nullptr;    ///< Current activation's register file.
-  std::uint64_t NInstr = 0;         ///< Shared order-independent counters...
-  std::uint64_t NLoads = 0;         ///< ...flushed into PhaseStats once at
-  std::uint64_t NStores = 0;        ///< the top-level exit (all activations
-  std::uint64_t NPrefetches = 0;    ///< accumulate into the same cells).
-  double Cycles = 0.0;              ///< ComputeCycles protocol: caller's
-                                    ///< partial sum across a call, merged
-                                    ///< total after it (see NativeExec.cpp,
-                                    ///< nativeCall).
+  /// The run's counts: every activation adds its region-coalesced
+  /// increments into these cells, and runTraced hands them back unpriced.
+  RunCounts Counts;
   std::uint64_t *TracePtr = nullptr; ///< Next trace event write slot.
   std::uint64_t *TraceEnd = nullptr; ///< One past the reserved trace storage.
   std::uint8_t *MemBase = nullptr;  ///< Host address of simulated address 0.
@@ -87,22 +83,25 @@ struct NativeContext {
 // them in lockstep with the struct (any drift is a compile-time error here,
 // not a silent miscompile there).
 static_assert(offsetof(NativeContext, Frame) == 0, "ABI layout");
-static_assert(offsetof(NativeContext, NInstr) == 8, "ABI layout");
-static_assert(offsetof(NativeContext, NLoads) == 16, "ABI layout");
-static_assert(offsetof(NativeContext, NStores) == 24, "ABI layout");
-static_assert(offsetof(NativeContext, NPrefetches) == 32, "ABI layout");
-static_assert(offsetof(NativeContext, Cycles) == 40, "ABI layout");
-static_assert(offsetof(NativeContext, TracePtr) == 48, "ABI layout");
-static_assert(offsetof(NativeContext, TraceEnd) == 56, "ABI layout");
-static_assert(offsetof(NativeContext, MemBase) == 64, "ABI layout");
-static_assert(offsetof(NativeContext, MemLo) == 72, "ABI layout");
-static_assert(offsetof(NativeContext, MemLimit) == 80, "ABI layout");
-static_assert(offsetof(NativeContext, Ret) == 88, "ABI layout");
-static_assert(offsetof(NativeContext, RetValid) == 104, "ABI layout");
-static_assert(offsetof(NativeContext, Self) == 112, "ABI layout");
-static_assert(offsetof(NativeContext, OutOfBounds) == 120, "ABI layout");
-static_assert(offsetof(NativeContext, TraceGrow) == 128, "ABI layout");
-static_assert(offsetof(NativeContext, Call) == 136, "ABI layout");
+static_assert(offsetof(NativeContext, Counts) == 8, "ABI layout");
+static_assert(offsetof(RunCounts, Instructions) == 0, "ABI layout");
+static_assert(offsetof(RunCounts, Loads) == 8, "ABI layout");
+static_assert(offsetof(RunCounts, Stores) == 16, "ABI layout");
+static_assert(offsetof(RunCounts, Prefetches) == 24, "ABI layout");
+static_assert(offsetof(RunCounts, SimpleUnits) == 32, "ABI layout");
+static_assert(offsetof(RunCounts, FpOps) == 40, "ABI layout");
+static_assert(offsetof(RunCounts, Divides) == 48, "ABI layout");
+static_assert(offsetof(NativeContext, TracePtr) == 64, "ABI layout");
+static_assert(offsetof(NativeContext, TraceEnd) == 72, "ABI layout");
+static_assert(offsetof(NativeContext, MemBase) == 80, "ABI layout");
+static_assert(offsetof(NativeContext, MemLo) == 88, "ABI layout");
+static_assert(offsetof(NativeContext, MemLimit) == 96, "ABI layout");
+static_assert(offsetof(NativeContext, Ret) == 104, "ABI layout");
+static_assert(offsetof(NativeContext, RetValid) == 120, "ABI layout");
+static_assert(offsetof(NativeContext, Self) == 128, "ABI layout");
+static_assert(offsetof(NativeContext, OutOfBounds) == 136, "ABI layout");
+static_assert(offsetof(NativeContext, TraceGrow) == 144, "ABI layout");
+static_assert(offsetof(NativeContext, Call) == 152, "ABI layout");
 
 } // namespace native
 
@@ -115,10 +114,11 @@ public:
   NativeInterpreter(Program &Prog, Memory &Mem);
   ~NativeInterpreter();
 
-  /// Identical contract to Interpreter::runTraced without a load-site sink.
-  PhaseStats runTraced(const ir::Function &F,
-                       const std::vector<RuntimeValue> &Args,
-                       AccessTrace &Trace, RuntimeValue *RetOut = nullptr);
+  /// Runs \p F like Interpreter::runTraced without a load-site sink, adding
+  /// the run's counts to \p C unpriced.
+  void runTraced(const ir::Function &F, const std::vector<RuntimeValue> &Args,
+                 AccessTrace &Trace, RunCounts &C,
+                 RuntimeValue *RetOut = nullptr);
 
 private:
   friend struct NativeHelpers; ///< The extern-"C"-style helper shims.
@@ -129,8 +129,7 @@ private:
               const RuntimeValue *Args, std::size_t NArgs);
 
   /// The Call-helper body: runs a callee's native code from inside generated
-  /// code and merges its stats exactly like the threaded backend's Call
-  /// handler.
+  /// code, which adds its counts into the same context cells.
   void nativeCall(const bc::CallDesc &D, std::uint32_t DstReg);
 
   void traceGrow(std::uint64_t Needed);

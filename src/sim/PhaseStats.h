@@ -16,15 +16,53 @@
 /// DVFS ladder, mirroring the paper's "run once per frequency and model"
 /// methodology (section 3.1) without re-running anything.
 ///
+/// The simulator counts integers and prices them once. The execution
+/// backends count a phase's instructions per cost class (RunCounts), and
+/// priceCounts turns them into the phase's functional stats where
+/// Interpreter::runTraced returns. The trace replay counts (kind, level)
+/// events, and runtime::priceEvents (runtime/Replay.h) adds their hit
+/// cycles and stalls once per phase. Those two functions are the only
+/// writers of a simulated phase's ComputeCycles and StallNs, so backends
+/// agree because they count the same integers.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DAECC_SIM_PHASESTATS_H
 #define DAECC_SIM_PHASESTATS_H
 
+#include "sim/MachineConfig.h"
+
 #include <cstdint>
 
 namespace dae {
 namespace sim {
+
+/// What a functional run counts: every backend produces exactly these
+/// integers for a run. The last three are the core-clocked cost classes:
+/// simple-op units (a call counts two), FP ops (FAdd, FSub, FMul) and
+/// divides (SDiv, SRem, FDiv). A phi is an instruction of no class: it is
+/// free. The native backend's generated code adds into these fields in
+/// place (sim/NativeExec.h pins their offsets).
+struct RunCounts {
+  std::uint64_t Instructions = 0;
+  std::uint64_t Loads = 0;
+  std::uint64_t Stores = 0;
+  std::uint64_t Prefetches = 0;
+  std::uint64_t SimpleUnits = 0;
+  std::uint64_t FpOps = 0;
+  std::uint64_t Divides = 0;
+
+  RunCounts &operator+=(const RunCounts &R) {
+    Instructions += R.Instructions;
+    Loads += R.Loads;
+    Stores += R.Stores;
+    Prefetches += R.Prefetches;
+    SimpleUnits += R.SimpleUnits;
+    FpOps += R.FpOps;
+    Divides += R.Divides;
+    return *this;
+  }
+};
 
 /// Aggregated execution profile of one phase (access, execute, or coupled).
 struct PhaseStats {
@@ -65,6 +103,21 @@ struct PhaseStats {
     return *this;
   }
 };
+
+/// The functional half of a phase's profile: \p C's counts, and its
+/// core-clocked compute priced under \p Cfg's instruction costs. Cache hits
+/// and stalls are added by the trace replay (runtime::priceEvents).
+inline PhaseStats priceCounts(const RunCounts &C, const MachineConfig &Cfg) {
+  PhaseStats S;
+  S.Instructions = C.Instructions;
+  S.Loads = C.Loads;
+  S.Stores = C.Stores;
+  S.Prefetches = C.Prefetches;
+  S.ComputeCycles = static_cast<double>(C.SimpleUnits) * Cfg.SimpleOpCycles +
+                    static_cast<double>(C.FpOps) * Cfg.FpOpCycles +
+                    static_cast<double>(C.Divides) * Cfg.DivCycles;
+  return S;
+}
 
 } // namespace sim
 } // namespace dae

@@ -7,8 +7,8 @@
 /// \file
 /// Helpers shared by the two functional execution backends (the switch
 /// interpreter in Interpreter.cpp and the bytecode lowering in Bytecode.cpp):
-/// the fully resolved SimOp dispatch enum, the IR-opcode -> SimOp mappings,
-/// and the per-instruction core-clocked cost model.
+/// the fully resolved SimOp dispatch enum and the IR-opcode -> SimOp
+/// mappings.
 ///
 /// The mappings abort with a diagnostic on enum values outside the known
 /// range instead of silently falling back to Add/CmpEQ: a newly added IR
@@ -21,8 +21,6 @@
 #define DAECC_SIM_SIMOPS_H
 
 #include "ir/Instruction.h"
-#include "sim/MachineConfig.h"
-#include "support/Casting.h"
 
 #include <cstdint>
 #include <cstdio>
@@ -154,31 +152,6 @@ inline SimOp cmpSimOp(ir::CmpPred P) {
     return SimOp::CmpFNE;
   }
   reportUnknownOpcode("cmpSimOp", static_cast<int>(P));
-}
-
-/// Core-clocked cost of an instruction (cycles), excluding memory effects.
-inline double instCycles(const ir::Instruction &I, const MachineConfig &Cfg) {
-  switch (I.getKind()) {
-  case ir::ValueKind::InstBinary:
-    switch (cast<ir::BinaryInst>(&I)->getOpcode()) {
-    case ir::BinOp::FDiv:
-    case ir::BinOp::SDiv:
-    case ir::BinOp::SRem:
-      return Cfg.DivCycles;
-    case ir::BinOp::FMul:
-    case ir::BinOp::FAdd:
-    case ir::BinOp::FSub:
-      return Cfg.FpOpCycles;
-    default:
-      return Cfg.SimpleOpCycles;
-    }
-  case ir::ValueKind::InstPhi:
-    return 0.0;
-  case ir::ValueKind::InstCall:
-    return 2.0 * Cfg.SimpleOpCycles;
-  default:
-    return Cfg.SimpleOpCycles;
-  }
 }
 
 } // namespace sim

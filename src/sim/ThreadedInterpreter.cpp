@@ -9,11 +9,13 @@
 // site per opcode) or into a portable switch loop on other compilers.
 //
 // Bit-exactness contract with the switch interpreter (Interpreter.cpp):
-//  * every IR instruction bumps PhaseStats::Instructions exactly once and
-//    adds its cost to ComputeCycles as its own FP addition, in program
-//    order — fused superinstructions apply STEP()/STEP2() separately;
-//  * trace events are appended in the same order relative to the counter
-//    bumps and the actual memory access;
+//  * every IR instruction bumps the instruction count exactly once and its
+//    cost class once (STEP, STEP_FP, STEP_DIV; a call two simple-op units),
+//    hardcoded per handler; a fused superinstruction steps once per IR
+//    instruction it executes. The counts are integers, so their order is
+//    free;
+//  * trace events are appended in the same order as the actual memory
+//    accesses;
 //  * each handler reproduces the reference's RuntimeValue write pattern
 //    (.I-only / .D-only / full-struct) so register files stay bit-identical
 //    to the reference's slot environment at every step.
@@ -40,12 +42,10 @@ using namespace dae::sim;
 ThreadedInterpreter::ThreadedInterpreter(Program &Prog, Memory &Mem)
     : Prog(Prog), View(Mem, Prog.loader()) {}
 
-PhaseStats ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
-                                     const RuntimeValue *Args,
-                                     std::size_t NArgs, RuntimeValue *RetOut,
-                                     AccessTrace &Trace) {
-  PhaseStats S;
-
+void ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
+                               const RuntimeValue *Args, std::size_t NArgs,
+                               RuntimeValue *RetOut, AccessTrace &Trace,
+                               RunCounts &C) {
   // Per-activation frame carved out of the shared arena: no allocation or
   // zeroing per run (see the Frame member comment). A nested Call may grow
   // the arena, so its handler re-derives R after the callee returns.
@@ -60,11 +60,9 @@ PhaseStats ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
   for (std::size_t K = 0; K != BF.ConstPool.size(); ++K)
     R[BF.ConstBase + K] = BF.ConstPool[K];
 
-  // Register-resident counters, flushed into S once at exit. The integer
-  // counts are order-independent; the ComputeCycles local sees the exact
-  // same addition sequence the reference applies to the struct field.
-  std::uint64_t NInstr = 0, NLoads = 0, NStores = 0, NPrefetches = 0;
-  double Cycles = 0.0;
+  // Register-resident counters, added to C once at exit. A callee adds its
+  // own to C before that; integer sums do not depend on the order.
+  RunCounts N;
 
   const bc::Instr *Code = BF.Code.data();
   const bc::Instr *I = Code;
@@ -84,13 +82,18 @@ PhaseStats ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
 
 #define STEP()                                                                 \
   do {                                                                         \
-    ++NInstr;                                                                  \
-    Cycles += I->Cost;                                                         \
+    ++N.Instructions;                                                          \
+    ++N.SimpleUnits;                                                           \
   } while (0)
-#define STEP2()                                                                \
+#define STEP_FP()                                                              \
   do {                                                                         \
-    ++NInstr;                                                                  \
-    Cycles += I->CostB;                                                        \
+    ++N.Instructions;                                                          \
+    ++N.FpOps;                                                                 \
+  } while (0)
+#define STEP_DIV()                                                             \
+  do {                                                                         \
+    ++N.Instructions;                                                          \
+    ++N.Divides;                                                               \
   } while (0)
 #define NEXT()                                                                 \
   do {                                                                         \
@@ -122,9 +125,9 @@ PhaseStats ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
             OPER static_cast<std::uint64_t>(I->Imm.I));                        \
     NEXT();                                                                    \
   }
-#define FP_BIN(Name, OPER)                                                     \
+#define FP_BIN(Name, OPER, COUNT)                                              \
   OP(Name) {                                                                   \
-    STEP();                                                                    \
+    COUNT();                                                                   \
     R[I->Dst].D = R[I->A].D OPER R[I->B].D;                                    \
     NEXT();                                                                    \
   }
@@ -145,7 +148,7 @@ PhaseStats ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
     STEP();                                                                    \
     bool Taken = R[I->A].I OPER R[I->B].I;                                     \
     R[I->Dst] = RuntimeValue::ofInt(Taken);                                    \
-    STEP2();                                                                   \
+    STEP();                                                                    \
     JUMP(Taken ? I->C : I->Aux);                                               \
   }
 #define BR_CMP_IMM(Name, OPER)                                                 \
@@ -153,19 +156,19 @@ PhaseStats ThreadedInterpreter::exec(const bc::BytecodeFunction &BF,
     STEP();                                                                    \
     bool Taken = R[I->A].I OPER I->Imm.I;                                      \
     R[I->Dst] = RuntimeValue::ofInt(Taken);                                    \
-    STEP2();                                                                   \
+    STEP();                                                                    \
     JUMP(Taken ? I->C : I->Aux);                                               \
   }
 #define LOAD_F_BIN(Name, OPER)                                                 \
   OP(Name) {                                                                   \
     STEP();                                                                    \
     std::uint64_t Addr = static_cast<std::uint64_t>(R[I->A].I);                \
-    ++NLoads;                                                                  \
+    ++N.Loads;                                                                 \
     Trace.push(AccessTrace::Kind::Load, Addr);                                 \
     RuntimeValue Out;                                                          \
     Out.D = View.loadF64(Addr);                                                \
     R[I->Aux] = Out;                                                           \
-    STEP2();                                                                   \
+    STEP_FP();                                                                 \
     R[I->Dst].D = R[I->B].D OPER R[I->C].D;                                    \
     NEXT();                                                                    \
   }
@@ -198,12 +201,12 @@ dispatch:
   INT_BIN(Sub, -)
   INT_BIN(Mul, *)
   OP(SDiv) {
-    STEP();
+    STEP_DIV();
     R[I->Dst].I = ir::sdivTotal(R[I->A].I, R[I->B].I);
     NEXT();
   }
   OP(SRem) {
-    STEP();
+    STEP_DIV();
     R[I->Dst].I = ir::sremTotal(R[I->A].I, R[I->B].I);
     NEXT();
   }
@@ -228,12 +231,12 @@ dispatch:
   INT_BIN_IMM(SubImm, -)
   INT_BIN_IMM(MulImm, *)
 
-  FP_BIN(FAdd, +)
-  FP_BIN(FSub, -)
-  FP_BIN(FMul, *)
-  FP_BIN(FDiv, /)
+  FP_BIN(FAdd, +, STEP_FP)
+  FP_BIN(FSub, -, STEP_FP)
+  FP_BIN(FMul, *, STEP_FP)
+  FP_BIN(FDiv, /, STEP_DIV)
   OP(FMulImm) {
-    STEP();
+    STEP_FP();
     R[I->Dst].D = R[I->A].D * I->Imm.D;
     NEXT();
   }
@@ -291,7 +294,7 @@ dispatch:
   OP(LoadI) {
     STEP();
     std::uint64_t Addr = static_cast<std::uint64_t>(R[I->A].I);
-    ++NLoads;
+    ++N.Loads;
     Trace.push(AccessTrace::Kind::Load, Addr);
     RuntimeValue Out;
     Out.I = View.loadI64(Addr);
@@ -301,7 +304,7 @@ dispatch:
   OP(LoadF) {
     STEP();
     std::uint64_t Addr = static_cast<std::uint64_t>(R[I->A].I);
-    ++NLoads;
+    ++N.Loads;
     Trace.push(AccessTrace::Kind::Load, Addr);
     RuntimeValue Out;
     Out.D = View.loadF64(Addr);
@@ -312,7 +315,7 @@ dispatch:
     STEP();
     std::uint64_t Addr = static_cast<std::uint64_t>(R[I->B].I);
     std::int64_t V = R[I->A].I;
-    ++NStores;
+    ++N.Stores;
     Trace.push(AccessTrace::Kind::Store, Addr);
     View.storeI64(Addr, V);
     NEXT();
@@ -321,7 +324,7 @@ dispatch:
     STEP();
     std::uint64_t Addr = static_cast<std::uint64_t>(R[I->B].I);
     double V = R[I->A].D;
-    ++NStores;
+    ++N.Stores;
     Trace.push(AccessTrace::Kind::Store, Addr);
     View.storeF64(Addr, V);
     NEXT();
@@ -329,7 +332,7 @@ dispatch:
   OP(Prefetch) {
     STEP();
     std::uint64_t Addr = static_cast<std::uint64_t>(R[I->A].I);
-    ++NPrefetches;
+    ++N.Prefetches;
     Trace.push(AccessTrace::Kind::Prefetch, Addr);
     NEXT();
   }
@@ -338,8 +341,11 @@ dispatch:
   LOAD_F_BIN(LoadFMulF, *)
 
   OP(Jmp) {
-    NInstr += I->Count;
-    Cycles += I->Cost;
+    STEP();
+    JUMP(I->A);
+  }
+  OP(PhiJmp) {
+    N.Instructions += I->Count;
     JUMP(I->A);
   }
   OP(CondBr) {
@@ -363,7 +369,8 @@ dispatch:
     goto done;
   }
   OP(Call) {
-    STEP();
+    ++N.Instructions;
+    N.SimpleUnits += 2;
     const bc::CallDesc &D = BF.CallDescs[I->A];
     // Gather actuals into an on-stack buffer (no allocation per call); the
     // heap fallback keeps arbitrary signatures correct.
@@ -377,17 +384,10 @@ dispatch:
     for (std::size_t K = 0; K != D.ArgRegs.size(); ++K)
       CallArgs[K] = R[D.ArgRegs[K]];
     RuntimeValue Ret;
-    PhaseStats Sub = exec(*Prog.lookup(*D.Callee).Bytecode, CallArgs,
-                          D.ArgRegs.size(), &Ret, Trace);
+    exec(*Prog.lookup(*D.Callee).Bytecode, CallArgs, D.ArgRegs.size(), &Ret,
+         Trace, C);
     // The callee may have grown the arena; re-derive our frame pointer.
     R = Frame.data() + FrameBase;
-    // Fold the callee's counts into ours: the same totals, and the same one
-    // ComputeCycles addition, as the reference's S += Sub.
-    NInstr += Sub.Instructions;
-    NLoads += Sub.Loads;
-    NStores += Sub.Stores;
-    NPrefetches += Sub.Prefetches;
-    Cycles += Sub.ComputeCycles;
     if (I->Dst != bc::NoReg)
       R[I->Dst] = Ret;
     NEXT();
@@ -399,13 +399,8 @@ dispatch:
 #endif
 
 done:
-  S.Instructions += NInstr;
-  S.Loads += NLoads;
-  S.Stores += NStores;
-  S.Prefetches += NPrefetches;
-  S.ComputeCycles += Cycles;
+  C += N;
   FrameTop = FrameBase;
-  return S;
 
 #undef LOAD_F_BIN
 #undef BR_CMP_IMM
@@ -417,17 +412,17 @@ done:
 #undef INT_BIN
 #undef JUMP
 #undef NEXT
-#undef STEP2
+#undef STEP_DIV
+#undef STEP_FP
 #undef STEP
 #undef OP
 #undef DISPATCH
 }
 
-PhaseStats ThreadedInterpreter::runTraced(const Function &F,
-                                          const std::vector<RuntimeValue> &Args,
-                                          AccessTrace &Trace,
-                                          RuntimeValue *RetOut) {
+void ThreadedInterpreter::runTraced(const Function &F,
+                                    const std::vector<RuntimeValue> &Args,
+                                    AccessTrace &Trace, RunCounts &C,
+                                    RuntimeValue *RetOut) {
   assert(Args.size() == F.getNumArgs() && "argument count mismatch");
-  return exec(*Prog.lookup(F).Bytecode, Args.data(), Args.size(), RetOut,
-              Trace);
+  exec(*Prog.lookup(F).Bytecode, Args.data(), Args.size(), RetOut, Trace, C);
 }

@@ -13,12 +13,13 @@
 /// runs the bytecode of that Interpreter's Program, which lowers each
 /// function on its first lookup. Only the threaded backend runs it.
 ///
-/// Semantics are bit-identical to the switch interpreter — same PhaseStats
-/// (including FP addend order), AccessTraces, memory images and return
-/// values — verified by tests/sim/BackendDifferentialTest.cpp and the
-/// SnapshotTest goldens. Trace emission is inlined at the load/store/prefetch
-/// sites, and every counter lives in a register-resident local flushed once
-/// at function exit.
+/// Semantics are bit-identical to the switch interpreter — same counts
+/// (sim::RunCounts), AccessTraces, memory images and return values —
+/// verified by tests/sim/BackendDifferentialTest.cpp and the SnapshotTest
+/// goldens. Each handler counts its IR instructions and their cost classes,
+/// hardcoded per opcode; nothing is priced here. Trace emission is inlined
+/// at the load/store/prefetch sites, and every counter lives in a
+/// register-resident local added to the run's counts once at function exit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,16 +42,19 @@ public:
   /// \p Prog is the owning Interpreter's and outlives this one.
   ThreadedInterpreter(Program &Prog, Memory &Mem);
 
-  /// Identical contract to Interpreter::runTraced without a load-site sink.
-  PhaseStats runTraced(const ir::Function &F,
-                       const std::vector<RuntimeValue> &Args,
-                       AccessTrace &Trace, RuntimeValue *RetOut = nullptr);
+  /// Runs \p F like Interpreter::runTraced without a load-site sink, adding
+  /// the run's counts to \p C unpriced.
+  void runTraced(const ir::Function &F, const std::vector<RuntimeValue> &Args,
+                 AccessTrace &Trace, RunCounts &C,
+                 RuntimeValue *RetOut = nullptr);
 
 private:
   /// Args passed as pointer+count so the Call handler can forward from an
-  /// on-stack buffer without materializing a vector per call.
-  PhaseStats exec(const bc::BytecodeFunction &BF, const RuntimeValue *Args,
-                  std::size_t NArgs, RuntimeValue *RetOut, AccessTrace &Trace);
+  /// on-stack buffer without materializing a vector per call. A callee adds
+  /// its counts to the same \p C.
+  void exec(const bc::BytecodeFunction &BF, const RuntimeValue *Args,
+            std::size_t NArgs, RuntimeValue *RetOut, AccessTrace &Trace,
+            RunCounts &C);
 
   /// Register-file arena shared by all activations: each exec() carves its
   /// frame at FrameTop and restores it on return, so repeated task runs and

@@ -361,8 +361,10 @@ TEST(MultiCoreDeterminism, SweepEqualsOneMixPerWidth) {
 // of every policy, on CAE and Auto DAE streams, at the default and at a zero
 // DVFS transition latency, on test-scale mixes chosen to reach every branch
 // of the interleave. Recorded from the per-event reference interleaver
-// before the private run-ahead replaced it; a deliberate model change must
-// re-record them (hash as below, paste the new values).
+// before the private run-ahead replaced it, and re-recorded once when each
+// phase's event counts began to be priced once (runtime::priceEvents)
+// instead of per event; a deliberate model change must re-record them (hash
+// as below, paste the new values).
 
 std::uint64_t fnv1a(const void *Data, size_t Len, std::uint64_t H) {
   const unsigned char *P = static_cast<const unsigned char *>(Data);
@@ -464,32 +466,32 @@ void PrintTo(const GoldenMix &G, std::ostream *OS) { *OS << G.Name; }
 
 const GoldenMix GoldenMixes[] = {
     {"one_way", {"libq"}, [](MachineConfig &C) { C.NumCores = 4; }, false,
-     0xea036e7079be6eecull, 0x699e9365da066b86ull},
+     0xed3ddc92dbdec79eull, 0x9fe2c8b0abc2c2ddull},
     {"three_way", {"libq", "cholesky", "fft"},
-     [](MachineConfig &C) { C.NumCores = 4; }, false, 0x85c5b237346aa8f1ull,
-     0xfd1ba89aaacf0af2ull},
+     [](MachineConfig &C) { C.NumCores = 4; }, false, 0x4db4e531c8e068d0ull,
+     0x1ab8dd860ea01f37ull},
     // Identical streams at identical addresses: the clocks tie on every
     // event and the lines alias in the LLC, so the tie-break decides who
     // misses and who hits.
     {"cigar_twins_same_bias", {"cigar", "cigar"},
-     [](MachineConfig &C) { C.NumCores = 4; }, true, 0x116c0019b5d5be02ull,
-     0x623c8244319b744full},
+     [](MachineConfig &C) { C.NumCores = 4; }, true, 0xf9d723404c0e6ae5ull,
+     0x09185b611c5b0fa8ull},
     {"no_next_line_prefetch", {"libq", "cigar", "cg"},
      [](MachineConfig &C) {
        C.NumCores = 4;
        C.HwNextLinePrefetch = false;
      },
-     false, 0xd5aa33447b071175ull, 0x8f767c4a5c8be7efull},
+     false, 0xf7eacaee662c3213ull, 0x16c2855fe96d18d8ull},
     {"unthrottled_dram", {"libq", "cigar", "cg"},
      [](MachineConfig &C) {
        C.NumCores = 4;
        C.DramBandwidthGBs = 0.0;
      },
-     false, 0x036f6085712ef5deull, 0x80f923ded0451659ull},
+     false, 0x35b5957663f74283ull, 0x2520b4b7988a837cull},
     {"eight_way",
      {"lu", "cholesky", "fft", "lbm", "libq", "cigar", "cg", "lu"},
-     [](MachineConfig &C) { C.NumCores = 8; }, false, 0x7a20cc31d33f5904ull,
-     0x54791e662a0cc1fdull},
+     [](MachineConfig &C) { C.NumCores = 8; }, false, 0x3f04bcf8be0270b2ull,
+     0xba245c23eaea9b7aull},
 };
 
 class TimelineGolden : public ::testing::TestWithParam<GoldenMix> {};

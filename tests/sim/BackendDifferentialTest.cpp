@@ -12,8 +12,9 @@
 // included), ordered AccessTraces, final memory images, and output
 // snapshots — across scheme (CAE, Manual DAE, Auto DAE) and host thread
 // count. Any divergence is a backend bug, not noise: both lowerings are
-// required to preserve FP addend order, memory-model callback order, and
-// the exact RuntimeValue write patterns of the switch interpreter.
+// required to count the same instructions per cost class, preserve
+// memory-model callback order, and reproduce the exact RuntimeValue write
+// patterns of the switch interpreter.
 //
 //===----------------------------------------------------------------------===//
 

@@ -53,7 +53,8 @@ const std::vector<Opcode> Base = {
     Opcode::CmpFEQ,   Opcode::CmpFNE,  Opcode::Select,  Opcode::SIToFP,
     Opcode::FPToSI,   Opcode::GepN,    Opcode::LoadI,   Opcode::LoadF,
     Opcode::StoreI,   Opcode::StoreF,  Opcode::Prefetch, Opcode::Jmp,
-    Opcode::CondBr,   Opcode::Ret,     Opcode::RetVal,  Opcode::Call};
+    Opcode::PhiJmp,   Opcode::CondBr,  Opcode::Ret,     Opcode::RetVal,
+    Opcode::Call};
 
 bool listed(const std::vector<Opcode> &List, Opcode Op) {
   return std::find(List.begin(), List.end(), Op) != List.end();
@@ -73,13 +74,12 @@ TEST(BytecodeCensus, EveryOpcodeIsSpecializedOrBase) {
 
 TEST(BytecodeCensus, EverySpecializedFormIsEmitted) {
   std::map<Opcode, unsigned> Emitted;
-  const MachineConfig Cfg;
   for (const auto &W : workloads::buildAll(workloads::Scale::Test)) {
     for (ir::Function *F : W->taskFunctions())
       generateAccessPhase(*W->M, *F, W->Opts);
     const Loader L(*W->M);
     for (const auto &F : W->M->functions()) {
-      const auto BF = bc::lower(*F, L, Cfg);
+      const auto BF = bc::lower(*F, L);
       for (const bc::Instr &I : BF->Code)
         ++Emitted[I.Op];
     }

@@ -30,7 +30,8 @@
 // its generic forms (constant operands of compares, shifts and FP ops,
 // compare-and-branch pairs, loads feeding FAdd and Add, one-index GEPs with
 // a constant index or a 24-byte element). The first three also check their
-// results against values computed on the host.
+// results against values computed on the host. One more prices a kernel
+// with one instruction of every cost class against its hand count.
 //
 // MemoryArenaTest and MemoryArenaDeathTest pin the arena's edges under every
 // backend: an 8-byte access that straddles a 4 KiB boundary inside a global
@@ -750,6 +751,63 @@ TEST(BackendKernelTest, GenericFormsOfPrunedShapesMatchSwitch) {
                                        RuntimeValue::ofInt(1),
                                        RuntimeValue::ofFloat(0.5)};
   expectBackendsAgree(M, *F, Args, Init, "pruned shapes");
+}
+
+// One instruction of every cost class, and a phi: every backend prices the
+// kernel's compute to what priceCounts gives for its hand-counted classes.
+// The costs are powers of ten, so the price spells out the counts.
+TEST(BackendKernelTest, EachCostClassIsPricedOnce) {
+  Module M;
+  Function *Callee = M.createFunction("id", Type::Int64, {Type::Int64});
+  IRBuilder(M, Callee->createBlock("entry")).createRet(Callee->getArg(0));
+  Function *F =
+      M.createFunction("classes", Type::Int64, {Type::Int64, Type::Float64});
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Join = F->createBlock("join");
+  IRBuilder B(M, Entry);
+  Value *Sum = B.createAdd(F->getArg(0), B.getInt(5));
+  B.createFAdd(F->getArg(1), F->getArg(1));
+  Value *Quot = B.createSDiv(Sum, B.getInt(3));
+  Value *Ret = B.createCall(Callee, {Quot});
+  B.createBr(Join);
+  B.setInsertBlock(Join);
+  PhiInst *P = B.createPhi(Type::Int64);
+  P->addIncoming(Ret, Entry);
+  B.createRet(P);
+  ASSERT_TRUE(verifyFunction(*F).empty()) << printFunction(*F);
+
+  // add, fadd, sdiv, call, br, phi and ret, then the callee's ret. Simple-op
+  // units: add 1, call 2, br 1, the two rets 1 each. The phi is free.
+  RunCounts Hand;
+  Hand.Instructions = 8;
+  Hand.SimpleUnits = 6;
+  Hand.FpOps = 1;
+  Hand.Divides = 1;
+  MachineConfig Cfg;
+  Cfg.SimpleOpCycles = 1.0;
+  Cfg.FpOpCycles = 100.0;
+  Cfg.DivCycles = 10000.0;
+  const PhaseStats Priced = priceCounts(Hand, Cfg);
+  ASSERT_EQ(Priced.ComputeCycles, 10106.0);
+
+  for (SimBackend Backend :
+       {SimBackend::Switch, SimBackend::Threaded, SimBackend::Native}) {
+    if (!simBackendBuilt(Backend))
+      continue;
+    Cfg.Backend = Backend;
+    const Loader L(M);
+    Memory Mem;
+    Interpreter Interp(Cfg, Mem, L);
+    AccessTrace Trace;
+    RuntimeValue Out;
+    const PhaseStats S = Interp.runTraced(
+        *F, {RuntimeValue::ofInt(7), RuntimeValue::ofFloat(1.5)}, Trace,
+        &Out);
+    EXPECT_EQ(S.Instructions, Hand.Instructions) << simBackendName(Backend);
+    EXPECT_EQ(S.ComputeCycles, Priced.ComputeCycles)
+        << simBackendName(Backend);
+    EXPECT_EQ(Out.I, 4) << simBackendName(Backend);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -142,8 +142,7 @@ TEST(NativeBackend, JitBufferIsWxProtected) {
   auto *Out = M.createGlobal("Out", 8);
   Function *F = buildFn(M, Out, 0);
   Loader L(M);
-  MachineConfig Cfg;
-  auto BF = bc::lower(*F, L, Cfg);
+  auto BF = bc::lower(*F, L);
   std::unique_ptr<native::NativeCode> NC = native::compile(*BF);
   ASSERT_NE(NC, nullptr);
 
